@@ -27,6 +27,6 @@ bench:
 	@echo "profiles written to $(PROFDIR)"
 
 # allocgate enforces the committed allocs/op budgets (alloc_budget.txt)
-# on the serve hot path.
+# on the serve hot path and the cluster router.
 allocgate:
 	./scripts/allocgate.sh

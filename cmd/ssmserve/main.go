@@ -230,8 +230,8 @@ func build(bc buildConfig) (*server.TCP, *server.Admin, func(), *obs.Observer, e
 	}
 
 	// Cluster mode: each node is a full card stack behind its own server,
-	// with a private observer so the router's health sweeps read per-card
-	// wear (the SMART report is meaningless over a mixed registry).
+	// with a private observer so the fleet view reports per-card wear (the
+	// SMART report is meaningless over a mixed registry).
 	nodes := make([]*cluster.Node, bc.nodes)
 	privs := make([]*obs.Observer, bc.nodes)
 	for i := range nodes {

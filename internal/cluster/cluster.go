@@ -20,12 +20,16 @@
 //     node still holds. The periodic health sweep re-replicates
 //     under-copied keys and propagates pending deletes as soon as the
 //     cluster can, not only after a node restart;
-//   - rebalancing: the router watches each node's SMART-style health
-//     report (flash.HealthFromSnapshot over the node's own metrics
-//     registry — the same pure function behind /debug/health) and, when
-//     a card ages toward its free-block margin, cordons the node and
-//     migrates its keys to healthier cards, deleting the moved objects
-//     so the aging card's cleaner gets its space back.
+//   - rebalancing: the router watches each node's free-block margin —
+//     read as typed state from the node's server
+//     (server.Server.FreeBlockMargin, the engine's own free/total block
+//     counts), the same ratio the SMART-style health report at
+//     /debug/health derives from the exported gauges — and, when a card
+//     ages toward its margin, cordons the node and migrates its keys to
+//     healthier cards, deleting the moved objects so the aging card's
+//     cleaner gets its space back. Control never goes through the
+//     metrics registry: telemetry is for operators, and a node nobody
+//     observes must rebalance exactly like one somebody does.
 //
 // Admission-control sheds stay node-local by design: a write shed by one
 // node's watermark controller is retried against the same node with
@@ -48,7 +52,6 @@ import (
 	"sort"
 	"sync"
 
-	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
@@ -71,10 +74,10 @@ type Node struct {
 	// Clock is the node's virtual clock (each node owns its stack's
 	// single-threaded simulation time).
 	Clock *sim.Clock
-	// Obs is the node's private observer; its registry carries the wear
-	// telemetry the router's health checks read. Required for
-	// rebalancing; a nil Obs (or one without a registry) disables health
-	// checks for the node.
+	// Obs is the node's private observer; its registry carries the
+	// per-card telemetry FleetSnapshot merges under the node's label. It
+	// is telemetry only — routing, health sweeps and rebalancing never
+	// read it — and may be nil.
 	Obs *obs.Observer
 	// Restart, if set, recovers the node after a kill — remounting the
 	// card as after a power failure (synced data survives, unsynced DRAM
@@ -668,9 +671,11 @@ func removeNode(list []int, n int) []int {
 	return list
 }
 
-// checkHealth sweeps every live node's SMART report and cordons nodes
-// whose free-block margin has sunk below the rebalance threshold,
-// migrating their keys to healthier cards. Recovered nodes (margin back
+// checkHealth sweeps every live node's free-block margin (typed state
+// from the node's server, not its telemetry) and cordons nodes whose
+// margin has sunk below the rebalance threshold, migrating their keys to
+// healthier cards. A sweep that finds every node healthy allocates
+// nothing. Recovered nodes (margin back
 // above the uncordon threshold, e.g. after migration freed their space)
 // rejoin placement. When any directory entry is degraded — under the
 // target copy count, or carrying stale copies to purge — the sweep also
@@ -682,10 +687,7 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 		if c.down[i] {
 			continue
 		}
-		margin, ok := c.nodeMargin(i)
-		if !ok {
-			continue
-		}
+		margin := c.nodes[i].Srv.FreeBlockMargin()
 		switch {
 		case !c.cordoned[i] && margin < c.cfg.RebalanceMargin:
 			c.cordoned[i] = true
@@ -715,21 +717,6 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 		}
 	}
 	c.refreshFleetGauges()
-}
-
-// nodeMargin reads node i's free-block margin from its health report —
-// the same flash.HealthFromSnapshot pure function behind /debug/health,
-// over the node's own metrics registry. Caller holds c.mu.
-func (c *Cluster) nodeMargin(i int) (float64, bool) {
-	o := c.nodes[i].Obs
-	if o == nil || o.Registry == nil {
-		return 0, false
-	}
-	rep, err := flash.HealthFromSnapshot(o.Registry.Snapshot(), "flash")
-	if err != nil || rep.FreeBlockMargin < 0 {
-		return 0, false
-	}
-	return rep.FreeBlockMargin, true
 }
 
 // migrateOff moves every key held by node i to a healthy replacement:

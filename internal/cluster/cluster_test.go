@@ -18,21 +18,25 @@ import (
 	"ssmobile/internal/sim"
 )
 
+// testSystem is the card stack every test node is built on: E14's 8 MB
+// card.
+var testSystem = core.SolidStateConfig{
+	DRAMBytes:       8 << 20,
+	FlashBytes:      8 << 20,
+	BufferBytes:     1 << 20,
+	RBoxBytes:       512 << 10,
+	IdleCleanBlocks: 24,
+	WriteBackDelay:  2 * sim.Second,
+}
+
 // newTestCluster assembles n fresh (unaged) node stacks behind a router.
-func newTestCluster(t *testing.T, n int, cfg cluster.Config) *cluster.Cluster {
+func newTestCluster(t testing.TB, n int, cfg cluster.Config) *cluster.Cluster {
 	t.Helper()
 	nodes := make([]*cluster.Node, n)
 	for i := range nodes {
 		node, _, err := core.NewClusterNode(core.ClusterNodeConfig{
-			Name: fmt.Sprintf("n%d", i),
-			System: core.SolidStateConfig{
-				DRAMBytes:       8 << 20,
-				FlashBytes:      8 << 20,
-				BufferBytes:     1 << 20,
-				RBoxBytes:       512 << 10,
-				IdleCleanBlocks: 24,
-				WriteBackDelay:  2 * sim.Second,
-			},
+			Name:   fmt.Sprintf("n%d", i),
+			System: testSystem,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,5 +1,7 @@
 // Fleet health rollup: one report for the whole cluster, aggregated
-// from the same per-node SMART telemetry the rebalancer reads.
+// from each node's SMART telemetry. (The rebalancer does not read it: the
+// health sweep takes the one figure it needs, the free-block margin, as
+// typed state from the node's server — see checkHealth.)
 //
 // The shape mirrors flash.HealthFromSnapshot one level up: everything is
 // a pure function of a single merged obs.Snapshot in which each node's
@@ -59,25 +61,30 @@ func (c *Cluster) refreshFleetGauges() {
 // plus every node's registry with a node label stamped onto its series,
 // all sorted into one snapshot. This is the input FleetFromSnapshot
 // wants, and what ssmserve serves at /metrics in cluster mode.
+//
+// Only the collection passes hold the cluster mutex — read-through
+// gauges evaluate live simulation state that requests mutate under it.
+// Stamping the node labels and merging work on the captured values, after
+// the lock is released, so a scrape costs the data plane one pass over
+// each registry and nothing more.
 func (c *Cluster) FleetSnapshot() obs.Snapshot {
+	var router obs.Snapshot
+	nodes := make([]obs.Snapshot, len(c.nodes))
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.refreshFleetGauges()
-	var snap obs.Snapshot
 	if c.obs != nil && c.obs.Registry != nil {
-		snap = c.obs.Registry.Snapshot()
+		router = c.obs.Registry.Snapshot()
 	}
-	for _, n := range c.nodes {
-		if n.Obs == nil || n.Obs.Registry == nil {
-			continue
+	for i, n := range c.nodes {
+		if n.Obs != nil && n.Obs.Registry != nil {
+			nodes[i] = n.Obs.Registry.Snapshot()
 		}
-		node := n.Obs.Registry.Snapshot().WithLabel("node", n.Name)
-		snap.Metrics = append(snap.Metrics, node.Metrics...)
 	}
-	sort.Slice(snap.Metrics, func(i, j int) bool {
-		return snap.Metrics[i].Key() < snap.Metrics[j].Key()
-	})
-	return snap
+	c.mu.Unlock()
+	for i, n := range c.nodes {
+		nodes[i] = nodes[i].WithLabel("node", n.Name)
+	}
+	return router.Merge(nodes...)
 }
 
 // FleetNode is one node's row in the fleet report.

@@ -25,7 +25,7 @@ import (
 // a shared base observer carrying an event journal — the ssmserve
 // cluster-mode layout — and returns the cluster, the base observer, and
 // the per-node private observers.
-func newObservedCluster(t *testing.T, n int, cfg cluster.Config) (*cluster.Cluster, *obs.Observer, []*cluster.Node, []*obs.Observer) {
+func newObservedCluster(t testing.TB, n int, cfg cluster.Config) (*cluster.Cluster, *obs.Observer, []*cluster.Node, []*obs.Observer) {
 	t.Helper()
 	base := obs.New(0)
 	base.SetEventLog(obs.NewEventLog(0))
@@ -33,15 +33,8 @@ func newObservedCluster(t *testing.T, n int, cfg cluster.Config) (*cluster.Clust
 	privs := make([]*obs.Observer, n)
 	for i := range nodes {
 		node, priv, err := core.NewClusterNode(core.ClusterNodeConfig{
-			Name: fmt.Sprintf("n%d", i),
-			System: core.SolidStateConfig{
-				DRAMBytes:       8 << 20,
-				FlashBytes:      8 << 20,
-				BufferBytes:     1 << 20,
-				RBoxBytes:       512 << 10,
-				IdleCleanBlocks: 24,
-				WriteBackDelay:  2 * sim.Second,
-			},
+			Name:   fmt.Sprintf("n%d", i),
+			System: testSystem,
 		})
 		if err != nil {
 			t.Fatal(err)

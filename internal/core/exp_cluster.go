@@ -17,8 +17,8 @@ type ClusterNodeConfig struct {
 	// Name identifies the node on the placement ring.
 	Name string
 	// System parameterises the node's card stack; Obs is overridden with
-	// the node's private observer (the router's health checks need each
-	// node's telemetry isolated — and so does deterministic merging).
+	// the node's private observer (per-card telemetry must stay isolated
+	// for the fleet view's node labels and for deterministic merging).
 	System SolidStateConfig
 	// AgeBytes streams this much data through the stack and deletes it
 	// before serving, leaving the card full of dead pages as months of
@@ -85,8 +85,9 @@ func NewClusterNode(cfg ClusterNodeConfig) (*cluster.Node, *obs.Observer, error)
 // slowest holder); a shed write is retried against the same node with
 // virtual-time backoff, so one node's overload never cascades. The last
 // row plants one node near its free-block margin: the router's health
-// sweep (the E13 SMART report) cordons it mid-run and migrates its keys
-// to healthier cards.
+// sweep (each node server's typed FreeBlockMargin — the same ratio the
+// E13 SMART report shows) cordons it mid-run and migrates its keys to
+// healthier cards.
 //
 // Everything is in-process virtual time — the table is a pure function
 // of the seed, byte-identical across runs and -parallel levels.

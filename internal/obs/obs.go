@@ -52,18 +52,25 @@ func (l Labels) clone() Labels {
 	return out
 }
 
-// key renders the canonical identity string "name{k=v,k=v}" with sorted
-// keys, used for registry lookup and snapshot matching.
+// metricKey renders the canonical identity string "name{k=v,k=v}" with
+// sorted label keys, used for registry lookup and snapshot matching. It
+// allocates and sorts, so it runs once per series — at registration, or
+// when a snapshot operation changes a metric's labels — never inside a
+// sort comparator or a search loop.
 func metricKey(name string, l Labels) string {
 	if len(l) == 0 {
 		return name
 	}
-	keys := make([]string, 0, len(l))
-	for k := range l {
+	var buf [8]string // label sets are small; keep the key list off the heap
+	keys := buf[:0]
+	size := len(name) + 1 + len(l) // braces and commas
+	for k, v := range l {
 		keys = append(keys, k)
+		size += len(k) + 1 + len(v)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i, k := range keys {
@@ -290,6 +297,14 @@ type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]Collector
 	order []Collector
+	// keys[i] is order[i]'s canonical key, built once by lookup and
+	// stamped onto every Metric a Snapshot collects from it. byKeyOrder
+	// lists the indices of order in key order — the order Snapshot emits —
+	// and is rebuilt (as a fresh slice, never in place) by the first
+	// Snapshot after a registration, so a snapshot of an unchanged
+	// registry does no sorting at all.
+	keys       []string
+	byKeyOrder []int
 }
 
 // NewRegistry returns an empty registry.
@@ -313,6 +328,7 @@ func (r *Registry) lookup(name string, labels Labels, kind Kind, mk func() Colle
 	c := mk()
 	r.byKey[key] = c
 	r.order = append(r.order, c)
+	r.keys = append(r.keys, key)
 	return c
 }
 

@@ -16,57 +16,93 @@ import (
 )
 
 // summaryQuantiles are the quantile series a histogram exposes.
-var summaryQuantiles = []float64{0.5, 0.95, 0.99}
+var summaryQuantiles = [...]float64{0.5, 0.95, 0.99}
 
-// WritePrometheus renders every registered collector in the Prometheus
-// text exposition format, grouped by metric name with one # TYPE line
-// per group, in registration order of each name's first collector.
-func WritePrometheus(w io.Writer, r *Registry) error {
-	bw := bufio.NewWriter(w)
+// Exposition is a registry's collected values, ready to render as
+// Prometheus text. Collecting (CollectPrometheus) evaluates read-through
+// gauges against live simulation state and so belongs under whatever
+// lock guards that state; rendering (Write) touches only the captured
+// values, so a scrape formats and writes to its socket after releasing
+// the lock.
+type Exposition struct {
+	series []promSeries
+}
+
+// promSeries is one collector's captured value; quantiles is filled for
+// histograms only, in summaryQuantiles order.
+type promSeries struct {
+	m         Metric
+	quantiles [len(summaryQuantiles)]float64
+}
+
+// CollectPrometheus captures every registered collector, in registration
+// order.
+func CollectPrometheus(r *Registry) Exposition {
 	if r == nil {
-		return bw.Flush()
+		return Exposition{}
 	}
 	cs := r.Collectors()
-	groups := make(map[string][]Collector, len(cs))
-	var names []string
-	for _, c := range cs {
-		if _, ok := groups[c.Name()]; !ok {
-			names = append(names, c.Name())
+	e := Exposition{series: make([]promSeries, len(cs))}
+	for i, c := range cs {
+		ps := &e.series[i]
+		ps.m = c.Collect()
+		if h, ok := c.(*Histogram); ok {
+			h.mu.Lock()
+			for j, q := range summaryQuantiles {
+				ps.quantiles[j] = h.h.Quantile(q)
+			}
+			h.mu.Unlock()
 		}
-		groups[c.Name()] = append(groups[c.Name()], c)
+	}
+	return e
+}
+
+// Write renders the exposition, grouped by metric name with one # TYPE
+// line per group, in registration order of each name's first collector.
+func (e Exposition) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	groups := make(map[string][]*promSeries, len(e.series))
+	var names []string
+	for i := range e.series {
+		ps := &e.series[i]
+		if _, ok := groups[ps.m.Name]; !ok {
+			names = append(names, ps.m.Name)
+		}
+		groups[ps.m.Name] = append(groups[ps.m.Name], ps)
 	}
 	for _, name := range names {
 		group := groups[name]
-		kind := group[0].Kind()
+		kind := group[0].m.Kind
 		fmt.Fprintf(bw, "# TYPE %s %s\n", name, promType(kind))
-		for _, c := range group {
-			if c.Kind() != kind {
+		for _, ps := range group {
+			m := ps.m
+			if m.Kind != kind {
 				// A name registered under two kinds cannot share a TYPE
 				// block; skip rather than emit malformed exposition. The
 				// registry's own collectors never do this (lookup panics on
 				// per-key kind conflicts), so this guards only exotic mixes.
 				continue
 			}
-			m := c.Collect()
 			switch kind {
 			case KindCounter, KindGauge:
 				fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "", 0), promValue(m.Value))
 			case KindHistogram:
-				h, ok := c.(*Histogram)
-				if !ok {
-					continue
+				for j, q := range summaryQuantiles {
+					fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "quantile", q), promValue(ps.quantiles[j]))
 				}
-				h.mu.Lock()
-				for _, q := range summaryQuantiles {
-					fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "quantile", q), promValue(h.h.Quantile(q)))
-				}
-				h.mu.Unlock()
 				fmt.Fprintf(bw, "%s_sum%s %s\n", name, promLabels(m.Labels, "", 0), promValue(m.Sum))
 				fmt.Fprintf(bw, "%s_count%s %d\n", name, promLabels(m.Labels, "", 0), m.Count)
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// WritePrometheus renders every registered collector in the Prometheus
+// text exposition format: CollectPrometheus then Write, for callers with
+// no lock to release in between.
+func WritePrometheus(w io.Writer, r *Registry) error {
+	return CollectPrometheus(r).Write(w)
 }
 
 // WriteSnapshotPrometheus renders a point-in-time Snapshot in the

@@ -148,6 +148,21 @@ func (a *Admin) Shutdown() error {
 	return hs.Close()
 }
 
+// collect runs fn — a pass over the registry's collectors — under the
+// server's lock. Read-through gauges evaluate live simulation state
+// (buffer occupancy, free-block counts, the rate-sampler rings) that
+// request handlers mutate under that lock, so an unlocked scrape races
+// with every session. Only the collection happens here; handlers format
+// and write to the socket after it returns, so a slow scraper never
+// stalls the data plane.
+func (a *Admin) collect(fn func()) {
+	if a.srv != nil {
+		a.srv.mu.Lock()
+		defer a.srv.mu.Unlock()
+	}
+	fn()
+}
+
 func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	a.mu.Lock()
 	snapshot := a.snapshot
@@ -155,9 +170,13 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var err error
 	if snapshot != nil {
+		// The source does its own locking (the cluster's fleet snapshot
+		// collects under the cluster mutex).
 		err = obs.WriteSnapshotPrometheus(w, snapshot())
 	} else {
-		err = obs.WritePrometheus(w, a.o.Registry)
+		var exp obs.Exposition
+		a.collect(func() { exp = obs.CollectPrometheus(a.o.Registry) })
+		err = exp.Write(w)
 	}
 	if err != nil {
 		// Headers are gone; all we can do is note it inline.
@@ -210,7 +229,9 @@ func (a *Admin) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if device == "" {
 		device = "flash"
 	}
-	rep, err := flash.HealthFromSnapshot(a.o.Registry.Snapshot(), device)
+	var snap obs.Snapshot
+	a.collect(func() { snap = a.o.Registry.Snapshot() })
+	rep, err := flash.HealthFromSnapshot(snap, device)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -270,7 +291,12 @@ func (a *Admin) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no flight recorder configured", http.StatusNotFound)
 		return
 	}
-	path, err := fr.Dump("on-demand")
+	// The dump snapshots the registry, so it runs under the server's lock
+	// like every other collection — as the shed-engage dump, taken from
+	// inside a request, always has.
+	var path string
+	var err error
+	a.collect(func() { path, err = fr.Dump("on-demand") })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

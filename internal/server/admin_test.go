@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmobile/internal/core"
+	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
@@ -128,5 +129,72 @@ func TestHealthzSetDraining(t *testing.T) {
 	admin.SetDraining(false)
 	if code, body := getHealthz(t, admin); code != 200 || body["state"] != "serving" {
 		t.Fatalf("undrained: %d %v", code, body)
+	}
+}
+
+// TestAdminScrapeUnderLoad scrapes /metrics and /debug/health (and takes
+// the odd on-demand flight record) while a session writes. Read-through gauges (buffer occupancy, free-block and
+// erase counts, the rate-sampler rings) evaluate simulation state the
+// session mutates under the server's lock, so the handlers must collect
+// under that lock; before they did, this test failed under -race on the
+// first scrape. It also holds both endpoints to well-formed output
+// throughout — collection under the lock, formatting after it.
+func TestAdminScrapeUnderLoad(t *testing.T) {
+	o := obs.New(0)
+	_, srv := newStack(t, core.SolidStateConfig{Obs: o})
+	fr, err := obs.NewFlightRecorder(o, t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.SetFlightRecorder(fr)
+	admin := server.NewAdmin(srv, o)
+	sess, err := srv.Open("load")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		data := make([]byte, 4096)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			_, err := sess.Do(server.Request{Kind: server.OpPut, Key: uint64(i % 32), Data: data})
+			if err != nil && !errors.Is(err, server.ErrOverloaded) {
+				done <- err
+				return
+			}
+		}
+	}()
+
+	h := admin.Handler()
+	for i := 0; i < 50; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if err := obs.CheckExposition(rec.Body.Bytes(), []string{"requests_total", "free_blocks", "buffer_occupancy"}); err != nil {
+			t.Errorf("scrape %d: /metrics: %v", i, err)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health", nil))
+		var rep flash.HealthReport
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || rep.Blocks == 0 {
+			t.Errorf("scrape %d: /debug/health: code %d, err %v, body %q", i, rec.Code, err, rec.Body.String())
+		}
+		if i%10 == 0 {
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flightrecord", nil))
+			if rec.Code != 200 {
+				t.Errorf("scrape %d: /debug/flightrecord: code %d, body %q", i, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("writer: %v", err)
 	}
 }

@@ -615,6 +615,19 @@ func (s *Server) Shedding() bool {
 	return s.shedding
 }
 
+// FreeBlockMargin reports the card's free-block margin — free blocks over
+// all blocks, the headroom the cleaner defends — straight from the
+// engine. It is the control-path read of the ratio the free_blocks and
+// wear_blocks gauges export (flash.HealthReport.FreeBlockMargin): the
+// cluster's health sweep calls it instead of snapshotting the node's
+// registry, so whether a card is cordoned never depends on whether
+// anyone is collecting its telemetry.
+func (s *Server) FreeBlockMargin() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Engine.Stats().FreeBlockMargin
+}
+
 // Stats returns a snapshot of the request accounting.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()

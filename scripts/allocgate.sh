@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Allocation-regression gate for the serve hot path.
+# Allocation-regression gate for the serve hot path and the cluster
+# router.
 #
-# Runs the serve benchmarks with -benchmem and fails if any benchmark's
-# allocs/op exceeds its budget in alloc_budget.txt. Run by CI on every
-# push and locally via `make allocgate`.
+# Runs the serve benchmarks and the router's per-request benchmark with
+# -benchmem and fails if any benchmark's allocs/op exceeds its budget in
+# alloc_budget.txt. Run by CI on every push and locally via
+# `make allocgate`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +13,11 @@ budget_file=alloc_budget.txt
 
 out=$(go test -run '^$' -benchtime 5x -benchmem \
 	-bench 'BenchmarkServeThroughput$|BenchmarkTracedServeThroughput$' .)
+# 4096 requests span 64 health sweeps: the router's budget is about what
+# a sweep costs amortised over the requests between sweeps, so the run
+# has to be long enough to contain them.
+out+=$'\n'$(go test -run '^$' -benchtime 4096x -benchmem \
+	-bench 'BenchmarkClusterDo$' ./internal/cluster/)
 echo "$out"
 
 fail=0
