@@ -283,6 +283,11 @@ func build(bc buildConfig) (*server.TCP, *server.Admin, func(), *obs.Observer, e
 // serve listens until SIGINT/SIGTERM, then drains: in-flight requests
 // complete, a final sync runs, and the process exits 0.
 func serve(tcp *server.TCP, admin *server.Admin, addr, adminAddr string) error {
+	// Catch the signals before announcing the listener: a supervisor may
+	// stop the process the moment it reads the announcement, and until
+	// Notify runs a SIGTERM kills it instead of draining it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	if err := tcp.Listen(addr); err != nil {
 		return err
 	}
@@ -294,8 +299,6 @@ func serve(tcp *server.TCP, admin *server.Admin, addr, adminAddr string) error {
 		fmt.Printf("ssmserve: ops surface on http://%s/metrics\n", admin.Addr())
 	}
 	fmt.Printf("ssmserve: listening on %s\n", tcp.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("ssmserve: draining")
 	admin.SetDraining(true)

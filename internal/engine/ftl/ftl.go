@@ -1,8 +1,8 @@
 // Package engineftl adapts the flash translation layer (internal/ftl) to
 // the storage-engine interface. The FTL is embedded, so every method the
 // interface shares with *ftl.FTL devirtualizes to the original code with
-// zero wrapping cost — the adapter only names the backend, translates the
-// stats structs, and supplies the no-op Sync (the FTL programs
+// zero wrapping cost — the adapter only names the backend, picks the
+// engine-shaped stats, and supplies the no-op Sync (the FTL programs
 // synchronously).
 package engineftl
 
@@ -52,37 +52,5 @@ func (e *Engine) Sync() error { return nil }
 // crash-recoverable.
 func (e *Engine) PersistsMapping() bool { return e.FTL.Config().PersistMapping }
 
-// Stats translates the FTL counters into the engine stats surface.
-func (e *Engine) Stats() engine.Stats {
-	fs := e.FTL.Stats()
-	ds := e.FTL.Device().Stats()
-	margin := 0.0
-	if nb := e.FTL.Device().NumBlocks(); nb > 0 {
-		margin = float64(e.FTL.FreeBlocks()) / float64(nb)
-	}
-	return engine.Stats{
-		HostWrites:           fs.HostWrites,
-		HostReads:            fs.HostReads,
-		HostBytesWritten:     fs.HostBytesWritten,
-		FlashBytesProgrammed: ds.BytesProgrammed,
-		FlashReads:           ds.Reads,
-		Erases:               ds.Erases,
-		Cleans:               fs.Cleans,
-		CopiedPages:          fs.CopiedPages,
-		IdleCleans:           fs.IdleCleans,
-		WriteAmplification:   fs.WriteAmplification,
-		FreeBlocks:           e.FTL.FreeBlocks(),
-		FreeBlockMargin:      margin,
-		RetiredBlocks:        fs.RetiredBlocks,
-	}
-}
-
-// MountStats reports what the FTL's mount scan found.
-func (e *Engine) MountStats() engine.MountStats {
-	ms := e.FTL.MountStats()
-	return engine.MountStats{
-		CorruptRecords: ms.CorruptRecords,
-		ReErasedBlocks: ms.ReErasedBlocks,
-		RetiredBlocks:  ms.RetiredBlocks,
-	}
-}
+// Stats is the FTL's block-pool view of its counters and the device.
+func (e *Engine) Stats() engine.Stats { return e.FTL.EngineStats() }

@@ -3,12 +3,11 @@ package pdl
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
-	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
@@ -16,7 +15,9 @@ import (
 // record claiming it: a base record binds the unit's full data image to
 // a logical page, a delta record marks the unit as a log whose data area
 // holds packed delta records. The distinct magic keeps a PDL-formatted
-// card from mounting as an FTL card and vice versa.
+// card from mounting as an FTL card and vice versa. Every record is
+// sealed by the block pool's check word (blocks.SealRecord), the same
+// torn-program defence the FTL's OOB records use.
 
 // unitRecordBytes is the size of the spare record persisted per unit:
 // a CRC-folded check word, the program sequence number, the kind and
@@ -36,30 +37,18 @@ const (
 
 const kindShift = 56
 
-// The check word is the magic XOR-folded with a CRC of the payload, the
-// same torn-program defence the FTL's OOB records use: a cut partway
-// through the record leaves a prefix whose CRC cannot match.
-func unitCheck(rec []byte) uint32 {
-	return unitMagic ^ crc32.ChecksumIEEE(rec[4:unitRecordBytes])
-}
-
 func encodeUnitRecord(rec []byte, seq uint64, kind int, lpn int64, tag engine.Tag) {
-	binary.LittleEndian.PutUint64(rec[4:], seq)
 	binary.LittleEndian.PutUint64(rec[12:], uint64(kind)<<kindShift|uint64(lpn)&(1<<kindShift-1))
 	copy(rec[20:], tag[:])
-	binary.LittleEndian.PutUint32(rec[0:], unitCheck(rec))
+	blocks.SealRecord(unitMagic, seq, rec)
 }
 
-func decodeUnitRecord(rec []byte) (seq uint64, kind int, lpn int64, tag engine.Tag, ok bool) {
-	if len(rec) < unitRecordBytes || binary.LittleEndian.Uint32(rec) != unitCheck(rec) {
-		return 0, 0, 0, engine.Tag{}, false
-	}
-	seq = binary.LittleEndian.Uint64(rec[4:])
+// unitPayload reads the kind, logical page and tag out of an opened
+// unit record.
+func unitPayload(rec []byte) (kind int, lpn int64, tag engine.Tag) {
 	klpn := binary.LittleEndian.Uint64(rec[12:])
-	kind = int(klpn >> kindShift)
-	lpn = int64(klpn & (1<<kindShift - 1))
 	copy(tag[:], rec[20:])
-	return seq, kind, lpn, tag, true
+	return int(klpn >> kindShift), int64(klpn & (1<<kindShift - 1)), tag
 }
 
 // deltaHdrBytes is the header of one packed delta record: check word,
@@ -70,12 +59,11 @@ func decodeUnitRecord(rec []byte) (seq uint64, kind int, lpn int64, tag engine.T
 const deltaHdrBytes = 4 + 8 + 4 + 2 + 2
 
 func encodeDeltaRecord(buf []byte, seq uint64, lpn int64, off int, payload []byte) {
-	binary.LittleEndian.PutUint64(buf[4:], seq)
 	binary.LittleEndian.PutUint32(buf[12:], uint32(lpn))
 	binary.LittleEndian.PutUint16(buf[16:], uint16(off))
 	binary.LittleEndian.PutUint16(buf[18:], uint16(len(payload)))
 	copy(buf[deltaHdrBytes:], payload)
-	binary.LittleEndian.PutUint32(buf[0:], deltaMagic^crc32.ChecksumIEEE(buf[4:deltaHdrBytes+len(payload)]))
+	blocks.SealRecord(deltaMagic, seq, buf[:deltaHdrBytes+len(payload)])
 }
 
 // decodeDeltaRecord parses one record at the start of buf, returning
@@ -85,26 +73,14 @@ func decodeDeltaRecord(buf []byte, pageBytes int) (seq uint64, lpn int64, off, n
 	if len(buf) < deltaHdrBytes {
 		return 0, 0, 0, 0, false
 	}
-	seq = binary.LittleEndian.Uint64(buf[4:])
 	lpn = int64(binary.LittleEndian.Uint32(buf[12:]))
 	off = int(binary.LittleEndian.Uint16(buf[16:]))
 	n = int(binary.LittleEndian.Uint16(buf[18:]))
 	if n < 1 || off+n > pageBytes || deltaHdrBytes+n > len(buf) {
 		return 0, 0, 0, 0, false
 	}
-	if binary.LittleEndian.Uint32(buf) != deltaMagic^crc32.ChecksumIEEE(buf[4:deltaHdrBytes+n]) {
-		return 0, 0, 0, 0, false
-	}
-	return seq, lpn, off, n, true
-}
-
-func blank(b []byte) bool {
-	for _, x := range b {
-		if x != 0xFF {
-			return false
-		}
-	}
-	return true
+	seq, ok = blocks.OpenRecord(deltaMagic, buf[:deltaHdrBytes+n])
+	return seq, lpn, off, n, ok
 }
 
 // Mount rebuilds a page-differential log from a device that already
@@ -120,109 +96,50 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Destructive work the scan performs (re-erasing blocks a torn
-	// program left dirty) is recovery, not cleaning.
-	defer e.obs.PushCause(obs.CauseMountRecovery)()
-
 	type baseClaim struct {
 		ppn int64
 		seq uint64
 		tag engine.Tag
 	}
 	best := make(map[int64]baseClaim)
-	unitKinds := make([]int8, e.totalUnits) // -1 none, else unit kind
-	for i := range unitKinds {
-		unitKinds[i] = -1
-	}
 	var deltaUnits []int64
-	rec := make([]byte, unitRecordBytes)
-	var maxSeq uint64
-
-	for ppn := int64(0); ppn < e.totalUnits; ppn++ {
-		if _, err := dev.ReadSpare(ppn, rec); err != nil {
-			return nil, err
-		}
-		seq, kind, lpn, tag, ok := decodeUnitRecord(rec)
-		if !ok {
-			if !blank(rec) {
-				e.mountStats.CorruptRecords++
-			}
-			continue
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		unitKinds[ppn] = int8(kind)
+	maxSeq, err := e.pool.ScanRecords(unitMagic, unitRecordBytes, func(ppn int64, seq uint64, rec []byte) {
+		kind, lpn, tag := unitPayload(rec)
+		info := &e.blocks[e.blockOf(ppn)]
+		info.unitsUsed++
 		switch kind {
 		case unitKindBase:
-			if lpn < 0 || lpn >= e.logicalPages {
-				continue // stale record beyond this geometry
+			if info.kind == blockUnused {
+				info.kind = blockBase
+			}
+			if lpn >= e.pool.LogicalPages() {
+				return // stale record beyond this geometry
 			}
 			if prev, dup := best[lpn]; !dup || seq > prev.seq {
 				best[lpn] = baseClaim{ppn: ppn, seq: seq, tag: tag}
 			}
 		case unitKindDelta:
+			info.kind = blockDelta
 			deltaUnits = append(deltaUnits, ppn)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Classify blocks: any valid record keeps a block out of the free
-	// pool; recordless blocks that fail the blank check are re-erased
-	// (allocation programs free blocks without erasing first); worn
-	// blocks retire again.
+	// Any sealed record keeps a block out of the free pool; a block that
+	// came out worn has nothing of ours any more.
 	for b := 0; b < e.numBlocks; b++ {
-		base := int64(b) * int64(e.ppb)
-		used, deltas := 0, 0
-		for i := 0; i < e.ppb; i++ {
-			switch unitKinds[base+int64(i)] {
-			case unitKindBase:
-				used++
-			case unitKindDelta:
-				used++
-				deltas++
-			}
+		if err := e.pool.Settle(b, e.blocks[b].unitsUsed > 0); err != nil {
+			return nil, err
 		}
-		if dev.WornOut(b) {
-			e.freeCount--
-			e.blocks[b] = blockInfo{retired: true}
-			e.retired++
-			e.logicalPages -= int64(e.ppb)
-			if e.logicalPages < 0 {
-				e.logicalPages = 0
-			}
-			e.mountStats.RetiredBlocks++
-			continue
+		if !e.pool.InUse(b) {
+			e.blocks[b] = blockInfo{}
 		}
-		if used == 0 {
-			if _, dirty := e.blockNonBlankAt(b); dirty {
-				if _, err := dev.Erase(b); err != nil {
-					return nil, err
-				}
-				e.mountStats.ReErasedBlocks++
-				if dev.WornOut(b) {
-					e.freeCount--
-					e.blocks[b] = blockInfo{retired: true}
-					e.retired++
-					e.logicalPages -= int64(e.ppb)
-					if e.logicalPages < 0 {
-						e.logicalPages = 0
-					}
-					e.mountStats.RetiredBlocks++
-				}
-			}
-			continue // stays free
-		}
-		e.freeCount--
-		kind := blockBase
-		if deltas > 0 {
-			kind = blockDelta
-		}
-		e.blocks[b] = blockInfo{kind: kind, unitsUsed: used}
 	}
 
 	// Install the winning base claims.
 	for lpn, c := range best {
-		if e.blocks[e.blockOf(c.ppn)].retired {
+		if e.pool.IsRetired(e.blockOf(c.ppn)) {
 			continue
 		}
 		pm := &e.pages[lpn]
@@ -236,7 +153,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	unitBuf := make([]byte, e.cfg.PageBytes)
 	perPage := make(map[int64][]deltaRef)
 	for _, ppn := range deltaUnits {
-		if e.blocks[e.blockOf(ppn)].retired {
+		if e.pool.IsRetired(e.blockOf(ppn)) {
 			continue
 		}
 		if _, err := dev.Read(e.unitAddr(ppn), unitBuf); err != nil {
@@ -246,9 +163,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		for off+deltaHdrBytes <= e.cfg.PageBytes {
 			seq, lpn, pOff, n, ok := decodeDeltaRecord(unitBuf[off:], e.cfg.PageBytes)
 			if !ok {
-				if !blank(unitBuf[off:]) {
-					e.mountStats.CorruptRecords++
-				}
+				e.pool.NoteUnsealed(unitBuf[off:])
 				break
 			}
 			if seq > maxSeq {
@@ -256,7 +171,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 			}
 			size := deltaHdrBytes + n
 			e.blocks[e.blockOf(ppn)].appended += int64(size)
-			if lpn >= 0 && lpn < e.logicalPages {
+			if lpn >= 0 && lpn < e.pool.LogicalPages() {
 				perPage[lpn] = append(perPage[lpn], deltaRef{
 					seq: seq, addr: e.unitAddr(ppn) + int64(off), off: pOff, n: n, rec: size,
 				})

@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
@@ -41,7 +42,7 @@ import (
 var (
 	// ErrNoSpace reports that every block is live and nothing can be
 	// reclaimed.
-	ErrNoSpace = errors.New("pdl: no space")
+	ErrNoSpace = blocks.ErrNoSpace
 	// ErrBadPage reports an out-of-range logical page number.
 	ErrBadPage = errors.New("pdl: logical page out of range")
 	// ErrBadSize reports data whose length is not exactly one page.
@@ -80,15 +81,14 @@ type Config struct {
 type blockKind uint8
 
 const (
-	blockFree blockKind = iota
+	blockUnused blockKind = iota // free or retired: the pool knows which
 	blockBase
 	blockDelta
 )
 
 type blockInfo struct {
-	kind    blockKind
-	active  bool // current base or delta log head
-	retired bool
+	kind   blockKind
+	active bool // current base or delta log head
 	// unitsUsed counts page-sized units consumed (base pages written,
 	// or delta units opened).
 	unitsUsed int
@@ -124,18 +124,17 @@ type Engine struct {
 	dev   *flash.Device
 	clock *sim.Clock
 	cfg   Config
+	// pool is the block ledger: free/in-use/retired states, logical
+	// capacity, erase-or-retire, mount recovery and the space-pressure
+	// loop. The engine keeps policy and page format.
+	pool *blocks.Pool
 
-	ppb          int // page-sized units per erase block
-	numBlocks    int
-	totalUnits   int64
-	logicalPages int64
+	ppb       int // page-sized units per erase block
+	numBlocks int
 
 	pages  []pageMeta
 	rev    []int64 // unit → lpn for live base pages, -1 otherwise
 	blocks []blockInfo
-
-	freeCount int
-	retired   int
 
 	baseActive  int // block id of the base log head, -1 when none
 	basePtr     int // next unit within it
@@ -144,9 +143,7 @@ type Engine struct {
 	deltaOff    int // append offset within that unit
 
 	writeSeq uint64
-	cleaning bool // suppresses ensureSpace recursion under cleanOne
-
-	mountStats engine.MountStats
+	cleaning bool // suppresses EnsureSpace recursion under cleanOne
 
 	// Reusable hot-path scratch: mergeBuf holds one merged page image,
 	// readBuf one delta payload, recBuf one outgoing delta record,
@@ -157,11 +154,6 @@ type Engine struct {
 	recBuf   []byte
 	oobBuf   [unitRecordBytes]byte
 
-	obs                    *obs.Observer
-	hostWrites, hostReads  *obs.Counter
-	hostBytes              *obs.Counter
-	cleans, copies         *obs.Counter
-	idleCleans             *obs.Counter
 	deltaWrites, promotion *obs.Counter
 }
 
@@ -170,12 +162,16 @@ var _ engine.Engine = (*Engine)(nil)
 // New builds a page-differential log over dev. The device must be
 // freshly erased (all blocks free), which is how flash.New delivers it.
 func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
-	if cfg.PageBytes <= 0 || dev.BlockBytes()%cfg.PageBytes != 0 {
-		return nil, fmt.Errorf("pdl: page size %d does not divide block size %d", cfg.PageBytes, dev.BlockBytes())
+	e := &Engine{dev: dev, clock: clock, baseActive: -1, deltaActive: -1}
+	pool, err := blocks.New(dev, clock, cfg.Obs, "pdl", cfg.PageBytes, cfg.ReserveBlocks,
+		cfg.IdleCleanThreshold, cfg.BackgroundErase, e.pickVictim, e.cleanOne)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ReserveBlocks < 1 {
-		cfg.ReserveBlocks = 1
+	if err := pool.RequireSpare(unitRecordBytes); err != nil {
+		return nil, err
 	}
+	cfg.ReserveBlocks = pool.Reserve()
 	if cfg.MaxChain <= 0 {
 		cfg.MaxChain = 8
 	}
@@ -186,39 +182,14 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		// A record must fit in one log unit.
 		cfg.PromoteBytes = cfg.PageBytes - deltaHdrBytes
 	}
-	dc := dev.Config()
-	if dc.SpareBytes < unitRecordBytes {
-		return nil, fmt.Errorf("pdl: device spare of %d bytes below the %d-byte unit record", dc.SpareBytes, unitRecordBytes)
-	}
-	if dc.SpareUnitBytes != cfg.PageBytes {
-		return nil, fmt.Errorf("pdl: device spare unit %d != page size %d", dc.SpareUnitBytes, cfg.PageBytes)
-	}
-	ppb := dev.BlockBytes() / cfg.PageBytes
-	nb := dev.NumBlocks()
-	total := int64(nb) * int64(ppb)
-	overhead := int64(cfg.ReserveBlocks+2) * int64(ppb)
-	if overhead >= total {
-		return nil, fmt.Errorf("pdl: reserve %d blocks leaves no logical space on %d blocks", cfg.ReserveBlocks, nb)
-	}
-
-	e := &Engine{
-		dev:          dev,
-		clock:        clock,
-		cfg:          cfg,
-		ppb:          ppb,
-		numBlocks:    nb,
-		totalUnits:   total,
-		logicalPages: total - overhead,
-		pages:        make([]pageMeta, total-overhead),
-		rev:          make([]int64, total),
-		blocks:       make([]blockInfo, nb),
-		freeCount:    nb,
-		baseActive:   -1,
-		deltaActive:  -1,
-		mergeBuf:     make([]byte, cfg.PageBytes),
-		readBuf:      make([]byte, cfg.PageBytes),
-		recBuf:       make([]byte, deltaHdrBytes+cfg.PageBytes),
-	}
+	e.cfg, e.pool = cfg, pool
+	e.ppb, e.numBlocks = pool.PagesPerBlock(), dev.NumBlocks()
+	e.pages = make([]pageMeta, pool.LogicalPages())
+	e.rev = make([]int64, int64(e.numBlocks)*int64(e.ppb))
+	e.blocks = make([]blockInfo, e.numBlocks)
+	e.mergeBuf = make([]byte, cfg.PageBytes)
+	e.readBuf = make([]byte, cfg.PageBytes)
+	e.recBuf = make([]byte, deltaHdrBytes+cfg.PageBytes)
 	for i := range e.pages {
 		e.pages[i].basePpn = -1
 	}
@@ -226,36 +197,8 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		e.rev[i] = -1
 	}
 	o := obs.Or(cfg.Obs)
-	e.obs = o
-	lbl := func(op string) obs.Labels { return obs.Labels{"layer": "pdl", "op": op} }
-	e.hostWrites = o.Counter("host_ops_total", lbl("write"))
-	e.hostReads = o.Counter("host_ops_total", lbl("read"))
-	e.hostBytes = o.Counter("host_bytes_total", lbl("write"))
-	e.cleans = o.Counter("cleans_total", obs.Labels{"layer": "pdl"})
-	e.copies = o.Counter("copied_pages_total", obs.Labels{"layer": "pdl"})
-	e.idleCleans = o.Counter("idle_cleans_total", obs.Labels{"layer": "pdl"})
 	e.deltaWrites = o.Counter("delta_writes_total", obs.Labels{"layer": "pdl"})
 	e.promotion = o.Counter("promotions_total", obs.Labels{"layer": "pdl"})
-	// Same series the FTL registers, distinguished by the engine label,
-	// so both backends land in shared dashboards without colliding.
-	o.GaugeFunc("free_blocks", obs.Labels{"layer": "pdl", "engine": "pdl"}, func() float64 { return float64(e.freeCount) })
-	o.GaugeFunc("cleaner_lag_blocks", obs.Labels{"layer": "pdl", "engine": "pdl"}, func() float64 { return float64(e.CleanerLag()) })
-	waOver := func(flashBytes func() int64) func() float64 {
-		return func() float64 {
-			hb := e.hostBytes.Value()
-			if hb == 0 {
-				return 0
-			}
-			return float64(flashBytes()) / float64(hb)
-		}
-	}
-	o.GaugeFunc("write_amplification", obs.Labels{"layer": "pdl", "engine": "pdl"},
-		waOver(func() int64 { return e.dev.Stats().BytesProgrammed }))
-	for _, c := range obs.Causes {
-		c := c
-		o.GaugeFunc("write_amplification", obs.Labels{"layer": "pdl", "engine": "pdl", "cause": string(c)},
-			waOver(func() int64 { return e.dev.CauseBytesProgrammed(c) }))
-	}
 	return e, nil
 }
 
@@ -269,10 +212,10 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) PageBytes() int { return e.cfg.PageBytes }
 
 // LogicalPages reports the host-visible capacity in pages.
-func (e *Engine) LogicalPages() int64 { return e.logicalPages }
+func (e *Engine) LogicalPages() int64 { return e.pool.LogicalPages() }
 
 // LogicalBytes reports the host-visible capacity in bytes.
-func (e *Engine) LogicalBytes() int64 { return e.logicalPages * int64(e.cfg.PageBytes) }
+func (e *Engine) LogicalBytes() int64 { return e.pool.LogicalPages() * int64(e.cfg.PageBytes) }
 
 // Device exposes the underlying flash device.
 func (e *Engine) Device() *flash.Device { return e.dev }
@@ -286,11 +229,11 @@ func (e *Engine) Sync() error { return nil }
 
 // MountStats reports what the Mount scan found; zero for an engine
 // built with New.
-func (e *Engine) MountStats() engine.MountStats { return e.mountStats }
+func (e *Engine) MountStats() engine.MountStats { return e.pool.MountStats() }
 
 func (e *Engine) checkLPN(lpn int64) error {
-	if lpn < 0 || lpn >= e.logicalPages {
-		return fmt.Errorf("%w: %d of %d", ErrBadPage, lpn, e.logicalPages)
+	if lpn < 0 || lpn >= e.pool.LogicalPages() {
+		return fmt.Errorf("%w: %d of %d", ErrBadPage, lpn, e.pool.LogicalPages())
 	}
 	return nil
 }
@@ -301,15 +244,9 @@ func (e *Engine) blockOf(ppn int64) int { return int(ppn / int64(e.ppb)) }
 
 func (e *Engine) blockOfAddr(addr int64) int { return int(addr / int64(e.dev.BlockBytes())) }
 
-// span opens an op span against the engine's clock and the flash
-// device's energy meter, so span energy includes the device work.
-func (e *Engine) span(op string) obs.SpanRef {
-	return e.obs.Span(e.clock, e.dev.Meter(), "pdl", op)
-}
-
 // Mapped reports whether the logical page currently holds data.
 func (e *Engine) Mapped(lpn int64) bool {
-	return lpn >= 0 && lpn < e.logicalPages && e.pages[lpn].basePpn != -1
+	return lpn >= 0 && lpn < e.pool.LogicalPages() && e.pages[lpn].basePpn != -1
 }
 
 // TagOf reports the tag associated with the logical page.
@@ -336,7 +273,7 @@ func (e *Engine) SeqOf(lpn int64) uint64 {
 
 // ForEachMapped calls fn for every mapped logical page with its tag.
 func (e *Engine) ForEachMapped(fn func(lpn int64, tag engine.Tag)) {
-	for lpn := int64(0); lpn < e.logicalPages; lpn++ {
+	for lpn := int64(0); lpn < e.pool.LogicalPages(); lpn++ {
 		if e.pages[lpn].basePpn != -1 {
 			fn(lpn, e.pages[lpn].tag)
 		}
@@ -355,10 +292,9 @@ func (e *Engine) WritePageTagged(lpn int64, data []byte, tag engine.Tag) (err er
 	if len(data) != e.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(data), e.cfg.PageBytes)
 	}
-	sp := e.span("write_page")
+	sp := e.pool.Span("write_page")
 	defer func() { sp.End(int64(len(data)), err) }()
-	e.hostWrites.Inc()
-	e.hostBytes.Add(int64(len(data)))
+	e.pool.NoteHostWrite(len(data))
 
 	pm := &e.pages[lpn]
 	if pm.basePpn == -1 || tag != pm.tag {
@@ -400,7 +336,7 @@ func diffRange(old, new []byte) (lo, hi int) {
 // the in-memory supersede below is crash-equivalent.
 func (e *Engine) writeBase(lpn int64, data []byte, tag engine.Tag) error {
 	if !e.cleaning {
-		if err := e.ensureSpace(); err != nil {
+		if err := e.pool.EnsureSpace(); err != nil {
 			return err
 		}
 	}
@@ -451,7 +387,7 @@ func (e *Engine) releaseChain(pm *pageMeta) {
 func (e *Engine) appendDelta(lpn int64, off int, payload []byte) error {
 	rec := deltaHdrBytes + len(payload)
 	if !e.cleaning {
-		if err := e.ensureSpace(); err != nil {
+		if err := e.pool.EnsureSpace(); err != nil {
 			return err
 		}
 	}
@@ -540,12 +476,12 @@ func (e *Engine) allocBaseUnit() (int64, error) {
 // deterministic, and wear-unaware for now (the device's own telemetry
 // tracks the spread).
 func (e *Engine) takeFreeBlock() (int, bool) {
-	if e.freeCount == 0 {
+	if e.pool.Free() == 0 {
 		return -1, false
 	}
 	for b := 0; b < e.numBlocks; b++ {
-		if e.blocks[b].kind == blockFree && !e.blocks[b].retired {
-			e.freeCount--
+		if e.pool.IsFree(b) {
+			e.pool.Take(b)
 			return b, true
 		}
 	}
@@ -578,9 +514,9 @@ func (e *Engine) ReadPage(lpn int64, buf []byte) (err error) {
 	if len(buf) != e.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), e.cfg.PageBytes)
 	}
-	sp := e.span("read_page")
+	sp := e.pool.Span("read_page")
 	defer func() { sp.End(int64(len(buf)), err) }()
-	e.hostReads.Inc()
+	e.pool.NoteHostRead()
 	if e.pages[lpn].basePpn == -1 {
 		// Never written: the host sees erased bytes, free of charge.
 		for i := range buf {
@@ -607,59 +543,17 @@ func (e *Engine) TrimPage(lpn int64) error {
 }
 
 // FreeBlocks reports the current free-block count.
-func (e *Engine) FreeBlocks() int { return e.freeCount }
+func (e *Engine) FreeBlocks() int { return e.pool.Free() }
 
 // CleanerLag reports how many blocks the cleaner is behind its
-// free-space target — the same definition the FTL exposes, so the
+// free-space target — the pool's definition, shared with the FTL, so the
 // serving layer's admission control works unchanged.
-func (e *Engine) CleanerLag() int {
-	target := e.cfg.IdleCleanThreshold
-	if target <= 0 {
-		target = e.cfg.ReserveBlocks + 1
-	}
-	if lag := target - e.freeCount; lag > 0 {
-		return lag
-	}
-	return 0
-}
-
-// ensureSpace cleans until the free pool is above the reserve.
-func (e *Engine) ensureSpace() error {
-	for e.freeCount <= e.cfg.ReserveBlocks {
-		victim := e.pickVictim()
-		if victim == -1 {
-			if e.freeCount > 0 {
-				return nil
-			}
-			return ErrNoSpace
-		}
-		if err := e.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) CleanerLag() int { return e.pool.CleanerLag() }
 
 // CleanIdle reclaims during idle time until IdleCleanThreshold blocks
 // are free (or nothing has dead space), taking cleaning off the write
 // path.
-func (e *Engine) CleanIdle() error {
-	if e.cfg.IdleCleanThreshold <= 0 {
-		return nil
-	}
-	defer e.obs.PushCause(obs.CauseIdleClean)()
-	for e.freeCount < e.cfg.IdleCleanThreshold {
-		victim := e.pickVictim()
-		if victim == -1 {
-			return nil
-		}
-		e.idleCleans.Inc()
-		if err := e.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) CleanIdle() error { return e.pool.CleanIdle() }
 
 // pickVictim returns the closed block with the most dead bytes, or -1.
 // Dead bytes are what an erase reclaims beyond what relocation must
@@ -669,7 +563,7 @@ func (e *Engine) pickVictim() int {
 	var bestDead int64
 	for b := 0; b < e.numBlocks; b++ {
 		info := &e.blocks[b]
-		if info.kind == blockFree || info.active || info.retired || info.unitsUsed == 0 {
+		if info.active || info.unitsUsed == 0 || !e.pool.InUse(b) {
 			continue
 		}
 		var used, live int64
@@ -693,23 +587,17 @@ func (e *Engine) pickVictim() int {
 // base atomically supersedes its history) or folds its whole chain into
 // one delta record whose content equals the chain's net effect — at any
 // power cut the scan reconstructs either the old image or the new one,
-// never a hybrid.
-func (e *Engine) cleanOne(victim int) (err error) {
-	// Same induced-span and cause conventions as the FTL cleaner: a
-	// clean under a request context is induced work charged to the
-	// clean stage; programs and the erase are charged to the cleaner
-	// cause unless an idle-clean scope is already active.
-	sp := e.obs.InducedSpan(e.clock, e.dev.Meter(), "pdl", "clean", obs.StageClean)
-	defer func() { sp.End(int64(e.ppb)*int64(e.cfg.PageBytes), err) }()
-	if e.obs.Cause() != obs.CauseIdleClean {
-		defer e.obs.PushCause(obs.CauseCleanerMigrate)()
-	}
-	e.cleans.Inc()
+// never a hybrid. It runs under pool.Clean, which supplies the span, the
+// wear cause and the clean count.
+func (e *Engine) cleanOne(victim int) error {
 	e.cleaning = true
 	defer func() { e.cleaning = false }()
 
-	for lpn := int64(0); lpn < e.logicalPages; lpn++ {
-		pm := &e.pages[lpn]
+	// Every page, not just those below the current logical capacity: a
+	// retirement shrinks the capacity, but a page mapped in the truncated
+	// tail still has live state that must move before its block is erased.
+	for i := range e.pages {
+		lpn, pm := int64(i), &e.pages[i]
 		if pm.basePpn == -1 {
 			continue
 		}
@@ -740,9 +628,20 @@ func (e *Engine) cleanOne(victim int) (err error) {
 		} else if err := e.foldChain(lpn, lo, hi); err != nil {
 			return err
 		}
-		e.copies.Inc()
+		e.pool.NoteCopy()
 	}
-	return e.eraseBlock(victim)
+	// Erased back into the free pool, or retired if it has worn out:
+	// either way the block no longer holds anything of ours.
+	_, err := e.pool.Erase(victim)
+	if err != nil {
+		return err
+	}
+	base := int64(victim) * int64(e.ppb)
+	for i := 0; i < e.ppb; i++ {
+		e.rev[base+int64(i)] = -1
+	}
+	e.blocks[victim] = blockInfo{}
+	return nil
 }
 
 // chainHull returns the smallest [lo, hi) covering every chained
@@ -786,77 +685,8 @@ func (e *Engine) foldChain(lpn int64, lo, hi int) error {
 	return nil
 }
 
-// eraseBlock erases a relocated victim back into the free pool,
-// retiring it instead if it has worn out.
-func (e *Engine) eraseBlock(victim int) error {
-	var err error
-	if e.cfg.BackgroundErase {
-		err = e.dev.EraseAsync(victim)
-	} else {
-		_, err = e.dev.Erase(victim)
-	}
-	if err != nil {
-		if errors.Is(err, flash.ErrWornOut) {
-			e.retireBlock(victim)
-			return nil // the pool shrank, but the clean freed its pages
-		}
-		return err
-	}
-	e.resetBlock(victim)
-	return nil
-}
-
-func (e *Engine) resetBlock(b int) {
-	base := int64(b) * int64(e.ppb)
-	for i := 0; i < e.ppb; i++ {
-		e.rev[base+int64(i)] = -1
-	}
-	e.blocks[b] = blockInfo{kind: blockFree}
-	e.freeCount++
-}
-
-func (e *Engine) retireBlock(b int) {
-	base := int64(b) * int64(e.ppb)
-	for i := 0; i < e.ppb; i++ {
-		e.rev[base+int64(i)] = -1
-	}
-	e.blocks[b] = blockInfo{retired: true}
-	e.retired++
-	// Shrink the logical space: the device lost a block of capacity.
-	e.logicalPages -= int64(e.ppb)
-	if e.logicalPages < 0 {
-		e.logicalPages = 0
-	}
-}
-
 // Stats summarises the engine counters.
-func (e *Engine) Stats() engine.Stats {
-	ds := e.dev.Stats()
-	hb := e.hostBytes.Value()
-	wa := 0.0
-	if hb > 0 {
-		wa = float64(ds.BytesProgrammed) / float64(hb)
-	}
-	margin := 0.0
-	if e.numBlocks > 0 {
-		margin = float64(e.freeCount) / float64(e.numBlocks)
-	}
-	return engine.Stats{
-		HostWrites:           e.hostWrites.Value(),
-		HostReads:            e.hostReads.Value(),
-		HostBytesWritten:     hb,
-		FlashBytesProgrammed: ds.BytesProgrammed,
-		FlashReads:           ds.Reads,
-		Erases:               ds.Erases,
-		Cleans:               e.cleans.Value(),
-		CopiedPages:          e.copies.Value(),
-		IdleCleans:           e.idleCleans.Value(),
-		WriteAmplification:   wa,
-		FreeBlocks:           e.freeCount,
-		FreeBlockMargin:      margin,
-		RetiredBlocks:        e.retired,
-	}
-}
+func (e *Engine) Stats() engine.Stats { return e.pool.Stats() }
 
 // DeltaWrites reports how many overwrites were absorbed as delta
 // records; Promotions how many overwrites forced a fresh base because
@@ -877,8 +707,8 @@ func (e *Engine) CheckInvariants() error {
 		deltaBytes int64
 	}
 	tallies := make([]tally, e.numBlocks)
-	for lpn := int64(0); lpn < e.logicalPages; lpn++ {
-		pm := &e.pages[lpn]
+	for i := range e.pages {
+		lpn, pm := int64(i), &e.pages[i]
 		if pm.basePpn == -1 {
 			if len(pm.chain) != 0 {
 				return fmt.Errorf("pdl: unmapped page %d carries a %d-record chain", lpn, len(pm.chain))
@@ -911,17 +741,9 @@ func (e *Engine) CheckInvariants() error {
 			tallies[db].deltaBytes += int64(d.rec)
 		}
 	}
-	free := 0
 	for b := 0; b < e.numBlocks; b++ {
 		info := &e.blocks[b]
-		if info.retired {
-			continue
-		}
-		if info.kind == blockFree {
-			free++
-			if off, dirty := e.blockNonBlankAt(b); dirty {
-				return fmt.Errorf("pdl: free block %d not erased at offset %d", b, off)
-			}
+		if !e.pool.InUse(b) {
 			continue
 		}
 		t := tallies[b]
@@ -930,32 +752,5 @@ func (e *Engine) CheckInvariants() error {
 				b, info.liveBases, t.bases, info.liveDeltas, t.deltas, info.liveDeltaBytes, t.deltaBytes)
 		}
 	}
-	if free != e.freeCount {
-		return fmt.Errorf("pdl: free count %d, scan found %d", e.freeCount, free)
-	}
-	return nil
-}
-
-// blockNonBlankAt reports the first non-erased byte offset in the
-// block's data or spare area, using uncharged peeks.
-func (e *Engine) blockNonBlankAt(b int) (off int64, ok bool) {
-	dc := e.dev.Config()
-	start := e.dev.BlockAddr(b)
-	for i := int64(0); i < int64(dc.BlockBytes); i++ {
-		if e.dev.Peek(start+i) != 0xFF {
-			return i, true
-		}
-	}
-	if dc.SpareBytes > 0 {
-		firstUnit := start / int64(dc.SpareUnitBytes)
-		unitsPerBlock := int64(dc.BlockBytes / dc.SpareUnitBytes)
-		for u := int64(0); u < unitsPerBlock; u++ {
-			for j, sb := range e.dev.PeekSpare(firstUnit + u) {
-				if sb != 0xFF {
-					return int64(dc.BlockBytes) + u*int64(dc.SpareBytes) + int64(j), true
-				}
-			}
-		}
-	}
-	return 0, false
+	return e.pool.CheckInvariants()
 }

@@ -321,3 +321,63 @@ func TestCapacityMatchesFTLFormula(t *testing.T) {
 		t.Fatalf("logical pages %d, want %d", got, want)
 	}
 }
+
+// TestWearOutKeepsTruncatedTailConsistent pins the wear-out tail: when a
+// block retires the logical capacity shrinks, but a page mapped in the
+// truncated tail still owns a live base unit. The cleaner and the
+// invariant checker must keep seeing it — walking only the shrunken
+// capacity left the page counted in its block's live bases yet never
+// relocated or tallied, so cleaning that block would erase a live base.
+func TestWearOutKeepsTruncatedTailConsistent(t *testing.T) {
+	clock := sim.NewClock()
+	params := device.IntelFlash
+	params.EraseLatencyNs = 1e6
+	params.EnduranceCycles = 20
+	dev, err := flash.New(flash.Config{
+		Banks: 2, BlocksPerBank: 16, BlockBytes: 16 * 1024, Params: params,
+		SpareUnitBytes: testPage, SpareBytes: unitRecordBytes,
+	}, clock, sim.NewEnergyMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(dev, clock, Config{PageBytes: testPage, ReserveBlocks: 3, Obs: obs.New(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := e.LogicalPages() - 1
+	page := make([]byte, testPage)
+	if err := e.WritePageTagged(tail, page, tagOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Churn a few hot pages with full-page changes (every write a fresh
+	// base) until blocks start wearing out, then well past it so the
+	// cleaner keeps running over the shrunken capacity.
+	for i := 0; e.Stats().RetiredBlocks < 3; i++ {
+		if i > 200000 {
+			t.Fatal("no block retired")
+		}
+		for j := range page {
+			page[j] = byte(i)
+		}
+		if err := e.WritePageTagged(int64(i%8), page, tagOf(2)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if e.Stats().RetiredBlocks > 0 {
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("after write %d with %d blocks retired: %v", i, e.Stats().RetiredBlocks, err)
+			}
+		}
+	}
+	if tail < e.LogicalPages() {
+		t.Fatalf("tail page %d still inside the shrunken capacity %d", tail, e.LogicalPages())
+	}
+	// The host can no longer address the tail page, but its image must
+	// have survived every clean of the blocks it lived in.
+	got := make([]byte, testPage)
+	if err := e.mergeInto(tail, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, testPage)) || e.pages[tail].tag != tagOf(1) {
+		t.Fatal("tail page lost its image or tag to a clean")
+	}
+}

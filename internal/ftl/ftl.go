@@ -30,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 
+	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
@@ -39,7 +41,7 @@ import (
 var (
 	// ErrNoSpace reports that every logical page is live and no block can
 	// be cleaned.
-	ErrNoSpace = errors.New("ftl: no space")
+	ErrNoSpace = blocks.ErrNoSpace
 	// ErrBadPage reports an out-of-range logical page number.
 	ErrBadPage = errors.New("ftl: logical page out of range")
 	// ErrBadSize reports data whose length is not exactly one page.
@@ -123,9 +125,7 @@ type blockInfo struct {
 	valid, dead int
 	allocSeq    int64    // when the block last became a log head
 	lastWrite   sim.Time // most recent program into the block
-	isFree      bool
 	isActive    bool
-	retired     bool
 }
 
 // Stats aggregates the layer's counters for the experiments.
@@ -147,11 +147,14 @@ type FTL struct {
 	dev   *flash.Device
 	clock *sim.Clock
 	cfg   Config
+	// pool is the block ledger: free/in-use/retired states, logical
+	// capacity, erase-or-retire, mount recovery and the space-pressure
+	// loop. The FTL keeps policy: which free block, which victim, how a
+	// page moves.
+	pool *blocks.Pool
 
 	pagesPerBlock int
 	numBlocks     int
-	totalPages    int64
-	logicalPages  int64
 
 	mapping []int64 // lpn → ppn, -1 unmapped
 	reverse []int64 // ppn → lpn, -1 none
@@ -159,7 +162,6 @@ type FTL struct {
 	blocks  []blockInfo
 
 	freeByBank []*bankPool
-	freeCount  int
 	nextBank   int
 
 	victims  *victimIndex     // victim selection index; nil for PolicyDirect
@@ -176,90 +178,45 @@ type FTL struct {
 	pageSeq  map[int64]uint64 // lpn → newest program sequence
 	writeSeq uint64           // monotone program sequence for OOB records
 
-	mountStats MountStats // wreckage found by Mount; zero for New
-
 	// Reusable hot-path scratch: cleanBuf carries one page through a
 	// cleaning relocation, oobBuf one spare-area record per program. The
 	// FTL is single-threaded and the device copies both out.
 	cleanBuf []byte
 	oobBuf   [OOBRecordBytes]byte
 
-	obs                     *obs.Observer
-	hostWrites, hostReads   *obs.Counter
-	hostBytes               *obs.Counter
-	cleans, copies          *obs.Counter
-	staticMoves, idleCleans *obs.Counter
-	retired                 int
-	firstWearOut            sim.Time
-	firstWearOutHostBytes   int64
+	staticMoves           *obs.Counter
+	firstWearOut          sim.Time
+	firstWearOutHostBytes int64
 }
 
 // New builds a translation layer over dev. The device must be freshly
 // erased (all blocks free), which is how flash.New delivers it.
 func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
-	if cfg.PageBytes <= 0 || dev.BlockBytes()%cfg.PageBytes != 0 {
-		return nil, fmt.Errorf("ftl: page size %d does not divide block size %d", cfg.PageBytes, dev.BlockBytes())
+	f := &FTL{dev: dev, clock: clock, hotActive: -1, coldActive: -1}
+	// The direct policy never cleans: no hooks, no reserve, and the whole
+	// device is logical space.
+	var pick func() int
+	var clean func(int) error
+	if cfg.Policy != PolicyDirect {
+		pick, clean = f.pickVictim, f.cleanOne
 	}
-	if cfg.ReserveBlocks < 1 {
-		cfg.ReserveBlocks = 1
+	pool, err := blocks.New(dev, clock, cfg.Obs, "ftl", cfg.PageBytes, cfg.ReserveBlocks,
+		cfg.IdleCleanThreshold, cfg.BackgroundErase, pick, clean)
+	if err != nil {
+		return nil, err
 	}
-	ppb := dev.BlockBytes() / cfg.PageBytes
+	cfg.ReserveBlocks = pool.Reserve()
+	ppb := pool.PagesPerBlock()
 	nb := dev.NumBlocks()
 	total := int64(nb) * int64(ppb)
-
-	f := &FTL{
-		dev:           dev,
-		clock:         clock,
-		cfg:           cfg,
-		pagesPerBlock: ppb,
-		numBlocks:     nb,
-		totalPages:    total,
-		mapping:       make([]int64, total),
-		reverse:       make([]int64, total),
-		state:         make([]pageState, total),
-		blocks:        make([]blockInfo, nb),
-		freeByBank:    make([]*bankPool, dev.Banks()),
-		hotActive:     -1,
-		coldActive:    -1,
-	}
-	o := obs.Or(cfg.Obs)
-	lbl := func(op string) obs.Labels { return obs.Labels{"layer": "ftl", "op": op} }
-	f.obs = o
-	f.hostWrites = o.Counter("host_ops_total", lbl("write"))
-	f.hostReads = o.Counter("host_ops_total", lbl("read"))
-	f.hostBytes = o.Counter("host_bytes_total", lbl("write"))
-	f.cleans = o.Counter("cleans_total", obs.Labels{"layer": "ftl"})
-	f.copies = o.Counter("copied_pages_total", obs.Labels{"layer": "ftl"})
-	f.staticMoves = o.Counter("static_moves_total", obs.Labels{"layer": "ftl"})
-	f.idleCleans = o.Counter("idle_cleans_total", obs.Labels{"layer": "ftl"})
-	// Wear and cleaning gauges carry an "engine" label so alternative
-	// storage backends (engine/pdl) report the same series into shared
-	// dashboards without colliding.
-	o.GaugeFunc("free_blocks", obs.Labels{"layer": "ftl", "engine": "ftl"}, func() float64 { return float64(f.freeCount) })
-	// The serving layer reads this same lag signal to decide when to shed
-	// load, so backpressure and dashboards share one definition of
-	// "cleaner behind".
-	o.GaugeFunc("cleaner_lag_blocks", obs.Labels{"layer": "ftl", "engine": "ftl"}, func() float64 { return float64(f.CleanerLag()) })
-	// Write amplification: flash bytes programmed per host byte written,
-	// overall and decomposed by wear-attribution cause (the device charges
-	// every program to the observer's active obs.Cause). The per-cause
-	// series sum to the overall gauge by construction.
-	waOver := func(flashBytes func() int64) func() float64 {
-		return func() float64 {
-			hb := f.hostBytes.Value()
-			if hb == 0 {
-				return 0
-			}
-			return float64(flashBytes()) / float64(hb)
-		}
-	}
-	o.GaugeFunc("write_amplification", obs.Labels{"layer": "ftl", "engine": "ftl"},
-		waOver(func() int64 { return f.dev.Stats().BytesProgrammed }))
-	for _, c := range obs.Causes {
-		c := c
-		o.GaugeFunc("write_amplification", obs.Labels{"layer": "ftl", "engine": "ftl", "cause": string(c)},
-			waOver(func() int64 { return f.dev.CauseBytesProgrammed(c) }))
-	}
+	f.cfg, f.pool = cfg, pool
+	f.pagesPerBlock, f.numBlocks = ppb, nb
+	f.mapping = make([]int64, total)
+	f.reverse = make([]int64, total)
+	f.state = make([]pageState, total)
+	f.blocks = make([]blockInfo, nb)
+	f.freeByBank = make([]*bankPool, dev.Banks())
+	f.staticMoves = obs.Or(cfg.Obs).Counter("static_moves_total", obs.Labels{"layer": "ftl"})
 	for i := range f.mapping {
 		f.mapping[i] = -1
 		f.reverse[i] = -1
@@ -271,10 +228,8 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.freeByBank[bank] = p
 	}
 	for b := 0; b < nb; b++ {
-		f.blocks[b].isFree = true
 		f.freeByBank[dev.BankOf(b)].add(b)
 	}
-	f.freeCount = nb
 	if cfg.Policy != PolicyDirect {
 		f.victims = newVictimIndex(cfg.Policy, ppb)
 		if cfg.WearDeltaThreshold > 0 {
@@ -284,18 +239,11 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 			f.wear = &lazyHeap{es: make([]lazyEntry, 0, nb)}
 		}
 	}
-
-	if cfg.Policy == PolicyDirect {
-		f.logicalPages = total
-	} else {
-		overhead := int64(cfg.ReserveBlocks+2) * int64(ppb)
-		if overhead >= total {
-			return nil, fmt.Errorf("ftl: reserve %d blocks leaves no logical space on %d blocks", cfg.ReserveBlocks, nb)
-		}
-		f.logicalPages = total - overhead
-	}
 	if cfg.PersistMapping {
-		if err := f.checkOOBSupport(); err != nil {
+		if cfg.Policy == PolicyDirect {
+			return nil, fmt.Errorf("ftl: mapping persistence not supported with the direct policy")
+		}
+		if err := pool.RequireSpare(OOBRecordBytes); err != nil {
 			return nil, err
 		}
 		f.tags = make(map[int64]Tag)
@@ -311,17 +259,17 @@ func (f *FTL) Config() Config { return f.cfg }
 func (f *FTL) PageBytes() int { return f.cfg.PageBytes }
 
 // LogicalPages reports the host-visible capacity in pages.
-func (f *FTL) LogicalPages() int64 { return f.logicalPages }
+func (f *FTL) LogicalPages() int64 { return f.pool.LogicalPages() }
 
 // LogicalBytes reports the host-visible capacity in bytes.
-func (f *FTL) LogicalBytes() int64 { return f.logicalPages * int64(f.cfg.PageBytes) }
+func (f *FTL) LogicalBytes() int64 { return f.pool.LogicalPages() * int64(f.cfg.PageBytes) }
 
 // Device exposes the underlying flash device (for experiment metrics).
 func (f *FTL) Device() *flash.Device { return f.dev }
 
 func (f *FTL) checkLPN(lpn int64) error {
-	if lpn < 0 || lpn >= f.logicalPages {
-		return fmt.Errorf("%w: %d of %d", ErrBadPage, lpn, f.logicalPages)
+	if lpn < 0 || lpn >= f.pool.LogicalPages() {
+		return fmt.Errorf("%w: %d of %d", ErrBadPage, lpn, f.pool.LogicalPages())
 	}
 	return nil
 }
@@ -347,7 +295,7 @@ func (f *FTL) markDead(ppn int64) {
 // most-worn depending on the stream (wear-aware allocation) and rotating
 // across banks so consecutive log heads land on different banks.
 func (f *FTL) takeFreeBlock(preferWorn bool) (int, bool) {
-	if f.freeCount == 0 {
+	if f.pool.Free() == 0 {
 		return -1, false
 	}
 	// Rotate the starting bank so allocation stripes across banks.
@@ -365,20 +313,11 @@ func (f *FTL) takeFreeBlock(preferWorn bool) (int, bool) {
 			blk = pool.first()
 		}
 		pool.remove(blk)
-		f.freeCount--
-		f.blocks[blk].isFree = false
+		f.pool.Take(blk)
 		f.nextBank = (bank + 1) % banks
 		return blk, true
 	}
 	return -1, false
-}
-
-func (f *FTL) releaseFreeBlock(blk int) {
-	f.blocks[blk].isFree = true
-	f.blocks[blk].valid = 0
-	f.blocks[blk].dead = 0
-	f.freeByBank[f.dev.BankOf(blk)].add(blk)
-	f.freeCount++
 }
 
 // allocPage returns the next free physical page on the requested stream,
@@ -457,17 +396,11 @@ func (f *FTL) SeqOf(lpn int64) uint64 {
 
 // ForEachMapped calls fn for every mapped logical page with its tag.
 func (f *FTL) ForEachMapped(fn func(lpn int64, tag Tag)) {
-	for lpn := int64(0); lpn < f.logicalPages; lpn++ {
+	for lpn := int64(0); lpn < f.pool.LogicalPages(); lpn++ {
 		if f.Mapped(lpn) {
 			fn(lpn, f.tags[lpn])
 		}
 	}
-}
-
-// span opens an op span against the layer's clock and the flash device's
-// energy meter, so span energy includes the device work underneath.
-func (f *FTL) span(op string) obs.SpanRef {
-	return f.obs.Span(f.clock, f.dev.Meter(), "ftl", op)
 }
 
 // WritePage stores one page of data at the logical page lpn. Any tag
@@ -479,16 +412,18 @@ func (f *FTL) WritePage(lpn int64, data []byte) (err error) {
 	if len(data) != f.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(data), f.cfg.PageBytes)
 	}
-	sp := f.span("write_page")
+	sp := f.pool.Span("write_page")
 	defer func() { sp.End(int64(len(data)), err) }()
-	f.hostWrites.Inc()
-	f.hostBytes.Add(int64(len(data)))
+	f.pool.NoteHostWrite(len(data))
 
 	if f.cfg.Policy == PolicyDirect {
 		return f.writeDirect(lpn, data)
 	}
 
-	if err := f.ensureSpace(); err != nil {
+	if err := f.pool.EnsureSpace(); err != nil {
+		return err
+	}
+	if err := f.levelWear(); err != nil {
 		return err
 	}
 	hot := f.mapping[lpn] != -1
@@ -511,9 +446,9 @@ func (f *FTL) ReadPage(lpn int64, buf []byte) (err error) {
 	if len(buf) != f.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), f.cfg.PageBytes)
 	}
-	sp := f.span("read_page")
+	sp := f.pool.Span("read_page")
 	defer func() { sp.End(int64(len(buf)), err) }()
-	f.hostReads.Inc()
+	f.pool.NoteHostRead()
 	ppn := f.mapping[lpn]
 	if f.cfg.Policy == PolicyDirect {
 		ppn = lpn
@@ -557,7 +492,7 @@ func (f *FTL) TrimPage(lpn int64) error {
 
 // Mapped reports whether the logical page currently holds data.
 func (f *FTL) Mapped(lpn int64) bool {
-	if lpn < 0 || lpn >= f.logicalPages {
+	if lpn < 0 || lpn >= f.pool.LogicalPages() {
 		return false
 	}
 	if f.cfg.Policy == PolicyDirect {
@@ -566,32 +501,14 @@ func (f *FTL) Mapped(lpn int64) bool {
 	return f.mapping[lpn] != -1
 }
 
-// ensureSpace cleans until the free pool is above the reserve. A device
-// that is exactly full with no dead pages has nothing to clean but can
-// still absorb writes from its remaining free blocks, so the absence of a
-// victim is only fatal once the free pool is empty.
-func (f *FTL) ensureSpace() error {
-	for f.freeCount <= f.cfg.ReserveBlocks {
-		victim := f.pickVictim()
-		if victim == -1 {
-			if f.freeCount > 0 {
-				return nil
-			}
-			return ErrNoSpace
-		}
-		if err := f.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return f.levelWear()
-}
-
 // levelWear performs static wear leveling: if the erase-count spread has
 // grown past the threshold, relocate the coldest block — the least-erased
 // non-free block — so its low-wear cells return to the allocation pool.
-// At most one block moves per call, bounding the added write cost.
+// At most one block moves per call, bounding the added write cost, and
+// none while the pool is still at its reserve (nothing was cleanable):
+// leveling must not spend the last free blocks.
 func (f *FTL) levelWear() error {
-	if f.cfg.WearDeltaThreshold <= 0 || f.cfg.Policy == PolicyDirect {
+	if f.cfg.WearDeltaThreshold <= 0 || f.pool.Free() <= f.pool.Reserve() {
 		return nil
 	}
 	var maxCount, coldCount int64
@@ -608,35 +525,14 @@ func (f *FTL) levelWear() error {
 	if coldest == -1 || maxCount-coldCount <= f.cfg.WearDeltaThreshold {
 		return nil
 	}
-	// Need headroom to relocate a fully live block.
-	if f.freeCount <= 1 {
-		return nil
-	}
 	f.staticMoves.Inc()
-	return f.cleanOne(coldest)
+	return f.pool.Clean(coldest)
 }
 
 // CleanIdle runs cleaning during idle time until IdleCleanThreshold
-// blocks are free (or nothing is cleanable), so foreground writes rarely
-// wait for the cleaner. The storage manager calls it from its daemon
-// tick.
-func (f *FTL) CleanIdle() error {
-	if f.cfg.IdleCleanThreshold <= 0 {
-		return nil
-	}
-	defer f.obs.PushCause(obs.CauseIdleClean)()
-	for f.freeCount < f.cfg.IdleCleanThreshold {
-		victim := f.pickVictim()
-		if victim == -1 {
-			return nil
-		}
-		f.idleCleans.Inc()
-		if err := f.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// blocks are free (or nothing is cleanable); the storage manager calls it
+// from its daemon tick.
+func (f *FTL) CleanIdle() error { return f.pool.CleanIdle() }
 
 // wearScan computes the device-wide maximum erase count and the coldest
 // closed block by linear scan — the reference the wear index is checked
@@ -649,7 +545,7 @@ func (f *FTL) wearScan() (maxCount int64, coldest int, coldCount int64) {
 		if c > maxCount {
 			maxCount = c
 		}
-		if info.isFree || info.isActive || info.retired {
+		if info.isActive || !f.pool.InUse(b) {
 			continue
 		}
 		if coldest == -1 || c < coldCount {
@@ -661,26 +557,12 @@ func (f *FTL) wearScan() (maxCount int64, coldest int, coldCount int64) {
 }
 
 // cleanOne relocates the victim's live pages to the cold stream and
-// erases it.
-func (f *FTL) cleanOne(victim int) (err error) {
+// erases it. It runs under pool.Clean, which supplies the span, the wear
+// cause and the clean count.
+func (f *FTL) cleanOne(victim int) error {
 	if f.onClean != nil {
 		f.onClean(victim)
 	}
-	// A clean running under a request context is induced work: the
-	// request did not ask for it, its timing just got charged it. The
-	// span carries a FollowFrom link to the request's root, and the
-	// clean stage is sticky — relocation reads/programs and the erase
-	// all count as cleaning stall. Idle cleans run outside any context
-	// and stay anonymous background spans.
-	sp := f.obs.InducedSpan(f.clock, f.dev.Meter(), "ftl", "clean", obs.StageClean)
-	defer func() { sp.End(int64(f.pagesPerBlock)*int64(f.cfg.PageBytes), err) }()
-	// Charge the relocation programs and the victim erase to the cleaner —
-	// unless an idle-clean scope is already active: idle cleaning is sticky
-	// over the shared clean path, so the idle/foreground split survives.
-	if f.obs.Cause() != obs.CauseIdleClean {
-		defer f.obs.PushCause(obs.CauseCleanerMigrate)()
-	}
-	f.cleans.Inc()
 	base := int64(victim) * int64(f.pagesPerBlock)
 	if cap(f.cleanBuf) < f.cfg.PageBytes {
 		f.cleanBuf = make([]byte, f.cfg.PageBytes)
@@ -704,50 +586,40 @@ func (f *FTL) cleanOne(victim int) (err error) {
 		if err := f.programPage(dst, lpn, buf); err != nil {
 			return err
 		}
-		f.copies.Inc()
+		f.pool.NoteCopy()
 	}
-	return f.eraseBlock(victim)
+	freed, err := f.eraseBlock(victim)
+	if freed {
+		f.noteErase(victim)
+		f.freeByBank[f.dev.BankOf(victim)].add(victim)
+	}
+	return err
 }
 
-// eraseBlock erases a fully dead block and returns it to the free pool,
-// retiring it instead if it has worn out.
-func (f *FTL) eraseBlock(victim int) error {
-	var err error
-	if f.cfg.BackgroundErase {
-		err = f.dev.EraseAsync(victim)
-	} else {
-		_, err = f.dev.Erase(victim)
-	}
+// eraseBlock hands a block with no live pages to the pool to erase or
+// retire, and resets its page states if it came back free. A retirement
+// is not an error — the pool shrank, but the block's pages were freed —
+// and the first one is remembered for the wear experiments.
+func (f *FTL) eraseBlock(blk int) (freed bool, err error) {
+	freed, err = f.pool.Erase(blk)
 	if err != nil {
-		if errors.Is(err, flash.ErrWornOut) {
-			f.retireBlock(victim)
-			return nil // the pool shrank, but the clean freed its pages
-		}
-		return err
+		return false, err
 	}
-	f.noteErase(victim)
-	// Reset page states for the erased block.
-	base := int64(victim) * int64(f.pagesPerBlock)
+	if !freed {
+		if f.firstWearOut == 0 {
+			f.firstWearOut = f.clock.Now()
+			f.firstWearOutHostBytes = f.pool.Stats().HostBytesWritten
+		}
+		return false, nil
+	}
+	base := int64(blk) * int64(f.pagesPerBlock)
 	for i := 0; i < f.pagesPerBlock; i++ {
 		f.state[base+int64(i)] = pageFree
 		f.reverse[base+int64(i)] = -1
 	}
-	f.releaseFreeBlock(victim)
-	return nil
-}
-
-func (f *FTL) retireBlock(blk int) {
-	f.blocks[blk].retired = true
-	f.retired++
-	if f.firstWearOut == 0 {
-		f.firstWearOut = f.clock.Now()
-		f.firstWearOutHostBytes = f.hostBytes.Value()
-	}
-	// Shrink the logical space: the device lost a block of capacity.
-	f.logicalPages -= int64(f.pagesPerBlock)
-	if f.logicalPages < 0 {
-		f.logicalPages = 0
-	}
+	f.blocks[blk].valid = 0
+	f.blocks[blk].dead = 0
+	return true, nil
 }
 
 // pickVictim chooses the next block to clean, or -1 if none is eligible.
@@ -769,7 +641,7 @@ func (f *FTL) pickVictimScan() int {
 	now := f.clock.Now()
 	for b := 0; b < f.numBlocks; b++ {
 		info := &f.blocks[b]
-		if info.isFree || info.isActive || info.retired || info.dead == 0 {
+		if info.isActive || info.dead == 0 || !f.pool.InUse(b) {
 			continue
 		}
 		var score float64
@@ -801,16 +673,13 @@ func (f *FTL) pickVictimScan() int {
 func (f *FTL) writeDirect(lpn int64, data []byte) error {
 	ppn := lpn
 	blk := f.blockOfPage(ppn)
-	if f.blocks[blk].retired {
+	if f.pool.IsRetired(blk) {
 		return fmt.Errorf("%w: block %d retired", ErrDeviceWorn, blk)
 	}
+	if f.pool.IsFree(blk) {
+		f.pool.Take(blk)
+	}
 	if f.state[ppn] == pageFree {
-		if f.blocks[blk].isFree {
-			f.blocks[blk].isFree = false
-			// Remove from the free pool bookkeeping lazily; the direct
-			// policy never allocates from it.
-			f.freeCount--
-		}
 		return f.programPage(ppn, lpn, data)
 	}
 	// Read–modify–erase–rewrite of the whole block.
@@ -829,72 +698,48 @@ func (f *FTL) writeDirect(lpn int64, data []byte) error {
 		copy(cp, buf)
 		live[p] = cp
 	}
-	var err error
-	if f.cfg.BackgroundErase {
-		err = f.dev.EraseAsync(blk)
-	} else {
-		_, err = f.dev.Erase(blk)
-	}
+	freed, err := f.eraseBlock(blk)
 	if err != nil {
-		if errors.Is(err, flash.ErrWornOut) {
-			f.retireBlock(blk)
-			return fmt.Errorf("%w: block %d", ErrDeviceWorn, blk)
-		}
 		return err
 	}
-	// Reset block state and reprogram survivors plus the new page.
-	for i := 0; i < f.pagesPerBlock; i++ {
-		p := base + int64(i)
-		f.state[p] = pageFree
-		f.reverse[p] = -1
+	if !freed {
+		return fmt.Errorf("%w: block %d", ErrDeviceWorn, blk)
 	}
-	f.blocks[blk].valid = 0
-	f.blocks[blk].dead = 0
+	// The block goes straight back into use: reprogram the survivors
+	// plus the new page.
+	f.pool.Take(blk)
 	for p, d := range live {
 		if err := f.programPage(p, p, d); err != nil {
 			return err
 		}
-		f.copies.Inc()
+		f.pool.NoteCopy()
 	}
 	return f.programPage(ppn, lpn, data)
 }
 
 // FreeBlocks reports the current free-block count.
-func (f *FTL) FreeBlocks() int { return f.freeCount }
+func (f *FTL) FreeBlocks() int { return f.pool.Free() }
 
 // CleanerLag reports how many blocks the cleaner is behind its
-// free-space target: IdleCleanThreshold when idle cleaning is enabled,
-// otherwise one block above the foreground reserve. Zero means cleaning
-// is keeping pace; positive values mean new writes are eating free space
-// faster than it is being reclaimed.
-func (f *FTL) CleanerLag() int {
-	target := f.cfg.IdleCleanThreshold
-	if target <= 0 {
-		target = f.cfg.ReserveBlocks + 1
-	}
-	if lag := target - f.freeCount; lag > 0 {
-		return lag
-	}
-	return 0
-}
+// free-space target (see blocks.Pool.CleanerLag).
+func (f *FTL) CleanerLag() int { return f.pool.CleanerLag() }
+
+// EngineStats is the storage-engine view of the layer's counters.
+func (f *FTL) EngineStats() engine.Stats { return f.pool.Stats() }
 
 // Stats summarises the layer counters.
 func (f *FTL) Stats() Stats {
-	hb := f.hostBytes.Value()
-	wa := 0.0
-	if hb > 0 {
-		wa = float64(f.dev.Stats().BytesProgrammed) / float64(hb)
-	}
+	es := f.pool.Stats()
 	return Stats{
-		HostWrites:            f.hostWrites.Value(),
-		HostReads:             f.hostReads.Value(),
-		HostBytesWritten:      hb,
-		Cleans:                f.cleans.Value(),
-		CopiedPages:           f.copies.Value(),
+		HostWrites:            es.HostWrites,
+		HostReads:             es.HostReads,
+		HostBytesWritten:      es.HostBytesWritten,
+		Cleans:                es.Cleans,
+		CopiedPages:           es.CopiedPages,
 		StaticMoves:           f.staticMoves.Value(),
-		IdleCleans:            f.idleCleans.Value(),
-		WriteAmplification:    wa,
-		RetiredBlocks:         f.retired,
+		IdleCleans:            es.IdleCleans,
+		WriteAmplification:    es.WriteAmplification,
+		RetiredBlocks:         es.RetiredBlocks,
 		FirstWearOut:          f.firstWearOut,
 		FirstWearOutHostBytes: f.firstWearOutHostBytes,
 	}
@@ -933,16 +778,8 @@ func (f *FTL) CheckInvariants() error {
 				b, f.blocks[b].valid, valid, f.blocks[b].dead, dead)
 		}
 	}
-	// Every free-pool block must be genuinely erased: allocation programs
-	// into free blocks without erasing first, so torn residue here (a
-	// crash-recovery leak) surfaces later as a phantom overwrite error.
-	for b := 0; b < f.numBlocks; b++ {
-		if !f.blocks[b].isFree {
-			continue
-		}
-		if off, ok := f.blockNonBlankAt(b); ok {
-			return fmt.Errorf("free block %d not erased at offset %d", b, off)
-		}
+	if err := f.pool.CheckInvariants(); err != nil {
+		return err
 	}
 	if f.victims != nil {
 		if got, want := f.pickVictimIndexed(), f.pickVictimScan(); got != want {

@@ -430,7 +430,7 @@ func TestStaticWearLeveling(t *testing.T) {
 		counts := dev.EraseCounts()
 		var min, max int64 = 1 << 62, 0
 		for b := 0; b < dev.NumBlocks(); b++ {
-			if f.blocks[b].retired {
+			if f.pool.IsRetired(b) {
 				continue
 			}
 			c := counts[b]

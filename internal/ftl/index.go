@@ -15,7 +15,7 @@ package ftl
 //
 // Every index reproduces the linear scans' choices exactly — including
 // tie-breaking — which the policy-equivalence tests assert against the
-// retained scan implementations (pickVictimScan, levelWearScan).
+// retained scan implementations (pickVictimScan, wearScan).
 
 // lazyEntry is one heap element: a block snapshotted with the two sort
 // keys it had when pushed. Entries are never updated in place; a block
@@ -153,7 +153,7 @@ func newVictimIndex(policy Policy, pagesPerBlock int) *victimIndex {
 // eligible reports whether the block can be cleaned right now.
 func (f *FTL) victimEligible(b int) bool {
 	info := &f.blocks[b]
-	return !info.isFree && !info.isActive && !info.retired && info.dead > 0
+	return !info.isActive && info.dead > 0 && f.pool.InUse(b)
 }
 
 // noteEligible records the block's current keys; callers invoke it
@@ -272,7 +272,7 @@ func (f *FTL) onPageDied(b int) {
 		return
 	}
 	info := &f.blocks[b]
-	if info.isFree || info.isActive || info.retired {
+	if info.isActive || !f.pool.InUse(b) {
 		return // an active head's deaths are indexed when it closes
 	}
 	if f.victims.policy == PolicyFIFO && info.dead != 1 {
@@ -283,14 +283,13 @@ func (f *FTL) onPageDied(b int) {
 
 // wearColdest returns the least-erased closed block — the static
 // wear-leveling candidate — or -1 when no block is closed. Ties break to
-// the lowest block id, exactly as levelWearScan's strict < does.
+// the lowest block id, exactly as wearScan's strict < does.
 func (f *FTL) wearColdest() (int, int64) {
 	if f.wear == nil {
 		return -1, 0
 	}
 	e, ok := f.wear.peekValid(func(e lazyEntry) bool {
-		info := &f.blocks[e.block]
-		return !info.isFree && !info.isActive && !info.retired && f.dev.EraseCount(e.block) == e.k1
+		return !f.blocks[e.block].isActive && f.pool.InUse(e.block) && f.dev.EraseCount(e.block) == e.k1
 	})
 	if !ok {
 		return -1, 0

@@ -3,11 +3,10 @@ package ftl
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
-	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
@@ -25,102 +24,28 @@ const OOBRecordBytes = 4 + 8 + 8 + 16
 
 const oobMagic uint32 = 0x53534d4c // "SSML"
 
-// The record's first word is the magic XOR-folded with a CRC of the
-// payload, so the record self-checks without growing (a bigger record
-// would change every spare-program latency). A torn spare program —
-// power cut between the data page and the tail of its record — leaves a
-// prefix whose CRC cannot match, where a bare magic word (entirely
-// inside the surviving prefix) would have validated garbage: the torn
-// record still carries a plausible seq and lpn, would win the
-// per-logical-page sequence battle at Mount, and resurrect a half-written
-// tag over committed data.
-func oobCheck(rec []byte) uint32 {
-	return oobMagic ^ crc32.ChecksumIEEE(rec[4:OOBRecordBytes])
-}
-
-func encodeOOB(seq uint64, lpn int64, tag Tag) []byte {
-	rec := make([]byte, OOBRecordBytes)
-	encodeOOBInto(rec, seq, lpn, tag)
-	return rec
-}
-
-// encodeOOBInto writes the record into rec (len ≥ OOBRecordBytes); the
-// program hot path passes a reusable scratch so per-page spare programs
-// never allocate.
+// encodeOOBInto writes the sealed record into rec (len OOBRecordBytes);
+// the program hot path passes a reusable scratch so per-page spare
+// programs never allocate.
 func encodeOOBInto(rec []byte, seq uint64, lpn int64, tag Tag) {
-	binary.LittleEndian.PutUint64(rec[4:], seq)
 	binary.LittleEndian.PutUint64(rec[12:], uint64(lpn))
 	copy(rec[20:], tag[:])
-	binary.LittleEndian.PutUint32(rec[0:], oobCheck(rec))
+	blocks.SealRecord(oobMagic, seq, rec)
 }
 
-func decodeOOB(rec []byte) (seq uint64, lpn int64, tag Tag, ok bool) {
-	if len(rec) < OOBRecordBytes || binary.LittleEndian.Uint32(rec) != oobCheck(rec) {
-		return 0, 0, Tag{}, false
-	}
-	seq = binary.LittleEndian.Uint64(rec[4:])
-	lpn = int64(binary.LittleEndian.Uint64(rec[12:]))
+// oobPayload reads the logical page and tag out of an opened record.
+func oobPayload(rec []byte) (lpn int64, tag Tag) {
 	copy(tag[:], rec[20:])
-	return seq, lpn, tag, true
+	return int64(binary.LittleEndian.Uint64(rec[12:])), tag
 }
 
 // MountStats reports what a Mount scan found beyond the live mapping —
 // the wreckage a power cut left behind.
-type MountStats struct {
-	// CorruptRecords counts spare areas holding bytes that are neither
-	// blank nor a self-consistent record: torn OOB programs and
-	// trembling-erase residue.
-	CorruptRecords int64
-	// ReErasedBlocks counts record-free blocks that failed the blank
-	// check and were erased back into the free pool.
-	ReErasedBlocks int64
-	// RetiredBlocks counts blocks retired as worn out during the scan.
-	RetiredBlocks int64
-}
+type MountStats = engine.MountStats
 
 // MountStats returns what the Mount scan found; zero for an FTL built
 // with New.
-func (f *FTL) MountStats() MountStats { return f.mountStats }
-
-// blockNonBlankAt reports the first non-erased byte offset in the
-// block's data or spare area (spare offsets follow data offsets), using
-// uncharged peeks. A fully erased block returns ok == false.
-func (f *FTL) blockNonBlankAt(b int) (off int64, ok bool) {
-	dc := f.dev.Config()
-	start := f.dev.BlockAddr(b)
-	for i := int64(0); i < int64(dc.BlockBytes); i++ {
-		if f.dev.Peek(start+i) != 0xFF {
-			return i, true
-		}
-	}
-	if dc.SpareBytes > 0 {
-		firstUnit := start / int64(dc.SpareUnitBytes)
-		unitsPerBlock := int64(dc.BlockBytes / dc.SpareUnitBytes)
-		for u := int64(0); u < unitsPerBlock; u++ {
-			for j, sb := range f.dev.PeekSpare(firstUnit + u) {
-				if sb != 0xFF {
-					return int64(dc.BlockBytes) + u*int64(dc.SpareBytes) + int64(j), true
-				}
-			}
-		}
-	}
-	return 0, false
-}
-
-// checkOOBSupport verifies the device can carry per-page records.
-func (f *FTL) checkOOBSupport() error {
-	if f.cfg.Policy == PolicyDirect {
-		return fmt.Errorf("ftl: mapping persistence not supported with the direct policy")
-	}
-	dc := f.dev.Config()
-	if dc.SpareBytes < OOBRecordBytes {
-		return fmt.Errorf("ftl: device spare of %d bytes below the %d-byte OOB record", dc.SpareBytes, OOBRecordBytes)
-	}
-	if dc.SpareUnitBytes != f.cfg.PageBytes {
-		return fmt.Errorf("ftl: device spare unit %d != page size %d", dc.SpareUnitBytes, f.cfg.PageBytes)
-	}
-	return nil
-}
+func (f *FTL) MountStats() MountStats { return f.pool.MountStats() }
 
 // Mount rebuilds a translation layer from a device that already holds
 // data, by scanning every page's out-of-band record — the power-failure
@@ -140,94 +65,51 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Any destructive work the scan performs (re-erasing blocks left dirty
-	// by a torn program or interrupted erase) is recovery, not cleaning.
-	defer f.obs.PushCause(obs.CauseMountRecovery)()
-
 	type claim struct {
 		ppn int64
 		seq uint64
 		tag Tag
 	}
 	best := make(map[int64]claim)
-	used := make([]bool, f.totalPages) // pages with any record
-	rec := make([]byte, OOBRecordBytes)
-	var maxSeq uint64
-
-	for ppn := int64(0); ppn < f.totalPages; ppn++ {
-		if _, err := dev.ReadSpare(ppn, rec); err != nil {
-			return nil, err
-		}
-		seq, lpn, tag, ok := decodeOOB(rec)
-		if !ok {
-			for _, b := range rec {
-				if b != 0xFF {
-					// Non-blank but not self-consistent: a torn OOB
-					// program or trembling-erase residue.
-					f.mountStats.CorruptRecords++
-					break
-				}
-			}
-			continue
-		}
-		used[ppn] = true
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if lpn < 0 || lpn >= f.logicalPages {
-			continue // stale record for a page beyond this geometry
+	used := make([]bool, f.numBlocks) // blocks holding any record
+	f.writeSeq, err = f.pool.ScanRecords(oobMagic, OOBRecordBytes, func(ppn int64, seq uint64, rec []byte) {
+		used[f.blockOfPage(ppn)] = true
+		lpn, tag := oobPayload(rec)
+		if lpn < 0 || lpn >= f.pool.LogicalPages() {
+			return // stale record for a page beyond this geometry
 		}
 		if prev, dup := best[lpn]; !dup || seq > prev.seq {
 			best[lpn] = claim{ppn: ppn, seq: seq, tag: tag}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	f.writeSeq = maxSeq
 
-	// Classify blocks and pages; only the winning (newest) record for
-	// each logical page contributes its tag.
+	// Only the winning (newest) record for each logical page contributes
+	// its tag.
 	winners := make(map[int64]int64, len(best)) // ppn → lpn
 	for lpn, c := range best {
 		winners[c.ppn] = lpn
 		f.tags[lpn] = c.tag
 		f.pageSeq[lpn] = c.seq
 	}
+	// Each block leaves its bank pool as it is settled, in ascending
+	// order — the same swap-removes the pre-index free list performed,
+	// interleaved with the same re-erases, so the pools' internal order,
+	// which wear-aware allocation ties break on, evolves identically.
 	for b := 0; b < f.numBlocks; b++ {
-		base := int64(b) * int64(f.pagesPerBlock)
-		blockUsed := false
-		for i := 0; i < f.pagesPerBlock; i++ {
-			if used[base+int64(i)] {
-				blockUsed = true
-				break
-			}
+		if err := f.pool.Settle(b, used[b]); err != nil {
+			return nil, err
 		}
-		if dev.WornOut(b) {
-			f.removeFromFreePool(b)
-			f.retireBlockOnMount(b)
-			f.mountStats.RetiredBlocks++
+		if f.pool.IsFree(b) {
 			continue
 		}
-		if !blockUsed {
-			if _, dirtyRes := f.blockNonBlankAt(b); dirtyRes {
-				// No surviving record, yet the block is not erased: a
-				// torn data program whose OOB record never landed, or an
-				// interrupted erase that left the array trembling. The
-				// block sits in the free pool, and allocation programs
-				// free blocks without erasing first — so it must be
-				// erased again now, as a charged device operation.
-				if _, err := dev.Erase(b); err != nil {
-					return nil, err
-				}
-				f.mountStats.ReErasedBlocks++
-				if dev.WornOut(b) {
-					// That erase exhausted its endurance budget.
-					f.removeFromFreePool(b)
-					f.retireBlockOnMount(b)
-					f.mountStats.RetiredBlocks++
-				}
-			}
-			continue // stays in the free pool
+		f.freeByBank[dev.BankOf(b)].remove(b)
+		if !f.pool.InUse(b) {
+			continue // retired
 		}
-		f.removeFromFreePool(b)
+		base := int64(b) * int64(f.pagesPerBlock)
 		for i := 0; i < f.pagesPerBlock; i++ {
 			ppn := base + int64(i)
 			if lpn, win := winners[ppn]; win {
@@ -242,24 +124,11 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 				f.blocks[b].dead++
 			}
 		}
-		f.blocks[b].allocSeq = f.nextAllocSeq()
+		f.allocSeq++
+		f.blocks[b].allocSeq = f.allocSeq
 	}
 	f.rebuildIndexes()
 	return f, nil
-}
-
-// removeFromFreePool takes a specific block out of its bank's free pool
-// (the same swap-remove the pre-index free list performed, so the pool's
-// internal order — which wear-aware allocation ties break on — evolves
-// identically).
-func (f *FTL) removeFromFreePool(blk int) {
-	pool := f.freeByBank[f.dev.BankOf(blk)]
-	if !pool.contains(blk) {
-		return
-	}
-	pool.remove(blk)
-	f.freeCount--
-	f.blocks[blk].isFree = false
 }
 
 // rebuildIndexes recomputes the victim and wear indexes and the running
@@ -280,8 +149,7 @@ func (f *FTL) rebuildIndexes() {
 		f.wear = &lazyHeap{}
 	}
 	for b := 0; b < f.numBlocks; b++ {
-		info := &f.blocks[b]
-		if info.isFree || info.isActive || info.retired {
+		if !f.pool.InUse(b) {
 			continue
 		}
 		if f.wear != nil {
@@ -289,20 +157,4 @@ func (f *FTL) rebuildIndexes() {
 		}
 		f.noteEligible(b)
 	}
-}
-
-// retireBlockOnMount marks a worn block retired without touching the
-// wear-out statistics (the wear happened in a previous life).
-func (f *FTL) retireBlockOnMount(blk int) {
-	f.blocks[blk].retired = true
-	f.retired++
-	f.logicalPages -= int64(f.pagesPerBlock)
-	if f.logicalPages < 0 {
-		f.logicalPages = 0
-	}
-}
-
-func (f *FTL) nextAllocSeq() int64 {
-	f.allocSeq++
-	return f.allocSeq
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ssmobile/internal/device"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/sim"
 )
@@ -262,15 +263,17 @@ func TestMountEquivalenceProperty(t *testing.T) {
 func TestOOBEncodeDecode(t *testing.T) {
 	var tag Tag
 	copy(tag[:], "object-block-tag")
-	rec := encodeOOB(42, 1234, tag)
-	seq, lpn, gotTag, ok := decodeOOB(rec)
+	rec := make([]byte, OOBRecordBytes)
+	encodeOOBInto(rec, 42, 1234, tag)
+	seq, ok := blocks.OpenRecord(oobMagic, rec)
+	lpn, gotTag := oobPayload(rec)
 	if !ok || seq != 42 || lpn != 1234 || gotTag != tag {
 		t.Fatalf("decode: %d %d %v %v", seq, lpn, gotTag, ok)
 	}
-	if _, _, _, ok := decodeOOB(bytes.Repeat([]byte{0xFF}, OOBRecordBytes)); ok {
+	if _, ok := blocks.OpenRecord(oobMagic, bytes.Repeat([]byte{0xFF}, OOBRecordBytes)); ok {
 		t.Fatal("erased spare decoded as a record")
 	}
-	if _, _, _, ok := decodeOOB(rec[:10]); ok {
+	if _, ok := blocks.OpenRecord(oobMagic, rec[:10]); ok {
 		t.Fatal("short record decoded")
 	}
 }
