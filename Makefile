@@ -3,7 +3,7 @@
 
 PROFDIR ?= /tmp/serveprof
 
-.PHONY: build test race bench allocgate
+.PHONY: build test race bench allocgate loc
 
 build:
 	go build ./...
@@ -30,3 +30,8 @@ bench:
 # on the serve hot path and the cluster router.
 allocgate:
 	./scripts/allocgate.sh
+
+# loc prints non-blank, non-comment, non-test Go lines per package — the
+# figure a simplification PR reports before and after (ROADMAP aim 2).
+loc:
+	./scripts/loc.sh

@@ -273,20 +273,14 @@ func BenchmarkTracedServeThroughput(b *testing.B) {
 // benchmark workload through it once.
 func serveWorkload(b *testing.B, engine string, o *obs.Observer) server.RunStats {
 	b.Helper()
-	sys, err := core.NewSolidState(core.SolidStateConfig{
+	card, err := core.NewServedCard(core.ServedCardConfig{System: core.SolidStateConfig{
 		DRAMBytes: 8 << 20, FlashBytes: 16 << 20, BufferBytes: 1 << 20,
 		IdleCleanBlocks: 24, Engine: engine, Obs: o,
-	})
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := server.New(server.Backend{
-		FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-	}, server.Config{Obs: o})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := server.RunWorkload(srv, workload.Config{
+	st, err := server.RunWorkload(card.Srv, workload.Config{
 		Seed: benchSeed, Clients: 8, OpsPerClient: 200, Keys: 16,
 		Popularity: workload.Zipf,
 		Mix:        workload.Mix{Read: 0.55, Write: 0.35, Truncate: 0.02, Delete: 0.03, Sync: 0.05},

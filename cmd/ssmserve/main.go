@@ -20,9 +20,10 @@
 // -nodes N (either subcommand) serves a cluster instead of one card:
 // N in-process nodes, each its own card stack, behind the consistent-hash
 // router (internal/cluster) — per-tenant/key placement, primary+replica
-// writes, node-local shed retry, and health-driven rebalancing. The size
-// flags apply to each node; the ops surface reflects node 0. See
-// DESIGN.md §13 and experiment E14 (ssmsim e14).
+// writes, node-local shed retry, and health-driven rebalancing. The size,
+// engine, admission and sync-window flags apply to each node; the ops
+// surface reflects node 0. See DESIGN.md §13 and experiment E14 (ssmsim
+// e14).
 //
 // smoke flags: -clients, -ops, -seed, -write ratio. CI runs smoke to
 // gate the server path: the run fails on any error other than the
@@ -62,7 +63,7 @@ import (
 )
 
 func main() {
-	nodeCount := flag.Int("nodes", 1, "cluster size: 1 serves a single card; N>1 shards tenants' keys over N card stacks by consistent hash, with primary+replica writes and health-driven rebalancing (size flags apply per node)")
+	nodeCount := flag.Int("nodes", 1, "cluster size: 1 serves a single card; N>1 shards tenants' keys over N card stacks by consistent hash, with primary+replica writes and health-driven rebalancing (the card and admission flags apply per node)")
 	dramMB := flag.Int64("dram", 8, "DRAM size in MB")
 	flashMB := flag.Int64("flash", 32, "flash size in MB")
 	bufferMB := flag.Int64("buffer", 2, "write-buffer region in MB")
@@ -101,7 +102,7 @@ func main() {
 	o := obs.New(0)
 	obs.SetDefault(o)
 
-	tcp, admin, mergeTelemetry, frObs, err := build(buildConfig{
+	svc, err := build(buildConfig{
 		nodes:  *nodeCount,
 		dramMB: *dramMB, flashMB: *flashMB, bufferMB: *bufferMB,
 		idleClean: *idleClean, engine: *engineName, high: *high, low: *low,
@@ -112,14 +113,8 @@ func main() {
 		fatal(err)
 	}
 
-	// The flight recorder snapshots the recent span ring plus metrics on
-	// incidents (shed-engage, drain, power-cut remount) and on demand.
-	// Smoke provisions its own temporary directory when none is given so
-	// CI exercises the dump path unconditionally. It records from frObs
-	// (the ambient observer, or node 0's private one in cluster mode —
-	// the same observer the ops surface is bound to) and is installed on
-	// both that observer and the default so the admin endpoint and the
-	// drain path each find it.
+	// Smoke provisions its own temporary flight-record directory when none
+	// is given so CI exercises the dump path unconditionally.
 	fdir := *flightDir
 	if fdir == "" && flag.Arg(0) == "smoke" {
 		tmp, err := os.MkdirTemp("", "ssmserve-flight-")
@@ -130,22 +125,17 @@ func main() {
 		fdir = tmp
 	}
 	if fdir != "" {
-		fr, err := obs.NewFlightRecorder(frObs, fdir, 0, 0)
-		if err != nil {
+		if err := svc.recordFlights(fdir); err != nil {
 			fatal(err)
-		}
-		frObs.SetFlightRecorder(fr)
-		if frObs != o {
-			o.SetFlightRecorder(fr)
 		}
 	}
 
 	var runErr error
 	switch flag.Arg(0) {
 	case "serve":
-		runErr = serve(tcp, admin, *addr, *adminAddr)
+		runErr = serve(svc.tcp, svc.admin, *addr, *adminAddr)
 	case "smoke":
-		runErr = smoke(tcp, admin, smokeConfig{
+		runErr = smoke(svc.tcp, svc.admin, smokeConfig{
 			clients: *clients, ops: *ops, seed: *seed, writeRatio: *writeRatio,
 			nodes: *nodeCount,
 		})
@@ -154,7 +144,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	mergeTelemetry()
+	svc.mergeTelemetry()
 	if err := obs.DumpFiles(o, *metricsOut, "", ""); err != nil {
 		fmt.Fprintln(os.Stderr, "ssmserve:", err)
 		if runErr == nil {
@@ -189,66 +179,74 @@ type buildConfig struct {
 	obs                       *obs.Observer
 }
 
-// build assembles the service: a single server over one card stack, or
-// (nodes > 1) a consistent-hash cluster router over N of them. It
-// returns the TCP front end, the ops surface (in cluster mode bound to
-// node 0's server — each node has its own telemetry), a hook that
-// folds per-node telemetry into the ambient observer at exit, and the
-// observer the flight recorder should snapshot (the one the serving
-// spans actually land in).
-func build(bc buildConfig) (*server.TCP, *server.Admin, func(), *obs.Observer, error) {
-	if bc.nodes <= 1 {
-		o := bc.obs
-		sys, err := core.NewSolidState(core.SolidStateConfig{
-			DRAMBytes:       bc.dramMB << 20,
-			FlashBytes:      bc.flashMB << 20,
-			BufferBytes:     bc.bufferMB << 20,
-			IdleCleanBlocks: bc.idleClean,
-			Engine:          bc.engine,
-		})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		srv, err := server.New(server.Backend{
-			FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-		}, server.Config{
-			HighWatermark:   bc.high,
-			LowWatermark:    bc.low,
-			SyncBatchWindow: bc.syncWindow,
-			OnShedEngage: func() {
-				// Capture the span ring the moment overload protection kicks
-				// in — the spans leading up to it are the interesting ones.
-				if fr := o.FlightRecorder(); fr != nil {
-					fr.Dump("shed-engage")
-				}
-			},
-		})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return server.NewTCP(srv), server.NewAdmin(srv, o), func() {}, o, nil
-	}
+// service is what build assembles: the TCP front end and the ops
+// surface over one card or a cluster of them.
+type service struct {
+	tcp   *server.TCP
+	admin *server.Admin
+	// cards are the card stacks behind the service, one per node.
+	cards []*core.ServedCard
+	// obs is the ambient observer: one card reports to it directly, a
+	// cluster's router does and mergeTelemetry folds the per-node
+	// telemetry into it at exit. frObs is the observer the serving spans
+	// land in and the ops surface is bound to (the ambient one, or node
+	// 0's private one in a cluster) — what the flight recorder snapshots.
+	obs, frObs *obs.Observer
+}
 
-	// Cluster mode: each node is a full card stack behind its own server,
-	// with a private observer so the fleet view reports per-card wear (the
-	// SMART report is meaningless over a mixed registry).
-	nodes := make([]*cluster.Node, bc.nodes)
-	privs := make([]*obs.Observer, bc.nodes)
-	for i := range nodes {
-		node, priv, err := core.NewClusterNode(core.ClusterNodeConfig{
-			Name: fmt.Sprintf("n%d", i),
+// build assembles the service: bc.nodes card stacks from the one
+// constructor, then a single card's server served directly, or the
+// consistent-hash cluster router over N of them (the ops surface bound to
+// node 0's server — each node has its own telemetry).
+func build(bc buildConfig) (*service, error) {
+	cards := make([]*core.ServedCard, max(bc.nodes, 1))
+	for i := range cards {
+		// One card reports to the ambient observer. Each card of a cluster
+		// gets a ring name and a private observer, so the fleet view
+		// reports per-card wear (the SMART report is meaningless over a
+		// mixed registry).
+		name, o, incident := "", bc.obs, "shed-engage"
+		if len(cards) > 1 {
+			name, o = fmt.Sprintf("n%d", i), obs.New(0)
+			incident += "-" + name
+		}
+		card, err := core.NewServedCard(core.ServedCardConfig{
+			Name: name,
 			System: core.SolidStateConfig{
 				DRAMBytes:       bc.dramMB << 20,
 				FlashBytes:      bc.flashMB << 20,
 				BufferBytes:     bc.bufferMB << 20,
 				IdleCleanBlocks: bc.idleClean,
 				Engine:          bc.engine,
+				Obs:             o,
+			},
+			Server: server.Config{
+				HighWatermark:   bc.high,
+				LowWatermark:    bc.low,
+				SyncBatchWindow: bc.syncWindow,
+				OnShedEngage: func() {
+					// Capture the span ring the moment overload protection kicks
+					// in — the spans leading up to it are the interesting ones.
+					if fr := bc.obs.FlightRecorder(); fr != nil {
+						fr.Dump(incident)
+					}
+				},
 			},
 		})
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
-		nodes[i], privs[i] = node, priv
+		cards[i] = card
+	}
+	svc := &service{cards: cards, obs: bc.obs, frObs: cards[0].Obs}
+	if len(cards) == 1 {
+		svc.tcp, svc.admin = server.NewTCP(cards[0].Srv), server.NewAdmin(cards[0].Srv, bc.obs)
+		return svc, nil
+	}
+
+	nodes := make([]*cluster.Node, len(cards))
+	for i, card := range cards {
+		nodes[i] = card.Node
 	}
 	// The router's own telemetry (replica-latency fan-out, fleet gauges,
 	// cluster request spans) lives on the ambient observer, and the event
@@ -257,27 +255,46 @@ func build(bc buildConfig) (*server.TCP, *server.Admin, func(), *obs.Observer, e
 	// dumps both see the control-plane history.
 	el := obs.NewEventLog(0)
 	bc.obs.SetEventLog(el)
-	privs[0].SetEventLog(el)
+	svc.frObs.SetEventLog(el)
 	cl, err := cluster.New(nodes, cluster.Config{Obs: bc.obs})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	merge := func() {
-		// Stamp each node's series with its node label at merge time, so
-		// identically-named per-node series survive into the merged
-		// registry (and the -metrics dump ssmtrace fleet reads) instead of
-		// colliding.
-		for i, priv := range privs {
-			bc.obs.MergeLabeled(priv, obs.Labels{"node": nodes[i].Name})
-		}
-	}
-	admin := server.NewAdmin(nodes[0].Srv, privs[0])
+	svc.tcp, svc.admin = server.NewTCP(cl), server.NewAdmin(cards[0].Srv, svc.frObs)
 	// /metrics serves the live merged fleet snapshot (per-node series
 	// under their node label, assembled at scrape time), and /debug/fleet
 	// the rollup computed from the same snapshot.
-	admin.SetSnapshotSource(cl.FleetSnapshot)
-	admin.SetFleet(func() (any, error) { return cluster.FleetFromSnapshot(cl.FleetSnapshot()) })
-	return server.NewTCP(cl), admin, merge, privs[0], nil
+	svc.admin.SetSnapshotSource(cl.FleetSnapshot)
+	svc.admin.SetFleet(func() (any, error) { return cluster.FleetFromSnapshot(cl.FleetSnapshot()) })
+	return svc, nil
+}
+
+// recordFlights installs a flight recorder writing to dir. It snapshots
+// the recent span ring plus metrics on incidents (shed-engage, drain,
+// power-cut remount) and on demand, recording from frObs, and is
+// installed on both that observer and the ambient one so the admin
+// endpoint, the shed-engage hooks and the drain path each find it.
+func (svc *service) recordFlights(dir string) error {
+	fr, err := obs.NewFlightRecorder(svc.frObs, dir, 0, 0)
+	if err != nil {
+		return err
+	}
+	svc.frObs.SetFlightRecorder(fr)
+	svc.obs.SetFlightRecorder(fr)
+	return nil
+}
+
+// mergeTelemetry folds a cluster's per-node telemetry into the ambient
+// observer at exit, stamping each node's series with its node label so
+// identically-named per-node series survive into the merged registry
+// (and the -metrics dump ssmtrace fleet reads) instead of colliding. A
+// single card already reports there.
+func (svc *service) mergeTelemetry() {
+	for _, card := range svc.cards {
+		if card.Obs != svc.obs {
+			svc.obs.MergeLabeled(card.Obs, obs.Labels{"node": card.Name})
+		}
+	}
 }
 
 // serve listens until SIGINT/SIGTERM, then drains: in-flight requests
@@ -337,14 +354,11 @@ func smoke(tcp *server.TCP, admin *server.Admin, sc smokeConfig) error {
 	fmt.Printf("ssmserve: smoke on %s, %d clients x %d ops, seed %d\n",
 		addr, sc.clients, sc.ops, sc.seed)
 
-	w := sc.writeRatio
-	cfg := workload.Config{
-		Seed:         sc.seed,
-		Clients:      sc.clients,
-		OpsPerClient: sc.ops,
-		Mix:          workload.Mix{Read: 1 - w, Write: w * 0.9, Truncate: w * 0.02, Delete: w * 0.03, Sync: w * 0.05},
-		Popularity:   workload.Zipf,
-	}
+	// The E12 traffic over a wider key space, so a short run still
+	// reaches flash; the TCP clients are closed-loop, so the generated
+	// arrival times go unused.
+	cfg := core.E12Traffic(sc.seed, sc.clients, sc.ops, sc.writeRatio)
+	cfg.Keys = 64
 
 	var wg sync.WaitGroup
 	errs := make([]error, sc.clients)

@@ -90,22 +90,13 @@ type Config struct {
 	// Replicas is the number of extra copies beyond the primary
 	// (default 1, capped at nodes-1; 0 on a single-node cluster).
 	Replicas int
-	// VirtualPoints per node on the hash ring (default 16).
-	VirtualPoints int
 	// RebalanceMargin is the free-block margin below which a node is
-	// cordoned and its keys migrated away (default 0.04); UncordonMargin
-	// re-admits it for new placements (default 2×RebalanceMargin —
-	// hysteresis, so placement does not flap).
-	RebalanceMargin, UncordonMargin float64
+	// cordoned and its keys migrated away (default 0.04); a cordoned node
+	// is re-admitted for new placements at uncordonFactor times it.
+	RebalanceMargin float64
 	// RebalanceCheckEvery is the number of cluster requests between
 	// health sweeps (default 64).
 	RebalanceCheckEvery int
-	// ShedRetries bounds in-place retries of a write shed by a node's
-	// admission control; ShedBackoff is the virtual-time backoff before
-	// the first retry, doubling per attempt (defaults 2 and 50ms). The
-	// backoff is the point: the idle gap is cleaner time.
-	ShedRetries int
-	ShedBackoff sim.Duration
 	// Obs is the router's own observer — distinct from the per-node
 	// observers, which carry each card's telemetry. The router registers
 	// its fan-out metrics (per-holder replica latency, the straggler
@@ -118,6 +109,21 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+const (
+	// virtualPoints is the number of ring points each node projects.
+	virtualPoints = 16
+	// uncordonFactor sets the margin a cordoned node must recover to, as
+	// a multiple of RebalanceMargin — hysteresis, so placement does not
+	// flap.
+	uncordonFactor = 2
+	// shedRetries bounds in-place retries of a write shed by a node's
+	// admission control; shedBackoff is the virtual-time backoff before
+	// the first retry, doubling per attempt. The backoff is the point:
+	// the idle gap is cleaner time.
+	shedRetries = 2
+	shedBackoff = 50 * sim.Millisecond
+)
+
 func (c Config) withDefaults(nodes int) Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 1
@@ -125,23 +131,11 @@ func (c Config) withDefaults(nodes int) Config {
 	if c.Replicas > nodes-1 {
 		c.Replicas = nodes - 1
 	}
-	if c.VirtualPoints <= 0 {
-		c.VirtualPoints = 16
-	}
 	if c.RebalanceMargin <= 0 {
 		c.RebalanceMargin = 0.04
 	}
-	if c.UncordonMargin <= c.RebalanceMargin {
-		c.UncordonMargin = 2 * c.RebalanceMargin
-	}
 	if c.RebalanceCheckEvery <= 0 {
 		c.RebalanceCheckEvery = 64
-	}
-	if c.ShedRetries <= 0 {
-		c.ShedRetries = 2
-	}
-	if c.ShedBackoff <= 0 {
-		c.ShedBackoff = 50 * sim.Millisecond
 	}
 	return c
 }
@@ -246,7 +240,7 @@ func New(nodes []*Node, cfg Config) (*Cluster, error) {
 		down:     make([]bool, len(nodes)),
 		cordoned: make([]bool, len(nodes)),
 		gen:      make([]uint64, len(nodes)),
-		ring:     buildRing(names, cfg.VirtualPoints),
+		ring:     buildRing(names, virtualPoints),
 		dir:      make(map[string]map[uint64]*entry),
 		sessions: make(map[string]*Session),
 	}
@@ -551,8 +545,8 @@ func (s *Session) doWithRetry(h int, req server.Request) (server.Response, error
 	if req.Kind != server.OpPut && req.Kind != server.OpTruncate {
 		return r, err
 	}
-	backoff := c.cfg.ShedBackoff
-	for attempt := 0; attempt < c.cfg.ShedRetries && errors.Is(err, server.ErrOverloaded); attempt++ {
+	backoff := shedBackoff
+	for attempt := 0; attempt < shedRetries && errors.Is(err, server.ErrOverloaded); attempt++ {
 		c.st.ShedRetries++
 		base := req.Arrival
 		if base == 0 || base < c.nodes[h].Clock.Now() {
@@ -683,6 +677,7 @@ func removeNode(list []int, n int) []int {
 // write is restored on the next sweep instead of waiting for some node
 // to restart. Caller holds c.mu.
 func (c *Cluster) checkHealth(arrival sim.Time) {
+	uncordon := uncordonFactor * c.cfg.RebalanceMargin
 	for i := range c.nodes {
 		if c.down[i] {
 			continue
@@ -702,10 +697,10 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 			// Capture the span tail around the rebalance: the requests that
 			// aged the card into its margin are the interesting ones.
 			c.dump("cordon")
-		case c.cordoned[i] && margin >= c.cfg.UncordonMargin:
+		case c.cordoned[i] && margin >= uncordon:
 			c.cordoned[i] = false
 			c.logEvent(arrival, obs.EventUncordon, c.nodes[i].Name,
-				fmt.Sprintf("free-block margin %.3f >= %.3f", margin, c.cfg.UncordonMargin), 0)
+				fmt.Sprintf("free-block margin %.3f >= %.3f", margin, uncordon), 0)
 		}
 	}
 	if c.degraded {

@@ -14,19 +14,23 @@ import (
 
 	"ssmobile/internal/cluster"
 	"ssmobile/internal/core"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
 )
 
-// testSystem is the card stack every test node is built on: E14's 8 MB
-// card.
-var testSystem = core.SolidStateConfig{
-	DRAMBytes:       8 << 20,
-	FlashBytes:      8 << 20,
-	BufferBytes:     1 << 20,
-	RBoxBytes:       512 << 10,
-	IdleCleanBlocks: 24,
-	WriteBackDelay:  2 * sim.Second,
+// newTestNode builds one node — E14's 8 MB card on a private observer —
+// on the given engine ("" for the default) with age bytes of history
+// streamed through its card.
+func newTestNode(t testing.TB, name, engine string, age int64) *cluster.Node {
+	t.Helper()
+	system := core.E12Card(obs.New(0))
+	system.Engine = engine
+	card, err := core.NewServedCard(core.ServedCardConfig{Name: name, System: system, AgeBytes: age})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return card.Node
 }
 
 // newTestCluster assembles n fresh (unaged) node stacks behind a router.
@@ -34,14 +38,7 @@ func newTestCluster(t testing.TB, n int, cfg cluster.Config) *cluster.Cluster {
 	t.Helper()
 	nodes := make([]*cluster.Node, n)
 	for i := range nodes {
-		node, _, err := core.NewClusterNode(core.ClusterNodeConfig{
-			Name:   fmt.Sprintf("n%d", i),
-			System: testSystem,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+		nodes[i] = newTestNode(t, fmt.Sprintf("n%d", i), "", 0)
 	}
 	cl, err := cluster.New(nodes, cfg)
 	if err != nil {

@@ -7,7 +7,6 @@ package cluster_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,6 @@ import (
 	"testing"
 
 	"ssmobile/internal/cluster"
-	"ssmobile/internal/core"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
@@ -23,30 +21,12 @@ import (
 
 // newObservedCluster assembles n fresh node stacks behind a router with
 // a shared base observer carrying an event journal — the ssmserve
-// cluster-mode layout — and returns the cluster, the base observer, and
-// the per-node private observers.
-func newObservedCluster(t testing.TB, n int, cfg cluster.Config) (*cluster.Cluster, *obs.Observer, []*cluster.Node, []*obs.Observer) {
+// cluster-mode layout — and returns the cluster and the base observer.
+func newObservedCluster(t testing.TB, n int, cfg cluster.Config) (*cluster.Cluster, *obs.Observer) {
 	t.Helper()
-	base := obs.New(0)
-	base.SetEventLog(obs.NewEventLog(0))
-	nodes := make([]*cluster.Node, n)
-	privs := make([]*obs.Observer, n)
-	for i := range nodes {
-		node, priv, err := core.NewClusterNode(core.ClusterNodeConfig{
-			Name:   fmt.Sprintf("n%d", i),
-			System: testSystem,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i], privs[i] = node, priv
-	}
-	cfg.Obs = base
-	cl, err := cluster.New(nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl, base, nodes, privs
+	cfg.Obs = obs.New(0)
+	cfg.Obs.SetEventLog(obs.NewEventLog(0))
+	return newTestCluster(t, n, cfg), cfg.Obs
 }
 
 func countEvents(l *obs.EventLog, typ string) (n int, keys int) {
@@ -66,7 +46,7 @@ func countEvents(l *obs.EventLog, typ string) (n int, keys int) {
 // account of what happened, not a sampling of it. Runs under -race in CI
 // to also exercise the journal's locking.
 func TestEventJournalMatchesClusterStats(t *testing.T) {
-	cl, base, _, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1, RebalanceCheckEvery: 8})
+	cl, base := newObservedCluster(t, 3, cluster.Config{Replicas: 1, RebalanceCheckEvery: 8})
 	el := base.EventLog()
 	sess, err := cl.OpenSession("t")
 	if err != nil {
@@ -155,7 +135,7 @@ func TestEventJournalMatchesClusterStats(t *testing.T) {
 // state and health report, and aggregate the directory gauges — the same
 // path /debug/fleet and `ssmtrace fleet` share.
 func TestFleetRollup(t *testing.T) {
-	cl, _, _, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
+	cl, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +207,8 @@ func TestFleetRollup(t *testing.T) {
 // cluster-layer series; /debug/fleet must decode to a FleetReport with
 // both nodes up; /debug/events must replay through obs.LoadEvents.
 func TestAdminEndpointsServeFleetTelemetry(t *testing.T) {
-	cl, base, nodes, privs := newObservedCluster(t, 2, cluster.Config{})
+	cl, base := newObservedCluster(t, 2, cluster.Config{})
+	nodes := cl.Nodes()
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +224,8 @@ func TestAdminEndpointsServeFleetTelemetry(t *testing.T) {
 	// Wire the admin exactly as ssmserve's cluster mode does: the scraped
 	// observer is node 0's private one, sharing the cluster's journal, and
 	// the snapshot source is the fleet merge.
-	privs[0].SetEventLog(base.EventLog())
-	admin := server.NewAdmin(nodes[0].Srv, privs[0])
+	nodes[0].Obs.SetEventLog(base.EventLog())
+	admin := server.NewAdmin(nodes[0].Srv, nodes[0].Obs)
 	admin.SetSnapshotSource(cl.FleetSnapshot)
 	admin.SetFleet(func() (any, error) { return cluster.FleetFromSnapshot(cl.FleetSnapshot()) })
 	ts := httptest.NewServer(admin.Handler())

@@ -27,19 +27,6 @@ const (
 	testMargin = 0.06
 )
 
-// newEngineNode builds one node on the given engine with age bytes of
-// history streamed through its card.
-func newEngineNode(t testing.TB, name, engine string, age int64) *cluster.Node {
-	t.Helper()
-	system := testSystem
-	system.Engine = engine
-	node, _, err := core.NewClusterNode(core.ClusterNodeConfig{Name: name, System: system, AgeBytes: age})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node
-}
-
 // newAgedNodes builds n nodes on the given engine, node 0 aged to its
 // free-block margin and the rest lightly aged.
 func newAgedNodes(t testing.TB, n int, engine string) []*cluster.Node {
@@ -50,34 +37,14 @@ func newAgedNodes(t testing.TB, n int, engine string) []*cluster.Node {
 		if i == 0 {
 			age = deepAge
 		}
-		nodes[i] = newEngineNode(t, fmt.Sprintf("n%d", i), engine, age)
+		nodes[i] = newTestNode(t, fmt.Sprintf("n%d", i), engine, age)
 	}
 	return nodes
 }
 
 // kneeWorkload is the E14 saturation mix, shortened.
 func kneeWorkload(seed int64) workload.Config {
-	const w = 0.6
-	return workload.Config{
-		Seed:          seed,
-		Clients:       16,
-		OpsPerClient:  120,
-		Keys:          6,
-		ObjectBytes:   32 << 10,
-		MinWriteBytes: 4096,
-		MaxWriteBytes: 4096,
-		Mix: workload.Mix{
-			Read:     1 - w,
-			Write:    w * 0.90,
-			Truncate: w * 0.02,
-			Delete:   w * 0.03,
-			Sync:     w * 0.05,
-		},
-		Popularity:    workload.Zipf,
-		ZipfSkew:      1.2,
-		Arrival:       workload.OpenLoop,
-		RatePerClient: 10,
-	}
+	return core.E12Traffic(seed, 16, 120, 0.6)
 }
 
 // TestSweepMarginIsReportedMargin holds the margin the sweep acts on to
@@ -106,7 +73,7 @@ func TestSweepMarginIsReportedMargin(t *testing.T) {
 					}
 				}
 			}
-			check("fresh and aged, before traffic", newEngineNode(t, "fresh", engine, 0))
+			check("fresh and aged, before traffic", newTestNode(t, "fresh", engine, 0))
 			if m := nodes[0].Srv.FreeBlockMargin(); m >= testMargin {
 				t.Fatalf("deep-aged node starts at margin %.3f, want it under the %.2f cordon threshold", m, testMargin)
 			}
@@ -186,7 +153,7 @@ func TestHealthSweepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	cl, _, _, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
+	cl, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@
 // overrides layered on top.
 //
 // The ring answers "where does a key live by default": each node
-// projects VirtualPoints points onto a 64-bit circle, and a key's
+// projects virtualPoints points onto a 64-bit circle, and a key's
 // primary is the first point clockwise of its hash, with replicas on
 // the next distinct nodes. Virtual points keep the load split even when
 // node counts are small, and adding a node moves only the keys whose

@@ -11,7 +11,7 @@ func testCluster(names []string, replicas int) *Cluster {
 		nodes:    make([]*Node, len(names)),
 		down:     make([]bool, len(names)),
 		cordoned: make([]bool, len(names)),
-		ring:     buildRing(names, cfg.VirtualPoints),
+		ring:     buildRing(names, virtualPoints),
 	}
 }
 

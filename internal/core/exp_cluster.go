@@ -7,73 +7,31 @@ import (
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
-	"ssmobile/internal/workload"
 )
 
-// ClusterNodeConfig describes one node of an in-process serving cluster:
-// a full solid-state stack (card, FTL, storage manager, file system)
-// behind its own server, aged to a chosen point in its life.
-type ClusterNodeConfig struct {
-	// Name identifies the node on the placement ring.
-	Name string
-	// System parameterises the node's card stack; Obs is overridden with
-	// the node's private observer (per-card telemetry must stay isolated
-	// for the fleet view's node labels and for deterministic merging).
-	System SolidStateConfig
-	// AgeBytes streams this much data through the stack and deletes it
-	// before serving, leaving the card full of dead pages as months of
-	// use would.
-	AgeBytes int64
-	// TraceCapacity sizes the node observer's span ring (<=0 default).
-	TraceCapacity int
-}
-
-// NewClusterNode assembles one cluster node: private observer, aged
-// card stack, server, and a restart hook that recovers the node from
-// flash after a power cut (synced data survives, unsynced DRAM is
-// lost). The returned observer is the node's private one — merge it
-// into the ambient observer after the run for deterministic telemetry.
-func NewClusterNode(cfg ClusterNodeConfig) (*cluster.Node, *obs.Observer, error) {
-	priv := obs.New(cfg.TraceCapacity)
-	// Stamp the node's name onto every span its stack records, so a
-	// merged cross-node trace still attributes each span to its card.
-	priv.Tracer.SetNode(cfg.Name)
-	scfg := cfg.System
-	scfg.Obs = priv
-	sys, err := NewSolidState(scfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", cfg.Name, err)
-	}
-	if cfg.AgeBytes > 0 {
-		if err := ageDevice(sys, cfg.AgeBytes); err != nil {
-			return nil, nil, fmt.Errorf("aging node %s: %w", cfg.Name, err)
+// newE12Nodes builds the nodes of the cluster experiments: n named E12
+// cards, each on a private observer with 6MB of history. deepAgeFirst
+// starts node 0 at its free-block margin instead (7.5MB of history on the
+// 8MB card), so the router's first health sweep cordons it and moves its
+// keys to healthier cards.
+func newE12Nodes(n int, deepAgeFirst bool) ([]*cluster.Node, error) {
+	nodes := make([]*cluster.Node, n)
+	for j := range nodes {
+		age := int64(6 << 20)
+		if deepAgeFirst && j == 0 {
+			age = 15 << 19
 		}
-	}
-	newServer := func(s *SolidStateSystem) (*server.Server, error) {
-		return server.New(server.Backend{
-			FS: s.FS, Storage: s.Storage, Engine: s.Engine, Clock: s.Clock(),
-		}, server.Config{Obs: priv})
-	}
-	srv, err := newServer(sys)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", cfg.Name, err)
-	}
-	node := &cluster.Node{
-		Name:  cfg.Name,
-		Srv:   srv,
-		Clock: sys.Clock(),
-		Obs:   priv,
-	}
-	node.Restart = func() (*server.Server, error) {
-		sys.DRAM.PowerFail()
-		recovered, err := sys.RemountAfterPowerFailure()
+		card, err := NewServedCard(ServedCardConfig{
+			Name:     fmt.Sprintf("n%d", j),
+			System:   E12Card(obs.New(0)),
+			AgeBytes: age,
+		})
 		if err != nil {
 			return nil, err
 		}
-		sys = recovered
-		return newServer(sys)
+		nodes[j] = card.Node
 	}
-	return node, priv, nil
+	return nodes, nil
 }
 
 // E14Cluster is the scale-out study: the E12 saturation workload —
@@ -112,31 +70,9 @@ func E14Cluster(env *Env, seed int64) (*Table, error) {
 	rows := make([][]string, n)
 	err := env.ForEach(n, func(i int, je *Env) error {
 		cell := cells[i]
-		nodes := make([]*cluster.Node, cell.nodes)
-		privs := make([]*obs.Observer, cell.nodes)
-		for j := range nodes {
-			age := int64(6 << 20)
-			if cell.deepAge && j == 0 {
-				// One card already at its free-block margin: the health
-				// sweep should cordon it and move its keys away.
-				age = 15 << 19 // 7.5MB of history on an 8MB card
-			}
-			node, priv, err := NewClusterNode(ClusterNodeConfig{
-				Name: fmt.Sprintf("n%d", j),
-				System: SolidStateConfig{
-					DRAMBytes:       8 << 20,
-					FlashBytes:      8 << 20,
-					BufferBytes:     1 << 20,
-					RBoxBytes:       512 << 10,
-					IdleCleanBlocks: 24,
-					WriteBackDelay:  2 * sim.Second,
-				},
-				AgeBytes: age,
-			})
-			if err != nil {
-				return err
-			}
-			nodes[j], privs[j] = node, priv
+		nodes, err := newE12Nodes(cell.nodes, cell.deepAge)
+		if err != nil {
+			return err
 		}
 		// The margin sits just below the deep-aged card's starting
 		// free-block margin, so the last row's cordon fires on the
@@ -147,26 +83,7 @@ func E14Cluster(env *Env, seed int64) (*Table, error) {
 			return err
 		}
 		// The E12 32-client knee: the offered load one card sheds under.
-		st, err := server.RunWorkload(cl, workload.Config{
-			Seed:          seed + int64(i),
-			Clients:       32,
-			OpsPerClient:  250,
-			Keys:          6,
-			ObjectBytes:   32 << 10,
-			MinWriteBytes: 4096,
-			MaxWriteBytes: 4096,
-			Mix: workload.Mix{
-				Read:     1 - w,
-				Write:    w * 0.90,
-				Truncate: w * 0.02,
-				Delete:   w * 0.03,
-				Sync:     w * 0.05,
-			},
-			Popularity:    workload.Zipf,
-			ZipfSkew:      1.2,
-			Arrival:       workload.OpenLoop,
-			RatePerClient: 10,
-		})
+		st, err := server.RunWorkload(cl, E12Traffic(seed+int64(i), 32, 250, w))
 		if err != nil {
 			return fmt.Errorf("%d nodes: %w", cell.nodes, err)
 		}
@@ -198,8 +115,8 @@ func E14Cluster(env *Env, seed int64) (*Table, error) {
 			fmt.Sprintf("%d", cst.Rebalances),
 			fmt.Sprintf("%d", cst.MigratedKeys),
 		}
-		for _, priv := range privs {
-			je.Obs().Merge(priv)
+		for _, node := range nodes {
+			je.Obs().Merge(node.Obs)
 		}
 		return nil
 	})

@@ -5,7 +5,6 @@ import (
 
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
-	"ssmobile/internal/workload"
 )
 
 // E15EngineHeadToHead races the two storage backends over the same
@@ -56,58 +55,24 @@ func E15EngineHeadToHead(env *Env, seed int64) (*Table, error) {
 		eng := engines[i/len(cells)]
 		c := cells[i%len(cells)]
 
-		sys, err := NewSolidState(SolidStateConfig{
-			DRAMBytes:       8 << 20,
-			FlashBytes:      8 << 20,
-			BufferBytes:     1 << 20,
-			RBoxBytes:       512 << 10,
-			IdleCleanBlocks: 24,
-			WriteBackDelay:  2 * sim.Second,
-			Engine:          eng,
-			Obs:             je.Obs(),
-		})
-		if err != nil {
-			return err
-		}
+		system := E12Card(je.Obs())
+		system.Engine = eng
 		// Same aging as E12: months of dead pages, so cleaning is live
 		// from the start and erase load reflects steady state.
-		if err := ageDevice(sys, 6<<20); err != nil {
-			return err
-		}
-		srv, err := server.New(server.Backend{
-			FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-		}, server.Config{Obs: je.Obs()})
+		card, err := NewServedCard(ServedCardConfig{System: system, AgeBytes: 6 << 20})
 		if err != nil {
 			return err
 		}
-		st, err := server.RunWorkload(srv, workload.Config{
-			// Paired seeds: cell k sees the same op stream under both
-			// engines.
-			Seed:          seed + int64(i%len(cells)),
-			Clients:       c.clients,
-			OpsPerClient:  c.ops,
-			Keys:          6,
-			ObjectBytes:   32 << 10,
-			MinWriteBytes: 256,
-			MaxWriteBytes: 1024,
-			Mix: workload.Mix{
-				Read:     1 - c.write,
-				Write:    c.write * 0.90,
-				Truncate: c.write * 0.02,
-				Delete:   c.write * 0.03,
-				Sync:     c.write * 0.05,
-			},
-			Popularity:    workload.Zipf,
-			ZipfSkew:      1.2,
-			Arrival:       workload.OpenLoop,
-			RatePerClient: 10,
-		})
+		// Paired seeds: cell k sees the same op stream under both engines.
+		traffic := E12Traffic(seed+int64(i%len(cells)), c.clients, c.ops, c.write)
+		traffic.MinWriteBytes, traffic.MaxWriteBytes = 256, 1024
+		st, err := server.RunWorkload(card.Srv, traffic)
 		if err != nil {
 			return fmt.Errorf("%s, %d clients: %w", eng, c.clients, err)
 		}
-		es := sys.Engine.Stats()
+		es := card.Sys.Engine.Stats()
 		deltas, promotions := "-", "-"
-		if pe, ok := sys.Engine.(interface {
+		if pe, ok := card.Sys.Engine.(interface {
 			DeltaWrites() int64
 			Promotions() int64
 		}); ok {

@@ -7,7 +7,6 @@ import (
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
-	"ssmobile/internal/workload"
 )
 
 // E16Fleet is the fleet-observability study: the E14 cluster instrumented
@@ -66,32 +65,11 @@ func E16Fleet(env *Env, seed int64) ([]*Table, error) {
 		el := obs.NewEventLog(0)
 		o.SetEventLog(el)
 
-		nodes := make([]*cluster.Node, nNodes)
-		privs := make([]*obs.Observer, nNodes)
-		for j := range nodes {
-			age := int64(6 << 20)
-			if j == 0 {
-				// One card at its free-block margin from the start: the
-				// router's first sweep cordons it — the journal's opening
-				// entries.
-				age = 15 << 19
-			}
-			node, priv, err := NewClusterNode(ClusterNodeConfig{
-				Name: fmt.Sprintf("n%d", j),
-				System: SolidStateConfig{
-					DRAMBytes:       8 << 20,
-					FlashBytes:      8 << 20,
-					BufferBytes:     1 << 20,
-					RBoxBytes:       512 << 10,
-					IdleCleanBlocks: 24,
-					WriteBackDelay:  2 * sim.Second,
-				},
-				AgeBytes: age,
-			})
-			if err != nil {
-				return err
-			}
-			nodes[j], privs[j] = node, priv
+		// One card at its free-block margin from the start: the router's
+		// first sweep cordons it — the journal's opening entries.
+		nodes, err := newE12Nodes(nNodes, true)
+		if err != nil {
+			return err
 		}
 		cl, err := cluster.New(nodes, cluster.Config{RebalanceMargin: 0.05, Obs: o})
 		if err != nil {
@@ -101,26 +79,7 @@ func E16Fleet(env *Env, seed int64) ([]*Table, error) {
 		var prev cluster.Stats
 		var prevEvents int64
 		runPhase := func(name string, phaseSeed int64) error {
-			st, err := server.RunWorkload(cl, workload.Config{
-				Seed:          phaseSeed,
-				Clients:       32,
-				OpsPerClient:  100,
-				Keys:          6,
-				ObjectBytes:   32 << 10,
-				MinWriteBytes: 4096,
-				MaxWriteBytes: 4096,
-				Mix: workload.Mix{
-					Read:     1 - w,
-					Write:    w * 0.90,
-					Truncate: w * 0.02,
-					Delete:   w * 0.03,
-					Sync:     w * 0.05,
-				},
-				Popularity:    workload.Zipf,
-				ZipfSkew:      1.2,
-				Arrival:       workload.OpenLoop,
-				RatePerClient: 10,
-			})
+			st, err := server.RunWorkload(cl, E12Traffic(phaseSeed, 32, 100, w))
 			if err != nil {
 				return fmt.Errorf("phase %s: %w", name, err)
 			}
@@ -238,8 +197,8 @@ func E16Fleet(env *Env, seed int64) ([]*Table, error) {
 				rep.UnderReplicatedKeys, rep.TombstoneKeys, rep.StaleCopies),
 			"the same rollup is served live at /debug/fleet and rendered offline by `ssmtrace fleet`")
 
-		for j, priv := range privs {
-			o.MergeLabeled(priv, obs.Labels{"node": nodes[j].Name})
+		for _, node := range nodes {
+			o.MergeLabeled(node.Obs, obs.Labels{"node": node.Name})
 		}
 		return nil
 	})

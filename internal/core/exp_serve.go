@@ -7,7 +7,6 @@ import (
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
-	"ssmobile/internal/workload"
 )
 
 // E12Saturation is the serving-stack saturation study: a population of
@@ -41,59 +40,18 @@ func E12Saturation(env *Env, seed int64) (*Table, error) {
 		w := writeRatios[i/len(clientCounts)]
 		clients := clientCounts[i%len(clientCounts)]
 
-		sys, err := NewSolidState(SolidStateConfig{
-			DRAMBytes:       8 << 20,
-			FlashBytes:      8 << 20,
-			BufferBytes:     1 << 20,
-			RBoxBytes:       512 << 10,
-			IdleCleanBlocks: 24,
-			// A short write-back delay keeps the buffer draining between
-			// requests; saturation then hinges on flash bandwidth, not on
-			// the 30s syncer cadence dwarfing the run.
-			WriteBackDelay: 2 * sim.Second,
-			Obs:            je.Obs(),
-		})
+		// The card is aged before serving: most of the flash filled with
+		// a file and deleted, leaving dead pages the way months of use
+		// would.
+		card, err := NewServedCard(ServedCardConfig{System: E12Card(je.Obs()), AgeBytes: 6 << 20})
 		if err != nil {
 			return err
 		}
-		// Age the device before serving: fill most of the flash with a
-		// file and delete it, leaving the card full of dead pages the way
-		// months of use would. A fresh card never needs the cleaner inside
-		// a short run; an aged one starts at the free-space margin where
-		// idle-time cleaning (or the lack of idle time) decides the tail.
-		if err := ageDevice(sys, 6<<20); err != nil {
-			return err
-		}
-		srv, err := server.New(server.Backend{
-			FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-		}, server.Config{Obs: je.Obs()})
-		if err != nil {
-			return err
-		}
-		st, err := server.RunWorkload(srv, workload.Config{
-			Seed:          seed + int64(i),
-			Clients:       clients,
-			OpsPerClient:  400,
-			Keys:          6,
-			ObjectBytes:   32 << 10,
-			MinWriteBytes: 4096,
-			MaxWriteBytes: 4096,
-			Mix: workload.Mix{
-				Read:     1 - w,
-				Write:    w * 0.90,
-				Truncate: w * 0.02,
-				Delete:   w * 0.03,
-				Sync:     w * 0.05,
-			},
-			Popularity:    workload.Zipf,
-			ZipfSkew:      1.2,
-			Arrival:       workload.OpenLoop,
-			RatePerClient: 10,
-		})
+		st, err := server.RunWorkload(card.Srv, E12Traffic(seed+int64(i), clients, 400, w))
 		if err != nil {
 			return fmt.Errorf("%d clients, %.0f%% writes: %w", clients, w*100, err)
 		}
-		fs := sys.FTL.Stats()
+		fs := card.Sys.FTL.Stats()
 		rows[i] = []string{
 			fmt.Sprintf("%d", clients),
 			fmt.Sprintf("%.0f%%", w*100),
@@ -165,54 +123,19 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 		// The ring is sized to hold the whole run, so the per-request
 		// reconstruction below sees every span.
 		priv := obs.New(1 << 18)
-		sys, err := NewSolidState(SolidStateConfig{
-			DRAMBytes:       8 << 20,
-			FlashBytes:      8 << 20,
-			BufferBytes:     1 << 20,
-			RBoxBytes:       512 << 10,
-			IdleCleanBlocks: 24,
-			WriteBackDelay:  2 * sim.Second,
-			Banks:           banks,
-			Obs:             priv,
-		})
-		if err != nil {
-			return err
-		}
+		system := E12Card(priv)
+		system.Banks = banks
 		// Aged deeper than E12 (7MB of history vs 6MB): serving starts at
 		// the free-block margin, so every flushed block past the first few
 		// must clean a victim first — the steady state a long-lived device
 		// lives in, rather than E12's gentler entry into it.
-		if err := ageDevice(sys, 7<<20); err != nil {
-			return err
-		}
-		srv, err := server.New(server.Backend{
-			FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-		}, server.Config{Obs: priv})
+		card, err := NewServedCard(ServedCardConfig{System: system, AgeBytes: 7 << 20})
 		if err != nil {
 			return err
 		}
 		// Same client grid, mix, and rates as the E12 60%-write rows, so
 		// the two tables read side by side.
-		st, err := server.RunWorkload(srv, workload.Config{
-			Seed:          seed + int64(i),
-			Clients:       clients,
-			OpsPerClient:  400,
-			Keys:          6,
-			ObjectBytes:   32 << 10,
-			MinWriteBytes: 4096,
-			MaxWriteBytes: 4096,
-			Mix: workload.Mix{
-				Read:     1 - w,
-				Write:    w * 0.90,
-				Truncate: w * 0.02,
-				Delete:   w * 0.03,
-				Sync:     w * 0.05,
-			},
-			Popularity:    workload.Zipf,
-			ZipfSkew:      1.2,
-			Arrival:       workload.OpenLoop,
-			RatePerClient: 10,
-		})
+		st, err := server.RunWorkload(card.Srv, E12Traffic(seed+int64(i), clients, 400, w))
 		if err != nil {
 			return fmt.Errorf("%d clients: %w", clients, err)
 		}
@@ -261,7 +184,7 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 			fmt.Sprintf("%.1f", st.CompletedRate()),
 			fmt.Sprintf("%d", st.Shed),
 			fmtDur(sim.Duration(st.Lat.Quantile(0.99))),
-			fmtDur(sim.Duration(srv.BreakdownSim(obs.StageQueue).Quantile(0.99))),
+			fmtDur(sim.Duration(card.Srv.BreakdownSim(obs.StageQueue).Quantile(0.99))),
 			share(obs.StageBuffer),
 			share(obs.StageFlush),
 			share(obs.StageFlash),
@@ -285,30 +208,4 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 		"the erase cost the paper's idle-time cleaning was hiding has landed on the request path",
 		"(starker still with a single bank, where no parallelism overlaps the erase)")
 	return t, nil
-}
-
-// ageDevice simulates a device with history: it streams bytes through
-// the stack into flash, syncs, and deletes the file — leaving the card
-// populated with dead pages that only the cleaner can reclaim.
-func ageDevice(sys *SolidStateSystem, bytes int64) error {
-	const chunk = 4096
-	if err := sys.FS.Create("/age"); err != nil {
-		return err
-	}
-	buf := make([]byte, chunk)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	for off := int64(0); off < bytes; off += chunk {
-		if _, err := sys.FS.WriteAt("/age", off, buf); err != nil {
-			return err
-		}
-		if err := sys.Storage.Tick(); err != nil {
-			return err
-		}
-	}
-	if err := sys.FS.Sync(); err != nil {
-		return err
-	}
-	return sys.FS.Remove("/age")
 }

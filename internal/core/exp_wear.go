@@ -7,7 +7,6 @@ import (
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
-	"ssmobile/internal/workload"
 )
 
 // E13WearAging ages one flash card through years of simulated use — bursts
@@ -48,51 +47,18 @@ func E13WearAging(env *Env, seed int64) (*Table, error) {
 	rows := make([][]string, epochs)
 	err := env.ForEach(1, func(_ int, je *Env) error {
 		priv := obs.New(1 << 12)
-		sys, err := NewSolidState(SolidStateConfig{
-			DRAMBytes:       8 << 20,
-			FlashBytes:      8 << 20,
-			BufferBytes:     1 << 20,
-			RBoxBytes:       512 << 10,
-			IdleCleanBlocks: 24,
-			WriteBackDelay:  2 * sim.Second,
-			Obs:             priv,
-		})
-		if err != nil {
-			return err
-		}
 		// Start at the free-block margin, as E12b does: a card with months
 		// of history, where every epoch's traffic must clean to make room.
-		if err := ageDevice(sys, 7<<20); err != nil {
-			return err
-		}
-		srv, err := server.New(server.Backend{
-			FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-		}, server.Config{Obs: priv})
+		card, err := NewServedCard(ServedCardConfig{System: E12Card(priv), AgeBytes: 7 << 20})
 		if err != nil {
 			return err
 		}
+		sys, srv := card.Sys, card.Srv
 		dev := sys.Flash
 		for ep := 0; ep < epochs; ep++ {
-			if _, err := server.RunWorkload(srv, workload.Config{
-				Seed:          seed + int64(ep),
-				Clients:       4,
-				OpsPerClient:  400,
-				Keys:          40,
-				ObjectBytes:   64 << 10,
-				MinWriteBytes: 4096,
-				MaxWriteBytes: 4096,
-				Mix: workload.Mix{
-					Read:     1 - w,
-					Write:    w * 0.90,
-					Truncate: w * 0.02,
-					Delete:   w * 0.03,
-					Sync:     w * 0.05,
-				},
-				Popularity:    workload.Zipf,
-				ZipfSkew:      1.2,
-				Arrival:       workload.OpenLoop,
-				RatePerClient: 10,
-			}); err != nil {
+			traffic := E12Traffic(seed+int64(ep), 4, 400, w)
+			traffic.Keys, traffic.ObjectBytes = 40, 64<<10
+			if _, err := server.RunWorkload(srv, traffic); err != nil {
 				return fmt.Errorf("epoch %d: %w", ep, err)
 			}
 

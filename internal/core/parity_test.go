@@ -51,25 +51,6 @@ func TestFTLBackendParity(t *testing.T) {
 	}
 }
 
-// TestE15DeterministicAcrossParallelism extends the repo's determinism
-// guarantee to the head-to-head: the same seed must print the same E15
-// table at any parallelism.
-func TestE15DeterministicAcrossParallelism(t *testing.T) {
-	var seq, par bytes.Buffer
-	if err := RunExperimentParallel(&seq, "e15", 7, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunExperimentParallel(&par, "e15", 7, 8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatal("e15 output differs between -parallel 1 and 8")
-	}
-	if seq.Len() == 0 {
-		t.Fatal("e15 printed nothing")
-	}
-}
-
 // TestPDLBackendParity is the pdl half of the pin above: E15 is the one
 // experiment that drives the page-differential log, so its stdout —
 // write amp, erases, cleans, deltas and promotions per cell, next to the

@@ -80,12 +80,8 @@ type SolidStateConfig struct {
 	WriteBackDelay sim.Duration
 	// Policy is the flash cleaning policy (default cost-benefit).
 	Policy ftl.Policy
-	// HotCold enables hot/cold separation (default on when Policy is
-	// cost-benefit; set PlainFTL to disable both defaults).
+	// HotCold enables hot/cold separation (on with the default policy).
 	HotCold bool
-	// PlainFTL suppresses the policy defaults so zero values mean what
-	// they say.
-	PlainFTL bool
 	// IdleCleanBlocks, when positive, lets the FTL clean during idle time
 	// until that many blocks are free (the paper's "cleaning in the
 	// background while the machine is idle"). Zero keeps idle cleaning
@@ -94,20 +90,20 @@ type SolidStateConfig struct {
 	IdleCleanBlocks int
 	// SnapshotEvery overrides the recovery-box snapshot cadence.
 	SnapshotEvery int
-	// CodeCardBytes sizes the separate read-mostly flash card that holds
-	// execute-in-place program images (default 4MB). The paper's §3.3
-	// prescribes segregating read-mostly data from the frequently-written
-	// banks; bundled software shipped on its own card is the 1993 form
-	// of that (HP OmniBook). The card is outside the cleaner's reach, so
-	// XIP mappings stay stable.
-	CodeCardBytes int64
-	// FlashParams and DRAMParams override the device catalog entries.
+	// FlashParams overrides the flash device catalog entry.
 	FlashParams *device.Params
-	DRAMParams  *device.Params
 	// Obs receives every layer's metrics and op spans; nil falls back to
 	// obs.Default().
 	Obs *obs.Observer
 }
+
+// codeCardBytes sizes the separate read-mostly flash card that holds
+// execute-in-place program images. The paper's §3.3 prescribes
+// segregating read-mostly data from the frequently-written banks; bundled
+// software shipped on its own card is the 1993 form of that (HP
+// OmniBook). The card is outside the cleaner's reach, so XIP mappings
+// stay stable.
+const codeCardBytes = 4 << 20
 
 func (c *SolidStateConfig) applyDefaults() {
 	if c.Banks == 0 {
@@ -128,12 +124,9 @@ func (c *SolidStateConfig) applyDefaults() {
 	if c.WriteBackDelay == 0 {
 		c.WriteBackDelay = 30 * sim.Second
 	}
-	if !c.PlainFTL && c.Policy == ftl.PolicyDirect {
+	if c.Policy == ftl.PolicyDirect {
 		c.Policy = ftl.PolicyCostBenefit
 		c.HotCold = true
-	}
-	if c.CodeCardBytes == 0 {
-		c.CodeCardBytes = 4 << 20
 	}
 	if c.Engine == "" {
 		c.Engine = "ftl"
@@ -162,32 +155,27 @@ type SolidStateSystem struct {
 	VM      *vm.VM
 }
 
-// NewSolidState builds the full stack. The DRAM layout is:
-// [0, RBoxBytes) recovery box; [RBoxBytes, RBoxBytes+BufferBytes) storage
-// manager write buffer; the remainder is the VM frame pool.
+// NewSolidState builds the full stack on fresh devices. The DRAM layout
+// is: [0, RBoxBytes) recovery box; [RBoxBytes, RBoxBytes+BufferBytes)
+// storage manager write buffer; the remainder is the VM frame pool.
 func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 	cfg.applyDefaults()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
 	o := obs.Or(cfg.Obs)
 	// Pin the resolved observer into the retained config, so everything
-	// built later from s.cfg (the FTL, and the remount-after-power-failure
-	// path) writes to the same observer this construction does — never to
-	// whatever the process default happens to be at that point.
+	// built later from s.cfg (the remount-after-power-failure path) writes
+	// to the same observer this construction does — never to whatever the
+	// process default happens to be at that point.
 	cfg.Obs = o
 	o.GaugeFunc("dropped_negative_charges", obs.Labels{"layer": "core", "system": "solid-state"},
 		func() float64 { return float64(meter.DroppedNegativeCharges()) })
 
-	dramParams := device.NECDram
-	if cfg.DRAMParams != nil {
-		dramParams = *cfg.DRAMParams
-	}
 	flashParams := device.IntelFlash
 	if cfg.FlashParams != nil {
 		flashParams = *cfg.FlashParams
 	}
-
-	dr, err := dram.New(dram.Config{CapacityBytes: cfg.DRAMBytes, Params: dramParams, Obs: o}, clock, meter)
+	dr, err := dram.New(dram.Config{CapacityBytes: cfg.DRAMBytes, Params: device.NECDram, Obs: o}, clock, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -210,53 +198,9 @@ func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	var eng engine.Engine
-	var fl *ftl.FTL
-	switch cfg.Engine {
-	case "ftl":
-		fl, err = ftl.New(fd, clock, ftlConfig(cfg))
-		if err != nil {
-			return nil, err
-		}
-		eng = engineftl.Wrap(fl)
-	case "pdl":
-		eng, err = pdl.New(fd, clock, pdlConfig(cfg))
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown storage engine %q (want ftl or pdl)", cfg.Engine)
-	}
-	if cfg.RBoxBytes+cfg.BufferBytes >= cfg.DRAMBytes {
-		return nil, fmt.Errorf("core: rbox %d + buffer %d exceed DRAM %d",
-			cfg.RBoxBytes, cfg.BufferBytes, cfg.DRAMBytes)
-	}
-	sm, err := storman.New(storman.Config{
-		BlockBytes:     cfg.BlockBytes,
-		DRAMBase:       cfg.RBoxBytes,
-		DRAMBytes:      cfg.BufferBytes,
-		WriteBackDelay: cfg.WriteBackDelay,
-		Obs:            o,
-	}, clock, dr, eng)
-	if err != nil {
-		return nil, err
-	}
-	f, err := fs.Mkfs(fs.Config{
-		RBoxBase:      0,
-		RBoxBytes:     cfg.RBoxBytes,
-		SnapshotEvery: cfg.SnapshotEvery,
-		Obs:           o,
-	}, clock, sm, dr)
-	if err != nil {
-		return nil, err
-	}
-	codeBlocks := int(cfg.CodeCardBytes / int64(cfg.EraseBlockBytes))
-	if codeBlocks <= 0 {
-		codeBlocks = 1
-	}
 	code, err := flash.New(flash.Config{
 		Banks:         1,
-		BlocksPerBank: codeBlocks,
+		BlocksPerBank: max(1, codeCardBytes/cfg.EraseBlockBytes),
 		BlockBytes:    cfg.EraseBlockBytes,
 		Params:        flashParams,
 		MeterCategory: "flash-code",
@@ -265,20 +209,93 @@ func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.RBoxBytes+cfg.BufferBytes >= cfg.DRAMBytes {
+		return nil, fmt.Errorf("core: rbox %d + buffer %d exceed DRAM %d",
+			cfg.RBoxBytes, cfg.BufferBytes, cfg.DRAMBytes)
+	}
+	s := &SolidStateSystem{cfg: cfg, clock: clock, meter: meter, DRAM: dr, Flash: fd, CodeCard: code}
+	if err := s.assemble(false); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// assemble builds the software layers — storage engine, storage manager,
+// file system, VM — over s's devices. It is the one place the layer
+// configs and the engine switch are written: a fresh stack initialises
+// each layer, a remount recovers each from what the flash card holds
+// (the engine by scanning out-of-band records, the storage manager's
+// placement table from the page tags, the file-system namespace from the
+// last checkpoint).
+func (s *SolidStateSystem) assemble(remount bool) error {
+	cfg := s.cfg
+	newFTL, newPDL, newStorman := ftl.New, pdl.New, storman.New
+	if remount {
+		newFTL, newPDL, newStorman = ftl.Mount, pdl.Mount, storman.Mount
+	}
+	var err error
+	switch cfg.Engine {
+	case "ftl":
+		s.FTL, err = newFTL(s.Flash, s.clock, ftl.Config{
+			PageBytes:          cfg.BlockBytes,
+			ReserveBlocks:      3,
+			IdleCleanThreshold: cfg.IdleCleanBlocks,
+			Policy:             cfg.Policy,
+			HotCold:            cfg.HotCold,
+			BackgroundErase:    true,
+			PersistMapping:     true,
+			Obs:                cfg.Obs,
+		})
+		if err != nil {
+			return err
+		}
+		s.Engine = engineftl.Wrap(s.FTL)
+	case "pdl":
+		s.Engine, err = newPDL(s.Flash, s.clock, pdl.Config{
+			PageBytes:          cfg.BlockBytes,
+			ReserveBlocks:      3,
+			IdleCleanThreshold: cfg.IdleCleanBlocks,
+			BackgroundErase:    true,
+			Obs:                cfg.Obs,
+		})
+		if err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("core: unknown storage engine %q (want ftl or pdl)", cfg.Engine)
+	}
+	s.Storage, err = newStorman(storman.Config{
+		BlockBytes:     cfg.BlockBytes,
+		DRAMBase:       cfg.RBoxBytes,
+		DRAMBytes:      cfg.BufferBytes,
+		WriteBackDelay: cfg.WriteBackDelay,
+		Obs:            cfg.Obs,
+	}, s.clock, s.DRAM, s.Engine)
+	if err != nil {
+		return err
+	}
+	fsCfg := fs.Config{
+		RBoxBase:      0,
+		RBoxBytes:     cfg.RBoxBytes,
+		SnapshotEvery: cfg.SnapshotEvery,
+		Obs:           cfg.Obs,
+	}
+	if remount {
+		s.FS, _, err = fs.RecoverAfterPowerFailure(fsCfg, s.clock, s.Storage, s.DRAM)
+	} else {
+		s.FS, err = fs.Mkfs(fsCfg, s.clock, s.Storage, s.DRAM)
+	}
+	if err != nil {
+		return err
+	}
 	frameBase := cfg.RBoxBytes + cfg.BufferBytes
-	v, err := vm.New(vm.Config{
+	s.VM, err = vm.New(vm.Config{
 		PageBytes: cfg.BlockBytes,
 		DRAMBase:  frameBase,
 		DRAMBytes: cfg.DRAMBytes - frameBase,
-		Obs:       o,
-	}, clock, dr, code)
-	if err != nil {
-		return nil, err
-	}
-	return &SolidStateSystem{
-		cfg: cfg, clock: clock, meter: meter,
-		DRAM: dr, Flash: fd, CodeCard: code, Engine: eng, FTL: fl, Storage: sm, FS: f, VM: v,
-	}, nil
+		Obs:       cfg.Obs,
+	}, s.clock, s.DRAM, s.CodeCard)
+	return err
 }
 
 // InstallImage programs a read-mostly image (a bundled application) into
@@ -325,29 +342,6 @@ func needsErase(d *flash.Device, off int64, image []byte) bool {
 	return false
 }
 
-func ftlConfig(cfg SolidStateConfig) ftl.Config {
-	return ftl.Config{
-		PageBytes:          cfg.BlockBytes,
-		ReserveBlocks:      3,
-		IdleCleanThreshold: cfg.IdleCleanBlocks,
-		Policy:             cfg.Policy,
-		HotCold:            cfg.HotCold,
-		BackgroundErase:    true,
-		PersistMapping:     cfg.Policy != ftl.PolicyDirect,
-		Obs:                cfg.Obs,
-	}
-}
-
-func pdlConfig(cfg SolidStateConfig) pdl.Config {
-	return pdl.Config{
-		PageBytes:          cfg.BlockBytes,
-		ReserveBlocks:      3,
-		IdleCleanThreshold: cfg.IdleCleanBlocks,
-		BackgroundErase:    true,
-		Obs:                cfg.Obs,
-	}
-}
-
 // RemountAfterPowerFailure performs the full honest power-failure
 // recovery: with the DRAM device failed (the caller triggers
 // DRAM.PowerFail), it restores the DRAM array empty, rebuilds the
@@ -379,59 +373,14 @@ func (s *SolidStateSystem) RemountAfterPowerFailure() (*SolidStateSystem, error)
 		s.Flash.SetInjector(nil)
 		s.Flash.Restore()
 	}
-	var eng engine.Engine
-	var fl *ftl.FTL
-	switch s.cfg.Engine {
-	case "ftl":
-		var err error
-		fl, err = ftl.Mount(s.Flash, s.clock, ftlConfig(s.cfg))
-		if err != nil {
-			return nil, err
-		}
-		eng = engineftl.Wrap(fl)
-	case "pdl":
-		var err error
-		eng, err = pdl.Mount(s.Flash, s.clock, pdlConfig(s.cfg))
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown storage engine %q", s.cfg.Engine)
-	}
-	sm, err := storman.Mount(storman.Config{
-		BlockBytes:     s.cfg.BlockBytes,
-		DRAMBase:       s.cfg.RBoxBytes,
-		DRAMBytes:      s.cfg.BufferBytes,
-		WriteBackDelay: s.cfg.WriteBackDelay,
-		Obs:            s.cfg.Obs,
-	}, s.clock, s.DRAM, eng)
-	if err != nil {
-		return nil, err
-	}
-	f, _, err := fs.RecoverAfterPowerFailure(fs.Config{
-		RBoxBase:      0,
-		RBoxBytes:     s.cfg.RBoxBytes,
-		SnapshotEvery: s.cfg.SnapshotEvery,
-		Obs:           s.cfg.Obs,
-	}, s.clock, sm, s.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	frameBase := s.cfg.RBoxBytes + s.cfg.BufferBytes
-	v, err := vm.New(vm.Config{
-		PageBytes: s.cfg.BlockBytes,
-		DRAMBase:  frameBase,
-		DRAMBytes: s.cfg.DRAMBytes - frameBase,
-		Obs:       s.cfg.Obs,
-	}, s.clock, s.DRAM, s.CodeCard)
-	if err != nil {
-		return nil, err
-	}
-	return &SolidStateSystem{
+	r := &SolidStateSystem{
 		cfg: s.cfg, clock: s.clock, meter: s.meter,
 		DRAM: s.DRAM, Flash: s.Flash, CodeCard: s.CodeCard,
-		Engine: eng, FTL: fl, Storage: sm, FS: f, VM: v,
-	}, nil
+	}
+	if err := r.assemble(true); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 func ssPath(name string) string { return "/" + name }

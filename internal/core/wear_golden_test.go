@@ -12,7 +12,6 @@ import (
 	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
-	"ssmobile/internal/sim"
 	"ssmobile/internal/workload"
 )
 
@@ -30,27 +29,11 @@ var updateWearGoldens = flag.Bool("update-wear", false, "rewrite the health/heat
 func wearFixture(t *testing.T, seed int64) (obs.Snapshot, *server.Server, *obs.Observer) {
 	t.Helper()
 	priv := obs.New(1 << 12)
-	sys, err := NewSolidState(SolidStateConfig{
-		DRAMBytes:       8 << 20,
-		FlashBytes:      8 << 20,
-		BufferBytes:     1 << 20,
-		RBoxBytes:       512 << 10,
-		IdleCleanBlocks: 24,
-		WriteBackDelay:  2 * sim.Second,
-		Obs:             priv,
-	})
+	card, err := NewServedCard(ServedCardConfig{System: E12Card(priv), AgeBytes: 6 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ageDevice(sys, 6<<20); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Backend{
-		FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-	}, server.Config{Obs: priv})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := card.Srv
 	if _, err := server.RunWorkload(srv, workload.Config{
 		Seed:          seed,
 		Clients:       2,
@@ -84,7 +67,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("reading golden: %v (regenerate with go test -run TestWearSurfaceGolden -update-wear)", err)
+		t.Fatalf("reading golden: %v (regenerate with go test -run %s -update-wear)", err, t.Name())
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s drifted:\ngot:\n%s\nwant:\n%s", golden, got, want)

@@ -12,7 +12,6 @@ import (
 	"ssmobile/internal/core"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
-	"ssmobile/internal/sim"
 )
 
 // nodeRegistry builds one cluster node and serves a short burst through
@@ -20,17 +19,8 @@ import (
 // registry.
 func nodeRegistry(tb testing.TB) *obs.Registry {
 	tb.Helper()
-	node, priv, err := core.NewClusterNode(core.ClusterNodeConfig{
-		Name: "n0",
-		System: core.SolidStateConfig{
-			DRAMBytes:       8 << 20,
-			FlashBytes:      8 << 20,
-			BufferBytes:     1 << 20,
-			RBoxBytes:       512 << 10,
-			IdleCleanBlocks: 24,
-			WriteBackDelay:  2 * sim.Second,
-		},
-	})
+	priv := obs.New(0)
+	node, err := core.NewServedCard(core.ServedCardConfig{Name: "n0", System: core.E12Card(priv)})
 	if err != nil {
 		tb.Fatal(err)
 	}

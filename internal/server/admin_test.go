@@ -23,56 +23,31 @@ func getHealthz(t *testing.T, admin *server.Admin) (code int, body map[string]an
 	return rec.Code, body
 }
 
-// ageCard fills most of the flash with a file and deletes it, so the
-// cleaner starts behind and admission control has something to shed
-// about.
-func ageCard(t *testing.T, sys *core.SolidStateSystem) {
-	t.Helper()
-	if err := sys.FS.Create("/age"); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	for off := int64(0); off < 7<<20; off += int64(len(buf)) {
-		if _, err := sys.FS.WriteAt("/age", off, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Storage.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sys.FS.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.FS.Remove("/age"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHealthzAdmissionStates walks /healthz through the three
 // admission-control states: serving (200), shedding (200 but
 // "overloaded" — self-protection, not an outage), and draining (503, so
 // load balancers stop routing before the data port closes).
 func TestHealthzAdmissionStates(t *testing.T) {
 	o := obs.New(0)
-	sys, err := core.NewSolidState(core.SolidStateConfig{
-		DRAMBytes:       4 << 20,
-		FlashBytes:      8 << 20,
-		BufferBytes:     256 << 10,
-		RBoxBytes:       256 << 10,
-		IdleCleanBlocks: 24,
-		WriteBackDelay:  30 * sim.Second,
-		Obs:             o,
+	// The card is aged so the cleaner starts behind and admission control
+	// has something to shed about.
+	card, err := core.NewServedCard(core.ServedCardConfig{
+		System: core.SolidStateConfig{
+			DRAMBytes:       4 << 20,
+			FlashBytes:      8 << 20,
+			BufferBytes:     256 << 10,
+			RBoxBytes:       256 << 10,
+			IdleCleanBlocks: 24,
+			WriteBackDelay:  30 * sim.Second,
+			Obs:             o,
+		},
+		AgeBytes: 7 << 20,
+		Server:   server.Config{HighWatermark: 0.05, LowWatermark: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ageCard(t, sys)
-	srv, err := server.New(server.Backend{
-		FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-	}, server.Config{HighWatermark: 0.05, LowWatermark: 0.01, Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := card.Srv
 	admin := server.NewAdmin(srv, o)
 
 	code, body := getHealthz(t, admin)

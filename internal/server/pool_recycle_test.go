@@ -73,20 +73,13 @@ func TestRecycledBuffersNoAliasing(t *testing.T) {
 func TestParallelWorkloadDriversDeterministic(t *testing.T) {
 	const drivers = 8
 	run := func() (server.RunStats, error) {
-		o := obs.New(1 << 12)
-		sys, err := core.NewSolidState(core.SolidStateConfig{
-			DRAMBytes: 4 << 20, FlashBytes: 8 << 20, RBoxBytes: 256 << 10, Obs: o,
-		})
+		card, err := core.NewServedCard(core.ServedCardConfig{System: core.SolidStateConfig{
+			DRAMBytes: 4 << 20, FlashBytes: 8 << 20, RBoxBytes: 256 << 10, Obs: obs.New(1 << 12),
+		}})
 		if err != nil {
 			return server.RunStats{}, err
 		}
-		srv, err := server.New(server.Backend{
-			FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-		}, server.Config{Obs: o})
-		if err != nil {
-			return server.RunStats{}, err
-		}
-		return server.RunWorkload(srv, workload.Config{
+		return server.RunWorkload(card.Srv, workload.Config{
 			Seed: 1993, Clients: 4, OpsPerClient: 150, Keys: 8,
 			Popularity: workload.Zipf,
 			Mix:        workload.Mix{Read: 0.5, Write: 0.4, Delete: 0.05, Sync: 0.05},

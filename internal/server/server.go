@@ -179,12 +179,15 @@ type Server struct {
 	lastSync sim.Time
 	synced   bool // a sync has completed since startup
 
-	st        Stats
-	completed *obs.Counter
-	shed      *obs.Counter
-	notFound  *obs.Counter
-	batched   *obs.Counter
-	shedGauge *obs.Gauge
+	// The request ledger: Stats() reads these counters back, so the
+	// numbers a caller sees are the ones /metrics exports. syncFlushes
+	// has no series and is a plain field.
+	completed   *obs.Counter
+	shed        *obs.Counter
+	notFound    *obs.Counter
+	batched     *obs.Counter
+	syncFlushes int64
+	shedGauge   *obs.Gauge
 	// lat and breakdown are handle arrays resolved once at construction
 	// (indexed by OpKind and by obs.BreakdownStages order respectively)
 	// so the per-request hot path never touches a map.
@@ -385,7 +388,6 @@ func (sess *Session) Do(req Request) (Response, error) {
 		// request-path stall — it stays in the breakdown record even
 		// though no service follows.
 		s.observeBreakdown(tc, tc.FinishOutcome(0, "shed"))
-		s.st.Shed++
 		s.shed.Inc()
 		return Response{}, ErrOverloaded
 	}
@@ -400,14 +402,12 @@ func (sess *Session) Do(req Request) (Response, error) {
 	if err != nil {
 		s.observeBreakdown(tc, tc.Finish(0, err))
 		if errors.Is(err, ErrNotFound) {
-			s.st.NotFound++
 			s.notFound.Inc()
 		}
 		return Response{}, err
 	}
 	bd := tc.Finish(int64(resp.N), nil)
 	resp.Latency = s.b.Clock.Now().Sub(arrival)
-	s.st.Completed++
 	s.completed.Inc()
 	s.lat[req.Kind].ObserveDuration(resp.Latency)
 	s.observeBreakdown(tc, bd)
@@ -552,7 +552,6 @@ func (s *Server) doSync(req Request) (Response, error) {
 		arrival = now
 	}
 	if s.synced && (arrival <= s.lastSync || now.Sub(s.lastSync) <= s.cfg.SyncBatchWindow) {
-		s.st.BatchedSyncs++
 		s.batched.Inc()
 		return Response{Batched: true}, nil
 	}
@@ -567,7 +566,7 @@ func (s *Server) doSync(req Request) (Response, error) {
 	}
 	s.lastSync = s.b.Clock.Now()
 	s.synced = true
-	s.st.SyncFlushes++
+	s.syncFlushes++
 	return Response{}, nil
 }
 
@@ -632,5 +631,11 @@ func (s *Server) FreeBlockMargin() float64 {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st
+	return Stats{
+		Completed:    s.completed.Value(),
+		Shed:         s.shed.Value(),
+		NotFound:     s.notFound.Value(),
+		BatchedSyncs: s.batched.Value(),
+		SyncFlushes:  s.syncFlushes,
+	}
 }

@@ -34,17 +34,11 @@ func newStack(t *testing.T, cfg core.SolidStateConfig) (*core.SolidStateSystem, 
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New(0)
 	}
-	sys, err := core.NewSolidState(cfg)
+	card, err := core.NewServedCard(core.ServedCardConfig{System: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Backend{
-		FS: sys.FS, Storage: sys.Storage, Engine: sys.Engine, Clock: sys.Clock(),
-	}, server.Config{Obs: cfg.Obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, srv
+	return card.Sys, card.Srv
 }
 
 func TestPutGetRoundtrip(t *testing.T) {

@@ -467,7 +467,7 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 	switch {
 	case loc != nil && loc.inDRAM():
 		// Overwrite absorbed in place.
-		m.overwriteAbsorbed.Add(int64(loc.size))
+		m.overwriteAbsorbed.Add(int64(len(data)))
 		if _, err := m.dram.Write(m.pageAddr(loc.dramPage), data); err != nil {
 			return err
 		}

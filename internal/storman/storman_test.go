@@ -209,6 +209,27 @@ func TestOverwriteAbsorption(t *testing.T) {
 	}
 }
 
+// An in-DRAM overwrite absorbs the incoming bytes, not the resident
+// block's size: a 512B overwrite of a 4KB block is 512 bytes that never
+// reach flash, and crediting 4096 lets absorbed exceed host-written.
+func TestOverwriteAbsorptionCreditsIncomingBytes(t *testing.T) {
+	r := newRig(t, 1<<20, 0)
+	key := Key{Object: 1, Block: 0}
+	if err := r.m.WriteBlock(key, blockOf(1, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.WriteBlock(key, blockOf(2, 512)); err != nil {
+		t.Fatal(err)
+	}
+	s := r.m.Stats()
+	if s.OverwriteAbsorbedBytes != 512 {
+		t.Fatalf("absorbed %d, want the 512 incoming bytes", s.OverwriteAbsorbedBytes)
+	}
+	if s.HostBytesWritten != 4096+512 {
+		t.Fatalf("host bytes %d", s.HostBytesWritten)
+	}
+}
+
 func TestDeleteAbsorption(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	for blk := int64(0); blk < 8; blk++ {

@@ -239,8 +239,8 @@ func New(cfg Config, clock *sim.Clock, sink Sink) (*Buffer, error) {
 		evictions:         o.Counter("evictions_total", obs.Labels{"layer": "wbuf"}),
 		daemonFlush:       o.Counter("daemon_flushes_total", obs.Labels{"layer": "wbuf"}),
 	}
-	// The server's admission control keys off this same gauge, so
-	// backpressure decisions and dashboards always agree.
+	// Exported for E3's dashboards only: the serving stack does not run
+	// this buffer (its admission control reads storman.BufferOccupancy).
 	o.GaugeFunc("occupancy", obs.Labels{"layer": "wbuf"}, b.Occupancy)
 	return b, nil
 }
