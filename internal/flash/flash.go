@@ -24,6 +24,7 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -167,14 +168,10 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		bytesProg:   o.Counter("bytes_total", lbl("program")),
 		readStallNs: o.Counter("stall_ns_total", lbl("read")),
 	}
-	for i := range d.data {
-		d.data[i] = 0xFF
-	}
+	fillErased(d.data)
 	if cfg.SpareBytes > 0 {
 		d.spare = make([]byte, cfg.Capacity()/int64(cfg.SpareUnitBytes)*int64(cfg.SpareBytes))
-		for i := range d.spare {
-			d.spare[i] = 0xFF
-		}
+		fillErased(d.spare)
 	}
 	d.initWear(o)
 	return d, nil
@@ -207,6 +204,40 @@ func (d *Device) BankOf(block int) int { return block / d.cfg.BlocksPerBank }
 
 // BlockAddr reports the first byte address of an erase block.
 func (d *Device) BlockAddr(block int) int64 { return int64(block) * int64(d.cfg.BlockBytes) }
+
+// fillErased sets b to the erased state, all 0xFF, by copying an erased
+// prefix of itself forward: memmove's work rather than a byte loop's. The
+// prefix doubles until it is a chunk that stays in cache, so filling a
+// whole card is then write-only memory traffic.
+func fillErased(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = 0xFF
+	for n := 1; n < len(b); {
+		n += copy(b[n:], b[:min(n, 32<<10)])
+	}
+}
+
+// firstOverwrite enforces that programming can only clear bits, bit for
+// bit: it returns the index of the first byte of p with a bit set that
+// old has cleared, or -1. Words are checked eight bytes at a time; the
+// byte loop finishes the tail and names the offender inside a word.
+func firstOverwrite(old, p []byte) int {
+	old = old[:len(p)]
+	i := 0
+	for ; i+8 <= len(p); i += 8 {
+		if ^binary.LittleEndian.Uint64(old[i:])&binary.LittleEndian.Uint64(p[i:]) != 0 {
+			break
+		}
+	}
+	for ; i < len(p); i++ {
+		if ^old[i]&p[i] != 0 {
+			return i
+		}
+	}
+	return -1
+}
 
 func (d *Device) checkRange(addr int64, n int) error {
 	if addr < 0 || n < 0 || addr+int64(n) > d.Capacity() {
@@ -362,11 +393,8 @@ func (d *Device) ProgramSpare(unit int64, p []byte) (lat sim.Duration, err error
 		return 0, fmt.Errorf("%w: spare write of %d exceeds %d", ErrOutOfRange, len(p), d.cfg.SpareBytes)
 	}
 	base := unit * int64(d.cfg.SpareBytes)
-	for i, b := range p {
-		old := d.spare[base+int64(i)]
-		if ^old&b != 0 {
-			return 0, fmt.Errorf("%w: spare unit %d byte %d old %02x new %02x", ErrOverwrite, unit, i, old, b)
-		}
+	if i := firstOverwrite(d.spare[base:], p); i >= 0 {
+		return 0, fmt.Errorf("%w: spare unit %d byte %d old %02x new %02x", ErrOverwrite, unit, i, d.spare[base+int64(i)], p[i])
 	}
 	switch d.consultInjector(OpProgramSpare, unit, len(p)) {
 	case CutBefore:
@@ -412,11 +440,8 @@ func (d *Device) program(addr int64, p []byte) (sim.Duration, error) {
 		return 0, err
 	}
 	// Flash programming can only clear bits. Enforce it bit-exactly.
-	for i, b := range p {
-		old := d.data[addr+int64(i)]
-		if ^old&b != 0 {
-			return 0, fmt.Errorf("%w: addr %d old %02x new %02x", ErrOverwrite, addr+int64(i), old, b)
-		}
+	if i := firstOverwrite(d.data[addr:], p); i >= 0 {
+		return 0, fmt.Errorf("%w: addr %d old %02x new %02x", ErrOverwrite, addr+int64(i), d.data[addr+int64(i)], p[i])
 	}
 	switch d.consultInjector(OpProgram, addr, len(p)) {
 	case CutBefore:
@@ -543,16 +568,12 @@ func (d *Device) noteEraseCycle(block int) {
 // applyErase resets the block's data and spare bytes to the erased state.
 func (d *Device) applyErase(block int) {
 	start := d.BlockAddr(block)
-	for i := int64(0); i < int64(d.cfg.BlockBytes); i++ {
-		d.data[start+i] = 0xFF
-	}
+	fillErased(d.data[start : start+int64(d.cfg.BlockBytes)])
 	if d.cfg.SpareBytes > 0 {
 		unitsPerBlock := int64(d.cfg.BlockBytes / d.cfg.SpareUnitBytes)
 		sb := int64(d.cfg.SpareBytes)
 		first := start / int64(d.cfg.SpareUnitBytes) * sb
-		for i := int64(0); i < unitsPerBlock*sb; i++ {
-			d.spare[first+i] = 0xFF
-		}
+		fillErased(d.spare[first : first+unitsPerBlock*sb])
 	}
 }
 

@@ -26,9 +26,10 @@
 package fs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ssmobile/internal/dram"
@@ -78,8 +79,9 @@ const RootIno uint64 = 1
 
 const metaObject uint64 = 0
 
-// Inode is the on-"disk" metadata of one file or directory. All fields
-// are exported for serialisation.
+// Inode is the on-"disk" metadata of one file or directory. The exported
+// fields are what is serialised; Entries is written only through setEntry
+// and delEntry, which keep the name order beside it.
 type Inode struct {
 	Ino     uint64
 	Kind    Kind
@@ -87,6 +89,11 @@ type Inode struct {
 	Nlink   int
 	MtimeNs int64
 	Entries map[string]uint64 // directories only
+
+	// Kept snapshot encoding (see gobenc.go). Unexported, so encoding/gob
+	// neither sends nor describes these.
+	enc  inodeEnc // this inode as the snapshot sends it
+	ents []dirEnt // Entries in name order
 }
 
 // Info is the result of Stat and ReadDir.
@@ -123,6 +130,7 @@ type FS struct {
 
 	nextIno uint64
 	inodes  map[uint64]*Inode
+	order   []inoSlot // inodes in Ino order, the order the snapshot encodes
 
 	rbox *rbox
 
@@ -138,7 +146,7 @@ type FS struct {
 
 	// inodeFree recycles fully-unlinked inodes (delete/recreate churn is
 	// steady-state traffic for object stores); recycled inodes are reset
-	// wholesale before reuse, so no stale field survives.
+	// wholesale before reuse, so no stale field or cached encoding survives.
 	inodeFree []*Inode
 
 	obs                     *obs.Observer
@@ -150,6 +158,19 @@ type FS struct {
 // Mkfs creates an empty file system on the storage manager, with its
 // recovery box in the given DRAM region.
 func Mkfs(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Device) (*FS, error) {
+	root := &Inode{Ino: RootIno, Kind: KindDir, Nlink: 1, Entries: make(map[string]uint64)}
+	empty := snapshotState{NextIno: RootIno + 1, Inodes: map[uint64]*Inode{RootIno: root}}
+	return openFS(cfg, clock, sm, dramDev, empty, nil)
+}
+
+// openFS builds the in-core file system over a metadata state: the empty
+// tree for Mkfs, the recovered one for the two recoveries. It is the one
+// place the telemetry handles and the kept snapshot order are set up, so a
+// recovered file system counts, traces and encodes like a fresh one. rb is
+// a recovery box the caller has already opened (RecoverAfterCrash read st
+// out of it); nil opens one if the config asks for it. Either way the box
+// restarts from a snapshot of st with an empty journal.
+func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Device, st snapshotState, rb *rbox) (*FS, error) {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 512
 	}
@@ -160,8 +181,10 @@ func Mkfs(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Devic
 		clock:        clock,
 		sm:           sm,
 		dram:         dramDev,
-		nextIno:      RootIno + 1,
-		inodes:       make(map[uint64]*Inode),
+		nextIno:      st.NextIno,
+		inodes:       st.Inodes,
+		order:        inoOrder(st.Inodes),
+		rbox:         rb,
 		obs:          o,
 		creates:      o.Counter("ops_total", lbl("create")),
 		reads:        o.Counter("ops_total", lbl("read")),
@@ -171,14 +194,17 @@ func Mkfs(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Devic
 		bytesRead:    o.Counter("bytes_total", lbl("read")),
 		bytesWritten: o.Counter("bytes_total", lbl("write")),
 	}
-	if cfg.RBoxBytes > 0 {
-		rb, err := newRBox(cfg, clock, dramDev)
-		if err != nil {
+	// Whatever checkpoint object 0 still holds, the next one must delete
+	// the blocks it does not overwrite.
+	for sm.BlockSize(storman.Key{Object: metaObject, Block: f.metaCheckpointBlocks}) > 0 {
+		f.metaCheckpointBlocks++
+	}
+	if f.rbox == nil && cfg.RBoxBytes > 0 {
+		var err error
+		if f.rbox, err = newRBox(cfg, clock, dramDev); err != nil {
 			return nil, err
 		}
-		f.rbox = rb
 	}
-	f.inodes[RootIno] = &Inode{Ino: RootIno, Kind: KindDir, Nlink: 1, Entries: make(map[string]uint64)}
 	if f.rbox != nil {
 		if err := f.rbox.snapshot(f.snapshotState()); err != nil {
 			return nil, err
@@ -409,7 +435,8 @@ func (f *FS) create(path string, kind Kind) (_ *Inode, err error) {
 		node.Entries = make(map[string]uint64)
 	}
 	f.inodes[ino] = node
-	parent.Entries[leaf] = ino
+	f.order = append(f.order, inoSlot{ino, node}) // inos only grow: the newest sorts last
+	parent.setEntry(leaf, ino)
 	parent.MtimeNs = int64(f.now())
 	if err := f.journal(recCreate, ino, parent.Ino, uint64(kind), leaf, ""); err != nil {
 		return nil, err
@@ -474,15 +501,11 @@ func (f *FS) ReadDir(path string) ([]Info, error) {
 	if node.Kind != KindDir {
 		return nil, fmt.Errorf("%w: %q", ErrNotDir, path)
 	}
-	names := make([]string, 0, len(node.Entries))
-	for name := range node.Entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Info, 0, len(names))
-	for _, name := range names {
-		child := f.inodes[node.Entries[name]]
-		out = append(out, Info{Name: name, Ino: child.Ino, Kind: child.Kind, Size: child.Size, Nlink: child.Nlink, Mtime: sim.Time(child.MtimeNs)})
+	ents := node.sortedEntries()
+	out := make([]Info, 0, len(ents))
+	for _, e := range ents {
+		child := f.inodes[e.ino]
+		out = append(out, Info{Name: e.name, Ino: child.Ino, Kind: child.Kind, Size: child.Size, Nlink: child.Nlink, Mtime: sim.Time(child.MtimeNs)})
 	}
 	return out, nil
 }
@@ -688,7 +711,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 	if _, exists := parent.Entries[leaf]; exists {
 		return fmt.Errorf("%w: %q", ErrExist, newPath)
 	}
-	parent.Entries[leaf] = node.Ino
+	parent.setEntry(leaf, node.Ino)
 	node.Nlink++
 	parent.MtimeNs = int64(f.now())
 	return f.journal(recLink, node.Ino, parent.Ino, 0, leaf, "")
@@ -713,7 +736,7 @@ func (f *FS) Remove(path string) (err error) {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
 	}
 	node.Nlink--
-	delete(parent.Entries, leaf)
+	parent.delEntry(leaf)
 	if node.Nlink <= 0 {
 		if node.Kind == KindFile {
 			if err := f.sm.DeleteObject(ino); err != nil {
@@ -721,6 +744,9 @@ func (f *FS) Remove(path string) (err error) {
 			}
 		}
 		delete(f.inodes, ino)
+		if i, ok := slices.BinarySearchFunc(f.order, ino, func(s inoSlot, ino uint64) int { return cmp.Compare(s.ino, ino) }); ok {
+			f.order = slices.Delete(f.order, i, i+1)
+		}
 		*node = Inode{}
 		f.inodeFree = append(f.inodeFree, node)
 	}
@@ -745,8 +771,8 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if _, exists := newParent.Entries[newLeaf]; exists {
 		return fmt.Errorf("%w: %q", ErrExist, newPath)
 	}
-	delete(oldParent.Entries, oldLeaf)
-	newParent.Entries[newLeaf] = ino
+	oldParent.delEntry(oldLeaf)
+	newParent.setEntry(newLeaf, ino)
 	now := int64(f.now())
 	oldParent.MtimeNs, newParent.MtimeNs = now, now
 	return f.journal(recRename, ino, oldParent.Ino, newParent.Ino, oldLeaf, newLeaf)

@@ -11,6 +11,7 @@ import (
 	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/storman"
 	"ssmobile/internal/vm"
@@ -31,7 +32,11 @@ func fsConfig() Config {
 }
 
 // newParts builds the device stack without the FS (for recovery tests).
-func newParts(t testing.TB) *rig {
+func newParts(t testing.TB) *rig { return newPartsObs(t, nil) }
+
+// newPartsObs is newParts with the flash device reporting to o, for tests
+// that read what the file system's activity was charged to.
+func newPartsObs(t testing.TB, o *obs.Observer) *rig {
 	t.Helper()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
@@ -41,7 +46,7 @@ func newParts(t testing.TB) *rig {
 	}
 	params := device.IntelFlash
 	params.EraseLatencyNs = 1e6
-	fd, err := flash.New(flash.Config{Banks: 2, BlocksPerBank: 128, BlockBytes: 16 * 1024, Params: params}, clock, meter)
+	fd, err := flash.New(flash.Config{Banks: 2, BlocksPerBank: 128, BlockBytes: 16 * 1024, Params: params, Obs: o}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
 	}

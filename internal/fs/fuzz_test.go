@@ -1,6 +1,10 @@
 package fs
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
 // FuzzDecodeRecords checks the journal-record decoder never panics on
 // arbitrary bytes (a corrupted recovery box must fail cleanly, not crash
@@ -30,7 +34,9 @@ func FuzzDecodeRecords(f *testing.F) {
 }
 
 // FuzzDecodeState checks the gob snapshot decoder fails cleanly on
-// corruption.
+// corruption, and that whatever does decode — a state no FS built, so
+// the encoder meets it cold — encodes to the same bytes cold and warm
+// and decodes back to itself.
 func FuzzDecodeState(f *testing.F) {
 	good, _ := encodeState(snapshotState{
 		NextIno: 5,
@@ -39,7 +45,32 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x42})
+	tree, _ := encodeState(snapshotState{
+		NextIno: 9,
+		Inodes: map[uint64]*Inode{
+			1: {Ino: 1, Kind: KindDir, Nlink: 1, Entries: map[string]uint64{"b": 3, "a": 2, "c": 8}},
+			2: {Ino: 2, Kind: KindDir, Nlink: 1, MtimeNs: 77, Entries: map[string]uint64{}},
+			3: {Ino: 3, Nlink: 2, Size: 4097, MtimeNs: 1 << 40},
+			8: {Ino: 8, Nlink: 1},
+		},
+	})
+	f.Add(tree)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeState(data) // must not panic
+		st, err := decodeState(data) // must not panic
+		if err != nil {
+			return
+		}
+		cold, err := encodeState(st)
+		if err != nil {
+			t.Fatalf("encode of a decoded state: %v", err)
+		}
+		warm, _ := encodeState(st)
+		if !bytes.Equal(cold, warm) {
+			t.Fatalf("warm encoding differs from cold")
+		}
+		back, err := decodeState(cold)
+		if err != nil || !reflect.DeepEqual(plain(back), plain(st)) {
+			t.Fatalf("round trip: %v\n got %+v\nwant %+v", err, back, st)
+		}
 	})
 }

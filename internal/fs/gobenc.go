@@ -1,39 +1,68 @@
 package fs
 
-// Hand-rolled gob encoding for the recovery-box snapshot.
+// Hand-rolled, incrementally kept gob encoding of the metadata snapshot.
 //
-// The snapshot is re-encoded on every journal rollover and every
-// checkpoint, and encoding/gob's reflection walk allocates per map entry
-// — it was the single largest allocation source left on the serve hot
-// path. This encoder emits the identical wire format for the one
-// concrete type the snapshot uses (snapshotState), appending into a
-// caller-owned buffer, so steady-state snapshots allocate nothing.
+// The snapshot (snapshotState) is encoded on every journal rollover and
+// every checkpoint. Its wire format is encoding/gob's, and two things
+// about it are load-bearing. The bytes must decode with encoding/gob
+// (decodeState is plain gob, and older recovery boxes must keep
+// decoding). And the byte LENGTH must be exactly gob's, because the
+// snapshot is written to the simulated DRAM device and to flash, whose
+// charged latency depends on length — a different length would shift
+// virtual time and change every experiment's output. Gob's only wire
+// freedom is map iteration order, which never changes the length; this
+// encoder fixes it to sorted keys, so snapshot bytes are deterministic.
 //
-// Compatibility is load-bearing in two ways. The bytes must decode with
-// encoding/gob (decodeState is unchanged, and recovery boxes written
-// before this encoder must keep decoding). And the byte LENGTH must be
-// exactly what gob produced, because the snapshot is written to the
-// simulated DRAM device, whose charged latency depends on length — a
-// different length would shift virtual time and change every
-// experiment's output. Gob's only wire freedom is map iteration order,
-// which never changes the length; this encoder fixes the order to
-// sorted keys, making snapshot bytes deterministic (an improvement gob
-// itself never offered).
+// A snapshot of N inodes differs from the previous one in a handful of
+// bytes, so the encoder does not walk the maps. Three things are kept
+// current as the file system mutates, and an encode concatenates them:
+//
+//   - the inodes in Ino order (FS.order): inos are handed out
+//     monotonically, so a create appends and a last unlink is one
+//     binary-search delete;
+//   - each directory's entries in name order (Inode.ents) and their
+//     encoding (Inode.enc.ents) beside its Entries map. setEntry and
+//     delEntry are the only writers of any of the three, and splice the
+//     one entry in or out of each;
+//   - each inode's encoding as an element of the Inodes map
+//     (Inode.enc.elem): key and scalar fields, together with the values
+//     they were encoded from.
+//
+// Nothing needs invalidating. The scalars are validated BY VALUE at
+// encode time (six integer compares), so no mutator has to remember
+// them; a directory's entries cannot change except through the two
+// methods that keep their encoding. State that was not built by the FS —
+// a freshly decoded recovery image, a literal in a test — simply has
+// none of this yet, which shows (an order of the wrong length, an
+// inodeEnc with no bytes) and is made good by one sort and one encode:
+// cold and warm are the same code and produce the same bytes.
 //
 // The type-descriptor prefix is not synthesised: it is captured once
 // per process from a real gob encode of a dummy value, and the hand
 // encoding of that dummy is compared byte-for-byte against gob's
 // output. If the self-check ever fails (say a future Go release changes
-// a wire detail), encodeState falls back to real gob — correctness is
-// never on the line, only the allocation win.
+// a wire detail), appendState falls back to real gob — correctness is
+// never on the line, only the host cost.
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 )
+
+// gobUintLen is the number of bytes appendGobUint writes for v.
+func gobUintLen(v uint64) int {
+	if v < 128 {
+		return 1
+	}
+	return 1 + (bits.Len64(v)+7)/8
+}
 
 // appendGobUint appends gob's unsigned-integer encoding: values below
 // 128 are one byte; larger values are minimal big-endian bytes preceded
@@ -42,17 +71,11 @@ func appendGobUint(dst []byte, v uint64) []byte {
 	if v < 128 {
 		return append(dst, byte(v))
 	}
-	var tmp [8]byte
-	n := 0
-	for x := v; x > 0; x >>= 8 {
-		n++
-	}
-	for i := n - 1; i >= 0; i-- {
-		tmp[i] = byte(v)
-		v >>= 8
-	}
-	dst = append(dst, byte(-int8(n)))
-	return append(dst, tmp[:n]...)
+	n := gobUintLen(v) - 1
+	var tmp [9]byte
+	tmp[0] = byte(-n)
+	binary.BigEndian.PutUint64(tmp[1:], v<<(64-8*n))
+	return append(dst, tmp[:1+n]...)
 }
 
 // appendGobInt appends gob's signed-integer encoding (low bit is the
@@ -93,63 +116,181 @@ func readGobUint(p []byte) (uint64, int) {
 	return v, 1 + n
 }
 
-// snapScratch holds the sorted-key buffers one encoder pass needs.
-type snapScratch struct {
-	inos  []uint64
-	names []string
+// inoSlot is one inode in the Ino order the snapshot encodes.
+type inoSlot struct {
+	ino  uint64
+	node *Inode
 }
 
-// appendInodeBody appends the gob struct encoding of one inode: each
-// non-zero field as (field delta, value), terminated by a zero delta.
-func appendInodeBody(dst []byte, node *Inode, scratch *snapScratch) []byte {
+// inoOrder returns the map's inodes in key order.
+func inoOrder(inodes map[uint64]*Inode) []inoSlot {
+	order := make([]inoSlot, 0, len(inodes))
+	for ino, node := range inodes {
+		order = append(order, inoSlot{ino, node})
+	}
+	slices.SortFunc(order, func(a, b inoSlot) int { return cmp.Compare(a.ino, b.ino) })
+	return order
+}
+
+// dirEnt is one directory entry in the name order the snapshot encodes.
+type dirEnt struct {
+	name string
+	ino  uint64
+}
+
+func searchEnts(ents []dirEnt, name string) (int, bool) {
+	return slices.BinarySearchFunc(ents, name, func(e dirEnt, name string) int { return strings.Compare(e.name, name) })
+}
+
+// appendTo appends the entry as gob sends a map[string]uint64 element.
+func (e dirEnt) appendTo(dst []byte) []byte {
+	return appendGobUint(appendGobString(dst, e.name), e.ino)
+}
+
+// encLen is the number of bytes appendTo writes.
+func (e dirEnt) encLen() int {
+	return gobUintLen(uint64(len(e.name))) + len(e.name) + gobUintLen(e.ino)
+}
+
+// encOffset is where entry i's encoding starts in the encoded entries.
+func encOffset(ents []dirEnt, i int) (at int) {
+	for _, before := range ents[:i] {
+		at += before.encLen()
+	}
+	return at
+}
+
+// sortedEntries returns the directory's entries in name order. A
+// directory whose Entries were not written through setEntry/delEntry
+// (decoded from a snapshot, or a test literal) has no kept order or
+// encoding yet, which the lengths show; both are built here, by one sort.
+func (d *Inode) sortedEntries() []dirEnt {
+	if len(d.ents) != len(d.Entries) {
+		d.ents, d.enc.ents = d.ents[:0], d.enc.ents[:0]
+		for name, ino := range d.Entries {
+			d.ents = append(d.ents, dirEnt{name, ino})
+		}
+		slices.SortFunc(d.ents, func(a, b dirEnt) int { return strings.Compare(a.name, b.name) })
+		for _, e := range d.ents {
+			d.enc.ents = e.appendTo(d.enc.ents)
+		}
+	}
+	return d.ents
+}
+
+// setEntry points name at ino. With delEntry it is the only writer of
+// Entries: both keep the name order and the encoded entries in step with
+// the map, by splicing the one entry in or out.
+func (d *Inode) setEntry(name string, ino uint64) {
+	d.delEntry(name) // leaves the kept order built
+	i, _ := searchEnts(d.ents, name)
+	e := dirEnt{name, ino}
+	at, n := encOffset(d.ents, i), e.encLen()
+	d.enc.ents = slices.Grow(d.enc.ents, n)[:len(d.enc.ents)+n]
+	copy(d.enc.ents[at+n:], d.enc.ents[at:])
+	e.appendTo(d.enc.ents[:at])
+	d.ents = slices.Insert(d.ents, i, e)
+	d.Entries[name] = ino
+}
+
+// delEntry removes name, if present.
+func (d *Inode) delEntry(name string) {
+	ents := d.sortedEntries()
+	if i, found := searchEnts(ents, name); found {
+		at := encOffset(ents, i)
+		d.enc.ents = slices.Delete(d.enc.ents, at, at+ents[i].encLen())
+		d.ents = slices.Delete(ents, i, i+1)
+		delete(d.Entries, name)
+	}
+}
+
+// inodeEnc is the kept gob encoding of one element of the snapshot's
+// Inodes map.
+type inodeEnc struct {
+	// The element as gob sends it when the inode has no Entries — the map
+	// key, then the struct: (field delta, value) for each non-zero scalar
+	// field and the zero delta that ends it — with the values that was
+	// built from. At most 9 key bytes + 5 deltas + 9+2+9+9+9 value bytes
+	// + 1.
+	elem     [54]byte
+	n        uint8 // bytes of elem in use; 0: not built yet
+	entDelta uint8 // the field delta Entries (field 5) is sent with: 5 less the last scalar field sent
+	key      uint64
+	ino      uint64
+	kind     Kind
+	size     int64
+	nlink    int
+	mtimeNs  int64
+
+	// The Entries map's elements as gob sends them, each name and ino in
+	// name order (the count that precedes them is not kept).
+	ents []byte
+}
+
+// encode rebuilds elem for node under key.
+func (c *inodeEnc) encode(key uint64, node *Inode) {
+	b := appendGobUint(c.elem[:0], key)
 	prev := -1
 	field := func(idx int) {
-		dst = appendGobUint(dst, uint64(idx-prev))
+		b = appendGobUint(b, uint64(idx-prev))
 		prev = idx
 	}
 	if node.Ino != 0 {
 		field(0)
-		dst = appendGobUint(dst, node.Ino)
+		b = appendGobUint(b, node.Ino)
 	}
 	if node.Kind != 0 {
 		field(1)
-		dst = appendGobUint(dst, uint64(node.Kind))
+		b = appendGobUint(b, uint64(node.Kind))
 	}
 	if node.Size != 0 {
 		field(2)
-		dst = appendGobInt(dst, node.Size)
+		b = appendGobInt(b, node.Size)
 	}
 	if node.Nlink != 0 {
 		field(3)
-		dst = appendGobInt(dst, int64(node.Nlink))
+		b = appendGobInt(b, int64(node.Nlink))
 	}
 	if node.MtimeNs != 0 {
 		field(4)
-		dst = appendGobInt(dst, node.MtimeNs)
+		b = appendGobInt(b, node.MtimeNs)
 	}
+	b = append(b, 0)
+	c.n, c.entDelta = uint8(len(b)), uint8(5-prev)
+	c.key, c.ino, c.kind, c.size, c.nlink, c.mtimeNs = key, node.Ino, node.Kind, node.Size, node.Nlink, node.MtimeNs
+}
+
+// appendInode appends one element of the Inodes map: the key, then the
+// inode's gob struct encoding — each non-zero field as (field delta,
+// value), terminated by a zero delta.
+func appendInode(dst []byte, key uint64, node *Inode) []byte {
+	c := &node.enc
+	if c.n == 0 || c.key != key || c.ino != node.Ino || c.kind != node.Kind || c.size != node.Size || c.nlink != node.Nlink || c.mtimeNs != node.MtimeNs {
+		c.encode(key, node)
+	}
+	// This runs once per inode per snapshot, nearly always for an inode
+	// that did not change: store the whole array (a fixed-size copy the
+	// compiler expands in line) and keep the part in use, rather than
+	// call memmove for a variable few dozen bytes.
+	dst = slices.Grow(dst, len(c.elem))
+	at := len(dst)
+	*(*[len(c.elem)]byte)(dst[at : at+len(c.elem)]) = c.elem
 	// Gob omits only nil maps; an empty non-nil map is sent with count
 	// zero (and decodes back non-nil). Matching that exactly matters both
 	// for byte length and because replay writes into decoded dir maps.
-	if node.Entries != nil {
-		field(5)
-		dst = appendGobUint(dst, uint64(len(node.Entries)))
-		names := scratch.names[:0]
-		for name := range node.Entries {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		for _, name := range names {
-			dst = appendGobString(dst, name)
-			dst = appendGobUint(dst, node.Entries[name])
-		}
-		scratch.names = names
+	if node.Entries == nil {
+		return dst[:at+int(c.n)]
 	}
+	ents := node.sortedEntries()
+	dst = append(dst[:at+int(c.n)-1], c.entDelta)
+	dst = appendGobUint(dst, uint64(len(ents)))
+	dst = append(dst, c.ents...)
 	return append(dst, 0)
 }
 
 // appendStateBody appends the gob struct encoding of the snapshot state
 // itself (without message framing).
-func appendStateBody(dst []byte, st snapshotState, scratch *snapScratch) []byte {
+func appendStateBody(dst []byte, st snapshotState) []byte {
 	prev := -1
 	if st.NextIno != 0 {
 		dst = appendGobUint(dst, uint64(0-prev))
@@ -159,16 +300,13 @@ func appendStateBody(dst []byte, st snapshotState, scratch *snapScratch) []byte 
 	if st.Inodes != nil {
 		dst = appendGobUint(dst, uint64(1-prev))
 		dst = appendGobUint(dst, uint64(len(st.Inodes)))
-		inos := scratch.inos[:0]
-		for ino := range st.Inodes {
-			inos = append(inos, ino)
+		order := st.order
+		if len(order) != len(st.Inodes) {
+			order = inoOrder(st.Inodes)
 		}
-		slices.Sort(inos)
-		for _, ino := range inos {
-			dst = appendGobUint(dst, ino)
-			dst = appendInodeBody(dst, st.Inodes[ino], scratch)
+		for _, s := range order {
+			dst = appendInode(dst, s.ino, s.node)
 		}
-		scratch.inos = inos
 	}
 	return append(dst, 0)
 }
@@ -225,8 +363,7 @@ func initSnapCodec() {
 	}
 	snapTypeID = int64(id >> 1)
 
-	var scratch snapScratch
-	hand := appendStateMessages(nil, dummy, &scratch)
+	hand := appendStateMessages(nil, dummy)
 	if !bytes.Equal(hand, all[:aLen]) {
 		snapCodecErr = fmt.Errorf("fs: hand gob encoding diverges from encoding/gob")
 	}
@@ -234,21 +371,17 @@ func initSnapCodec() {
 
 // appendStateMessages appends the full gob stream for st (descriptor
 // prefix plus one framed value message) to dst.
-func appendStateMessages(dst []byte, st snapshotState, scratch *snapScratch) []byte {
+func appendStateMessages(dst []byte, st snapshotState) []byte {
 	dst = append(dst, snapPrefix...)
-	// Frame the body with its byte count. The body starts with the type
-	// id; lengths here are tiny compared to the varint break-points, so
-	// reserving the maximal frame and shifting is not worth it — encode
-	// the body after a placeholder pass instead: body length depends
-	// only on content, so build body bytes first in the same buffer and
-	// move them if the frame width demands it.
+	// The message is framed by its byte count, which is known only once
+	// the body (type id, then the struct) is built: build it in place,
+	// then shift it right by the frame's width and lay the frame in front.
 	frameAt := len(dst)
 	dst = appendGobInt(dst, snapTypeID)
-	dst = appendStateBody(dst, st, scratch)
+	dst = appendStateBody(dst, st)
 	bodyLen := len(dst) - frameAt
 	var frame [9]byte
 	framed := appendGobUint(frame[:0], uint64(bodyLen))
-	// Shift the body right by len(framed) and lay the frame in front.
 	dst = append(dst, framed...)
 	copy(dst[frameAt+len(framed):], dst[frameAt:frameAt+bodyLen])
 	copy(dst[frameAt:], framed)
@@ -266,10 +399,5 @@ func appendState(dst []byte, st snapshotState) ([]byte, error) {
 		}
 		return append(dst, buf.Bytes()...), nil
 	}
-	scratch := snapScratchPool.Get().(*snapScratch)
-	dst = appendStateMessages(dst, st, scratch)
-	snapScratchPool.Put(scratch)
-	return dst, nil
+	return appendStateMessages(dst, st), nil
 }
-
-var snapScratchPool = sync.Pool{New: func() any { return &snapScratch{} }}

@@ -50,6 +50,11 @@ const (
 type snapshotState struct {
 	NextIno uint64
 	Inodes  map[uint64]*Inode
+
+	// order is Inodes in key order when the holder keeps one (the FS
+	// does); without it the encoder sorts the keys itself. Unexported, so
+	// not part of the wire format.
+	order []inoSlot
 }
 
 type rbox struct {
@@ -210,7 +215,7 @@ func decodeRecords(p []byte) ([]journalRecord, error) {
 
 // snapshotState captures the current metadata for serialisation.
 func (f *FS) snapshotState() snapshotState {
-	return snapshotState{NextIno: f.nextIno, Inodes: f.inodes}
+	return snapshotState{NextIno: f.nextIno, Inodes: f.inodes, order: f.order}
 }
 
 // journal records one metadata mutation in the recovery box, taking a
@@ -246,7 +251,7 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 		if parent == nil || parent.Kind != KindDir {
 			return fmt.Errorf("%w: create under missing or non-dir inode %d", ErrCorruptRBox, rec.b)
 		}
-		parent.Entries[rec.s1] = rec.a
+		parent.setEntry(rec.s1, rec.a)
 		if rec.a >= st.NextIno {
 			st.NextIno = rec.a + 1
 		}
@@ -256,11 +261,11 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 		if node == nil || parent == nil || parent.Kind != KindDir {
 			return fmt.Errorf("%w: link across missing or non-dir inodes", ErrCorruptRBox)
 		}
-		parent.Entries[rec.s1] = rec.a
+		parent.setEntry(rec.s1, rec.a)
 		node.Nlink++
 	case recRemove:
 		if parent := st.Inodes[rec.b]; parent != nil {
-			delete(parent.Entries, rec.s1)
+			parent.delEntry(rec.s1)
 		}
 		if node := st.Inodes[rec.a]; node != nil {
 			node.Nlink--
@@ -274,8 +279,8 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 			oldParent.Kind != KindDir || newParent.Kind != KindDir {
 			return fmt.Errorf("%w: rename across missing or non-dir inodes", ErrCorruptRBox)
 		}
-		delete(oldParent.Entries, rec.s1)
-		newParent.Entries[rec.s2] = rec.a
+		oldParent.delEntry(rec.s1)
+		newParent.setEntry(rec.s2, rec.a)
 	case recSetSize:
 		if node := st.Inodes[rec.a]; node != nil {
 			node.Size = int64(rec.b)
@@ -291,9 +296,6 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 // operating-system crash. The DRAM contents (and with them the storage
 // manager's state) survived; only the in-core FS object was lost.
 func RecoverAfterCrash(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Device) (*FS, error) {
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 512
-	}
 	rb, err := newRBox(cfg, clock, dramDev)
 	if err != nil {
 		return nil, err
@@ -339,20 +341,9 @@ func RecoverAfterCrash(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDe
 			return nil, err
 		}
 	}
-	f := &FS{
-		cfg:     cfg,
-		clock:   clock,
-		sm:      sm,
-		dram:    dramDev,
-		nextIno: st.NextIno,
-		inodes:  st.Inodes,
-		rbox:    rb,
-	}
-	// Start a fresh snapshot so the journal is clean going forward.
-	if err := f.rbox.snapshot(f.snapshotState()); err != nil {
-		return nil, err
-	}
-	return f, nil
+	// openFS starts the box from a fresh snapshot, so the journal is clean
+	// going forward.
+	return openFS(cfg, clock, sm, dramDev, st, rb)
 }
 
 // Checkpoint persists the metadata to flash through the storage manager's
@@ -423,7 +414,6 @@ func RecoverAfterPowerFailure(cfg Config, clock *sim.Clock, sm *storman.Manager,
 		return nil, lost, err
 	}
 	var st snapshotState
-	var ckptBlocks int64
 	if n >= 8 {
 		dataLen := int64(binary.LittleEndian.Uint64(head))
 		framed := make([]byte, 8+dataLen)
@@ -443,7 +433,6 @@ func RecoverAfterPowerFailure(cfg Config, clock *sim.Clock, sm *storman.Manager,
 		if err != nil {
 			return nil, lost, fmt.Errorf("%w: checkpoint: %v", ErrCorruptRBox, err)
 		}
-		ckptBlocks = (int64(len(framed)) + int64(bs) - 1) / int64(bs)
 	} else {
 		// No checkpoint was ever taken: recover to an empty file system.
 		st = snapshotState{
@@ -452,27 +441,9 @@ func RecoverAfterPowerFailure(cfg Config, clock *sim.Clock, sm *storman.Manager,
 		}
 	}
 
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 512
-	}
-	f := &FS{
-		cfg:                  cfg,
-		clock:                clock,
-		sm:                   sm,
-		dram:                 dramDev,
-		nextIno:              st.NextIno,
-		inodes:               st.Inodes,
-		metaCheckpointBlocks: ckptBlocks,
-	}
-	if cfg.RBoxBytes > 0 {
-		rb, err := newRBox(cfg, clock, dramDev)
-		if err != nil {
-			return nil, lost, err
-		}
-		f.rbox = rb
-		if err := f.rbox.snapshot(f.snapshotState()); err != nil {
-			return nil, lost, err
-		}
+	f, err := openFS(cfg, clock, sm, dramDev, st, nil)
+	if err != nil {
+		return nil, lost, err
 	}
 
 	// Reap objects that belong to no surviving inode: files created after

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,10 +91,18 @@ func TestQuitDuringDrainAnsweredCleanly(t *testing.T) {
 
 	// Enter the drain without Shutdown's deadlines or wg.Wait: this is
 	// exactly the window where a buffered command line is read after the
-	// drain flag goes up.
-	tcp.mu.Lock()
-	tcp.draining = true
-	tcp.mu.Unlock()
+	// drain flag goes up. Both handlers must be between commands when it
+	// does: the hello reply is written before its endCmd runs, and a drain
+	// that endCmd sees closes the connection instead of reading "quit".
+	for raised := false; !raised; runtime.Gosched() {
+		tcp.mu.Lock()
+		idle := true
+		for _, st := range tcp.conns {
+			idle = idle && !st.inCmd
+		}
+		tcp.draining, raised = idle, idle
+		tcp.mu.Unlock()
+	}
 
 	fmt.Fprintf(quitConn, "quit\n")
 	quitConn.SetReadDeadline(time.Now().Add(5 * time.Second))
