@@ -1,226 +1,44 @@
-// Benchmarks regenerating every experiment in the paper-reproduction
-// index (DESIGN.md §3). Each BenchmarkEn runs experiment En end to end and
-// logs its table once, so
+// The root benchmarks: the serve-path benchmarks that alloc_budget.txt
+// gates (scripts/allocgate.sh), CI's bench-smoke runs and `make bench`
+// profiles, and BenchmarkExperiment, which regenerates any experiment of
+// the paper-reproduction index (DESIGN.md §3) from core.Experiments:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'BenchmarkExperiment/e3$' -benchtime 1x -v .
 //
-// reproduces the full set of results. Key scalar outcomes are attached as
-// custom benchmark metrics so shape regressions show up in benchstat.
+// The performance record itself is BENCHMARK.json + `go run ./bench`
+// (bench/README.md), reported per PR in BENCH_prN.md.
 package ssmobile_test
 
 import (
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"ssmobile/internal/core"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/prof"
 	"ssmobile/internal/server"
-	"ssmobile/internal/sim"
-	"ssmobile/internal/trace"
 	"ssmobile/internal/workload"
 )
 
 const benchSeed = 1993
 
-// logTables renders each table through b.Log exactly once per benchmark.
-func logTables(b *testing.B, logged *bool, tables ...*core.Table) {
-	if *logged {
-		return
-	}
-	*logged = true
-	for _, t := range tables {
-		b.Log(t.String())
-	}
-}
-
-func BenchmarkE1DeviceAccess(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E1DeviceComparison(core.NewEnv(nil, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE2CostCrossover(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E2CostCrossover()
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE3WriteBuffer(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E3WriteBuffering(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Attach the 1MB-row reduction as a metric.
-		for _, row := range t.Rows {
-			if row[0] == "1MB" {
-				v, _ := strconv.ParseFloat(strings.TrimSuffix(row[1], "%"), 64)
-				b.ReportMetric(v, "%reduction@1MB")
+// BenchmarkExperiment runs each experiment of the suite end to end
+// through the one runner, sequentially, and logs its tables once.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range core.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			var out strings.Builder
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if err := core.Run(&out, []string{e.ID}, benchSeed, core.NewEnv(nil, 1)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE3FlushPolicyAblation(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E3FlushPolicyAblation(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE3BlockSizeAblation(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E3BlockSizeAblation(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE4ReadInPlace(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E4ReadInPlace(core.NewEnv(nil, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE5XIP(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E5XIP(core.NewEnv(nil, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE6WearLeveling(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E6WearLeveling(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE6Lifetime(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E6Lifetime(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE6StaticLeveling(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E6Static(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE7Banking(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E7Banking(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE7Segregation(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E7Segregation(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE8Sizing(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E8Sizing(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE9EndToEnd(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E9EndToEnd(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE9FlashParts(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		t, err := core.E9FlashParts(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, t)
-	}
-}
-
-func BenchmarkE10CrashAndBattery(b *testing.B) {
-	logged := false
-	for i := 0; i < b.N; i++ {
-		tables, err := core.E10CrashAndBattery(core.NewEnv(nil, 1), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, &logged, tables...)
+			b.Log(out.String())
+		})
 	}
 }
 
@@ -251,9 +69,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 // request-scoped tracing enabled end to end: every layer shares an
 // explicit observer (live tracer), so every request is served under a
 // trace context and every device op records a span. Comparing its ns/op
-// against BenchmarkServeThroughput is the tracing overhead the PR's
-// BENCH_pr5.json records; the served/shed/p99 metrics must be identical
-// to the untraced run — tracing never alters simulated behaviour.
+// against BenchmarkServeThroughput is the tracing overhead; the
+// served/shed/p99 metrics must be identical to the untraced run — tracing
+// never alters simulated behaviour.
 func BenchmarkTracedServeThroughput(b *testing.B) {
 	for _, eng := range benchEngines {
 		b.Run(eng, func(b *testing.B) {
@@ -333,112 +151,4 @@ func BenchmarkServeAllocProfile(b *testing.B) {
 	}
 	b.ReportMetric(st.CompletedRate(), "served-vop/s")
 	b.ReportMetric(st.Lat.Quantile(0.99)/1e6, "p99-vms")
-}
-
-// BenchmarkRunAllSerial and BenchmarkRunAllParallel run the entire
-// experiment suite end to end, sequentially and on a GOMAXPROCS-wide
-// worker pool. Their outputs are byte-identical (see
-// internal/core/determinism_test.go); the only difference is wall time,
-// which BenchmarkRunAllParallel reports as a "speedup" metric against a
-// serial run measured in the same process.
-
-func BenchmarkRunAllSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := core.RunAllParallel(io.Discard, benchSeed, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunAllParallel(b *testing.B) {
-	serialStart := time.Now()
-	if err := core.RunAllParallel(io.Discard, benchSeed, 1); err != nil {
-		b.Fatal(err)
-	}
-	serial := time.Since(serialStart)
-
-	par := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if err := core.RunAllParallel(io.Discard, benchSeed, par); err != nil {
-			b.Fatal(err)
-		}
-	}
-	perOp := time.Since(start) / time.Duration(b.N)
-	b.StopTimer()
-	b.ReportMetric(float64(par), "workers")
-	b.ReportMetric(serial.Seconds()/perOp.Seconds(), "speedup")
-}
-
-// Micro-benchmarks of the two storage organisations' hot paths: these
-// measure the Go cost of the simulation itself (ops/sec of the simulator),
-// useful when extending the models.
-
-func BenchmarkSolidStateWritePath(b *testing.B) {
-	sys, err := core.NewSolidState(core.SolidStateConfig{DRAMBytes: 16 << 20, FlashBytes: 64 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Create("bench"); err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.WriteAt("bench", int64(i%1024)*4096, data); err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Tick(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolidStateReadPath(b *testing.B) {
-	sys, err := core.NewSolidState(core.SolidStateConfig{DRAMBytes: 16 << 20, FlashBytes: 64 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Create("bench"); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.WriteAt("bench", 0, make([]byte, 1<<20)); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.ReadAt("bench", int64(i%256)*4096, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTraceGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.GenerateBaker(trace.DefaultBaker(10*sim.Minute, int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReplayOnSolidState(b *testing.B) {
-	tr, err := trace.GenerateBaker(trace.DefaultBaker(2*sim.Minute, benchSeed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys, err := core.NewSolidState(core.SolidStateConfig{DRAMBytes: 16 << 20, FlashBytes: 64 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.Replay(sys, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

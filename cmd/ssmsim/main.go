@@ -6,8 +6,8 @@
 //
 //	ssmsim [-seed N] [-parallel P] [-metrics FILE] [-trace-out FILE] [-trace-jsonl FILE] all
 //	                                            run every experiment
-//	ssmsim [flags] e1 e3 ...                    run selected experiments
-//	ssmsim list                                 list experiment ids
+//	ssmsim [flags] e1 e3 ...                    run selected experiments (one batch; ids from `ssmsim list`)
+//	ssmsim list                                 list experiment ids and summaries
 //	ssmsim replay -trace FILE [-system solid|disk|both]
 //	                                            replay a trace (see ssmtrace)
 //	ssmsim crash [-points N] [-fate before|during|after|all] [-engine ftl|pdl]
@@ -57,7 +57,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ssmsim [flags] all | list | replay ... | crash ... | <experiment id>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", core.ExperimentIDs())
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", core.IDs())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,22 +80,18 @@ func main() {
 	var runErr error
 	switch args[0] {
 	case "list":
-		desc := core.Descriptions()
-		for _, id := range core.ExperimentIDs() {
-			fmt.Printf("%-4s %s\n", id, desc[id])
+		for _, e := range core.Experiments {
+			fmt.Printf("%-4s %s\n", e.ID, e.Summary)
 		}
 	case "replay":
 		runErr = replay(args[1:])
 	case "crash":
 		runErr = crash(args[1:])
 	case "all":
-		runErr = core.RunAllParallel(os.Stdout, *seed, *parallel)
+		args = core.IDs()
+		fallthrough
 	default:
-		for _, id := range args {
-			if runErr = core.RunExperimentParallel(os.Stdout, id, *seed, *parallel); runErr != nil {
-				break
-			}
-		}
+		runErr = core.Run(os.Stdout, args, *seed, core.NewEnv(o, *parallel))
 	}
 
 	// Dump telemetry and profiles even on a failed run: the metrics and

@@ -8,8 +8,9 @@
 //
 // The public surface lives in the example programs (examples/), the
 // experiment driver (cmd/ssmsim), the trace tool (cmd/ssmtrace), the
-// object-storage service (cmd/ssmserve), and the benchmarks in
-// bench_test.go. The implementation packages are under
+// object-storage service (cmd/ssmserve), and bench_test.go
+// (BenchmarkExperiment/<id> over the experiment table, plus the gated
+// serve benchmarks). The implementation packages are under
 // internal/; see DESIGN.md for the system inventory and EXPERIMENTS.md for
 // the paper-versus-measured record.
 package ssmobile

@@ -31,6 +31,10 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 	if err != nil {
 		return wbuf.Stats{}, err
 	}
+	// Every replayed write carries zeros: the buffer copies what it keeps
+	// and the sink discards what it is handed, so one block serves every
+	// chunk of the replay.
+	zero := make([]byte, bs)
 	for _, op := range tr.Ops {
 		clock.AdvanceTo(sim.Time(op.Time))
 		if err := b.Tick(); err != nil {
@@ -45,7 +49,7 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 				if n > remaining {
 					n = remaining
 				}
-				if err := b.Write(wbuf.Key{Object: uint64(op.File), Block: blk}, make([]byte, n)); err != nil {
+				if err := b.Write(wbuf.Key{Object: uint64(op.File), Block: blk}, zero[:n]); err != nil {
 					return wbuf.Stats{}, err
 				}
 				off += int64(n)
@@ -61,16 +65,27 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 	return b.Stats(), nil
 }
 
+// E3 builds the three write-buffering tables over one generated trace:
+// the 2-hour Sprite-like Baker trace is a pure function of the seed and
+// read-only during replay, so E3, E3b and E3c share it.
+func E3(env *Env, seed int64) ([]*Table, error) {
+	tr, err := trace.GenerateBaker(trace.DefaultBaker(2*sim.Hour, seed))
+	if err != nil {
+		return nil, err
+	}
+	return tableSet(env,
+		func(je *Env) (*Table, error) { return E3WriteBuffering(je, tr) },
+		func(je *Env) (*Table, error) { return E3FlushPolicyAblation(je, tr) },
+		func(je *Env) (*Table, error) { return E3BlockSizeAblation(je, tr) },
+	)
+}
+
 // E3BlockSizeAblation sweeps the buffering granularity at a fixed 1MB
 // buffer: the copy-on-write/buffering unit the storage manager uses.
 // Small blocks track dirty data precisely but cost more bookkeeping;
 // large blocks waste buffer space on clean bytes dragged along with
 // dirty ones.
-func E3BlockSizeAblation(env *Env, seed int64) (*Table, error) {
-	tr, err := trace.GenerateBaker(trace.DefaultBaker(time2Hours, seed))
-	if err != nil {
-		return nil, err
-	}
+func E3BlockSizeAblation(env *Env, tr *trace.Trace) (*Table, error) {
 	t := &Table{
 		ID:      "E3c",
 		Title:   "buffer granularity ablation (1MB buffer, 30s write-back)",
@@ -78,7 +93,7 @@ func E3BlockSizeAblation(env *Env, seed int64) (*Table, error) {
 	}
 	sizes := []int64{512, 1024, 4096, 16384}
 	stats := make([]wbuf.Stats, len(sizes))
-	err = env.ForEach(len(sizes), func(i int, je *Env) error {
+	err := env.ForEach(len(sizes), func(i int, je *Env) error {
 		st, err := replayThroughBufferBS(je.Obs(), tr, 1<<20, 30*sim.Second, wbuf.EvictLRW, sizes[i])
 		stats[i] = st
 		return err
@@ -103,11 +118,7 @@ func E3BlockSizeAblation(env *Env, seed int64) (*Table, error) {
 // by 40 to 50%" (Baker et al.). It sweeps the buffer size over a
 // Sprite-like synthetic trace with the classic 30-second write-back
 // delay.
-func E3WriteBuffering(env *Env, seed int64) (*Table, error) {
-	tr, err := trace.GenerateBaker(trace.DefaultBaker(2*sim.Hour, seed))
-	if err != nil {
-		return nil, err
-	}
+func E3WriteBuffering(env *Env, tr *trace.Trace) (*Table, error) {
 	ts := tr.Stats()
 	t := &Table{
 		ID:    "E3",
@@ -117,7 +128,7 @@ func E3WriteBuffering(env *Env, seed int64) (*Table, error) {
 	}
 	sizes := []float64{0, 0.25, 0.5, 1, 2, 4, 8}
 	stats := make([]wbuf.Stats, len(sizes))
-	err = env.ForEach(len(sizes), func(i int, je *Env) error {
+	err := env.ForEach(len(sizes), func(i int, je *Env) error {
 		st, err := replayThroughBuffer(je.Obs(), tr, int64(sizes[i]*float64(1<<20)), 30*sim.Second, wbuf.EvictLRW)
 		stats[i] = st
 		return err
@@ -145,11 +156,7 @@ func E3WriteBuffering(env *Env, seed int64) (*Table, error) {
 
 // E3FlushPolicyAblation compares eviction policies and write-back delays
 // at the 1MB point — the design-choice ablation for the write buffer.
-func E3FlushPolicyAblation(env *Env, seed int64) (*Table, error) {
-	tr, err := trace.GenerateBaker(trace.DefaultBaker(time2Hours, seed))
-	if err != nil {
-		return nil, err
-	}
+func E3FlushPolicyAblation(env *Env, tr *trace.Trace) (*Table, error) {
 	t := &Table{
 		ID:      "E3b",
 		Title:   "write-buffer policy ablation at 1MB",
@@ -166,7 +173,7 @@ func E3FlushPolicyAblation(env *Env, seed int64) (*Table, error) {
 		}
 	}
 	stats := make([]wbuf.Stats, len(points))
-	err = env.ForEach(len(points), func(i int, je *Env) error {
+	err := env.ForEach(len(points), func(i int, je *Env) error {
 		st, err := replayThroughBuffer(je.Obs(), tr, 1<<20, points[i].delay, points[i].pol)
 		stats[i] = st
 		return err
@@ -184,5 +191,3 @@ func E3FlushPolicyAblation(env *Env, seed int64) (*Table, error) {
 	t.Notes = append(t.Notes, "longer write-back delays absorb more but risk more loss on power failure (see E10)")
 	return t, nil
 }
-
-const time2Hours = 2 * sim.Hour

@@ -22,53 +22,6 @@ func parsePercent(t *testing.T, cell string) float64 {
 	return v
 }
 
-func TestAllExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	for _, id := range ExperimentIDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			tables, err := Registry(testSeed)[id](NewEnv(nil, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tables) == 0 {
-				t.Fatal("no tables")
-			}
-			for _, tab := range tables {
-				if len(tab.Rows) == 0 {
-					t.Errorf("%s: empty table", tab.ID)
-				}
-				if tab.String() == "" {
-					t.Errorf("%s: empty rendering", tab.ID)
-				}
-				for _, row := range tab.Rows {
-					if len(row) != len(tab.Headers) {
-						t.Errorf("%s: row width %d != header width %d", tab.ID, len(row), len(tab.Headers))
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestExperimentIDsStable(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 17 {
-		t.Fatalf("have %d experiments, want 17: %v", len(ids), ids)
-	}
-	if ids[0] != "e1" || ids[9] != "e10" || ids[13] != "e14" || ids[15] != "e16" || ids[16] != "e12b" {
-		t.Fatalf("ordering wrong: %v", ids)
-	}
-}
-
-func TestUnknownExperimentRejected(t *testing.T) {
-	if err := RunExperiment(&strings.Builder{}, "e99", 1); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
 // The headline calibration: 1MB of buffer yields the paper's 40-50%
 // write-traffic reduction on the Sprite-like trace.
 func TestE3ReproducesBakerReduction(t *testing.T) {

@@ -83,20 +83,6 @@ func TestInstallImageAndXIP(t *testing.T) {
 	}
 }
 
-func TestRunAllAndRunExperimentPlumbing(t *testing.T) {
-	// Run the two cheapest experiments through the public entry points.
-	var out strings.Builder
-	if err := RunExperiment(&out, "e2", 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "E2") {
-		t.Fatal("E2 output missing")
-	}
-	if err := RunExperiment(&out, "nope", 1); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-}
-
 func TestBatteryMonitorPackAccessor(t *testing.T) {
 	sys := newSolid(t)
 	pack := dram.NewPack(10, 0.5)

@@ -29,6 +29,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -519,8 +520,8 @@ func (f *FS) WriteAt(path string, off int64, data []byte) (_ int, err error) {
 	if node.Kind != KindFile {
 		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset", ErrBadPath)
+	if err := checkExtent(off, len(data)); err != nil {
+		return 0, err
 	}
 	bs := int64(f.BlockBytes())
 	written := 0
@@ -575,6 +576,20 @@ func (f *FS) WriteAt(path string, off int64, data []byte) (_ int, err error) {
 	return written, nil
 }
 
+// checkExtent rejects a transfer of n bytes at off whose start is
+// negative or whose end is past what an int64 offset can address — the
+// block arithmetic below would wrap and park bytes under indexes no read
+// reaches.
+func checkExtent(off int64, n int) error {
+	if off < 0 {
+		return fmt.Errorf("%w: negative offset", ErrBadPath)
+	}
+	if off > math.MaxInt64-int64(n) {
+		return fmt.Errorf("%w: extent %d+%d overflows", ErrBadPath, off, n)
+	}
+	return nil
+}
+
 // Append writes data at the end of the file.
 func (f *FS) Append(path string, data []byte) (int, error) {
 	node, err := f.resolve(path)
@@ -594,8 +609,8 @@ func (f *FS) ReadAt(path string, off int64, buf []byte) (_ int, err error) {
 	if node.Kind != KindFile {
 		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset", ErrBadPath)
+	if err := checkExtent(off, len(buf)); err != nil {
+		return 0, err
 	}
 	if off >= node.Size {
 		return 0, nil
@@ -675,13 +690,11 @@ func (f *FS) Truncate(path string, size int64) error {
 		return fmt.Errorf("%w: negative size", ErrBadPath)
 	}
 	if size < node.Size {
+		// Walk the blocks the object has, not the index range of its old
+		// length: growing is free, so the length can be far past them.
 		bs := int64(f.BlockBytes())
-		firstDead := (size + bs - 1) / bs
-		lastOld := (node.Size - 1) / bs
-		for blk := firstDead; blk <= lastOld; blk++ {
-			if err := f.sm.DeleteBlock(storman.Key{Object: node.Ino, Block: blk}); err != nil {
-				return err
-			}
+		if err := f.sm.DeleteBlocksFrom(node.Ino, (size+bs-1)/bs); err != nil {
+			return err
 		}
 		if size%bs != 0 {
 			if err := f.sm.TruncateBlock(storman.Key{Object: node.Ino, Block: size / bs}, int(size%bs)); err != nil {

@@ -3,8 +3,10 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
@@ -226,6 +228,67 @@ func TestTruncate(t *testing.T) {
 		if b != 0 {
 			t.Fatal("stale bytes exposed after truncate+grow")
 		}
+	}
+}
+
+// A file's length can be far past its blocks (growing is free), so a
+// shrink must cost the blocks the file has, not the index range of the
+// old length: 2^50 bytes is 2^38 block indexes, which the pre-fix loop
+// walked one map miss at a time.
+func TestShrinkAfterSparseGrowIsBounded(t *testing.T) {
+	r := newFS(t)
+	data := bytes.Repeat([]byte{0xEE}, 2*4096+500)
+	if err := r.fs.WriteFile("/t", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Truncate("/t", 1<<50); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- r.fs.Truncate("/t", 4096+100) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("shrink is walking the old length's index range")
+	}
+	got, err := r.fs.ReadFile("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[:4096+100]) {
+		t.Fatalf("kept prefix damaged: %d bytes", len(got))
+	}
+	info, err := r.fs.Stat("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.sm.BlockSize(storman.Key{Object: info.Ino, Block: 2}); n != 0 {
+		t.Fatalf("block past the new end survived the shrink (%d bytes)", n)
+	}
+}
+
+// An extent whose end overflows int64 is an error, not a write parked
+// under wrapped block indexes (the second one negative) that no read
+// reaches while the file's size stays 0.
+func TestOverflowingExtentRejected(t *testing.T) {
+	r := newFS(t)
+	if err := r.fs.Create("/o"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.fs.WriteAt("/o", math.MaxInt64-5, make([]byte, 10)); !errors.Is(err, ErrBadPath) || n != 0 {
+		t.Fatalf("overflowing write: n=%d err=%v, want ErrBadPath", n, err)
+	}
+	if _, err := r.fs.ReadAt("/o", math.MaxInt64-5, make([]byte, 10)); !errors.Is(err, ErrBadPath) {
+		t.Fatalf("overflowing read: err=%v, want ErrBadPath", err)
+	}
+	if info, err := r.fs.Stat("/o"); err != nil || info.Size != 0 {
+		t.Fatalf("size %d err %v after a refused write", info.Size, err)
+	}
+	if objs := r.sm.Objects(); len(objs) != 0 {
+		t.Fatalf("refused write left blocks behind: objects %v", objs)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // The nil-observer and no-tracer cases are the uninstrumented runs — they
 // must stay allocation-free and near-zero cost, because every device op
 // in every experiment pays them. The in-context case is the fully traced
-// request path; its cost is what the BENCH_pr5.json throughput delta
-// reflects end to end.
+// request path; its cost is what BenchmarkTracedServeThroughput's delta
+// over BenchmarkServeThroughput reflects end to end.
 
 func BenchmarkNilObserverSpan(b *testing.B) {
 	var o *Observer

@@ -16,7 +16,10 @@
 //
 // Errors are "err <code> <message>" where code is one of overloaded,
 // draining, notfound, bad — mapped 1:1 onto the package's typed errors
-// by Client.
+// by Client. An extent (put/get offset+len, trunc size) that overflows
+// int64 or ends past the card's logical capacity is "bad"; after a put
+// header that does not parse the server closes the connection, since the
+// payload behind it cannot be told from commands.
 package server
 
 import (
@@ -24,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -279,7 +283,15 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, fiel
 
 	req, err := parseReq(cmd, fields[1:])
 	if err != nil {
-		return writeErr(w, err)
+		if werr := writeErr(w, err); werr != nil {
+			return werr
+		}
+		if cmd == "put" {
+			// The refused header's payload is still in the stream and
+			// must not be parsed as commands: close.
+			return err
+		}
+		return nil
 	}
 	if cmd == "stats" {
 		st := t.srv.Stats()
@@ -333,7 +345,7 @@ func parseReq(cmd string, args []string) (Request, error) {
 		key, err1 := un(args[0])
 		off, err2 := in(args[1])
 		n, err3 := in(args[2])
-		if err1 != nil || err2 != nil || err3 != nil || off < 0 || n < 0 || n > 64<<20 {
+		if err1 != nil || err2 != nil || err3 != nil || off < 0 || n < 0 || n > 64<<20 || off > math.MaxInt64-n {
 			return bad("%s arguments out of range", cmd)
 		}
 		req = Request{Key: key, Offset: off, Size: n}

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -243,5 +244,82 @@ func TestClientTimeoutRoundTripAgainstLiveServer(t *testing.T) {
 	}
 	if _, err := cl.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dialTimed opens a client whose round trips carry a deadline, so a
+// request that hangs the server fails the test instead of the run.
+func dialTimed(t *testing.T, tcp *server.TCP, tenant string) *server.Client {
+	t.Helper()
+	cl, err := server.DialOpts(tcp.Addr().String(), tenant, server.ClientOptions{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// TestOverflowingPutRefusedOverTCP: a put whose offset+len overflows
+// int64 used to be answered "ok 10" while parking the bytes under
+// wrapped block indexes no read reaches, the object's size left at 0 —
+// an acknowledged write that stored nothing. It is refused.
+func TestOverflowingPutRefusedOverTCP(t *testing.T) {
+	_, tcp := listenTCP(t)
+	defer tcp.Shutdown()
+	cl := dialTimed(t, tcp, "overflow")
+	if n, err := cl.Put(1, math.MaxInt64-5, make([]byte, 10)); !errors.Is(err, server.ErrBadRequest) {
+		t.Fatalf("overflowing put: n=%d err=%v, want ErrBadRequest", n, err)
+	}
+
+	// The refused header's payload must not run as commands: the server
+	// closes the connection instead of reading on.
+	keep := dialTimed(t, tcp, "overflow")
+	if _, err := keep.Put(2, 0, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	conn, r := dialRaw(t, tcp.Addr().String(), "overflow")
+	defer conn.Close()
+	fmt.Fprintf(conn, "put 1 %d 6\ndel 2\n", int64(math.MaxInt64-5))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "err bad") {
+		t.Fatalf("overflowing raw put: %q, %v", line, err)
+	}
+	if line, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("server kept reading after a refused put header: %q", line)
+	}
+	if got, err := keep.Get(2, 0, 4); err != nil || string(got) != "kept" {
+		t.Fatalf("payload of the refused put ran as a command: %q, %v", got, err)
+	}
+}
+
+// TestExtentBoundedByCardOverTCP: trunc used to accept any size (growing
+// is free) and the shrink that followed walked the old length's
+// block-index range under the server's lock — `trunc k 2^62` then
+// `trunc k 0` hung every tenant. An object's extent is now bounded at
+// admission by what the card can hold, and a shrink costs the blocks the
+// object has.
+func TestExtentBoundedByCardOverTCP(t *testing.T) {
+	_, tcp := listenTCP(t)
+	defer tcp.Shutdown()
+	cl := dialTimed(t, tcp, "extent")
+	if _, err := cl.Put(2, 0, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Truncate(2, 1<<62); !errors.Is(err, server.ErrBadRequest) {
+		t.Fatalf("trunc past the card: err=%v, want ErrBadRequest", err)
+	}
+	if _, err := cl.Put(2, 1<<40, []byte("far")); !errors.Is(err, server.ErrBadRequest) {
+		t.Fatalf("put past the card: err=%v, want ErrBadRequest", err)
+	}
+	// An extent the card admits still grows for free, and shrinks within
+	// the client's deadline.
+	if err := cl.Truncate(2, 6<<20); err != nil {
+		t.Fatalf("trunc within the card: %v", err)
+	}
+	if err := cl.Truncate(2, 2); err != nil {
+		t.Fatalf("shrink: %v", err)
+	}
+	if got, err := cl.Get(2, 0, 16); err != nil || string(got) != "ke" {
+		t.Fatalf("after shrink: %q, %v", got, err)
 	}
 }

@@ -502,6 +502,9 @@ func (s *Server) doPut(sess *Session, req Request) (Response, error) {
 	if req.Offset < 0 {
 		return Response{}, fmt.Errorf("%w: negative put offset", ErrBadRequest)
 	}
+	if limit := s.b.Engine.LogicalBytes(); req.Offset > limit-int64(len(req.Data)) {
+		return Response{}, fmt.Errorf("%w: put extent ends past the card's %d bytes", ErrBadRequest, limit)
+	}
 	p := sess.path(req.Key)
 	if !s.b.FS.Exists(p) {
 		if err := s.b.FS.Create(p); err != nil {
@@ -518,6 +521,9 @@ func (s *Server) doPut(sess *Session, req Request) (Response, error) {
 func (s *Server) doTruncate(sess *Session, req Request) (Response, error) {
 	if req.Size < 0 {
 		return Response{}, fmt.Errorf("%w: negative truncate size", ErrBadRequest)
+	}
+	if limit := s.b.Engine.LogicalBytes(); req.Size > limit {
+		return Response{}, fmt.Errorf("%w: truncate size past the card's %d bytes", ErrBadRequest, limit)
 	}
 	p := sess.path(req.Key)
 	if !s.b.FS.Exists(p) {

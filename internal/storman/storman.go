@@ -25,8 +25,11 @@
 package storman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"ssmobile/internal/dram"
@@ -580,7 +583,17 @@ func (m *Manager) InDRAM(key Key) bool {
 // DeleteObject drops every block of the object. DRAM-resident bytes are
 // absorbed (they never reach flash); flash pages are trimmed.
 func (m *Manager) DeleteObject(object uint64) error {
+	return m.DeleteBlocksFrom(object, math.MinInt64)
+}
+
+// DeleteBlocksFrom drops the object's blocks at index first and above
+// (truncation), in index order. The cost is the blocks the object holds,
+// whatever length the file system believes it has.
+func (m *Manager) DeleteBlocksFrom(object uint64, first int64) error {
 	for _, loc := range m.blocksInOrder(object) {
+		if loc.key.Block < first {
+			continue
+		}
 		if err := m.dropBlock(loc); err != nil {
 			return err
 		}
@@ -592,19 +605,16 @@ func (m *Manager) DeleteObject(object uint64) error {
 // operations (delete, fsync) must touch storage in a fixed order — Go's
 // randomized map iteration would otherwise reorder frees and migrations
 // between runs, making op traces and flash layout differ run to run.
-// The returned slice is the manager's scratch, valid until the next call;
-// it is sorted by hand because sort.Slice allocates its closure per call.
+// The returned slice is the manager's scratch, valid until the next call
+// (slices.SortFunc with a static comparison allocates nothing; sort.Slice
+// would allocate its closure per call).
 func (m *Manager) blocksInOrder(object uint64) []*blockLoc {
 	blocks := m.byObject[object]
 	out := m.orderBlock[:0]
 	for _, loc := range blocks {
 		out = append(out, loc)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].key.Block < out[j-1].key.Block; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b *blockLoc) int { return cmp.Compare(a.key.Block, b.key.Block) })
 	m.orderBlock = out
 	return out
 }
@@ -642,7 +652,7 @@ func (m *Manager) Objects() []uint64 {
 	return out
 }
 
-// DeleteBlock drops a single block (truncation).
+// DeleteBlock drops a single block.
 func (m *Manager) DeleteBlock(key Key) error {
 	if loc := m.lookup(key); loc != nil {
 		return m.dropBlock(loc)
