@@ -22,8 +22,8 @@
 // router (internal/cluster) — per-tenant/key placement, primary+replica
 // writes, node-local shed retry, and health-driven rebalancing. The size,
 // engine, admission and sync-window flags apply to each node; the ops
-// surface reflects node 0. See DESIGN.md §13 and experiment E14 (ssmsim
-// e14).
+// surface answers for every node (/debug/health?node=<name> picks one).
+// See DESIGN.md §13 and experiment E14 (ssmsim e14).
 //
 // smoke flags: -clients, -ops, -seed, -write ratio. CI runs smoke to
 // gate the server path: the run fails on any error other than the
@@ -40,6 +40,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -186,18 +187,17 @@ type service struct {
 	admin *server.Admin
 	// cards are the card stacks behind the service, one per node.
 	cards []*core.ServedCard
-	// obs is the ambient observer: one card reports to it directly, a
+	// obs is the ambient observer, the one the ops surface is bound to and
+	// the flight recorder records from: one card reports to it directly, a
 	// cluster's router does and mergeTelemetry folds the per-node
-	// telemetry into it at exit. frObs is the observer the serving spans
-	// land in and the ops surface is bound to (the ambient one, or node
-	// 0's private one in a cluster) — what the flight recorder snapshots.
-	obs, frObs *obs.Observer
+	// telemetry into it at exit.
+	obs *obs.Observer
 }
 
 // build assembles the service: bc.nodes card stacks from the one
-// constructor, then a single card's server served directly, or the
-// consistent-hash cluster router over N of them (the ops surface bound to
-// node 0's server — each node has its own telemetry).
+// constructor, then the front end and the ops surface over a single
+// card's server, or over the consistent-hash cluster router across N of
+// them.
 func build(bc buildConfig) (*service, error) {
 	cards := make([]*core.ServedCard, max(bc.nodes, 1))
 	for i := range cards {
@@ -238,48 +238,45 @@ func build(bc buildConfig) (*service, error) {
 		}
 		cards[i] = card
 	}
-	svc := &service{cards: cards, obs: bc.obs, frObs: cards[0].Obs}
-	if len(cards) == 1 {
-		svc.tcp, svc.admin = server.NewTCP(cards[0].Srv), server.NewAdmin(cards[0].Srv, bc.obs)
-		return svc, nil
+	// What is served: the one card, or the router over all of them.
+	var backend interface {
+		server.Service
+		server.AdminSource
+	} = cards[0].Srv
+	if len(cards) > 1 {
+		nodes := make([]*cluster.Node, len(cards))
+		for i, card := range cards {
+			nodes[i] = card.Node
+		}
+		// The router's own telemetry (ledger, replica-latency fan-out,
+		// fleet gauges, cluster request spans) lives on the ambient
+		// observer, and so does the event journal its control plane writes:
+		// /debug/events and incident dumps both see the history.
+		bc.obs.SetEventLog(obs.NewEventLog(0))
+		cl, err := cluster.New(nodes, cluster.Config{Obs: bc.obs})
+		if err != nil {
+			return nil, err
+		}
+		backend = cl
 	}
-
-	nodes := make([]*cluster.Node, len(cards))
-	for i, card := range cards {
-		nodes[i] = card.Node
-	}
-	// The router's own telemetry (replica-latency fan-out, fleet gauges,
-	// cluster request spans) lives on the ambient observer, and the event
-	// journal is shared with node 0's observer — the one the ops surface
-	// and flight recorder are bound to — so /debug/events and incident
-	// dumps both see the control-plane history.
-	el := obs.NewEventLog(0)
-	bc.obs.SetEventLog(el)
-	svc.frObs.SetEventLog(el)
-	cl, err := cluster.New(nodes, cluster.Config{Obs: bc.obs})
-	if err != nil {
-		return nil, err
-	}
-	svc.tcp, svc.admin = server.NewTCP(cl), server.NewAdmin(cards[0].Srv, svc.frObs)
-	// /metrics serves the live merged fleet snapshot (per-node series
-	// under their node label, assembled at scrape time), and /debug/fleet
-	// the rollup computed from the same snapshot.
-	svc.admin.SetSnapshotSource(cl.FleetSnapshot)
-	svc.admin.SetFleet(func() (any, error) { return cluster.FleetFromSnapshot(cl.FleetSnapshot()) })
-	return svc, nil
+	return &service{
+		tcp:   server.NewTCP(backend),
+		admin: server.NewAdmin(backend, bc.obs),
+		cards: cards,
+		obs:   bc.obs,
+	}, nil
 }
 
 // recordFlights installs a flight recorder writing to dir. It snapshots
-// the recent span ring plus metrics on incidents (shed-engage, drain,
-// power-cut remount) and on demand, recording from frObs, and is
-// installed on both that observer and the ambient one so the admin
-// endpoint, the shed-engage hooks and the drain path each find it.
+// the ambient observer's recent span ring plus metrics on incidents
+// (shed-engage, drain, power-cut remount; a cluster's cordon, kill and
+// restart) and on demand; the admin endpoint, the shed-engage hooks, the
+// router and the drain path all find it on that observer.
 func (svc *service) recordFlights(dir string) error {
-	fr, err := obs.NewFlightRecorder(svc.frObs, dir, 0, 0)
+	fr, err := obs.NewFlightRecorder(svc.obs, dir, 0, 0)
 	if err != nil {
 		return err
 	}
-	svc.frObs.SetFlightRecorder(fr)
 	svc.obs.SetFlightRecorder(fr)
 	return nil
 }
@@ -378,8 +375,18 @@ func smoke(tcp *server.TCP, admin *server.Admin, sc smokeConfig) error {
 	if err := scrapeMetrics(admin.Addr().String(), sc.nodes); err != nil {
 		return fmt.Errorf("smoke /metrics: %w", err)
 	}
-	if err := scrapeHealth(admin.Addr().String()); err != nil {
-		return fmt.Errorf("smoke /debug/health: %w", err)
+	if err := scrapeHealthz(admin.Addr().String()); err != nil {
+		return fmt.Errorf("smoke /healthz: %w", err)
+	}
+	for i := 0; i < max(sc.nodes, 1); i++ {
+		// One card answers /debug/health bare; a cluster's cards by name.
+		query := ""
+		if sc.nodes > 1 {
+			query = fmt.Sprintf("?node=n%d", i)
+		}
+		if err := scrapeHealth(admin.Addr().String(), query); err != nil {
+			return fmt.Errorf("smoke /debug/health%s: %w", query, err)
+		}
 	}
 	if sc.nodes > 1 {
 		if err := scrapeFleet(admin.Addr().String(), sc.nodes); err != nil {
@@ -417,6 +424,20 @@ func smoke(tcp *server.TCP, admin *server.Admin, sc smokeConfig) error {
 	return nil
 }
 
+// scrape fetches one ops-surface endpoint while the service is live,
+// requiring HTTP 200.
+func scrape(adminAddr, path string) ([]byte, error) {
+	resp, err := http.Get("http://" + adminAddr + path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %s", resp.Status)
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // scrapeMetrics fetches /metrics over HTTP and validates the Prometheus
 // text exposition, requiring the series an operator dashboard depends
 // on. A malformed line or a missing series fails the smoke run. In
@@ -425,15 +446,7 @@ func smoke(tcp *server.TCP, admin *server.Admin, sc smokeConfig) error {
 // the regression the fleet snapshot exists to prevent is identically
 // named node series collapsing into one.
 func scrapeMetrics(adminAddr string, nodes int) error {
-	resp, err := http.Get("http://" + adminAddr + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := scrape(adminAddr, "/metrics")
 	if err != nil {
 		return err
 	}
@@ -478,16 +491,12 @@ func scrapeMetrics(adminAddr string, nodes int) error {
 // scrapeFleet fetches the cluster-wide /debug/fleet rollup and sanity
 // checks it: every configured node present and up (smoke kills nobody).
 func scrapeFleet(adminAddr string, nodes int) error {
-	resp, err := http.Get("http://" + adminAddr + "/debug/fleet")
+	body, err := scrape(adminAddr, "/debug/fleet")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
 	var rep cluster.FleetReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if err := json.Unmarshal(body, &rep); err != nil {
 		return err
 	}
 	if len(rep.Nodes) != nodes {
@@ -507,15 +516,11 @@ func scrapeFleet(adminAddr string, nodes int) error {
 // as an event stream (it may legitimately be empty — a healthy smoke run
 // triggers no control-plane transitions).
 func scrapeEvents(adminAddr string) error {
-	resp, err := http.Get("http://" + adminAddr + "/debug/events")
+	body, err := scrape(adminAddr, "/debug/events")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	events, _, err := obs.LoadEvents(resp.Body)
+	events, _, err := obs.LoadEvents(bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -523,26 +528,47 @@ func scrapeEvents(adminAddr string) error {
 	return nil
 }
 
-// scrapeHealth fetches the SMART-style /debug/health report and sanity
-// checks the document an operator (or ssmtrace health) would read.
-func scrapeHealth(adminAddr string) error {
-	resp, err := http.Get("http://" + adminAddr + "/debug/health")
+// scrapeHealthz fetches /healthz while the service is live: 200, serving
+// or (a card protecting itself) shedding, and exactly the four fields
+// every mode answers with — one card and N cards share the document.
+func scrapeHealthz(adminAddr string) error {
+	body, err := scrape(adminAddr, "/healthz")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
+	var doc struct {
+		Status, State      *string
+		Draining, Shedding *bool
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		return err
+	}
+	if doc.Status == nil || doc.State == nil || doc.Draining == nil || doc.Shedding == nil {
+		return fmt.Errorf("document lacks one of status, state, draining, shedding")
+	}
+	fmt.Printf("ssmserve: /healthz ok, status %s, state %s\n", *doc.Status, *doc.State)
+	return nil
+}
+
+// scrapeHealth fetches the SMART-style /debug/health report (query
+// selects a cluster's card: "?node=n1") and sanity checks the document
+// an operator (or ssmtrace health) would read.
+func scrapeHealth(adminAddr, query string) error {
+	body, err := scrape(adminAddr, "/debug/health"+query)
+	if err != nil {
+		return err
 	}
 	var rep flash.HealthReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if err := json.Unmarshal(body, &rep); err != nil {
 		return err
 	}
 	if rep.Device != "flash" || rep.Blocks <= 0 || rep.EnduranceCycles <= 0 {
 		return fmt.Errorf("implausible health report: %+v", rep)
 	}
-	fmt.Printf("ssmserve: /debug/health ok, life used %.4f%%, lifetime %s\n",
-		rep.LifeUsedPct, rep.Lifetime)
+	fmt.Printf("ssmserve: /debug/health%s ok, life used %.4f%%, lifetime %s\n",
+		query, rep.LifeUsedPct, rep.Lifetime)
 	return nil
 }
 

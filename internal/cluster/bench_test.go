@@ -74,7 +74,7 @@ func BenchmarkFleetSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkFleet = cl.FleetSnapshot()
+		sinkFleet = cl.Snapshot()
 	}
 	b.ReportMetric(float64(len(sinkFleet.Metrics)), "series")
 }

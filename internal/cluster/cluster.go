@@ -75,7 +75,7 @@ type Node struct {
 	// single-threaded simulation time).
 	Clock *sim.Clock
 	// Obs is the node's private observer; its registry carries the
-	// per-card telemetry FleetSnapshot merges under the node's label. It
+	// per-card telemetry Snapshot merges under the node's label. It
 	// is telemetry only — routing, health sweeps and rebalancing never
 	// read it — and may be nil.
 	Obs *obs.Observer
@@ -193,7 +193,13 @@ type Cluster struct {
 	sessions map[string]*Session
 	opsSince int
 	degraded bool // some entry is under-copied or has stale copies to purge
-	st       Stats
+
+	// The router's ledger: Stats() and ClusterStats() read these counters
+	// back, so the numbers a caller sees are the ones a scrape exports
+	// (registered on obs in initObservability; standalone without one).
+	completed, shed, notFound, batchedSyncs             *obs.Counter
+	shedRetries, replicaSheds, skippedReplicaWrites     *obs.Counter
+	rebalances, migratedKeys, healedKeys, readFailovers *obs.Counter
 
 	// Router observability (see observe.go). obs is cfg.Obs (may be nil —
 	// every probe is nil-safe); clock is the router's own virtual clock,
@@ -210,7 +216,6 @@ type Cluster struct {
 	nodeUp, nodeCordoned             []*obs.Gauge
 	hl                               []holderLat // scratch: last request's fan-out
 	latScratch                       []holderLat // scratch: straggler-gap sort
-	lastReadFailovers                int64       // ReadFailovers at last finishRequest
 }
 
 // New builds a router over the given nodes.
@@ -366,9 +371,9 @@ func (s *Session) doSync(req server.Request) (server.Response, error) {
 	}
 	resp.Batched = allBatched
 	if allBatched {
-		c.st.BatchedSyncs++
+		c.batchedSyncs.Inc()
 	}
-	c.st.Completed++
+	c.completed.Inc()
 	return resp, nil
 }
 
@@ -380,7 +385,7 @@ func (s *Session) doSync(req server.Request) (server.Response, error) {
 func (s *Session) doGet(req server.Request) (server.Response, error) {
 	c := s.c
 	if e := c.lookup(s.tenant, req.Key); e != nil && e.deleted {
-		c.st.NotFound++
+		c.notFound.Inc()
 		return server.Response{}, server.ErrNotFound
 	}
 	holders := c.holdersFor(s.tenant, req.Key)
@@ -397,10 +402,10 @@ func (s *Session) doGet(req server.Request) (server.Response, error) {
 		r, err := sess.Do(req)
 		if err == nil {
 			if rank > 0 {
-				c.st.ReadFailovers++
+				c.readFailovers.Inc()
 			}
-			c.hl = append(c.hl, holderLat{node: h, lat: r.Latency})
-			c.st.Completed++
+			c.hl = append(c.hl, holderLat{node: h, lat: r.Latency, failover: rank > 0})
+			c.completed.Inc()
 			return r, nil
 		}
 		tried++
@@ -412,7 +417,7 @@ func (s *Session) doGet(req server.Request) (server.Response, error) {
 	if tried == 0 {
 		return server.Response{}, ErrUnavailable
 	}
-	c.st.NotFound++
+	c.notFound.Inc()
 	return server.Response{}, lastErr
 }
 
@@ -457,7 +462,7 @@ func (s *Session) doWrite(req server.Request) (server.Response, error) {
 	}
 	for _, h := range holders {
 		if c.down[h] || (e != nil && holdsNode(e.stale, h)) {
-			c.st.SkippedReplicaWrites++
+			c.skippedReplicaWrites.Inc()
 			if wasHolder(h) {
 				missed = append(missed, h)
 			}
@@ -478,10 +483,10 @@ func (s *Session) doWrite(req server.Request) (server.Response, error) {
 				// The effective primary stayed overloaded through the
 				// retry budget: the write sheds, and no replica was
 				// touched — admission control stays node-local.
-				c.st.Shed++
+				c.shed.Inc()
 				return server.Response{}, err
 			}
-			c.st.ReplicaSheds++
+			c.replicaSheds.Inc()
 			c.logEvent(req.Arrival, obs.EventReplicaShed, c.nodes[h].Name,
 				"replica overloaded past the retry budget; primary copy intact", 1)
 			if wasHolder(h) {
@@ -489,7 +494,7 @@ func (s *Session) doWrite(req server.Request) (server.Response, error) {
 			}
 		case errors.Is(err, server.ErrNotFound):
 			if len(applied) == 0 {
-				c.st.NotFound++
+				c.notFound.Inc()
 				return server.Response{}, err
 			}
 			// A replica missing the object (post-restart, pre-heal)
@@ -503,7 +508,7 @@ func (s *Session) doWrite(req server.Request) (server.Response, error) {
 		return server.Response{}, ErrUnavailable
 	}
 	c.noteWrite(s.tenant, applied, missed, req)
-	c.st.Completed++
+	c.completed.Inc()
 	return resp, nil
 }
 
@@ -547,7 +552,7 @@ func (s *Session) doWithRetry(h int, req server.Request) (server.Response, error
 	}
 	backoff := shedBackoff
 	for attempt := 0; attempt < shedRetries && errors.Is(err, server.ErrOverloaded); attempt++ {
-		c.st.ShedRetries++
+		c.shedRetries.Inc()
 		base := req.Arrival
 		if base == 0 || base < c.nodes[h].Clock.Now() {
 			base = c.nodes[h].Clock.Now()
@@ -686,7 +691,7 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 		switch {
 		case !c.cordoned[i] && margin < c.cfg.RebalanceMargin:
 			c.cordoned[i] = true
-			c.st.Rebalances++
+			c.rebalances.Inc()
 			c.logEvent(arrival, obs.EventCordon, c.nodes[i].Name,
 				fmt.Sprintf("free-block margin %.3f < %.3f", margin, c.cfg.RebalanceMargin), 0)
 			moved := c.migrateOff(i, arrival)
@@ -704,11 +709,11 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 		}
 	}
 	if c.degraded {
-		healedBefore := c.st.HealedKeys
-		c.degraded = c.heal() > 0
-		if healed := c.st.HealedKeys - healedBefore; healed > 0 {
+		healed, remaining := c.heal()
+		c.degraded = remaining > 0
+		if healed > 0 {
 			c.logEvent(arrival, obs.EventHeal, "",
-				"re-replicated under-copied keys to the target copy count", int(healed))
+				"re-replicated under-copied keys to the target copy count", healed)
 		}
 	}
 	c.refreshFleetGauges()
@@ -764,10 +769,10 @@ func (c *Cluster) migrateOff(i int, arrival sim.Time) (moved int) {
 			}
 			e.holders = append(holders, repl)
 			e.stale = removeNode(e.stale, repl) // the copy just landed is fresh
-			c.st.MigratedKeys++
 			moved++
 		}
 	}
+	c.migratedKeys.Add(int64(moved))
 	return moved
 }
 
@@ -862,11 +867,11 @@ func (c *Cluster) RestartNode(i int) error {
 	c.gen[i]++
 	c.logEvent(c.maxClock(), obs.EventRestart, n.Name,
 		"remounted from flash; synced data recovered", 0)
-	healedBefore := c.st.HealedKeys
-	c.degraded = c.heal() > 0
-	if healed := c.st.HealedKeys - healedBefore; healed > 0 {
+	healed, remaining := c.heal()
+	c.degraded = remaining > 0
+	if healed > 0 {
 		c.logEvent(c.maxClock(), obs.EventHeal, n.Name,
-			"post-restart heal restored the target copy count", int(healed))
+			"post-restart heal restored the target copy count", healed)
 	}
 	c.refreshFleetGauges()
 	c.dump("restart")
@@ -879,10 +884,10 @@ func (c *Cluster) RestartNode(i int) error {
 // missed it — once the last one is purged the entry drops), then
 // re-replicates entries holding fewer than the target copy count onto
 // the first healthy non-holder clockwise of the key. It reports how
-// many entries remain degraded (stale copy on a still-down node, or no
-// healthy replacement available) so the periodic sweep knows to come
-// back. Caller holds c.mu.
-func (c *Cluster) heal() (remaining int) {
+// many copies it restored and how many entries remain degraded (stale
+// copy on a still-down node, or no healthy replacement available) so the
+// periodic sweep knows to come back. Caller holds c.mu.
+func (c *Cluster) heal() (healed, remaining int) {
 	now := c.maxClock()
 	want := c.cfg.Replicas + 1
 	tenants := make([]string, 0, len(c.dir))
@@ -929,14 +934,15 @@ func (c *Cluster) heal() (remaining int) {
 				}
 				e.holders = append(e.holders, repl)
 				e.stale = removeNode(e.stale, repl) // fresh copy, no longer stale
-				c.st.HealedKeys++
+				healed++
 			}
 			if len(e.holders) < want || len(e.stale) > 0 {
 				remaining++
 			}
 		}
 	}
-	return remaining
+	c.healedKeys.Add(int64(healed))
+	return healed, remaining
 }
 
 // maxClock reports the furthest node clock. Caller holds c.mu.
@@ -967,22 +973,52 @@ func (c *Cluster) Cordoned(i int) bool {
 // Stats reports the aggregate request accounting behind the Service
 // interface (logical requests, not per-node fan-out).
 func (c *Cluster) Stats() server.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.ClusterStats()
 	return server.Stats{
-		Completed:    c.st.Completed,
-		Shed:         c.st.Shed,
-		NotFound:     c.st.NotFound,
-		BatchedSyncs: c.st.BatchedSyncs,
+		Completed:    st.Completed,
+		Shed:         st.Shed,
+		NotFound:     st.NotFound,
+		BatchedSyncs: st.BatchedSyncs,
 	}
 }
 
 // ClusterStats reports the router's full accounting, including the
-// rebalance and replication counters.
+// rebalance and replication counters — a view over the ledger counters.
 func (c *Cluster) ClusterStats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st
+	return Stats{
+		Completed:            c.completed.Value(),
+		Shed:                 c.shed.Value(),
+		NotFound:             c.notFound.Value(),
+		BatchedSyncs:         c.batchedSyncs.Value(),
+		ShedRetries:          c.shedRetries.Value(),
+		ReplicaSheds:         c.replicaSheds.Value(),
+		SkippedReplicaWrites: c.skippedReplicaWrites.Value(),
+		Rebalances:           c.rebalances.Value(),
+		MigratedKeys:         c.migratedKeys.Value(),
+		HealedKeys:           c.healedKeys.Value(),
+		ReadFailovers:        c.readFailovers.Value(),
+	}
+}
+
+// Draining reports whether any live node has begun its drain; Shedding
+// whether any live node's admission control is shedding writes — one
+// overloaded card makes the cluster's /healthz read overloaded.
+func (c *Cluster) Draining() bool { return c.anyLive((*server.Server).Draining) }
+
+// Shedding: see Draining.
+func (c *Cluster) Shedding() bool { return c.anyLive((*server.Server).Shedding) }
+
+func (c *Cluster) anyLive(is func(*server.Server) bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, n := range c.nodes {
+		if !c.down[i] && is(n.Srv) {
+			return true
+		}
+	}
+	return false
 }
 
 // Drain drains every live node in index order: each stops admitting and

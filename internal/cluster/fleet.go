@@ -5,7 +5,7 @@
 //
 // The shape mirrors flash.HealthFromSnapshot one level up: everything is
 // a pure function of a single merged obs.Snapshot in which each node's
-// series carry a node label (FleetSnapshot builds it; ssmserve's
+// series carry a node label (Cluster.Snapshot builds it; ssmserve's
 // telemetry merge produces the same shape). The live admin surface
 // (/debug/fleet) and the offline `ssmtrace fleet` both call
 // FleetFromSnapshot over such a snapshot, so the fleet view an operator
@@ -56,27 +56,28 @@ func (c *Cluster) refreshFleetGauges() {
 	}
 }
 
-// FleetSnapshot captures the merged fleet view: the router's own
-// registry (fleet gauges freshly recomputed, replica-latency summaries)
-// plus every node's registry with a node label stamped onto its series,
-// all sorted into one snapshot. This is the input FleetFromSnapshot
-// wants, and what ssmserve serves at /metrics in cluster mode.
+// Snapshot captures the merged fleet view: the router's own registry
+// (ledger counters, fleet gauges freshly recomputed, replica-latency
+// summaries) plus every node's registry with a node label stamped onto
+// its series, all sorted into one snapshot. This is the input
+// FleetFromSnapshot wants, and what the ops surface serves at /metrics
+// (server.AdminSource).
 //
 // Only the collection passes hold the cluster mutex — read-through
 // gauges evaluate live simulation state that requests mutate under it.
 // Stamping the node labels and merging work on the captured values, after
 // the lock is released, so a scrape costs the data plane one pass over
 // each registry and nothing more.
-func (c *Cluster) FleetSnapshot() obs.Snapshot {
+func (c *Cluster) Snapshot() obs.Snapshot {
 	var router obs.Snapshot
 	nodes := make([]obs.Snapshot, len(c.nodes))
 	c.mu.Lock()
 	c.refreshFleetGauges()
-	if c.obs != nil && c.obs.Registry != nil {
+	if c.obs.Exports() {
 		router = c.obs.Registry.Snapshot()
 	}
 	for i, n := range c.nodes {
-		if n.Obs != nil && n.Obs.Registry != nil {
+		if n.Obs.Exports() {
 			nodes[i] = n.Obs.Registry.Snapshot()
 		}
 	}
@@ -85,6 +86,22 @@ func (c *Cluster) FleetSnapshot() obs.Snapshot {
 		nodes[i] = nodes[i].WithLabel("node", n.Name)
 	}
 	return router.Merge(nodes...)
+}
+
+// DumpFlight takes a flight record through fr under the cluster mutex,
+// as the router's own cordon/kill/restart dumps are.
+func (c *Cluster) DumpFlight(fr *obs.FlightRecorder, reason string) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return fr.Dump(reason)
+}
+
+// FleetReport is FleetFromSnapshot over a fresh Snapshot — what the ops
+// surface serves at /debug/fleet. It returns the FleetReport as any
+// because the server package, which declares the interface this
+// satisfies, cannot import this one.
+func (c *Cluster) FleetReport() (any, error) {
+	return FleetFromSnapshot(c.Snapshot())
 }
 
 // FleetNode is one node's row in the fleet report.
@@ -142,7 +159,7 @@ type FleetReport struct {
 }
 
 // FleetFromSnapshot computes the fleet report from a merged snapshot in
-// which per-node series carry a node label (FleetSnapshot's shape). It
+// which per-node series carry a node label (Cluster.Snapshot's shape). It
 // fails if the snapshot has no cluster-tier series at all.
 func FleetFromSnapshot(snap obs.Snapshot) (FleetReport, error) {
 	cl := obs.Labels{"layer": "cluster"}

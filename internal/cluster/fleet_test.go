@@ -130,7 +130,7 @@ func TestEventJournalMatchesClusterStats(t *testing.T) {
 	}
 }
 
-// TestFleetRollup pins the rollup's pure-function contract: FleetSnapshot
+// TestFleetRollup pins the rollup's pure-function contract: Snapshot
 // → FleetFromSnapshot must discover every node, carry its up/cordoned
 // state and health report, and aggregate the directory gauges — the same
 // path /debug/fleet and `ssmtrace fleet` share.
@@ -157,7 +157,7 @@ func TestFleetRollup(t *testing.T) {
 		}
 	}
 
-	rep, err := cluster.FleetFromSnapshot(cl.FleetSnapshot())
+	rep, err := cluster.FleetFromSnapshot(cl.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,6 @@ func TestFleetRollup(t *testing.T) {
 // both nodes up; /debug/events must replay through obs.LoadEvents.
 func TestAdminEndpointsServeFleetTelemetry(t *testing.T) {
 	cl, base := newObservedCluster(t, 2, cluster.Config{})
-	nodes := cl.Nodes()
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -221,13 +220,9 @@ func TestAdminEndpointsServeFleetTelemetry(t *testing.T) {
 		}
 	}
 
-	// Wire the admin exactly as ssmserve's cluster mode does: the scraped
-	// observer is node 0's private one, sharing the cluster's journal, and
-	// the snapshot source is the fleet merge.
-	nodes[0].Obs.SetEventLog(base.EventLog())
-	admin := server.NewAdmin(nodes[0].Srv, nodes[0].Obs)
-	admin.SetSnapshotSource(cl.FleetSnapshot)
-	admin.SetFleet(func() (any, error) { return cluster.FleetFromSnapshot(cl.FleetSnapshot()) })
+	// Wire the admin exactly as ssmserve's cluster mode does: the surface
+	// speaks for the cluster, bound to the router's observer and journal.
+	admin := server.NewAdmin(cl, base)
 	ts := httptest.NewServer(admin.Handler())
 	defer ts.Close()
 

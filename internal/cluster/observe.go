@@ -40,20 +40,34 @@ import (
 )
 
 // holderLat is one holder's share of a fanned-out request: which node,
-// and how long its copy of the operation took.
+// and how long its copy of the operation took; failover marks a read a
+// replica served because the primary could not.
 type holderLat struct {
-	node int
-	lat  sim.Duration
+	node     int
+	lat      sim.Duration
+	failover bool
 }
 
 // initObservability wires the router's metrics at construction time —
-// registration order is fixed (rank histograms, then fleet gauges, then
-// per-node gauges in node order), which is what keeps parallel
-// experiment runs' merged registries byte-identical.
+// registration order is fixed (ledger counters, rank histograms, then
+// fleet gauges, then per-node gauges in node order), which is what keeps
+// parallel experiment runs' merged registries byte-identical.
 func (c *Cluster) initObservability() {
 	c.obs = c.cfg.Obs
 	c.clock = sim.NewClock()
 	lbl := obs.Labels{"layer": "cluster"}
+	result := func(r string) obs.Labels { return obs.Labels{"layer": "cluster", "result": r} }
+	c.completed = c.obs.Counter("requests_total", result("ok"))
+	c.shed = c.obs.Counter("requests_total", result("shed"))
+	c.notFound = c.obs.Counter("requests_total", result("notfound"))
+	c.batchedSyncs = c.obs.Counter("batched_syncs_total", lbl)
+	c.shedRetries = c.obs.Counter("cluster_shed_retries_total", lbl)
+	c.replicaSheds = c.obs.Counter("cluster_replica_sheds_total", lbl)
+	c.skippedReplicaWrites = c.obs.Counter("cluster_skipped_replica_writes_total", lbl)
+	c.rebalances = c.obs.Counter("cluster_rebalances_total", lbl)
+	c.migratedKeys = c.obs.Counter("cluster_migrated_keys_total", lbl)
+	c.healedKeys = c.obs.Counter("cluster_healed_keys_total", lbl)
+	c.readFailovers = c.obs.Counter("cluster_read_failovers_total", lbl)
 	ranks := c.cfg.Replicas + 1
 	c.repLat = make([]*obs.Histogram, ranks)
 	for r := 0; r < ranks; r++ {
@@ -140,9 +154,8 @@ func (c *Cluster) finishRequest(tc *obs.TraceContext, req server.Request, start 
 		case req.Kind == server.OpSync:
 			role = "sync"
 		case req.Kind == server.OpGet:
-			// The one holder that served the read; rank 0 only if the
-			// primary did (no failover).
-			if rank == 0 && c.st.ReadFailovers == c.lastReadFailovers {
+			// The one holder that served the read.
+			if !h.failover {
 				role = "primary"
 			}
 		case rank == 0:
@@ -150,7 +163,6 @@ func (c *Cluster) finishRequest(tc *obs.TraceContext, req server.Request, start 
 		}
 		tc.HolderSpan(c.nodes[h.node].Name, role, start, start.Add(h.lat), 0, obs.OutcomeOK)
 	}
-	c.lastReadFailovers = c.st.ReadFailovers
 	end := start
 	if err == nil && resp.Latency > 0 {
 		end = start.Add(resp.Latency)

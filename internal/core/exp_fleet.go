@@ -165,7 +165,7 @@ func E16Fleet(env *Env, seed int64) ([]*Table, error) {
 			fmt.Sprintf("is the replication tax; last write's straggler gap (slowest − median): %s",
 				fmtDur(sim.Duration(cl.StragglerGapNS()))))
 
-		rep, err := cluster.FleetFromSnapshot(cl.FleetSnapshot())
+		rep, err := cluster.FleetFromSnapshot(cl.Snapshot())
 		if err != nil {
 			return err
 		}

@@ -55,6 +55,6 @@ func TestSeriesKeySetGolden(t *testing.T) {
 		if _, err := server.RunWorkload(cl, traffic); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "series_fleet.golden", seriesKeys(cl.FleetSnapshot()))
+		checkGolden(t, "series_fleet.golden", seriesKeys(cl.Snapshot()))
 	})
 }

@@ -53,4 +53,4 @@ func (e *Engine) Sync() error { return nil }
 func (e *Engine) PersistsMapping() bool { return e.FTL.Config().PersistMapping }
 
 // Stats is the FTL's block-pool view of its counters and the device.
-func (e *Engine) Stats() engine.Stats { return e.FTL.EngineStats() }
+func (e *Engine) Stats() engine.Stats { return e.FTL.Stats().Stats }

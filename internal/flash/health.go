@@ -135,13 +135,10 @@ func HealthFromSnapshot(snap obs.Snapshot, device string) (HealthReport, error) 
 	}
 	r.Lifetime = fmtLifetime(r.LifetimeSeconds)
 
-	// The translation-layer gauges carry an engine label now that more
-	// than one backend exists; probe each known label set (including the
-	// pre-engine legacy form, so old snapshots still render) and use the
-	// first that has data.
+	// The translation-layer gauges carry an engine label; probe each
+	// backend's label set and use the first that has data.
 	engineLbls := []obs.Labels{
 		{"layer": "ftl", "engine": "ftl"},
-		{"layer": "ftl"},
 		{"layer": "pdl", "engine": "pdl"},
 	}
 	r.FreeBlocks, r.FreeBlockMargin = -1, -1

@@ -638,8 +638,8 @@ func (f *FS) ReadAt(path string, off int64, buf []byte) (_ int, err error) {
 			return int(read), err
 		}
 		// Zero-fill holes and short blocks.
-		for i := got; i < blkOff+n; i++ {
-			block[i] = 0
+		if got < blkOff+n {
+			clear(block[got : blkOff+n])
 		}
 		copy(buf[read:read+int64(n)], block[blkOff:blkOff+n])
 		read += int64(n)

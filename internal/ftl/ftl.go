@@ -128,15 +128,11 @@ type blockInfo struct {
 	isActive    bool
 }
 
-// Stats aggregates the layer's counters for the experiments.
+// Stats aggregates the layer's counters for the experiments: the block
+// pool's engine-shaped ledger plus what only this layer keeps.
 type Stats struct {
-	HostWrites, HostReads int64
-	HostBytesWritten      int64
-	Cleans, CopiedPages   int64
-	StaticMoves           int64 // static wear-leveling relocations
-	IdleCleans            int64 // cleans run off the write path
-	WriteAmplification    float64
-	RetiredBlocks         int
+	engine.Stats
+	StaticMoves           int64    // static wear-leveling relocations
 	FirstWearOut          sim.Time // zero if none
 	FirstWearOutHostBytes int64    // host bytes written when it happened
 }
@@ -724,22 +720,11 @@ func (f *FTL) FreeBlocks() int { return f.pool.Free() }
 // free-space target (see blocks.Pool.CleanerLag).
 func (f *FTL) CleanerLag() int { return f.pool.CleanerLag() }
 
-// EngineStats is the storage-engine view of the layer's counters.
-func (f *FTL) EngineStats() engine.Stats { return f.pool.Stats() }
-
 // Stats summarises the layer counters.
 func (f *FTL) Stats() Stats {
-	es := f.pool.Stats()
 	return Stats{
-		HostWrites:            es.HostWrites,
-		HostReads:             es.HostReads,
-		HostBytesWritten:      es.HostBytesWritten,
-		Cleans:                es.Cleans,
-		CopiedPages:           es.CopiedPages,
+		Stats:                 f.pool.Stats(),
 		StaticMoves:           f.staticMoves.Value(),
-		IdleCleans:            es.IdleCleans,
-		WriteAmplification:    es.WriteAmplification,
-		RetiredBlocks:         es.RetiredBlocks,
 		FirstWearOut:          f.firstWearOut,
 		FirstWearOutHostBytes: f.firstWearOutHostBytes,
 	}

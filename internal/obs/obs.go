@@ -287,7 +287,7 @@ func (h *Histogram) Collect() Metric {
 		Name: h.name, Labels: h.labels.clone(), Kind: KindHistogram,
 		Count: h.h.Count(), Sum: h.h.Sum(),
 		Min: h.h.Min(), Max: h.h.Max(),
-		P50: h.h.Quantile(0.5), P99: h.h.Quantile(0.99),
+		P50: h.h.Quantile(0.5), P95: h.h.Quantile(0.95), P99: h.h.Quantile(0.99),
 	}
 }
 

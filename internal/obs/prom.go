@@ -1,8 +1,7 @@
-// Prometheus text exposition (version 0.0.4) rendered from a Registry,
+// Prometheus text exposition (version 0.0.4) rendered from a Snapshot,
 // for the ssmserve admin surface's /metrics endpoint. Counters render
-// as counters, gauges as gauges, and histograms as summaries (the
-// registry keeps exact samples per sim.Histogram, so quantiles are
-// real, not bucketed estimates).
+// as counters, gauges as gauges, and histograms as summaries carrying
+// the quantiles a Metric records (p50, p95, p99).
 package obs
 
 import (
@@ -15,105 +14,12 @@ import (
 	"strings"
 )
 
-// summaryQuantiles are the quantile series a histogram exposes.
-var summaryQuantiles = [...]float64{0.5, 0.95, 0.99}
-
-// Exposition is a registry's collected values, ready to render as
-// Prometheus text. Collecting (CollectPrometheus) evaluates read-through
-// gauges against live simulation state and so belongs under whatever
-// lock guards that state; rendering (Write) touches only the captured
-// values, so a scrape formats and writes to its socket after releasing
-// the lock.
-type Exposition struct {
-	series []promSeries
-}
-
-// promSeries is one collector's captured value; quantiles is filled for
-// histograms only, in summaryQuantiles order.
-type promSeries struct {
-	m         Metric
-	quantiles [len(summaryQuantiles)]float64
-}
-
-// CollectPrometheus captures every registered collector, in registration
-// order.
-func CollectPrometheus(r *Registry) Exposition {
-	if r == nil {
-		return Exposition{}
-	}
-	cs := r.Collectors()
-	e := Exposition{series: make([]promSeries, len(cs))}
-	for i, c := range cs {
-		ps := &e.series[i]
-		ps.m = c.Collect()
-		if h, ok := c.(*Histogram); ok {
-			h.mu.Lock()
-			for j, q := range summaryQuantiles {
-				ps.quantiles[j] = h.h.Quantile(q)
-			}
-			h.mu.Unlock()
-		}
-	}
-	return e
-}
-
-// Write renders the exposition, grouped by metric name with one # TYPE
-// line per group, in registration order of each name's first collector.
-func (e Exposition) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	groups := make(map[string][]*promSeries, len(e.series))
-	var names []string
-	for i := range e.series {
-		ps := &e.series[i]
-		if _, ok := groups[ps.m.Name]; !ok {
-			names = append(names, ps.m.Name)
-		}
-		groups[ps.m.Name] = append(groups[ps.m.Name], ps)
-	}
-	for _, name := range names {
-		group := groups[name]
-		kind := group[0].m.Kind
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, promType(kind))
-		for _, ps := range group {
-			m := ps.m
-			if m.Kind != kind {
-				// A name registered under two kinds cannot share a TYPE
-				// block; skip rather than emit malformed exposition. The
-				// registry's own collectors never do this (lookup panics on
-				// per-key kind conflicts), so this guards only exotic mixes.
-				continue
-			}
-			switch kind {
-			case KindCounter, KindGauge:
-				fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "", 0), promValue(m.Value))
-			case KindHistogram:
-				for j, q := range summaryQuantiles {
-					fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "quantile", q), promValue(ps.quantiles[j]))
-				}
-				fmt.Fprintf(bw, "%s_sum%s %s\n", name, promLabels(m.Labels, "", 0), promValue(m.Sum))
-				fmt.Fprintf(bw, "%s_count%s %d\n", name, promLabels(m.Labels, "", 0), m.Count)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WritePrometheus renders every registered collector in the Prometheus
-// text exposition format: CollectPrometheus then Write, for callers with
-// no lock to release in between.
-func WritePrometheus(w io.Writer, r *Registry) error {
-	return CollectPrometheus(r).Write(w)
-}
-
-// WriteSnapshotPrometheus renders a point-in-time Snapshot in the
-// Prometheus text exposition format. It exists for views that are
-// assembled rather than registered — the cluster's merged fleet snapshot,
-// where per-node series are stamped with a node label at merge time and
-// no single live registry holds them. Histograms render as summaries
-// from the snapshot's recorded quantiles (p50/p99 — a snapshot carries
-// summaries, not samples), so the quantile set is narrower than the
-// live-registry writer's.
-func WriteSnapshotPrometheus(w io.Writer, s Snapshot) error {
+// WritePrometheus renders the snapshot in the Prometheus text exposition
+// format — the tree's only renderer: a live scrape collects a Snapshot
+// (under whatever lock guards the simulation state its read-through
+// gauges evaluate) and formats it here after releasing the lock.
+// Histograms render as summaries from the snapshot's recorded quantiles.
+func (s Snapshot) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	// Group by name in first-appearance order: the snapshot is sorted by
 	// key, but key order can interleave names ("foobar" sorts between
@@ -133,6 +39,10 @@ func WriteSnapshotPrometheus(w io.Writer, s Snapshot) error {
 		fmt.Fprintf(bw, "# TYPE %s %s\n", name, promType(kind))
 		for _, m := range group {
 			if m.Kind != kind {
+				// A name registered under two kinds cannot share a TYPE
+				// block; skip rather than emit malformed exposition. One
+				// registry never does this (lookup panics on per-key kind
+				// conflicts), so this guards only merged snapshots.
 				continue
 			}
 			switch kind {
@@ -140,6 +50,7 @@ func WriteSnapshotPrometheus(w io.Writer, s Snapshot) error {
 				fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "", 0), promValue(m.Value))
 			case KindHistogram:
 				fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "quantile", 0.5), promValue(m.P50))
+				fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "quantile", 0.95), promValue(m.P95))
 				fmt.Fprintf(bw, "%s%s %s\n", name, promLabels(m.Labels, "quantile", 0.99), promValue(m.P99))
 				fmt.Fprintf(bw, "%s_sum%s %s\n", name, promLabels(m.Labels, "", 0), promValue(m.Sum))
 				fmt.Fprintf(bw, "%s_count%s %d\n", name, promLabels(m.Labels, "", 0), m.Count)

@@ -16,7 +16,7 @@ func TestWritePrometheusExposition(t *testing.T) {
 	h.Observe(300)
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -29,6 +29,8 @@ func TestWritePrometheusExposition(t *testing.T) {
 		"buffer_occupancy 0.5\n",
 		"# TYPE serve_latency_breakdown summary\n",
 		"serve_latency_breakdown{stage=\"clean\",quantile=\"0.5\"}",
+		"serve_latency_breakdown{stage=\"clean\",quantile=\"0.95\"}",
+		"serve_latency_breakdown{stage=\"clean\",quantile=\"0.99\"}",
 		"serve_latency_breakdown_sum{stage=\"clean\"} 400\n",
 		"serve_latency_breakdown_count{stage=\"clean\"} 2\n",
 	} {
@@ -47,11 +49,11 @@ func TestWritePrometheusExposition(t *testing.T) {
 
 func TestWritePrometheusEmptyAndNil(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, nil); err != nil {
+	if err := (Snapshot{}).WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Fatalf("nil registry rendered %q", buf.String())
+		t.Fatalf("empty snapshot rendered %q", buf.String())
 	}
 	if err := CheckExposition(nil, nil); err != nil {
 		t.Fatalf("empty exposition with no requirements must pass: %v", err)

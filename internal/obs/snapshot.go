@@ -20,6 +20,7 @@ type Metric struct {
 	Min   float64 `json:"min,omitempty"`
 	Max   float64 `json:"max,omitempty"`
 	P50   float64 `json:"p50,omitempty"`
+	P95   float64 `json:"p95,omitempty"`
 	P99   float64 `json:"p99,omitempty"`
 
 	// key caches Key(): the registry stamps the key it built at
@@ -157,25 +158,9 @@ func (s Snapshot) Merge(others ...Snapshot) Snapshot {
 	return out
 }
 
-// LabelValues reports the distinct values of a label key across the
-// snapshot, sorted — how the fleet rollup discovers which nodes a merged
-// snapshot contains.
-func (s Snapshot) LabelValues(key string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range s.Metrics {
-		if v, ok := m.Labels[key]; ok && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Diff reports this snapshot relative to an earlier base, so experiments
 // can report deltas instead of absolute totals. Counters subtract values;
-// histograms subtract Count and Sum (Min/Max/P50/P99 keep the newer
+// histograms subtract Count and Sum (Min/Max/P50/P95/P99 keep the newer
 // snapshot's values — quantiles of a difference are not recoverable from
 // summaries); gauges keep the newer value, since a gauge is a state, not
 // an accumulation. Metrics absent from the base diff against zero; metrics

@@ -2,21 +2,24 @@
 // listener exposing the process's metrics, health, profiles and flight
 // recorder. It is deliberately separate from the data-plane TCP port so
 // an operator can still scrape a wedged server, and so the data protocol
-// stays nc(1)-simple.
+// stays nc(1)-simple. One surface serves one card or a cluster of them
+// (AdminSource); every endpoint answers for every card behind it.
 //
 // Endpoints:
 //
-//	/metrics             Prometheus text exposition of the obs Registry
+//	/metrics             Prometheus text exposition of the source's
+//	                     Snapshot (a cluster's cards under node labels)
 //	/healthz             JSON {status, state, draining, shedding}; the
 //	                     admission-control state is serving, shedding or
-//	                     draining, and draining degrades to HTTP 503
+//	                     draining — of any card — and draining degrades to
+//	                     HTTP 503
 //	/debug/health        SMART-style device-health report (flash.HealthReport
 //	                     JSON): endurance budget, wear spread, windowed burn
-//	                     rate and the lifetime left at it; ?device= selects a
-//	                     card other than the default "flash"
+//	                     rate and the lifetime left at it; ?node= selects a
+//	                     cluster's card by name (unknown: 404), ?device= a
+//	                     flash device other than the default "flash"
 //	/debug/fleet         cluster-wide health rollup (cluster.FleetReport
-//	                     JSON) when a fleet source is configured; 404 on a
-//	                     single node
+//	                     JSON); 404 on a single card
 //	/debug/events        the cluster event journal as JSONL (cordon,
 //	                     migrate, heal, kill, restart, ...), replayable
 //	                     offline with `ssmtrace events`; 404 when no
@@ -37,49 +40,49 @@ import (
 	"ssmobile/internal/obs"
 )
 
+// AdminSource is what the ops surface speaks for: one card (*Server) or
+// a cluster of them (cluster.Cluster). Every answer covers every card
+// behind the source, and every collection runs under the source's own
+// lock — read-through gauges evaluate live simulation state (buffer
+// occupancy, free-block counts, the rate-sampler rings) that request
+// handlers mutate under it, so an unlocked scrape races with every
+// session. Handlers format and write to the socket after the call
+// returns, so a slow scraper never stalls the data plane.
+type AdminSource interface {
+	// Snapshot collects every series the source exports; a source over
+	// several cards stamps each card's series with a node label.
+	Snapshot() obs.Snapshot
+	// DumpFlight takes a flight record through fr under the same lock —
+	// as the shed-engage dump, taken from inside a request, always has.
+	DumpFlight(fr *obs.FlightRecorder, reason string) (string, error)
+	// Draining and Shedding report whether any card is.
+	Draining() bool
+	Shedding() bool
+}
+
+// fleetSource is the optional interface of a source over several cards:
+// its cluster-wide health rollup (cluster.FleetReport; typed as any to
+// keep the server package free of a cluster import) serves /debug/fleet.
+type fleetSource interface {
+	FleetReport() (any, error)
+}
+
 // Admin is the ops-surface HTTP server.
 type Admin struct {
-	srv *Server
+	src AdminSource
 	o   *obs.Observer
 
 	mu       sync.Mutex
 	ln       net.Listener
 	hs       *http.Server
 	draining bool
-
-	// snapshot, when set, replaces the registry as /metrics' source — the
-	// cluster front end installs its merged fleet snapshot here so
-	// per-node series (stamped with a node label at merge time) are
-	// scraped live instead of the front-end registry's last merge.
-	snapshot func() obs.Snapshot
-	// fleet, when set, serves /debug/fleet. The value is whatever the
-	// source marshals to (cluster.FleetReport); typed as any to keep the
-	// server package free of a cluster import.
-	fleet func() (any, error)
 }
 
-// NewAdmin builds the ops surface for srv, exposing o's registry and
-// flight recorder (attach one with o.SetFlightRecorder).
-func NewAdmin(srv *Server, o *obs.Observer) *Admin {
-	return &Admin{srv: srv, o: obs.Or(o)}
-}
-
-// SetSnapshotSource replaces /metrics' data source with a point-in-time
-// snapshot producer (nil restores the registry). The cluster front end
-// uses it so a scrape sees every node's series under its node label,
-// assembled at scrape time.
-func (a *Admin) SetSnapshotSource(fn func() obs.Snapshot) {
-	a.mu.Lock()
-	a.snapshot = fn
-	a.mu.Unlock()
-}
-
-// SetFleet installs the /debug/fleet source (nil uninstalls; the
-// endpoint 404s). The returned value is marshalled as indented JSON.
-func (a *Admin) SetFleet(fn func() (any, error)) {
-	a.mu.Lock()
-	a.fleet = fn
-	a.mu.Unlock()
+// NewAdmin builds the ops surface over src. The observer carries what is
+// attached rather than collected: the flight recorder
+// (o.SetFlightRecorder) and the event journal (o.SetEventLog).
+func NewAdmin(src AdminSource, o *obs.Observer) *Admin {
+	return &Admin{src: src, o: obs.Or(o)}
 }
 
 // SetDraining flips the health status reported by /healthz; the TCP
@@ -148,37 +151,9 @@ func (a *Admin) Shutdown() error {
 	return hs.Close()
 }
 
-// collect runs fn — a pass over the registry's collectors — under the
-// server's lock. Read-through gauges evaluate live simulation state
-// (buffer occupancy, free-block counts, the rate-sampler rings) that
-// request handlers mutate under that lock, so an unlocked scrape races
-// with every session. Only the collection happens here; handlers format
-// and write to the socket after it returns, so a slow scraper never
-// stalls the data plane.
-func (a *Admin) collect(fn func()) {
-	if a.srv != nil {
-		a.srv.mu.Lock()
-		defer a.srv.mu.Unlock()
-	}
-	fn()
-}
-
 func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	a.mu.Lock()
-	snapshot := a.snapshot
-	a.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var err error
-	if snapshot != nil {
-		// The source does its own locking (the cluster's fleet snapshot
-		// collects under the cluster mutex).
-		err = obs.WriteSnapshotPrometheus(w, snapshot())
-	} else {
-		var exp obs.Exposition
-		a.collect(func() { exp = obs.CollectPrometheus(a.o.Registry) })
-		err = exp.Write(w)
-	}
-	if err != nil {
+	if err := a.src.Snapshot().WritePrometheus(w); err != nil {
 		// Headers are gone; all we can do is note it inline.
 		fmt.Fprintf(w, "# write error: %v\n", err)
 	}
@@ -189,12 +164,12 @@ func (a *Admin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := a.draining
 	a.mu.Unlock()
 	// The transport flips the admin flag on shutdown; a direct Drain on
-	// the server (no transport involved) must read the same way.
-	draining = draining || (a.srv != nil && a.srv.Draining())
+	// the source (no transport involved) must read the same way.
+	draining = draining || a.src.Draining()
 	status := "ok"
 	state := "serving"
 	code := http.StatusOK
-	shedding := a.srv != nil && a.srv.Shedding()
+	shedding := a.src.Shedding()
 	switch {
 	case draining:
 		status = "draining"
@@ -219,55 +194,56 @@ func (a *Admin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleHealth serves the SMART-style device-health report: the health
 // computation is a pure function of a metrics snapshot (see
 // flash.HealthFromSnapshot), so this endpoint and an offline
-// `ssmtrace health` over a -metrics dump can never disagree.
+// `ssmtrace health` over a -metrics dump can never disagree. ?node=
+// narrows the snapshot to one card's series (its node label stripped),
+// which is how a cluster's cards are told apart.
 func (a *Admin) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if a.o == nil || a.o.Registry == nil {
-		http.Error(w, "no metrics registry configured", http.StatusNotFound)
-		return
-	}
 	device := r.URL.Query().Get("device")
 	if device == "" {
 		device = "flash"
 	}
-	var snap obs.Snapshot
-	a.collect(func() { snap = a.o.Registry.Snapshot() })
+	snap := a.src.Snapshot()
+	if node := r.URL.Query().Get("node"); node != "" {
+		snap = snap.FilterLabel("node", node)
+		if len(snap.Metrics) == 0 {
+			http.Error(w, fmt.Sprintf("no node %q", node), http.StatusNotFound)
+			return
+		}
+	}
 	rep, err := flash.HealthFromSnapshot(snap, device)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		http.Error(w, err.Error()+"; a cluster reports one card at a time (?node=<name>)", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Write(append(data, '\n'))
+	writeJSON(w, rep)
 }
 
-// handleFleet serves the cluster-wide health rollup. Like /debug/health
-// it is backed by a pure function of a metrics snapshot
-// (cluster.FleetFromSnapshot), so this endpoint and an offline
+// handleFleet serves the cluster-wide health rollup when the source has
+// one. Like /debug/health it is backed by a pure function of a metrics
+// snapshot (cluster.FleetFromSnapshot), so this endpoint and an offline
 // `ssmtrace fleet` over a -metrics dump can never disagree.
 func (a *Admin) handleFleet(w http.ResponseWriter, r *http.Request) {
-	a.mu.Lock()
-	fleet := a.fleet
-	a.mu.Unlock()
-	if fleet == nil {
-		http.Error(w, "no fleet source configured (single-node server)", http.StatusNotFound)
+	fleet, ok := a.src.(fleetSource)
+	if !ok {
+		http.Error(w, "no fleet behind this surface (single card)", http.StatusNotFound)
 		return
 	}
-	rep, err := fleet()
+	rep, err := fleet.FleetReport()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSON(w, rep)
+}
+
+// writeJSON answers with v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Write(append(data, '\n'))
 }
 
@@ -291,12 +267,7 @@ func (a *Admin) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no flight recorder configured", http.StatusNotFound)
 		return
 	}
-	// The dump snapshots the registry, so it runs under the server's lock
-	// like every other collection — as the shed-engage dump, taken from
-	// inside a request, always has.
-	var path string
-	var err error
-	a.collect(func() { path, err = fr.Dump("on-demand") })
+	path, err := a.src.DumpFlight(fr, "on-demand")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -61,13 +61,13 @@ func DialOpts(addr, tenant string, opts ClientOptions) (*Client, error) {
 
 // Put writes data at off in object key; it reports the bytes written.
 func (c *Client) Put(key uint64, off int64, data []byte) (int, error) {
-	n, _, err := c.roundTrip(fmt.Sprintf("put %d %d %d\n", key, off, len(data)), data)
+	n, _, err := c.roundTrip(formatReq(Request{Kind: OpPut, Key: key, Offset: off, Size: int64(len(data))}), data)
 	return n, err
 }
 
 // Get reads n bytes at off from object key.
 func (c *Client) Get(key uint64, off int64, n int64) ([]byte, error) {
-	got, _, err := c.roundTrip(fmt.Sprintf("get %d %d %d\n", key, off, n), nil)
+	got, _, err := c.roundTrip(formatReq(Request{Kind: OpGet, Key: key, Offset: off, Size: n}), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,20 +80,20 @@ func (c *Client) Get(key uint64, off int64, n int64) ([]byte, error) {
 
 // Truncate sets object key's length.
 func (c *Client) Truncate(key uint64, size int64) error {
-	_, _, err := c.roundTrip(fmt.Sprintf("trunc %d %d\n", key, size), nil)
+	_, _, err := c.roundTrip(formatReq(Request{Kind: OpTruncate, Key: key, Size: size}), nil)
 	return err
 }
 
 // Delete removes object key (idempotent).
 func (c *Client) Delete(key uint64) error {
-	_, _, err := c.roundTrip(fmt.Sprintf("del %d\n", key), nil)
+	_, _, err := c.roundTrip(formatReq(Request{Kind: OpDelete, Key: key}), nil)
 	return err
 }
 
 // Sync makes the tenant's writes stable; batched reports whether group
 // commit absorbed it into an earlier flush.
 func (c *Client) Sync() (batched bool, err error) {
-	_, suffix, err := c.roundTrip("sync\n", nil)
+	_, suffix, err := c.roundTrip(formatReq(Request{Kind: OpSync}), nil)
 	return suffix == "batched", err
 }
 
@@ -175,16 +175,14 @@ func (c *Client) roundTrip(header string, payload []byte) (int, string, error) {
 		if len(fields) == 3 {
 			msg = fields[2]
 		}
-		switch fields[1] {
-		case "overloaded":
-			return 0, "", fmt.Errorf("%w (%s)", ErrOverloaded, msg)
-		case "draining":
-			return 0, "", fmt.Errorf("%w (%s)", ErrDraining, msg)
-		case "notfound":
-			return 0, "", fmt.Errorf("%w (%s)", ErrNotFound, msg)
-		default:
-			return 0, "", fmt.Errorf("%w (%s)", ErrBadRequest, msg)
+		typed := wireErrors[len(wireErrors)-1].err
+		for _, we := range wireErrors {
+			if we.code == fields[1] {
+				typed = we.err
+				break
+			}
 		}
+		return 0, "", fmt.Errorf("%w (%s)", typed, msg)
 	default:
 		return 0, "", fmt.Errorf("server: malformed status %q", line)
 	}

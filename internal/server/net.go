@@ -16,10 +16,11 @@
 //
 // Errors are "err <code> <message>" where code is one of overloaded,
 // draining, notfound, bad — mapped 1:1 onto the package's typed errors
-// by Client. An extent (put/get offset+len, trunc size) that overflows
-// int64 or ends past the card's logical capacity is "bad"; after a put
-// header that does not parse the server closes the connection, since the
-// payload behind it cannot be told from commands.
+// by Client (the request verbs and the codes are the wireVerbs and
+// wireErrors tables below). An extent (put/get offset+len, trunc size)
+// that overflows int64 or ends past the card's logical capacity is
+// "bad"; after a put header that does not parse the server closes the
+// connection, since the payload behind it cannot be told from commands.
 package server
 
 import (
@@ -29,6 +30,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,6 +57,45 @@ var ErrLineTooLong = fmt.Errorf("%w: header line exceeds %d bytes", ErrBadReques
 // stops reading while a GET response is being written. A variable so
 // tests can shorten it.
 var drainGrace = 10 * time.Second
+
+// The wire vocabulary, declared once: parseReq and writeErr on this side
+// of the socket, and Client on the other, read these two tables.
+//
+// wireVerbs names each request kind on the wire (the telemetry names of
+// OpKind.String are longer). wireErrors pairs each error code with the
+// typed error it carries, in match order; the last entry, "bad", also
+// covers every error that is none of the others and every unknown code.
+var (
+	wireVerbs  = [...]string{OpGet: "get", OpPut: "put", OpTruncate: "trunc", OpDelete: "del", OpSync: "sync"}
+	wireErrors = [...]struct {
+		code string
+		err  error
+	}{
+		{"overloaded", ErrOverloaded},
+		{"draining", ErrDraining},
+		{"notfound", ErrNotFound},
+		{"bad", ErrBadRequest},
+	}
+)
+
+// maxTransferBytes caps one put or get transfer.
+const maxTransferBytes = 64 << 20
+
+// formatReq renders a request's header line — what Client sends and
+// parseReq decodes; a put's Size is the length of the payload to follow.
+func formatReq(req Request) string {
+	verb := wireVerbs[req.Kind]
+	switch req.Kind {
+	case OpPut, OpGet:
+		return fmt.Sprintf("%s %d %d %d\n", verb, req.Key, req.Offset, req.Size)
+	case OpTruncate:
+		return fmt.Sprintf("%s %d %d\n", verb, req.Key, req.Size)
+	case OpDelete:
+		return fmt.Sprintf("%s %d\n", verb, req.Key)
+	default:
+		return verb + "\n"
+	}
+}
 
 // RequestDoer serves one tenant's requests: a *Session from a single
 // Server, or a cluster session routing across many.
@@ -281,21 +322,24 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, fiel
 		return writeErr(w, fmt.Errorf("%w: hello first", ErrBadRequest))
 	}
 
+	if cmd == "stats" {
+		if len(fields) != 1 {
+			return writeErr(w, fmt.Errorf("%w: stats wants no arguments", ErrBadRequest))
+		}
+		st := t.srv.Stats()
+		return writeOK(w, 0, fmt.Sprintf("completed=%d shed=%d", st.Completed, st.Shed))
+	}
 	req, err := parseReq(cmd, fields[1:])
 	if err != nil {
 		if werr := writeErr(w, err); werr != nil {
 			return werr
 		}
-		if cmd == "put" {
+		if cmd == wireVerbs[OpPut] {
 			// The refused header's payload is still in the stream and
 			// must not be parsed as commands: close.
 			return err
 		}
 		return nil
-	}
-	if cmd == "stats" {
-		st := t.srv.Stats()
-		return writeOK(w, 0, fmt.Sprintf("completed=%d shed=%d", st.Completed, st.Shed))
 	}
 	if req.Kind == OpPut {
 		// The payload follows the header line verbatim.
@@ -328,33 +372,29 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, fiel
 	return w.Flush()
 }
 
-// parseReq decodes a command line into a Request; "stats" passes
-// through with a zero request after argument validation.
+// parseReq decodes a request's header line (one of wireVerbs and its
+// decimal arguments) into a Request.
 func parseReq(cmd string, args []string) (Request, error) {
 	bad := func(format string, a ...any) (Request, error) {
 		return Request{}, fmt.Errorf("%w: "+format, append([]any{ErrBadRequest}, a...)...)
 	}
 	un := func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
 	in := func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
-	var req Request
-	switch cmd {
-	case "put", "get":
+	// No such verb is index -1: a kind no case below matches.
+	kind := OpKind(slices.Index(wireVerbs[:], cmd))
+	switch kind {
+	case OpPut, OpGet:
 		if len(args) != 3 {
 			return bad("%s wants key offset len", cmd)
 		}
 		key, err1 := un(args[0])
 		off, err2 := in(args[1])
 		n, err3 := in(args[2])
-		if err1 != nil || err2 != nil || err3 != nil || off < 0 || n < 0 || n > 64<<20 || off > math.MaxInt64-n {
+		if err1 != nil || err2 != nil || err3 != nil || off < 0 || n < 0 || n > maxTransferBytes || off > math.MaxInt64-n {
 			return bad("%s arguments out of range", cmd)
 		}
-		req = Request{Key: key, Offset: off, Size: n}
-		if cmd == "put" {
-			req.Kind = OpPut
-		} else {
-			req.Kind = OpGet
-		}
-	case "trunc":
+		return Request{Kind: kind, Key: key, Offset: off, Size: n}, nil
+	case OpTruncate:
 		if len(args) != 2 {
 			return bad("trunc wants key size")
 		}
@@ -363,8 +403,8 @@ func parseReq(cmd string, args []string) (Request, error) {
 		if err1 != nil || err2 != nil || n < 0 {
 			return bad("trunc arguments out of range")
 		}
-		req = Request{Kind: OpTruncate, Key: key, Size: n}
-	case "del":
+		return Request{Kind: kind, Key: key, Size: n}, nil
+	case OpDelete:
 		if len(args) != 1 {
 			return bad("del wants key")
 		}
@@ -372,20 +412,15 @@ func parseReq(cmd string, args []string) (Request, error) {
 		if err != nil {
 			return bad("del key out of range")
 		}
-		req = Request{Kind: OpDelete, Key: key}
-	case "sync":
+		return Request{Kind: kind, Key: key}, nil
+	case OpSync:
 		if len(args) != 0 {
 			return bad("sync wants no arguments")
 		}
-		req = Request{Kind: OpSync}
-	case "stats":
-		if len(args) != 0 {
-			return bad("stats wants no arguments")
-		}
+		return Request{Kind: kind}, nil
 	default:
 		return bad("unknown command %q", cmd)
 	}
-	return req, nil
 }
 
 // readLine reads one newline-terminated header line, capped at
@@ -429,14 +464,12 @@ func writeOK(w *bufio.Writer, n int, suffix string) error {
 // writeErr reports a request-level error to the peer; the returned
 // error is the flush result (an I/O failure ends the connection).
 func writeErr(w *bufio.Writer, err error) error {
-	code := "bad"
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		code = "overloaded"
-	case errors.Is(err, ErrDraining):
-		code = "draining"
-	case errors.Is(err, ErrNotFound):
-		code = "notfound"
+	code := wireErrors[len(wireErrors)-1].code
+	for _, we := range wireErrors {
+		if errors.Is(err, we.err) {
+			code = we.code
+			break
+		}
 	}
 	msg := strings.ReplaceAll(err.Error(), "\n", " ")
 	if _, werr := fmt.Fprintf(w, "err %s %s\n", code, msg); werr != nil {

@@ -246,9 +246,8 @@ func (s *Server) BreakdownSim(stage string) *sim.Histogram {
 
 // Session scopes requests to one tenant's directory.
 type Session struct {
-	s      *Server
-	tenant string
-	dir    string
+	s   *Server
+	dir string
 	// paths interns object-key → path strings so repeated requests for
 	// the same key never re-format; nfErrs interns the matching not-found
 	// errors (misses on deleted objects are steady-state traffic, and a
@@ -276,7 +275,7 @@ func (s *Server) Open(tenant string) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		s: s, tenant: tenant, dir: dir,
+		s: s, dir: dir,
 		paths:  make(map[uint64]string),
 		nfErrs: make(map[uint64]error),
 	}, nil
@@ -307,9 +306,6 @@ func validTenant(t string) bool {
 	}
 	return true
 }
-
-// Tenant reports the session's tenant name.
-func (sess *Session) Tenant() string { return sess.tenant }
 
 func (sess *Session) path(key uint64) string {
 	if p, ok := sess.paths[key]; ok {
@@ -631,6 +627,24 @@ func (s *Server) FreeBlockMargin() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.Engine.Stats().FreeBlockMargin
+}
+
+// Snapshot collects the server's observer's registry under the server's
+// lock — the ops surface's collection (see AdminSource).
+func (s *Server) Snapshot() obs.Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.obs.Exports() {
+		return obs.Snapshot{}
+	}
+	return s.obs.Registry.Snapshot()
+}
+
+// DumpFlight takes a flight record through fr under the server's lock.
+func (s *Server) DumpFlight(fr *obs.FlightRecorder, reason string) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fr.Dump(reason)
 }
 
 // Stats returns a snapshot of the request accounting.

@@ -41,9 +41,6 @@ func NewDeviceSwapper(dev BlockDevice, base, size int64, slotBytes int) (*Device
 	return s, nil
 }
 
-// SlotsFree reports the remaining capacity in slots.
-func (s *DeviceSwapper) SlotsFree() int { return len(s.freeSlots) }
-
 // PageOut stores data into a fresh slot.
 func (s *DeviceSwapper) PageOut(data []byte) (int64, error) {
 	if len(data) > s.slotBytes {

@@ -77,12 +77,9 @@ const (
 	Uniform Popularity = iota
 	// Zipf draws key k with probability ∝ 1/(k+1)^s: key 0 is hottest.
 	Zipf
-	// HotCold draws from a small hot set with probability HotFraction and
-	// uniformly from the remaining cold keys otherwise.
-	HotCold
 )
 
-var popNames = [...]string{"uniform", "zipf", "hot-cold"}
+var popNames = [...]string{"uniform", "zipf"}
 
 // String names the popularity model.
 func (p Popularity) String() string {
@@ -139,13 +136,9 @@ type Config struct {
 	Mix Mix
 
 	// Popularity selects the key distribution; ZipfSkew parameterises
-	// Zipf (s > 1, more skewed as it grows), HotFraction/HotKeys
-	// parameterise HotCold (HotFraction of accesses land on the first
-	// HotKeys fraction of the key space).
-	Popularity  Popularity
-	ZipfSkew    float64
-	HotFraction float64
-	HotKeys     float64
+	// Zipf (s > 1, more skewed as it grows).
+	Popularity Popularity
+	ZipfSkew   float64
 
 	// Arrival selects the issue discipline. RatePerClient is the
 	// open-loop arrival rate in requests per second; ThinkTime is the
@@ -183,12 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ZipfSkew <= 1 {
 		c.ZipfSkew = 1.1
-	}
-	if c.HotFraction <= 0 || c.HotFraction > 1 {
-		c.HotFraction = 0.9
-	}
-	if c.HotKeys <= 0 || c.HotKeys > 1 {
-		c.HotKeys = 0.1
 	}
 	if c.RatePerClient <= 0 {
 		c.RatePerClient = 10
@@ -300,18 +287,6 @@ func (c *Client) key() uint64 {
 	switch c.cfg.Popularity {
 	case Zipf:
 		return c.zipf.Next()
-	case HotCold:
-		hot := int(float64(c.cfg.Keys)*c.cfg.HotKeys + 0.5)
-		if hot < 1 {
-			hot = 1
-		}
-		if hot > c.cfg.Keys {
-			hot = c.cfg.Keys
-		}
-		if c.keyR.Bool(c.cfg.HotFraction) || hot == c.cfg.Keys {
-			return uint64(c.keyR.Intn(hot))
-		}
-		return uint64(hot + c.keyR.Intn(c.cfg.Keys-hot))
 	default:
 		return uint64(c.keyR.Intn(c.cfg.Keys))
 	}
