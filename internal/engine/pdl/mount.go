@@ -101,6 +101,9 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		seq uint64
 		tag engine.Tag
 	}
+	// A record names a page of this geometry when it fits the table New
+	// sized — not pool.LogicalPages(), which Settle shrinks partway through
+	// the mount: a page in the truncated tail keeps its base and its chain.
 	best := make(map[int64]baseClaim)
 	var deltaUnits []int64
 	maxSeq, err := e.pool.ScanRecords(unitMagic, unitRecordBytes, func(ppn int64, seq uint64, rec []byte) {
@@ -112,7 +115,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 			if info.kind == blockUnused {
 				info.kind = blockBase
 			}
-			if lpn >= e.pool.LogicalPages() {
+			if lpn >= int64(len(e.pages)) {
 				return // stale record beyond this geometry
 			}
 			if prev, dup := best[lpn]; !dup || seq > prev.seq {
@@ -171,7 +174,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 			}
 			size := deltaHdrBytes + n
 			e.blocks[e.blockOf(ppn)].appended += int64(size)
-			if lpn >= 0 && lpn < e.pool.LogicalPages() {
+			if lpn < int64(len(e.pages)) {
 				perPage[lpn] = append(perPage[lpn], deltaRef{
 					seq: seq, addr: e.unitAddr(ppn) + int64(off), off: pOff, n: n, rec: size,
 				})
@@ -198,10 +201,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 			if d.seq <= pm.baseSeq {
 				continue
 			}
-			pm.chain = append(pm.chain, d)
-			b := e.blockOfAddr(d.addr)
-			e.blocks[b].liveDeltas++
-			e.blocks[b].liveDeltaBytes += int64(d.rec)
+			e.attach(lpn, d)
 		}
 	}
 

@@ -28,8 +28,10 @@
 package pdl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ssmobile/internal/engine"
 	"ssmobile/internal/engine/blocks"
@@ -109,6 +111,13 @@ type deltaRef struct {
 	rec  int   // total record bytes including the header
 }
 
+// touchNode is one entry of the per-block touch index: a page some delta
+// record in the block was written for, chained to the block's next entry.
+type touchNode struct {
+	lpn  uint32 // the width a delta record's header gives a page number
+	next int32  // arena index of the next entry, -1 at the end
+}
+
 // pageMeta is a logical page: its base unit and delta chain (sorted by
 // ascending sequence; deltas apply cumulatively on top of the base).
 type pageMeta struct {
@@ -136,6 +145,19 @@ type Engine struct {
 	rev    []int64 // unit → lpn for live base pages, -1 otherwise
 	blocks []blockInfo
 
+	// The touch index answers "whose chain records does this delta block
+	// hold?" without walking the page table: one list per block of the
+	// pages a record was appended for, kept in a single node arena so a
+	// record costs no allocation once the arena has grown. Entries are
+	// never removed one at a time — a list may name a page twice, or a
+	// page whose record has since been superseded — so it is a superset
+	// that victimPages filters; a block's list returns to the free list
+	// whole when the block is erased.
+	touchHead []int32 // block → first arena node, -1 when empty
+	touchFree int32   // head of the free-node list, -1 when empty
+	touch     []touchNode
+	work      []int64 // victimPages' result, reused across cleans
+
 	baseActive  int // block id of the base log head, -1 when none
 	basePtr     int // next unit within it
 	deltaActive int // block id of the delta log head, -1 when none
@@ -146,11 +168,9 @@ type Engine struct {
 	cleaning bool // suppresses EnsureSpace recursion under cleanOne
 
 	// Reusable hot-path scratch: mergeBuf holds one merged page image,
-	// readBuf one delta payload, recBuf one outgoing delta record,
-	// oobBuf one spare record. The engine is single-threaded and the
-	// device copies all of them out.
+	// recBuf one outgoing delta record, oobBuf one spare record. The
+	// engine is single-threaded and the device copies all of them out.
 	mergeBuf []byte
-	readBuf  []byte
 	recBuf   []byte
 	oobBuf   [unitRecordBytes]byte
 
@@ -187,14 +207,24 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	e.pages = make([]pageMeta, pool.LogicalPages())
 	e.rev = make([]int64, int64(e.numBlocks)*int64(e.ppb))
 	e.blocks = make([]blockInfo, e.numBlocks)
+	e.touchHead = make([]int32, e.numBlocks)
+	e.touchFree = -1
+	// Sized once so the steady state never allocates: the arena starts
+	// with room for a record per page and grows by append past that; the
+	// work list can never outgrow a block's units plus the records that
+	// fit in it.
+	e.touch = make([]touchNode, 0, len(e.pages))
+	e.work = make([]int64, 0, e.ppb+dev.BlockBytes()/(deltaHdrBytes+1))
 	e.mergeBuf = make([]byte, cfg.PageBytes)
-	e.readBuf = make([]byte, cfg.PageBytes)
 	e.recBuf = make([]byte, deltaHdrBytes+cfg.PageBytes)
 	for i := range e.pages {
 		e.pages[i].basePpn = -1
 	}
 	for i := range e.rev {
 		e.rev[i] = -1
+	}
+	for i := range e.touchHead {
+		e.touchHead[i] = -1
 	}
 	o := obs.Or(cfg.Obs)
 	e.deltaWrites = o.Counter("delta_writes_total", obs.Labels{"layer": "pdl"})
@@ -318,15 +348,29 @@ func (e *Engine) WritePageTagged(lpn int64, data []byte, tag engine.Tag) (err er
 }
 
 // diffRange returns the smallest [lo, hi) covering every byte where old
-// and new differ; lo == hi means the images are identical.
+// and new differ; lo == hi means the images are identical. Equal words
+// are skipped eight bytes at a time from both ends; the byte loops finish
+// inside the first and last differing word.
 func diffRange(old, new []byte) (lo, hi int) {
 	n := len(old)
-	for lo = 0; lo < n && old[lo] == new[lo]; lo++ {
+	new = new[:n]
+	for ; lo+8 <= n; lo += 8 {
+		if binary.LittleEndian.Uint64(old[lo:]) != binary.LittleEndian.Uint64(new[lo:]) {
+			break
+		}
+	}
+	for ; lo < n && old[lo] == new[lo]; lo++ {
 	}
 	if lo == n {
 		return n, n
 	}
-	for hi = n; old[hi-1] == new[hi-1]; hi-- {
+	// old[lo] differs, so both backward loops stop at or above lo+1.
+	for hi = n; hi-8 > lo; hi -= 8 {
+		if binary.LittleEndian.Uint64(old[hi-8:]) != binary.LittleEndian.Uint64(new[hi-8:]) {
+			break
+		}
+	}
+	for ; old[hi-1] == new[hi-1]; hi-- {
 	}
 	return lo, hi
 }
@@ -401,13 +445,30 @@ func (e *Engine) appendDelta(lpn int64, off int, payload []byte) error {
 	if _, err := e.dev.Program(addr, buf); err != nil {
 		return err
 	}
-	pm := &e.pages[lpn]
-	pm.chain = append(pm.chain, deltaRef{seq: e.writeSeq, addr: addr, off: off, n: len(payload), rec: rec})
-	b := e.blockOfAddr(addr)
-	e.blocks[b].liveDeltas++
-	e.blocks[b].liveDeltaBytes += int64(rec)
+	e.attach(lpn, deltaRef{seq: e.writeSeq, addr: addr, off: off, n: len(payload), rec: rec})
 	e.deltaWrites.Inc()
 	return nil
+}
+
+// attach appends a record to the page's chain: the one place a deltaRef
+// becomes live, so its block's live counts and touch list are written
+// here and nowhere else.
+func (e *Engine) attach(lpn int64, d deltaRef) {
+	pm := &e.pages[lpn]
+	pm.chain = append(pm.chain, d)
+	b := e.blockOfAddr(d.addr)
+	e.blocks[b].liveDeltas++
+	e.blocks[b].liveDeltaBytes += int64(d.rec)
+
+	n := e.touchFree
+	if n != -1 {
+		e.touchFree = e.touch[n].next
+	} else {
+		n = int32(len(e.touch))
+		e.touch = append(e.touch, touchNode{})
+	}
+	e.touch[n] = touchNode{lpn: uint32(lpn), next: e.touchHead[b]}
+	e.touchHead[b] = n
 }
 
 // deltaSpace reserves rec bytes in the delta log, opening the next unit
@@ -497,10 +558,9 @@ func (e *Engine) mergeInto(lpn int64, buf []byte) error {
 	}
 	for i := range pm.chain {
 		d := &pm.chain[i]
-		if _, err := e.dev.Read(d.addr+deltaHdrBytes, e.readBuf[:d.n]); err != nil {
+		if _, err := e.dev.Read(d.addr+deltaHdrBytes, buf[d.off:d.off+d.n]); err != nil {
 			return err
 		}
-		copy(buf[d.off:d.off+d.n], e.readBuf[:d.n])
 	}
 	return nil
 }
@@ -582,6 +642,37 @@ func (e *Engine) pickVictim() int {
 	return best
 }
 
+// victimPages lists, in ascending order, every page with state in the
+// block: the pages whose base unit it holds (the reverse map says which)
+// and the pages with a chain record in it (the touch list, filtered down
+// to chains that still reach into the block). The cost is the block's,
+// not the card's. The result is scratch, valid until the next call.
+func (e *Engine) victimPages(victim int) []int64 {
+	w := e.work[:0]
+	first := int64(victim) * int64(e.ppb)
+	for _, lpn := range e.rev[first : first+int64(e.ppb)] {
+		if lpn != -1 {
+			w = append(w, lpn)
+		}
+	}
+	lo := e.dev.BlockAddr(victim)
+	hi := lo + int64(e.dev.BlockBytes())
+	for n := e.touchHead[victim]; n != -1; n = e.touch[n].next {
+		lpn := int64(e.touch[n].lpn)
+		pm := &e.pages[lpn]
+		for i := range pm.chain {
+			if a := pm.chain[i].addr; a >= lo && a < hi {
+				w = append(w, lpn)
+				break
+			}
+		}
+	}
+	slices.Sort(w)
+	w = slices.Compact(w)
+	e.work = w
+	return w
+}
+
 // cleanOne relocates every page with state in the victim block and
 // erases it. Relocation is crash-safe: a page either promotes (a fresh
 // base atomically supersedes its history) or folds its whole chain into
@@ -593,27 +684,16 @@ func (e *Engine) cleanOne(victim int) error {
 	e.cleaning = true
 	defer func() { e.cleaning = false }()
 
-	// Every page, not just those below the current logical capacity: a
-	// retirement shrinks the capacity, but a page mapped in the truncated
-	// tail still has live state that must move before its block is erased.
-	for i := range e.pages {
-		lpn, pm := int64(i), &e.pages[i]
-		if pm.basePpn == -1 {
-			continue
-		}
+	// Ascending page order fixes the sequence numbers and log-head
+	// positions the relocations get. The list is taken once — the victim
+	// is never a log head, so moving one page cannot change whether another
+	// has state in it — and it reaches pages beyond the current logical
+	// capacity: a retirement shrinks the capacity, but a page mapped in the
+	// truncated tail still has live state that must move before its block
+	// is erased.
+	for _, lpn := range e.victimPages(victim) {
+		pm := &e.pages[lpn]
 		mustPromote := e.blockOf(pm.basePpn) == victim
-		touched := mustPromote
-		if !touched {
-			for i := range pm.chain {
-				if e.blockOfAddr(pm.chain[i].addr) == victim {
-					touched = true
-					break
-				}
-			}
-		}
-		if !touched {
-			continue
-		}
 		if err := e.mergeInto(lpn, e.mergeBuf); err != nil {
 			return err
 		}
@@ -641,7 +721,24 @@ func (e *Engine) cleanOne(victim int) error {
 		e.rev[base+int64(i)] = -1
 	}
 	e.blocks[victim] = blockInfo{}
+	e.releaseTouched(victim)
 	return nil
+}
+
+// releaseTouched hands the block's whole touch list back to the free
+// list.
+func (e *Engine) releaseTouched(b int) {
+	head := e.touchHead[b]
+	if head == -1 {
+		return
+	}
+	tail := head
+	for e.touch[tail].next != -1 {
+		tail = e.touch[tail].next
+	}
+	e.touch[tail].next = e.touchFree
+	e.touchFree = head
+	e.touchHead[b] = -1
 }
 
 // chainHull returns the smallest [lo, hi) covering every chained
@@ -676,12 +773,8 @@ func (e *Engine) foldChain(lpn int64, lo, hi int) error {
 	if _, err := e.dev.Program(addr, buf); err != nil {
 		return err
 	}
-	pm := &e.pages[lpn]
-	e.releaseChain(pm)
-	pm.chain = append(pm.chain, deltaRef{seq: e.writeSeq, addr: addr, off: lo, n: hi - lo, rec: rec})
-	b := e.blockOfAddr(addr)
-	e.blocks[b].liveDeltas++
-	e.blocks[b].liveDeltaBytes += int64(rec)
+	e.releaseChain(&e.pages[lpn])
+	e.attach(lpn, deltaRef{seq: e.writeSeq, addr: addr, off: lo, n: hi - lo, rec: rec})
 	return nil
 }
 
@@ -707,6 +800,38 @@ func (e *Engine) CheckInvariants() error {
 		deltaBytes int64
 	}
 	tallies := make([]tally, e.numBlocks)
+	// The touch index, read once: which (block, page) pairs it lists, and
+	// that the block lists and the free list (walked as block -1) together
+	// are the arena, each node once.
+	type blockPage struct {
+		b   int
+		lpn uint32
+	}
+	listed := make(map[blockPage]struct{})
+	nodes := 0
+	walk := func(b int, n int32) error {
+		for ; n != -1; n = e.touch[n].next {
+			if nodes++; nodes > len(e.touch) {
+				return fmt.Errorf("pdl: touch lists share nodes or loop (arena of %d)", len(e.touch))
+			}
+			listed[blockPage{b, e.touch[n].lpn}] = struct{}{}
+		}
+		return nil
+	}
+	for b, head := range e.touchHead {
+		if head != -1 && e.blocks[b].kind != blockDelta {
+			return fmt.Errorf("pdl: non-delta block %d has a touch list", b)
+		}
+		if err := walk(b, head); err != nil {
+			return err
+		}
+	}
+	if err := walk(-1, e.touchFree); err != nil {
+		return err
+	}
+	if nodes != len(e.touch) {
+		return fmt.Errorf("pdl: touch lists reach %d of %d arena nodes", nodes, len(e.touch))
+	}
 	for i := range e.pages {
 		lpn, pm := int64(i), &e.pages[i]
 		if pm.basePpn == -1 {
@@ -736,6 +861,9 @@ func (e *Engine) CheckInvariants() error {
 			}
 			if d.off < 0 || d.off+d.n > e.cfg.PageBytes {
 				return fmt.Errorf("pdl: page %d delta range [%d,%d) outside the page", lpn, d.off, d.off+d.n)
+			}
+			if _, ok := listed[blockPage{db, uint32(lpn)}]; !ok {
+				return fmt.Errorf("pdl: page %d delta at %d missing from block %d's touch list", lpn, d.addr, db)
 			}
 			tallies[db].deltas++
 			tallies[db].deltaBytes += int64(d.rec)
