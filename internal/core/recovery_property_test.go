@@ -9,6 +9,7 @@ import (
 
 	"ssmobile/internal/flash"
 	"ssmobile/internal/fs"
+	"ssmobile/internal/obs"
 )
 
 // The whole-system recovery property: with the write-back daemon disabled
@@ -355,6 +356,219 @@ func TestPowerCutCrashPointProperty(t *testing.T) {
 					t.Errorf("op %d fate %d: %s recovered %d bytes matching no durable or in-flight version (synced %d B, live %d B)",
 						idx, fate, name, len(got), len(syncedV), len(liveV))
 				}
+			}
+		}
+	}
+}
+
+// TestPowerCutMultiBlockCheckpoint is the crash-point enumeration the
+// four-file workload above cannot be: its metadata image spans several
+// blocks, so a checkpoint is several page programs, and its syncs take
+// every shape a checkpoint has — a whole image, a frame that fits the
+// log's tail block, a frame that spills into the next block, and the fold
+// of a full log into the next generation's image. Power is cut at every
+// destructive flash operation, before, during and after it. Every remount
+// must succeed, and the namespace it finds — names, sizes, mtimes — must be
+// exactly the namespace as of the sync that was cut (its checkpoint
+// committed before the cut) or of the last sync that returned: never
+// older, never a mixture.
+func TestPowerCutMultiBlockCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	name := func(i int) string { return fmt.Sprintf("a-file-with-a-long-enough-name-%04d", i) }
+	type namespace map[string]fs.Info
+	list := func(sys *SolidStateSystem) namespace {
+		infos, err := sys.FS.ReadDir("/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := namespace{}
+		for _, in := range infos {
+			ns[in.Name] = in
+		}
+		return ns
+	}
+	same := func(a, b namespace) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for n, in := range a {
+			if b[n] != in {
+				return false
+			}
+		}
+		return true
+	}
+	newSys := func(inj flash.Injector) *SolidStateSystem {
+		sys, err := NewSolidState(SolidStateConfig{
+			DRAMBytes:   8 << 20,
+			FlashBytes:  8 << 20,
+			BufferBytes: 2 << 20, // ample: no evictions, flash moves only on Sync
+			RBoxBytes:   1 << 20,
+			Obs:         obs.New(0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inj != nil {
+			sys.Flash.SetInjector(inj)
+		}
+		return sys
+	}
+	// The workload: each batch of mutations ends in a sync. Removes take
+	// low-numbered files, so every later byte of the image shifts.
+	created := 0
+	batches := []func(sys *SolidStateSystem) error{
+		func(sys *SolidStateSystem) error { return nil }, // the empty tree: a one-block image
+		func(sys *SolidStateSystem) (err error) { // 420 files: an image of several blocks
+			for ; created < 420 && err == nil; created++ {
+				err = sys.Create(name(created))
+			}
+			return err
+		},
+		func(sys *SolidStateSystem) (err error) { // a frame in the log's first block
+			for i := 0; i < 40 && err == nil; i++ {
+				err = sys.Remove(name(i))
+			}
+			return err
+		},
+		func(sys *SolidStateSystem) (err error) { // sizes and mtimes move; some data too
+			for i := 40; i < 70 && err == nil; i++ {
+				err = sys.FS.Truncate("/"+name(i), int64(100*i))
+			}
+			for i := 70; i < 80 && err == nil; i++ {
+				_, err = sys.WriteAt(name(i), 0, bytes.Repeat([]byte{byte(i)}, 600))
+			}
+			return err
+		},
+		func(sys *SolidStateSystem) (err error) { // this frame spills into the second log block
+			for ; created < 450 && err == nil; created++ {
+				err = sys.Create(name(created))
+			}
+			return err
+		},
+		func(sys *SolidStateSystem) error { return nil }, // nothing to write
+		func(sys *SolidStateSystem) (err error) {
+			for i := 100; i < 280 && err == nil; i++ {
+				err = sys.Remove(name(i))
+			}
+			return err
+		},
+		func(sys *SolidStateSystem) (err error) { // the log would outgrow the image: fold
+			for ; created < 540 && err == nil; created++ {
+				err = sys.Create(name(created))
+			}
+			return err
+		},
+		func(sys *SolidStateSystem) (err error) { // a frame on the new generation
+			for i := 300; i < 310 && err == nil; i++ {
+				err = sys.FS.Truncate("/"+name(i), 7)
+			}
+			return err
+		},
+	}
+	// replay runs the batches, recording the namespace each sync was
+	// called on; it stops at the power cut. acked is how many syncs returned.
+	replay := func(sys *SolidStateSystem) (states []namespace, acked int, err error) {
+		created = 0
+		for i, batch := range batches {
+			sys.Clock().Advance(1 << 20)
+			if err := batch(sys); err != nil {
+				return nil, 0, fmt.Errorf("batch %d: %w", i, err)
+			}
+			states = append(states, list(sys))
+			if err := sys.Sync(); errors.Is(err, flash.ErrPowerCut) {
+				return states, acked, nil
+			} else if err != nil {
+				return nil, 0, fmt.Errorf("sync %d: %w", i, err)
+			}
+			acked++
+		}
+		return states, acked, nil
+	}
+
+	// Reference run: count the destructive ops and check the workload
+	// takes the checkpoint shapes it is here for.
+	ref := newSys(nil)
+	series := func(name, kind string) int64 {
+		lbl := obs.Labels{"layer": "fs"}
+		if kind != "" {
+			lbl["kind"] = kind
+			return ref.cfg.Obs.Registry.Counter(name, lbl).Value()
+		}
+		return ref.cfg.Obs.Registry.Gauge(name, lbl).Value()
+	}
+	created = 0
+	bs := int64(ref.FS.BlockBytes())
+	var spills int
+	for i, batch := range batches {
+		ref.Clock().Advance(1 << 20)
+		if err := batch(ref); err != nil {
+			t.Fatalf("reference run, batch %d: %v", i, err)
+		}
+		logBefore, framesBefore := series("checkpoint_log_bytes", ""), series("checkpoints_total", "frame")
+		if err := ref.Sync(); err != nil {
+			t.Fatalf("reference run, sync %d: %v", i, err)
+		}
+		if series("checkpoints_total", "frame") > framesBefore && logBefore%bs != 0 &&
+			logBefore/bs != (series("checkpoint_log_bytes", "")-1)/bs {
+			spills++
+		}
+	}
+	if images, frames, empty := series("checkpoints_total", "image"), series("checkpoints_total", "frame"), series("checkpoints_total", "empty"); images != 3 || frames != 5 || empty != 1 || spills < 2 ||
+		series("checkpoint_bytes_total", "image") < 3*bs {
+		t.Fatalf("the workload took %d images, %d frames (%d spilling into a second block) and %d empty checkpoints over %d image bytes: want 3, 5 (at least 2), 1 and a multi-block image",
+			images, frames, spills, empty, series("checkpoint_bytes_total", "image"))
+	}
+	total := ref.Flash.DestructiveOps()
+
+	for idx := int64(0); idx < total; idx++ {
+		for _, fate := range []flash.Outcome{flash.CutBefore, flash.CutDuring, flash.CutAfter} {
+			sys := newSys(&flash.CutAt{Index: idx, Fate: fate})
+			states, acked, err := replay(sys)
+			if err != nil {
+				t.Fatalf("op %d fate %d: %v", idx, fate, err)
+			}
+			if !sys.Flash.Lost() {
+				continue // the cut fell on the run's last op, after its effect
+			}
+			sys.DRAM.PowerFail()
+			rec, err := sys.RemountAfterPowerFailure()
+			if err != nil {
+				t.Fatalf("op %d fate %d (sync %d in flight): remount: %v", idx, fate, acked, err)
+			}
+			// What may mount: the last acknowledged sync's namespace (the
+			// empty tree before the first), or the in-flight one's.
+			allowed := []namespace{{}}
+			if acked > 0 {
+				allowed[0] = states[acked-1]
+			}
+			if acked < len(states) {
+				allowed = append(allowed, states[acked])
+			}
+			got := list(rec)
+			if !same(got, allowed[0]) && !same(got, allowed[len(allowed)-1]) {
+				t.Fatalf("op %d fate %d (sync %d in flight): the recovered namespace of %d names is neither the last acknowledged sync's (%d names) nor the in-flight one's (%d)",
+					idx, fate, acked, len(got), len(allowed[0]), len(allowed[len(allowed)-1]))
+			}
+			// The recovered card goes on working, and what it syncs next
+			// survives a second failure — with the generations the first
+			// remount brought back from their trims still lying about.
+			if err := rec.Create("after"); err != nil {
+				t.Fatalf("op %d fate %d: create after remount: %v", idx, fate, err)
+			}
+			want := list(rec)
+			if err := rec.Sync(); err != nil {
+				t.Fatalf("op %d fate %d: sync after remount: %v", idx, fate, err)
+			}
+			rec.DRAM.PowerFail()
+			again, err := rec.RemountAfterPowerFailure()
+			if err != nil {
+				t.Fatalf("op %d fate %d: second remount: %v", idx, fate, err)
+			}
+			if !same(list(again), want) {
+				t.Fatalf("op %d fate %d: the second remount lost the sync taken after the first", idx, fate)
 			}
 		}
 	}

@@ -16,8 +16,11 @@
 // the snapshot. An operating-system crash cannot hurt it — battery-backed
 // DRAM survives crashes — and recovery is a snapshot load plus journal
 // replay. Against power failures (which do destroy DRAM), the file system
-// checkpoints metadata to flash through the storage manager; data loss is
-// then bounded by what the write-back policy had not yet migrated.
+// checkpoints metadata to flash through the storage manager — a whole
+// image now and then, and between images a log of the same journal
+// records, so a sync programs what changed rather than what exists
+// (checkpoint.go); data loss is then bounded by what the write-back policy
+// had not yet migrated.
 //
 // File data goes through storman.Manager, which decides DRAM versus flash
 // placement, absorbs overwrites and short-lived files in DRAM, and
@@ -75,7 +78,8 @@ func (k Kind) String() string {
 }
 
 // RootIno is the root directory's inode number. Object 0 in the storage
-// manager is reserved for the metadata checkpoint.
+// manager is reserved for the metadata checkpoint: its images and their
+// logs (checkpoint.go).
 const RootIno uint64 = 1
 
 const metaObject uint64 = 0
@@ -135,15 +139,15 @@ type FS struct {
 
 	rbox *rbox
 
-	metaCheckpointBlocks int64 // blocks object 0 held at last checkpoint
+	// ckpt is where the flash checkpoint stands, and pending the log
+	// frame the next one will seal: ckptHeaderBytes of header, then every
+	// record journalled since the last checkpoint (see checkpoint.go).
+	ckpt    ckptState
+	pending []byte
 
-	// Reusable hot-path scratch. FS is single-threaded (see the type
-	// comment), and none of the consumers retain the buffers: blockBuf
-	// assembles one block per ReadAt/WriteAt iteration, recBuf holds one
-	// journal record, ckptBuf the framed metadata checkpoint.
+	// blockBuf assembles one block per ReadAt/WriteAt iteration. FS is
+	// single-threaded (see the type comment) and no consumer retains it.
 	blockBuf []byte
-	recBuf   []byte
-	ckptBuf  []byte
 
 	// inodeFree recycles fully-unlinked inodes (delete/recreate churn is
 	// steady-state traffic for object stores); recycled inodes are reset
@@ -154,14 +158,21 @@ type FS struct {
 	creates, reads, writes  *obs.Counter
 	removes, syncs          *obs.Counter
 	bytesRead, bytesWritten *obs.Counter
+	ckptCount, ckptBytes    [ckptKinds]*obs.Counter // by checkpoint kind
+	ckptLogBytes            *obs.Gauge              // log bytes since the last image
+}
+
+// emptyState is the metadata of a file system holding nothing but its
+// root directory.
+func emptyState() snapshotState {
+	root := &Inode{Ino: RootIno, Kind: KindDir, Nlink: 1, Entries: make(map[string]uint64)}
+	return snapshotState{NextIno: RootIno + 1, Inodes: map[uint64]*Inode{RootIno: root}}
 }
 
 // Mkfs creates an empty file system on the storage manager, with its
 // recovery box in the given DRAM region.
 func Mkfs(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Device) (*FS, error) {
-	root := &Inode{Ino: RootIno, Kind: KindDir, Nlink: 1, Entries: make(map[string]uint64)}
-	empty := snapshotState{NextIno: RootIno + 1, Inodes: map[uint64]*Inode{RootIno: root}}
-	return openFS(cfg, clock, sm, dramDev, empty, nil)
+	return openFS(cfg, clock, sm, dramDev, emptyState(), nil)
 }
 
 // openFS builds the in-core file system over a metadata state: the empty
@@ -170,7 +181,10 @@ func Mkfs(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Devic
 // recovered file system counts, traces and encodes like a fresh one. rb is
 // a recovery box the caller has already opened (RecoverAfterCrash read st
 // out of it); nil opens one if the config asks for it. Either way the box
-// restarts from a snapshot of st with an empty journal.
+// restarts from a snapshot of st with an empty journal, and the flash
+// checkpoint restarts the same way: the first one a reopened file system
+// takes is a whole image of a new generation, so a log is only ever
+// extended by the file system that wrote the image under it.
 func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Device, st snapshotState, rb *rbox) (*FS, error) {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 512
@@ -194,11 +208,23 @@ func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Dev
 		syncs:        o.Counter("ops_total", lbl("sync")),
 		bytesRead:    o.Counter("bytes_total", lbl("read")),
 		bytesWritten: o.Counter("bytes_total", lbl("write")),
+		ckptLogBytes: o.Gauge("checkpoint_log_bytes", obs.Labels{"layer": "fs"}),
+		ckpt:         ckptState{imageNext: true},
+		pending:      make([]byte, ckptHeaderBytes, 512),
 	}
-	// Whatever checkpoint object 0 still holds, the next one must delete
-	// the blocks it does not overwrite.
-	for sm.BlockSize(storman.Key{Object: metaObject, Block: f.metaCheckpointBlocks}) > 0 {
-		f.metaCheckpointBlocks++
+	for kind, name := range ckptKindNames {
+		kl := obs.Labels{"layer": "fs", "kind": name}
+		f.ckptCount[kind] = o.Counter("checkpoints_total", kl)
+		if kind != ckptEmpty { // an empty checkpoint writes no bytes to count
+			f.ckptBytes[kind] = o.Counter("checkpoint_bytes_total", kl)
+		}
+	}
+	f.ckptLogBytes.Set(0)
+	// Whatever generations object 0 still holds — committed, torn, or
+	// brought back by a remount that forgot their trim — the next image
+	// is numbered past all of them and retires them once it commits.
+	if blocks := sm.Blocks(metaObject); len(blocks) > 0 {
+		f.ckpt.gen = uint64(blocks[len(blocks)-1] >> ckptGenShift)
 	}
 	if f.rbox == nil && cfg.RBoxBytes > 0 {
 		var err error
@@ -438,8 +464,8 @@ func (f *FS) create(path string, kind Kind) (_ *Inode, err error) {
 	f.inodes[ino] = node
 	f.order = append(f.order, inoSlot{ino, node}) // inos only grow: the newest sorts last
 	parent.setEntry(leaf, ino)
-	parent.MtimeNs = int64(f.now())
-	if err := f.journal(recCreate, ino, parent.Ino, uint64(kind), leaf, ""); err != nil {
+	parent.MtimeNs = node.MtimeNs
+	if err := f.journal(recCreate, ino, parent.Ino, uint64(kind), uint64(node.MtimeNs), leaf, ""); err != nil {
 		return nil, err
 	}
 	return node, nil
@@ -570,7 +596,7 @@ func (f *FS) WriteAt(path string, off int64, data []byte) (_ int, err error) {
 		node.Size = end
 	}
 	node.MtimeNs = int64(f.now())
-	if err := f.journal(recSetSize, node.Ino, uint64(node.Size), uint64(node.MtimeNs), "", ""); err != nil {
+	if err := f.journal(recSetSize, node.Ino, uint64(node.Size), 0, uint64(node.MtimeNs), "", ""); err != nil {
 		return written, err
 	}
 	return written, nil
@@ -704,7 +730,7 @@ func (f *FS) Truncate(path string, size int64) error {
 	}
 	node.Size = size
 	node.MtimeNs = int64(f.now())
-	return f.journal(recSetSize, node.Ino, uint64(node.Size), uint64(node.MtimeNs), "", "")
+	return f.journal(recSetSize, node.Ino, uint64(node.Size), 0, uint64(node.MtimeNs), "", "")
 }
 
 // Link creates a hard link: newPath names the same inode as oldPath,
@@ -727,7 +753,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 	parent.setEntry(leaf, node.Ino)
 	node.Nlink++
 	parent.MtimeNs = int64(f.now())
-	return f.journal(recLink, node.Ino, parent.Ino, 0, leaf, "")
+	return f.journal(recLink, node.Ino, parent.Ino, 0, uint64(parent.MtimeNs), leaf, "")
 }
 
 // Remove deletes a name: a file link (the inode and data go when the
@@ -764,7 +790,7 @@ func (f *FS) Remove(path string) (err error) {
 		f.inodeFree = append(f.inodeFree, node)
 	}
 	parent.MtimeNs = int64(f.now())
-	return f.journal(recRemove, ino, parent.Ino, 0, leaf, "")
+	return f.journal(recRemove, ino, parent.Ino, 0, uint64(parent.MtimeNs), leaf, "")
 }
 
 // Rename moves a file or directory to a new path, which must not exist.
@@ -788,7 +814,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	newParent.setEntry(newLeaf, ino)
 	now := int64(f.now())
 	oldParent.MtimeNs, newParent.MtimeNs = now, now
-	return f.journal(recRename, ino, oldParent.Ino, newParent.Ino, oldLeaf, newLeaf)
+	return f.journal(recRename, ino, oldParent.Ino, newParent.Ino, uint64(now), oldLeaf, newLeaf)
 }
 
 // Exists reports whether the path resolves.

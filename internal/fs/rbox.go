@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 
 	"ssmobile/internal/dram"
-	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/storman"
 )
@@ -160,17 +159,16 @@ func (r *rbox) append(rec []byte) error {
 	return r.writeHeader(r.snapLen, r.snapCRC)
 }
 
-// encodeRecord packs one journal record.
-func encodeRecord(kind byte, a, b, c uint64, s1, s2 string) []byte {
-	return appendRecord(make([]byte, 0, 1+24+4+len(s1)+len(s2)), kind, a, b, c, s1, s2)
-}
-
 // appendRecord packs one journal record onto rec, reusing its capacity.
-func appendRecord(rec []byte, kind byte, a, b, c uint64, s1, s2 string) []byte {
+// The recovery box's journal and the flash checkpoint's log frames hold
+// the same records: kind, three operands, the operation's timestamp and
+// two names. What each kind puts where is applyRecord's to say.
+func appendRecord(rec []byte, kind byte, a, b, c, t uint64, s1, s2 string) []byte {
 	rec = append(rec, kind)
 	rec = binary.LittleEndian.AppendUint64(rec, a)
 	rec = binary.LittleEndian.AppendUint64(rec, b)
 	rec = binary.LittleEndian.AppendUint64(rec, c)
+	rec = binary.LittleEndian.AppendUint64(rec, t)
 	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(s1)))
 	rec = append(rec, s1...)
 	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(s2)))
@@ -181,30 +179,38 @@ func appendRecord(rec []byte, kind byte, a, b, c uint64, s1, s2 string) []byte {
 type journalRecord struct {
 	kind    byte
 	a, b, c uint64
+	t       int64 // the operation's timestamp: every inode it touched has this MtimeNs
 	s1, s2  string
 }
 
+// recordFixedBytes is a record without its names: kind, a, b, c, t and
+// the first name's length.
+const recordFixedBytes = 1 + 4*8 + 2
+
+// decodeRecords unpacks a run of records. Its errors name what is wrong
+// with the bytes; the caller says which store they came from.
 func decodeRecords(p []byte) ([]journalRecord, error) {
 	var out []journalRecord
 	for len(p) > 0 {
-		if len(p) < 29 {
-			return nil, fmt.Errorf("%w: truncated record", ErrCorruptRBox)
+		if len(p) < recordFixedBytes+2 {
+			return nil, errors.New("truncated record")
 		}
 		var rec journalRecord
 		rec.kind = p[0]
 		rec.a = binary.LittleEndian.Uint64(p[1:])
 		rec.b = binary.LittleEndian.Uint64(p[9:])
 		rec.c = binary.LittleEndian.Uint64(p[17:])
-		n1 := int(binary.LittleEndian.Uint16(p[25:]))
-		p = p[27:]
+		rec.t = int64(binary.LittleEndian.Uint64(p[25:]))
+		n1 := int(binary.LittleEndian.Uint16(p[33:]))
+		p = p[recordFixedBytes:]
 		if len(p) < n1+2 {
-			return nil, fmt.Errorf("%w: truncated name", ErrCorruptRBox)
+			return nil, errors.New("truncated name")
 		}
 		rec.s1 = string(p[:n1])
 		n2 := int(binary.LittleEndian.Uint16(p[n1:]))
 		p = p[n1+2:]
 		if len(p) < n2 {
-			return nil, fmt.Errorf("%w: truncated name", ErrCorruptRBox)
+			return nil, errors.New("truncated name")
 		}
 		rec.s2 = string(p[:n2])
 		p = p[n2:]
@@ -218,54 +224,71 @@ func (f *FS) snapshotState() snapshotState {
 	return snapshotState{NextIno: f.nextIno, Inodes: f.inodes, order: f.order}
 }
 
-// journal records one metadata mutation in the recovery box, taking a
-// fresh snapshot when the journal is long or full.
-func (f *FS) journal(kind byte, a, b, c uint64, s1, s2 string) error {
+// journal records one metadata mutation: once, encoded onto the frame the
+// next flash checkpoint will seal (see checkpoint.go), and from there into
+// the recovery box, which takes a fresh snapshot instead when its journal
+// is long or full.
+func (f *FS) journal(kind byte, a, b, c, t uint64, s1, s2 string) error {
+	if f.ckpt.imageNext {
+		// The next checkpoint is a whole image, which needs no records:
+		// the frame only lends the recovery box's record its space.
+		f.pending = f.pending[:ckptHeaderBytes]
+	}
+	at := len(f.pending)
+	f.pending = appendRecord(f.pending, kind, a, b, c, t, s1, s2)
+	if len(f.pending) > f.ckpt.imageLen {
+		// Records that outgrew the image they would extend are dearer
+		// than a new image. Latching here, not at the checkpoint, is what
+		// bounds the buffer when no one ever syncs.
+		f.ckpt.imageNext = true
+	}
 	if f.rbox == nil {
 		return nil
 	}
 	if f.rbox.records >= f.cfg.SnapshotEvery {
-		if err := f.rbox.snapshot(f.snapshotState()); err != nil {
-			return err
-		}
-		return nil // the snapshot already includes this mutation
+		// The snapshot already includes this mutation.
+		return f.rbox.snapshot(f.snapshotState())
 	}
-	f.recBuf = appendRecord(f.recBuf[:0], kind, a, b, c, s1, s2)
-	err := f.rbox.append(f.recBuf)
+	err := f.rbox.append(f.pending[at:])
 	if errors.Is(err, ErrRBoxFull) {
 		return f.rbox.snapshot(f.snapshotState())
 	}
 	return err
 }
 
-// applyRecord replays one journal record onto the metadata.
+// applyRecord replays one journal record onto the metadata, leaving it as
+// the operation itself left it, timestamps included. Its errors name the
+// record's fault; the caller says which store the record came from.
 func applyRecord(st *snapshotState, rec journalRecord) error {
 	switch rec.kind {
-	case recCreate:
-		node := &Inode{Ino: rec.a, Kind: Kind(rec.c), Nlink: 1}
+	case recCreate: // a: the new inode, b: its parent, c: its kind, s1: its name
+		parent := st.Inodes[rec.b]
+		if parent == nil || parent.Kind != KindDir {
+			return fmt.Errorf("create under missing or non-dir inode %d", rec.b)
+		}
+		node := &Inode{Ino: rec.a, Kind: Kind(rec.c), Nlink: 1, MtimeNs: rec.t}
 		if node.Kind == KindDir {
 			node.Entries = make(map[string]uint64)
 		}
 		st.Inodes[rec.a] = node
-		parent := st.Inodes[rec.b]
-		if parent == nil || parent.Kind != KindDir {
-			return fmt.Errorf("%w: create under missing or non-dir inode %d", ErrCorruptRBox, rec.b)
-		}
 		parent.setEntry(rec.s1, rec.a)
+		parent.MtimeNs = rec.t
 		if rec.a >= st.NextIno {
 			st.NextIno = rec.a + 1
 		}
-	case recLink:
+	case recLink: // a: the inode, b: the new name's directory, s1: the new name
 		node := st.Inodes[rec.a]
 		parent := st.Inodes[rec.b]
 		if node == nil || parent == nil || parent.Kind != KindDir {
-			return fmt.Errorf("%w: link across missing or non-dir inodes", ErrCorruptRBox)
+			return errors.New("link across missing or non-dir inodes")
 		}
 		parent.setEntry(rec.s1, rec.a)
+		parent.MtimeNs = rec.t
 		node.Nlink++
-	case recRemove:
+	case recRemove: // a: the inode, b: the name's directory, s1: the name
 		if parent := st.Inodes[rec.b]; parent != nil {
 			parent.delEntry(rec.s1)
+			parent.MtimeNs = rec.t
 		}
 		if node := st.Inodes[rec.a]; node != nil {
 			node.Nlink--
@@ -273,21 +296,38 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 				delete(st.Inodes, rec.a)
 			}
 		}
-	case recRename:
+	case recRename: // a: the inode, b and s1: old directory and name, c and s2: new
 		oldParent, newParent := st.Inodes[rec.b], st.Inodes[rec.c]
 		if oldParent == nil || newParent == nil ||
 			oldParent.Kind != KindDir || newParent.Kind != KindDir {
-			return fmt.Errorf("%w: rename across missing or non-dir inodes", ErrCorruptRBox)
+			return errors.New("rename across missing or non-dir inodes")
 		}
 		oldParent.delEntry(rec.s1)
 		newParent.setEntry(rec.s2, rec.a)
-	case recSetSize:
+		oldParent.MtimeNs, newParent.MtimeNs = rec.t, rec.t
+	case recSetSize: // a: the inode, b: its new size
 		if node := st.Inodes[rec.a]; node != nil {
 			node.Size = int64(rec.b)
-			node.MtimeNs = int64(rec.c)
+			node.MtimeNs = rec.t
 		}
 	default:
-		return fmt.Errorf("%w: unknown record kind %d", ErrCorruptRBox, rec.kind)
+		return fmt.Errorf("unknown record kind %d", rec.kind)
+	}
+	return nil
+}
+
+// replayRecords decodes a run of records and applies them in order: the
+// one replay, run over the recovery box's journal after an OS crash and
+// over each frame of the flash log after a power failure.
+func replayRecords(st *snapshotState, p []byte) error {
+	records, err := decodeRecords(p)
+	if err != nil {
+		return err
+	}
+	for _, rec := range records {
+		if err := applyRecord(st, rec); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -332,131 +372,10 @@ func RecoverAfterCrash(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDe
 	if crc32.ChecksumIEEE(journalBytes) != jCRC {
 		return nil, fmt.Errorf("%w: journal checksum", ErrCorruptRBox)
 	}
-	records, err := decodeRecords(journalBytes)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range records {
-		if err := applyRecord(&st, rec); err != nil {
-			return nil, err
-		}
+	if err := replayRecords(&st, journalBytes); err != nil {
+		return nil, fmt.Errorf("%w: journal: %v", ErrCorruptRBox, err)
 	}
 	// openFS starts the box from a fresh snapshot, so the journal is clean
 	// going forward.
 	return openFS(cfg, clock, sm, dramDev, st, rb)
-}
-
-// Checkpoint persists the metadata to flash through the storage manager's
-// reserved metadata object. Combined with the data the write-back policy
-// has migrated, this bounds what a power failure can destroy.
-func (f *FS) Checkpoint() error {
-	// The checkpoint stream is filesystem metadata: charge its flash
-	// programs to the metadata cause, overriding any enclosing sync scope.
-	defer f.obs.PushCause(obs.CauseMetadata)()
-	if cap(f.ckptBuf) < 8 {
-		f.ckptBuf = make([]byte, 8, 256)
-	}
-	framed, err := appendState(f.ckptBuf[:8], f.snapshotState())
-	if err != nil {
-		return err
-	}
-	f.ckptBuf = framed
-	bs := f.BlockBytes()
-	binary.LittleEndian.PutUint64(framed, uint64(len(framed)-8))
-
-	var blk int64
-	for off := 0; off < len(framed); off += bs {
-		end := off + bs
-		if end > len(framed) {
-			end = len(framed)
-		}
-		if err := f.sm.WriteBlock(storman.Key{Object: metaObject, Block: blk}, framed[off:end]); err != nil {
-			return err
-		}
-		blk++
-	}
-	// Drop stale checkpoint blocks from a previously larger checkpoint.
-	for old := blk; old < f.metaCheckpointBlocks; old++ {
-		if err := f.sm.DeleteBlock(storman.Key{Object: metaObject, Block: old}); err != nil {
-			return err
-		}
-	}
-	f.metaCheckpointBlocks = blk
-	return f.sm.SyncObject(metaObject)
-}
-
-// Sync checkpoints the metadata and migrates all dirty data to flash: the
-// full "make everything stable" operation.
-func (f *FS) Sync() (err error) {
-	sp := f.span("sync")
-	defer func() { sp.End(0, err) }()
-	f.syncs.Inc()
-	if err := f.Checkpoint(); err != nil {
-		return err
-	}
-	return f.sm.Sync()
-}
-
-// RecoverAfterPowerFailure rebuilds a file system from the flash
-// checkpoint after a power failure destroyed DRAM. It restores the DRAM
-// device, reverts the storage manager to flash-resident state, loads the
-// last metadata checkpoint, and reaps orphaned objects. It returns the
-// recovered file system and the number of data bytes lost.
-func RecoverAfterPowerFailure(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Device) (*FS, int64, error) {
-	lost := sm.PowerFailRecover()
-	dramDev.Restore()
-
-	// Read the checkpoint: block 0 carries the length frame.
-	bs := sm.BlockBytes()
-	head := make([]byte, bs)
-	n, err := sm.ReadBlock(storman.Key{Object: metaObject, Block: 0}, head)
-	if err != nil {
-		return nil, lost, err
-	}
-	var st snapshotState
-	if n >= 8 {
-		dataLen := int64(binary.LittleEndian.Uint64(head))
-		framed := make([]byte, 8+dataLen)
-		copy(framed, head[:n])
-		for off := int64(n); off < int64(len(framed)); {
-			blk := off / int64(bs)
-			got, err := sm.ReadBlock(storman.Key{Object: metaObject, Block: blk}, framed[blk*int64(bs):])
-			if err != nil {
-				return nil, lost, err
-			}
-			if got == 0 {
-				return nil, lost, fmt.Errorf("%w: checkpoint truncated", ErrCorruptRBox)
-			}
-			off = blk*int64(bs) + int64(got)
-		}
-		st, err = decodeState(framed[8:])
-		if err != nil {
-			return nil, lost, fmt.Errorf("%w: checkpoint: %v", ErrCorruptRBox, err)
-		}
-	} else {
-		// No checkpoint was ever taken: recover to an empty file system.
-		st = snapshotState{
-			NextIno: RootIno + 1,
-			Inodes:  map[uint64]*Inode{RootIno: {Ino: RootIno, Kind: KindDir, Entries: make(map[string]uint64)}},
-		}
-	}
-
-	f, err := openFS(cfg, clock, sm, dramDev, st, nil)
-	if err != nil {
-		return nil, lost, err
-	}
-
-	// Reap objects that belong to no surviving inode: files created after
-	// the checkpoint whose data partially reached flash.
-	for _, obj := range sm.Objects() {
-		if obj == metaObject {
-			continue
-		}
-		if _, ok := f.inodes[obj]; !ok {
-			if err := sm.DeleteObject(obj); err != nil {
-				return nil, lost, err
-			}
-		}
-	}
-	return f, lost, nil
 }

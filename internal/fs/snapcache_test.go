@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ssmobile/internal/obs"
-	"ssmobile/internal/storman"
 )
 
 // checkKeptEncoding asserts the invariant the kept snapshot encoding
@@ -212,6 +211,37 @@ func TestWarmCheckpointEncodeDoesNotAllocate(t *testing.T) {
 		}
 		checkKeptEncoding(t, r.fs, name)
 	}
+
+	// The other kind of checkpoint: one mutation journalled, sealed into
+	// a frame and appended to the flash log, all the way down through the
+	// device model. The pending frame and the log's tail block are reused;
+	// so is the image buffer, for the fold the run crosses.
+	r, _ := populated(t, 300)
+	if err := r.fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() { frameCheckpoint(t, r.fs) })
+	if allocs != 0 {
+		t.Errorf("warm frame checkpoint allocated %.0f times per run", allocs)
+	}
+	if frames, images := r.fs.ckptCount[ckptFrame].Value(), r.fs.ckptCount[ckptImage].Value(); frames < 190 || images < 2 {
+		t.Errorf("%d frames and %d images: want a run of frames across a fold", frames, images)
+	}
+}
+
+// frameCheckpoint makes one journalled change and checkpoints it.
+func frameCheckpoint(t testing.TB, f *FS) {
+	const path = "/t0/obj-000000"
+	node, err := f.resolve(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(path, node.Size+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The fs rung of the benchmark ladder: what one checkpoint's encode costs
@@ -236,6 +266,20 @@ func BenchmarkCheckpoint(b *testing.B) {
 				}
 			})
 		}
+		// A whole checkpoint of one change, down through the device model:
+		// a frame, with the image it folds into every imageLen/frameLen
+		// checkpoints amortised in.
+		b.Run(fmt.Sprintf("inodes=%d/frame", n), func(b *testing.B) {
+			r, _ := populated(b, n)
+			if err := r.fs.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frameCheckpoint(b, r.fs)
+			}
+		})
 	}
 }
 
@@ -325,14 +369,7 @@ func TestCrashRecoveryDropsOldCheckpointTail(t *testing.T) {
 	if err := r.fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	ckptBlocks := func() (n int64) {
-		for blk := int64(0); blk < 64; blk++ {
-			if r.sm.BlockSize(storman.Key{Object: metaObject, Block: blk}) > 0 {
-				n++
-			}
-		}
-		return n
-	}
+	ckptBlocks := func() int { return len(r.sm.Blocks(metaObject)) }
 	big := ckptBlocks()
 	if big < 3 {
 		t.Fatalf("the large checkpoint holds only %d blocks; the test needs a tail to leak", big)

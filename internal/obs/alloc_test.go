@@ -55,3 +55,24 @@ func TestGaugeSetAllocFree(t *testing.T) {
 		t.Fatalf("Gauge.Set/Add on a pre-resolved handle allocated %.1f per run", a)
 	}
 }
+
+// PushCause runs on every sync, daemon pass and cleaner invocation — an
+// idle card pushes the idle-clean cause once per tick — so pushing and
+// restoring a canonical cause, nested or not, must allocate nothing.
+func TestPushCanonicalCauseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	o := New(16)
+	o.PushCause(CauseIdleClean)() // builds the cached restore closures
+	if a := testing.AllocsPerRun(1000, func() {
+		restore := o.PushCause(CauseMetadata)
+		o.PushCause(CauseIdleClean)()
+		restore()
+	}); a != 0 {
+		t.Fatalf("pushing a canonical cause allocated %.1f per run", a)
+	}
+	if got := o.Cause(); got != CauseHostWrite {
+		t.Fatalf("cause after the scopes closed: %q", got)
+	}
+}

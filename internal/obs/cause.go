@@ -105,7 +105,10 @@ func (o *Observer) PushCause(c Cause) (restore func()) {
 	}
 	p := causePtr(c)
 	if p == nil {
-		p = &c
+		// Copy rather than take c's address: &c would move the argument
+		// to the heap on every call, canonical or not.
+		p = new(Cause)
+		*p = c
 	}
 	prev := o.cause.Swap(p)
 	return o.causeRestoreFor(prev)

@@ -601,6 +601,33 @@ func (m *Manager) DeleteBlocksFrom(object uint64, first int64) error {
 	return nil
 }
 
+// DeleteBlocksBefore drops the object's blocks below index end, in index
+// order: the file system retires superseded checkpoint generations with
+// it, whose blocks all sit below the newest one's.
+func (m *Manager) DeleteBlocksBefore(object uint64, end int64) error {
+	for _, loc := range m.blocksInOrder(object) {
+		if loc.key.Block >= end {
+			break
+		}
+		if err := m.dropBlock(loc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Blocks lists the indexes of the blocks the object holds, ascending. It
+// reads the placement table only — no device is touched — so a mount can
+// ask what survived before paying to read any of it.
+func (m *Manager) Blocks(object uint64) []int64 {
+	locs := m.blocksInOrder(object)
+	out := make([]int64, len(locs))
+	for i, loc := range locs {
+		out[i] = loc.key.Block
+	}
+	return out
+}
+
 // blocksInOrder returns an object's blocks sorted by block index. Bulk
 // operations (delete, fsync) must touch storage in a fixed order — Go's
 // randomized map iteration would otherwise reorder frees and migrations
