@@ -372,10 +372,19 @@ func TestPowerCutCrashPointProperty(t *testing.T) {
 // exactly the namespace as of the sync that was cut (its checkpoint
 // committed before the cut) or of the last sync that returned: never
 // older, never a mixture.
+//
+// Both engines run it: rewriting the log's tail block in place is a whole
+// new page to ftl and a differential record to pdl.
 func TestPowerCutMultiBlockCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
+	for _, engine := range []string{"ftl", "pdl"} {
+		t.Run(engine, func(t *testing.T) { powerCutMultiBlockCheckpoint(t, engine) })
+	}
+}
+
+func powerCutMultiBlockCheckpoint(t *testing.T, engine string) {
 	name := func(i int) string { return fmt.Sprintf("a-file-with-a-long-enough-name-%04d", i) }
 	type namespace map[string]fs.Info
 	list := func(sys *SolidStateSystem) namespace {
@@ -401,12 +410,16 @@ func TestPowerCutMultiBlockCheckpoint(t *testing.T) {
 		return true
 	}
 	newSys := func(inj flash.Injector) *SolidStateSystem {
+		// A small card: every remount blank-checks the whole array, and
+		// this workload needs a few dozen pages of it.
 		sys, err := NewSolidState(SolidStateConfig{
-			DRAMBytes:   8 << 20,
-			FlashBytes:  8 << 20,
-			BufferBytes: 2 << 20, // ample: no evictions, flash moves only on Sync
-			RBoxBytes:   1 << 20,
-			Obs:         obs.New(0),
+			DRAMBytes:       4 << 20,
+			FlashBytes:      512 << 10,
+			EraseBlockBytes: 16 << 10,
+			BufferBytes:     1 << 20, // ample: no evictions, flash moves only on Sync
+			RBoxBytes:       256 << 10,
+			Engine:          engine,
+			Obs:             obs.New(0),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -522,6 +535,7 @@ func TestPowerCutMultiBlockCheckpoint(t *testing.T) {
 			images, frames, spills, empty, series("checkpoint_bytes_total", "image"))
 	}
 	total := ref.Flash.DestructiveOps()
+	t.Logf("destructive ops %d", total)
 
 	for idx := int64(0); idx < total; idx++ {
 		for _, fate := range []flash.Outcome{flash.CutBefore, flash.CutDuring, flash.CutAfter} {

@@ -189,9 +189,7 @@ func (d *Device) Lost() bool { return d.lost }
 // destroyed. An OS crash is NOT a power failure — battery-backed DRAM
 // survives OS crashes, which is the premise of keeping file data in memory.
 func (d *Device) PowerFail() {
-	for i := range d.data {
-		d.data[i] = 0
-	}
+	clear(d.data)
 	d.lost = true
 	d.powerFailures.Inc()
 }

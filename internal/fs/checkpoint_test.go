@@ -169,7 +169,7 @@ func ckptRun(t testing.TB, seed int64, ops, stopAfter int) (r *rig, states [][]b
 // the sync wrote an image, a frame or nothing — for a mount that read no
 // more than twice the image.
 func TestCheckpointReplayEqualsImage(t *testing.T) {
-	const ops = 1000
+	const ops = 800
 	for seed := int64(1); seed <= 2; seed++ {
 		_, states, kinds := ckptRun(t, seed, ops, -1)
 		seen := map[string]int{}
