@@ -92,7 +92,7 @@ type ckptState struct {
 	logLen    int    // bytes of sealed frames in its log
 	seq       uint32 // how many frames those are
 	tail      []byte // the log's partial last block, as flash holds it
-	image     []byte // reusable image buffer
+	image     []byte // reusable image buffer, never shorter than a header
 }
 
 func ckptKey(gen uint64, idx int64) storman.Key {
@@ -148,9 +148,6 @@ func (f *FS) writeImage() error {
 	// whatever it leaves on flash if it fails, the retry is numbered past.
 	c.imageNext = true
 	c.gen++
-	if cap(c.image) < ckptHeaderBytes {
-		c.image = make([]byte, ckptHeaderBytes, 4096)
-	}
 	img, err := appendState(c.image[:ckptHeaderBytes], f.snapshotState())
 	if err != nil {
 		return err
@@ -259,12 +256,16 @@ func replayLog(st *snapshotState, log []byte, gen uint64) (frames uint32, err er
 // further than limit blocks. A block shorter than a page reads as it was
 // flushed: padded with zeros.
 func readRun(sm *storman.Manager, gen uint64, run []int64, first int64, limit int) ([]byte, error) {
+	start := ckptKey(gen, first)
+	at, _ := slices.BinarySearch(run, start.Block)
+	n := 0
+	for n < limit && at+n < len(run) && run[at+n] == start.Block+int64(n) {
+		n++
+	}
 	bs := sm.BlockBytes()
-	var p []byte
-	at, _ := slices.BinarySearch(run, ckptKey(gen, first).Block)
-	for i := 0; i < limit && at+i < len(run) && run[at+i] == ckptKey(gen, first+int64(i)).Block; i++ {
-		p = append(p, make([]byte, bs)...)
-		if _, err := sm.ReadBlock(storman.Key{Object: metaObject, Block: run[at+i]}, p[i*bs:]); err != nil {
+	p := make([]byte, n*bs)
+	for i := 0; i < n; i++ {
+		if _, err := sm.ReadBlock(storman.Key{Object: metaObject, Block: start.Block + int64(i)}, p[i*bs:(i+1)*bs]); err != nil {
 			return nil, err
 		}
 	}

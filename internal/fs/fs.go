@@ -209,7 +209,7 @@ func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Dev
 		bytesRead:    o.Counter("bytes_total", lbl("read")),
 		bytesWritten: o.Counter("bytes_total", lbl("write")),
 		ckptLogBytes: o.Gauge("checkpoint_log_bytes", obs.Labels{"layer": "fs"}),
-		ckpt:         ckptState{imageNext: true},
+		ckpt:         ckptState{imageNext: true, image: make([]byte, ckptHeaderBytes, 4096)},
 		pending:      make([]byte, ckptHeaderBytes, 512),
 	}
 	for kind, name := range ckptKindNames {

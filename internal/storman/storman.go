@@ -590,24 +590,24 @@ func (m *Manager) DeleteObject(object uint64) error {
 // (truncation), in index order. The cost is the blocks the object holds,
 // whatever length the file system believes it has.
 func (m *Manager) DeleteBlocksFrom(object uint64, first int64) error {
-	for _, loc := range m.blocksInOrder(object) {
-		if loc.key.Block < first {
-			continue
-		}
-		if err := m.dropBlock(loc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.deleteBlocks(object, first, math.MaxInt64)
 }
 
 // DeleteBlocksBefore drops the object's blocks below index end, in index
 // order: the file system retires superseded checkpoint generations with
 // it, whose blocks all sit below the newest one's.
 func (m *Manager) DeleteBlocksBefore(object uint64, end int64) error {
+	if end == math.MinInt64 {
+		return nil
+	}
+	return m.deleteBlocks(object, math.MinInt64, end-1)
+}
+
+// deleteBlocks drops the object's blocks with index in [first, last].
+func (m *Manager) deleteBlocks(object uint64, first, last int64) error {
 	for _, loc := range m.blocksInOrder(object) {
-		if loc.key.Block >= end {
-			break
+		if loc.key.Block < first || loc.key.Block > last {
+			continue
 		}
 		if err := m.dropBlock(loc); err != nil {
 			return err
