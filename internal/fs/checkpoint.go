@@ -19,8 +19,8 @@ import (
 // holds a whole IMAGE of the metadata and, after it, a LOG of sealed
 // frames, each carrying the journal records of the mutations between two
 // checkpoints — the very records the recovery box keeps in DRAM, replayed
-// by the same applyRecord. When the log has grown as long as the image, the
-// next checkpoint folds it into a new image.
+// by the same applyRecord. When the log has filled as many blocks as the
+// image takes, the next checkpoint folds it into a new image.
 //
 // Every image opens a new generation, and a generation has block indexes
 // of the reserved object to itself:
@@ -88,7 +88,7 @@ var ckptKindNames = [ckptKinds]string{"image", "frame", "empty"}
 type ckptState struct {
 	gen       uint64 // newest generation on flash, committed or not; the next image opens gen+1
 	imageNext bool   // the next checkpoint writes an image, whatever is pending
-	imageLen  int    // bytes of the committed image, header and all
+	logCap    int    // bytes its log may grow to: as many blocks as the committed image takes
 	logLen    int    // bytes of sealed frames in its log
 	seq       uint32 // how many frames those are
 	tail      []byte // the log's partial last block, as flash holds it
@@ -118,10 +118,10 @@ func blocksSpanned(off, n, bs int) int { return (off+n-1)/bs - off/bs + 1 }
 // It writes one sealed frame of the records journalled since the last
 // checkpoint, nothing at all if there are none, and a whole image when a
 // frame would not be the cheaper thing: there is no image to extend, the
-// log with this frame would outgrow the image (which keeps a mount's
-// reading within twice the image), or the image takes no more blocks than
-// the frame would (a file system that fits one block stays at one page
-// per checkpoint).
+// log with this frame would take more blocks than the image (which keeps
+// a mount's reading within twice the image's blocks), or the image takes
+// no more blocks than the frame would touch (a file system that fits one
+// block stays at one page per checkpoint).
 func (f *FS) Checkpoint() error {
 	// The checkpoint stream is filesystem metadata: charge its flash
 	// programs to the metadata cause, overriding any enclosing sync scope.
@@ -132,8 +132,8 @@ func (f *FS) Checkpoint() error {
 			f.ckptCount[ckptEmpty].Inc()
 			return nil
 		}
-		if c.logLen+len(f.pending) <= c.imageLen &&
-			blocksSpanned(c.logLen, len(f.pending), bs) < blocksSpanned(0, c.imageLen, bs) {
+		if c.logLen+len(f.pending) <= c.logCap &&
+			blocksSpanned(c.logLen, len(f.pending), bs) < c.logCap/bs {
 			return f.appendFrame()
 		}
 	}
@@ -168,7 +168,7 @@ func (f *FS) writeImage() error {
 	if err := f.sm.DeleteBlocksBefore(metaObject, ckptKey(c.gen, 0).Block); err != nil {
 		return err
 	}
-	c.imageNext, c.imageLen, c.logLen, c.seq, c.tail = false, len(img), 0, 0, c.tail[:0]
+	c.imageNext, c.logCap, c.logLen, c.seq, c.tail = false, blocksSpanned(0, len(img), bs)*bs, 0, 0, c.tail[:0]
 	f.pending = f.pending[:ckptHeaderBytes]
 	f.ckptCount[ckptImage].Inc()
 	f.ckptBytes[ckptImage].Add(int64(len(img)))
@@ -307,7 +307,7 @@ func loadGeneration(sm *storman.Manager, gen uint64, run []int64) (st snapshotSt
 	if st, err = decodeState(img[ckptHeaderBytes:]); err != nil {
 		return st, false, fmt.Errorf("%w: image of generation %d: %v", ErrCorruptCheckpoint, gen, err)
 	}
-	// The fold rule keeps a log no longer than its image.
+	// The fold rule keeps a log within as many blocks as its image.
 	log, err := readRun(sm, gen, run, ckptLogPart, blocks)
 	if err != nil {
 		return st, false, err

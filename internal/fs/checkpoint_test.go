@@ -192,7 +192,7 @@ func TestCheckpointReplayEqualsImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			bs := r.fs.BlockBytes()
-			imageBlocks := int64(blocksSpanned(0, r.fs.ckpt.imageLen, bs))
+			imageBlocks := int64(r.fs.ckpt.logCap / bs)
 			if imageBlocks < 3 {
 				t.Fatalf("seed %d sync %d: the image spans %d blocks; the test wants several", seed, k, imageBlocks)
 			}

@@ -236,9 +236,9 @@ func (f *FS) journal(kind byte, a, b, c, t uint64, s1, s2 string) error {
 	}
 	at := len(f.pending)
 	f.pending = appendRecord(f.pending, kind, a, b, c, t, s1, s2)
-	if len(f.pending) > f.ckpt.imageLen {
-		// Records that outgrew the image they would extend are dearer
-		// than a new image. Latching here, not at the checkpoint, is what
+	if len(f.pending) > f.ckpt.logCap {
+		// Records that outgrew the log of the image they would extend
+		// are dearer than a new image. Latching here, not at the checkpoint, is what
 		// bounds the buffer when no one ever syncs.
 		f.ckpt.imageNext = true
 	}

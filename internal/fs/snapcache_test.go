@@ -267,7 +267,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			})
 		}
 		// A whole checkpoint of one change, down through the device model:
-		// a frame, with the image it folds into every imageLen/frameLen
+		// a frame, with the image it folds into every logCap/frameLen
 		// checkpoints amortised in.
 		b.Run(fmt.Sprintf("inodes=%d/frame", n), func(b *testing.B) {
 			r, _ := populated(b, n)
