@@ -68,7 +68,7 @@ func main() {
 	dramMB := flag.Int64("dram", 8, "DRAM size in MB")
 	flashMB := flag.Int64("flash", 32, "flash size in MB")
 	bufferMB := flag.Int64("buffer", 2, "write-buffer region in MB")
-	idleClean := flag.Int("idle-clean", 8, "idle-cleaning free-block target (0 disables idle cleaning)")
+	idleClean := flag.Int("idle-clean", 8, "idle-cleaning free-block target: in an idle gap the cleaner runs until this many blocks are free or the next request arrives, finishing the clean in flight (0 disables idle cleaning)")
 	engineName := flag.String("engine", "ftl", "storage backend: ftl (page-mapped translation layer) or pdl (page-differential logging)")
 	high := flag.Float64("high", 0.9, "admission high watermark (buffer occupancy fraction)")
 	low := flag.Float64("low", 0.75, "admission low watermark")
@@ -464,6 +464,10 @@ func scrapeMetrics(adminAddr string, nodes int) error {
 		"wear_erase_count",
 		"wear_blocks_le",
 		"erase_rate_per_s",
+		// The idle cleaner's decision: gaps that ended with the pool
+		// under its target, and cleans per gap that ran any.
+		"idle_clean_yields_total",
+		"idle_clean_burst",
 	}
 	if nodes > 1 {
 		required = append(required,

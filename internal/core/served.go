@@ -152,7 +152,7 @@ func ageDevice(sys *SolidStateSystem, bytes int64) error {
 		if _, err := sys.FS.WriteAt("/age", off, buf); err != nil {
 			return err
 		}
-		if err := sys.Storage.Tick(); err != nil {
+		if err := sys.Storage.Tick(sim.Forever); err != nil {
 			return err
 		}
 	}

@@ -405,7 +405,7 @@ func (s *SolidStateSystem) Remove(name string) error { return s.FS.Remove(ssPath
 func (s *SolidStateSystem) Sync() error { return s.FS.Sync() }
 
 // Tick implements System.
-func (s *SolidStateSystem) Tick() error { return s.Storage.Tick() }
+func (s *SolidStateSystem) Tick() error { return s.Storage.Tick(sim.Forever) }
 
 // Clock implements System.
 func (s *SolidStateSystem) Clock() *sim.Clock { return s.clock }

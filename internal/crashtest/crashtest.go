@@ -338,7 +338,7 @@ func (s *stack) apply(cfg Config, op Op) error {
 		return s.m.Sync()
 	case OpTick:
 		s.clock.Advance(cfg.TickAdvance)
-		return s.m.Tick()
+		return s.m.Tick(sim.Forever)
 	default:
 		return fmt.Errorf("crashtest: unknown op kind %d", op.Kind)
 	}

@@ -60,6 +60,8 @@ type Pool struct {
 
 	hostWrites, hostReads, hostBytes *obs.Counter
 	cleans, copies, idleCleans       *obs.Counter
+	idleYields                       *obs.Counter
+	idleBurst                        *obs.Histogram
 }
 
 // New builds the ledger over a freshly erased device (every block free)
@@ -107,6 +109,11 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	p.cleans = o.Counter("cleans_total", obs.Labels{"layer": layer})
 	p.copies = o.Counter("copied_pages_total", obs.Labels{"layer": layer})
 	p.idleCleans = o.Counter("idle_cleans_total", obs.Labels{"layer": layer})
+	// The idle cleaner's one decision, on the record: how often a gap
+	// ended with the pool still under its target, and how many cleans
+	// each gap that ran any got through.
+	p.idleYields = o.Counter("idle_clean_yields_total", obs.Labels{"layer": layer})
+	p.idleBurst = o.Histogram("idle_clean_burst", obs.Labels{"layer": layer})
 	// Wear and cleaning gauges carry an "engine" label so the backends
 	// report the same series into shared dashboards without colliding.
 	// The serving layer sheds load on the same CleanerLag the gauge
@@ -232,25 +239,38 @@ func (p *Pool) EnsureSpace() error {
 	return nil
 }
 
-// CleanIdle cleans during idle time until the idle target is met (or
-// nothing is cleanable), so foreground writes rarely wait for the
-// cleaner. The storage manager calls it from its daemon tick.
-func (p *Pool) CleanIdle() error {
+// CleanIdle cleans in the idle gap that ends at until: it runs cleans
+// back to back until the idle target is met, nothing is cleanable, or
+// the gap is over, so foreground writes rarely wait for the cleaner.
+// The caller states the gap (the next arrival, or sim.Forever when
+// nobody is waiting); the pool starts no clean at or after its end. A
+// clean once started runs to completion — its relocations are not
+// resumable and a half-cleaned victim frees nothing — so whoever
+// arrives at until waits out at most one.
+func (p *Pool) CleanIdle(until sim.Time) error {
 	if p.idleTarget <= 0 || p.pick == nil {
 		return nil
 	}
 	defer p.obs.PushCause(obs.CauseIdleClean)()
-	for p.free < p.idleTarget {
+	var err error
+	burst := 0
+	for err == nil && p.free < p.idleTarget {
+		if p.clock.Now() >= until {
+			p.idleYields.Inc()
+			break
+		}
 		victim := p.pick()
 		if victim == -1 {
-			return nil
+			break
 		}
 		p.idleCleans.Inc()
-		if err := p.Clean(victim); err != nil {
-			return err
-		}
+		burst++
+		err = p.Clean(victim)
 	}
-	return nil
+	if burst > 0 {
+		p.idleBurst.Observe(float64(burst))
+	}
+	return err
 }
 
 // CleanerLag reports how many blocks the cleaner is behind its

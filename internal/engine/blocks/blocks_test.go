@@ -165,7 +165,7 @@ func TestNoCleanerNoReserve(t *testing.T) {
 	if p.LogicalPages() != 8*4 {
 		t.Fatalf("logical pages %d, want the whole device", p.LogicalPages())
 	}
-	if err := p.CleanIdle(); err != nil {
+	if err := p.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(dev, clock, o, "test", testPage, 6, 0, false,
@@ -327,7 +327,8 @@ func TestSpacePressureLoop(t *testing.T) {
 	if p.Free() != 3 || len(victims) != 2 {
 		t.Fatalf("foreground clean stopped at free %d with %d victims left", p.Free(), len(victims))
 	}
-	if err := p.CleanIdle(); err != nil {
+	// With nobody waiting the idle cleaner runs to its target.
+	if err := p.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 5 || p.CleanerLag() != 0 {
@@ -352,5 +353,101 @@ func TestSpacePressureLoop(t *testing.T) {
 	}
 	if err := p.EnsureSpace(); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("empty pool with no victim: %v", err)
+	}
+}
+
+// The idle-clean contract: the caller states when the idle gap ends, the
+// pool starts no clean at or after that, and a clean once started runs to
+// completion — so the gap overruns by at most one clean, and only an
+// unbounded gap is a promise to reach the target.
+func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
+	dev, clock, o := testCard(t, 0, nil)
+	var p *Pool
+	next := 0
+	p, err := New(dev, clock, o, "test", testPage, 1, 8, false,
+		func() int {
+			if next == 8 {
+				return -1
+			}
+			return next
+		},
+		func(v int) error {
+			next++
+			_, err := p.Erase(v)
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 8; b++ {
+		p.Take(b)
+	}
+	if p.CleanerLag() != 8 {
+		t.Fatalf("lag %d with every block taken and a target of 8", p.CleanerLag())
+	}
+	idle := func(until sim.Time) (cleans int) {
+		t.Helper()
+		before := p.Free()
+		if err := p.CleanIdle(until); err != nil {
+			t.Fatal(err)
+		}
+		return p.Free() - before
+	}
+
+	// A gap that has already ended, or ends this instant, starts nothing.
+	clock.Advance(sim.Second)
+	for _, until := range []sim.Time{0, clock.Now() - 1, clock.Now()} {
+		if n := idle(until); n != 0 {
+			t.Fatalf("gap ending at %v ran %d cleans at %v", until, n, clock.Now())
+		}
+	}
+	if got := p.idleYields.Value(); got != 3 {
+		t.Fatalf("%d yields counted for three gaps that were over, want 3", got)
+	}
+	if got := p.idleBurst.Sim().Count(); got != 0 {
+		t.Fatalf("%d bursts observed before any clean ran", got)
+	}
+
+	// A gap one nanosecond long starts one clean, which runs to its end:
+	// that overrun is the length of a clean here.
+	start := clock.Now()
+	if n := idle(start + 1); n != 1 {
+		t.Fatalf("a gap still open ran %d cleans, want 1", n)
+	}
+	oneClean := clock.Now().Sub(start)
+	if oneClean <= 0 {
+		t.Fatal("a clean took no virtual time")
+	}
+
+	// A gap sized for three cleans runs three; one that ends halfway
+	// through the third still runs three, and the clock ends no more than
+	// a clean past the gap.
+	start = clock.Now()
+	until := start.Add(2*oneClean + oneClean/2)
+	if n := idle(until); n != 3 {
+		t.Fatalf("a gap of 2.5 cleans ran %d, want 3", n)
+	}
+	if over := clock.Now().Sub(until); over <= 0 || over > oneClean {
+		t.Fatalf("gap overran by %v, want within one clean (%v)", over, oneClean)
+	}
+	if p.Free() != 4 || p.CleanerLag() != 4 {
+		t.Fatalf("free %d lag %d after four cleans", p.Free(), p.CleanerLag())
+	}
+	if got := p.idleYields.Value(); got != 5 {
+		t.Fatalf("%d yields counted, want 5 (every call so far left the pool under its target)", got)
+	}
+	if h := p.idleBurst.Sim(); h.Count() != 2 || h.Sum() != 4 || h.Max() != 3 {
+		t.Fatalf("bursts: count %d sum %v max %v, want two bursts of 1 and 3", h.Count(), h.Sum(), h.Max())
+	}
+
+	// Nobody waiting: to the target, and that is not a yield.
+	if n := idle(sim.Forever); n != 4 || p.CleanerLag() != 0 {
+		t.Fatalf("unbounded gap ran %d cleans and left lag %d", n, p.CleanerLag())
+	}
+	if got := p.idleYields.Value(); got != 5 {
+		t.Fatalf("reaching the target counted as a yield (%d)", got)
+	}
+	if st := p.Stats(); st.IdleCleans != 8 || st.Cleans != 8 {
+		t.Fatalf("idle cleans %d of %d", st.IdleCleans, st.Cleans)
 	}
 }

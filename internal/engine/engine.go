@@ -12,7 +12,10 @@
 // package is where those organizations become interchangeable.
 package engine
 
-import "ssmobile/internal/flash"
+import (
+	"ssmobile/internal/flash"
+	"ssmobile/internal/sim"
+)
 
 // Tag is opaque caller metadata attached to a logical page (typically an
 // object id and block index). Engines that persist their mapping store
@@ -108,10 +111,13 @@ type Engine interface {
 	// (a prerequisite for mounting the storage manager after a crash).
 	PersistsMapping() bool
 
-	// CleanIdle runs reclamation off the write path until the engine's
-	// idle free-space target is met; the storage manager calls it from
-	// its daemon tick.
-	CleanIdle() error
+	// CleanIdle runs reclamation off the write path in the idle gap
+	// that ends at until (sim.Forever when nobody is waiting): cleans
+	// run until the engine's idle free-space target is met or the gap
+	// is over. No clean starts at or after until; one already started
+	// finishes, so the gap overruns by at most one clean. The storage
+	// manager calls it from its daemon tick.
+	CleanIdle(until sim.Time) error
 	// CleanerLag reports how many blocks the cleaner is behind its
 	// free-space target; the serving layer sheds load on this signal.
 	CleanerLag() int

@@ -610,10 +610,11 @@ func (e *Engine) FreeBlocks() int { return e.pool.Free() }
 // serving layer's admission control works unchanged.
 func (e *Engine) CleanerLag() int { return e.pool.CleanerLag() }
 
-// CleanIdle reclaims during idle time until IdleCleanThreshold blocks
-// are free (or nothing has dead space), taking cleaning off the write
-// path.
-func (e *Engine) CleanIdle() error { return e.pool.CleanIdle() }
+// CleanIdle reclaims in the idle gap that ends at until, stopping when
+// IdleCleanThreshold blocks are free (or nothing has dead space), taking
+// cleaning off the write path; the pool starts no clean once the gap is
+// over.
+func (e *Engine) CleanIdle(until sim.Time) error { return e.pool.CleanIdle(until) }
 
 // pickVictim returns the closed block with the most dead bytes, or -1.
 // Dead bytes are what an erase reclaims beyond what relocation must

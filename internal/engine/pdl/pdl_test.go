@@ -121,7 +121,7 @@ func TestPropertyAgainstModel(t *testing.T) {
 			delete(model, lpn)
 			delete(tags, lpn)
 		default: // idle clean
-			if err := e.CleanIdle(); err != nil {
+			if err := e.CleanIdle(sim.Forever); err != nil {
 				t.Fatalf("op %d: idle clean: %v", op, err)
 			}
 		}

@@ -525,10 +525,11 @@ func (f *FTL) levelWear() error {
 	return f.pool.Clean(coldest)
 }
 
-// CleanIdle runs cleaning during idle time until IdleCleanThreshold
-// blocks are free (or nothing is cleanable); the storage manager calls it
-// from its daemon tick.
-func (f *FTL) CleanIdle() error { return f.pool.CleanIdle() }
+// CleanIdle runs cleaning in the idle gap that ends at until, stopping
+// when IdleCleanThreshold blocks are free (or nothing is cleanable); the
+// pool starts no clean once the gap is over. The storage manager calls
+// it from its daemon tick.
+func (f *FTL) CleanIdle(until sim.Time) error { return f.pool.CleanIdle(until) }
 
 // wearScan computes the device-wide maximum erase count and the coldest
 // closed block by linear scan — the reference the wear index is checked

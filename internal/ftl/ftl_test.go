@@ -492,7 +492,16 @@ func TestIdleCleaning(t *testing.T) {
 		}
 	}
 	before := f.FreeBlocks()
-	if err := f.CleanIdle(); err != nil {
+	// A gap that is already over starts no clean; one with nobody
+	// waiting at its end runs to the threshold.
+	if err := f.CleanIdle(clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if f.FreeBlocks() != before || f.Stats().IdleCleans != 0 {
+		t.Fatalf("an idle gap of no length cleaned: %d free (had %d), %d idle cleans",
+			f.FreeBlocks(), before, f.Stats().IdleCleans)
+	}
+	if err := f.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
 	if f.FreeBlocks() < 10 {
@@ -521,7 +530,7 @@ func TestIdleCleaning(t *testing.T) {
 
 func TestIdleCleaningDisabledByDefault(t *testing.T) {
 	f, _ := newFTL(t, PolicyGreedy, false)
-	if err := f.CleanIdle(); err != nil {
+	if err := f.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
 	if f.Stats().IdleCleans != 0 {

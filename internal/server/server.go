@@ -329,9 +329,10 @@ func (sess *Session) notFound(key uint64, path string) error {
 }
 
 // Do serves one request: it advances virtual time to the request's
-// arrival (running background daemons and idle cleaning in the gap),
-// applies admission control, dispatches, and reports the virtual-time
-// latency from arrival to completion.
+// arrival (running background daemons and idle cleaning in the gap — the
+// cleaner is told when the gap ends and starts no clean past it), applies
+// admission control, dispatches, and reports the virtual-time latency
+// from arrival to completion.
 func (sess *Session) Do(req Request) (Response, error) {
 	s := sess.s
 	s.mu.Lock()
@@ -343,9 +344,13 @@ func (sess *Session) Do(req Request) (Response, error) {
 	// Background work runs at the start of the idle gap: the write-back
 	// daemon migrates aged blocks, and — only if there is an idle gap
 	// before this request's arrival — the cleaner gets the gap to reclaim
-	// space. Under light load cleaning is free; once arrivals outpace
-	// service there are no gaps, the cleaner falls behind, its lag grows,
-	// and admission control engages — the saturation knee.
+	// space. The gap is stated, not assumed: Tick is told the arrival and
+	// starts no clean at or after it, so the request waits out at most
+	// the one clean already running — a clean is not pre-empted — instead
+	// of a run to the free-block target. Under light load cleaning is
+	// free; once arrivals outpace service there are no gaps, the cleaner
+	// falls behind, its lag grows, and admission control engages — the
+	// saturation knee.
 	//
 	// Trace attribution follows the same causal line. A request served
 	// out of an idle gap did not wait for the maintenance, so the Tick
@@ -361,7 +366,7 @@ func (sess *Session) Do(req Request) (Response, error) {
 	var tc *obs.TraceContext
 	var err error
 	if idle {
-		err = s.b.Storage.Tick()
+		err = s.b.Storage.Tick(req.Arrival)
 	} else {
 		tc = s.obs.BeginRequest(s.b.Clock, "server", req.Kind.String(), queueDelay(now, req.Arrival))
 		err = s.b.Storage.TickDaemon()
@@ -390,7 +395,8 @@ func (sess *Session) Do(req Request) (Response, error) {
 
 	if tc == nil {
 		// Idle-gap request: the context opens after the gap, charging
-		// only cleaner overrun (Tick running past the arrival) to queue.
+		// only cleaner overrun (the one clean still running at the
+		// arrival) to queue.
 		tc = s.obs.BeginRequest(s.b.Clock, "server", req.Kind.String(), queueDelay(s.b.Clock.Now(), arrival))
 	}
 
@@ -573,17 +579,28 @@ func (s *Server) doSync(req Request) (Response, error) {
 }
 
 // Idle advances virtual time to t, running background daemons — the
-// driver's way of modelling a quiet period after the last request.
+// driver's way of modelling a quiet period after the last request. The
+// daemon runs whenever a dirty block comes of age inside the quiet and
+// once more at its end, and the cleaner has the quiet and no longer: it
+// starts no clean at or after t, so whoever arrives at t waits out at
+// most one, and a quiet long enough ends with the cleaner at its target.
 func (s *Server) Idle(t sim.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.b.Storage.Tick(); err != nil {
-		return err
+	for {
+		if err := s.b.Storage.Tick(t); err != nil {
+			return err
+		}
+		now := s.b.Clock.Now()
+		if now >= t {
+			return nil
+		}
+		next := t
+		if due, ok := s.b.Storage.NextWriteBack(); ok && due < t {
+			next = max(due, now)
+		}
+		s.b.Clock.AdvanceTo(next)
 	}
-	if t > s.b.Clock.Now() {
-		s.b.Clock.AdvanceTo(t)
-	}
-	return s.b.Storage.Tick()
 }
 
 // Drain stops admitting requests and flushes everything: in-flight

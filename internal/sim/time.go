@@ -12,12 +12,17 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
 // simulation. Virtual time is completely decoupled from wall-clock time.
 type Time int64
+
+// Forever is the end of virtual time: the horizon a caller states when
+// nobody is waiting for background work to finish.
+const Forever Time = math.MaxInt64
 
 // Duration is a span of virtual time in nanoseconds. It mirrors
 // time.Duration so the usual constants (time.Millisecond, ...) convert

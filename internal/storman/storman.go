@@ -703,21 +703,26 @@ func (m *Manager) dropBlock(loc *blockLoc) error {
 	return nil
 }
 
-// Tick runs the write-back daemon: blocks dirty longer than the delay are
-// migrated to flash, and the translation layer gets an idle-cleaning
-// opportunity.
-func (m *Manager) Tick() error {
+// Tick runs the write-back daemon — blocks dirty longer than the delay
+// are migrated to flash — and then offers the translation layer the
+// idle gap that ends at until for cleaning. The caller states the gap:
+// the serving layer passes the next request's arrival, a caller with
+// nobody waiting passes sim.Forever and the cleaner runs to its target.
+// No clean starts at or after until, so the gap overruns by at most the
+// one clean in flight.
+func (m *Manager) Tick(until sim.Time) error {
 	if err := m.TickDaemon(); err != nil {
 		return err
 	}
-	return m.fl.CleanIdle()
+	return m.fl.CleanIdle(until)
 }
 
 // TickDaemon runs only the write-back daemon, without offering the
 // translation layer an idle-cleaning opportunity. The serving layer uses
 // it when requests are backlogged: aged blocks must still migrate, but
-// the cleaner gets no free ride when there is no idle time — that is
-// when its lag becomes visible and admission control engages.
+// the cleaner gets no free ride when there is no idle time (a gap of
+// zero length would start no clean anyway) — that is when its lag
+// becomes visible and admission control engages.
 func (m *Manager) TickDaemon() error {
 	if m.cfg.WriteBackDelay > 0 {
 		now := m.clock.Now()
@@ -737,6 +742,17 @@ func (m *Manager) TickDaemon() error {
 		}
 	}
 	return nil
+}
+
+// NextWriteBack reports when the daemon next has work: the time the
+// oldest dirty block reaches the write-back delay. ok is false when
+// nothing is dirty or the daemon is off.
+func (m *Manager) NextWriteBack() (due sim.Time, ok bool) {
+	loc := m.dirtyOrder.Front()
+	if loc == nil || m.cfg.WriteBackDelay <= 0 {
+		return 0, false
+	}
+	return loc.dirtySince.Add(m.cfg.WriteBackDelay), true
 }
 
 // beginBatch opens a batched-submission window: per-block flush and

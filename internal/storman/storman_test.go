@@ -317,7 +317,7 @@ func TestTickMigratesAgedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clock.Advance(25 * sim.Second) // block 0: 35s, block 1: 25s
-	if err := r.m.Tick(); err != nil {
+	if err := r.m.Tick(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
 	if r.m.InDRAM(Key{1, 0}) {
@@ -539,7 +539,7 @@ func TestManagerModelProperty(t *testing.T) {
 				}
 			case 4:
 				r.clock.Advance(7 * sim.Second)
-				if err := r.m.Tick(); err != nil {
+				if err := r.m.Tick(sim.Forever); err != nil {
 					return false
 				}
 			}
