@@ -92,7 +92,7 @@ func churnP99(t *testing.T, engine string, seed int64) sim.Duration {
 
 // The churn tail used to be set by how many back-to-back cleans one idle
 // moment happened to trigger, so the same code read anywhere from 14 s
-// to 26 s by seed (pdl, 18 seeds, max ÷ min 1.84) and no change to the
+// to 24 s by seed (pdl, 18 seeds, max ÷ min 1.70) and no change to the
 // flash traffic could be judged by it. With idle cleaning that yields to
 // arrivals the tail is one clean plus the queue behind it, whatever the
 // seed.
