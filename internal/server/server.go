@@ -595,11 +595,9 @@ func (s *Server) Idle(t sim.Time) error {
 		if now >= t {
 			return nil
 		}
-		next := t
-		if due, ok := s.b.Storage.NextWriteBack(); ok && due < t {
-			next = max(due, now)
-		}
-		s.b.Clock.AdvanceTo(next)
+		// Sleep until the daemon next has work (a block that came of
+		// age while the cleaner ran is due now) or the quiet ends.
+		s.b.Clock.AdvanceTo(min(t, max(s.b.Storage.NextWriteBack(), now)))
 	}
 }
 

@@ -745,14 +745,14 @@ func (m *Manager) TickDaemon() error {
 }
 
 // NextWriteBack reports when the daemon next has work: the time the
-// oldest dirty block reaches the write-back delay. ok is false when
+// oldest dirty block reaches the write-back delay, or sim.Forever when
 // nothing is dirty or the daemon is off.
-func (m *Manager) NextWriteBack() (due sim.Time, ok bool) {
+func (m *Manager) NextWriteBack() sim.Time {
 	loc := m.dirtyOrder.Front()
 	if loc == nil || m.cfg.WriteBackDelay <= 0 {
-		return 0, false
+		return sim.Forever
 	}
-	return loc.dirtySince.Add(m.cfg.WriteBackDelay), true
+	return loc.dirtySince.Add(m.cfg.WriteBackDelay)
 }
 
 // beginBatch opens a batched-submission window: per-block flush and

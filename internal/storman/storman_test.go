@@ -329,6 +329,27 @@ func TestTickMigratesAgedBlocks(t *testing.T) {
 	if r.m.Stats().DaemonFlushes != 1 {
 		t.Fatalf("daemon flushes %d", r.m.Stats().DaemonFlushes)
 	}
+
+	// The daemon says when it next has work: the instant the young block
+	// comes of age, and not a nanosecond before.
+	due := r.m.NextWriteBack()
+	r.clock.AdvanceTo(due - 1)
+	if err := r.m.Tick(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if !r.m.InDRAM(Key{1, 1}) {
+		t.Fatalf("block migrated at %v, before it was due at %v", r.clock.Now(), due)
+	}
+	r.clock.AdvanceTo(due)
+	if err := r.m.Tick(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if r.m.InDRAM(Key{1, 1}) {
+		t.Fatalf("block still in DRAM at %v, when it was due", due)
+	}
+	if next := r.m.NextWriteBack(); next != sim.Forever {
+		t.Fatalf("nothing dirty, next write-back at %v", next)
+	}
 }
 
 func TestOversizeRejected(t *testing.T) {
