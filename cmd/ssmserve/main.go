@@ -468,6 +468,12 @@ func scrapeMetrics(adminAddr string, nodes int) error {
 		// under its target, and cleans per gap that ran any.
 		"idle_clean_yields_total",
 		"idle_clean_burst",
+		// The bank question: where the waiting is (stall by op, busy
+		// time by bank) and what the engine's two bank decisions got.
+		"stall_ns_total",
+		"bank_busy_ns_total",
+		"victim_bank_class_total",
+		"head_opened_in_busy_bank_total",
 	}
 	if nodes > 1 {
 		required = append(required,

@@ -13,8 +13,19 @@
 //
 // What stays with the engine is policy and page format: which free block
 // to take, which victim to clean and how its live data moves, and what a
-// record's payload says. The pool calls back for exactly two of those —
-// pick a victim, clean one — through funcs bound once at construction.
+// record's payload says. The pool calls back for exactly those — pick a
+// victim, clean one, name the open log heads — through funcs bound once
+// at construction.
+//
+// One question about those choices is the pool's, because its answer is
+// a fact about the device and not about any page: which banks are busy.
+// An erase occupies its bank for as long as dozens of page programs
+// (paper §3.3: "partition flash memory into two or more banks" so work in
+// one proceeds while another erases), so an engine that opens its next
+// log head in a bank that is erasing, or erases where it is about to
+// write, waits out work the other banks could have hidden. BankIdle and
+// VictimClasses answer it; engines rank by the answer first and by their
+// own order inside a rank, so the preference never costs progress.
 package blocks
 
 import (
@@ -52,6 +63,7 @@ type Pool struct {
 	backgroundErase     bool
 	pick                func() int
 	clean               func(victim int) error
+	heads               func() (int, int)
 
 	state         []blockState
 	free, retired int
@@ -62,7 +74,33 @@ type Pool struct {
 	cleans, copies, idleCleans       *obs.Counter
 	idleYields                       *obs.Counter
 	idleBurst                        *obs.Histogram
+
+	// classes is VictimClasses' result, one entry per bank, reused across
+	// picks; victimClass counts cleaned blocks by the class their bank
+	// was in, busyHeads the log heads opened in a bank that was busy.
+	classes     []VictimClass
+	victimClass [Quiet + 1]*obs.Counter
+	busyHeads   *obs.Counter
 }
+
+// VictimClass ranks a bank as a place to erase right now. Higher is
+// better; an engine picks its victim from the highest class that has
+// one, by its own score inside the class.
+type VictimClass uint8
+
+const (
+	// Busy: an operation is in progress on the bank, so an erase queued
+	// there starts late and everything behind it waits longer still.
+	Busy VictimClass = iota
+	// Idle: nothing in progress, but one of the engine's open log heads
+	// is in the bank, so its next programs would wait the erase out.
+	Idle
+	// Quiet: nothing in progress and no log head — an erase here is
+	// hidden from both the cleaner and the writer.
+	Quiet
+)
+
+var victimClassNames = [...]string{Busy: "busy", Idle: "idle", Quiet: "quiet"}
 
 // New builds the ledger over a freshly erased device (every block free)
 // and registers the engine's shared telemetry under layer/engine=layer.
@@ -71,13 +109,14 @@ type Pool struct {
 // Cleaning keeps more than reserve blocks free on the write path (at
 // least 1) and idleTarget blocks free in idle time (0 disables idle
 // cleaning). pick returns the next victim block or -1; clean relocates a
-// victim's live data and hands the block back through Erase. An engine
-// that never cleans passes nil for both and gets the whole device as
-// logical space; a cleaning engine gives up the reserve plus its two log
-// heads.
+// victim's live data and hands the block back through Erase; heads names
+// the blocks of the engine's two open log heads, -1 for one not open. An
+// engine that never cleans passes nil for all three and gets the whole
+// device as logical space; a cleaning engine gives up the reserve plus
+// its two log heads.
 func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	pageBytes, reserve, idleTarget int, backgroundErase bool,
-	pick func() int, clean func(victim int) error) (*Pool, error) {
+	pick func() int, clean func(victim int) error, heads func() (int, int)) (*Pool, error) {
 	if pageBytes <= 0 || dev.BlockBytes()%pageBytes != 0 {
 		return nil, fmt.Errorf("%s: page size %d does not divide block size %d", layer, pageBytes, dev.BlockBytes())
 	}
@@ -91,9 +130,10 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 		dev: dev, clock: clock, obs: o, layer: layer,
 		pageBytes: pageBytes, ppb: ppb,
 		reserve: reserve, idleTarget: idleTarget, backgroundErase: backgroundErase,
-		pick: pick, clean: clean,
+		pick: pick, clean: clean, heads: heads,
 		state: make([]blockState, nb), free: nb,
 		logicalPages: int64(nb) * int64(ppb),
+		classes:      make([]VictimClass, dev.Banks()),
 	}
 	if pick != nil {
 		overhead := int64(reserve+2) * int64(ppb)
@@ -114,6 +154,12 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	// each gap that ran any got through.
 	p.idleYields = o.Counter("idle_clean_yields_total", obs.Labels{"layer": layer})
 	p.idleBurst = o.Histogram("idle_clean_burst", obs.Labels{"layer": layer})
+	// The two bank decisions, on the record: where the cleaned blocks
+	// were, and how often a head had to open where the card was busy.
+	for c, name := range victimClassNames {
+		p.victimClass[c] = o.Counter("victim_bank_class_total", obs.Labels{"layer": layer, "class": name})
+	}
+	p.busyHeads = o.Counter("head_opened_in_busy_bank_total", obs.Labels{"layer": layer})
 	// Wear and cleaning gauges carry an "engine" label so the backends
 	// report the same series into shared dashboards without colliding.
 	// The serving layer sheds load on the same CleanerLag the gauge
@@ -126,7 +172,7 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	// program to the observer's active obs.Cause, so the per-cause series
 	// sum to the overall gauge by construction).
 	o.GaugeFunc("write_amplification", obs.Labels{"layer": layer, "engine": layer},
-		func() float64 { return p.amplification(dev.Stats().BytesProgrammed) })
+		func() float64 { return p.amplification(dev.BytesProgrammed()) })
 	for _, c := range obs.Causes {
 		c := c
 		o.GaugeFunc("write_amplification", obs.Labels{"layer": layer, "engine": layer, "cause": string(c)},
@@ -171,8 +217,56 @@ func (p *Pool) InUse(b int) bool { return p.state[b] == stateInUse }
 // IsRetired reports whether the block has worn out of service.
 func (p *Pool) IsRetired(b int) bool { return p.state[b] == stateRetired }
 
-// Take moves a free block into use. Which block is the engine's choice.
+// BankIdle reports whether nothing is in progress on the bank at this
+// moment of the engine's clock: a program or erase issued there now
+// starts now.
+func (p *Pool) BankIdle(bank int) bool { return p.dev.BankBusyUntil(bank) <= p.clock.Now() }
+
+// VictimClasses ranks every bank as a place to erase right now, given
+// where the engine's log heads are open. The result is indexed by bank
+// and is scratch, valid until the next call.
+func (p *Pool) VictimClasses() []VictimClass {
+	headA, headB := p.headBanks()
+	for bank := range p.classes {
+		p.classes[bank] = p.victimClassOf(bank, headA, headB)
+	}
+	return p.classes
+}
+
+// headBanks reports the banks of the engine's open log heads, -1 for a
+// head that is not open.
+func (p *Pool) headBanks() (a, b int) {
+	a, b = p.heads()
+	if a >= 0 {
+		a = p.dev.BankOf(a)
+	}
+	if b >= 0 {
+		b = p.dev.BankOf(b)
+	}
+	return a, b
+}
+
+func (p *Pool) victimClassOf(bank, headA, headB int) VictimClass {
+	switch {
+	case !p.BankIdle(bank):
+		return Busy
+	case bank == headA || bank == headB:
+		return Idle
+	}
+	return Quiet
+}
+
+// Take moves a free block into use, as the engine's next log head. Which
+// block is the engine's choice; the pool only records whether the choice
+// had to land in a busy bank.
 func (p *Pool) Take(b int) {
+	if !p.BankIdle(p.dev.BankOf(b)) {
+		p.busyHeads.Inc()
+	}
+	p.take(b)
+}
+
+func (p *Pool) take(b int) {
 	if p.state[b] != stateFree {
 		panic(fmt.Sprintf("%s: take of non-free block %d", p.layer, b))
 	}
@@ -305,6 +399,8 @@ func (p *Pool) Clean(victim int) (err error) {
 		defer p.obs.PushCause(obs.CauseCleanerMigrate)()
 	}
 	p.cleans.Inc()
+	headA, headB := p.headBanks()
+	p.victimClass[p.victimClassOf(p.dev.BankOf(victim), headA, headB)].Inc()
 	return p.clean(victim)
 }
 

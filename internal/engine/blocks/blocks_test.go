@@ -40,12 +40,15 @@ func testCard(t *testing.T, endurance int64, inj flash.Injector) (*flash.Device,
 func testPool(t *testing.T, dev *flash.Device, clock *sim.Clock, o *obs.Observer) *Pool {
 	t.Helper()
 	p, err := New(dev, clock, o, "test", testPage, 1, 0, false,
-		func() int { return -1 }, func(int) error { return errors.New("unexpected clean") })
+		func() int { return -1 }, func(int) error { return errors.New("unexpected clean") }, noHeads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
+
+// noHeads is the log-head hook of a test engine that keeps none open.
+func noHeads() (int, int) { return -1, -1 }
 
 func filled(b byte, n int) []byte {
 	p := make([]byte, n)
@@ -110,7 +113,7 @@ func TestEraseAtEnduranceLimitRetiresAndShrinks(t *testing.T) {
 	for _, background := range []bool{false, true} {
 		dev, clock, o := testCard(t, 2, nil)
 		p, err := New(dev, clock, o, "test", testPage, 1, 0, background,
-			func() int { return -1 }, func(int) error { return nil })
+			func() int { return -1 }, func(int) error { return nil }, noHeads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +161,7 @@ func TestEraseAtEnduranceLimitRetiresAndShrinks(t *testing.T) {
 // A pool that never cleans keeps the whole device as logical space.
 func TestNoCleanerNoReserve(t *testing.T) {
 	dev, clock, o := testCard(t, 0, nil)
-	p, err := New(dev, clock, o, "test", testPage, 3, 4, false, nil, nil)
+	p, err := New(dev, clock, o, "test", testPage, 3, 4, false, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +172,10 @@ func TestNoCleanerNoReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := New(dev, clock, o, "test", testPage, 6, 0, false,
-		func() int { return -1 }, func(int) error { return nil }); err == nil {
+		func() int { return -1 }, func(int) error { return nil }, noHeads); err == nil {
 		t.Fatal("reserve 6 + 2 heads accepted on 8 blocks")
 	}
-	if _, err := New(dev, clock, o, "test", 3000, 1, 0, false, nil, nil); err == nil {
+	if _, err := New(dev, clock, o, "test", 3000, 1, 0, false, nil, nil, nil); err == nil {
 		t.Fatal("page size that does not divide the block accepted")
 	}
 }
@@ -211,7 +214,7 @@ func TestSettleReErasesDirtyBlockThatThenWearsOut(t *testing.T) {
 	}
 
 	p, err := New(dev, clock, o, "test", testPage, 1, 0, true,
-		func() int { return -1 }, func(int) error { return nil })
+		func() int { return -1 }, func(int) error { return nil }, noHeads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +309,7 @@ func TestSpacePressureLoop(t *testing.T) {
 			causes = append(causes, o.Cause())
 			_, err := p.Erase(v)
 			return err
-		})
+		}, noHeads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +378,7 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 			next++
 			_, err := p.Erase(v)
 			return err
-		})
+		}, noHeads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,5 +452,85 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 	}
 	if st := p.Stats(); st.IdleCleans != 8 || st.Cleans != 8 {
 		t.Fatalf("idle cleans %d of %d", st.IdleCleans, st.Cleans)
+	}
+}
+
+// The bank question and the record of its two uses: a bank is idle until
+// something is issued to it in the background and again once the clock
+// passes that; a bank's class as a place to erase is busy, else idle when
+// a log head is open in it, else quiet; every clean is counted under the
+// class its victim's bank had, and every head taken where the card was
+// busy is counted too.
+func TestBankClassesAndTheirRecord(t *testing.T) {
+	clock := sim.NewClock()
+	o := obs.New(0)
+	dev, err := flash.New(flash.Config{
+		Banks: 4, BlocksPerBank: 2, BlockBytes: 4 * testPage, Params: device.IntelFlash, Obs: o,
+	}, clock, sim.NewEnergyMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	headA, headB := -1, -1
+	var p *Pool
+	p, err = New(dev, clock, o, "test", testPage, 1, 0, true,
+		func() int { return -1 },
+		func(v int) error { _, err := p.Erase(v); return err },
+		func() (int, int) { return headA, headB })
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := func() [4]VictimClass { return [4]VictimClass(p.VictimClasses()) }
+	count := func(class string) int64 {
+		return o.Registry.Counter("victim_bank_class_total", obs.Labels{"layer": "test", "class": class}).Value()
+	}
+	busyHeads := o.Registry.Counter("head_opened_in_busy_bank_total", obs.Labels{"layer": "test"})
+
+	// A fresh card with no head open: every bank quiet.
+	if got := classes(); got != [4]VictimClass{Quiet, Quiet, Quiet, Quiet} {
+		t.Fatalf("fresh card: %v", got)
+	}
+	// Heads in banks 1 and 2 (blocks 2 and 5), every block taken.
+	for b := 0; b < 8; b++ {
+		p.Take(b)
+	}
+	headA, headB = 2, 5
+	if got := classes(); got != [4]VictimClass{Quiet, Idle, Idle, Quiet} {
+		t.Fatalf("heads in banks 1 and 2: %v", got)
+	}
+	// Cleaning block 0 erases it in the background: bank 0 is busy for
+	// the 1.6 s of the erase, whoever else is in it, and idle after.
+	if err := p.Clean(0); err != nil {
+		t.Fatal(err)
+	}
+	if p.BankIdle(0) || !p.BankIdle(1) {
+		t.Fatal("bank 0 should be erasing and bank 1 not")
+	}
+	if got := classes(); got != [4]VictimClass{Busy, Idle, Idle, Quiet} {
+		t.Fatalf("bank 0 erasing: %v", got)
+	}
+	// One clean in each class, then a head opened on the block still
+	// erasing and one opened on an idle bank.
+	for _, victim := range []int{1, 3, 6} { // banks 0 (busy), 1 (a head's), 3 (quiet)
+		if err := p.Clean(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q, i, b := count("quiet"), count("idle"), count("busy"); q != 2 || i != 1 || b != 1 {
+		t.Fatalf("cleans by class: quiet %d idle %d busy %d, want 2 1 1", q, i, b)
+	}
+	if busyHeads.Value() != 0 {
+		t.Fatalf("%d busy heads before any was opened busy", busyHeads.Value())
+	}
+	p.Take(0)
+	if busyHeads.Value() != 1 {
+		t.Fatalf("head on an erasing block: counted %d", busyHeads.Value())
+	}
+	clock.Advance(4 * sim.Second) // the queued erases are over
+	p.Take(1)
+	if busyHeads.Value() != 1 {
+		t.Fatalf("head on an idle bank counted as busy: %d", busyHeads.Value())
+	}
+	if got := classes(); got != [4]VictimClass{Quiet, Idle, Idle, Quiet} {
+		t.Fatalf("after the erases: %v", got)
 	}
 }

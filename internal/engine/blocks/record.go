@@ -98,7 +98,7 @@ func (p *Pool) Settle(b int, hasRecords bool) error {
 		p.retire(b)
 		p.mount.RetiredBlocks++
 	case hasRecords:
-		p.Take(b)
+		p.take(b)
 	default:
 		if _, dirty := p.NonBlankAt(b); !dirty {
 			return nil

@@ -184,7 +184,7 @@ var _ engine.Engine = (*Engine)(nil)
 func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	e := &Engine{dev: dev, clock: clock, baseActive: -1, deltaActive: -1}
 	pool, err := blocks.New(dev, clock, cfg.Obs, "pdl", cfg.PageBytes, cfg.ReserveBlocks,
-		cfg.IdleCleanThreshold, cfg.BackgroundErase, e.pickVictim, e.cleanOne)
+		cfg.IdleCleanThreshold, cfg.BackgroundErase, e.pickVictim, e.cleanOne, e.logHeads)
 	if err != nil {
 		return nil, err
 	}
@@ -533,20 +533,41 @@ func (e *Engine) allocBaseUnit() (int64, error) {
 	return ppn, nil
 }
 
-// takeFreeBlock removes and returns the lowest-numbered free block —
-// deterministic, and wear-unaware for now (the device's own telemetry
+// logHeads names the blocks of the two open log heads for the pool, -1
+// for a log that has none.
+func (e *Engine) logHeads() (int, int) { return e.baseActive, e.deltaActive }
+
+// freeBlock picks the block the next log head opens in, or -1 when none
+// is free: the lowest-numbered free block in a bank with nothing in
+// progress — the blocks a clean just freed are still erasing, and a head
+// opened in one waits the erase out on its first program — or, when every
+// free block's bank is busy, the lowest-numbered free block.
+// Deterministic, and wear-unaware for now (the device's own telemetry
 // tracks the spread).
-func (e *Engine) takeFreeBlock() (int, bool) {
-	if e.pool.Free() == 0 {
-		return -1, false
-	}
+func (e *Engine) freeBlock() int {
+	first := -1
 	for b := 0; b < e.numBlocks; b++ {
-		if e.pool.IsFree(b) {
-			e.pool.Take(b)
-			return b, true
+		if !e.pool.IsFree(b) {
+			continue
+		}
+		if e.pool.BankIdle(e.dev.BankOf(b)) {
+			return b
+		}
+		if first == -1 {
+			first = b
 		}
 	}
-	return -1, false
+	return first
+}
+
+// takeFreeBlock removes and returns freeBlock's choice.
+func (e *Engine) takeFreeBlock() (int, bool) {
+	blk := e.freeBlock()
+	if blk == -1 {
+		return -1, false
+	}
+	e.pool.Take(blk)
+	return blk, true
 }
 
 // mergeInto reads the page's current image into buf: the base page,
@@ -616,31 +637,38 @@ func (e *Engine) CleanerLag() int { return e.pool.CleanerLag() }
 // over.
 func (e *Engine) CleanIdle(until sim.Time) error { return e.pool.CleanIdle(until) }
 
-// pickVictim returns the closed block with the most dead bytes, or -1.
-// Dead bytes are what an erase reclaims beyond what relocation must
-// rewrite; a block with none offers no gain.
+// pickVictim returns the closed block with the most dead bytes, or -1,
+// looking first where an erase is hidden: among the blocks whose bank has
+// the best class of the moment (nothing in progress and neither log head;
+// else nothing in progress; else any). Dead bytes are what an erase
+// reclaims beyond what relocation must rewrite; a block with none offers
+// no gain.
 func (e *Engine) pickVictim() int {
+	classes := e.pool.VictimClasses()
 	best := -1
 	var bestDead int64
+	var bestClass blocks.VictimClass
 	for b := 0; b < e.numBlocks; b++ {
-		info := &e.blocks[b]
-		if info.active || info.unitsUsed == 0 || !e.pool.InUse(b) {
-			continue
-		}
-		var used, live int64
-		if info.kind == blockBase {
-			used = int64(info.unitsUsed) * int64(e.cfg.PageBytes)
-			live = int64(info.liveBases) * int64(e.cfg.PageBytes)
-		} else {
-			used = info.appended
-			live = info.liveDeltaBytes
-		}
-		if dead := used - live; dead > 0 && (best == -1 || dead > bestDead) {
-			best = b
-			bestDead = dead
+		dead, class := e.deadBytes(b), classes[e.dev.BankOf(b)]
+		if dead > 0 && (best == -1 || class > bestClass || class == bestClass && dead > bestDead) {
+			best, bestDead, bestClass = b, dead, class
 		}
 	}
 	return best
+}
+
+// deadBytes reports what erasing the block would reclaim beyond what its
+// relocation must rewrite; 0 for a block that cannot be cleaned (a log
+// head, or not in use).
+func (e *Engine) deadBytes(b int) int64 {
+	info := &e.blocks[b]
+	if info.active || info.unitsUsed == 0 || !e.pool.InUse(b) {
+		return 0
+	}
+	if info.kind == blockBase {
+		return int64(info.unitsUsed-info.liveBases) * int64(e.cfg.PageBytes)
+	}
+	return info.appended - info.liveDeltaBytes
 }
 
 // victimPages lists, in ascending order, every page with state in the

@@ -22,14 +22,22 @@ type rig struct {
 	e     *Engine
 }
 
+// newRig builds an engine on the quick card: two banks and a 1 ms erase.
 func newRig(t testing.TB, cfg Config) *rig {
+	t.Helper()
+	params := device.IntelFlash
+	params.EraseLatencyNs = 1e6
+	return newRigOn(t, 2, params, cfg)
+}
+
+// newRigOn builds an engine on a 32-block card of the given banks and
+// part.
+func newRigOn(t testing.TB, banks int, params device.Params, cfg Config) *rig {
 	t.Helper()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
-	params := device.IntelFlash
-	params.EraseLatencyNs = 1e6
 	dev, err := flash.New(flash.Config{
-		Banks: 2, BlocksPerBank: 16, BlockBytes: 16 * 1024, Params: params,
+		Banks: banks, BlocksPerBank: 32 / banks, BlockBytes: 16 * 1024, Params: params,
 		SpareUnitBytes: testPage, SpareBytes: unitRecordBytes,
 	}, clock, meter)
 	if err != nil {
@@ -52,143 +60,6 @@ func tagOf(b byte) engine.Tag {
 	var t engine.Tag
 	t[0] = b
 	return t
-}
-
-// TestPropertyAgainstModel drives the engine with a seeded random mix of
-// full writes, small overwrites (the delta path), identical rewrites,
-// trims, tag changes and idle cleans, checking every page against an
-// in-memory model and the structural invariants as it goes — then
-// remounts from the device scan and checks the model again. This is the
-// whole engine contract in one test: what you wrote is what you read,
-// before and after recovery.
-func TestPropertyAgainstModel(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3, MaxChain: 4, IdleCleanThreshold: 8, BackgroundErase: true})
-	e := r.e
-	rng := rand.New(rand.NewSource(1993))
-	const lpns = 40 // well under logical capacity, hot enough to force cleaning
-
-	model := make(map[int64][]byte)
-	tags := make(map[int64]engine.Tag)
-	buf := make([]byte, testPage)
-	page := make([]byte, testPage)
-
-	for op := 0; op < 4000; op++ {
-		lpn := int64(rng.Intn(lpns))
-		switch k := rng.Intn(100); {
-		case k < 45: // small overwrite: mutate a narrow range of the current image
-			cur, ok := model[lpn]
-			if !ok {
-				cur = bytes.Repeat([]byte{0xFF}, testPage)
-			}
-			copy(page, cur)
-			off := rng.Intn(testPage - 64)
-			n := 1 + rng.Intn(64)
-			for i := 0; i < n; i++ {
-				page[off+i] = byte(rng.Intn(256))
-			}
-			tg := tags[lpn]
-			if err := e.WritePageTagged(lpn, page, tg); err != nil {
-				t.Fatalf("op %d: overwrite: %v", op, err)
-			}
-			model[lpn] = append([]byte(nil), page...)
-		case k < 70: // full random write, occasionally with a new tag
-			rng.Read(page)
-			tg := tags[lpn]
-			if rng.Intn(4) == 0 {
-				tg = tagOf(byte(rng.Intn(8)))
-			}
-			if err := e.WritePageTagged(lpn, page, tg); err != nil {
-				t.Fatalf("op %d: write: %v", op, err)
-			}
-			model[lpn] = append([]byte(nil), page...)
-			tags[lpn] = tg
-		case k < 78: // identical rewrite: must be a no-op on flash
-			cur, ok := model[lpn]
-			if !ok {
-				break
-			}
-			before := e.dev.Stats().BytesProgrammed
-			if err := e.WritePageTagged(lpn, cur, tags[lpn]); err != nil {
-				t.Fatalf("op %d: identical rewrite: %v", op, err)
-			}
-			if after := e.dev.Stats().BytesProgrammed; after != before {
-				t.Fatalf("op %d: identical rewrite programmed %d flash bytes", op, after-before)
-			}
-		case k < 88: // trim
-			if err := e.TrimPage(lpn); err != nil {
-				t.Fatalf("op %d: trim: %v", op, err)
-			}
-			delete(model, lpn)
-			delete(tags, lpn)
-		default: // idle clean
-			if err := e.CleanIdle(sim.Forever); err != nil {
-				t.Fatalf("op %d: idle clean: %v", op, err)
-			}
-		}
-		// Read-verify a random page every step; full sweep periodically.
-		probe := int64(rng.Intn(lpns))
-		if err := e.ReadPage(probe, buf); err != nil {
-			t.Fatalf("op %d: read %d: %v", op, probe, err)
-		}
-		want, ok := model[probe]
-		if !ok {
-			want = bytes.Repeat([]byte{0xFF}, testPage)
-		}
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("op %d: page %d diverged from model (mapped=%v)", op, probe, ok)
-		}
-		if ok && e.TagOf(probe) != tags[probe] {
-			t.Fatalf("op %d: page %d tag %v want %v", op, probe, e.TagOf(probe), tags[probe])
-		}
-		if op%200 == 0 {
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		}
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if e.DeltaWrites() == 0 {
-		t.Fatal("workload never took the delta path; the test is not exercising differential logging")
-	}
-	if e.Promotions() == 0 {
-		t.Fatal("workload never promoted a chain; bounds are not exercised")
-	}
-	if e.Stats().Cleans == 0 {
-		t.Fatal("workload never cleaned; relocation paths are not exercised")
-	}
-
-	// Remount from the device scan: the rebuilt engine must agree with
-	// the model byte for byte, tag for tag.
-	e2, err := Mount(r.dev, r.clock, Config{
-		PageBytes: testPage, ReserveBlocks: 3, MaxChain: 4,
-		IdleCleanThreshold: 8, BackgroundErase: true, Obs: obs.New(0),
-	})
-	if err != nil {
-		t.Fatalf("remount: %v", err)
-	}
-	for lpn := int64(0); lpn < lpns; lpn++ {
-		if err := e2.ReadPage(lpn, buf); err != nil {
-			t.Fatalf("remount read %d: %v", lpn, err)
-		}
-		want, ok := model[lpn]
-		if !ok {
-			// A trimmed page may resurrect with its old bytes (the
-			// records outlive the trim until cleaning), but never with
-			// bytes it did not hold; an unmapped page must read erased.
-			if e2.Mapped(lpn) {
-				continue
-			}
-			want = bytes.Repeat([]byte{0xFF}, testPage)
-		}
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("remount: page %d diverged from model", lpn)
-		}
-		if ok && e2.TagOf(lpn) != tags[lpn] {
-			t.Fatalf("remount: page %d tag %v want %v", lpn, e2.TagOf(lpn), tags[lpn])
-		}
-	}
 }
 
 // TestDeltaPathProgramsLessThanAPage is the engine's reason to exist: a

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/obs"
@@ -125,10 +126,11 @@ type Device struct {
 	destructiveOps int64 // programs + spare programs + erases issued
 	lost           bool  // dead from an injected power cut until Restore
 
-	reads, programs, erases *obs.Counter
-	bytesRead, bytesProg    *obs.Counter
-	readStallNs             *obs.Counter
-	lastIdleCharge          sim.Time
+	reads, programs, erases  *obs.Counter
+	bytesRead, bytesProg     *obs.Counter
+	readStallNs, progStallNs *obs.Counter
+	bankBusyNs               []*obs.Counter // per bank: program and erase time
+	lastIdleCharge           sim.Time
 
 	// Wear attribution (see wear.go): every program and erase is also
 	// charged to the observer's active obs.Cause, and bounded ring
@@ -167,6 +169,12 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		bytesRead:   o.Counter("bytes_total", lbl("read")),
 		bytesProg:   o.Counter("bytes_total", lbl("program")),
 		readStallNs: o.Counter("stall_ns_total", lbl("read")),
+		progStallNs: o.Counter("stall_ns_total", lbl("program")),
+		bankBusyNs:  make([]*obs.Counter, cfg.Banks),
+	}
+	for bank := range d.bankBusyNs {
+		d.bankBusyNs[bank] = o.Counter("bank_busy_ns_total",
+			obs.Labels{"layer": "flash", "device": cfg.MeterCategory, "bank": strconv.Itoa(bank)})
 	}
 	fillErased(d.data)
 	if cfg.SpareBytes > 0 {
@@ -411,8 +419,10 @@ func (d *Device) ProgramSpare(unit int64, p []byte) (lat sim.Duration, err error
 	}
 	bank := d.BankOf(d.BlockOf(unit * int64(d.cfg.SpareUnitBytes)))
 	stall := d.waitBank(bank)
+	d.progStallNs.Add(int64(stall))
 	copy(d.spare[base:], p)
 	dur := sim.Duration(d.cfg.Params.WriteLatencyNs(len(p)))
+	d.bankBusyNs[bank].Add(int64(dur))
 	d.clock.Advance(dur)
 	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
 	d.programs.Inc()
@@ -461,6 +471,7 @@ func (d *Device) program(addr int64, p []byte) (sim.Duration, error) {
 	d.bytesProg.Add(int64(len(p)))
 	d.chargeProgram(int64(len(p)))
 	dur := sim.Duration(d.cfg.Params.WriteLatencyNs(len(p)))
+	d.bankBusyNs[d.BankOf(d.BlockOf(addr))].Add(int64(dur))
 	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
 	return dur, nil
 }
@@ -476,6 +487,7 @@ func (d *Device) Program(addr int64, p []byte) (lat sim.Duration, err error) {
 	}
 	bank := d.BankOf(d.BlockOf(addr))
 	stall := d.waitBank(bank)
+	d.progStallNs.Add(int64(stall))
 	dur, err := d.program(addr, p)
 	if err != nil {
 		return stall, err
@@ -551,6 +563,7 @@ func (d *Device) erase(block int) (sim.Duration, error) {
 	d.erases.Inc()
 	d.chargeErase()
 	dur := sim.Duration(d.cfg.Params.EraseLatencyNs)
+	d.bankBusyNs[d.BankOf(block)].Add(int64(dur))
 	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
 	return dur, nil
 }
@@ -641,6 +654,11 @@ func (d *Device) ChargeIdle() {
 	d.meter.Charge(d.cfg.MeterCategory+"-idle", sim.EnergyFor(idle, now.Sub(d.lastIdleCharge)))
 	d.lastIdleCharge = now
 }
+
+// BytesProgrammed reports the bytes programmed so far, data and spare:
+// the one device total the write-amplification gauge and the engines'
+// control paths read, without Stats' scan over every block's wear.
+func (d *Device) BytesProgrammed() int64 { return d.bytesProg.Value() }
 
 // Stats summarises the device counters.
 func (d *Device) Stats() Stats {

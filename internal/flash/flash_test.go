@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ssmobile/internal/device"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
@@ -263,6 +264,58 @@ func TestAsyncProgramQueuesBehindErase(t *testing.T) {
 	}
 	if d.Peek(4096) != 0xAA {
 		t.Fatal("async program data not applied")
+	}
+}
+
+// Where the waiting is, on the record: a program that finds its bank
+// erasing is charged the wait under op="program" (reads keep their own
+// series), one to another bank is charged nothing, and each bank's busy
+// total is the program and erase time issued to it, posted or not.
+func TestStallByOpAndBusyByBank(t *testing.T) {
+	cfg := testConfig()
+	cfg.SpareUnitBytes, cfg.SpareBytes = 1024, 16
+	o := obs.New(0)
+	cfg.Obs = o
+	d, _, _ := newTestDevice(t, cfg)
+	lbl := func(k, v string) obs.Labels {
+		return obs.Labels{"layer": "flash", "device": "flash", k: v}
+	}
+	stall := func(op string) int64 { return o.Registry.Counter("stall_ns_total", lbl("op", op)).Value() }
+	busy := func(bank string) int64 { return o.Registry.Counter("bank_busy_ns_total", lbl("bank", bank)).Value() }
+
+	erase := int64(device.IntelFlash.EraseLatencyNs)
+	page := int64(device.IntelFlash.WriteLatencyNs(1024))
+	spare := int64(device.IntelFlash.WriteLatencyNs(16))
+	if err := d.EraseAsync(0); err != nil { // bank 0 busy for one erase
+		t.Fatal(err)
+	}
+	data := make([]byte, 1024)
+	if _, err := d.Program(int64(8*4096), data); err != nil { // bank 1: no wait
+		t.Fatal(err)
+	}
+	if got := stall("program"); got != 0 {
+		t.Fatalf("program to an idle bank stalled %d ns", got)
+	}
+	if _, err := d.Program(4096, data); err != nil { // bank 0: waits out what is left of the erase
+		t.Fatal(err)
+	}
+	if got, want := stall("program"), erase-page; got != want {
+		t.Fatalf("program stall %d ns, want the erase less the first program, %d", got, want)
+	}
+	if _, err := d.ProgramSpare(4, make([]byte, 16)); err != nil { // bank 0 again, now idle
+		t.Fatal(err)
+	}
+	if got, want := stall("program"), erase-page; got != want {
+		t.Fatalf("spare program to an idle bank moved the stall to %d ns", got)
+	}
+	if got := stall("read"); got != 0 {
+		t.Fatalf("read stall %d ns with no read issued", got)
+	}
+	if got, want := busy("0"), erase+page+spare; got != want {
+		t.Fatalf("bank 0 busy %d ns, want erase + page + spare = %d", got, want)
+	}
+	if got := busy("1"); got != page {
+		t.Fatalf("bank 1 busy %d ns, want one page program, %d", got, page)
 	}
 }
 

@@ -193,11 +193,12 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	// device is logical space.
 	var pick func() int
 	var clean func(int) error
+	var heads func() (int, int)
 	if cfg.Policy != PolicyDirect {
-		pick, clean = f.pickVictim, f.cleanOne
+		pick, clean, heads = f.pickVictim, f.cleanOne, f.logHeads
 	}
 	pool, err := blocks.New(dev, clock, cfg.Obs, "ftl", cfg.PageBytes, cfg.ReserveBlocks,
-		cfg.IdleCleanThreshold, cfg.BackgroundErase, pick, clean)
+		cfg.IdleCleanThreshold, cfg.BackgroundErase, pick, clean, heads)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +228,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.freeByBank[dev.BankOf(b)].add(b)
 	}
 	if cfg.Policy != PolicyDirect {
-		f.victims = newVictimIndex(cfg.Policy, ppb)
+		f.victims = newVictimIndex(cfg.Policy, dev.Banks(), ppb)
 		if cfg.WearDeltaThreshold > 0 {
 			// One slot per block up front: the wear index holds at most
 			// one live entry per closed block, and pre-sizing spares the
@@ -287,33 +288,48 @@ func (f *FTL) markDead(ppn int64) {
 	f.onPageDied(b)
 }
 
-// takeFreeBlock removes and returns a free block, preferring the least- or
-// most-worn depending on the stream (wear-aware allocation) and rotating
-// across banks so consecutive log heads land on different banks.
+// logHeads names the blocks of the two open log heads for the pool, -1
+// for a stream that has none.
+func (f *FTL) logHeads() (int, int) { return f.hotActive, f.coldActive }
+
+// headBank picks the bank the next log head opens in, or -1 when no block
+// is free: the first bank in rotation order (so consecutive heads stripe
+// across banks) that has a free block and nothing in progress — the
+// blocks a clean just freed are exactly the ones still erasing, and a
+// head opened in one waits the erase out on its first program. When every
+// bank with a free block is busy the rotation alone decides.
+func (f *FTL) headBank() int {
+	banks := len(f.freeByBank)
+	for _, idleOnly := range [...]bool{true, false} {
+		for i := 0; i < banks; i++ {
+			bank := (f.nextBank + i) % banks
+			if f.freeByBank[bank].len() > 0 && (!idleOnly || f.pool.BankIdle(bank)) {
+				return bank
+			}
+		}
+	}
+	return -1
+}
+
+// takeFreeBlock removes and returns a free block of headBank's bank: the
+// least- or most-worn one depending on the stream (wear-aware
+// allocation).
 func (f *FTL) takeFreeBlock(preferWorn bool) (int, bool) {
-	if f.pool.Free() == 0 {
+	bank := f.headBank()
+	if bank == -1 {
 		return -1, false
 	}
-	// Rotate the starting bank so allocation stripes across banks.
-	banks := len(f.freeByBank)
-	for i := 0; i < banks; i++ {
-		bank := (f.nextBank + i) % banks
-		pool := f.freeByBank[bank]
-		if pool.len() == 0 {
-			continue
-		}
-		var blk int
-		if f.cfg.HotCold {
-			blk = pool.best(preferWorn)
-		} else {
-			blk = pool.first()
-		}
-		pool.remove(blk)
-		f.pool.Take(blk)
-		f.nextBank = (bank + 1) % banks
-		return blk, true
+	pool := f.freeByBank[bank]
+	var blk int
+	if f.cfg.HotCold {
+		blk = pool.best(preferWorn)
+	} else {
+		blk = pool.first()
 	}
-	return -1, false
+	pool.remove(blk)
+	f.pool.Take(blk)
+	f.nextBank = (bank + 1) % len(f.freeByBank)
+	return blk, true
 }
 
 // allocPage returns the next free physical page on the requested stream,
@@ -620,48 +636,64 @@ func (f *FTL) eraseBlock(blk int) (freed bool, err error) {
 }
 
 // pickVictim chooses the next block to clean, or -1 if none is eligible.
-// The indexed path is O(log n) amortized; the linear scan is retained as
-// the reference implementation (and serves PolicyDirect, which never
-// cleans through this path in practice).
+// The indexed path looks at one candidate per bank (per bank and valid
+// count for cost-benefit); the linear scan is retained as the reference
+// implementation.
 func (f *FTL) pickVictim() int {
-	if f.victims == nil || f.scanMode {
+	if f.scanMode {
 		return f.pickVictimScan()
 	}
 	return f.pickVictimIndexed()
 }
 
-// pickVictimScan is the original O(numBlocks) victim scan, kept as the
+// victimPick is the best candidate seen so far in one victim selection.
+// Where the block is outranks what it holds: the bank's class first (an
+// erase in a bank that is busy, or under a log head, is waited out by
+// whoever writes there next), then the policy's score, then the lowest
+// block id.
+type victimPick struct {
+	block int
+	class blocks.VictimClass
+	score float64
+}
+
+func (p *victimPick) offer(block int, class blocks.VictimClass, score float64) {
+	if p.block == -1 || class > p.class ||
+		class == p.class && (score > p.score || score == p.score && block < p.block) {
+		*p = victimPick{block: block, class: class, score: score}
+	}
+}
+
+// victimScore is the policy's own order over eligible blocks: larger is
+// cleaned first.
+func (f *FTL) victimScore(b int, now sim.Time) float64 {
+	info := &f.blocks[b]
+	switch f.cfg.Policy {
+	case PolicyFIFO:
+		// Oldest log head first: smaller allocSeq = better. Negate so
+		// larger score wins uniformly.
+		return -float64(info.allocSeq)
+	case PolicyCostBenefit:
+		u := float64(info.valid) / float64(f.pagesPerBlock)
+		age := now.Sub(info.lastWrite).Seconds() + 1e-9
+		return age * (1 - u) / (1 + u)
+	default: // greedy
+		return float64(info.dead)
+	}
+}
+
+// pickVictimScan is the O(numBlocks) victim scan, kept as the
 // behavioural reference for the victim index.
 func (f *FTL) pickVictimScan() int {
-	best := -1
-	var bestScore float64
+	classes := f.pool.VictimClasses()
+	pick := victimPick{block: -1}
 	now := f.clock.Now()
 	for b := 0; b < f.numBlocks; b++ {
-		info := &f.blocks[b]
-		if info.isActive || info.dead == 0 || !f.pool.InUse(b) {
-			continue
-		}
-		var score float64
-		switch f.cfg.Policy {
-		case PolicyFIFO:
-			// Oldest log head first: smaller allocSeq = better. Negate so
-			// larger score wins uniformly.
-			score = -float64(info.allocSeq)
-		case PolicyGreedy:
-			score = float64(info.dead)
-		case PolicyCostBenefit:
-			u := float64(info.valid) / float64(f.pagesPerBlock)
-			age := now.Sub(info.lastWrite).Seconds() + 1e-9
-			score = age * (1 - u) / (1 + u)
-		default:
-			score = float64(info.dead)
-		}
-		if best == -1 || score > bestScore {
-			best = b
-			bestScore = score
+		if f.victimEligible(b) {
+			pick.offer(b, classes[f.dev.BankOf(b)], f.victimScore(b, now))
 		}
 	}
-	return best
+	return pick.block
 }
 
 // writeDirect implements the no-translation baseline: the logical page

@@ -3,9 +3,10 @@ package ftl
 // This file holds the incremental indexes that replace the translation
 // layer's per-allocation linear scans:
 //
-//   - victimIndex: one lazily-invalidated min-heap per cleaning policy
-//     (plus one ordered bucket per valid-count for cost-benefit), so
-//     pickVictim is O(log n) amortized instead of O(numBlocks);
+//   - victimIndex: lazily-invalidated min-heaps per flash bank (one a
+//     bank for FIFO and greedy, one per bank and valid-count for
+//     cost-benefit), so pickVictim compares a handful of roots instead of
+//     every block;
 //   - the wear index (wearHeap + a maintained maximum erase count), so
 //     static wear leveling stops rescanning every block on every write;
 //   - bankPool: the free-block pool, still the exact swap-remove list the
@@ -126,26 +127,34 @@ func (h *lazyHeap) compact(valid func(lazyEntry) bool) {
 }
 
 // victimIndex tracks cleaning-eligible blocks (closed, not retired, at
-// least one dead page) so pickVictim needs no device-wide scan.
+// least one dead page) so pickVictim needs no device-wide scan. Where a
+// victim is outranks what it holds (see victimPick), and which banks are
+// good places to erase changes from one pick to the next, so the index
+// is kept per bank: each bank offers its own best candidates and the pick
+// ranks those by the bank's class of the moment.
 type victimIndex struct {
 	policy Policy
-	// fifoGreedy holds (allocSeq, block) entries for FIFO and
-	// (-dead, block) entries for greedy — both "min wins" orders that
-	// reproduce the scan's strict-improvement tie-breaking.
-	fifoGreedy lazyHeap
-	// cbBuckets groups cost-benefit candidates by valid-page count; each
-	// bucket is ordered by (lastWrite, block). Within a bucket the score
-	// age×(1−u)/(1+u) is strictly monotone in age, so the bucket head is
-	// the bucket's best candidate and pickVictim only compares one head
-	// per bucket: O(pagesPerBlock), independent of device size.
-	cbBuckets []lazyHeap
-	pushes    int
+	// heaps[bank] orders the bank's candidates so that the policy's best
+	// is at a root. FIFO and greedy keep one heap per bank, of
+	// (allocSeq, block) and (-dead, block) entries — both "min wins"
+	// orders that reproduce the scan's strict-improvement tie-breaking.
+	// Cost-benefit keeps one heap per valid-page count, of
+	// (lastWrite, valid, block) entries: within one valid count the score
+	// age×(1−u)/(1+u) is strictly monotone in age, so a heap's root is
+	// that count's best and a pick compares banks × pagesPerBlock roots,
+	// independent of device size.
+	heaps  [][]lazyHeap
+	pushes int
 }
 
-func newVictimIndex(policy Policy, pagesPerBlock int) *victimIndex {
-	v := &victimIndex{policy: policy}
+func newVictimIndex(policy Policy, banks, pagesPerBlock int) *victimIndex {
+	v := &victimIndex{policy: policy, heaps: make([][]lazyHeap, banks)}
+	perBank := 1
 	if policy == PolicyCostBenefit {
-		v.cbBuckets = make([]lazyHeap, pagesPerBlock)
+		perBank = pagesPerBlock
+	}
+	for bank := range v.heaps {
+		v.heaps[bank] = make([]lazyHeap, perBank)
 	}
 	return v
 }
@@ -156,102 +165,69 @@ func (f *FTL) victimEligible(b int) bool {
 	return !info.isActive && info.dead > 0 && f.pool.InUse(b)
 }
 
+// victimEntry snapshots the block's current sort keys and names the heap
+// of its bank they belong in.
+func (f *FTL) victimEntry(b int) (e lazyEntry, heap int) {
+	info := &f.blocks[b]
+	switch f.victims.policy {
+	case PolicyFIFO:
+		return lazyEntry{k1: info.allocSeq, block: b}, 0
+	case PolicyCostBenefit:
+		return lazyEntry{k1: int64(info.lastWrite), k2: int64(info.valid), block: b}, info.valid
+	default: // greedy, and the greedy fallback for unknown policies
+		return lazyEntry{k1: -int64(info.dead), block: b}, 0
+	}
+}
+
+// victimLive reports whether a heap entry still describes its block: the
+// block is eligible and has the keys it was pushed with.
+func (f *FTL) victimLive(e lazyEntry) bool {
+	if !f.victimEligible(e.block) {
+		return false
+	}
+	cur, _ := f.victimEntry(e.block)
+	return cur == e
+}
+
 // noteEligible records the block's current keys; callers invoke it
 // whenever a block enters the eligible set or an eligible block's keys
-// change (a page dies). Stale snapshots are discarded lazily.
+// change (a page dies). Stale snapshots are discarded lazily. FIFO's key
+// is frozen while the block is closed, so one push per closure is enough
+// and only the 0→1 dead transition (or closing with dead pages) lands
+// here — the caller filters.
 func (f *FTL) noteEligible(b int) {
 	v := f.victims
 	if v == nil || !f.victimEligible(b) {
 		return
 	}
-	info := &f.blocks[b]
-	switch v.policy {
-	case PolicyFIFO:
-		// allocSeq is frozen while the block is closed: one push per
-		// closure is enough, so only the 0→1 dead transition (or closing
-		// with dead pages) lands here — the caller filters.
-		v.fifoGreedy.push(lazyEntry{k1: info.allocSeq, block: b})
-	case PolicyCostBenefit:
-		v.cbBuckets[info.valid].push(lazyEntry{k1: int64(info.lastWrite), block: b})
-	default: // greedy, and the greedy fallback for unknown policies
-		v.fifoGreedy.push(lazyEntry{k1: -int64(info.dead), block: b})
-	}
+	e, heap := f.victimEntry(b)
+	v.heaps[f.dev.BankOf(b)][heap].push(e)
 	v.pushes++
 	if v.pushes > 4*f.numBlocks+64 {
 		v.pushes = 0
-		f.compactVictims()
-	}
-}
-
-func (f *FTL) compactVictims() {
-	v := f.victims
-	switch v.policy {
-	case PolicyFIFO:
-		v.fifoGreedy.compact(func(e lazyEntry) bool {
-			return f.victimEligible(e.block) && f.blocks[e.block].allocSeq == e.k1
-		})
-	case PolicyCostBenefit:
-		for u := range v.cbBuckets {
-			u := u
-			v.cbBuckets[u].compact(func(e lazyEntry) bool {
-				info := &f.blocks[e.block]
-				return f.victimEligible(e.block) && info.valid == u && int64(info.lastWrite) == e.k1
-			})
+		for _, bank := range v.heaps {
+			for i := range bank {
+				bank[i].compact(f.victimLive)
+			}
 		}
-	default:
-		v.fifoGreedy.compact(func(e lazyEntry) bool {
-			return f.victimEligible(e.block) && -int64(f.blocks[e.block].dead) == e.k1
-		})
 	}
 }
 
 // pickVictimIndexed returns the same block pickVictimScan would, without
-// scanning: -1 if nothing is eligible.
+// scanning: -1 if nothing is eligible. Every root is scored with the
+// scan's own expression, so scores are bit-identical.
 func (f *FTL) pickVictimIndexed() int {
-	v := f.victims
-	switch v.policy {
-	case PolicyFIFO:
-		e, ok := v.fifoGreedy.peekValid(func(e lazyEntry) bool {
-			return f.victimEligible(e.block) && f.blocks[e.block].allocSeq == e.k1
-		})
-		if !ok {
-			return -1
-		}
-		return e.block
-	case PolicyCostBenefit:
-		best := -1
-		var bestScore float64
-		now := f.clock.Now()
-		for u := range v.cbBuckets {
-			u := u
-			e, ok := v.cbBuckets[u].peekValid(func(e lazyEntry) bool {
-				info := &f.blocks[e.block]
-				return f.victimEligible(e.block) && info.valid == u && int64(info.lastWrite) == e.k1
-			})
-			if !ok {
-				continue
-			}
-			info := &f.blocks[e.block]
-			// The exact float expression the scan evaluates, so scores are
-			// bit-identical.
-			uu := float64(info.valid) / float64(f.pagesPerBlock)
-			age := now.Sub(info.lastWrite).Seconds() + 1e-9
-			score := age * (1 - uu) / (1 + uu)
-			if best == -1 || score > bestScore || (score == bestScore && e.block < best) {
-				best = e.block
-				bestScore = score
+	classes := f.pool.VictimClasses()
+	pick := victimPick{block: -1}
+	now := f.clock.Now()
+	for bank, heaps := range f.victims.heaps {
+		for i := range heaps {
+			if e, ok := heaps[i].peekValid(f.victimLive); ok {
+				pick.offer(e.block, classes[bank], f.victimScore(e.block, now))
 			}
 		}
-		return best
-	default:
-		e, ok := v.fifoGreedy.peekValid(func(e lazyEntry) bool {
-			return f.victimEligible(e.block) && -int64(f.blocks[e.block].dead) == e.k1
-		})
-		if !ok {
-			return -1
-		}
-		return e.block
 	}
+	return pick.block
 }
 
 // onBlockClosed indexes a block the moment it stops being a log head: it

@@ -633,15 +633,16 @@ func (s *Server) Shedding() bool {
 
 // FreeBlockMargin reports the card's free-block margin — free blocks over
 // all blocks, the headroom the cleaner defends — straight from the
-// engine. It is the control-path read of the ratio the free_blocks and
-// wear_blocks gauges export (flash.HealthReport.FreeBlockMargin): the
-// cluster's health sweep calls it instead of snapshotting the node's
-// registry, so whether a card is cordoned never depends on whether
-// anyone is collecting its telemetry.
+// engine's free count (not its Stats, which walk every block's wear to
+// fill fields nobody here reads). It is the control-path read of the
+// ratio the free_blocks and wear_blocks gauges export
+// (flash.HealthReport.FreeBlockMargin): the cluster's health sweep calls
+// it instead of snapshotting the node's registry, so whether a card is
+// cordoned never depends on whether anyone is collecting its telemetry.
 func (s *Server) FreeBlockMargin() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.b.Engine.Stats().FreeBlockMargin
+	return float64(s.b.Engine.FreeBlocks()) / float64(s.b.Engine.Device().NumBlocks())
 }
 
 // Snapshot collects the server's observer's registry under the server's
