@@ -25,7 +25,8 @@
 // log head in a bank that is erasing, or erases where it is about to
 // write, waits out work the other banks could have hidden. BankIdle and
 // VictimClasses answer it; engines rank by the answer first and by their
-// own order inside a rank, so the preference never costs progress.
+// own order inside a rank (Victim.Offer), so the preference never costs
+// progress.
 package blocks
 
 import (
@@ -226,34 +227,46 @@ func (p *Pool) BankIdle(bank int) bool { return p.dev.BankBusyUntil(bank) <= p.c
 // where the engine's log heads are open. The result is indexed by bank
 // and is scratch, valid until the next call.
 func (p *Pool) VictimClasses() []VictimClass {
-	headA, headB := p.headBanks()
+	headA, headB := p.heads()
+	if headA >= 0 {
+		headA = p.dev.BankOf(headA)
+	}
+	if headB >= 0 {
+		headB = p.dev.BankOf(headB)
+	}
 	for bank := range p.classes {
-		p.classes[bank] = p.victimClassOf(bank, headA, headB)
+		switch {
+		case !p.BankIdle(bank):
+			p.classes[bank] = Busy
+		case bank == headA || bank == headB:
+			p.classes[bank] = Idle
+		default:
+			p.classes[bank] = Quiet
+		}
 	}
 	return p.classes
 }
 
-// headBanks reports the banks of the engine's open log heads, -1 for a
-// head that is not open.
-func (p *Pool) headBanks() (a, b int) {
-	a, b = p.heads()
-	if a >= 0 {
-		a = p.dev.BankOf(a)
-	}
-	if b >= 0 {
-		b = p.dev.BankOf(b)
-	}
-	return a, b
+// Victim is the best candidate seen so far in one victim selection, and
+// the one place the ranking is written: where a block is outranks what it
+// holds. An engine offers every candidate it considers with its bank's
+// class and its own score (larger is cleaned first); the best class wins,
+// then the best score, then the lowest block id.
+type Victim struct {
+	Block int // -1 until a candidate is offered
+	class VictimClass
+	score float64
 }
 
-func (p *Pool) victimClassOf(bank, headA, headB int) VictimClass {
-	switch {
-	case !p.BankIdle(bank):
-		return Busy
-	case bank == headA || bank == headB:
-		return Idle
+// NoVictim is the selection before any candidate is offered.
+func NoVictim() Victim { return Victim{Block: -1} }
+
+// Offer considers one candidate.
+func (v *Victim) Offer(block int, class VictimClass, score float64) {
+	if v.Block == -1 || class > v.class ||
+		class == v.class && (score > v.score || score == v.score && block < v.Block) {
+		*v = Victim{Block: block, class: class, score: score}
 	}
-	return Quiet
 }
 
 // Take moves a free block into use, as the engine's next log head. Which
@@ -399,8 +412,7 @@ func (p *Pool) Clean(victim int) (err error) {
 		defer p.obs.PushCause(obs.CauseCleanerMigrate)()
 	}
 	p.cleans.Inc()
-	headA, headB := p.headBanks()
-	p.victimClass[p.victimClassOf(p.dev.BankOf(victim), headA, headB)].Inc()
+	p.victimClass[p.VictimClasses()[p.dev.BankOf(victim)]].Inc()
 	return p.clean(victim)
 }
 

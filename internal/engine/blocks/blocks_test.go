@@ -534,3 +534,36 @@ func TestBankClassesAndTheirRecord(t *testing.T) {
 		t.Fatalf("after the erases: %v", got)
 	}
 }
+
+// The ranking itself: a better class beats any score, a better score
+// wins inside a class, and equal candidates go to the lowest block id
+// whatever order they are offered in.
+func TestVictimOfferRanksClassThenScoreThenBlock(t *testing.T) {
+	if v := NoVictim(); v.Block != -1 {
+		t.Fatalf("empty selection names block %d", v.Block)
+	}
+	type cand struct {
+		block int
+		class VictimClass
+		score float64
+	}
+	for _, tc := range []struct {
+		name  string
+		offer []cand
+		want  int
+	}{
+		{"class beats score", []cand{{3, Busy, 100}, {9, Idle, 1}, {5, Quiet, -7}}, 5},
+		{"score inside a class", []cand{{3, Quiet, 1}, {9, Quiet, 2}, {5, Idle, 50}}, 9},
+		{"lowest id on a tie, offered last", []cand{{9, Idle, 2}, {3, Idle, 2}}, 3},
+		{"lowest id on a tie, offered first", []cand{{3, Idle, 2}, {9, Idle, 2}}, 3},
+		{"only busy banks", []cand{{4, Busy, 1}, {2, Busy, 3}}, 2},
+	} {
+		v := NoVictim()
+		for _, c := range tc.offer {
+			v.Offer(c.block, c.class, c.score)
+		}
+		if v.Block != tc.want {
+			t.Errorf("%s: picked block %d, want %d", tc.name, v.Block, tc.want)
+		}
+	}
+}

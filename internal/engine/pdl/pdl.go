@@ -645,16 +645,13 @@ func (e *Engine) CleanIdle(until sim.Time) error { return e.pool.CleanIdle(until
 // no gain.
 func (e *Engine) pickVictim() int {
 	classes := e.pool.VictimClasses()
-	best := -1
-	var bestDead int64
-	var bestClass blocks.VictimClass
+	pick := blocks.NoVictim()
 	for b := 0; b < e.numBlocks; b++ {
-		dead, class := e.deadBytes(b), classes[e.dev.BankOf(b)]
-		if dead > 0 && (best == -1 || class > bestClass || class == bestClass && dead > bestDead) {
-			best, bestDead, bestClass = b, dead, class
+		if dead := e.deadBytes(b); dead > 0 {
+			pick.Offer(b, classes[e.dev.BankOf(b)], float64(dead))
 		}
 	}
-	return best
+	return pick.Block
 }
 
 // deadBytes reports what erasing the block would reclaim beyond what its

@@ -43,13 +43,16 @@ func churned(t *testing.T, policy Policy, banked bool) *FTL {
 // unranked is the policy's own choice among the eligible blocks ok
 // admits: best score, lowest block id on a tie.
 func unranked(f *FTL, ok func(bank int) bool) int {
-	pick := victimPick{block: -1}
+	best, bestScore := -1, 0.0
 	for b := 0; b < f.numBlocks; b++ {
-		if f.victimEligible(b) && ok(f.dev.BankOf(b)) {
-			pick.offer(b, 0, f.victimScore(b, f.clock.Now()))
+		if !f.victimEligible(b) || !ok(f.dev.BankOf(b)) {
+			continue
+		}
+		if score := f.victimScore(b, f.clock.Now()); best == -1 || score > bestScore {
+			best, bestScore = b, score
 		}
 	}
-	return pick.block
+	return best
 }
 
 func anyBank(int) bool { return true }

@@ -228,7 +228,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.freeByBank[dev.BankOf(b)].add(b)
 	}
 	if cfg.Policy != PolicyDirect {
-		f.victims = newVictimIndex(cfg.Policy, dev.Banks(), ppb)
+		f.victims = newVictimIndex(cfg.Policy, dev.Banks(), ppb, nb)
 		if cfg.WearDeltaThreshold > 0 {
 			// One slot per block up front: the wear index holds at most
 			// one live entry per closed block, and pre-sizing spares the
@@ -646,24 +646,6 @@ func (f *FTL) pickVictim() int {
 	return f.pickVictimIndexed()
 }
 
-// victimPick is the best candidate seen so far in one victim selection.
-// Where the block is outranks what it holds: the bank's class first (an
-// erase in a bank that is busy, or under a log head, is waited out by
-// whoever writes there next), then the policy's score, then the lowest
-// block id.
-type victimPick struct {
-	block int
-	class blocks.VictimClass
-	score float64
-}
-
-func (p *victimPick) offer(block int, class blocks.VictimClass, score float64) {
-	if p.block == -1 || class > p.class ||
-		class == p.class && (score > p.score || score == p.score && block < p.block) {
-		*p = victimPick{block: block, class: class, score: score}
-	}
-}
-
 // victimScore is the policy's own order over eligible blocks: larger is
 // cleaned first.
 func (f *FTL) victimScore(b int, now sim.Time) float64 {
@@ -686,14 +668,14 @@ func (f *FTL) victimScore(b int, now sim.Time) float64 {
 // behavioural reference for the victim index.
 func (f *FTL) pickVictimScan() int {
 	classes := f.pool.VictimClasses()
-	pick := victimPick{block: -1}
+	pick := blocks.NoVictim()
 	now := f.clock.Now()
 	for b := 0; b < f.numBlocks; b++ {
 		if f.victimEligible(b) {
-			pick.offer(b, classes[f.dev.BankOf(b)], f.victimScore(b, now))
+			pick.Offer(b, classes[f.dev.BankOf(b)], f.victimScore(b, now))
 		}
 	}
-	return pick.block
+	return pick.Block
 }
 
 // writeDirect implements the no-translation baseline: the logical page

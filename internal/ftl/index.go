@@ -18,6 +18,8 @@ package ftl
 // tie-breaking — which the policy-equivalence tests assert against the
 // retained scan implementations (pickVictimScan, wearScan).
 
+import "ssmobile/internal/engine/blocks"
+
 // lazyEntry is one heap element: a block snapshotted with the two sort
 // keys it had when pushed. Entries are never updated in place; a block
 // whose keys change is re-pushed, and entries whose snapshot no longer
@@ -128,7 +130,7 @@ func (h *lazyHeap) compact(valid func(lazyEntry) bool) {
 
 // victimIndex tracks cleaning-eligible blocks (closed, not retired, at
 // least one dead page) so pickVictim needs no device-wide scan. Where a
-// victim is outranks what it holds (see victimPick), and which banks are
+// victim is outranks what it holds (blocks.Victim), and which banks are
 // good places to erase changes from one pick to the next, so the index
 // is kept per bank: each bank offers its own best candidates and the pick
 // ranks those by the bank's class of the moment.
@@ -147,17 +149,29 @@ type victimIndex struct {
 	pushes int
 }
 
-func newVictimIndex(policy Policy, banks, pagesPerBlock int) *victimIndex {
+// newVictimIndex sizes every heap for an equal share of the entries the
+// index holds between two compactions (see noteEligible), so the heaps of
+// a card in steady state were allocated here and a push costs no growth.
+func newVictimIndex(policy Policy, banks, pagesPerBlock, numBlocks int) *victimIndex {
 	v := &victimIndex{policy: policy, heaps: make([][]lazyHeap, banks)}
 	perBank := 1
 	if policy == PolicyCostBenefit {
 		perBank = pagesPerBlock
 	}
+	share := compactAfter(numBlocks)/(banks*perBank) + 1
 	for bank := range v.heaps {
 		v.heaps[bank] = make([]lazyHeap, perBank)
+		for i := range v.heaps[bank] {
+			v.heaps[bank][i].es = make([]lazyEntry, 0, share)
+		}
 	}
 	return v
 }
+
+// compactAfter is how many pushes the index takes before it drops its
+// stale entries in one pass: enough that compaction is rare, few enough
+// that the heaps stay proportional to the card and not to its history.
+func compactAfter(numBlocks int) int { return 4*numBlocks + 64 }
 
 // eligible reports whether the block can be cleaned right now.
 func (f *FTL) victimEligible(b int) bool {
@@ -203,7 +217,7 @@ func (f *FTL) noteEligible(b int) {
 	e, heap := f.victimEntry(b)
 	v.heaps[f.dev.BankOf(b)][heap].push(e)
 	v.pushes++
-	if v.pushes > 4*f.numBlocks+64 {
+	if v.pushes > compactAfter(f.numBlocks) {
 		v.pushes = 0
 		for _, bank := range v.heaps {
 			for i := range bank {
@@ -218,16 +232,16 @@ func (f *FTL) noteEligible(b int) {
 // scan's own expression, so scores are bit-identical.
 func (f *FTL) pickVictimIndexed() int {
 	classes := f.pool.VictimClasses()
-	pick := victimPick{block: -1}
+	pick := blocks.NoVictim()
 	now := f.clock.Now()
 	for bank, heaps := range f.victims.heaps {
 		for i := range heaps {
 			if e, ok := heaps[i].peekValid(f.victimLive); ok {
-				pick.offer(e.block, classes[bank], f.victimScore(e.block, now))
+				pick.Offer(e.block, classes[bank], f.victimScore(e.block, now))
 			}
 		}
 	}
-	return pick.block
+	return pick.Block
 }
 
 // onBlockClosed indexes a block the moment it stops being a log head: it

@@ -143,7 +143,7 @@ func (f *FTL) rebuildIndexes() {
 		}
 	}
 	if f.victims != nil {
-		f.victims = newVictimIndex(f.cfg.Policy, f.dev.Banks(), f.pagesPerBlock)
+		f.victims = newVictimIndex(f.cfg.Policy, f.dev.Banks(), f.pagesPerBlock, f.numBlocks)
 	}
 	if f.wear != nil {
 		f.wear = &lazyHeap{}
