@@ -137,8 +137,8 @@ func E6Lifetime(env *Env, seed int64) (*Table, error) {
 			if err != nil && !errors.Is(err, ftl.ErrDeviceWorn) {
 				return fmt.Errorf("%s: %w", v.name, err)
 			}
-			if s := l.Stats(); s.RetiredBlocks > 0 {
-				hostBytes = s.FirstWearOutHostBytes
+			if l.Stats().RetiredBlocks > 0 {
+				hostBytes = l.WearStats().FirstWearOutHostBytes
 				break
 			}
 			if errors.Is(err, ftl.ErrDeviceWorn) {
@@ -235,7 +235,7 @@ func E6Static(env *Env, seed int64) (*Table, error) {
 		rows[i] = []string{name,
 			fmt.Sprintf("%.2f", dev.Stats().EraseCountCoV),
 			fmt.Sprint(maxC), fmt.Sprint(minC), fmt.Sprint(maxC - minC),
-			fmt.Sprint(l.Stats().StaticMoves)}
+			fmt.Sprint(l.WearStats().StaticMoves)}
 		return nil
 	})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"ssmobile/internal/diskfs"
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/fs"
@@ -249,7 +248,7 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 		if err != nil {
 			return err
 		}
-		s.Engine = engineftl.Wrap(s.FTL)
+		s.Engine = s.FTL
 	case "pdl":
 		s.Engine, err = newPDL(s.Flash, s.clock, pdl.Config{
 			PageBytes:          cfg.BlockBytes,

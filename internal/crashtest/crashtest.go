@@ -45,7 +45,6 @@ import (
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
@@ -267,14 +266,14 @@ func (c Config) newEngine(dev *flash.Device, clock *sim.Clock, o *obs.Observer) 
 	if c.Engine == "pdl" {
 		return pdl.New(dev, clock, c.pdlConfig(o))
 	}
-	return engineftl.New(dev, clock, c.ftlConfig(o))
+	return ftl.New(dev, clock, c.ftlConfig(o))
 }
 
 func (c Config) mountEngine(dev *flash.Device, clock *sim.Clock, o *obs.Observer) (engine.Engine, error) {
 	if c.Engine == "pdl" {
 		return pdl.Mount(dev, clock, c.pdlConfig(o))
 	}
-	return engineftl.Mount(dev, clock, c.ftlConfig(o))
+	return ftl.Mount(dev, clock, c.ftlConfig(o))
 }
 
 func (c Config) stormanConfig(o *obs.Observer) storman.Config {

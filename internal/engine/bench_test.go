@@ -7,7 +7,6 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/engine"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
@@ -56,7 +55,7 @@ func benchWritePath(b *testing.B, backend string, mb int) {
 	var e engine.Engine
 	switch backend {
 	case "ftl":
-		e, err = engineftl.New(dev, clock, ftl.Config{
+		e, err = ftl.New(dev, clock, ftl.Config{
 			PageBytes: pageBytes, ReserveBlocks: reserve, Policy: ftl.PolicyCostBenefit,
 			HotCold: true, PersistMapping: true, Obs: obs.New(0),
 		})

@@ -7,7 +7,6 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/engine"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
@@ -27,10 +26,10 @@ var backends = []struct {
 	{
 		name: "ftl",
 		new: func(dev *flash.Device, clock *sim.Clock) (engine.Engine, error) {
-			return engineftl.New(dev, clock, conformanceFTL())
+			return ftl.New(dev, clock, conformanceFTL())
 		},
 		mount: func(dev *flash.Device, clock *sim.Clock) (engine.Engine, error) {
-			return engineftl.Mount(dev, clock, conformanceFTL())
+			return ftl.Mount(dev, clock, conformanceFTL())
 		},
 	},
 	{

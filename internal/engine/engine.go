@@ -4,7 +4,7 @@
 // a stats surface with write amplification and free-block margin.
 //
 // The interface is extracted from what storman actually needs, so any
-// backend that satisfies it — the default FTL (engine/ftl) or the
+// backend that satisfies it — the default FTL (internal/ftl) or the
 // page-differential log (engine/pdl) — slots under the whole serving
 // stack unchanged: same write buffer, same file system, same crash-test
 // enumerator. The paper's argument is that flash deserves storage

@@ -10,7 +10,6 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
@@ -63,7 +62,7 @@ func newPartsObs(t testing.TB, o *obs.Observer) *rig {
 		BlockBytes: 4096,
 		DRAMBase:   1 << 20, DRAMBytes: 2 << 20,
 		WriteBackDelay: 30 * sim.Second,
-	}, clock, dr, engineftl.Wrap(fl))
+	}, clock, dr, fl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,14 +128,15 @@ type blockInfo struct {
 	isActive    bool
 }
 
-// Stats aggregates the layer's counters for the experiments: the block
-// pool's engine-shaped ledger plus what only this layer keeps.
-type Stats struct {
-	engine.Stats
+// WearStats is what only this layer keeps beside the block pool's
+// engine-shaped ledger (Stats).
+type WearStats struct {
 	StaticMoves           int64    // static wear-leveling relocations
 	FirstWearOut          sim.Time // zero if none
 	FirstWearOutHostBytes int64    // host bytes written when it happened
 }
+
+var _ engine.Engine = (*FTL)(nil)
 
 // FTL is the translation layer over one flash device. Not safe for
 // concurrent use.
@@ -735,10 +736,22 @@ func (f *FTL) FreeBlocks() int { return f.pool.Free() }
 // free-space target (see blocks.Pool.CleanerLag).
 func (f *FTL) CleanerLag() int { return f.pool.CleanerLag() }
 
-// Stats summarises the layer counters.
-func (f *FTL) Stats() Stats {
-	return Stats{
-		Stats:                 f.pool.Stats(),
+// Name identifies the backend.
+func (f *FTL) Name() string { return "ftl" }
+
+// Sync is a no-op: the FTL programs every page synchronously.
+func (f *FTL) Sync() error { return nil }
+
+// PersistsMapping reports whether OOB records make the mapping
+// crash-recoverable.
+func (f *FTL) PersistsMapping() bool { return f.cfg.PersistMapping }
+
+// Stats is the block pool's view of the layer's counters and the device.
+func (f *FTL) Stats() engine.Stats { return f.pool.Stats() }
+
+// WearStats reports the layer's own wear counters.
+func (f *FTL) WearStats() WearStats {
+	return WearStats{
 		StaticMoves:           f.staticMoves.Value(),
 		FirstWearOut:          f.firstWearOut,
 		FirstWearOutHostBytes: f.firstWearOutHostBytes,

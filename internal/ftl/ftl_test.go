@@ -329,9 +329,8 @@ func TestEnduranceRetirement(t *testing.T) {
 	if !errors.Is(wearErr, ErrDeviceWorn) {
 		t.Fatalf("hot direct writes should wear out: %v", wearErr)
 	}
-	s := f.Stats()
-	if s.RetiredBlocks != 1 || s.FirstWearOut == 0 {
-		t.Fatalf("wear stats %+v", s)
+	if s, w := f.Stats(), f.WearStats(); s.RetiredBlocks != 1 || w.FirstWearOut == 0 {
+		t.Fatalf("wear stats %+v %+v", s, w)
 	}
 }
 
@@ -348,14 +347,14 @@ func TestLogPolicySurvivesLongPastDirectWearout(t *testing.T) {
 			if err := f.WritePage(int64(i%4), page(byte(i), 1024)); err != nil {
 				break
 			}
-			if s := f.Stats(); s.RetiredBlocks > 0 {
-				return s.FirstWearOutHostBytes
+			if f.Stats().RetiredBlocks > 0 {
+				return f.WearStats().FirstWearOutHostBytes
 			}
 			if i > 2_000_000 {
 				return 1 << 62 // effectively never
 			}
 		}
-		return f.Stats().FirstWearOutHostBytes
+		return f.WearStats().FirstWearOutHostBytes
 	}
 	direct := hostBytesUntilWear(PolicyDirect, false)
 	leveled := hostBytesUntilWear(PolicyCostBenefit, true)
@@ -441,7 +440,7 @@ func TestStaticWearLeveling(t *testing.T) {
 				max = c
 			}
 		}
-		return max - min, f.Stats().StaticMoves > 0, f
+		return max - min, f.WearStats().StaticMoves > 0, f
 	}
 
 	deltaOff, movedOff, _ := run(0)

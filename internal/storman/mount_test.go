@@ -6,7 +6,6 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
 	"ssmobile/internal/sim"
@@ -31,7 +30,7 @@ func newOOBRig(t testing.TB) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := engineftl.New(fd, clock, oobFTLConfig())
+	fl, err := ftl.New(fd, clock, oobFTLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestMountRebuildsFlashState(t *testing.T) {
 	// translation layer from the device scan, then the manager over it.
 	r.dram.PowerFail()
 	r.dram.Restore()
-	fl2, err := engineftl.Mount(r.flash, r.clock, oobFTLConfig())
+	fl2, err := ftl.Mount(r.flash, r.clock, oobFTLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestMountResolvesResurrectedDuplicates(t *testing.T) {
 
 	r.dram.PowerFail()
 	r.dram.Restore()
-	fl2, err := engineftl.Mount(r.flash, r.clock, oobFTLConfig())
+	fl2, err := ftl.Mount(r.flash, r.clock, oobFTLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestMountedManagerMatchesModelRecovery(t *testing.T) {
 	r.m.PowerFailRecover()
 	r.dram.Restore()
 	// Path B: device-scan remount.
-	fl2, err := engineftl.Mount(r.flash, r.clock, oobFTLConfig())
+	fl2, err := ftl.Mount(r.flash, r.clock, oobFTLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
-	engineftl "ssmobile/internal/engine/ftl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
 	"ssmobile/internal/sim"
@@ -18,7 +17,7 @@ type rig struct {
 	meter *sim.EnergyMeter
 	dram  *dram.Device
 	flash *flash.Device
-	fl    *engineftl.Engine
+	fl    *ftl.FTL
 	m     *Manager
 }
 
@@ -36,7 +35,7 @@ func newRig(t testing.TB, dramBufBytes int64, delay sim.Duration) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := engineftl.New(fd, clock, ftl.Config{
+	fl, err := ftl.New(fd, clock, ftl.Config{
 		PageBytes:       4096,
 		ReserveBlocks:   3,
 		Policy:          ftl.PolicyCostBenefit,
