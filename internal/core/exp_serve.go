@@ -171,6 +171,9 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 			}
 			return fmt.Sprintf("%.1f%%", 100*float64(tail.Stage(stage))/float64(total))
 		}
+		// The observer is this cell's own, so its queue-stage series is
+		// this server's.
+		queue := priv.Registry.Histogram("serve_latency_breakdown", obs.Labels{"layer": "server", "stage": obs.StageQueue})
 		serviceStages := []string{obs.StageBuffer, obs.StageFlush, obs.StageFlash, obs.StageClean, obs.StageOther}
 		dominant, domDur := "", sim.Duration(0)
 		for _, stage := range serviceStages {
@@ -184,7 +187,7 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 			fmt.Sprintf("%.1f", st.CompletedRate()),
 			fmt.Sprintf("%d", st.Shed),
 			fmtDur(sim.Duration(st.Lat.Quantile(0.99))),
-			fmtDur(sim.Duration(card.Srv.BreakdownSim(obs.StageQueue).Quantile(0.99))),
+			fmtDur(sim.Duration(queue.Collect().P99)),
 			share(obs.StageBuffer),
 			share(obs.StageFlush),
 			share(obs.StageFlash),

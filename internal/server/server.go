@@ -230,20 +230,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// BreakdownSim exposes the per-instance latency-attribution histogram
-// for one stage (see obs.BreakdownStages) for read access after a
-// single-threaded run — E12b's table reads these directly. Samples only
-// accumulate when the observer traces requests (it has a Tracer); an
-// untraced server leaves them empty.
-func (s *Server) BreakdownSim(stage string) *sim.Histogram {
-	for i, name := range obs.BreakdownStages {
-		if name == stage {
-			return s.breakdown[i].Sim()
-		}
-	}
-	return nil
-}
-
 // Session scopes requests to one tenant's directory.
 type Session struct {
 	s   *Server
