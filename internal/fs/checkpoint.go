@@ -148,10 +148,7 @@ func (f *FS) writeImage() error {
 	// whatever it leaves on flash if it fails, the retry is numbered past.
 	c.imageNext = true
 	c.gen++
-	img, err := appendState(c.image[:ckptHeaderBytes], f.snapshotState())
-	if err != nil {
-		return err
-	}
+	img := appendState(c.image[:ckptHeaderBytes], f.snapshotState())
 	c.image = img
 	binary.LittleEndian.PutUint64(img[4:], c.gen)
 	binary.LittleEndian.PutUint64(img[12:], uint64(len(img)-ckptHeaderBytes))

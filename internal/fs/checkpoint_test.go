@@ -118,7 +118,7 @@ func ckptRun(t testing.TB, seed int64, ops, stopAfter int) (r *rig, states [][]b
 	t.Helper()
 	r = newFS(t)
 	s := newOpStream(seed)
-	s.preload(t, r, r.fs, 300)
+	s.preload(t, r, r.fs, 450)
 	count := func() (c [ckptKinds]int64) {
 		for k := range c {
 			c[k] = r.fs.ckptCount[k].Value()
@@ -126,10 +126,7 @@ func ckptRun(t testing.TB, seed int64, ops, stopAfter int) (r *rig, states [][]b
 		return c
 	}
 	noteSync := func(before [ckptKinds]int64) {
-		state, err := encodeState(r.fs.snapshotState())
-		if err != nil {
-			t.Fatal(err)
-		}
+		state := encodeState(r.fs.snapshotState())
 		states = append(states, state)
 		for k, n := range count() {
 			if n != before[k] {
@@ -209,10 +206,7 @@ func TestCheckpointReplayEqualsImage(t *testing.T) {
 				if reads := r.sm.Stats().FlashReads - readsBefore; reads > 2*imageBlocks {
 					t.Errorf("%s: read %d blocks of metadata for an image of %d", when, reads, imageBlocks)
 				}
-				got, err := encodeState(f.snapshotState())
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := encodeState(f.snapshotState())
 				if !bytes.Equal(got, states[k]) {
 					t.Fatalf("%s: recovered metadata (%d bytes) is not the metadata as of the sync (%d bytes)", when, len(got), len(states[k]))
 				}
@@ -240,17 +234,11 @@ func TestCrashRecoveryEqualsLiveState(t *testing.T) {
 		if i%7 != 0 {
 			continue
 		}
-		live, err := encodeState(f.snapshotState())
-		if err != nil {
-			t.Fatal(err)
-		}
+		live := encodeState(f.snapshotState())
 		if f, err = RecoverAfterCrash(cfg, r.clock, r.sm, r.dram); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		got, err := encodeState(f.snapshotState())
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encodeState(f.snapshotState())
 		if !bytes.Equal(got, live) {
 			t.Fatalf("op %d: recovered metadata differs from the live metadata\n%s", i, diffStates(t, got, live))
 		}
@@ -269,9 +257,9 @@ func diffStates(t testing.TB, got, want []byte) string {
 		t.Fatal(err)
 	}
 	g, w = plain(g), plain(w)
-	for _, slot := range inoOrder(w.Inodes) {
-		if have := g.Inodes[slot.ino]; !reflect.DeepEqual(have, slot.node) {
-			return fmt.Sprintf("inode %d: got %+v, want %+v", slot.ino, have, slot.node)
+	for _, node := range w.inoOrder() {
+		if have := g.Inodes[node.Ino]; !reflect.DeepEqual(have, node) {
+			return fmt.Sprintf("inode %d: got %+v, want %+v", node.Ino, have, node)
 		}
 	}
 	return fmt.Sprintf("NextIno %d vs %d, %d vs %d inodes", g.NextIno, w.NextIno, len(g.Inodes), len(w.Inodes))
@@ -394,10 +382,7 @@ func replayed(t testing.TB, log []byte, gen uint64, n int, ends []int) []byte {
 			t.Fatalf("replaying %d intact frames: %d, %v", n, frames, err)
 		}
 	}
-	out, err := encodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := encodeState(st)
 	return out
 }
 
@@ -445,10 +430,7 @@ func TestReplayLogStopsAtFirstBadSeal(t *testing.T) {
 			t.Errorf("%s: applied %d frames (err %v), want %d", c.name, frames, err, c.want)
 			continue
 		}
-		got, err := encodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encodeState(st)
 		if !bytes.Equal(got, replayed(t, log, gen, c.want, ends)) {
 			t.Errorf("%s: the state is not that of the first %d frames", c.name, c.want)
 		}

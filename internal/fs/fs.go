@@ -29,11 +29,9 @@
 package fs
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"ssmobile/internal/dram"
@@ -85,8 +83,8 @@ const RootIno uint64 = 1
 const metaObject uint64 = 0
 
 // Inode is the on-"disk" metadata of one file or directory. The exported
-// fields are what is serialised; Entries is written only through setEntry
-// and delEntry, which keep the name order beside it.
+// fields are what the snapshot holds (snapcodec.go); Entries is written
+// only through setEntry and delEntry, which keep the name order beside it.
 type Inode struct {
 	Ino     uint64
 	Kind    Kind
@@ -95,9 +93,8 @@ type Inode struct {
 	MtimeNs int64
 	Entries map[string]uint64 // directories only
 
-	// Kept snapshot encoding (see gobenc.go). Unexported, so encoding/gob
-	// neither sends nor describes these.
-	enc  inodeEnc // this inode as the snapshot sends it
+	// Kept snapshot encoding.
+	enc  inodeEnc // this inode as the snapshot holds it
 	ents []dirEnt // Entries in name order
 }
 
@@ -135,7 +132,7 @@ type FS struct {
 
 	nextIno uint64
 	inodes  map[uint64]*Inode
-	order   []inoSlot // inodes in Ino order, the order the snapshot encodes
+	order   []*Inode // inodes in Ino order, the order the snapshot encodes
 
 	rbox *rbox
 
@@ -166,7 +163,7 @@ type FS struct {
 // root directory.
 func emptyState() snapshotState {
 	root := &Inode{Ino: RootIno, Kind: KindDir, Nlink: 1, Entries: make(map[string]uint64)}
-	return snapshotState{NextIno: RootIno + 1, Inodes: map[uint64]*Inode{RootIno: root}}
+	return snapshotState{NextIno: RootIno + 1, Inodes: map[uint64]*Inode{RootIno: root}, order: []*Inode{root}}
 }
 
 // Mkfs creates an empty file system on the storage manager, with its
@@ -198,7 +195,7 @@ func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Dev
 		dram:         dramDev,
 		nextIno:      st.NextIno,
 		inodes:       st.Inodes,
-		order:        inoOrder(st.Inodes),
+		order:        st.inoOrder(),
 		rbox:         rb,
 		obs:          o,
 		creates:      o.Counter("ops_total", lbl("create")),
@@ -461,8 +458,7 @@ func (f *FS) create(path string, kind Kind) (_ *Inode, err error) {
 	if kind == KindDir {
 		node.Entries = make(map[string]uint64)
 	}
-	f.inodes[ino] = node
-	f.order = append(f.order, inoSlot{ino, node}) // inos only grow: the newest sorts last
+	f.order = addInode(f.inodes, f.order, node)
 	parent.setEntry(leaf, ino)
 	parent.MtimeNs = node.MtimeNs
 	if err := f.journal(recCreate, ino, parent.Ino, uint64(kind), uint64(node.MtimeNs), leaf, ""); err != nil {
@@ -782,10 +778,7 @@ func (f *FS) Remove(path string) (err error) {
 				return err
 			}
 		}
-		delete(f.inodes, ino)
-		if i, ok := slices.BinarySearchFunc(f.order, ino, func(s inoSlot, ino uint64) int { return cmp.Compare(s.ino, ino) }); ok {
-			f.order = slices.Delete(f.order, i, i+1)
-		}
+		f.order = dropInode(f.inodes, f.order, ino)
 		*node = Inode{}
 		f.inodeFree = append(f.inodeFree, node)
 	}

@@ -1,9 +1,7 @@
 package fs
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,16 +44,6 @@ const (
 	recLink
 )
 
-type snapshotState struct {
-	NextIno uint64
-	Inodes  map[uint64]*Inode
-
-	// order is Inodes in key order when the holder keeps one (the FS
-	// does); without it the encoder sorts the keys itself. Unexported, so
-	// not part of the wire format.
-	order []inoSlot
-}
-
 type rbox struct {
 	clock *sim.Clock
 	dev   *dram.Device
@@ -96,16 +84,6 @@ func newRBox(cfg Config, clock *sim.Clock, dev *dram.Device) (*rbox, error) {
 	return r, nil
 }
 
-func encodeState(st snapshotState) ([]byte, error) {
-	return appendState(nil, st)
-}
-
-func decodeState(p []byte) (snapshotState, error) {
-	var st snapshotState
-	err := gob.NewDecoder(bytes.NewReader(p)).Decode(&st)
-	return st, err
-}
-
 // writeHeader rewrites the header fields after a snapshot or append. The
 // header buffer lives on the stack: the DRAM device copies it out.
 func (r *rbox) writeHeader(snapLen int64, snapCRC uint32) error {
@@ -124,11 +102,7 @@ func (r *rbox) writeHeader(snapLen int64, snapCRC uint32) error {
 // The encoding reuses the box's buffer, so steady-state rollovers do
 // not allocate.
 func (r *rbox) snapshot(st snapshotState) error {
-	var err error
-	r.encBuf, err = appendState(r.encBuf[:0], st)
-	if err != nil {
-		return err
-	}
+	r.encBuf = appendState(r.encBuf[:0], st)
 	data := r.encBuf
 	if int64(len(data)) > r.snapCap {
 		return fmt.Errorf("%w: snapshot of %d exceeds %d", ErrRBoxFull, len(data), r.snapCap)
@@ -270,7 +244,7 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 		if node.Kind == KindDir {
 			node.Entries = make(map[string]uint64)
 		}
-		st.Inodes[rec.a] = node
+		st.order = addInode(st.Inodes, st.order, node)
 		parent.setEntry(rec.s1, rec.a)
 		parent.MtimeNs = rec.t
 		if rec.a >= st.NextIno {
@@ -293,7 +267,7 @@ func applyRecord(st *snapshotState, rec journalRecord) error {
 		if node := st.Inodes[rec.a]; node != nil {
 			node.Nlink--
 			if node.Nlink <= 0 {
-				delete(st.Inodes, rec.a)
+				st.order = dropInode(st.Inodes, st.order, rec.a)
 			}
 		}
 	case recRename: // a: the inode, b and s1: old directory and name, c and s2: new

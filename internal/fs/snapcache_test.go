@@ -18,14 +18,8 @@ import (
 func checkKeptEncoding(t *testing.T, f *FS, when string) {
 	t.Helper()
 	live := f.snapshotState()
-	warm, err := appendState(nil, live)
-	if err != nil {
-		t.Fatalf("%s: warm encode: %v", when, err)
-	}
-	cold, err := appendState(nil, plain(live))
-	if err != nil {
-		t.Fatalf("%s: cold encode: %v", when, err)
-	}
+	warm := appendState(nil, live)
+	cold := appendState(nil, plain(live))
 	if !bytes.Equal(warm, cold) {
 		t.Fatalf("%s: kept encoding (%d bytes) differs from the from-scratch one (%d bytes)", when, len(warm), len(cold))
 	}
@@ -159,10 +153,7 @@ func populated(t testing.TB, n int) (*rig, []byte) {
 			t.Fatal(err)
 		}
 	}
-	buf, err := appendState(nil, f.snapshotState())
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := appendState(nil, f.snapshotState())
 	return r, buf
 }
 
@@ -171,7 +162,7 @@ func populated(t testing.TB, n int) (*rig, []byte) {
 // touch only in-core metadata, so the checkpoint's encode can be measured
 // without the storage stack under it.
 func dirtyFile(f *FS, i int) {
-	node := f.order[3+i%(len(f.order)-3)].node
+	node := f.order[3+i%(len(f.order)-3)]
 	node.Size++
 	node.MtimeNs += 1000
 }
@@ -198,10 +189,7 @@ func TestWarmCheckpointEncodeDoesNotAllocate(t *testing.T) {
 		allocs := testing.AllocsPerRun(200, func() {
 			dirty(r.fs, i)
 			i++
-			var err error
-			if buf, err = appendState(buf[:0], r.fs.snapshotState()); err != nil {
-				t.Fatal(err)
-			}
+			buf = appendState(buf[:0], r.fs.snapshotState())
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm checkpoint encode allocated %.0f times per run", name, allocs)
@@ -259,10 +247,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c.dirty(r.fs, i)
-					var err error
-					if buf, err = appendState(buf[:0], r.fs.snapshotState()); err != nil {
-						b.Fatal(err)
-					}
+					buf = appendState(buf[:0], r.fs.snapshotState())
 				}
 			})
 		}
