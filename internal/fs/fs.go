@@ -82,6 +82,10 @@ const RootIno uint64 = 1
 
 const metaObject uint64 = 0
 
+// maxNameBytes is the longest name a directory entry may have: a journal
+// record holds a name's length in 16 bits (appendRecord).
+const maxNameBytes = math.MaxUint16
+
 // Inode is the on-"disk" metadata of one file or directory. The exported
 // fields are what the snapshot holds (snapcodec.go); Entries is written
 // only through setEntry and delEntry, which keep the name order beside it.
@@ -402,11 +406,15 @@ func (f *FS) resolve(path string) (*Inode, error) {
 }
 
 // resolveParent walks to the parent directory of path and returns it with
-// the leaf name.
+// the leaf name: the name an entry is about to be made, found or removed
+// under, so one no record could hold is refused here, before any mutation.
 func (f *FS) resolveParent(path string) (*Inode, string, error) {
 	parent, leaf, kind, comp := f.walkParent(path)
 	if kind != walkOK {
 		return nil, "", walkError(kind, comp, path)
+	}
+	if len(leaf) > maxNameBytes {
+		return nil, "", fmt.Errorf("%w: name of %d bytes, longer than %d", ErrBadPath, len(leaf), maxNameBytes)
 	}
 	return parent, leaf, nil
 }

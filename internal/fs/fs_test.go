@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -499,6 +500,50 @@ func TestPowerFailureRecovery(t *testing.T) {
 	}
 	if err := recovered.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNameLongerThanARecordHoldsIsRefused: a journal record holds a
+// name's length in 16 bits. A longer name used to be journalled with its
+// length wrapped and all of its bytes, which no recovery could decode; it
+// is refused before anything is journalled, so a file system that saw the
+// attempt recovers from a crash and from a power failure, and the longest
+// name a record does hold survives both.
+func TestNameLongerThanARecordHoldsIsRefused(t *testing.T) {
+	r := newFS(t)
+	if err := r.fs.WriteFile("/ok", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	longest := "/" + strings.Repeat("n", maxNameBytes)
+	long := longest + "n"
+	for what, err := range map[string]error{
+		"create": r.fs.WriteFile(long, []byte("x")),
+		"link":   r.fs.Link("/ok", long),
+		"rename": r.fs.Rename("/ok", long),
+	} {
+		if !errors.Is(err, ErrBadPath) {
+			t.Errorf("%s under a name of %d bytes: %v, want ErrBadPath", what, len(long)-1, err)
+		}
+	}
+	if err := r.fs.Link("/ok", longest); err != nil {
+		t.Fatalf("link under a name of %d bytes: %v", maxNameBytes, err)
+	}
+	f, err := RecoverAfterCrash(fsConfig(), r.clock, r.sm, r.dram)
+	if err != nil {
+		t.Fatalf("crash recovery: %v", err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.dram.PowerFail()
+	if f, _, err = RecoverAfterPowerFailure(fsConfig(), r.clock, r.sm, r.dram); err != nil {
+		t.Fatalf("power-failure recovery: %v", err)
+	}
+	if !f.Exists("/ok") || !f.Exists(longest) || f.NumInodes() != 2 {
+		t.Fatalf("after both recoveries: /ok %v, the longest name %v, %d inodes", f.Exists("/ok"), f.Exists(longest), f.NumInodes())
 	}
 }
 
