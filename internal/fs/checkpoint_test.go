@@ -382,8 +382,7 @@ func replayed(t testing.TB, log []byte, gen uint64, n int, ends []int) []byte {
 			t.Fatalf("replaying %d intact frames: %d, %v", n, frames, err)
 		}
 	}
-	out := encodeState(st)
-	return out
+	return encodeState(st)
 }
 
 // TestReplayLogStopsAtFirstBadSeal: a frame that does not open as the

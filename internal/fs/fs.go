@@ -406,8 +406,9 @@ func (f *FS) resolve(path string) (*Inode, error) {
 }
 
 // resolveParent walks to the parent directory of path and returns it with
-// the leaf name: the name an entry is about to be made, found or removed
-// under, so one no record could hold is refused here, before any mutation.
+// the leaf name. Every entry is made, renamed or removed under a name that
+// came through here, so a name too long for a journal record is refused
+// here, before any mutation.
 func (f *FS) resolveParent(path string) (*Inode, string, error) {
 	parent, leaf, kind, comp := f.walkParent(path)
 	if kind != walkOK {

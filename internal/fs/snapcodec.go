@@ -212,9 +212,8 @@ func (c *inodeEnc) encode(node *Inode) {
 	b = binary.AppendUvarint(b, uint64(node.Kind))
 	b = binary.AppendVarint(b, node.Size)
 	b = binary.AppendVarint(b, int64(node.Nlink))
-	b = binary.AppendVarint(b, node.MtimeNs)
-	c.n = uint8(len(b) + 1) // and the flag, zero
-	c.elem[len(b)] = 0
+	b = append(binary.AppendVarint(b, node.MtimeNs), 0) // the flag: no entries
+	c.n = uint8(len(b))
 	c.ino, c.kind, c.size, c.nlink, c.mtimeNs = node.Ino, node.Kind, node.Size, node.Nlink, node.MtimeNs
 }
 
@@ -299,10 +298,11 @@ func (r *snapReader) count(each int) int {
 	return int(n)
 }
 
-func (r *snapReader) bytes(n int) []byte {
-	b := r.p[:n] // n is a count(1): no more than remain
+func (r *snapReader) name() string {
+	n := r.count(1)
+	s := string(r.p[:n])
 	r.p = r.p[n:]
-	return b
+	return s
 }
 
 // Every inode takes at least its five scalars and its flag, every entry a
@@ -325,7 +325,7 @@ func (r *snapReader) inode() *Inode {
 		n := r.count(minEntryBytes)
 		node.Entries = make(map[string]uint64, n)
 		for i, prev := 0, ""; i < n && r.err == nil; i++ {
-			name := string(r.bytes(r.count(1)))
+			name := r.name()
 			if i > 0 && name <= prev {
 				r.fail("entries out of order")
 			}
