@@ -407,7 +407,7 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 	if got := p.idleYields.Value(); got != 3 {
 		t.Fatalf("%d yields counted for three gaps that were over, want 3", got)
 	}
-	if got := p.idleBurst.Sim().Count(); got != 0 {
+	if got := p.idleBurst.Collect().Count; got != 0 {
 		t.Fatalf("%d bursts observed before any clean ran", got)
 	}
 
@@ -439,8 +439,8 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 	if got := p.idleYields.Value(); got != 5 {
 		t.Fatalf("%d yields counted, want 5 (every call so far left the pool under its target)", got)
 	}
-	if h := p.idleBurst.Sim(); h.Count() != 2 || h.Sum() != 4 || h.Max() != 3 {
-		t.Fatalf("bursts: count %d sum %v max %v, want two bursts of 1 and 3", h.Count(), h.Sum(), h.Max())
+	if h := p.idleBurst.Collect(); h.Count != 2 || h.Sum != 4 || h.Max != 3 {
+		t.Fatalf("bursts: count %d sum %v max %v, want two bursts of 1 and 3", h.Count, h.Sum, h.Max)
 	}
 
 	// Nobody waiting: to the target, and that is not a yield.

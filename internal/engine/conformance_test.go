@@ -91,7 +91,7 @@ func TestEngineConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			differential, _ := e.(*pdl.Engine)
+			differential := e.DiffsOverwrites()
 
 			rng := rand.New(rand.NewSource(1993))
 			const lpns = 40 // well under logical capacity, hot enough to force cleaning
@@ -101,6 +101,7 @@ func TestEngineConformance(t *testing.T) {
 			buf := make([]byte, conformancePage)
 			page := make([]byte, conformancePage)
 			busyOps := 0
+			overwrites, subPage := 0, 0 // small changes to mapped pages, and those that programmed less than a page
 
 			for op := 0; op < 4000; op++ {
 				lpn := int64(rng.Intn(lpns))
@@ -116,8 +117,22 @@ func TestEngineConformance(t *testing.T) {
 					for i := 0; i < n; i++ {
 						page[off+i] = byte(rng.Intn(256))
 					}
+					before := dev.BytesProgrammed()
 					if err := e.WritePageTagged(lpn, page, tags[lpn]); err != nil {
 						t.Fatalf("op %d: overwrite: %v", op, err)
+					}
+					// What DiffsOverwrites promises: an engine that says no
+					// programs at least a page for every change to a mapped
+					// page; one that says yes must mostly program less.
+					if ok && !bytes.Equal(page, cur) {
+						overwrites++
+						programmed := dev.BytesProgrammed() - before
+						if programmed < conformancePage {
+							subPage++
+						}
+						if !differential && programmed < conformancePage {
+							t.Fatalf("op %d: an engine that rewrites whole pages programmed %d bytes for an overwrite", op, programmed)
+						}
 					}
 					model[lpn] = append([]byte(nil), page...)
 				case k < 70: // full random write, occasionally with a new tag
@@ -141,7 +156,7 @@ func TestEngineConformance(t *testing.T) {
 						t.Fatalf("op %d: identical rewrite: %v", op, err)
 					}
 					// A differential log has nothing to persist.
-					if after := dev.BytesProgrammed(); differential != nil && after != before {
+					if after := dev.BytesProgrammed(); differential && after != before {
 						t.Fatalf("op %d: identical rewrite programmed %d flash bytes", op, after-before)
 					}
 				case k < 88: // trim
@@ -194,13 +209,12 @@ func TestEngineConformance(t *testing.T) {
 			if busyOps < 400 {
 				t.Fatalf("a bank was busy after only %d of 4000 ops; decisions are not being taken under erases", busyOps)
 			}
-			if differential != nil {
-				if differential.DeltaWrites() == 0 {
-					t.Fatal("workload never took the delta path; the test is not exercising differential logging")
-				}
-				if differential.Promotions() == 0 {
-					t.Fatal("workload never promoted a chain; bounds are not exercised")
-				}
+			t.Logf("%d of %d small overwrites programmed less than a page", subPage, overwrites)
+			if differential && 2*subPage <= overwrites {
+				t.Fatalf("an engine that diffs overwrites programmed less than a page for only %d of %d small ones", subPage, overwrites)
+			}
+			if p, ok := e.(*pdl.Engine); ok && p.Promotions() == 0 {
+				t.Fatal("workload never promoted a chain; bounds are not exercised")
 			}
 
 			// Remount from the device scan: the rebuilt engine must agree

@@ -110,6 +110,11 @@ type Engine interface {
 	// PersistsMapping reports whether the mapping survives power loss
 	// (a prerequisite for mounting the storage manager after a crash).
 	PersistsMapping() bool
+	// DiffsOverwrites reports whether rewriting a mapped page programs
+	// only the bytes that changed rather than a whole fresh page. The
+	// file system's checkpoint asks it what appending to a partly
+	// written block costs.
+	DiffsOverwrites() bool
 
 	// CleanIdle runs reclamation off the write path in the idle gap
 	// that ends at until (sim.Forever when nobody is waiting): cleans

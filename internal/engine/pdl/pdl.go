@@ -254,6 +254,10 @@ func (e *Engine) Device() *flash.Device { return e.dev }
 // CRC-folded record, so Mount rebuilds the full mapping by device scan.
 func (e *Engine) PersistsMapping() bool { return true }
 
+// DiffsOverwrites is always true: an overwrite of a mapped page appends a
+// delta of the changed range to the page's chain.
+func (e *Engine) DiffsOverwrites() bool { return true }
+
 // Sync is a no-op: every write is durable on return.
 func (e *Engine) Sync() error { return nil }
 

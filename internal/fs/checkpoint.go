@@ -119,9 +119,12 @@ func blocksSpanned(off, n, bs int) int { return (off+n-1)/bs - off/bs + 1 }
 // checkpoint, nothing at all if there are none, and a whole image when a
 // frame would not be the cheaper thing: there is no image to extend, the
 // log with this frame would take more blocks than the image (which keeps
-// a mount's reading within twice the image's blocks), or the image takes
-// no more blocks than the frame would touch (a file system that fits one
-// block stays at one page per checkpoint).
+// a mount's reading within twice the image's blocks), or the engine
+// rewrites whole pages and the image takes no more blocks than the frame
+// would touch (on ftl a file system that fits one block stays at one page
+// per checkpoint). On an engine that diffs overwrites, rewriting the log's
+// tail block programs only the frame's bytes, so a frame never costs more
+// than the image would and is taken whenever the log has room.
 func (f *FS) Checkpoint() error {
 	// The checkpoint stream is filesystem metadata: charge its flash
 	// programs to the metadata cause, overriding any enclosing sync scope.
@@ -132,8 +135,8 @@ func (f *FS) Checkpoint() error {
 			f.ckptCount[ckptEmpty].Inc()
 			return nil
 		}
-		if c.logLen+len(f.pending) <= c.logCap &&
-			blocksSpanned(c.logLen, len(f.pending), bs) < c.logCap/bs {
+		if c.logLen+len(f.pending) <= c.logCap && (f.sm.DiffsOverwrites() ||
+			blocksSpanned(c.logLen, len(f.pending), bs) < c.logCap/bs) {
 			return f.appendFrame()
 		}
 	}

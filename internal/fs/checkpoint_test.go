@@ -215,6 +215,85 @@ func TestCheckpointReplayEqualsImage(t *testing.T) {
 	}
 }
 
+// oneBlockRun syncs a namespace whose image fits one block, on eng, once
+// after each of syncs creates. It returns the encoded metadata as of each
+// sync, which kind of checkpoint it took, and whether the frame its records
+// made would have overflowed the log.
+func oneBlockRun(t *testing.T, eng string, syncs int) (r *rig, states [][]byte, kinds []string, overflow []bool) {
+	t.Helper()
+	r = newPartsOn(t, eng, nil)
+	var err error
+	if r.fs, err = Mkfs(fsConfig(), r.clock, r.sm, r.dram); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < syncs; i++ {
+		r.clock.Advance(sim.Millisecond)
+		if err := r.fs.Create(fmt.Sprintf("/n%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+		c := &r.fs.ckpt
+		overflow = append(overflow, c.logLen+len(r.fs.pending) > c.logCap)
+		images := r.fs.ckptCount[ckptImage].Value()
+		if err := r.fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if c.logCap != r.fs.BlockBytes() {
+			t.Fatalf("%s sync %d: the image spans %d bytes of blocks; the test wants one block", eng, i, c.logCap)
+		}
+		kind := "frame"
+		if r.fs.ckptCount[ckptImage].Value() != images {
+			kind = "image"
+		}
+		states = append(states, encodeState(r.fs.snapshotState()))
+		kinds = append(kinds, kind)
+	}
+	return r, states, kinds, overflow
+}
+
+// TestOneBlockNamespaceCheckpoints pins the fold rule on both engines for
+// a namespace whose image fits one block. On ftl a frame programs a whole
+// page just as the image does, so every sync writes the image. On pdl,
+// rewriting the log's tail block programs only the frame's bytes, so syncs
+// take frames until the log's one block would overflow, then one image.
+// After every sync a power failure mounts the namespace as of that sync.
+func TestOneBlockNamespaceCheckpoints(t *testing.T) {
+	const syncs = 120
+	for _, eng := range []string{"ftl", "pdl"} {
+		_, states, kinds, overflow := oneBlockRun(t, eng, syncs)
+		folds := 0
+		for i, kind := range kinds {
+			want := "image"
+			if eng == "pdl" && i > 0 && !overflow[i] {
+				want = "frame"
+			}
+			if kind != want {
+				t.Fatalf("%s sync %d: checkpoint kind %s, want %s (kinds %v)", eng, i, kind, want, kinds)
+			}
+			if i > 0 && kind == "image" {
+				folds++
+			}
+		}
+		if eng == "pdl" && (folds == 0 || folds > syncs/20) {
+			t.Fatalf("pdl folded %d times in %d syncs: want a long run of frames and at least one fold", folds, syncs)
+		}
+		t.Logf("%s: %d syncs, %d images after the first", eng, syncs, folds)
+		for k := range states {
+			r, again, _, _ := oneBlockRun(t, eng, k+1)
+			if !bytes.Equal(again[k], states[k]) {
+				t.Fatalf("%s: the run is not repeatable at sync %d", eng, k)
+			}
+			r.dram.PowerFail()
+			f, _, err := RecoverAfterPowerFailure(fsConfig(), r.clock, r.sm, r.dram)
+			if err != nil {
+				t.Fatalf("%s sync %d (%s): %v", eng, k, kinds[k], err)
+			}
+			if got := encodeState(f.snapshotState()); !bytes.Equal(got, states[k]) {
+				t.Fatalf("%s sync %d (%s): recovered metadata is not the namespace as of the sync\n%s", eng, k, kinds[k], diffStates(t, got, states[k]))
+			}
+		}
+	}
+}
+
 // TestCrashRecoveryEqualsLiveState is the regression test for the
 // timestamps OS-crash recovery lost: whatever the operations, what the
 // recovery box replays to is byte for byte the live metadata — created

@@ -11,6 +11,8 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
+	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
@@ -24,7 +26,7 @@ type rig struct {
 	meter *sim.EnergyMeter
 	dram  *dram.Device
 	flash *flash.Device
-	fl    *ftl.FTL
+	eng   engine.Engine
 	sm    *storman.Manager
 	fs    *FS
 }
@@ -34,11 +36,14 @@ func fsConfig() Config {
 }
 
 // newParts builds the device stack without the FS (for recovery tests).
-func newParts(t testing.TB) *rig { return newPartsObs(t, nil) }
+func newParts(t testing.TB) *rig { return newPartsOn(t, "ftl", nil) }
 
 // newPartsObs is newParts with the flash device reporting to o, for tests
 // that read what the file system's activity was charged to.
-func newPartsObs(t testing.TB, o *obs.Observer) *rig {
+func newPartsObs(t testing.TB, o *obs.Observer) *rig { return newPartsOn(t, "ftl", o) }
+
+// newPartsOn is newPartsObs over the named storage engine, ftl or pdl.
+func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	t.Helper()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
@@ -48,14 +53,27 @@ func newPartsObs(t testing.TB, o *obs.Observer) *rig {
 	}
 	params := device.IntelFlash
 	params.EraseLatencyNs = 1e6
-	fd, err := flash.New(flash.Config{Banks: 2, BlocksPerBank: 128, BlockBytes: 16 * 1024, Params: params, Obs: o}, clock, meter)
+	fcfg := flash.Config{Banks: 2, BlocksPerBank: 128, BlockBytes: 16 * 1024, Params: params, Obs: o}
+	if eng == "pdl" {
+		// pdl keeps a record per page in the spare area, the same size as ftl's.
+		fcfg.SpareUnitBytes, fcfg.SpareBytes = 4096, ftl.OOBRecordBytes
+	}
+	fd, err := flash.New(fcfg, clock, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := ftl.New(fd, clock, ftl.Config{
-		PageBytes: 4096, ReserveBlocks: 3,
-		Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true,
-	})
+	var fl engine.Engine
+	switch eng {
+	case "ftl":
+		fl, err = ftl.New(fd, clock, ftl.Config{
+			PageBytes: 4096, ReserveBlocks: 3,
+			Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true,
+		})
+	case "pdl":
+		fl, err = pdl.New(fd, clock, pdl.Config{PageBytes: 4096, ReserveBlocks: 3, BackgroundErase: true})
+	default:
+		t.Fatalf("unknown engine %q", eng)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +85,7 @@ func newPartsObs(t testing.TB, o *obs.Observer) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{clock: clock, meter: meter, dram: dr, flash: fd, fl: fl, sm: sm}
+	return &rig{clock: clock, meter: meter, dram: dr, flash: fd, eng: fl, sm: sm}
 }
 
 func newFS(t testing.TB) *rig {

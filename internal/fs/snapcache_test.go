@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/obs"
 )
 
@@ -133,9 +134,12 @@ func TestKeptEncodingMatchesFromScratch(t *testing.T) {
 
 // populated builds a file system of n files spread over two directories
 // and takes one checkpoint, so every kept encoding is warm.
-func populated(t testing.TB, n int) (*rig, []byte) {
+func populated(t testing.TB, n int) (*rig, []byte) { return populatedOn(t, "ftl", n) }
+
+// populatedOn is populated over the named storage engine.
+func populatedOn(t testing.TB, eng string, n int) (*rig, []byte) {
 	t.Helper()
-	r := newParts(t)
+	r := newPartsOn(t, eng, nil)
 	cfg := fsConfig()
 	cfg.RBoxBytes = 1 << 20 // room for a 4000-inode snapshot
 	f, err := Mkfs(cfg, r.clock, r.sm, r.dram)
@@ -202,18 +206,25 @@ func TestWarmCheckpointEncodeDoesNotAllocate(t *testing.T) {
 
 	// The other kind of checkpoint: one mutation journalled, sealed into
 	// a frame and appended to the flash log, all the way down through the
-	// device model. The pending frame and the log's tail block are reused;
-	// so is the image buffer, for the fold the run crosses.
-	r, _ := populated(t, 300)
-	if err := r.fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() { frameCheckpoint(t, r.fs) })
-	if allocs != 0 {
-		t.Errorf("warm frame checkpoint allocated %.0f times per run", allocs)
-	}
-	if frames, images := r.fs.ckptCount[ckptFrame].Value(), r.fs.ckptCount[ckptImage].Value(); frames < 190 || images < 2 {
-		t.Errorf("%d frames and %d images: want a run of frames across a fold", frames, images)
+	// device model — on ftl a fresh page per append, on pdl a delta of the
+	// frame's bytes attached to the tail block's chain. The pending frame
+	// and the log's tail block are reused; so is the image buffer, for the
+	// fold the run crosses.
+	for _, eng := range []string{"ftl", "pdl"} {
+		r, _ := populatedOn(t, eng, 300)
+		if err := r.fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() { frameCheckpoint(t, r.fs) })
+		if allocs != 0 {
+			t.Errorf("%s: warm frame checkpoint allocated %.0f times per run", eng, allocs)
+		}
+		if p, ok := r.eng.(*pdl.Engine); ok && p.DeltaWrites() < 150 {
+			t.Errorf("pdl: %d delta writes over 200 frame checkpoints: the appends are not taking the delta path", p.DeltaWrites())
+		}
+		if frames, images := r.fs.ckptCount[ckptFrame].Value(), r.fs.ckptCount[ckptImage].Value(); frames < 190 || images < 2 {
+			t.Errorf("%s: %d frames and %d images: want a run of frames across a fold", eng, frames, images)
+		}
 	}
 }
 

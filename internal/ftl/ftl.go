@@ -746,6 +746,9 @@ func (f *FTL) Sync() error { return nil }
 // crash-recoverable.
 func (f *FTL) PersistsMapping() bool { return f.cfg.PersistMapping }
 
+// DiffsOverwrites is always false: every write programs a whole page.
+func (f *FTL) DiffsOverwrites() bool { return false }
+
 // Stats is the block pool's view of the layer's counters and the device.
 func (f *FTL) Stats() engine.Stats { return f.pool.Stats() }
 

@@ -299,6 +299,10 @@ func (m *Manager) Config() Config { return m.cfg }
 // BlockBytes reports the block size.
 func (m *Manager) BlockBytes() int { return m.cfg.BlockBytes }
 
+// DiffsOverwrites reports whether the engine programs only what changed
+// when a mapped page is rewritten (engine.Engine.DiffsOverwrites).
+func (m *Manager) DiffsOverwrites() bool { return m.fl.DiffsOverwrites() }
+
 // FlashPagesFree reports the unallocated flash logical pages.
 func (m *Manager) FlashPagesFree() int { return len(m.freeLPN) }
 
