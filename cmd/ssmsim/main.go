@@ -214,9 +214,9 @@ func replay(args []string) error {
 		fmt.Printf("  ops %d, wrote %.1fMB, read %.1fMB over %v\n",
 			st.Ops, float64(st.BytesWritten)/(1<<20), float64(st.BytesRead)/(1<<20), st.Elapsed)
 		fmt.Printf("  read  mean %v  p99 %v\n",
-			sim.Duration(st.ReadLatency.Mean()), sim.Duration(st.ReadLatency.Quantile(0.99)))
+			sim.Duration(st.ReadLatency.Mean()), sim.Duration(st.ReadLatency.P99))
 		fmt.Printf("  write mean %v  p99 %v\n",
-			sim.Duration(st.WriteLatency.Mean()), sim.Duration(st.WriteLatency.Quantile(0.99)))
+			sim.Duration(st.WriteLatency.Mean()), sim.Duration(st.WriteLatency.P99))
 		fmt.Printf("  energy %v\n", st.EnergyTotal)
 	}
 	return nil

@@ -62,7 +62,7 @@ func main() {
 		fmt.Printf("%-38s %12v %12v %12v %12v\n",
 			r.name,
 			sim.Duration(r.st.ReadLatency.Mean()),
-			sim.Duration(r.st.ReadLatency.Quantile(0.99)),
+			sim.Duration(r.st.ReadLatency.P99),
 			sim.Duration(r.st.WriteLatency.Mean()),
 			r.st.EnergyTotal)
 	}

@@ -209,15 +209,15 @@ func (c *Cluster) nodeNames(idx []int) string {
 	return strings.Join(names, "+")
 }
 
-// ReplicaLatency exposes the router's per-rank holder-latency histogram
-// (rank 0 is the primary) for after-the-run analysis — E16's per-holder
-// p99 decomposition reads it directly. Nil when the rank is out of
-// range.
-func (c *Cluster) ReplicaLatency(rank int) *sim.Histogram {
-	if rank < 0 || rank >= len(c.repLat) {
-		return nil
+// ReplicaLatency collects the router's holder-latency histograms, one per
+// rank (rank 0 is the primary), for after-the-run analysis — E16's
+// per-holder p99 decomposition.
+func (c *Cluster) ReplicaLatency() []obs.Metric {
+	ms := make([]obs.Metric, len(c.repLat))
+	for rank, h := range c.repLat {
+		ms[rank] = h.Collect()
 	}
-	return c.repLat[rank].Sim()
+	return ms
 }
 
 // StragglerGapNS reports the straggler gauge: the last replicated

@@ -102,7 +102,7 @@ func TestReplayBakerTraceOnBothSystems(t *testing.T) {
 			if st.Ops != len(tr.Ops) {
 				t.Fatalf("replayed %d of %d ops", st.Ops, len(tr.Ops))
 			}
-			if st.ReadLatency.Count() == 0 || st.WriteLatency.Count() == 0 {
+			if st.ReadLatency.Count == 0 || st.WriteLatency.Count == 0 {
 				t.Fatal("no latencies recorded")
 			}
 			if err := sys.Sync(); err != nil {

@@ -143,20 +143,16 @@ func E16Fleet(env *Env, seed int64) ([]*Table, error) {
 				counts[obs.EventReplicaShed], counts[obs.EventTombstoneCreate], counts[obs.EventTombstoneResolve]),
 			"/debug/events JSONL, replayable offline with `ssmtrace events`")
 
-		for rank := 0; ; rank++ {
-			h := cl.ReplicaLatency(rank)
-			if h == nil {
-				break
-			}
+		for rank, h := range cl.ReplicaLatency() {
 			role := "replica"
 			if rank == 0 {
 				role = "primary"
 			}
 			holders.AddRow(
 				fmt.Sprintf("%d", rank), role,
-				fmt.Sprintf("%d", h.Count()),
-				fmtDur(sim.Duration(h.Quantile(0.50))),
-				fmtDur(sim.Duration(h.Quantile(0.99))),
+				fmt.Sprintf("%d", h.Count),
+				fmtDur(sim.Duration(h.P50)),
+				fmtDur(sim.Duration(h.P99)),
 			)
 		}
 		holders.Notes = append(holders.Notes,

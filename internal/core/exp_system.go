@@ -155,9 +155,9 @@ func E9EndToEnd(env *Env, seed int64) (*Table, error) {
 		t.AddRow(metric, f(solidStats), f(diskStats))
 	}
 	row("read latency mean", func(s ReplayStats) string { return fmtDur(sim.Duration(s.ReadLatency.Mean())) })
-	row("read latency p99", func(s ReplayStats) string { return fmtDur(sim.Duration(s.ReadLatency.Quantile(0.99))) })
+	row("read latency p99", func(s ReplayStats) string { return fmtDur(sim.Duration(s.ReadLatency.P99)) })
 	row("write latency mean", func(s ReplayStats) string { return fmtDur(sim.Duration(s.WriteLatency.Mean())) })
-	row("write latency p99", func(s ReplayStats) string { return fmtDur(sim.Duration(s.WriteLatency.Quantile(0.99))) })
+	row("write latency p99", func(s ReplayStats) string { return fmtDur(sim.Duration(s.WriteLatency.P99)) })
 	row("create latency mean", func(s ReplayStats) string { return fmtDur(sim.Duration(s.CreateLatency.Mean())) })
 	row("total energy", func(s ReplayStats) string { return s.EnergyTotal.String() })
 
@@ -222,9 +222,9 @@ func E9FlashParts(env *Env, seed int64) (*Table, error) {
 		}
 		rows[i] = []string{p.name,
 			fmtDur(sim.Duration(st.ReadLatency.Mean())),
-			fmtDur(sim.Duration(st.ReadLatency.Quantile(0.99))),
+			fmtDur(sim.Duration(st.ReadLatency.P99)),
 			fmtDur(sim.Duration(st.WriteLatency.Mean())),
-			fmtDur(sim.Duration(st.WriteLatency.Quantile(0.99))),
+			fmtDur(sim.Duration(st.WriteLatency.P99)),
 			sys.Meter().Total().String()}
 		return nil
 	})

@@ -8,13 +8,14 @@ import (
 	"ssmobile/internal/trace"
 )
 
-// ReplayStats summarises one trace replay on a System.
+// ReplayStats summarises one trace replay on a System. The latencies are
+// the replay's own histograms, collected when it returned.
 type ReplayStats struct {
 	Ops           int
-	ReadLatency   *sim.Histogram
-	WriteLatency  *sim.Histogram
-	CreateLatency *sim.Histogram
-	RemoveLatency *sim.Histogram
+	ReadLatency   obs.Metric
+	WriteLatency  obs.Metric
+	CreateLatency obs.Metric
+	RemoveLatency obs.Metric
 	Elapsed       sim.Duration // virtual time from first to last op
 	EnergyTotal   sim.Energy
 	BytesRead     int64
@@ -48,7 +49,7 @@ func Replay(sys System, tr *trace.Trace) (ReplayStats, error) {
 // ReplayObs is Replay recording telemetry into an explicit observer
 // instead of the process default — the form the parallel experiment
 // engine uses, so concurrent replays never interleave their spans.
-func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (ReplayStats, error) {
+func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, err error) {
 	hist := func(op string) *obs.Histogram {
 		return o.Histogram("op_latency_ns", obs.Labels{"layer": "replay", "op": op})
 	}
@@ -56,12 +57,10 @@ func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (ReplayStats, error
 	writeH := hist("write")
 	createH := hist("create")
 	removeH := hist("remove")
-	st := ReplayStats{
-		ReadLatency:   readH.Sim(),
-		WriteLatency:  writeH.Sim(),
-		CreateLatency: createH.Sim(),
-		RemoveLatency: removeH.Sim(),
-	}
+	defer func() {
+		st.ReadLatency, st.WriteLatency = readH.Collect(), writeH.Collect()
+		st.CreateLatency, st.RemoveLatency = createH.Collect(), removeH.Collect()
+	}()
 	clock := sys.Clock()
 	meter := sys.Meter()
 	start := clock.Now()

@@ -261,15 +261,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a latency sample in nanoseconds.
 func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(float64(d)) }
 
-// Sim exposes the underlying sim.Histogram for read access after a
-// single-threaded run (the experiments' latency tables read it directly).
-func (h *Histogram) Sim() *sim.Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.h
-}
-
 // Name implements Collector.
 func (h *Histogram) Name() string { return h.name }
 

@@ -48,8 +48,8 @@ func TestHistogramChainsToRegistryAggregate(t *testing.T) {
 	h2 := o.Histogram("lat", nil)
 	h1.Observe(10)
 	h2.Observe(20)
-	if h1.Sim().Count() != 1 || h2.Sim().Count() != 1 {
-		t.Fatalf("instance counts = %d, %d; want 1, 1", h1.Sim().Count(), h2.Sim().Count())
+	if h1.Collect().Count != 1 || h2.Collect().Count != 1 {
+		t.Fatalf("instance counts = %d, %d; want 1, 1", h1.Collect().Count, h2.Collect().Count)
 	}
 	m, ok := o.Registry.Snapshot().Find("lat", nil)
 	if !ok {
@@ -117,8 +117,8 @@ func TestNilObserverIsUsable(t *testing.T) {
 	}
 	h := o.Histogram("h", nil)
 	h.Observe(1)
-	if h.Sim().Count() != 1 {
-		t.Fatalf("standalone histogram count = %d, want 1", h.Sim().Count())
+	if h.Collect().Count != 1 {
+		t.Fatalf("standalone histogram count = %d, want 1", h.Collect().Count)
 	}
 	// And the nil collectors themselves are no-ops, not crashes.
 	var nc *Counter

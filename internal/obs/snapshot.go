@@ -31,6 +31,14 @@ type Metric struct {
 	key string
 }
 
+// Mean reports a histogram's sample mean, or 0 with no samples.
+func (m Metric) Mean() float64 {
+	if m.Count == 0 {
+		return 0
+	}
+	return m.Sum / float64(m.Count)
+}
+
 // Key reports the metric's canonical identity "name{k=v,...}".
 func (m Metric) Key() string {
 	if m.key != "" {
