@@ -449,7 +449,6 @@ func powerCutMultiBlockCheckpoint(t *testing.T, engine string) {
 			return err
 		},
 		func(sys *SolidStateSystem) (err error) { // 420 files: pdl folds the one-block log into an image of several blocks
-
 			for ; created < 420 && err == nil; created++ {
 				err = sys.Create(name(created))
 			}

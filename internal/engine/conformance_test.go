@@ -126,12 +126,11 @@ func TestEngineConformance(t *testing.T) {
 					// page; one that says yes must mostly program less.
 					if ok && !bytes.Equal(page, cur) {
 						overwrites++
-						programmed := dev.BytesProgrammed() - before
-						if programmed < conformancePage {
+						if programmed := dev.BytesProgrammed() - before; programmed < conformancePage {
+							if !differential {
+								t.Fatalf("op %d: an engine that rewrites whole pages programmed %d bytes for an overwrite", op, programmed)
+							}
 							subPage++
-						}
-						if !differential && programmed < conformancePage {
-							t.Fatalf("op %d: an engine that rewrites whole pages programmed %d bytes for an overwrite", op, programmed)
 						}
 					}
 					model[lpn] = append([]byte(nil), page...)
