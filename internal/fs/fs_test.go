@@ -38,11 +38,9 @@ func fsConfig() Config {
 // newParts builds the device stack without the FS (for recovery tests).
 func newParts(t testing.TB) *rig { return newPartsOn(t, "ftl", nil) }
 
-// newPartsObs is newParts with the flash device reporting to o, for tests
-// that read what the file system's activity was charged to.
-func newPartsObs(t testing.TB, o *obs.Observer) *rig { return newPartsOn(t, "ftl", o) }
-
-// newPartsOn is newPartsObs over the named storage engine, ftl or pdl.
+// newPartsOn is newParts over the named storage engine, ftl or pdl, with
+// the flash device reporting to o (nil for none), for tests that read what
+// the file system's activity was charged to.
 func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	t.Helper()
 	clock := sim.NewClock()

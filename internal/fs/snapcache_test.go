@@ -312,7 +312,7 @@ func TestRecoveredFSCountsAndAttributes(t *testing.T) {
 	}
 	for name, recoverFS := range recoveries {
 		o := obs.New(1 << 16) // large enough that the span ring never wraps here
-		r := newPartsObs(t, o)
+		r := newPartsOn(t, "ftl", o)
 		cfg := fsConfig()
 		cfg.Obs = o
 		var err error
