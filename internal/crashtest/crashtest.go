@@ -74,6 +74,8 @@ const (
 type Op struct {
 	Kind OpKind
 	Key  storman.Key
+	// Off is the byte offset in the block a write starts at.
+	Off int
 	// Size is the write length or truncation size.
 	Size int
 	// Fill is the write's repeated data byte.
@@ -83,9 +85,14 @@ type Op struct {
 // Script is a workload: a fixed sequence of steps.
 type Script []Op
 
-// W writes size bytes of fill into (object, block).
+// W writes size bytes of fill at the start of (object, block).
 func W(object uint64, block int64, size int, fill byte) Op {
-	return Op{Kind: OpWrite, Key: storman.Key{Object: object, Block: block}, Size: size, Fill: fill}
+	return WA(object, block, 0, size, fill)
+}
+
+// WA writes size bytes of fill into (object, block) at byte off.
+func WA(object uint64, block int64, off, size int, fill byte) Op {
+	return Op{Kind: OpWrite, Key: storman.Key{Object: object, Block: block}, Off: off, Size: size, Fill: fill}
 }
 
 // T truncates (object, block) to size bytes.
@@ -326,7 +333,7 @@ func buildStack(cfg Config, inj flash.Injector) (*stack, error) {
 func (s *stack) apply(cfg Config, op Op) error {
 	switch op.Kind {
 	case OpWrite:
-		return s.m.WriteBlock(op.Key, bytes.Repeat([]byte{op.Fill}, op.Size))
+		return s.m.WriteBlockAt(op.Key, op.Off, bytes.Repeat([]byte{op.Fill}, op.Size))
 	case OpTruncate:
 		return s.m.TruncateBlock(op.Key, op.Size)
 	case OpDelete:
@@ -488,7 +495,7 @@ func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
 	keys = append(keys, fresh)
 	for i, key := range keys {
 		data := bytes.Repeat([]byte{byte(0xC0 + i)}, cfg.BlockBytes)
-		if err := m.WriteBlock(key, data); err != nil {
+		if err := m.WriteBlockAt(key, 0, data); err != nil {
 			return fmt.Errorf("write %+v: %w", key, err)
 		}
 	}

@@ -153,3 +153,106 @@ func TestSingleFateSweep(t *testing.T) {
 		t.Errorf("%s", v)
 	}
 }
+
+// offsetScript writes at byte offsets into 1024-byte blocks: over
+// flash-resident blocks both covering (no flash read) and not (inside,
+// straddling the end, past the size), past the size of a truncated
+// block whose flash or DRAM page still holds the cut tail, and into
+// fresh blocks. Its churn reaches the cleaner like DefaultScript's.
+func offsetScript() Script {
+	return Script{
+		W(1, 0, 700, 0x11),
+		W(1, 1, 1024, 0x22),
+		W(1, 2, 512, 0x33),
+		WA(2, 0, 300, 200, 0x44), // fresh block, zero prefix
+		S(),
+		// Over flash-resident blocks.
+		WA(1, 0, 0, 800, 0x55),   // covers the 700 stored bytes
+		WA(1, 1, 100, 200, 0x66), // inside
+		WA(1, 2, 400, 624, 0x77), // straddles the end
+		WA(2, 0, 600, 100, 0x88), // past the size: a zero hole
+		S(),
+		// Truncate flushed blocks, then write past the new size: the
+		// flash page still holds the cut tail, which must read as zero.
+		T(1, 1, 50),
+		WA(1, 1, 300, 100, 0x99),
+		T(1, 2, 200),
+		S(),
+		WA(1, 2, 900, 124, 0xAB),
+		// The same over a dirty block: its DRAM page holds the cut tail.
+		W(1, 3, 1024, 0xCD),
+		T(1, 3, 100),
+		WA(1, 3, 500, 10, 0xEF),
+		Tk(),
+		// Churn to push the device into cleaning.
+		WA(1, 0, 10, 20, 0x21),
+		WA(1, 1, 0, 1024, 0x43),
+		WA(2, 0, 1000, 24, 0x65),
+		S(),
+		WA(1, 2, 0, 1, 0x87),
+		WA(1, 3, 1023, 1, 0xA9),
+		WA(2, 1, 512, 512, 0xCB),
+		S(),
+		WA(1, 0, 700, 300, 0xED),
+		WA(1, 1, 256, 256, 0x12),
+		WA(2, 1, 0, 100, 0x34),
+		Tk(),
+	}
+}
+
+// TestOffsetWritesSurviveEveryCrashPoint runs the offset-write script
+// under the full power-cut × fate enumeration on both backends.
+func TestOffsetWritesSurviveEveryCrashPoint(t *testing.T) {
+	for _, eng := range []string{"ftl", "pdl"} {
+		t.Run(eng, func(t *testing.T) {
+			res, err := Enumerate(Config{Engine: eng}, offsetScript())
+			if err != nil {
+				t.Fatalf("enumerate: %v", err)
+			}
+			if res.DestructiveOps < 30 {
+				t.Fatalf("workload too small to be interesting: %d destructive ops", res.DestructiveOps)
+			}
+			if want := int(res.DestructiveOps) * 3; res.PointsRun != want {
+				t.Fatalf("ran %d points, want %d", res.PointsRun, want)
+			}
+			for _, v := range res.Violations {
+				t.Errorf("%s", v)
+			}
+		})
+	}
+}
+
+// TestOffsetScriptReadsFlash checks the offset script takes both sides
+// of the copy-on-write: reads for the non-covering writes over flash
+// blocks, none for the covering one — and that it reaches the cleaner.
+func TestOffsetScriptReadsFlash(t *testing.T) {
+	cfg := Config{}
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := buildStack(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := offsetScript()
+	for i, op := range script {
+		before := st.eng.Stats().HostReads
+		if err := st.apply(cfg, op); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		reads := st.eng.Stats().HostReads - before
+		switch i {
+		case 5: // covering
+			if reads != 0 {
+				t.Errorf("covering write over a flash block read flash %d times", reads)
+			}
+		case 6, 7, 8:
+			if reads != 1 {
+				t.Errorf("op %d: non-covering write over a flash block read flash %d times, want 1", i, reads)
+			}
+		}
+	}
+	if st.dev.Stats().Erases == 0 {
+		t.Error("offset script never triggered an erase; cleaning crash points are untested")
+	}
+}

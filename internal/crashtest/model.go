@@ -50,15 +50,14 @@ func (mod *model) pad(v []byte) []byte {
 	return out
 }
 
-// overlay applies a write over the current content, preserving the old
-// tail beyond the new data — matching WriteBlock, which writes data over
-// the page and grows (never shrinks) the stored size.
-func overlay(cur, data []byte) []byte {
-	if len(data) >= len(cur) {
-		return append([]byte(nil), data...)
-	}
-	out := append([]byte(nil), cur...)
-	copy(out, data)
+// overlay applies a write of data at off over the current content,
+// matching WriteBlockAt: the old prefix, a zero hole from the old end up
+// to off, the new bytes, and the old tail past them. The size grows,
+// never shrinks.
+func overlay(cur []byte, off int, data []byte) []byte {
+	out := make([]byte, max(len(cur), off+len(data)))
+	copy(out, cur)
+	copy(out[off:], data)
 	return out
 }
 
@@ -82,10 +81,10 @@ func (mod *model) completed(op Op) {
 		data := bytes.Repeat([]byte{op.Fill}, op.Size)
 		ks := mod.keys[op.Key]
 		if ks == nil {
-			mod.keys[op.Key] = &keyState{cur: data, dirty: true}
-			return
+			ks = &keyState{}
+			mod.keys[op.Key] = ks
 		}
-		ks.cur = overlay(ks.cur, data)
+		ks.cur = overlay(ks.cur, op.Off, data)
 		ks.dirty = true
 	case OpTruncate:
 		ks := mod.keys[op.Key]

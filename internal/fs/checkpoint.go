@@ -158,7 +158,7 @@ func (f *FS) writeImage() error {
 	seal(ckptImageMagic, img)
 	bs := f.BlockBytes()
 	for off := 0; off < len(img); off += bs {
-		if err := f.sm.WriteBlock(ckptKey(c.gen, int64(off/bs)), img[off:min(off+bs, len(img))]); err != nil {
+		if err := f.sm.WriteBlockAt(ckptKey(c.gen, int64(off/bs)), 0, img[off:min(off+bs, len(img))]); err != nil {
 			return err
 		}
 	}
@@ -193,7 +193,7 @@ func (f *FS) appendFrame() (err error) {
 	for off, rest := c.logLen, frame; len(rest) > 0; {
 		n := min(bs-len(c.tail), len(rest))
 		c.tail = append(c.tail, rest[:n]...)
-		if err := f.sm.WriteBlock(ckptKey(c.gen, ckptLogPart+int64(off/bs)), c.tail); err != nil {
+		if err := f.sm.WriteBlockAt(ckptKey(c.gen, ckptLogPart+int64(off/bs)), 0, c.tail); err != nil {
 			return err
 		}
 		off, rest = off+n, rest[n:]

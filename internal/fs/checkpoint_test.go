@@ -404,7 +404,7 @@ func TestCorruptCheckpointDetected(t *testing.T) {
 			t.Fatalf("%s: reading the block to damage: %d bytes, %v", c.name, n, err)
 		}
 		block[30] ^= 0x40
-		if err := r.sm.WriteBlock(key, block[:n]); err != nil {
+		if err := r.sm.WriteBlockAt(key, 0, block[:n]); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.sm.SyncObject(metaObject); err != nil {

@@ -146,7 +146,7 @@ type FS struct {
 	ckpt    ckptState
 	pending []byte
 
-	// blockBuf assembles one block per ReadAt/WriteAt iteration. FS is
+	// blockBuf holds one block per ReadAt iteration. FS is
 	// single-threaded (see the type comment) and no consumer retains it.
 	blockBuf []byte
 
@@ -422,8 +422,7 @@ func (f *FS) resolveParent(path string) (*Inode, string, error) {
 
 func (f *FS) now() sim.Time { return f.clock.Now() }
 
-// scratchBlock returns the file system's reusable one-block buffer.
-// ReadAt and WriteAt never nest, so a single buffer serves both.
+// scratchBlock returns ReadAt's reusable one-block buffer.
 func (f *FS) scratchBlock() []byte {
 	bs := f.BlockBytes()
 	if cap(f.blockBuf) < bs {
@@ -567,33 +566,8 @@ func (f *FS) WriteAt(path string, off int64, data []byte) (_ int, err error) {
 		if n > len(data)-written {
 			n = len(data) - written
 		}
-		key := storman.Key{Object: node.Ino, Block: blk}
-		if blkOff == 0 && n == int(bs) {
-			// Whole-block write: no read-modify-write needed.
-			if err := f.sm.WriteBlock(key, data[written:written+n]); err != nil {
-				return written, err
-			}
-		} else {
-			// Assemble the block: existing contents, zero-extended to
-			// cover the write, then the new bytes.
-			buf := f.scratchBlock()
-			got, err := f.sm.ReadBlock(key, buf)
-			if err != nil {
-				return written, err
-			}
-			// Zero the hole between the existing contents and the write
-			// (the buffer is reused, so stale bytes must not leak in).
-			for i := got; i < blkOff; i++ {
-				buf[i] = 0
-			}
-			end := blkOff + n
-			if got > end {
-				end = got
-			}
-			copy(buf[blkOff:], data[written:written+n])
-			if err := f.sm.WriteBlock(key, buf[:end]); err != nil {
-				return written, err
-			}
+		if err := f.sm.WriteBlockAt(storman.Key{Object: node.Ino, Block: blk}, blkOff, data[written:written+n]); err != nil {
+			return written, err
 		}
 		written += n
 	}

@@ -52,7 +52,7 @@ func (p *filePager) WritePage(idx int64, data []byte) error {
 	if n <= 0 {
 		return nil
 	}
-	return p.fs.sm.WriteBlock(storman.Key{Object: p.ino, Block: idx}, data[:n])
+	return p.fs.sm.WriteBlockAt(storman.Key{Object: p.ino, Block: idx}, 0, data[:n])
 }
 
 // MapFile maps the file at path into the address space at addr. The

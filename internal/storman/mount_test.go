@@ -76,14 +76,14 @@ func TestMountRebuildsFlashState(t *testing.T) {
 	r := newOOBRig(t)
 	// Flush a set of blocks to flash, leave others dirty in DRAM.
 	for blk := int64(0); blk < 10; blk++ {
-		if err := r.m.WriteBlock(Key{Object: 7, Block: blk}, blockOf(byte(blk), 4096)); err != nil {
+		if err := r.m.WriteBlockAt(Key{Object: 7, Block: blk}, 0, blockOf(byte(blk), 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := r.m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.m.WriteBlock(Key{Object: 8, Block: 0}, blockOf(0xDD, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(Key{Object: 8, Block: 0}, 0, blockOf(0xDD, 4096)); err != nil {
 		t.Fatal(err) // never flushed: must be gone after the failure
 	}
 
@@ -118,7 +118,7 @@ func TestMountRebuildsFlashState(t *testing.T) {
 		t.Fatalf("free lpns %d, want %d", m2.FlashPagesFree(), fl2.LogicalPages()-10)
 	}
 	// Fully operational afterwards.
-	if err := m2.WriteBlock(Key{Object: 9, Block: 0}, blockOf(1, 4096)); err != nil {
+	if err := m2.WriteBlockAt(Key{Object: 9, Block: 0}, 0, blockOf(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Sync(); err != nil {
@@ -130,7 +130,7 @@ func TestMountResolvesResurrectedDuplicates(t *testing.T) {
 	r := newOOBRig(t)
 	key := Key{Object: 3, Block: 0}
 	// Version 1 reaches flash.
-	if err := r.m.WriteBlock(key, blockOf(0x01, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x01, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -141,7 +141,7 @@ func TestMountResolvesResurrectedDuplicates(t *testing.T) {
 	if err := r.m.DeleteObject(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.m.WriteBlock(key, blockOf(0x02, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x02, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -178,7 +178,7 @@ func TestMountedManagerMatchesModelRecovery(t *testing.T) {
 		for blk := int64(0); blk < 6; blk++ {
 			key := Key{Object: obj, Block: blk}
 			keys = append(keys, key)
-			if err := r.m.WriteBlock(key, blockOf(byte(obj*16+uint64(blk)), 4096)); err != nil {
+			if err := r.m.WriteBlockAt(key, 0, blockOf(byte(obj*16+uint64(blk)), 4096)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -188,7 +188,7 @@ func TestMountedManagerMatchesModelRecovery(t *testing.T) {
 	}
 	// Some post-sync churn.
 	for blk := int64(0); blk < 3; blk++ {
-		if err := r.m.WriteBlock(Key{Object: 2, Block: blk}, blockOf(0xEE, 4096)); err != nil {
+		if err := r.m.WriteBlockAt(Key{Object: 2, Block: blk}, 0, blockOf(0xEE, 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,8 +14,10 @@
 //   - reads are served wherever the block lives — flash blocks are read
 //     in place, never copied into DRAM just to be read;
 //   - writing a block that lives in flash triggers the paper's
-//     copy-on-write: the block is copied to a DRAM page, the stale flash
-//     copy is trimmed, and subsequent writes are absorbed in DRAM;
+//     copy-on-write: the block moves to a DRAM page, the flash copy read
+//     only when the write does not cover it, and subsequent writes are
+//     absorbed in DRAM (the stale flash copy stays mapped until the new
+//     version is flushed over it);
 //   - deleting an object drops its DRAM blocks (bytes that never reach
 //     flash) and trims its flash pages so cleaning can reclaim them.
 //
@@ -212,10 +214,10 @@ type Manager struct {
 
 	// Reusable hot-path scratch. The manager is single-threaded; each
 	// buffer serves one non-nesting code path (migrate can run inside the
-	// copy-on-write path via eviction, so cowBuf and migBuf are distinct).
-	migBuf  []byte
-	cowBuf  []byte
-	readBuf []byte
+	// write path via eviction, so writeBuf and migBuf are distinct).
+	migBuf   []byte
+	writeBuf []byte
+	readBuf  []byte
 	// locFree recycles blockLocs and freeMaps recycles emptied per-object
 	// maps, so the churn of create/delete cycles settles into reuse.
 	locFree    []*blockLoc
@@ -461,10 +463,14 @@ func (m *Manager) migrateToFlash(loc *blockLoc) (err error) {
 	return nil
 }
 
-// WriteBlock stores data (at most one block) for key.
-func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
-	if len(data) > m.cfg.BlockBytes {
-		return fmt.Errorf("%w: %d > %d", ErrBadSize, len(data), m.cfg.BlockBytes)
+// WriteBlockAt stores data at byte off of key's block, growing (never
+// shrinking) the block's stored size to off+len(data). Bytes between the
+// old size and off read as zero; bytes outside the write keep their old
+// value. It is the manager's only write path.
+func (m *Manager) WriteBlockAt(key Key, off int, data []byte) (err error) {
+	end := off + len(data)
+	if off < 0 || end > m.cfg.BlockBytes {
+		return fmt.Errorf("%w: [%d,%d) outside a %d-byte block", ErrBadSize, off, end, m.cfg.BlockBytes)
 	}
 	sp := m.span("write")
 	defer func() { sp.End(int64(len(data)), err) }()
@@ -475,12 +481,10 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 	case loc != nil && loc.inDRAM():
 		// Overwrite absorbed in place.
 		m.overwriteAbsorbed.Add(int64(len(data)))
-		if _, err := m.dram.Write(m.pageAddr(loc.dramPage), data); err != nil {
+		if err := m.writeDRAM(loc.dramPage, min(loc.size, off), off, data); err != nil {
 			return err
 		}
-		if len(data) > loc.size {
-			loc.size = len(data)
-		}
+		loc.size = max(loc.size, end)
 		loc.lastWrite = m.clock.Now()
 		if m.writeOrder.Queued(loc) {
 			m.writeOrder.MoveToBack(loc)
@@ -492,27 +496,26 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 
 	case loc != nil:
 		// Copy-on-write from flash: bring the block to DRAM and apply the
-		// write there. The stale flash copy is kept until the new version
-		// is flushed over it — after a power failure it is the version
-		// that survives.
+		// write there. The flash copy is read only when the write leaves
+		// some of its bytes standing. The stale flash copy is kept until
+		// the new version is flushed over it — after a power failure it
+		// is the version that survives.
 		m.cows.Inc()
-		if cap(m.cowBuf) < m.cfg.BlockBytes {
-			m.cowBuf = make([]byte, m.cfg.BlockBytes)
-		}
-		old := m.cowBuf[:m.cfg.BlockBytes]
-		if err := m.fl.ReadPage(loc.lpn, old); err != nil {
-			return err
+		buf := m.scratch()
+		if off > 0 || end < loc.size {
+			if err := m.fl.ReadPage(loc.lpn, buf); err != nil {
+				return err
+			}
+			// Past the size, the page holds padding or a truncated tail.
+			clear(buf[min(loc.size, off):off])
 		}
 		page, err := m.allocDRAMPage()
 		if err != nil {
 			return err
 		}
-		copy(old, data)
-		size := loc.size
-		if len(data) > size {
-			size = len(data)
-		}
-		if _, err := m.dram.Write(m.pageAddr(page), old[:size]); err != nil {
+		copy(buf[off:], data)
+		size := max(loc.size, end)
+		if _, err := m.dram.Write(m.pageAddr(page), buf[:size]); err != nil {
 			return err
 		}
 		loc.dramPage = page
@@ -525,15 +528,36 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 		if err != nil {
 			return err
 		}
-		if _, err := m.dram.Write(m.pageAddr(page), data); err != nil {
+		if err := m.writeDRAM(page, 0, off, data); err != nil {
 			return err
 		}
 		loc = m.newLoc()
-		loc.key, loc.size, loc.dramPage, loc.lpn = key, len(data), page, -1
+		loc.key, loc.size, loc.dramPage, loc.lpn = key, end, page, -1
 		m.insert(loc)
 		m.enqueueDirty(loc)
 		return nil
 	}
+}
+
+// writeDRAM writes data at off into the DRAM page and zeroes [from, off)
+// ahead of it: a reused page holds stale bytes there.
+func (m *Manager) writeDRAM(page, from, off int, data []byte) error {
+	if from < off {
+		buf := m.scratch()[from : off+len(data)]
+		clear(buf[:off-from])
+		copy(buf[off-from:], data)
+		data, off = buf, from
+	}
+	_, err := m.dram.Write(m.pageAddr(page)+int64(off), data)
+	return err
+}
+
+// scratch returns the write path's one-block buffer.
+func (m *Manager) scratch() []byte {
+	if cap(m.writeBuf) < m.cfg.BlockBytes {
+		m.writeBuf = make([]byte, m.cfg.BlockBytes)
+	}
+	return m.writeBuf[:m.cfg.BlockBytes]
 }
 
 // ReadBlock fetches the block into buf and reports how many bytes it

@@ -2,6 +2,7 @@ package storman
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -76,7 +77,7 @@ func TestWriteReadDRAMResident(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
 	want := blockOf(0x42, 4096)
-	if err := r.m.WriteBlock(key, want); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, want); err != nil {
 		t.Fatal(err)
 	}
 	if !r.m.InDRAM(key) {
@@ -110,7 +111,7 @@ func TestSyncMigratesToFlash(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 3}
 	want := blockOf(0x17, 4096)
-	if err := r.m.WriteBlock(key, want); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, want); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -135,7 +136,7 @@ func TestReadDoesNotPromote(t *testing.T) {
 	// The paper: read-only data is accessed directly from flash, no copy.
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(1, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -157,7 +158,7 @@ func TestReadDoesNotPromote(t *testing.T) {
 func TestCopyOnWriteFromFlash(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(0xAA, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0xAA, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -165,7 +166,7 @@ func TestCopyOnWriteFromFlash(t *testing.T) {
 	}
 	freeLPNsBefore := r.m.FlashPagesFree()
 	// Partial overwrite: the rest of the block must come from flash.
-	if err := r.m.WriteBlock(key, blockOf(0xBB, 100)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0xBB, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.m.InDRAM(key) {
@@ -192,7 +193,7 @@ func TestOverwriteAbsorption(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
 	for i := 0; i < 20; i++ {
-		if err := r.m.WriteBlock(key, blockOf(byte(i), 4096)); err != nil {
+		if err := r.m.WriteBlockAt(key, 0, blockOf(byte(i), 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,10 +215,10 @@ func TestOverwriteAbsorption(t *testing.T) {
 func TestOverwriteAbsorptionCreditsIncomingBytes(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(1, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.m.WriteBlock(key, blockOf(2, 512)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(2, 512)); err != nil {
 		t.Fatal(err)
 	}
 	s := r.m.Stats()
@@ -232,7 +233,7 @@ func TestOverwriteAbsorptionCreditsIncomingBytes(t *testing.T) {
 func TestDeleteAbsorption(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	for blk := int64(0); blk < 8; blk++ {
-		if err := r.m.WriteBlock(Key{Object: 5, Block: blk}, blockOf(1, 4096)); err != nil {
+		if err := r.m.WriteBlockAt(Key{Object: 5, Block: blk}, 0, blockOf(1, 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +258,7 @@ func TestDeleteAbsorption(t *testing.T) {
 func TestDeleteFlashResident(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 3, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(9, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(9, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -279,7 +280,7 @@ func TestEvictionUnderDRAMPressure(t *testing.T) {
 	// Room for 4 pages only.
 	r := newRig(t, 4*4096, 0)
 	for blk := int64(0); blk < 10; blk++ {
-		if err := r.m.WriteBlock(Key{Object: 1, Block: blk}, blockOf(byte(blk), 4096)); err != nil {
+		if err := r.m.WriteBlockAt(Key{Object: 1, Block: blk}, 0, blockOf(byte(blk), 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,11 +309,11 @@ func TestEvictionUnderDRAMPressure(t *testing.T) {
 
 func TestTickMigratesAgedBlocks(t *testing.T) {
 	r := newRig(t, 1<<20, 30*sim.Second)
-	if err := r.m.WriteBlock(Key{1, 0}, blockOf(1, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(Key{1, 0}, 0, blockOf(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	r.clock.Advance(10 * sim.Second)
-	if err := r.m.WriteBlock(Key{1, 1}, blockOf(2, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(Key{1, 1}, 0, blockOf(2, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	r.clock.Advance(25 * sim.Second) // block 0: 35s, block 1: 25s
@@ -353,15 +354,129 @@ func TestTickMigratesAgedBlocks(t *testing.T) {
 
 func TestOversizeRejected(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
-	if err := r.m.WriteBlock(Key{1, 0}, make([]byte, 8192)); err == nil {
-		t.Fatal("oversize block accepted")
+	for _, w := range []struct{ off, n int }{{0, 8192}, {-1, 10}, {4000, 97}} {
+		if err := r.m.WriteBlockAt(Key{1, 0}, w.off, make([]byte, w.n)); !errors.Is(err, ErrBadSize) {
+			t.Errorf("write of %d bytes at %d: err %v, want ErrBadSize", w.n, w.off, err)
+		}
 	}
+	if r.m.BlockSize(Key{1, 0}) != 0 {
+		t.Fatal("a rejected write stored a block")
+	}
+}
+
+// TestWriteBlockAt holds the write path to its extent over each place a
+// block can live: the bytes read back are the old prefix, a zero hole
+// from the old size up to the offset, the new bytes and the old tail; and
+// flash is read once for a write that leaves some of a flash-resident
+// block standing, never otherwise.
+func TestWriteBlockAt(t *testing.T) {
+	const oldSize = 2000
+	writes := []struct {
+		name   string
+		off, n int
+	}{
+		{"covering", 0, 3000},
+		{"inside", 100, 200},
+		{"straddling-end", 1500, 1000},
+		{"past-size", 2500, 500},
+	}
+	for _, where := range []string{"dram", "flash", "absent"} {
+		for _, w := range writes {
+			t.Run(where+"/"+w.name, func(t *testing.T) {
+				r := newRig(t, 1<<20, 0)
+				key := Key{Object: 1, Block: 0}
+				var old []byte
+				if where != "absent" {
+					old = blockOf(0xAA, oldSize)
+					if err := r.m.WriteBlockAt(key, 0, old); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if where == "flash" {
+					if err := r.m.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reads := r.fl.Stats().HostReads
+				if err := r.m.WriteBlockAt(key, w.off, blockOf(0x55, w.n)); err != nil {
+					t.Fatal(err)
+				}
+				wantReads := int64(0)
+				if where == "flash" && (w.off > 0 || w.off+w.n < oldSize) {
+					wantReads = 1
+				}
+				if got := r.fl.Stats().HostReads - reads; got != wantReads {
+					t.Errorf("engine reads %d, want %d", got, wantReads)
+				}
+				want := make([]byte, max(len(old), w.off+w.n))
+				copy(want, old)
+				copy(want[w.off:], blockOf(0x55, w.n))
+				if got := r.m.BlockSize(key); got != len(want) {
+					t.Errorf("size %d, want %d", got, len(want))
+				}
+				buf := make([]byte, 4096)
+				n, err := r.m.ReadBlock(key, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf[:n], want) {
+					t.Errorf("read back %d bytes that differ from the %d expected", n, len(want))
+				}
+			})
+		}
+	}
+}
+
+// TestWriteBlockAtZeroesReusedPage: a DRAM page freed by one block and
+// reused by another still holds the first block's bytes, and a write past
+// the new block's size must not expose them in the hole.
+func TestWriteBlockAtZeroesReusedPage(t *testing.T) {
+	r := newRig(t, 1<<20, 0)
+	a, b, c := Key{1, 0}, Key{2, 0}, Key{3, 0}
+	check := func(key Key, want []byte) {
+		t.Helper()
+		buf := make([]byte, 4096)
+		n, err := r.m.ReadBlock(key, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[:n], want) {
+			t.Fatalf("block %+v: the hole holds stale bytes", key)
+		}
+	}
+	if err := r.m.WriteBlockAt(a, 0, blockOf(0xFF, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.DeleteBlock(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.WriteBlockAt(b, 0, blockOf(0x11, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.WriteBlockAt(b, 1000, blockOf(0x22, 10)); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 1010)
+	copy(want, blockOf(0x11, 100))
+	copy(want[1000:], blockOf(0x22, 10))
+	check(b, want)
+
+	// A fresh block written at an offset on a reused page.
+	if err := r.m.DeleteBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.WriteBlockAt(c, 3000, blockOf(0x33, 5)); err != nil {
+		t.Fatal(err)
+	}
+	want = make([]byte, 3005)
+	copy(want[3000:], blockOf(0x33, 5))
+	check(c, want)
 }
 
 func TestEnergyAndTimeCharged(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	before := r.clock.Now()
-	if err := r.m.WriteBlock(Key{1, 0}, blockOf(1, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(Key{1, 0}, 0, blockOf(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if r.clock.Now() == before {
@@ -380,10 +495,10 @@ func TestEnergyAndTimeCharged(t *testing.T) {
 
 func TestSyncObjectFlushesOnlyThatObject(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
-	if err := r.m.WriteBlock(Key{1, 0}, blockOf(1, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(Key{1, 0}, 0, blockOf(1, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.m.WriteBlock(Key{2, 0}, blockOf(2, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(Key{2, 0}, 0, blockOf(2, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.SyncObject(1); err != nil {
@@ -401,18 +516,18 @@ func TestPowerFailLosesOnlyUnflushedData(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	// Block A: flushed, then overwritten in DRAM (CoW) — reverts to v1.
 	a := Key{1, 0}
-	if err := r.m.WriteBlock(a, blockOf(0x11, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(a, 0, blockOf(0x11, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.m.WriteBlock(a, blockOf(0x22, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(a, 0, blockOf(0x22, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	// Block B: never flushed — disappears entirely.
 	b := Key{2, 0}
-	if err := r.m.WriteBlock(b, blockOf(0x33, 2048)); err != nil {
+	if err := r.m.WriteBlockAt(b, 0, blockOf(0x33, 2048)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -438,7 +553,7 @@ func TestPowerFailLosesOnlyUnflushedData(t *testing.T) {
 		t.Fatal("DRAM pool not rebuilt after power failure")
 	}
 	// The manager must be fully usable afterwards.
-	if err := r.m.WriteBlock(b, blockOf(0x44, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(b, 0, blockOf(0x44, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -449,7 +564,7 @@ func TestPowerFailLosesOnlyUnflushedData(t *testing.T) {
 func TestTruncateBlock(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(0x55, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x55, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.TruncateBlock(key, 100); err != nil {
@@ -481,7 +596,7 @@ func TestTruncateBlock(t *testing.T) {
 func TestTruncateFlashResidentBlockShrinksView(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(0x66, 4096)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x66, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -499,10 +614,10 @@ func TestTruncateFlashResidentBlockShrinksView(t *testing.T) {
 
 func TestObjectsAndDeleteBlock(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
-	if err := r.m.WriteBlock(Key{3, 0}, blockOf(1, 100)); err != nil {
+	if err := r.m.WriteBlockAt(Key{3, 0}, 0, blockOf(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.m.WriteBlock(Key{5, 0}, blockOf(2, 100)); err != nil {
+	if err := r.m.WriteBlockAt(Key{5, 0}, 0, blockOf(2, 100)); err != nil {
 		t.Fatal(err)
 	}
 	objs := r.m.Objects()
@@ -540,7 +655,7 @@ func TestManagerModelProperty(t *testing.T) {
 			switch o.Action % 5 {
 			case 0, 1:
 				data := blockOf(o.Val, 4096)
-				if err := r.m.WriteBlock(key, data); err != nil {
+				if err := r.m.WriteBlockAt(key, 0, data); err != nil {
 					return false
 				}
 				model[key] = data

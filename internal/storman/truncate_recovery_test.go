@@ -12,7 +12,7 @@ import (
 func TestTruncateFlashResidentRevertsOnPowerFail(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(0x66, 300)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x66, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
@@ -53,14 +53,14 @@ func TestTruncateFlashResidentRevertsOnPowerFail(t *testing.T) {
 func TestTruncateDirtyBlockKeepsPersistedSize(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	key := Key{Object: 1, Block: 0}
-	if err := r.m.WriteBlock(key, blockOf(0x11, 300)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x11, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.m.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Copy-on-write back into DRAM, then truncate the dirty version.
-	if err := r.m.WriteBlock(key, blockOf(0x22, 200)); err != nil {
+	if err := r.m.WriteBlockAt(key, 0, blockOf(0x22, 200)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.m.InDRAM(key) {
