@@ -209,6 +209,7 @@ func TestOffsetWritesSurviveEveryCrashPoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("enumerate: %v", err)
 			}
+			t.Logf("%d destructive ops, %d recoveries", res.DestructiveOps, res.PointsRun)
 			if res.DestructiveOps < 30 {
 				t.Fatalf("workload too small to be interesting: %d destructive ops", res.DestructiveOps)
 			}

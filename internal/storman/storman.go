@@ -270,6 +270,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 		table:             make(map[Key]*blockLoc, int(cfg.DRAMBytes/int64(cfg.BlockBytes))+int(fl.LogicalPages())),
 		byObject:          make(map[uint64]map[int64]*blockLoc),
 		totalPages:        int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
+		writeBuf:          make([]byte, cfg.BlockBytes),
 		writeOrder:        locList{idx: lruLink},
 		dirtyOrder:        locList{idx: fifoLink},
 		obs:               o,
@@ -501,7 +502,7 @@ func (m *Manager) WriteBlockAt(key Key, off int, data []byte) (err error) {
 		// the new version is flushed over it — after a power failure it
 		// is the version that survives.
 		m.cows.Inc()
-		buf := m.scratch()
+		buf := m.writeBuf
 		if off > 0 || end < loc.size {
 			if err := m.fl.ReadPage(loc.lpn, buf); err != nil {
 				return err
@@ -543,21 +544,13 @@ func (m *Manager) WriteBlockAt(key Key, off int, data []byte) (err error) {
 // ahead of it: a reused page holds stale bytes there.
 func (m *Manager) writeDRAM(page, from, off int, data []byte) error {
 	if from < off {
-		buf := m.scratch()[from : off+len(data)]
+		buf := m.writeBuf[from : off+len(data)]
 		clear(buf[:off-from])
 		copy(buf[off-from:], data)
 		data, off = buf, from
 	}
 	_, err := m.dram.Write(m.pageAddr(page)+int64(off), data)
 	return err
-}
-
-// scratch returns the write path's one-block buffer.
-func (m *Manager) scratch() []byte {
-	if cap(m.writeBuf) < m.cfg.BlockBytes {
-		m.writeBuf = make([]byte, m.cfg.BlockBytes)
-	}
-	return m.writeBuf[:m.cfg.BlockBytes]
 }
 
 // ReadBlock fetches the block into buf and reports how many bytes it
