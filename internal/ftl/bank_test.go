@@ -61,7 +61,7 @@ func anyBank(int) bool { return true }
 // were busy: the first in rotation with a free block.
 func rotationBank(f *FTL) int {
 	for i := range f.freeByBank {
-		if bank := (f.nextBank + i) % len(f.freeByBank); f.freeByBank[bank].len() > 0 {
+		if bank := (f.nextBank + i) % len(f.freeByBank); len(f.freeByBank[bank]) > 0 {
 			return bank
 		}
 	}

@@ -1,34 +1,33 @@
 package ftl
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"ssmobile/internal/device"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
-// The equivalence tests drive two translation layers — one deciding via
-// the incremental indexes, one forced onto the retained linear-scan
-// reference paths (scanMode) — through the same seeded randomized
-// workload and assert they clean the same victims in the same order and
-// end with identical erase counts and write amplification. This is the
-// contract the indexes were built to: not merely "a good victim" but the
-// scan's exact choice, tie-breaks included.
+// The equivalence tests hold pickVictim, which scores only each valid
+// count's oldest block under cost-benefit, to referenceVictim, which
+// scores every eligible block, after every operation of a seeded
+// randomized workload: not merely "a good victim" but the full scan's
+// exact choice, tie-breaks included.
 //
 // They run on two cards. The quick one erases in a millisecond, in the
 // foreground, so no bank is ever busy when a decision is taken and only
 // the log heads' banks rank victims. The banked one is the served card in
 // small: four banks, the real 1.6 s erase issued in the background, so
-// most decisions find some banks erasing — the per-bank index must track
-// the scan while the banks' classes change under it from pick to pick.
+// most decisions find some banks erasing — the pick must track the
+// reference while the banks' classes change under it from pick to pick.
 
-// equivalenceCard builds one of the two cards, with a spare area for the
-// mount test.
-func equivalenceCard(t *testing.T, banked bool) (*flash.Device, *sim.Clock) {
-	t.Helper()
-	clock := sim.NewClock()
+// equivalenceConfig is one of the two cards, with a spare area for the
+// mount tests.
+func equivalenceConfig(banked bool) flash.Config {
 	cfg := flash.Config{
 		Banks: 2, BlocksPerBank: 32, BlockBytes: 4096,
 		SpareBytes: 64, SpareUnitBytes: 1024,
@@ -39,6 +38,12 @@ func equivalenceCard(t *testing.T, banked bool) (*flash.Device, *sim.Clock) {
 	} else {
 		cfg.Params.EraseLatencyNs = 1e6
 	}
+	return cfg
+}
+
+func newCard(t *testing.T, cfg flash.Config) (*flash.Device, *sim.Clock) {
+	t.Helper()
+	clock := sim.NewClock()
 	dev, err := flash.New(cfg, clock, sim.NewEnergyMeter())
 	if err != nil {
 		t.Fatal(err)
@@ -46,25 +51,30 @@ func equivalenceCard(t *testing.T, banked bool) (*flash.Device, *sim.Clock) {
 	return dev, clock
 }
 
-func equivalencePair(t *testing.T, policy Policy, hotCold bool, wearDelta int64, banked bool) (ref, idx *FTL) {
+func equivalenceCard(t *testing.T, banked bool) (*flash.Device, *sim.Clock) {
 	t.Helper()
-	mk := func(scan bool) *FTL {
-		dev, clock := equivalenceCard(t, banked)
-		f, err := New(dev, clock, Config{
-			PageBytes:          1024,
-			ReserveBlocks:      3,
-			Policy:             policy,
-			HotCold:            hotCold,
-			WearDeltaThreshold: wearDelta,
-			BackgroundErase:    banked,
-		})
-		if err != nil {
-			t.Fatal(err)
+	return newCard(t, equivalenceConfig(banked))
+}
+
+// referenceVictim is the victim choice by definition: every eligible
+// block offered with its bank's class and the policy's score.
+func referenceVictim(f *FTL) int {
+	classes := f.pool.VictimClasses()
+	pick := blocks.NoVictim()
+	now := f.clock.Now()
+	for b := 0; b < f.numBlocks; b++ {
+		if f.victimEligible(b) {
+			pick.Offer(b, classes[f.dev.BankOf(b)], f.victimScore(b, now))
 		}
-		f.scanMode = scan
-		return f
 	}
-	return mk(true), mk(false)
+	return pick.Block
+}
+
+func checkVictim(t *testing.T, f *FTL, when string) {
+	t.Helper()
+	if got, want := f.pickVictim(), referenceVictim(f); got != want {
+		t.Fatalf("%s: pickVictim chose block %d, the reference %d", when, got, want)
+	}
 }
 
 // anyBankBusy reports whether some bank has work in progress right now.
@@ -77,25 +87,21 @@ func anyBankBusy(f *FTL) bool {
 	return false
 }
 
-// driveEquivalence runs the same randomized workload against both layers
-// and compares every observable: victim sequences, per-block erase
-// counts, stats, and the internal invariants (which themselves cross-check
-// index against scan after every phase).
-func driveEquivalence(t *testing.T, ref, idx *FTL, seed int64) {
+// driveEquivalence runs a randomized workload of writes, trims and pauses,
+// holding the pick to the reference after every op and the invariants
+// every few hundred.
+func driveEquivalence(t *testing.T, f *FTL, seed int64) {
 	t.Helper()
-	var refVictims, idxVictims []int
-	busyPicks := 0
-	ref.onClean = func(v int) { refVictims = append(refVictims, v) }
-	idx.onClean = func(v int) {
-		idxVictims = append(idxVictims, v)
-		if anyBankBusy(idx) {
+	cleans, busyPicks := 0, 0
+	f.onClean = func(int) {
+		cleans++
+		if anyBankBusy(f) {
 			busyPicks++
 		}
 	}
-
 	rng := sim.NewRNG(seed)
-	pages := ref.LogicalPages()
-	data := make([]byte, ref.PageBytes())
+	pages := f.LogicalPages()
+	data := make([]byte, f.PageBytes())
 	for op := 0; op < 12000; op++ {
 		// Zipf-ish skew: half the ops hit the hot sixteenth of the space.
 		var lpn int64
@@ -107,73 +113,44 @@ func driveEquivalence(t *testing.T, ref, idx *FTL, seed int64) {
 		switch rng.Intn(10) {
 		case 1: // a pause, so that some decisions find the erases over
 			if rng.Intn(8) == 0 {
-				d := sim.Duration(rng.Int63n(int64(2 * sim.Second)))
-				ref.clock.Advance(d)
-				idx.clock.Advance(d)
+				f.clock.Advance(sim.Duration(rng.Int63n(int64(2 * sim.Second))))
 			}
-		case 0: // trim
-			if err := ref.TrimPage(lpn); err != nil {
-				t.Fatalf("ref trim: %v", err)
-			}
-			if err := idx.TrimPage(lpn); err != nil {
-				t.Fatalf("idx trim: %v", err)
+		case 0:
+			if err := f.TrimPage(lpn); err != nil {
+				t.Fatalf("trim op %d: %v", op, err)
 			}
 		default:
 			data[0] = byte(op)
-			if err := ref.WritePage(lpn, data); err != nil {
-				t.Fatalf("ref write op %d: %v", op, err)
+			if err := f.WritePage(lpn, data); err != nil {
+				t.Fatalf("write op %d: %v", op, err)
 			}
-			if err := idx.WritePage(lpn, data); err != nil {
-				t.Fatalf("idx write op %d: %v", op, err)
-			}
+		}
+		if f.cfg.Policy != PolicyDirect {
+			checkVictim(t, f, fmt.Sprintf("op %d", op))
 		}
 		if op%997 == 0 {
-			if err := idx.CheckInvariants(); err != nil {
-				t.Fatalf("idx invariants at op %d: %v", op, err)
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatalf("invariants at op %d: %v", op, err)
 			}
 		}
 	}
-	if err := ref.CheckInvariants(); err != nil {
-		t.Fatalf("ref invariants: %v", err)
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatalf("idx invariants: %v", err)
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
 	}
 
-	if ref.cfg.Policy == PolicyDirect {
-		// The direct policy erases in place and never selects victims; its
-		// equivalence claim is just that behaviour is unchanged, which the
-		// erase-count and stats comparisons below cover.
-		if len(refVictims) != 0 || len(idxVictims) != 0 {
-			t.Fatalf("direct policy ran the cleaner: scan %d, index %d", len(refVictims), len(idxVictims))
+	if f.cfg.Policy == PolicyDirect {
+		// The direct policy erases in place and never selects victims.
+		if cleans != 0 {
+			t.Fatalf("direct policy ran the cleaner %d times", cleans)
 		}
-	} else if len(refVictims) == 0 {
+	} else if cleans == 0 {
 		t.Fatal("workload never triggered cleaning; equivalence not exercised")
 	}
-	if idx.cfg.BackgroundErase && (busyPicks == 0 || busyPicks == len(idxVictims)) {
-		t.Fatalf("%d of %d victims picked with a bank busy; want some of each", busyPicks, len(idxVictims))
+	if f.cfg.BackgroundErase && (busyPicks == 0 || busyPicks == cleans) {
+		t.Fatalf("%d of %d victims picked with a bank busy; want some of each", busyPicks, cleans)
 	}
-	if !idx.cfg.BackgroundErase && busyPicks != 0 {
+	if !f.cfg.BackgroundErase && busyPicks != 0 {
 		t.Fatalf("%d victims picked with a bank busy on a card that erases in the foreground", busyPicks)
-	}
-	if len(refVictims) != len(idxVictims) {
-		t.Fatalf("victim count: scan cleaned %d, index cleaned %d", len(refVictims), len(idxVictims))
-	}
-	for i := range refVictims {
-		if refVictims[i] != idxVictims[i] {
-			t.Fatalf("victim %d: scan chose block %d, index chose block %d", i, refVictims[i], idxVictims[i])
-		}
-	}
-	refCounts := ref.Device().EraseCounts()
-	idxCounts := idx.Device().EraseCounts()
-	for b := range refCounts {
-		if refCounts[b] != idxCounts[b] {
-			t.Fatalf("erase count block %d: scan %d, index %d", b, refCounts[b], idxCounts[b])
-		}
-	}
-	rs, is := ref.Stats(), idx.Stats()
-	if rs != is {
-		t.Fatalf("stats diverged:\nscan:  %+v\nindex: %+v", rs, is)
 	}
 }
 
@@ -205,17 +182,28 @@ func TestVictimIndexEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []int64{1993, 7, 42} {
-				ref, idx := equivalencePair(t, tc.policy, tc.hotCold, tc.wearDelta, tc.banked)
-				driveEquivalence(t, ref, idx, seed)
+				dev, clock := equivalenceCard(t, tc.banked)
+				f, err := New(dev, clock, Config{
+					PageBytes:          1024,
+					ReserveBlocks:      3,
+					Policy:             tc.policy,
+					HotCold:            tc.hotCold,
+					WearDeltaThreshold: tc.wearDelta,
+					BackgroundErase:    tc.banked,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveEquivalence(t, f, seed)
 			}
 		})
 	}
 }
 
-// TestVictimIndexAfterMount asserts the indexes Mount rebuilds from the
-// OOB scan make the same decisions as a scan over the mounted state: on
-// the quick card for the served policy, and on the banked card for every
-// policy with an index.
+// TestVictimIndexAfterMount holds the pick to the reference across a
+// power failure: before the cut, over the state Mount rebuilds from the
+// OOB scan, and after every write that follows; on the quick card for the
+// served policy, and on the banked card for every log policy.
 func TestVictimIndexAfterMount(t *testing.T) {
 	for _, banked := range []bool{false, true} {
 		for _, policy := range []Policy{PolicyFIFO, PolicyGreedy, PolicyCostBenefit} {
@@ -243,11 +231,10 @@ func TestVictimIndexAfterMount(t *testing.T) {
 					if err := f.WritePage(rng.Int63n(f.LogicalPages()), data); err != nil {
 						t.Fatal(err)
 					}
+					checkVictim(t, f, fmt.Sprintf("write %d", op))
 				}
 				// Power failure: remount from the same device — on the banked
-				// card with the last erases still in progress — and verify the
-				// rebuilt indexes agree with the reference scans over the
-				// recovered state, at once and every few hundred writes after.
+				// card with the last erases still in progress.
 				if banked && !anyBankBusy(f) {
 					t.Fatal("no bank busy at the cut; the mount is not exercised under erases")
 				}
@@ -258,11 +245,13 @@ func TestVictimIndexAfterMount(t *testing.T) {
 				if err := m.CheckInvariants(); err != nil {
 					t.Fatalf("mounted invariants: %v", err)
 				}
+				checkVictim(t, m, "at the mount")
 				rng = sim.NewRNG(7)
 				for op := 0; op < 4000; op++ {
 					if err := m.WritePage(rng.Int63n(m.LogicalPages()), data); err != nil {
 						t.Fatal(err)
 					}
+					checkVictim(t, m, fmt.Sprintf("write %d after the mount", op))
 					if op%499 == 0 {
 						if err := m.CheckInvariants(); err != nil {
 							t.Fatalf("invariants %d writes after the mount: %v", op, err)
@@ -275,4 +264,103 @@ func TestVictimIndexAfterMount(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestVictimThroughWearOut drives the banked card, with an endurance of
+// 30 cycles, mapping persistence and static leveling on, through writes
+// and trims until the device can take no more. Every retirement shrinks
+// the logical capacity by one block's pages and leaves the layer
+// consistent; a power failure after the first one mounts a layer that
+// keeps serving writes to the end; and the pick matches the reference
+// after every op throughout.
+func TestVictimThroughWearOut(t *testing.T) {
+	card := equivalenceConfig(true)
+	card.Params.EnduranceCycles = 30
+	dev, clock := newCard(t, card)
+	cfg := Config{
+		PageBytes:          1024,
+		ReserveBlocks:      3,
+		Policy:             PolicyCostBenefit,
+		HotCold:            true,
+		PersistMapping:     true,
+		WearDeltaThreshold: 4,
+		BackgroundErase:    true,
+		Obs:                obs.New(0),
+	}
+	f, err := New(dev, clock, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := f.LogicalPages()
+	ppb := int64(f.pagesPerBlock)
+	rng := sim.NewRNG(1993)
+	data := make([]byte, cfg.PageBytes)
+	retired, mounted, served := 0, false, 0
+	var moves int64 // static moves before the mount; after it the card is worn level and none are due
+	var end error
+	for op := 0; end == nil; op++ {
+		if op > 1_000_000 {
+			t.Fatal("the card never wore out")
+		}
+		pages := f.LogicalPages()
+		if pages == 0 {
+			break
+		}
+		// Half the ops hit the hot sixteenth, so cold blocks lag in wear and
+		// static leveling has work to do.
+		lpn := rng.Int63n(pages)
+		if rng.Intn(2) == 0 {
+			lpn = rng.Int63n(pages/16 + 1)
+		}
+		if rng.Intn(10) == 0 {
+			end = f.TrimPage(lpn)
+		} else {
+			data[0] = byte(op)
+			end = f.WritePage(lpn, data)
+			if end == nil && mounted {
+				served++
+			}
+		}
+		if end != nil && !errors.Is(end, ErrNoSpace) && !errors.Is(end, ErrDeviceWorn) {
+			t.Fatalf("op %d: %v", op, end)
+		}
+		checkVictim(t, f, fmt.Sprintf("op %d", op))
+		if r := f.Stats().RetiredBlocks; r != retired {
+			retired = r
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatalf("op %d, %d blocks retired: %v", op, retired, err)
+			}
+			if want := max(full-int64(retired)*ppb, 0); f.LogicalPages() != want {
+				t.Fatalf("op %d: %d blocks retired leave %d logical pages, want %d",
+					op, retired, f.LogicalPages(), want)
+			}
+			if !mounted {
+				mounted = true
+				moves = f.WearStats().StaticMoves
+				if f, err = Mount(dev, clock, cfg); err != nil {
+					t.Fatalf("mount after the first retirement: %v", err)
+				}
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatalf("mounted after the first retirement: %v", err)
+				}
+				checkVictim(t, f, "at the mount")
+				retired = f.Stats().RetiredBlocks
+				if want := full - int64(retired)*ppb; f.LogicalPages() != want {
+					t.Fatalf("mount retired %d blocks and left %d logical pages, want %d",
+						retired, f.LogicalPages(), want)
+				}
+			}
+		}
+	}
+	if !mounted {
+		t.Fatal("the card stopped before any block retired")
+	}
+	if retired < 2 || served == 0 {
+		t.Fatalf("%d blocks retired and %d writes served after the mount; want the run well past it", retired, served)
+	}
+	if moves == 0 {
+		t.Fatal("static leveling never moved a block")
+	}
+	t.Logf("stopped with %d blocks retired, %d logical pages, %d writes served after the mount, static moves %d + %d: %v",
+		retired, f.LogicalPages(), served, moves, f.WearStats().StaticMoves, end)
 }

@@ -158,13 +158,14 @@ type FTL struct {
 	state   []pageState
 	blocks  []blockInfo
 
-	freeByBank []*bankPool
+	// freeByBank holds each bank's free blocks. A freed block is appended
+	// and a taken one swap-removed, and wear-aware allocation breaks ties
+	// on that order, so the experiments' outputs depend on it.
+	freeByBank [][]int
 	nextBank   int
 
-	victims  *victimIndex     // victim selection index; nil for PolicyDirect
-	wear     *lazyHeap        // cold-block index; nil unless static wear leveling is on
+	oldest   []int            // cost-benefit pick scratch: valid count → oldest eligible block
 	maxErase int64            // running device-wide max erase count
-	scanMode bool             // tests: decide via the linear-scan reference paths
 	onClean  func(victim int) // test hook: observes the victim sequence
 
 	hotActive, coldActive int // block ids, -1 when none
@@ -213,29 +214,21 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	f.reverse = make([]int64, total)
 	f.state = make([]pageState, total)
 	f.blocks = make([]blockInfo, nb)
-	f.freeByBank = make([]*bankPool, dev.Banks())
+	f.freeByBank = make([][]int, dev.Banks())
 	f.staticMoves = obs.Or(cfg.Obs).Counter("static_moves_total", obs.Labels{"layer": "ftl"})
 	for i := range f.mapping {
 		f.mapping[i] = -1
 		f.reverse[i] = -1
 	}
-	perBank := (nb + len(f.freeByBank) - 1) / len(f.freeByBank)
+	perBank := nb / len(f.freeByBank)
 	for bank := range f.freeByBank {
-		p := newBankPool(perBank)
-		p.init(func(b int) int64 { return dev.EraseCount(b) })
-		f.freeByBank[bank] = p
-	}
-	for b := 0; b < nb; b++ {
-		f.freeByBank[dev.BankOf(b)].add(b)
-	}
-	if cfg.Policy != PolicyDirect {
-		f.victims = newVictimIndex(cfg.Policy, dev.Banks(), ppb, nb)
-		if cfg.WearDeltaThreshold > 0 {
-			// One slot per block up front: the wear index holds at most
-			// one live entry per closed block, and pre-sizing spares the
-			// growth reallocations during the first cleaning cycles.
-			f.wear = &lazyHeap{es: make([]lazyEntry, 0, nb)}
+		f.freeByBank[bank] = make([]int, perBank)
+		for i := range f.freeByBank[bank] {
+			f.freeByBank[bank][i] = bank*perBank + i
 		}
+	}
+	if cfg.Policy == PolicyCostBenefit {
+		f.oldest = make([]int, ppb)
 	}
 	if cfg.PersistMapping {
 		if cfg.Policy == PolicyDirect {
@@ -286,7 +279,6 @@ func (f *FTL) markDead(ppn int64) {
 	f.blocks[b].valid--
 	f.blocks[b].dead++
 	f.reverse[ppn] = -1
-	f.onPageDied(b)
 }
 
 // logHeads names the blocks of the two open log heads for the pool, -1
@@ -304,7 +296,7 @@ func (f *FTL) headBank() int {
 	for _, idleOnly := range [...]bool{true, false} {
 		for i := 0; i < banks; i++ {
 			bank := (f.nextBank + i) % banks
-			if f.freeByBank[bank].len() > 0 && (!idleOnly || f.pool.BankIdle(bank)) {
+			if len(f.freeByBank[bank]) > 0 && (!idleOnly || f.pool.BankIdle(bank)) {
 				return bank
 			}
 		}
@@ -320,17 +312,37 @@ func (f *FTL) takeFreeBlock(preferWorn bool) (int, bool) {
 	if bank == -1 {
 		return -1, false
 	}
-	pool := f.freeByBank[bank]
-	var blk int
+	i := 0
 	if f.cfg.HotCold {
-		blk = pool.best(preferWorn)
-	} else {
-		blk = pool.first()
+		i = f.wearAware(f.freeByBank[bank], preferWorn)
 	}
-	pool.remove(blk)
+	blk := f.removeFree(bank, i)
 	f.pool.Take(blk)
 	f.nextBank = (bank + 1) % len(f.freeByBank)
 	return blk, true
+}
+
+// wearAware returns the position of the first block in list with the
+// lowest erase count, or the highest when preferWorn.
+func (f *FTL) wearAware(list []int, preferWorn bool) int {
+	best, bestCount := 0, f.dev.EraseCount(list[0])
+	for i := 1; i < len(list); i++ {
+		c := f.dev.EraseCount(list[i])
+		if preferWorn && c > bestCount || !preferWorn && c < bestCount {
+			best, bestCount = i, c
+		}
+	}
+	return best
+}
+
+// removeFree swap-removes and returns the block at position i of the
+// bank's free list.
+func (f *FTL) removeFree(bank, i int) int {
+	list := f.freeByBank[bank]
+	blk, last := list[i], len(list)-1
+	list[i] = list[last]
+	f.freeByBank[bank] = list[:last]
+	return blk
 }
 
 // allocPage returns the next free physical page on the requested stream,
@@ -344,7 +356,6 @@ func (f *FTL) allocPage(hot bool) (int64, error) {
 	if *active == -1 || *ptr >= f.pagesPerBlock {
 		if *active != -1 {
 			f.blocks[*active].isActive = false
-			f.onBlockClosed(*active)
 		}
 		blk, ok := f.takeFreeBlock(!hot && f.cfg.HotCold)
 		if !ok {
@@ -519,22 +530,15 @@ func (f *FTL) Mapped(lpn int64) bool {
 // non-free block — so its low-wear cells return to the allocation pool.
 // At most one block moves per call, bounding the added write cost, and
 // none while the pool is still at its reserve (nothing was cleanable):
-// leveling must not spend the last free blocks.
+// leveling must not spend the last free blocks. While the most-erased
+// block is within the threshold no spread can pass it, so a young card
+// skips the scan on every write.
 func (f *FTL) levelWear() error {
-	if f.cfg.WearDeltaThreshold <= 0 || f.pool.Free() <= f.pool.Reserve() {
+	if f.cfg.WearDeltaThreshold <= 0 || f.maxErase <= f.cfg.WearDeltaThreshold ||
+		f.pool.Free() <= f.pool.Reserve() {
 		return nil
 	}
-	var maxCount, coldCount int64
-	coldest := -1
-	if f.scanMode || f.wear == nil {
-		maxCount, coldest, coldCount = f.wearScan()
-	} else {
-		// Erase counts only grow, so the running maximum equals the scan's
-		// device-wide maximum; the wear heap yields the same coldest block
-		// (lowest erase count, ties to the lowest id) the scan would find.
-		maxCount = f.maxErase
-		coldest, coldCount = f.wearColdest()
-	}
+	maxCount, coldest, coldCount := f.wearScan()
 	if coldest == -1 || maxCount-coldCount <= f.cfg.WearDeltaThreshold {
 		return nil
 	}
@@ -549,8 +553,7 @@ func (f *FTL) levelWear() error {
 func (f *FTL) CleanIdle(until sim.Time) error { return f.pool.CleanIdle(until) }
 
 // wearScan computes the device-wide maximum erase count and the coldest
-// closed block by linear scan — the reference the wear index is checked
-// against (see CheckInvariants and the equivalence tests).
+// closed block, ties to the lowest id.
 func (f *FTL) wearScan() (maxCount int64, coldest int, coldCount int64) {
 	coldest = -1
 	for b := 0; b < f.numBlocks; b++ {
@@ -604,8 +607,11 @@ func (f *FTL) cleanOne(victim int) error {
 	}
 	freed, err := f.eraseBlock(victim)
 	if freed {
-		f.noteErase(victim)
-		f.freeByBank[f.dev.BankOf(victim)].add(victim)
+		// Erase counts only grow, so the running maximum stays the
+		// device-wide one.
+		f.maxErase = max(f.maxErase, f.dev.EraseCount(victim))
+		bank := f.dev.BankOf(victim)
+		f.freeByBank[bank] = append(f.freeByBank[bank], victim)
 	}
 	return err
 }
@@ -636,15 +642,68 @@ func (f *FTL) eraseBlock(blk int) (freed bool, err error) {
 	return true, nil
 }
 
+// victimEligible reports whether the block can be cleaned right now: it
+// is closed, in use and holds at least one dead page.
+func (f *FTL) victimEligible(b int) bool {
+	info := &f.blocks[b]
+	return !info.isActive && info.dead > 0 && f.pool.InUse(b)
+}
+
 // pickVictim chooses the next block to clean, or -1 if none is eligible.
-// The indexed path looks at one candidate per bank (per bank and valid
-// count for cost-benefit); the linear scan is retained as the reference
-// implementation.
+// A candidate in a better bank class beats every one in a worse class, so
+// the banks are walked best class first, and a worse class only when no
+// better bank held a candidate.
 func (f *FTL) pickVictim() int {
-	if f.scanMode {
-		return f.pickVictimScan()
+	classes := f.pool.VictimClasses()
+	pick := blocks.NoVictim()
+	now := f.clock.Now()
+	for _, want := range [...]blocks.VictimClass{blocks.Quiet, blocks.Idle, blocks.Busy} {
+		for bank, class := range classes {
+			if class == want {
+				f.offerBank(&pick, bank, class, now)
+			}
+		}
+		if pick.Block != -1 {
+			break
+		}
 	}
-	return f.pickVictimIndexed()
+	return pick.Block
+}
+
+// offerBank offers the bank's candidates, in one pass over its blocks (a
+// bank is a contiguous range of block ids). FIFO and greedy offer every
+// eligible block. Cost-benefit's score age×(1−u)/(1+u) grows with age
+// alone at a fixed valid count, so only each valid count's oldest block
+// can win and only those are scored: the division stays off every other
+// block.
+func (f *FTL) offerBank(pick *blocks.Victim, bank int, class blocks.VictimClass, now sim.Time) {
+	perBank := f.numBlocks / len(f.freeByBank)
+	lo, hi := bank*perBank, (bank+1)*perBank
+	if f.cfg.Policy != PolicyCostBenefit {
+		for b := lo; b < hi; b++ {
+			if f.victimEligible(b) {
+				pick.Offer(b, class, f.victimScore(b, now))
+			}
+		}
+		return
+	}
+	for i := range f.oldest {
+		f.oldest[i] = -1
+	}
+	for b := lo; b < hi; b++ {
+		if !f.victimEligible(b) {
+			continue
+		}
+		v := f.blocks[b].valid
+		if o := f.oldest[v]; o == -1 || f.blocks[b].lastWrite < f.blocks[o].lastWrite {
+			f.oldest[v] = b
+		}
+	}
+	for _, b := range f.oldest {
+		if b != -1 {
+			pick.Offer(b, class, f.victimScore(b, now))
+		}
+	}
 }
 
 // victimScore is the policy's own order over eligible blocks: larger is
@@ -663,20 +722,6 @@ func (f *FTL) victimScore(b int, now sim.Time) float64 {
 	default: // greedy
 		return float64(info.dead)
 	}
-}
-
-// pickVictimScan is the O(numBlocks) victim scan, kept as the
-// behavioural reference for the victim index.
-func (f *FTL) pickVictimScan() int {
-	classes := f.pool.VictimClasses()
-	pick := blocks.NoVictim()
-	now := f.clock.Now()
-	for b := 0; b < f.numBlocks; b++ {
-		if f.victimEligible(b) {
-			pick.Offer(b, classes[f.dev.BankOf(b)], f.victimScore(b, now))
-		}
-	}
-	return pick.Block
 }
 
 // writeDirect implements the no-translation baseline: the logical page
@@ -797,21 +842,8 @@ func (f *FTL) CheckInvariants() error {
 	if err := f.pool.CheckInvariants(); err != nil {
 		return err
 	}
-	if f.victims != nil {
-		if got, want := f.pickVictimIndexed(), f.pickVictimScan(); got != want {
-			return fmt.Errorf("victim index picks %d, reference scan picks %d", got, want)
-		}
-	}
-	if f.wear != nil {
-		maxCount, coldest, coldCount := f.wearScan()
-		if f.maxErase != maxCount {
-			return fmt.Errorf("maintained max erase %d, scan max %d", f.maxErase, maxCount)
-		}
-		ic, icc := f.wearColdest()
-		if ic != coldest || (coldest != -1 && icc != coldCount) {
-			return fmt.Errorf("wear index coldest %d(count %d), scan coldest %d(count %d)",
-				ic, icc, coldest, coldCount)
-		}
+	if maxCount, _, _ := f.wearScan(); f.maxErase != maxCount {
+		return fmt.Errorf("maintained max erase %d, scan max %d", f.maxErase, maxCount)
 	}
 	return nil
 }

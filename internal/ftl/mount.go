@@ -3,6 +3,7 @@ package ftl
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ssmobile/internal/engine"
 	"ssmobile/internal/engine/blocks"
@@ -94,10 +95,10 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.tags[lpn] = c.tag
 		f.pageSeq[lpn] = c.seq
 	}
-	// Each block leaves its bank pool as it is settled, in ascending
-	// order — the same swap-removes the pre-index free list performed,
-	// interleaved with the same re-erases, so the pools' internal order,
-	// which wear-aware allocation ties break on, evolves identically.
+	// Each block leaves its bank's free list as it is settled, in
+	// ascending order, interleaved with the re-erases: the free lists'
+	// order, which wear-aware allocation ties break on, is part of the
+	// layer's behaviour.
 	for b := 0; b < f.numBlocks; b++ {
 		if err := f.pool.Settle(b, used[b]); err != nil {
 			return nil, err
@@ -105,7 +106,8 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		if f.pool.IsFree(b) {
 			continue
 		}
-		f.freeByBank[dev.BankOf(b)].remove(b)
+		bank := dev.BankOf(b)
+		f.removeFree(bank, slices.Index(f.freeByBank[bank], b))
 		if !f.pool.InUse(b) {
 			continue // retired
 		}
@@ -127,34 +129,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.allocSeq++
 		f.blocks[b].allocSeq = f.allocSeq
 	}
-	f.rebuildIndexes()
+	// The device carries erase counts from its previous life.
+	f.maxErase, _, _ = f.wearScan()
 	return f, nil
-}
-
-// rebuildIndexes recomputes the victim and wear indexes and the running
-// max erase count from the block states Mount reconstructed. The device
-// carries erase counts from its previous life, so the maximum must be
-// rescanned rather than assumed zero.
-func (f *FTL) rebuildIndexes() {
-	f.maxErase = 0
-	for b := 0; b < f.numBlocks; b++ {
-		if c := f.dev.EraseCount(b); c > f.maxErase {
-			f.maxErase = c
-		}
-	}
-	if f.victims != nil {
-		f.victims = newVictimIndex(f.cfg.Policy, f.dev.Banks(), f.pagesPerBlock, f.numBlocks)
-	}
-	if f.wear != nil {
-		f.wear = &lazyHeap{}
-	}
-	for b := 0; b < f.numBlocks; b++ {
-		if !f.pool.InUse(b) {
-			continue
-		}
-		if f.wear != nil {
-			f.wear.push(lazyEntry{k1: f.dev.EraseCount(b), block: b})
-		}
-		f.noteEligible(b)
-	}
 }
