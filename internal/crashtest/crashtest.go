@@ -504,8 +504,8 @@ func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
 	}
 	buf := make([]byte, cfg.BlockBytes)
 	for i, key := range keys {
-		n, err := m.ReadBlock(key, buf)
-		if err != nil {
+		n := m.BlockSize(key)
+		if err := m.ReadAt(key.Object, key.Block*int64(cfg.BlockBytes), buf[:n]); err != nil {
 			return fmt.Errorf("read back %+v: %w", key, err)
 		}
 		want := bytes.Repeat([]byte{byte(0xC0 + i)}, cfg.BlockBytes)

@@ -9,8 +9,8 @@ import (
 
 // keyState is the model's view of one block.
 type keyState struct {
-	// cur is the logical content the host last saw (what ReadBlock would
-	// return before the crash).
+	// cur is the logical content the host last saw (what a read of the
+	// block would return before the crash).
 	cur []byte
 	// flashV is the padded image the last completed flush put on flash,
 	// nil if the block never reached flash.
@@ -134,8 +134,8 @@ func (mod *model) verify(m *storman.Manager) []error {
 	recovered := make(map[storman.Key][]byte)
 	buf := make([]byte, mod.blockBytes)
 	for _, key := range m.Keys() {
-		n, err := m.ReadBlock(key, buf)
-		if err != nil {
+		n := m.BlockSize(key)
+		if err := m.ReadAt(key.Object, key.Block*int64(mod.blockBytes), buf[:n]); err != nil {
 			errs = append(errs, fmt.Errorf("read recovered block %+v: %w", key, err))
 			continue
 		}

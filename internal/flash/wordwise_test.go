@@ -133,8 +133,8 @@ func TestEraseFillsOddSizedBlock(t *testing.T) {
 	}
 }
 
-// The flash rung of the benchmark ladder: one page program and one block
-// erase, the two operations every engine's write path is made of.
+// The flash rung of the benchmark ladder: one page read, one page program
+// and one block erase, the operations every engine's paths are made of.
 
 func benchDevice(b *testing.B, blockBytes int) *Device {
 	b.Helper()
@@ -145,6 +145,22 @@ func benchDevice(b *testing.B, blockBytes int) *Device {
 		b.Fatal(err)
 	}
 	return d
+}
+
+func BenchmarkFlashRead(b *testing.B) {
+	b.Run("4KB", func(b *testing.B) {
+		d := benchDevice(b, 64<<10)
+		page := make([]byte, 4096)
+		pages := d.Capacity() / int64(len(page))
+		b.SetBytes(int64(len(page)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Read(int64(i)%pages*int64(len(page)), page); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkFlashProgram(b *testing.B) {

@@ -264,10 +264,8 @@ func readRun(sm *storman.Manager, gen uint64, run []int64, first int64, limit in
 	}
 	bs := sm.BlockBytes()
 	p := make([]byte, n*bs)
-	for i := 0; i < n; i++ {
-		if _, err := sm.ReadBlock(storman.Key{Object: metaObject, Block: start.Block + int64(i)}, p[i*bs:(i+1)*bs]); err != nil {
-			return nil, err
-		}
+	if err := sm.ReadAt(metaObject, start.Block*int64(bs), p); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

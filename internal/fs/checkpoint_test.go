@@ -398,8 +398,9 @@ func TestCorruptCheckpointDetected(t *testing.T) {
 			t.Fatalf("%s: %d frames after the second sync, want 1", c.name, n)
 		}
 		key := ckptKey(1, c.idx)
-		block := make([]byte, r.fs.BlockBytes())
-		n, err := r.sm.ReadBlock(key, block)
+		n := r.sm.BlockSize(key)
+		block := make([]byte, n)
+		err := r.sm.ReadAt(key.Object, key.Block*int64(r.fs.BlockBytes()), block)
 		if err != nil || n == 0 {
 			t.Fatalf("%s: reading the block to damage: %d bytes, %v", c.name, n, err)
 		}

@@ -146,10 +146,6 @@ type FS struct {
 	ckpt    ckptState
 	pending []byte
 
-	// blockBuf holds one block per ReadAt iteration. FS is
-	// single-threaded (see the type comment) and no consumer retains it.
-	blockBuf []byte
-
 	// inodeFree recycles fully-unlinked inodes (delete/recreate churn is
 	// steady-state traffic for object stores); recycled inodes are reset
 	// wholesale before reuse, so no stale field or cached encoding survives.
@@ -422,15 +418,6 @@ func (f *FS) resolveParent(path string) (*Inode, string, error) {
 
 func (f *FS) now() sim.Time { return f.clock.Now() }
 
-// scratchBlock returns ReadAt's reusable one-block buffer.
-func (f *FS) scratchBlock() []byte {
-	bs := f.BlockBytes()
-	if cap(f.blockBuf) < bs {
-		f.blockBuf = make([]byte, bs)
-	}
-	return f.blockBuf[:bs]
-}
-
 // span opens an op span against the file system's clock and the DRAM
 // device's energy meter.
 func (f *FS) span(op string) obs.SpanRef {
@@ -606,7 +593,7 @@ func (f *FS) Append(path string, data []byte) (int, error) {
 
 // ReadAt reads up to len(buf) bytes from off; it returns the count read,
 // which is short at end of file.
-func (f *FS) ReadAt(path string, off int64, buf []byte) (_ int, err error) {
+func (f *FS) ReadAt(path string, off int64, buf []byte) (int, error) {
 	node, err := f.resolve(path)
 	if err != nil {
 		return 0, err
@@ -620,36 +607,17 @@ func (f *FS) ReadAt(path string, off int64, buf []byte) (_ int, err error) {
 	if off >= node.Size {
 		return 0, nil
 	}
-	want := int64(len(buf))
-	if off+want > node.Size {
-		want = node.Size - off
-	}
-	bs := int64(f.BlockBytes())
-	read := int64(0)
+	want := min(int64(len(buf)), node.Size-off)
 	sp := f.span("read")
-	defer func() { sp.End(read, err) }()
 	f.reads.Inc()
-	defer func() { f.bytesRead.Add(read) }()
-	block := f.scratchBlock()
-	for read < want {
-		blk := (off + read) / bs
-		blkOff := int((off + read) % bs)
-		n := int(bs) - blkOff
-		if int64(n) > want-read {
-			n = int(want - read)
-		}
-		got, err := f.sm.ReadBlock(storman.Key{Object: node.Ino, Block: blk}, block)
-		if err != nil {
-			return int(read), err
-		}
-		// Zero-fill holes and short blocks.
-		if got < blkOff+n {
-			clear(block[got : blkOff+n])
-		}
-		copy(buf[read:read+int64(n)], block[blkOff:blkOff+n])
-		read += int64(n)
+	// Holes and the bytes past a short block read as zero.
+	if err := f.sm.ReadAt(node.Ino, off, buf[:want]); err != nil {
+		sp.End(0, err)
+		return 0, err
 	}
-	return int(read), nil
+	f.bytesRead.Add(want)
+	sp.End(want, nil)
+	return int(want), nil
 }
 
 // ReadFile reads the whole file.
@@ -797,6 +765,16 @@ func (f *FS) Rename(oldPath, newPath string) error {
 func (f *FS) Exists(path string) bool {
 	_, kind, _ := f.walk(path)
 	return kind == walkOK
+}
+
+// Size reports the size of the file at path and whether anything exists
+// there: Exists and Stat's Size in one walk that allocates nothing.
+func (f *FS) Size(path string) (int64, bool) {
+	node, kind, _ := f.walk(path)
+	if kind != walkOK {
+		return 0, false
+	}
+	return node.Size, true
 }
 
 // NumInodes reports the live inode count (including the root).

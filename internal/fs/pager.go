@@ -20,24 +20,11 @@ type filePager struct {
 
 // ReadPage implements vm.ExternalPager.
 func (p *filePager) ReadPage(idx int64, buf []byte) error {
-	for i := range buf {
-		buf[i] = 0
-	}
-	bs := int64(p.fs.BlockBytes())
-	if idx*bs >= p.size {
-		return nil // zero page past EOF
-	}
-	n, err := p.fs.sm.ReadBlock(storman.Key{Object: p.ino, Block: idx}, buf)
-	if err != nil {
-		return err
-	}
-	// Clamp to the file size within the final block.
-	if remain := p.size - idx*bs; int64(n) > remain {
-		for i := remain; i < int64(n); i++ {
-			buf[i] = 0
-		}
-	}
-	return nil
+	off := idx * int64(p.fs.BlockBytes())
+	// Past the file size at map time the page reads as zero.
+	n := max(0, min(int64(len(buf)), p.size-off))
+	clear(buf[n:])
+	return p.fs.sm.ReadAt(p.ino, off, buf[:n])
 }
 
 // WritePage implements vm.ExternalWriter for shared mappings: the page's

@@ -5,30 +5,37 @@ import (
 	"testing"
 )
 
-// partialFileBlocks is the size, in blocks, of the file the partial-write
-// rung writes into: a quarter of the rig's 2 MB write buffer, so a sync
+// partialFileBlocks is the size, in blocks, of the synced file the fs
+// rungs work on: a quarter of the rig's 2 MB write buffer, so a sync
 // after every pass keeps each write landing on a flash-resident block.
 const partialFileBlocks = 128
 
-// partialFile builds a file system over the named engine holding one
-// synced file of partialFileBlocks full blocks, and a run of partial
-// writes into it: 512–4096 bytes at an arbitrary offset, each inside one
-// block, one per block in a pass.
-func partialFile(t testing.TB, eng string) (r *rig, offs []int64, sizes []int) {
+// syncedFile builds a file system over the named engine holding one
+// synced file, /p, of partialFileBlocks full blocks, all in flash.
+func syncedFile(t testing.TB, eng string) *rig {
 	t.Helper()
-	r = newPartsOn(t, eng, nil)
+	r := newPartsOn(t, eng, nil)
 	f, err := Mkfs(fsConfig(), r.clock, r.sm, r.dram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.fs = f
-	bs := f.BlockBytes()
-	if err := f.WriteFile("/p", make([]byte, partialFileBlocks*bs)); err != nil {
+	if err := f.WriteFile("/p", make([]byte, partialFileBlocks*f.BlockBytes())); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// partialFile is syncedFile with a run of partial writes into it:
+// 512–4096 bytes at an arbitrary offset, each inside one block, one per
+// block in a pass.
+func partialFile(t testing.TB, eng string) (r *rig, offs []int64, sizes []int) {
+	t.Helper()
+	r = syncedFile(t, eng)
+	bs := r.fs.BlockBytes()
 	rng := rand.New(rand.NewSource(1993))
 	for _, blk := range rng.Perm(partialFileBlocks) {
 		n := 512 + rng.Intn(bs-512+1)

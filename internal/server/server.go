@@ -472,13 +472,19 @@ func (s *Server) doGet(sess *Session, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("%w: negative get extent", ErrBadRequest)
 	}
 	p := sess.path(req.Key)
-	if !s.b.FS.Exists(p) {
+	size, ok := s.b.FS.Size(p)
+	if !ok {
 		return Response{}, sess.notFound(req.Key, p)
 	}
-	if int64(cap(sess.getBuf)) < req.Size {
-		sess.getBuf = make([]byte, req.Size)
+	// The buffer holds what the object can return, not what was asked
+	// for: a get past the end must not size the session's buffer. It
+	// grows by doubling, so a session reading assorted extents settles on
+	// one buffer at most twice the largest it returned.
+	want := max(0, min(req.Size, size-req.Offset))
+	if int64(cap(sess.getBuf)) < want {
+		sess.getBuf = make([]byte, max(want, 2*int64(cap(sess.getBuf))))
 	}
-	buf := sess.getBuf[:req.Size]
+	buf := sess.getBuf[:want]
 	n, err := s.b.FS.ReadAt(p, req.Offset, buf)
 	if err != nil {
 		return Response{}, err

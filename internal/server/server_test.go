@@ -41,6 +41,31 @@ func newStack(t *testing.T, cfg core.SolidStateConfig) (*core.SolidStateSystem, 
 	return card.Sys, card.Srv
 }
 
+// TestHugeGetIsSizedByTheObject asks for far more than a 1 KB object
+// holds. The get returns the object's bytes; the session's buffer is
+// sized by the object, so the request can neither panic nor pin memory.
+func TestHugeGetIsSizedByTheObject(t *testing.T) {
+	_, srv := newStack(t, core.SolidStateConfig{})
+	sess, err := srv.Open("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("0123456789abcdef"), 64)
+	if _, err := sess.Do(server.Request{Kind: server.OpPut, Key: 3, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 1000, int64(len(data)), 1 << 40} {
+		resp, err := sess.Do(server.Request{Kind: server.OpGet, Key: 3, Offset: off, Size: 1 << 62})
+		if err != nil {
+			t.Fatalf("get at %d: %v", off, err)
+		}
+		want := data[min(off, int64(len(data))):]
+		if resp.N != len(want) || !bytes.Equal(resp.Data, want) {
+			t.Fatalf("get at %d: %d bytes, want the object's last %d", off, resp.N, len(want))
+		}
+	}
+}
+
 func TestPutGetRoundtrip(t *testing.T) {
 	_, srv := newStack(t, core.SolidStateConfig{})
 	sess, err := srv.Open("alice")

@@ -1,98 +1,78 @@
 package storman
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Keys lists every block in the placement table in (object, block)
+// Keys lists every block in the placement index in (object, block)
 // order; recovery harnesses walk it to compare pre- and post-crash state.
 func (m *Manager) Keys() []Key {
-	out := make([]Key, 0, len(m.table))
-	for key := range m.table {
-		out = append(out, key)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
+	var out []Key
+	for _, obj := range m.Objects() {
+		for _, loc := range m.blocksInOrder(obj) {
+			out = append(out, loc.key)
 		}
-		return out[i].Block < out[j].Block
-	})
+	}
 	return out
 }
 
-// CheckInvariants cross-checks the placement table against its own
-// indexes and against the translation layer underneath: the byObject
-// mirror matches the table, DRAM pages and flash logical pages are each
-// owned at most once and never double-listed as free, every
-// flash-resident block is actually mapped with the tag its key encodes,
-// and the dirty lists hold exactly the dirty DRAM-resident blocks.
-// Crash-point enumeration calls it after every recovery.
+// CheckInvariants cross-checks the placement index against itself and
+// against the translation layer underneath: every entry sits under its
+// own key, DRAM pages and flash logical pages are each owned at most
+// once and never double-listed as free, every flash-resident block is
+// actually mapped with the tag its key encodes, and the dirty lists hold
+// exactly the dirty DRAM-resident blocks. Crash-point enumeration calls
+// it after every recovery.
 func (m *Manager) CheckInvariants() error {
-	mirrored := 0
-	for obj, blocks := range m.byObject {
-		for blk, loc := range blocks {
-			if loc.key.Object != obj || loc.key.Block != blk {
-				return fmt.Errorf("byObject[%d][%d] holds key %+v", obj, blk, loc.key)
-			}
-			if m.table[loc.key] != loc {
-				return fmt.Errorf("byObject entry %+v not in table", loc.key)
-			}
-			mirrored++
-		}
-	}
-	if mirrored != len(m.table) {
-		return fmt.Errorf("byObject mirrors %d entries, table has %d", mirrored, len(m.table))
-	}
-
 	dramOwner := make(map[int]Key)
 	lpnOwner := make(map[int64]Key)
 	dirty := 0
-	for key, loc := range m.table {
-		if loc.key != key {
-			return fmt.Errorf("table[%+v] holds key %+v", key, loc.key)
-		}
-		if loc.size < 0 || loc.size > m.cfg.BlockBytes {
-			return fmt.Errorf("block %+v size %d out of range", key, loc.size)
-		}
-		if loc.flashSize < 0 || loc.flashSize > m.cfg.BlockBytes {
-			return fmt.Errorf("block %+v flash size %d out of range", key, loc.flashSize)
-		}
-		if !loc.inDRAM() && loc.lpn < 0 {
-			return fmt.Errorf("block %+v lives nowhere", key)
-		}
-		if loc.inDRAM() {
-			if loc.dramPage >= m.totalPages {
-				return fmt.Errorf("block %+v DRAM page %d of %d", key, loc.dramPage, m.totalPages)
+	for obj, blocks := range m.byObject {
+		for blk, loc := range blocks {
+			key := Key{Object: obj, Block: blk}
+			if loc.key != key {
+				return fmt.Errorf("byObject[%d][%d] holds key %+v", obj, blk, loc.key)
 			}
-			if prev, dup := dramOwner[loc.dramPage]; dup {
-				return fmt.Errorf("DRAM page %d owned by both %+v and %+v", loc.dramPage, prev, key)
+			if loc.size < 0 || loc.size > m.cfg.BlockBytes {
+				return fmt.Errorf("block %+v size %d out of range", key, loc.size)
 			}
-			dramOwner[loc.dramPage] = key
-			if loc.links[lruLink].queued != loc.links[fifoLink].queued {
-				return fmt.Errorf("block %+v half-enqueued in the dirty lists", key)
+			if loc.flashSize < 0 || loc.flashSize > m.cfg.BlockBytes {
+				return fmt.Errorf("block %+v flash size %d out of range", key, loc.flashSize)
 			}
-			if loc.links[lruLink].queued {
-				dirty++
+			if !loc.inDRAM() && loc.lpn < 0 {
+				return fmt.Errorf("block %+v lives nowhere", key)
 			}
-		} else if loc.links[lruLink].queued || loc.links[fifoLink].queued {
-			return fmt.Errorf("flash-resident block %+v still in the dirty lists", key)
-		}
-		if loc.lpn >= 0 {
-			if prev, dup := lpnOwner[loc.lpn]; dup {
-				return fmt.Errorf("flash page %d owned by both %+v and %+v", loc.lpn, prev, key)
+			if loc.inDRAM() {
+				if loc.dramPage >= m.totalPages {
+					return fmt.Errorf("block %+v DRAM page %d of %d", key, loc.dramPage, m.totalPages)
+				}
+				if prev, dup := dramOwner[loc.dramPage]; dup {
+					return fmt.Errorf("DRAM page %d owned by both %+v and %+v", loc.dramPage, prev, key)
+				}
+				dramOwner[loc.dramPage] = key
+				if loc.links[lruLink].queued != loc.links[fifoLink].queued {
+					return fmt.Errorf("block %+v half-enqueued in the dirty lists", key)
+				}
+				if loc.links[lruLink].queued {
+					dirty++
+				}
+			} else if loc.links[lruLink].queued || loc.links[fifoLink].queued {
+				return fmt.Errorf("flash-resident block %+v still in the dirty lists", key)
 			}
-			lpnOwner[loc.lpn] = key
-			if !m.fl.Mapped(loc.lpn) {
-				return fmt.Errorf("block %+v claims unmapped flash page %d", key, loc.lpn)
+			if loc.lpn >= 0 {
+				if prev, dup := lpnOwner[loc.lpn]; dup {
+					return fmt.Errorf("flash page %d owned by both %+v and %+v", loc.lpn, prev, key)
+				}
+				lpnOwner[loc.lpn] = key
+				if !m.fl.Mapped(loc.lpn) {
+					return fmt.Errorf("block %+v claims unmapped flash page %d", key, loc.lpn)
+				}
+				// Tags exist only when the translation layer persists them.
+				if m.fl.PersistsMapping() && m.fl.TagOf(loc.lpn) != encodeTag(key) {
+					return fmt.Errorf("flash page %d tagged %x, block %+v expects %x",
+						loc.lpn, m.fl.TagOf(loc.lpn), key, encodeTag(key))
+				}
+			} else if loc.flashSize != 0 {
+				return fmt.Errorf("block %+v has flash size %d but no flash page", key, loc.flashSize)
 			}
-			// Tags exist only when the translation layer persists them.
-			if m.fl.PersistsMapping() && m.fl.TagOf(loc.lpn) != encodeTag(key) {
-				return fmt.Errorf("flash page %d tagged %x, block %+v expects %x",
-					loc.lpn, m.fl.TagOf(loc.lpn), key, encodeTag(key))
-			}
-		} else if loc.flashSize != 0 {
-			return fmt.Errorf("block %+v has flash size %d but no flash page", key, loc.flashSize)
 		}
 	}
 
@@ -133,7 +113,7 @@ func (m *Manager) CheckInvariants() error {
 		return fmt.Errorf("%d blocks queued dirty, %d marked dirty", queued, dirty)
 	}
 	for loc := m.writeOrder.Front(); loc != nil; loc = m.writeOrder.Next(loc) {
-		if m.table[loc.key] != loc {
+		if m.lookup(loc.key) != loc {
 			return fmt.Errorf("dirty list holds dropped block %+v", loc.key)
 		}
 	}

@@ -102,7 +102,7 @@ func TestMountRebuildsFlashState(t *testing.T) {
 
 	buf := make([]byte, 4096)
 	for blk := int64(0); blk < 10; blk++ {
-		n, err := m2.ReadBlock(Key{Object: 7, Block: blk}, buf)
+		n, err := readBlock(m2, Key{Object: 7, Block: blk}, buf)
 		if err != nil || n != 4096 {
 			t.Fatalf("block %d: n=%d err=%v", blk, n, err)
 		}
@@ -110,7 +110,7 @@ func TestMountRebuildsFlashState(t *testing.T) {
 			t.Fatalf("block %d corrupted across remount: %x", blk, buf[0])
 		}
 	}
-	if n, _ := m2.ReadBlock(Key{Object: 8, Block: 0}, buf); n != 0 {
+	if n, _ := readBlock(m2, Key{Object: 8, Block: 0}, buf); n != 0 {
 		t.Fatal("unflushed block survived remount")
 	}
 	// Accounting: free pool excludes the live pages.
@@ -159,7 +159,7 @@ func TestMountResolvesResurrectedDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)
-	n, err := m2.ReadBlock(key, buf)
+	n, err := readBlock(m2, key, buf)
 	if err != nil || n != 4096 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
@@ -210,8 +210,8 @@ func TestMountedManagerMatchesModelRecovery(t *testing.T) {
 	bufA := make([]byte, 4096)
 	bufB := make([]byte, 4096)
 	for _, key := range keys {
-		nA, errA := r.m.ReadBlock(key, bufA)
-		nB, errB := m2.ReadBlock(key, bufB)
+		nA, errA := readBlock(r.m, key, bufA)
+		nB, errB := readBlock(m2, key, bufB)
 		if errA != nil || errB != nil {
 			t.Fatalf("%+v: %v %v", key, errA, errB)
 		}

@@ -4,7 +4,9 @@
 // [stays] in DRAM, and data that is mostly read in flash".
 //
 // The manager stores blocks for higher layers (the file system) keyed by
-// (object, block). Its policy is exactly the paper's:
+// (object, block), placed through one index (object, then block), written
+// through one entry point (WriteBlockAt) and read through one (ReadAt).
+// Its policy is exactly the paper's:
 //
 //   - writes land in battery-backed DRAM pages and stay there while hot;
 //     overwrites are absorbed in place;
@@ -12,7 +14,9 @@
 //     dirty for the write-back delay (they have proven they will live);
 //     eviction under DRAM pressure flushes the least recently written;
 //   - reads are served wherever the block lives — flash blocks are read
-//     in place, never copied into DRAM just to be read;
+//     in place, never copied into DRAM just to be read. One call reads an
+//     extent (ReadAt), and every block it covers whole lands straight in
+//     the caller's buffer;
 //   - writing a block that lives in flash triggers the paper's
 //     copy-on-write: the block moves to a DRAM page, the flash copy read
 //     only when the write does not cover it, and subsequent writes are
@@ -201,7 +205,7 @@ type Manager struct {
 	dram  *dram.Device
 	fl    engine.Engine
 
-	table    map[Key]*blockLoc
+	// byObject is the placement index: object, then block index.
 	byObject map[uint64]map[int64]*blockLoc
 
 	freeDRAM   []int // free page indexes within the region
@@ -215,6 +219,7 @@ type Manager struct {
 	// Reusable hot-path scratch. The manager is single-threaded; each
 	// buffer serves one non-nesting code path (migrate can run inside the
 	// write path via eviction, so writeBuf and migBuf are distinct).
+	// readBuf holds a block a read covers only in part.
 	migBuf   []byte
 	writeBuf []byte
 	readBuf  []byte
@@ -259,18 +264,14 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 	o := obs.Or(cfg.Obs)
 	lbl := obs.Labels{"layer": "storman"}
 	m := &Manager{
-		cfg:   cfg,
-		clock: clock,
-		dram:  dramDev,
-		fl:    fl,
-		// Every placed block is DRAM-resident (at most totalPages) or
-		// flash-resident (at most the device's logical pages), so the
-		// table's final size is known now; pre-sizing trades one upfront
-		// allocation for all the incremental rehash growth.
-		table:             make(map[Key]*blockLoc, int(cfg.DRAMBytes/int64(cfg.BlockBytes))+int(fl.LogicalPages())),
+		cfg:               cfg,
+		clock:             clock,
+		dram:              dramDev,
+		fl:                fl,
 		byObject:          make(map[uint64]map[int64]*blockLoc),
 		totalPages:        int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
 		writeBuf:          make([]byte, cfg.BlockBytes),
+		readBuf:           make([]byte, cfg.BlockBytes),
 		writeOrder:        locList{idx: lruLink},
 		dirtyOrder:        locList{idx: fifoLink},
 		obs:               o,
@@ -326,10 +327,9 @@ func (m *Manager) pageAddr(page int) int64 {
 	return m.cfg.DRAMBase + int64(page)*int64(m.cfg.BlockBytes)
 }
 
-func (m *Manager) lookup(key Key) *blockLoc { return m.table[key] }
+func (m *Manager) lookup(key Key) *blockLoc { return m.byObject[key.Object][key.Block] }
 
 func (m *Manager) insert(loc *blockLoc) {
-	m.table[loc.key] = loc
 	blocks := m.byObject[loc.key.Object]
 	if blocks == nil {
 		if n := len(m.freeMaps); n > 0 {
@@ -350,7 +350,6 @@ func (m *Manager) insert(loc *blockLoc) {
 }
 
 func (m *Manager) remove(loc *blockLoc) {
-	delete(m.table, loc.key)
 	if blocks := m.byObject[loc.key.Object]; blocks != nil {
 		delete(blocks, loc.key.Block)
 		if len(blocks) == 0 {
@@ -553,38 +552,69 @@ func (m *Manager) writeDRAM(page, from, off int, data []byte) error {
 	return err
 }
 
-// ReadBlock fetches the block into buf and reports how many bytes it
-// holds. Unknown blocks read as zero length. Flash-resident blocks are
-// read in place; they are not promoted to DRAM.
-func (m *Manager) ReadBlock(key Key, buf []byte) (read int, err error) {
-	loc := m.lookup(key)
-	if loc == nil {
-		return 0, nil
+// ReadAt fills buf with the object's bytes from byte offset off. A block
+// the manager does not hold, and the bytes past a block's stored size,
+// read as zero. It is the manager's only read path: a block the extent
+// covers whole is read in place, by the engine or from its DRAM page,
+// straight into buf; only a block it covers in part goes through readBuf.
+// Either way each stored block costs the one device read it always has
+// (its stored bytes from DRAM, its whole page from flash), in block
+// order. Flash-resident blocks are not promoted to DRAM.
+func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
+	if off < 0 || off > math.MaxInt64-int64(len(buf)) {
+		return fmt.Errorf("%w: extent %d+%d outside an object", ErrBadSize, off, len(buf))
 	}
+	if len(buf) == 0 {
+		return nil
+	}
+	var flashReads, dramReads, read int64
 	sp := m.span("read")
-	defer func() { sp.End(int64(read), err) }()
-	n := loc.size
-	if n > len(buf) {
-		n = len(buf)
+	defer func() {
+		m.flashReads.Add(flashReads)
+		m.dramReads.Add(dramReads)
+		m.hostRead.Add(read)
+		sp.End(read, err)
+	}()
+	bs := int64(m.cfg.BlockBytes)
+	blocks := m.byObject[object]
+	for done := 0; done < len(buf); {
+		at := off + int64(done)
+		lo := int(at % bs)
+		dst := buf[done:min(len(buf), done+int(bs)-lo)]
+		done += len(dst)
+		loc := blocks[at/bs]
+		if loc == nil {
+			clear(dst)
+			continue
+		}
+		n := m.cfg.BlockBytes
+		if loc.inDRAM() {
+			n = loc.size
+		}
+		direct := lo == 0 && len(dst) >= n
+		src := m.readBuf[:n]
+		if direct {
+			src = dst[:n]
+		}
+		if loc.inDRAM() {
+			dramReads++
+			_, err = m.dram.Read(m.pageAddr(loc.dramPage), src)
+		} else {
+			flashReads++
+			err = m.fl.ReadPage(loc.lpn, src)
+		}
+		if err != nil {
+			return err
+		}
+		read += int64(loc.size)
+		// Past the stored size, a page holds padding or a truncated tail.
+		if direct {
+			clear(dst[loc.size:])
+		} else {
+			clear(dst[copy(dst, src[min(lo, loc.size):loc.size]):])
+		}
 	}
-	if loc.inDRAM() {
-		m.dramReads.Inc()
-		if _, err := m.dram.Read(m.pageAddr(loc.dramPage), buf[:n]); err != nil {
-			return 0, err
-		}
-	} else {
-		m.flashReads.Inc()
-		if cap(m.readBuf) < m.cfg.BlockBytes {
-			m.readBuf = make([]byte, m.cfg.BlockBytes)
-		}
-		page := m.readBuf[:m.cfg.BlockBytes]
-		if err := m.fl.ReadPage(loc.lpn, page); err != nil {
-			return 0, err
-		}
-		copy(buf[:n], page)
-	}
-	m.hostRead.Add(int64(n))
-	return n, nil
+	return nil
 }
 
 // BlockSize reports the stored size of a block, or 0 if absent.
@@ -827,34 +857,26 @@ func (m *Manager) SyncObject(object uint64) error {
 // It returns the number of bytes of data lost. The caller is responsible
 // for restoring the DRAM device itself (dram.Device.Restore).
 func (m *Manager) PowerFailRecover() (lostBytes int64) {
-	locs := make([]*blockLoc, 0, len(m.table))
-	for _, loc := range m.table {
-		locs = append(locs, loc)
-	}
 	// Fixed (object, block) order: the survivors' free-page lists end up
-	// the same every run, whatever order the map yields.
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].key.Object != locs[j].key.Object {
-			return locs[i].key.Object < locs[j].key.Object
-		}
-		return locs[i].key.Block < locs[j].key.Block
-	})
+	// the same every run, whatever order the maps yield.
 	var gone []*blockLoc
-	for _, loc := range locs {
-		if !loc.inDRAM() {
-			// Flash-resident: the persisted version is all that survives.
-			// An unflushed truncation (size < flashSize) reverts.
-			loc.size = loc.flashSize
-			continue
-		}
-		// The dirty version in DRAM is gone either way.
-		lostBytes += int64(loc.size)
-		if loc.lpn >= 0 {
-			// Revert to the flushed version.
-			loc.size = loc.flashSize
-			loc.dramPage = -1
-		} else {
-			gone = append(gone, loc)
+	for _, obj := range m.Objects() {
+		for _, loc := range m.blocksInOrder(obj) {
+			if !loc.inDRAM() {
+				// Flash-resident: the persisted version is all that survives.
+				// An unflushed truncation (size < flashSize) reverts.
+				loc.size = loc.flashSize
+				continue
+			}
+			// The dirty version in DRAM is gone either way.
+			lostBytes += int64(loc.size)
+			if loc.lpn >= 0 {
+				// Revert to the flushed version.
+				loc.size = loc.flashSize
+				loc.dramPage = -1
+			} else {
+				gone = append(gone, loc)
+			}
 		}
 	}
 	// Empty the dirty lists before recycling the gone locs: remove resets

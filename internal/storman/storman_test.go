@@ -84,7 +84,7 @@ func TestWriteReadDRAMResident(t *testing.T) {
 		t.Fatal("fresh write should live in DRAM")
 	}
 	got := make([]byte, 4096)
-	n, err := r.m.ReadBlock(key, got)
+	n, err := readBlock(r.m, key, got)
 	if err != nil || n != 4096 {
 		t.Fatalf("read n=%d err=%v", n, err)
 	}
@@ -98,7 +98,7 @@ func TestWriteReadDRAMResident(t *testing.T) {
 
 func TestUnknownBlockReadsEmpty(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
-	n, err := r.m.ReadBlock(Key{9, 9}, make([]byte, 4096))
+	n, err := readBlock(r.m, Key{9, 9}, make([]byte, 4096))
 	if err != nil || n != 0 {
 		t.Fatalf("unknown block n=%d err=%v", n, err)
 	}
@@ -121,7 +121,7 @@ func TestSyncMigratesToFlash(t *testing.T) {
 		t.Fatal("block still in DRAM after Sync")
 	}
 	got := make([]byte, 4096)
-	if _, err := r.m.ReadBlock(key, got); err != nil {
+	if _, err := readBlock(r.m, key, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -143,7 +143,7 @@ func TestReadDoesNotPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := r.m.ReadBlock(key, make([]byte, 4096)); err != nil {
+		if _, err := readBlock(r.m, key, make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestCopyOnWriteFromFlash(t *testing.T) {
 		t.Fatal("cow should keep the stale flash copy until flush")
 	}
 	got := make([]byte, 4096)
-	if _, err := r.m.ReadBlock(key, got); err != nil {
+	if _, err := readBlock(r.m, key, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xBB || got[99] != 0xBB || got[100] != 0xAA || got[4095] != 0xAA {
@@ -271,7 +271,7 @@ func TestDeleteFlashResident(t *testing.T) {
 	if r.m.FlashPagesFree() != before+1 {
 		t.Fatal("flash page not reclaimed on delete")
 	}
-	if n, _ := r.m.ReadBlock(key, make([]byte, 4096)); n != 0 {
+	if n, _ := readBlock(r.m, key, make([]byte, 4096)); n != 0 {
 		t.Fatal("deleted block still readable")
 	}
 }
@@ -291,7 +291,7 @@ func TestEvictionUnderDRAMPressure(t *testing.T) {
 	// All blocks still readable, early ones from flash.
 	buf := make([]byte, 4096)
 	for blk := int64(0); blk < 10; blk++ {
-		n, err := r.m.ReadBlock(Key{Object: 1, Block: blk}, buf)
+		n, err := readBlock(r.m, Key{Object: 1, Block: blk}, buf)
 		if err != nil || n != 4096 {
 			t.Fatalf("block %d: n=%d err=%v", blk, n, err)
 		}
@@ -415,7 +415,7 @@ func TestWriteBlockAt(t *testing.T) {
 					t.Errorf("size %d, want %d", got, len(want))
 				}
 				buf := make([]byte, 4096)
-				n, err := r.m.ReadBlock(key, buf)
+				n, err := readBlock(r.m, key, buf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -436,7 +436,7 @@ func TestWriteBlockAtZeroesReusedPage(t *testing.T) {
 	check := func(key Key, want []byte) {
 		t.Helper()
 		buf := make([]byte, 4096)
-		n, err := r.m.ReadBlock(key, buf)
+		n, err := readBlock(r.m, key, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,14 +539,14 @@ func TestPowerFailLosesOnlyUnflushedData(t *testing.T) {
 		t.Fatalf("lost %d bytes, want %d", lost, 4096+2048)
 	}
 	buf := make([]byte, 4096)
-	n, err := r.m.ReadBlock(a, buf)
+	n, err := readBlock(r.m, a, buf)
 	if err != nil || n != 4096 {
 		t.Fatalf("block A after recovery: n=%d err=%v", n, err)
 	}
 	if buf[0] != 0x11 {
 		t.Fatalf("block A should revert to flushed version, got %x", buf[0])
 	}
-	if n, _ := r.m.ReadBlock(b, buf); n != 0 {
+	if n, _ := readBlock(r.m, b, buf); n != 0 {
 		t.Fatal("unflushed block survived a power failure")
 	}
 	if r.m.DRAMPagesFree() != r.m.Stats().DRAMPagesTotal {
@@ -606,7 +606,7 @@ func TestTruncateFlashResidentBlockShrinksView(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)
-	n, err := r.m.ReadBlock(key, buf)
+	n, err := readBlock(r.m, key, buf)
 	if err != nil || n != 64 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
@@ -681,7 +681,7 @@ func TestManagerModelProperty(t *testing.T) {
 		}
 		buf := make([]byte, 4096)
 		for k, want := range model {
-			n, err := r.m.ReadBlock(k, buf)
+			n, err := readBlock(r.m, k, buf)
 			if err != nil || n != len(want) {
 				return false
 			}

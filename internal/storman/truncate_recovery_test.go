@@ -34,7 +34,7 @@ func TestTruncateFlashResidentRevertsOnPowerFail(t *testing.T) {
 		t.Fatalf("recovered size %d, want the persisted 300", got)
 	}
 	buf := make([]byte, 4096)
-	n, err := r.m.ReadBlock(key, buf)
+	n, err := readBlock(r.m, key, buf)
 	if err != nil || n != 300 {
 		t.Fatalf("recovered read n=%d err=%v", n, err)
 	}
@@ -80,7 +80,7 @@ func TestTruncateDirtyBlockKeepsPersistedSize(t *testing.T) {
 		t.Fatalf("recovered size %d, want the persisted 300", got)
 	}
 	buf := make([]byte, 4096)
-	n, err := r.m.ReadBlock(key, buf)
+	n, err := readBlock(r.m, key, buf)
 	if err != nil || n != 300 {
 		t.Fatalf("recovered read n=%d err=%v", n, err)
 	}
