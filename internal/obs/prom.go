@@ -89,7 +89,10 @@ func promLabels(l Labels, extra string, q float64) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, escapeLabel(l[k]))
+		b.WriteString(k)
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, l[k])
+		b.WriteByte('"')
 	}
 	if extra != "" {
 		if len(keys) > 0 {
@@ -101,12 +104,9 @@ func promLabels(l Labels, extra string, q float64) string {
 	return b.String()
 }
 
-// escapeLabel applies the exposition format's label-value escaping.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
-}
+// labelEscaper applies the exposition format's label-value escaping —
+// backslash, double quote and newline, nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func promValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)

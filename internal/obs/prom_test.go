@@ -47,6 +47,25 @@ func TestWritePrometheusExposition(t *testing.T) {
 	}
 }
 
+// A label value is escaped once, as the text format defines: backslash,
+// double quote and newline only. Formatting the escaped value with %q
+// doubled every backslash and emitted Go escapes the format lacks.
+func TestWritePrometheusEscapesLabelOnce(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", Labels{"node": "a\\b\"c\nd\te"}).Inc()
+	var buf bytes.Buffer
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE x_total counter\n" + `x_total{node="a\\b\"c\nd` + "\t" + `e"} 1` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition = %q, want %q", got, want)
+	}
+	if err := CheckExposition(buf.Bytes(), []string{"x_total"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWritePrometheusEmptyAndNil(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (Snapshot{}).WritePrometheus(&buf); err != nil {
