@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"testing"
+
+	"ssmobile/internal/sim"
+)
 
 // The hot-path contract for pre-resolved metric handles: resolving a
 // Counter or Histogram once at construction makes every subsequent
@@ -74,5 +78,23 @@ func TestPushCanonicalCauseAllocFree(t *testing.T) {
 	}
 	if got := o.Cause(); got != CauseHostWrite {
 		t.Fatalf("cause after the scopes closed: %q", got)
+	}
+}
+
+// A warm traced request records its whole span tree without allocating:
+// the context and its span stack are recycled, and every span is written
+// straight into a ring slot.
+func TestTracedRequestTreeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	o := New(1 << 10) // one chunk, and the runs below wrap it
+	clock, meter := sim.NewClock(), sim.NewEnergyMeter()
+	requestTree(o, clock, meter)
+	if a := testing.AllocsPerRun(100, func() { requestTree(o, clock, meter) }); a != 0 {
+		t.Fatalf("a traced 36-span request allocated %.1f per run", a)
+	}
+	if o.Tracer.Dropped() == 0 {
+		t.Fatal("the ring never wrapped")
 	}
 }

@@ -81,3 +81,44 @@ func BenchmarkBeginFinishRequest(b *testing.B) {
 		tc.Finish(0, nil)
 	}
 }
+
+// requestTree records one traced 64 KB get the way the serving stack
+// does: fs and storman spans around 17 × (engine read_page → flash read),
+// 36 spans under the request root.
+func requestTree(o *Observer, clock *sim.Clock, meter *sim.EnergyMeter) {
+	tc := o.BeginRequest(clock, "server", "get", 0)
+	fs := o.Span(clock, meter, "fs", "read")
+	sm := o.Span(clock, meter, "storman", "read")
+	for i := 0; i < 17; i++ {
+		eng := o.Span(clock, meter, "ftl", "read_page")
+		dev := o.StageSpan(clock, meter, "flash", "read", StageFlash)
+		clock.Advance(25 * sim.Microsecond)
+		meter.Charge("flash.read", 100)
+		dev.End(4096, nil)
+		eng.End(4096, nil)
+	}
+	sm.End(64<<10, nil)
+	fs.End(64<<10, nil)
+	tc.Finish(64<<10, nil)
+}
+
+// BenchmarkRequestTree is one 64 KB get's span tree against the 64 K
+// ring the serving binaries use, and against a registry-only observer —
+// the denominator of the benchmark's obs.trace_overhead_pct.
+func BenchmarkRequestTree(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		o    *Observer
+	}{
+		{"traced", New(DefaultTraceCapacity)},
+		{"registry_only", &Observer{Registry: NewRegistry()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			clock, meter := sim.NewClock(), sim.NewEnergyMeter()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				requestTree(c.o, clock, meter)
+			}
+		})
+	}
+}

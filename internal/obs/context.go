@@ -169,30 +169,19 @@ func breakdownFrom(stages *[numStages]sim.Duration) Breakdown {
 	}
 }
 
-// ctxFrame is one open span on the request's stack.
-type ctxFrame struct {
-	id    uint64
-	stage int
-}
-
 // TraceContext is the causal identity of one in-flight request. It is
 // created by Observer.BeginRequest, consulted by every Span opened while
 // installed, and retired by Finish. It is not safe for concurrent use:
 // the single simulation thread (the server's request path, under its
 // mutex) is the only writer, which the installing caller guarantees.
 type TraceContext struct {
-	o     *Observer
-	t     *Tracer
-	clock *sim.Clock
-
-	root   uint64
-	layer  string
-	op     string
-	start  sim.Time
+	o      *Observer
 	queue  sim.Duration
-	frames []ctxFrame
 	mark   sim.Time
 	stages [numStages]sim.Duration
+	// stack holds the request's open spans; frame 0 is the root span,
+	// which Finish records.
+	stack spanStack
 }
 
 // BeginRequest opens a request root span and installs its context on the
@@ -220,19 +209,15 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 		tc = &TraceContext{}
 	}
 	now := clock.Now()
-	*tc = TraceContext{
-		o: o, t: o.Tracer, clock: clock,
-		root:  o.spanIDs.Add(1),
-		layer: layer, op: op,
-		start: now,
-		queue: queue,
-		mark:  now,
-		// The recycled frame stack keeps its capacity; past the first few
-		// requests every push lands in existing backing array.
-		frames: tc.frames[:0],
-	}
+	// The recycled stack keeps its capacity; past the first few requests
+	// every push lands in the existing backing array.
+	*tc = TraceContext{o: o, queue: queue, mark: now, stack: spanStack{t: o.Tracer, frames: tc.stack.frames[:0]}}
+	tc.stack.ctx = tc
 	tc.stages[stageQueue] = queue
-	tc.frames = append(tc.frames, ctxFrame{id: tc.root, stage: stageOther})
+	*tc.stack.push() = spanFrame{
+		clock: clock, start: now, layer: layer, op: op,
+		stage: StageOther, stageIdx: stageOther, id: o.spanIDs.Add(1),
+	}
 	o.reqCtx.Store(tc)
 	return tc
 }
@@ -247,47 +232,38 @@ func (o *Observer) ActiveContext() *TraceContext {
 
 // Root reports the context's root span ID.
 func (tc *TraceContext) Root() uint64 {
-	if tc == nil {
+	if tc == nil || len(tc.stack.frames) == 0 {
 		return 0
 	}
-	return tc.root
+	return tc.stack.frames[0].id
 }
 
 // accrue charges the virtual time since the last span boundary to the
 // stage of the innermost open span.
 func (tc *TraceContext) accrue(now sim.Time) {
 	if d := now.Sub(tc.mark); d > 0 {
-		tc.stages[tc.frames[len(tc.frames)-1].stage] += d
+		tc.stages[tc.stack.frames[len(tc.stack.frames)-1].stageIdx] += d
 	}
 	tc.mark = now
 }
 
-// open pushes a child span; returns its id, parent id, and effective
-// stage name.
-func (tc *TraceContext) open(now sim.Time, declared string) (id, parent uint64, stage string) {
-	tc.accrue(now)
-	top := tc.frames[len(tc.frames)-1]
-	eff := declared
-	var idx int
+// open fills in the request identity of f, just pushed onto the
+// context's stack: a fresh id, the enclosing span as parent, the
+// effective stage, and for induced work a follow-from link to the root.
+func (tc *TraceContext) open(f *spanFrame, declared string, induced bool) {
+	frames := tc.stack.frames
+	up := &frames[len(frames)-2]
 	switch {
-	case top.stage == stageClean || declared == StageClean:
-		eff, idx = StageClean, stageClean
+	case up.stageIdx == stageClean || declared == StageClean:
+		f.stage, f.stageIdx = StageClean, stageClean
 	case declared == "":
-		idx = top.stage
-		eff = stageName(idx)
+		f.stage, f.stageIdx = stageName(up.stageIdx), up.stageIdx
 	default:
-		idx = stageIndexOf(declared)
+		f.stage, f.stageIdx = declared, stageIndexOf(declared)
 	}
-	id = tc.o.spanIDs.Add(1)
-	tc.frames = append(tc.frames, ctxFrame{id: id, stage: idx})
-	return id, top.id, eff
-}
-
-// close pops the innermost span after charging its trailing time.
-func (tc *TraceContext) close(now sim.Time) {
-	tc.accrue(now)
-	if len(tc.frames) > 1 {
-		tc.frames = tc.frames[:len(tc.frames)-1]
+	f.id, f.parent = tc.o.spanIDs.Add(1), up.id
+	if induced {
+		f.follow = frames[0].id
 	}
 }
 
@@ -308,11 +284,12 @@ func (tc *TraceContext) HolderSpan(node, op string, start, end sim.Time, bytes i
 	if tc == nil {
 		return
 	}
-	tc.t.Record(Span{
+	root := &tc.stack.frames[0]
+	tc.stack.t.Record(Span{
 		Start: start, End: end,
-		Layer: tc.layer, Op: op,
+		Layer: root.layer, Op: op,
 		Bytes: bytes, Outcome: outcome,
-		ID: tc.o.spanIDs.Add(1), Parent: tc.root,
+		ID: tc.o.spanIDs.Add(1), Parent: root.id,
 		Node: node,
 	})
 }
@@ -335,20 +312,19 @@ func (tc *TraceContext) FinishOutcome(bytes int64, outcome string) Breakdown {
 	if tc == nil {
 		return Breakdown{}
 	}
-	now := tc.clock.Now()
+	root := &tc.stack.frames[0]
+	now := root.clock.Now()
 	tc.accrue(now)
-	tc.frames = tc.frames[:1]
 	o := tc.o
 	o.reqCtx.Store(nil)
-	tc.t.Record(Span{
-		Start: tc.start, End: now,
-		Layer: tc.layer, Op: tc.op,
+	tc.stack.t.Record(Span{
+		Start: root.start, End: now,
+		Layer: root.layer, Op: root.op,
 		Bytes: bytes, Outcome: outcome,
-		ID: tc.root, Queue: tc.queue, Stage: StageOther,
+		ID: root.id, Queue: tc.queue, Stage: StageOther,
 	})
 	bd := breakdownFrom(&tc.stages)
-	frames := tc.frames[:0]
-	*tc = TraceContext{frames: frames}
+	*tc = TraceContext{stack: spanStack{frames: tc.stack.frames[:0]}}
 	o.ctxFree.Store(tc)
 	return bd
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"ssmobile/internal/sim"
 )
@@ -251,5 +252,58 @@ func TestEffectiveStage(t *testing.T) {
 		if got := EffectiveStage(c.declared, c.parent); got != c.want {
 			t.Errorf("EffectiveStage(%q, %q) = %q, want %q", c.declared, c.parent, got, c.want)
 		}
+	}
+}
+
+// TestSpanRefIsTwoWords: an open span is a stack pointer and a depth, so
+// returning it through each layer's span wrapper copies two words; the
+// zero SpanRef, which every untraced probe returns, closes as a no-op.
+func TestSpanRefIsTwoWords(t *testing.T) {
+	if size := unsafe.Sizeof(SpanRef{}); size > 16 {
+		t.Fatalf("SpanRef is %d bytes, want at most 16", size)
+	}
+	o := New(4)
+	var zero SpanRef
+	zero.End(4096, nil)
+	zero.EndOutcome(0, OutcomeError)
+	if o.Tracer.Total() != 0 {
+		t.Fatal("a zero SpanRef recorded a span")
+	}
+}
+
+// TestParentEndClosesSkippedChild: a child whose End an error path
+// skipped is closed by its parent's End, so the spans recorded next hang
+// off the right parent and inherit the right stage — in a request and on
+// the background stack alike.
+func TestParentEndClosesSkippedChild(t *testing.T) {
+	o := New(16)
+	clock := sim.NewClock()
+	tc := o.BeginRequest(clock, "server", "put", 0)
+	root := tc.Root()
+	flush := o.StageSpan(clock, nil, "wbuf", "flush", StageFlush)
+	o.InducedSpan(clock, nil, "ftl", "clean", StageClean) // End skipped
+	clock.Advance(sim.Microsecond)
+	flush.End(0, errors.New("power cut"))
+	next := o.Span(clock, nil, "fs", "write")
+	clock.Advance(2 * sim.Microsecond)
+	next.End(0, nil)
+	bd := tc.Finish(0, nil)
+
+	spans := o.Tracer.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("recorded %d spans, want flush, write and the root", len(spans))
+	}
+	if got := spans[1]; got.Op != "write" || got.Parent != root || got.Stage != StageOther {
+		t.Fatalf("span after the skipped End = %+v, want parent %d stage %q", got, root, StageOther)
+	}
+	if want := (Breakdown{Clean: sim.Microsecond, Other: 2 * sim.Microsecond}); bd != want {
+		t.Fatalf("breakdown = %+v, want %+v", bd, want)
+	}
+
+	bg := o.Span(clock, nil, "storman", "migrate")
+	o.Span(clock, nil, "flash", "program") // End skipped
+	bg.End(0, errors.New("power cut"))
+	if n := len(o.spans.frames); n != 0 {
+		t.Fatalf("background stack holds %d frames after its outer span ended", n)
 	}
 }

@@ -475,6 +475,8 @@ type Observer struct {
 	reqCtx  atomic.Pointer[TraceContext]
 	spanIDs atomic.Uint64
 	ctxFree atomic.Pointer[TraceContext]
+	// spans is the background stack: spans opened outside any request.
+	spans spanStack
 	// cause is the active wear-attribution cause (see PushCause); the
 	// flash layer charges every program and erase against it.
 	// causeRestore caches one restore closure per possible previous

@@ -43,8 +43,8 @@ func TestTraceContextRecycleFullyReset(t *testing.T) {
 	if tc2.Root() == root1 {
 		t.Fatal("recycled context kept the previous request's root span ID")
 	}
-	if len(tc2.frames) != 1 || tc2.frames[0].id != tc2.Root() {
-		t.Fatalf("recycled context has stale frames: %+v", tc2.frames)
+	if len(tc2.stack.frames) != 1 || tc2.stack.frames[0].id != tc2.Root() {
+		t.Fatalf("recycled context has stale frames: %+v", tc2.stack.frames)
 	}
 	for i, d := range tc2.stages {
 		if want := sim.Duration(0); i != stageQueue && d != want {
@@ -93,14 +93,14 @@ func TestTraceContextRecycleBurst(t *testing.T) {
 			clock.Advance(sim.Microsecond)
 			open[depth] = o.Span(clock, nil, "fs", "step")
 		}
-		if got := len(tc.frames); got != 4 {
+		if got := len(tc.stack.frames); got != 4 {
 			t.Fatalf("iteration %d: frame stack depth %d, want 4", i, got)
 		}
 		for depth := len(open) - 1; depth >= 0; depth-- {
 			open[depth].End(0, nil)
 		}
 		tc.Finish(0, nil)
-		if parked := o.ctxFree.Load(); parked == nil || len(parked.frames) != 0 {
+		if parked := o.ctxFree.Load(); parked == nil || len(parked.stack.frames) != 0 {
 			t.Fatalf("iteration %d: parked context not reset", i)
 		}
 	}

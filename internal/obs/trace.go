@@ -133,6 +133,13 @@ func (t *Tracer) Record(sp Span) {
 	if sp.Node == "" {
 		sp.Node = t.node
 	}
+	*t.slot() = sp
+	t.mu.Unlock()
+}
+
+// slot claims the ring slot the next span is written into, growing the
+// ring by a chunk or overwriting its oldest span. t.mu must be held.
+func (t *Tracer) slot() *Span {
 	i := t.next
 	if t.length < t.capacity {
 		i = t.length
@@ -144,9 +151,8 @@ func (t *Tracer) Record(sp Span) {
 	} else {
 		t.next = (t.next + 1) % t.capacity
 	}
-	t.chunks[i/spanChunkSize][i%spanChunkSize] = sp
 	t.total++
-	t.mu.Unlock()
+	return &t.chunks[i/spanChunkSize][i%spanChunkSize]
 }
 
 // Spans returns the retained spans, oldest first.
@@ -228,21 +234,48 @@ func (t *Tracer) Flush(sinks ...TraceSink) error {
 	return nil
 }
 
-// SpanRef is an open span returned by Observer.Span. The zero value is a
-// no-op, which is how uninstrumented runs pay nothing.
+// SpanRef is an open span returned by Observer.Span: the stack its frame
+// sits on and its depth there, two words that cost nothing to return
+// through a layer's span wrapper. The zero value is a no-op, which is how
+// uninstrumented runs pay nothing.
 type SpanRef struct {
-	t      *Tracer
-	clock  *sim.Clock
-	meter  *sim.EnergyMeter
-	start  sim.Time
-	energy sim.Energy
-	layer  string
-	op     string
-	// Request-context identity, zero outside an active request.
-	ctx        *TraceContext
+	s     *spanStack
+	depth int
+}
+
+// spanFrame is an open span's state, written once at open and read by End.
+type spanFrame struct {
+	clock      *sim.Clock
+	meter      *sim.EnergyMeter
+	start      sim.Time
+	energy     sim.Energy
+	layer, op  string
+	stage      string // effective stage; empty outside a request
+	stageIdx   int
 	id, parent uint64
 	follow     uint64
-	stage      string
+}
+
+// spanStack holds one writer's open spans, innermost last. A request's
+// TraceContext owns the stack its spans open on; outside a request they
+// open on the observer's background stack. Neither stack is locked: one
+// writer per observer is assumed, which the server's mutex and the
+// parallel engine's per-job observers guarantee (DESIGN §10).
+type spanStack struct {
+	t      *Tracer
+	ctx    *TraceContext // the request owning the stack; nil for background
+	frames []spanFrame
+}
+
+// push claims the frame above the top, reusing the backing array.
+func (s *spanStack) push() *spanFrame {
+	n := len(s.frames)
+	if n < cap(s.frames) {
+		s.frames = s.frames[:n+1]
+	} else {
+		s.frames = append(s.frames, spanFrame{})
+	}
+	return &s.frames[n]
 }
 
 // Span opens a span against the caller's virtual clock. The meter may be
@@ -279,18 +312,25 @@ func (o *Observer) openSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op,
 	if o == nil || o.Tracer == nil || clock == nil {
 		return SpanRef{}
 	}
-	sr := SpanRef{t: o.Tracer, clock: clock, meter: meter, start: clock.Now(), layer: layer, op: op}
+	now := clock.Now()
+	s := &o.spans
+	tc := o.reqCtx.Load()
+	if tc != nil {
+		s = &tc.stack
+		tc.accrue(now)
+	} else {
+		s.t = o.Tracer
+	}
+	f := s.push()
+	f.clock, f.meter, f.start, f.energy, f.layer, f.op = clock, meter, now, 0, layer, op
 	if meter != nil {
-		sr.energy = meter.Total()
+		f.energy = meter.Total()
 	}
-	if tc := o.reqCtx.Load(); tc != nil {
-		sr.ctx = tc
-		sr.id, sr.parent, sr.stage = tc.open(sr.start, stage)
-		if induced {
-			sr.follow = tc.root
-		}
+	f.stage, f.stageIdx, f.id, f.parent, f.follow = "", 0, 0, 0, 0
+	if tc != nil {
+		tc.open(f, stage, induced)
 	}
-	return sr
+	return SpanRef{s: s, depth: len(s.frames) - 1}
 }
 
 // End closes the span with bytes moved and an outcome derived from err.
@@ -302,25 +342,33 @@ func (s SpanRef) End(bytes int64, err error) {
 	s.EndOutcome(bytes, outcome)
 }
 
-// EndOutcome closes the span with an explicit outcome string.
+// EndOutcome closes the span with an explicit outcome string. It writes
+// the span straight into its ring slot and pops the span's frame along
+// with any frame above it, so a child whose End an error path skipped is
+// closed with its parent.
 func (s SpanRef) EndOutcome(bytes int64, outcome string) {
-	if s.t == nil {
+	st := s.s
+	if st == nil || s.depth >= len(st.frames) {
 		return
 	}
-	end := s.clock.Now()
+	f := &st.frames[s.depth]
+	end := f.clock.Now()
 	var e sim.Energy
-	if s.meter != nil {
-		e = s.meter.Total() - s.energy
+	if f.meter != nil {
+		e = f.meter.Total() - f.energy
 	}
-	if s.ctx != nil {
-		s.ctx.close(end)
+	if st.ctx != nil {
+		st.ctx.accrue(end)
 	}
-	s.t.Record(Span{
-		Start: s.start, End: end,
-		Layer: s.layer, Op: s.op,
-		Bytes: bytes, Energy: e, Outcome: outcome,
-		ID: s.id, Parent: s.parent, FollowFrom: s.follow, Stage: s.stage,
-	})
+	t := st.t
+	t.mu.Lock()
+	sp := t.slot()
+	sp.Start, sp.End, sp.Layer, sp.Op = f.start, end, f.layer, f.op
+	sp.Bytes, sp.Energy, sp.Outcome = bytes, e, outcome
+	sp.ID, sp.Parent, sp.FollowFrom, sp.Queue = f.id, f.parent, f.follow, 0
+	sp.Stage, sp.Node = f.stage, t.node
+	t.mu.Unlock()
+	st.frames = st.frames[:s.depth]
 }
 
 // TraceSink receives the tracer's retained spans on Flush.
