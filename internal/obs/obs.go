@@ -24,6 +24,13 @@
 // value the layer's Stats() view reads, while the registered parent
 // accumulates across every instance built under the same observer — which
 // is what a whole-run metrics dump wants.
+//
+// Open spans. Observer.Span returns a two-word SpanRef naming a frame on
+// a span stack: the active request's (see TraceContext) or, outside a
+// request, the observer's own background stack. End writes the span from
+// its frame straight into the ring. The stacks take no lock, so an
+// Observer assumes one writer at a time; the server's mutex and the
+// parallel experiment engine's per-job observers provide it.
 package obs
 
 import (

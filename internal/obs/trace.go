@@ -267,13 +267,15 @@ type spanStack struct {
 	frames []spanFrame
 }
 
-// push claims the frame above the top, reusing the backing array.
+// push claims the frame above the top, reusing the backing array. The
+// first push sizes the stack for eight frames, deeper than a served
+// request's tree usually goes, so a stack seldom grows again.
 func (s *spanStack) push() *spanFrame {
 	n := len(s.frames)
 	if n < cap(s.frames) {
 		s.frames = s.frames[:n+1]
 	} else {
-		s.frames = append(s.frames, spanFrame{})
+		s.frames = append(make([]spanFrame, 0, max(2*n, 8)), s.frames...)[:n+1]
 	}
 	return &s.frames[n]
 }
