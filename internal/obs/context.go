@@ -209,11 +209,12 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 		tc = &TraceContext{}
 	}
 	now := clock.Now()
-	// The recycled stack keeps its capacity; past the first few requests
-	// every push lands in the existing backing array.
-	*tc = TraceContext{o: o, queue: queue, mark: now, stack: spanStack{t: o.Tracer, frames: tc.stack.frames[:0]}}
-	tc.stack.ctx = tc
+	// A parked context is zero but for its stack's backing array, which
+	// keeps its capacity (see FinishOutcome): past the first few requests
+	// every push lands in the existing array.
+	tc.o, tc.queue, tc.mark = o, queue, now
 	tc.stages[stageQueue] = queue
+	tc.stack.t, tc.stack.ctx = o.Tracer, tc
 	*tc.stack.push() = spanFrame{
 		clock: clock, start: now, layer: layer, op: op,
 		stage: StageOther, stageIdx: stageOther, id: o.spanIDs.Add(1),
