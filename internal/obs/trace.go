@@ -364,6 +364,7 @@ func (s SpanRef) EndOutcome(bytes int64, outcome string) {
 	}
 	t := st.t
 	t.mu.Lock()
+	// Field by field: a composite literal is built aside and then copied.
 	sp := t.slot()
 	sp.Start, sp.End, sp.Layer, sp.Op = f.start, end, f.layer, f.op
 	sp.Bytes, sp.Energy, sp.Outcome = bytes, e, outcome
