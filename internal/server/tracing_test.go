@@ -7,6 +7,7 @@
 package server_test
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -261,5 +262,81 @@ func TestPutSpanTreeGolden(t *testing.T) {
 	}
 	if nonClean > 0 {
 		t.Fatalf("%d spans under the induced clean escaped StageClean (stickiness broken)", nonClean)
+	}
+}
+
+// getBreakdown is the per-stage attribution of the get in
+// TestGetSpanTreeGolden as first recorded, before the engine and the
+// device read a run of pages in one call each. How a read is batched
+// may change the get's span tree; it must not move a nanosecond of its
+// time from one stage to another.
+var getBreakdown = obs.Breakdown{Flash: 10449050}
+
+// TestGetSpanTreeGolden pins the span tree of one 64 KB get read in
+// place from flash: the object is put, synced out of the write buffer
+// and read at an offset that cuts a block at both ends, the shape of
+// the benchmark's scan_read get.
+func TestGetSpanTreeGolden(t *testing.T) {
+	const bs = 4096
+	o := obs.New(1 << 14)
+	sys, srv := newStack(t, core.SolidStateConfig{Obs: o})
+	sess, err := srv.Open("golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 17*bs)
+	rand.New(rand.NewSource(1993)).Read(data)
+	for _, req := range []server.Request{
+		{Kind: server.OpPut, Key: 1, Data: data},
+		{Kind: server.OpSync},
+	} {
+		if _, err := sess.Do(req); err != nil {
+			t.Fatalf("%v: %v", req.Kind, err)
+		}
+	}
+	if n := sys.Storage.Stats().DRAMPagesInUse; n != 0 {
+		t.Fatalf("%d blocks still in DRAM after the sync", n)
+	}
+	const off, size = bs / 2, 64 << 10
+	resp, err := sess.Do(server.Request{Kind: server.OpGet, Key: 1, Offset: off, Size: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resp.Data, data[off:off+size]) {
+		t.Fatal("the get returned the wrong bytes")
+	}
+
+	spans := o.Tracer.Spans()
+	reqs, _ := obs.Attribute(spans)
+	get := reqs[len(reqs)-1]
+	if get.Root.Op != "get" {
+		t.Fatalf("last request is %s/%s, want server/get", get.Root.Layer, get.Root.Op)
+	}
+	var pending []obs.Span
+	for _, sp := range spans[:len(spans)-1] {
+		if sp.ID != 0 && (sp.Parent != 0 || sp.FollowFrom != 0) {
+			pending = append(pending, sp)
+		}
+	}
+	var b strings.Builder
+	render(buildTree(get.Root, pending), 0, &b)
+	fmt.Fprintf(&b, "%d spans\n", get.Spans)
+	got := b.String()
+
+	golden := filepath.Join("testdata", "get_span_tree.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with go test -run TestGetSpanTreeGolden -update)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("span tree drifted from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+	if get.Breakdown != getBreakdown {
+		t.Fatalf("get breakdown %#v, recorded %#v", get.Breakdown, getBreakdown)
 	}
 }
