@@ -428,8 +428,8 @@ func (p *Pool) NoteHostWrite(n int) {
 	p.hostBytes.Add(int64(n))
 }
 
-// NoteHostRead counts one host page read.
-func (p *Pool) NoteHostRead() { p.hostReads.Inc() }
+// NoteHostReads counts n host page reads.
+func (p *Pool) NoteHostReads(n int) { p.hostReads.Add(int64(n)) }
 
 // NoteCopy counts one live page the cleaner had to move.
 func (p *Pool) NoteCopy() { p.copies.Inc() }

@@ -57,6 +57,134 @@ func conformancePDL() pdl.Config {
 	}
 }
 
+// newCard builds the conformance card, the served one in small, with a
+// fresh engine on it.
+func newCard(t *testing.T, build func(*flash.Device, *sim.Clock) (engine.Engine, error)) (*sim.Clock, *flash.Device, engine.Engine) {
+	t.Helper()
+	clock := sim.NewClock()
+	dev, err := flash.New(flash.Config{
+		Banks: 4, BlocksPerBank: 8, BlockBytes: 4 * conformancePage, Params: device.IntelFlash,
+		SpareUnitBytes: conformancePage, SpareBytes: ftl.OOBRecordBytes, // pdl's unit record is the same size
+	}, clock, sim.NewEnergyMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := build(dev, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clock, dev, e
+}
+
+// checkBatchedReads drives two identical cards through the same writes,
+// overwrites, trims and idle cleans, and now and then reads a list of
+// pages from both: from one in a single ReadPages call, from the other a
+// page at a time. The lists mix mapped pages with never-written and
+// trimmed ones, and one is a run of mapped pages longer than
+// engine.ReadRunPages. The call must return the same bytes at the same
+// cost — device reads, engine host reads, simulated time and energy —
+// or the two cards would part ways; and a list holding a bad lpn must
+// fail as that lpn alone does, before reading anything.
+func checkBatchedReads(t *testing.T, build func(*flash.Device, *sim.Clock) (engine.Engine, error)) {
+	t.Helper()
+	const lpns = 48 // every fourth page is never written
+	type card struct {
+		clock *sim.Clock
+		dev   *flash.Device
+		e     engine.Engine
+	}
+	var batched, single card
+	for _, c := range []*card{&batched, &single} {
+		c.clock, c.dev, c.e = newCard(t, build)
+	}
+	cost := func(c *card) [4]float64 {
+		return [4]float64{float64(c.dev.Stats().Reads), float64(c.e.Stats().HostReads),
+			float64(c.clock.Now()), float64(c.dev.Meter().Total())}
+	}
+	compare := func(op int, list []int64) {
+		got := make([]byte, len(list)*conformancePage)
+		if err := batched.e.ReadPages(list, got); err != nil {
+			t.Fatalf("op %d: ReadPages of %d pages: %v", op, len(list), err)
+		}
+		want := make([]byte, len(got))
+		for i, lpn := range list {
+			if err := single.e.ReadPages([]int64{lpn}, want[i*conformancePage:(i+1)*conformancePage]); err != nil {
+				t.Fatalf("op %d: read %d: %v", op, lpn, err)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d: ReadPages of %d pages differs from reading them one by one", op, len(list))
+		}
+		if b, s := cost(&batched), cost(&single); b != s {
+			t.Fatalf("op %d: ReadPages of %d pages cost %v (reads, host reads, clock, energy), one by one %v", op, len(list), b, s)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	mapped := make(map[int64]bool)
+	page := make([]byte, conformancePage)
+	busy := 0
+	for op := 0; op < 1500; op++ {
+		lpn, k := int64(rng.Intn(lpns)), rng.Intn(100)
+		rng.Read(page)
+		for _, c := range []*card{&batched, &single} {
+			var err error
+			switch {
+			case lpn%4 == 3:
+			case k < 60:
+				err = c.e.WritePageTagged(lpn, page, tagOf(byte(lpn)))
+			case k < 85:
+				err = c.e.TrimPage(lpn)
+			default:
+				err = c.e.CleanIdle(sim.Forever)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+		if lpn%4 != 3 && k < 85 {
+			mapped[lpn] = k < 60
+		}
+		if op%50 != 49 {
+			continue
+		}
+		for bank := 0; bank < batched.dev.Banks(); bank++ {
+			if batched.dev.BankBusyUntil(bank) > batched.clock.Now() {
+				busy++
+				break
+			}
+		}
+		all := make([]int64, lpns)
+		for i := range all {
+			all[i] = int64(i)
+		}
+		compare(op, all)
+		var run []int64
+		for len(run) <= engine.ReadRunPages {
+			if lpn := int64(rng.Intn(lpns)); mapped[lpn] {
+				run = append(run, lpn)
+			}
+		}
+		compare(op, run)
+	}
+	t.Logf("%d of 30 checks found a bank busy", busy)
+	if busy == 0 {
+		t.Fatal("no list was read while a bank was busy; bank waits are not compared")
+	}
+
+	for _, bad := range []int64{-1, batched.e.LogicalPages()} {
+		before := cost(&batched)
+		errBatched := batched.e.ReadPages([]int64{0, 1, bad, 2}, make([]byte, 4*conformancePage))
+		errSingle := single.e.ReadPages([]int64{bad}, make([]byte, conformancePage))
+		if errBatched == nil || errSingle == nil || errBatched.Error() != errSingle.Error() {
+			t.Fatalf("lpn %d: ReadPages of a list fails with %v, alone with %v", bad, errBatched, errSingle)
+		}
+		if after := cost(&batched); after != before {
+			t.Fatalf("lpn %d: a failed ReadPages charged %v, had %v", bad, after, before)
+		}
+	}
+}
+
 func tagOf(b byte) engine.Tag {
 	var t engine.Tag
 	t[0] = b
@@ -79,18 +207,8 @@ func tagOf(b byte) engine.Tag {
 func TestEngineConformance(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend.name, func(t *testing.T) {
-			clock := sim.NewClock()
-			dev, err := flash.New(flash.Config{
-				Banks: 4, BlocksPerBank: 8, BlockBytes: 4 * conformancePage, Params: device.IntelFlash,
-				SpareUnitBytes: conformancePage, SpareBytes: ftl.OOBRecordBytes, // pdl's unit record is the same size
-			}, clock, sim.NewEnergyMeter())
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := backend.new(dev, clock)
-			if err != nil {
-				t.Fatal(err)
-			}
+			checkBatchedReads(t, backend.new)
+			clock, dev, e := newCard(t, backend.new)
 			differential := e.DiffsOverwrites()
 
 			rng := rand.New(rand.NewSource(1993))
@@ -177,7 +295,7 @@ func TestEngineConformance(t *testing.T) {
 				}
 				// Read-verify a random page every step.
 				probe := int64(rng.Intn(lpns))
-				if err := e.ReadPage(probe, buf); err != nil {
+				if err := e.ReadPages([]int64{probe}, buf); err != nil {
 					t.Fatalf("op %d: read %d: %v", op, probe, err)
 				}
 				want, ok := model[probe]
@@ -226,7 +344,7 @@ func TestEngineConformance(t *testing.T) {
 				t.Fatalf("remount: %v", err)
 			}
 			for lpn := int64(0); lpn < lpns; lpn++ {
-				if err := e2.ReadPage(lpn, buf); err != nil {
+				if err := e2.ReadPages([]int64{lpn}, buf); err != nil {
 					t.Fatalf("remount read %d: %v", lpn, err)
 				}
 				want, ok := model[lpn]

@@ -53,6 +53,11 @@ type MountStats struct {
 	RetiredBlocks int64
 }
 
+// ReadRunPages is the longest run of pages a caller hands ReadPages in
+// one call, and the longest an engine hands the device; scratch sized by
+// it is allocated once, at construction.
+const ReadRunPages = 64
+
 // Engine is one storage organization over a flash device. Implementations
 // are not safe for concurrent use; the storage manager serializes access.
 //
@@ -62,8 +67,11 @@ type MountStats struct {
 //     flash operation must leave the written page recoverable by the
 //     backend's Mount (the crashtest enumerator enforces this per
 //     backend).
-//   - ReadPage of a never-written or trimmed page fills the buffer with
-//     erased bytes (0xFF) without charging a device access.
+//   - ReadPages charges every page it reads as a device read of its own
+//     — its own bank wait, latency and energy, in list order — however
+//     many pages one call carries; batching saves host work, never
+//     simulated time. A never-written or trimmed page reads as erased
+//     bytes (0xFF) without charging a device access.
 //   - TrimPage releases the page without copying; a trimmed page may
 //     resurrect after a crash, but only with bytes it actually held.
 //   - Engines register their wear and cleaning telemetry under an
@@ -88,8 +96,10 @@ type Engine interface {
 	// tag rides through relocations and, when the mapping persists,
 	// survives power loss.
 	WritePageTagged(lpn int64, data []byte, tag Tag) error
-	// ReadPage fetches one page into buf (len == PageBytes).
-	ReadPage(lpn int64, buf []byte) error
+	// ReadPages fetches the pages lpns names, in order, into consecutive
+	// page-sized slices of buf (len == len(lpns)*PageBytes). Every lpn is
+	// checked before any page is read.
+	ReadPages(lpns []int64, buf []byte) error
 	// TrimPage drops the page so its space can be reclaimed uncopied.
 	TrimPage(lpn int64) error
 	// Sync makes any engine-buffered state durable. Both current

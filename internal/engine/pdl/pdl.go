@@ -590,26 +590,36 @@ func (e *Engine) mergeInto(lpn int64, buf []byte) error {
 	return nil
 }
 
-// ReadPage fetches one page into buf, merging the delta chain over the
-// base image.
-func (e *Engine) ReadPage(lpn int64, buf []byte) (err error) {
-	if err := e.checkLPN(lpn); err != nil {
-		return err
+// ReadPages fetches the pages lpns names into consecutive page-sized
+// slices of buf under one span, each merged from its base image and
+// delta chain by device reads of its own.
+func (e *Engine) ReadPages(lpns []int64, buf []byte) (err error) {
+	pb := e.cfg.PageBytes
+	if len(buf) != len(lpns)*pb {
+		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), len(lpns)*pb)
 	}
-	if len(buf) != e.cfg.PageBytes {
-		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), e.cfg.PageBytes)
+	for _, lpn := range lpns {
+		if err := e.checkLPN(lpn); err != nil {
+			return err
+		}
 	}
 	sp := e.pool.Span("read_page")
 	defer func() { sp.End(int64(len(buf)), err) }()
-	e.pool.NoteHostRead()
-	if e.pages[lpn].basePpn == -1 {
-		// Never written: the host sees erased bytes, free of charge.
-		for i := range buf {
-			buf[i] = 0xFF
+	e.pool.NoteHostReads(len(lpns))
+	for i, lpn := range lpns {
+		page := buf[i*pb : (i+1)*pb]
+		if e.pages[lpn].basePpn == -1 {
+			// Never written: the host sees erased bytes, free of charge.
+			for j := range page {
+				page[j] = 0xFF
+			}
+			continue
 		}
-		return nil
+		if err := e.mergeInto(lpn, page); err != nil {
+			return err
+		}
 	}
-	return e.mergeInto(lpn, buf)
+	return nil
 }
 
 // TrimPage drops the logical page. The on-flash records stay until

@@ -85,7 +85,7 @@ func TestDeltaPathProgramsLessThanAPage(t *testing.T) {
 		t.Fatalf("delta writes = %d, want 1", e.DeltaWrites())
 	}
 	buf := make([]byte, testPage)
-	if err := e.ReadPage(3, buf); err != nil {
+	if err := e.ReadPages([]int64{3}, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page) {
@@ -175,7 +175,7 @@ func TestMountTornDeltaRecord(t *testing.T) {
 		t.Fatal("torn record not counted")
 	}
 	buf := make([]byte, testPage)
-	if err := e2.ReadPage(5, buf); err != nil {
+	if err := e2.ReadPages([]int64{5}, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page) {

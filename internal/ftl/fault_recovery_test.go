@@ -67,7 +67,7 @@ func TestMountRejectsTornOOBRecord(t *testing.T) {
 	// The torn version never committed: recovery must surface v1 with its
 	// tag and sequence number, not the half-recorded v2.
 	buf := make([]byte, 1024)
-	if err := m.ReadPage(0, buf); err != nil {
+	if err := m.ReadPages([]int64{0}, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page(0xAA, 1024)) {
@@ -168,7 +168,7 @@ func TestMountAfterInterruptedCleaningErase(t *testing.T) {
 	}
 	buf := make([]byte, 1024)
 	for lpn, v := range last {
-		if err := m.ReadPage(lpn, buf); err != nil {
+		if err := m.ReadPages([]int64{lpn}, buf); err != nil {
 			t.Fatalf("read lpn %d: %v", lpn, err)
 		}
 		if !bytes.Equal(buf, page(v, 1024)) {

@@ -179,8 +179,9 @@ type FTL struct {
 	// Reusable hot-path scratch: cleanBuf carries one page through a
 	// cleaning relocation, oobBuf one spare-area record per program. The
 	// FTL is single-threaded and the device copies both out.
-	cleanBuf []byte
-	oobBuf   [OOBRecordBytes]byte
+	cleanBuf  []byte
+	oobBuf    [OOBRecordBytes]byte
+	readAddrs []int64 // device addresses of one ReadPages run
 
 	staticMoves           *obs.Counter
 	firstWearOut          sim.Time
@@ -215,6 +216,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	f.state = make([]pageState, total)
 	f.blocks = make([]blockInfo, nb)
 	f.freeByBank = make([][]int, dev.Banks())
+	f.readAddrs = make([]int64, 0, engine.ReadRunPages)
 	f.staticMoves = obs.Or(cfg.Obs).Counter("static_moves_total", obs.Labels{"layer": "ftl"})
 	for i := range f.mapping {
 		f.mapping[i] = -1
@@ -462,34 +464,68 @@ func (f *FTL) WritePage(lpn int64, data []byte) (err error) {
 	return f.programPage(ppn, lpn, data)
 }
 
-// ReadPage fetches one page into buf, which must be one page long.
-func (f *FTL) ReadPage(lpn int64, buf []byte) (err error) {
-	if err := f.checkLPN(lpn); err != nil {
-		return err
+// ReadPages fetches the pages lpns names into consecutive page-sized
+// slices of buf, under one span. A never-written page reads as erased
+// bytes free of charge; each run of mapped pages is one device call, in
+// which every page is still charged as a read of its own.
+func (f *FTL) ReadPages(lpns []int64, buf []byte) (err error) {
+	pb := f.cfg.PageBytes
+	if len(buf) != len(lpns)*pb {
+		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), len(lpns)*pb)
 	}
-	if len(buf) != f.cfg.PageBytes {
-		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), f.cfg.PageBytes)
+	for _, lpn := range lpns {
+		if err := f.checkLPN(lpn); err != nil {
+			return err
+		}
 	}
 	sp := f.pool.Span("read_page")
 	defer func() { sp.End(int64(len(buf)), err) }()
-	f.pool.NoteHostRead()
-	ppn := f.mapping[lpn]
+	f.pool.NoteHostReads(len(lpns))
+	// run holds the device addresses of the mapped pages read into
+	// buf[from*pb:]; an unmapped page or a full scratch ends it.
+	run, from := f.readAddrs[:0], 0
+	flush := func(to int) error {
+		if len(run) == 0 {
+			return nil
+		}
+		_, err := f.dev.ReadPages(run, buf[from*pb:to*pb])
+		run = run[:0]
+		return err
+	}
+	for i, lpn := range lpns {
+		ppn := f.physical(lpn)
+		if ppn == -1 || len(run) == cap(run) {
+			if err := flush(i); err != nil {
+				return err
+			}
+		}
+		if ppn == -1 {
+			// Never written: the host sees erased bytes. No physical
+			// location exists to charge a device access to, so this is
+			// free.
+			page := buf[i*pb : (i+1)*pb]
+			for j := range page {
+				page[j] = 0xFF
+			}
+			continue
+		}
+		if len(run) == 0 {
+			from = i
+		}
+		run = append(run, f.pageAddr(ppn))
+	}
+	return flush(len(lpns))
+}
+
+// physical reports the physical page holding lpn, or -1 if none does.
+func (f *FTL) physical(lpn int64) int64 {
 	if f.cfg.Policy == PolicyDirect {
-		ppn = lpn
-		if f.state[ppn] != pageValid {
-			ppn = -1
+		if f.state[lpn] != pageValid {
+			return -1
 		}
+		return lpn
 	}
-	if ppn == -1 {
-		// Never written: the host sees erased bytes. No physical location
-		// exists to charge a device access to, so this is free.
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-		return nil
-	}
-	_, err = f.dev.Read(f.pageAddr(ppn), buf)
-	return err
+	return f.mapping[lpn]
 }
 
 // TrimPage tells the layer the logical page's contents are no longer
@@ -519,10 +555,7 @@ func (f *FTL) Mapped(lpn int64) bool {
 	if lpn < 0 || lpn >= f.pool.LogicalPages() {
 		return false
 	}
-	if f.cfg.Policy == PolicyDirect {
-		return f.state[lpn] == pageValid
-	}
-	return f.mapping[lpn] != -1
+	return f.physical(lpn) != -1
 }
 
 // levelWear performs static wear leveling: if the erase-count spread has

@@ -84,7 +84,7 @@ func TestWriteReadBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]byte, f.PageBytes())
-			if err := f.ReadPage(7, got); err != nil {
+			if err := f.ReadPages([]int64{7}, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -106,7 +106,7 @@ func TestOverwriteWithoutExplicitErase(t *testing.T) {
 				}
 			}
 			got := make([]byte, f.PageBytes())
-			if err := f.ReadPage(3, got); err != nil {
+			if err := f.ReadPages([]int64{3}, got); err != nil {
 				t.Fatal(err)
 			}
 			if got[0] != 9 {
@@ -119,7 +119,7 @@ func TestOverwriteWithoutExplicitErase(t *testing.T) {
 func TestUnwrittenPageReadsErased(t *testing.T) {
 	f, _ := newFTL(t, PolicyCostBenefit, false)
 	buf := make([]byte, f.PageBytes())
-	if err := f.ReadPage(11, buf); err != nil {
+	if err := f.ReadPages([]int64{11}, buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range buf {
@@ -143,7 +143,7 @@ func TestBadArguments(t *testing.T) {
 	if err := f.WritePage(0, page(0, 10)); !errors.Is(err, ErrBadSize) {
 		t.Error("short write accepted")
 	}
-	if err := f.ReadPage(0, make([]byte, 10)); !errors.Is(err, ErrBadSize) {
+	if err := f.ReadPages([]int64{0}, make([]byte, 10)); !errors.Is(err, ErrBadSize) {
 		t.Error("short read buffer accepted")
 	}
 	if err := f.TrimPage(-3); !errors.Is(err, ErrBadPage) {
@@ -201,7 +201,7 @@ func TestCleaningPreservesData(t *testing.T) {
 	}
 	buf := make([]byte, f.PageBytes())
 	for lpn := int64(5); lpn < n; lpn += 97 {
-		if err := f.ReadPage(lpn, buf); err != nil {
+		if err := f.ReadPages([]int64{lpn}, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != byte(lpn%251) {
@@ -457,7 +457,7 @@ func TestStaticWearLeveling(t *testing.T) {
 	// Cold data must still be intact after being shuffled around.
 	buf := make([]byte, 1024)
 	for lpn := int64(0); lpn < fOn.LogicalPages()/3; lpn += 13 {
-		if err := fOn.ReadPage(lpn, buf); err != nil {
+		if err := fOn.ReadPages([]int64{lpn}, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != 0xC0 {
@@ -518,7 +518,7 @@ func TestIdleCleaning(t *testing.T) {
 		if lpn%2 == 0 {
 			continue
 		}
-		if err := f.ReadPage(lpn, buf); err != nil {
+		if err := f.ReadPages([]int64{lpn}, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != 1 {
@@ -573,7 +573,7 @@ func TestFTLModelProperty(t *testing.T) {
 		}
 		buf := make([]byte, 1024)
 		for lpn, want := range model {
-			if err := l.ReadPage(lpn, buf); err != nil {
+			if err := l.ReadPages([]int64{lpn}, buf); err != nil {
 				return false
 			}
 			if buf[0] != want {

@@ -125,7 +125,7 @@ func TestMountRecoversMappingAndTags(t *testing.T) {
 		if !m.Mapped(i) {
 			t.Fatalf("page %d unmapped after mount", i)
 		}
-		if err := m.ReadPage(i, buf); err != nil {
+		if err := m.ReadPages([]int64{i}, buf); err != nil {
 			t.Fatal(err)
 		}
 		want := byte(i)
@@ -175,7 +175,7 @@ func TestMountedLayerIsFullyOperational(t *testing.T) {
 	}
 	buf := make([]byte, 1024)
 	for i := int64(0); i < 30; i++ {
-		if err := m.ReadPage(i, buf); err != nil {
+		if err := m.ReadPages([]int64{i}, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != 49 {
@@ -209,7 +209,7 @@ func TestMountSequenceNumbersContinue(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1024)
-	if err := m2.ReadPage(0, buf); err != nil {
+	if err := m2.ReadPages([]int64{0}, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 2 {
@@ -246,7 +246,7 @@ func TestMountEquivalenceProperty(t *testing.T) {
 		}
 		buf := make([]byte, 1024)
 		for lpn, want := range model {
-			if err := m.ReadPage(lpn, buf); err != nil {
+			if err := m.ReadPages([]int64{lpn}, buf); err != nil {
 				return false
 			}
 			if buf[0] != want {

@@ -2,7 +2,10 @@ package storman
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"ssmobile/internal/engine"
 )
 
 // readBlock reads one stored block through ReadAt and reports its stored
@@ -29,7 +32,7 @@ func refReadBlock(m *Manager, key Key, buf []byte) (int, error) {
 	} else {
 		m.flashReads.Inc()
 		page := make([]byte, m.cfg.BlockBytes)
-		if err := m.fl.ReadPage(loc.lpn, page); err != nil {
+		if err := m.fl.ReadPages([]int64{loc.lpn}, page); err != nil {
 			return 0, err
 		}
 		copy(buf[:n], page)
@@ -60,34 +63,42 @@ func refReadAt(m *Manager, object uint64, off int64, buf []byte) error {
 
 const shortBytes = 1000
 
-// readLayoutRig builds one object whose blocks sit on every medium a read
-// can meet: 0 flash, 1 DRAM, 2 flash, 3 absent, 4 DRAM, 5 flash and 6
-// DRAM each truncated to shortBytes over a full page of older bytes.
+// readLayout is the object readLayoutRig builds, one letter per block: F
+// a full block in flash, D one in DRAM, f and d the same truncated to
+// shortBytes over a full page of older bytes, - absent. Blocks 0-6 put
+// each medium next to every other; the rest put runs of whole flash
+// blocks between every kind of block that ends one, and end on a run
+// longer than the engine takes in one call.
+var readLayout = "FDF-DfdFFFDFF-FfFF" + strings.Repeat("F", engine.ReadRunPages+6)
+
+// readLayoutRig builds one object laid out as readLayout says, block i
+// holding bytes 0x10+i.
 func readLayoutRig(t *testing.T) *rig {
 	t.Helper()
 	r := newRig(t, 1<<20, 0)
-	write := func(blk int64) {
-		if err := r.m.WriteBlockAt(Key{Object: 1, Block: blk}, 0, blockOf(byte(0x10+blk), 4096)); err != nil {
-			t.Fatal(err)
+	write := func(media string) {
+		for blk, m := range readLayout {
+			if strings.ContainsRune(media, m) {
+				if err := r.m.WriteBlockAt(Key{Object: 1, Block: int64(blk)}, 0, blockOf(byte(0x10+blk), 4096)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	for _, blk := range []int64{0, 2, 5} {
-		write(blk)
-	}
+	write("Ff")
 	if err := r.m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for _, blk := range []int64{1, 4, 6} {
-		write(blk)
-	}
-	for _, blk := range []int64{5, 6} {
-		if err := r.m.TruncateBlock(Key{Object: 1, Block: blk}, shortBytes); err != nil {
-			t.Fatal(err)
+	write("Dd")
+	for blk, m := range readLayout {
+		key := Key{Object: 1, Block: int64(blk)}
+		if m == 'f' || m == 'd' {
+			if err := r.m.TruncateBlock(key, shortBytes); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for blk, inDRAM := range []bool{false, true, false, false, true, false, true} {
-		if blk != 3 && r.m.InDRAM(Key{Object: 1, Block: int64(blk)}) != inDRAM {
-			t.Fatalf("block %d: in DRAM %v, layout wants %v", blk, !inDRAM, inDRAM)
+		if m != '-' && r.m.InDRAM(key) != (m == 'D' || m == 'd') {
+			t.Fatalf("block %d: in DRAM %v, layout says %c", blk, r.m.InDRAM(key), m)
 		}
 	}
 	return r
@@ -146,6 +157,22 @@ func TestReadAtMatchesPerBlockWalk(t *testing.T) {
 			if got != want {
 				t.Errorf("%s: ReadAt %+v, per-block walk %+v", name, got, want)
 			}
+		}
+	}
+	// Extents over the whole layout: every boundary a run of flash blocks
+	// can meet, at both ends.
+	for _, ext := range []struct{ off, n int64 }{
+		{0, int64(len(readLayout)) * bs},
+		{bs / 2, int64(len(readLayout)-1) * bs},
+		{6*bs + shortBytes/2, 12*bs + 300},
+	} {
+		gotData, got := run(func(m *Manager, off int64, buf []byte) error { return m.ReadAt(1, off, buf) }, ext.off, int(ext.n))
+		wantData, want := run(func(m *Manager, off int64, buf []byte) error { return refReadAt(m, 1, off, buf) }, ext.off, int(ext.n))
+		if !bytes.Equal(gotData, wantData) {
+			t.Errorf("layout [%d,+%d): bytes differ from the per-block walk", ext.off, ext.n)
+		}
+		if got != want {
+			t.Errorf("layout [%d,+%d): ReadAt %+v, per-block walk %+v", ext.off, ext.n, got, want)
 		}
 	}
 }

@@ -219,10 +219,12 @@ type Manager struct {
 	// Reusable hot-path scratch. The manager is single-threaded; each
 	// buffer serves one non-nesting code path (migrate can run inside the
 	// write path via eviction, so writeBuf and migBuf are distinct).
-	// readBuf holds a block a read covers only in part.
+	// readBuf holds a block a read covers only in part, readLPNs the
+	// pages of one run of whole flash blocks handed to the engine.
 	migBuf   []byte
 	writeBuf []byte
 	readBuf  []byte
+	readLPNs []int64
 	// locFree recycles blockLocs and freeMaps recycles emptied per-object
 	// maps, so the churn of create/delete cycles settles into reuse.
 	locFree    []*blockLoc
@@ -272,6 +274,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 		totalPages:        int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
 		writeBuf:          make([]byte, cfg.BlockBytes),
 		readBuf:           make([]byte, cfg.BlockBytes),
+		readLPNs:          make([]int64, 0, engine.ReadRunPages),
 		writeOrder:        locList{idx: lruLink},
 		dirtyOrder:        locList{idx: fifoLink},
 		obs:               o,
@@ -503,7 +506,7 @@ func (m *Manager) WriteBlockAt(key Key, off int, data []byte) (err error) {
 		m.cows.Inc()
 		buf := m.writeBuf
 		if off > 0 || end < loc.size {
-			if err := m.fl.ReadPage(loc.lpn, buf); err != nil {
+			if err := m.readPage(loc.lpn, buf); err != nil {
 				return err
 			}
 			// Past the size, the page holds padding or a truncated tail.
@@ -557,9 +560,11 @@ func (m *Manager) writeDRAM(page, from, off int, data []byte) error {
 // read as zero. It is the manager's only read path: a block the extent
 // covers whole is read in place, by the engine or from its DRAM page,
 // straight into buf; only a block it covers in part goes through readBuf.
-// Either way each stored block costs the one device read it always has
-// (its stored bytes from DRAM, its whole page from flash), in block
-// order. Flash-resident blocks are not promoted to DRAM.
+// Consecutive whole, full-size flash blocks go to the engine as one run,
+// one call for up to engine.ReadRunPages blocks. Either way each stored
+// block costs the one device read it always has (its stored bytes from
+// DRAM, its whole page from flash), in block order. Flash-resident blocks
+// are not promoted to DRAM.
 func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 	if off < 0 || off > math.MaxInt64-int64(len(buf)) {
 		return fmt.Errorf("%w: extent %d+%d outside an object", ErrBadSize, off, len(buf))
@@ -575,19 +580,47 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 		m.hostRead.Add(read)
 		sp.End(read, err)
 	}()
-	bs := int64(m.cfg.BlockBytes)
+	bs := m.cfg.BlockBytes
 	blocks := m.byObject[object]
+	// run holds the pages of the whole flash blocks that land at
+	// buf[runAt:], not yet read.
+	run, runAt := m.readLPNs[:0], 0
+	flush := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		n := len(run)
+		flashReads += int64(n)
+		read += int64(n * bs)
+		err := m.fl.ReadPages(run, buf[runAt:runAt+n*bs])
+		run = run[:0]
+		return err
+	}
 	for done := 0; done < len(buf); {
 		at := off + int64(done)
-		lo := int(at % bs)
-		dst := buf[done:min(len(buf), done+int(bs)-lo)]
+		lo := int(at % int64(bs))
+		dst := buf[done:min(len(buf), done+bs-lo)]
+		loc := blocks[at/int64(bs)]
+		whole := loc != nil && !loc.inDRAM() && loc.size == bs && len(dst) == bs
+		if !whole || len(run) == cap(run) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if whole {
+			if len(run) == 0 {
+				runAt = done
+			}
+			run = append(run, loc.lpn)
+			done += bs
+			continue
+		}
 		done += len(dst)
-		loc := blocks[at/bs]
 		if loc == nil {
 			clear(dst)
 			continue
 		}
-		n := m.cfg.BlockBytes
+		n := bs
 		if loc.inDRAM() {
 			n = loc.size
 		}
@@ -601,7 +634,7 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 			_, err = m.dram.Read(m.pageAddr(loc.dramPage), src)
 		} else {
 			flashReads++
-			err = m.fl.ReadPage(loc.lpn, src)
+			err = m.readPage(loc.lpn, src)
 		}
 		if err != nil {
 			return err
@@ -614,7 +647,13 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 			clear(dst[copy(dst, src[min(lo, loc.size):loc.size]):])
 		}
 	}
-	return nil
+	return flush()
+}
+
+// readPage reads one flash page through readLPNs, which holds no pending
+// run whenever a page is read alone.
+func (m *Manager) readPage(lpn int64, buf []byte) error {
+	return m.fl.ReadPages(append(m.readLPNs[:0], lpn), buf)
 }
 
 // BlockSize reports the stored size of a block, or 0 if absent.
