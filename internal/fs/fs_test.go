@@ -39,13 +39,13 @@ func fsConfig() Config {
 func newParts(t testing.TB) *rig { return newPartsOn(t, "ftl", nil) }
 
 // newPartsOn is newParts over the named storage engine, ftl or pdl, with
-// the flash device reporting to o (nil for none), for tests that read what
-// the file system's activity was charged to.
+// every device and layer reporting to o (nil for none), for tests that
+// read what the file system's activity was charged to.
 func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	t.Helper()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
-	dr, err := dram.New(dram.Config{CapacityBytes: 8 << 20, Params: device.NECDram}, clock, meter)
+	dr, err := dram.New(dram.Config{CapacityBytes: 8 << 20, Params: device.NECDram, Obs: o}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	case "ftl":
 		fl, err = ftl.New(fd, clock, ftl.Config{
 			PageBytes: 4096, ReserveBlocks: 3,
-			Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true,
+			Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true, Obs: o,
 		})
 	case "pdl":
-		fl, err = pdl.New(fd, clock, pdl.Config{PageBytes: 4096, ReserveBlocks: 3, BackgroundErase: true})
+		fl, err = pdl.New(fd, clock, pdl.Config{PageBytes: 4096, ReserveBlocks: 3, BackgroundErase: true, Obs: o})
 	default:
 		t.Fatalf("unknown engine %q", eng)
 	}
@@ -79,6 +79,7 @@ func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 		BlockBytes: 4096,
 		DRAMBase:   1 << 20, DRAMBytes: 2 << 20,
 		WriteBackDelay: 30 * sim.Second,
+		Obs:            o,
 	}, clock, dr, fl)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package fs
 import (
 	"math/rand"
 	"testing"
+
+	"ssmobile/internal/obs"
 )
 
 // partialFileBlocks is the size, in blocks, of the synced file the fs
@@ -11,11 +13,14 @@ import (
 const partialFileBlocks = 128
 
 // syncedFile builds a file system over the named engine holding one
-// synced file, /p, of partialFileBlocks full blocks, all in flash.
-func syncedFile(t testing.TB, eng string) *rig {
+// synced file, /p, of partialFileBlocks full blocks, all in flash, with
+// every layer reporting to o (nil for none).
+func syncedFile(t testing.TB, eng string, o *obs.Observer) *rig {
 	t.Helper()
-	r := newPartsOn(t, eng, nil)
-	f, err := Mkfs(fsConfig(), r.clock, r.sm, r.dram)
+	r := newPartsOn(t, eng, o)
+	cfg := fsConfig()
+	cfg.Obs = o
+	f, err := Mkfs(cfg, r.clock, r.sm, r.dram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +39,7 @@ func syncedFile(t testing.TB, eng string) *rig {
 // block in a pass.
 func partialFile(t testing.TB, eng string) (r *rig, offs []int64, sizes []int) {
 	t.Helper()
-	r = syncedFile(t, eng)
+	r = syncedFile(t, eng, nil)
 	bs := r.fs.BlockBytes()
 	rng := rand.New(rand.NewSource(1993))
 	for _, blk := range rng.Perm(partialFileBlocks) {
