@@ -216,6 +216,7 @@ type Cluster struct {
 	nodeUp, nodeCordoned             []*obs.Gauge
 	hl                               []holderLat // scratch: last request's fan-out
 	latScratch                       []holderLat // scratch: straggler-gap sort
+	applied                          []int       // scratch: holders the current write reached
 }
 
 // New builds a router over the given nodes.
@@ -452,7 +453,7 @@ func (s *Session) doWrite(req server.Request) (server.Response, error) {
 	}
 	holders := c.holdersFor(s.tenant, req.Key)
 	var resp server.Response
-	applied := make([]int, 0, len(holders))
+	applied := c.applied[:0]
 	var missed []int
 	// A miss only matters if the node actually holds the key's bytes:
 	// a past holder or an already-stale copy. A ring-placed node that
@@ -507,6 +508,7 @@ func (s *Session) doWrite(req server.Request) (server.Response, error) {
 	if len(applied) == 0 {
 		return server.Response{}, ErrUnavailable
 	}
+	c.applied = applied
 	c.noteWrite(s.tenant, applied, missed, req)
 	c.completed.Inc()
 	return resp, nil

@@ -29,8 +29,9 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -178,7 +179,7 @@ func (c *Cluster) finishRequest(tc *obs.TraceContext, req server.Request, start 
 // slowest holder". Caller holds c.mu; len(c.hl) >= 2.
 func (c *Cluster) stragglerGap() sim.Duration {
 	c.latScratch = append(c.latScratch[:0], c.hl...)
-	sort.Slice(c.latScratch, func(a, b int) bool { return c.latScratch[a].lat < c.latScratch[b].lat })
+	slices.SortFunc(c.latScratch, func(a, b holderLat) int { return cmp.Compare(a.lat, b.lat) })
 	n := len(c.latScratch)
 	return c.latScratch[n-1].lat - c.latScratch[(n-1)/2].lat
 }
