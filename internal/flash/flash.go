@@ -300,30 +300,15 @@ func (d *Device) BankBusyUntil(bank int) sim.Time { return d.busyUntil[bank] }
 // clock past any bank stalls and the transfer itself. It returns the total
 // latency charged.
 func (d *Device) Read(addr int64, buf []byte) (lat sim.Duration, err error) {
-	sp := d.obs.StageSpan(d.clock, d.meter, "flash", "read", obs.StageFlash)
-	n0 := int64(len(buf))
-	defer func() { sp.End(n0, err) }()
-	if d.lost {
-		return 0, ErrPowerCut
-	}
-	if err := d.checkRange(addr, len(buf)); err != nil {
-		return 0, err
-	}
-	// One host read is one op however many banks it crosses; only the
-	// byte accounting is per segment.
-	d.reads.Inc()
-	stall, lat := d.readRange(addr, buf)
-	d.readStallNs.Add(int64(stall))
-	d.bytesRead.Add(n0)
-	return lat, nil
+	return d.ReadPages([]int64{addr}, buf)
 }
 
 // ReadPages reads one page per address into consecutive
 // len(buf)/len(addrs)-byte slices of buf, in order; addrs must not be
 // empty. Every page is charged exactly as its own Read would be — its own
-// bank wait, its own setup and transfer time, its own energy — and counts
-// as one read; only the span and the counter updates are shared by the
-// call. It returns the total latency charged.
+// bank waits, its own setup and transfer time, its own energy — and
+// counts as one read; only the span and the counter updates are shared by
+// the call. It returns the total latency charged.
 func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err error) {
 	sp := d.obs.StageSpan(d.clock, d.meter, "flash", "read", obs.StageFlash)
 	n0 := int64(len(buf))
@@ -334,47 +319,39 @@ func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err err
 	if len(addrs) == 0 || len(buf)%len(addrs) != 0 {
 		return 0, fmt.Errorf("%w: %d bytes for %d pages", ErrOutOfRange, len(buf), len(addrs))
 	}
-	n := len(buf) / len(addrs)
+	size := len(buf) / len(addrs)
 	for _, addr := range addrs {
-		if err := d.checkRange(addr, n); err != nil {
+		if err := d.checkRange(addr, size); err != nil {
 			return 0, err
 		}
 	}
+	// One page is one op however many banks it crosses; only the byte
+	// accounting is per segment.
 	d.reads.Add(int64(len(addrs)))
 	var stall sim.Duration
 	for i, addr := range addrs {
-		s, l := d.readRange(addr, buf[i*n:(i+1)*n])
-		stall += s
-		lat += l
+		// Process the page bank by bank so stalls charge only where due.
+		for page := buf[i*size : (i+1)*size]; len(page) > 0; {
+			bank := d.BankOf(d.BlockOf(addr))
+			bankEnd := int64(bank+1) * int64(d.cfg.BlocksPerBank) * int64(d.cfg.BlockBytes)
+			n := len(page)
+			if int64(n) > bankEnd-addr {
+				n = int(bankEnd - addr)
+			}
+			s := d.waitBank(bank)
+			dur := sim.Duration(d.cfg.Params.ReadLatencyNs(n))
+			d.clock.Advance(dur)
+			d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+			copy(page[:n], d.data[addr:addr+int64(n)])
+			stall += s
+			lat += s + dur
+			addr += int64(n)
+			page = page[n:]
+		}
 	}
 	d.readStallNs.Add(int64(stall))
 	d.bytesRead.Add(n0)
 	return lat, nil
-}
-
-// readRange copies len(buf) bytes at addr into buf bank by bank, so
-// stalls charge only where due: each segment waits out its bank, then
-// advances the clock by its transfer time and charges its energy. It
-// reports the stall and the total latency, stall included.
-func (d *Device) readRange(addr int64, buf []byte) (stall, lat sim.Duration) {
-	for len(buf) > 0 {
-		bank := d.BankOf(d.BlockOf(addr))
-		bankEnd := int64(bank+1) * int64(d.cfg.BlocksPerBank) * int64(d.cfg.BlockBytes)
-		n := len(buf)
-		if int64(n) > bankEnd-addr {
-			n = int(bankEnd - addr)
-		}
-		s := d.waitBank(bank)
-		dur := sim.Duration(d.cfg.Params.ReadLatencyNs(n))
-		d.clock.Advance(dur)
-		d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
-		copy(buf[:n], d.data[addr:addr+int64(n)])
-		stall += s
-		lat += s + dur
-		addr += int64(n)
-		buf = buf[n:]
-	}
-	return stall, lat
 }
 
 // Peek returns the byte at addr without charging latency; tests and

@@ -133,8 +133,9 @@ func TestEraseFillsOddSizedBlock(t *testing.T) {
 	}
 }
 
-// The flash rung of the benchmark ladder: one page read, one page program
-// and one block erase, the operations every engine's paths are made of.
+// The flash rung of the benchmark ladder: one page read, a run of page
+// reads, one page program and one block erase, the operations every
+// engine's paths are made of.
 
 func benchDevice(b *testing.B, blockBytes int) *Device {
 	b.Helper()
@@ -157,6 +158,26 @@ func BenchmarkFlashRead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := d.Read(int64(i)%pages*int64(len(page)), page); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// A run of 16 pages in one ReadPages call, scan_read's middle: one
+	// span and one set of counter updates, every page still charged.
+	b.Run("16x4KB", func(b *testing.B) {
+		d := benchDevice(b, 64<<10)
+		const run = 16
+		buf := make([]byte, run*4096)
+		addrs := make([]int64, run)
+		pages := d.Capacity() / 4096
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range addrs {
+				addrs[j] = (int64(i)*run + int64(j)) % pages * 4096
+			}
+			if _, err := d.ReadPages(addrs, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
