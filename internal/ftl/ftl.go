@@ -484,18 +484,18 @@ func (f *FTL) ReadPages(lpns []int64, buf []byte) (err error) {
 	// run holds the device addresses of the mapped pages read into
 	// buf[from*pb:]; an unmapped page or a full scratch ends it.
 	run, from := f.readAddrs[:0], 0
-	flush := func(to int) error {
+	flush := func() error {
 		if len(run) == 0 {
 			return nil
 		}
-		_, err := f.dev.ReadPages(run, buf[from*pb:to*pb])
+		_, err := f.dev.ReadPages(run, buf[from*pb:(from+len(run))*pb])
 		run = run[:0]
 		return err
 	}
 	for i, lpn := range lpns {
 		ppn := f.physical(lpn)
 		if ppn == -1 || len(run) == cap(run) {
-			if err := flush(i); err != nil {
+			if err := flush(); err != nil {
 				return err
 			}
 		}
@@ -514,7 +514,7 @@ func (f *FTL) ReadPages(lpns []int64, buf []byte) (err error) {
 		}
 		run = append(run, f.pageAddr(ppn))
 	}
-	return flush(len(lpns))
+	return flush()
 }
 
 // physical reports the physical page holding lpn, or -1 if none does.

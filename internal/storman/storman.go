@@ -15,8 +15,9 @@
 //     eviction under DRAM pressure flushes the least recently written;
 //   - reads are served wherever the block lives — flash blocks are read
 //     in place, never copied into DRAM just to be read. One call reads an
-//     extent (ReadAt), and every block it covers whole lands straight in
-//     the caller's buffer;
+//     extent (ReadAt), every block it covers whole lands straight in the
+//     caller's buffer, and each run of whole flash blocks reaches the
+//     engine in one call;
 //   - writing a block that lives in flash triggers the paper's
 //     copy-on-write: the block moves to a DRAM page, the flash copy read
 //     only when the write does not cover it, and subsequent writes are
