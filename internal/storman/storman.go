@@ -592,8 +592,10 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 		}
 		n := len(run)
 		flashReads += int64(n)
-		read += int64(n * bs)
 		err := m.fl.ReadPages(run, buf[runAt:runAt+n*bs])
+		if err == nil {
+			read += int64(n * bs)
+		}
 		run = run[:0]
 		return err
 	}
