@@ -82,9 +82,11 @@ func BenchmarkBeginFinishRequest(b *testing.B) {
 	}
 }
 
-// requestTree records one traced 64 KB get the way the serving stack
-// does: fs and storman spans around 17 × (engine read_page → flash read),
-// 36 spans under the request root.
+// requestTree records a fixed 36-span request tree shaped like a traced
+// 64 KB get that calls the engine and the device once per page: fs and
+// storman spans around 17 × (engine read_page → flash read). A served get
+// makes fewer calls, since a run of pages is one call per layer; the
+// tree stays this size so the rung's numbers stay comparable.
 func requestTree(o *Observer, clock *sim.Clock, meter *sim.EnergyMeter) {
 	tc := o.BeginRequest(clock, "server", "get", 0)
 	fs := o.Span(clock, meter, "fs", "read")
