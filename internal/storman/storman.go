@@ -583,39 +583,29 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 	}()
 	bs := m.cfg.BlockBytes
 	blocks := m.byObject[object]
-	// run holds the pages of the whole flash blocks that land at
-	// buf[runAt:], not yet read.
-	run, runAt := m.readLPNs[:0], 0
-	flush := func() error {
-		if len(run) == 0 {
-			return nil
-		}
-		n := len(run)
-		flashReads += int64(n)
-		err := m.fl.ReadPages(run, buf[runAt:runAt+n*bs])
-		if err == nil {
-			read += int64(n * bs)
-		}
-		run = run[:0]
-		return err
-	}
 	for done := 0; done < len(buf); {
 		at := off + int64(done)
 		lo := int(at % int64(bs))
 		dst := buf[done:min(len(buf), done+bs-lo)]
 		loc := blocks[at/int64(bs)]
-		whole := loc != nil && !loc.inDRAM() && loc.size == bs && len(dst) == bs
-		if !whole || len(run) == cap(run) {
-			if err := flush(); err != nil {
+		if len(dst) == bs && m.fullFlash(loc) {
+			// The run of whole, full-size flash blocks starting here is
+			// one engine call.
+			run, end := append(m.readLPNs[:0], loc.lpn), done+bs
+			for len(run) < cap(run) && len(buf)-end >= bs {
+				next := blocks[(off+int64(end))/int64(bs)]
+				if !m.fullFlash(next) {
+					break
+				}
+				run = append(run, next.lpn)
+				end += bs
+			}
+			flashReads += int64(len(run))
+			if err := m.fl.ReadPages(run, buf[done:end]); err != nil {
 				return err
 			}
-		}
-		if whole {
-			if len(run) == 0 {
-				runAt = done
-			}
-			run = append(run, loc.lpn)
-			done += bs
+			read += int64(end - done)
+			done = end
 			continue
 		}
 		done += len(dst)
@@ -650,11 +640,16 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 			clear(dst[copy(dst, src[min(lo, loc.size):loc.size]):])
 		}
 	}
-	return flush()
+	return nil
 }
 
-// readPage reads one flash page through readLPNs, which holds no pending
-// run whenever a page is read alone.
+// fullFlash reports whether loc is a full-size block in flash, the kind a
+// run of engine reads carries.
+func (m *Manager) fullFlash(loc *blockLoc) bool {
+	return loc != nil && !loc.inDRAM() && loc.size == m.cfg.BlockBytes
+}
+
+// readPage reads one flash page through the engine's ReadPages.
 func (m *Manager) readPage(lpn int64, buf []byte) error {
 	return m.fl.ReadPages(append(m.readLPNs[:0], lpn), buf)
 }
