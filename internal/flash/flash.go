@@ -325,8 +325,7 @@ func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err err
 			return 0, err
 		}
 	}
-	// One page is one op however many banks it crosses; only the byte
-	// accounting is per segment.
+	// One page is one op however many banks it crosses.
 	d.reads.Add(int64(len(addrs)))
 	var stall sim.Duration
 	for i, addr := range addrs {
