@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"ssmobile/internal/core"
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/prof"
 	"ssmobile/internal/server"
@@ -42,17 +43,13 @@ func BenchmarkExperiment(b *testing.B) {
 	}
 }
 
-// benchEngines parameterizes the serve benchmarks by storage backend,
-// so `make bench` reports per-backend numbers side by side.
-var benchEngines = []string{"ftl", "pdl"}
-
 // BenchmarkServeThroughput drives the object-storage service (the E12
 // serving stack) with a seeded 8-client open-loop workload and reports
 // the served virtual-time throughput and tail latency as metrics, once
 // per storage backend. It measures the Go cost of the whole
 // fs→storman→engine→flash request path under multiplexed client load.
 func BenchmarkServeThroughput(b *testing.B) {
-	for _, eng := range benchEngines {
+	for _, eng := range backends.Names {
 		b.Run(eng, func(b *testing.B) {
 			var st server.RunStats
 			for i := 0; i < b.N; i++ {
@@ -73,7 +70,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // served/shed/p99 metrics must be identical to the untraced run — tracing
 // never alters simulated behaviour.
 func BenchmarkTracedServeThroughput(b *testing.B) {
-	for _, eng := range benchEngines {
+	for _, eng := range backends.Names {
 		b.Run(eng, func(b *testing.B) {
 			var st server.RunStats
 			for i := 0; i < b.N; i++ {

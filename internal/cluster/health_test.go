@@ -13,6 +13,7 @@ import (
 
 	"ssmobile/internal/cluster"
 	"ssmobile/internal/core"
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
@@ -52,7 +53,7 @@ func kneeWorkload(seed int64) workload.Config {
 // float the router compares against RebalanceMargin has the same bits as
 // flash.HealthFromSnapshot(node registry).FreeBlockMargin.
 func TestSweepMarginIsReportedMargin(t *testing.T) {
-	for _, engine := range []string{"ftl", "pdl"} {
+	for _, engine := range backends.Names {
 		t.Run(engine, func(t *testing.T) {
 			nodes := newAgedNodes(t, 3, engine)
 			cl, err := cluster.New(nodes, cluster.Config{RebalanceMargin: testMargin})

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/workload"
@@ -114,7 +115,7 @@ func TestChurnTailIsNotALottery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve churn runs on a 128 MB card")
 	}
-	for _, engine := range []string{"ftl", "pdl"} {
+	for _, engine := range backends.Names {
 		t.Run(engine, func(t *testing.T) {
 			var p99s []sim.Duration
 			for _, seed := range churnSeeds {
@@ -149,7 +150,7 @@ func TestChurnSecondRung(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve churn runs on a 128 MB card")
 	}
-	for _, engine := range []string{"ftl", "pdl"} {
+	for _, engine := range backends.Names {
 		t.Run(engine, func(t *testing.T) {
 			for _, seed := range churnSeeds {
 				p99, tail, shed := churnP99(t, engine, seed, 2)

@@ -50,7 +50,7 @@ func newDiskSys(t testing.TB) *DiskSystem {
 
 func TestSolidStateDefaults(t *testing.T) {
 	s := newSolid(t)
-	if s.FTL.Config().Policy != ftl.PolicyCostBenefit || !s.FTL.Config().HotCold {
+	if cfg := s.Engine.(*ftl.FTL).Config(); cfg.Policy != ftl.PolicyCostBenefit || !cfg.HotCold {
 		t.Fatal("defaults should enable cost-benefit + hot/cold")
 	}
 	if s.Flash.Banks() != 4 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
 )
@@ -38,7 +39,7 @@ func E15EngineHeadToHead(env *Env, seed int64) (*Table, error) {
 		{32, 0.6, 400, "grid"},
 		{8, 1.0, 800, "endurance"},
 	}
-	engines := []string{"ftl", "pdl"}
+	engines := backends.Names
 
 	t := &Table{
 		ID: "E15",

@@ -51,7 +51,7 @@ func E12Saturation(env *Env, seed int64) (*Table, error) {
 		if err != nil {
 			return fmt.Errorf("%d clients, %.0f%% writes: %w", clients, w*100, err)
 		}
-		fs := card.Sys.FTL.Stats()
+		fs := card.Sys.Engine.Stats()
 		rows[i] = []string{
 			fmt.Sprintf("%d", clients),
 			fmt.Sprintf("%.0f%%", w*100),

@@ -86,7 +86,7 @@ func E13WearAging(env *Env, seed int64) (*Table, error) {
 			if err != nil {
 				return fmt.Errorf("epoch %d: %w", ep, err)
 			}
-			fs := sys.FTL.Stats()
+			fs := sys.Engine.Stats()
 			waBy := func(c obs.Cause) string {
 				if fs.HostBytesWritten == 0 {
 					return "-"

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/fs"
 	"ssmobile/internal/obs"
@@ -381,7 +382,7 @@ func TestPowerCutMultiBlockCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	for _, engine := range []string{"ftl", "pdl"} {
+	for _, engine := range backends.Names {
 		t.Run(engine, func(t *testing.T) { powerCutMultiBlockCheckpoint(t, engine) })
 	}
 }

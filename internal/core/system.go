@@ -16,10 +16,10 @@ import (
 	"ssmobile/internal/diskfs"
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
-	"ssmobile/internal/engine/pdl"
+	"ssmobile/internal/engine/backends"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/fs"
-	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/storman"
@@ -64,10 +64,10 @@ type SolidStateConfig struct {
 	// BlockBytes is the FS/storage-manager block and engine page size
 	// (default 4KB).
 	BlockBytes int
-	// Engine selects the storage backend under the storage manager:
-	// "ftl" (default, the flash translation layer) or "pdl" (the
-	// page-differential log, which persists only the diff of an
-	// overwritten page).
+	// Engine selects the storage backend under the storage manager, one
+	// of backends.Names: "ftl" (default, the flash translation layer) or
+	// "pdl" (the page-differential log, which persists only the diff of
+	// an overwritten page).
 	Engine string
 	// BufferBytes is the DRAM write-buffer region (default: a quarter of
 	// DRAM).
@@ -77,10 +77,6 @@ type SolidStateConfig struct {
 	// WriteBackDelay is the dirty age before migration to flash
 	// (default 30s).
 	WriteBackDelay sim.Duration
-	// Policy is the flash cleaning policy (default cost-benefit).
-	Policy ftl.Policy
-	// HotCold enables hot/cold separation (on with the default policy).
-	HotCold bool
 	// IdleCleanBlocks, when positive, lets the FTL clean during idle time
 	// until that many blocks are free (the paper's "cleaning in the
 	// background while the machine is idle"). Zero keeps idle cleaning
@@ -123,13 +119,6 @@ func (c *SolidStateConfig) applyDefaults() {
 	if c.WriteBackDelay == 0 {
 		c.WriteBackDelay = 30 * sim.Second
 	}
-	if c.Policy == ftl.PolicyDirect {
-		c.Policy = ftl.PolicyCostBenefit
-		c.HotCold = true
-	}
-	if c.Engine == "" {
-		c.Engine = "ftl"
-	}
 }
 
 // SolidStateSystem is the paper's organisation, fully assembled.
@@ -145,10 +134,7 @@ type SolidStateSystem struct {
 	// the VM's flash mappings point here.
 	CodeCard *flash.Device
 	// Engine is the storage backend the stack was built with.
-	Engine engine.Engine
-	// FTL is the translation layer when Engine is "ftl", nil otherwise;
-	// the FTL-specific experiments read it directly.
-	FTL     *ftl.FTL
+	Engine  engine.Engine
 	Storage *storman.Manager
 	FS      *fs.FS
 	VM      *vm.VM
@@ -188,10 +174,10 @@ func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 		BlocksPerBank: blocksPerBank,
 		BlockBytes:    cfg.EraseBlockBytes,
 		Params:        flashParams,
-		// Spare area for the translation layer's per-page records, so the
-		// mapping survives power loss and remounts by device scan.
+		// Spare area for the engine's per-page records, so the mapping
+		// survives power loss and remounts by device scan.
 		SpareUnitBytes: cfg.BlockBytes,
-		SpareBytes:     ftl.OOBRecordBytes,
+		SpareBytes:     blocks.PageRecordBytes,
 		Obs:            o,
 	}, clock, meter)
 	if err != nil {
@@ -221,47 +207,25 @@ func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 
 // assemble builds the software layers — storage engine, storage manager,
 // file system, VM — over s's devices. It is the one place the layer
-// configs and the engine switch are written: a fresh stack initialises
-// each layer, a remount recovers each from what the flash card holds
-// (the engine by scanning out-of-band records, the storage manager's
-// placement table from the page tags, the file-system namespace from the
-// last checkpoint).
+// configs are written (the engine's own are backends.Open's): a fresh
+// stack initialises each layer, a remount recovers each from what the
+// flash card holds (the engine by scanning out-of-band records, the
+// storage manager's placement table from the page tags, the file-system
+// namespace from the last checkpoint).
 func (s *SolidStateSystem) assemble(remount bool) error {
 	cfg := s.cfg
-	newFTL, newPDL, newStorman := ftl.New, pdl.New, storman.New
+	newStorman := storman.New
 	if remount {
-		newFTL, newPDL, newStorman = ftl.Mount, pdl.Mount, storman.Mount
+		newStorman = storman.Mount
 	}
 	var err error
-	switch cfg.Engine {
-	case "ftl":
-		s.FTL, err = newFTL(s.Flash, s.clock, ftl.Config{
-			PageBytes:          cfg.BlockBytes,
-			ReserveBlocks:      3,
-			IdleCleanThreshold: cfg.IdleCleanBlocks,
-			Policy:             cfg.Policy,
-			HotCold:            cfg.HotCold,
-			BackgroundErase:    true,
-			PersistMapping:     true,
-			Obs:                cfg.Obs,
-		})
-		if err != nil {
-			return err
-		}
-		s.Engine = s.FTL
-	case "pdl":
-		s.Engine, err = newPDL(s.Flash, s.clock, pdl.Config{
-			PageBytes:          cfg.BlockBytes,
-			ReserveBlocks:      3,
-			IdleCleanThreshold: cfg.IdleCleanBlocks,
-			BackgroundErase:    true,
-			Obs:                cfg.Obs,
-		})
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("core: unknown storage engine %q (want ftl or pdl)", cfg.Engine)
+	s.Engine, err = backends.Open(cfg.Engine, remount, s.Flash, s.clock, backends.Config{
+		PageBytes:          cfg.BlockBytes,
+		IdleCleanThreshold: cfg.IdleCleanBlocks,
+		Obs:                cfg.Obs,
+	})
+	if err != nil {
+		return err
 	}
 	s.Storage, err = newStorman(storman.Config{
 		BlockBytes:     cfg.BlockBytes,

@@ -13,8 +13,8 @@
 // half-written out-of-band records, trembling half-erased blocks — and
 // recovers by the honest path (flash.Device.Restore, the engine's
 // Mount-by-scan, storman.Mount). The enumeration runs per storage
-// backend (Config.Engine selects ftl or pdl); passing it is the bar for
-// calling a backend real. After each recovery it checks:
+// backend (Config.Engine names one of backends.Names); passing it is the
+// bar for calling a backend real. After each recovery it checks:
 //
 //   - structural invariants in both layers (the engine's
 //     CheckInvariants, storman.CheckInvariants): mapping bijectivity,
@@ -45,9 +45,9 @@ import (
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
-	"ssmobile/internal/engine/pdl"
+	"ssmobile/internal/engine/backends"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
-	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/storman"
@@ -135,12 +135,9 @@ type Config struct {
 	// TickAdvance is how far Tk moves the clock; it must be at least
 	// WriteBackDelay so a tick flushes every dirty block.
 	TickAdvance sim.Duration
-	// Policy is the cleaning policy (default cost-benefit). Only
-	// meaningful for the ftl engine.
-	Policy ftl.Policy
-	// Engine selects the storage backend under test: "ftl" (default)
-	// or "pdl". Passing the enumerator is the bar for calling a
-	// backend real.
+	// Engine selects the storage backend under test, one of
+	// backends.Names ("" is the first). Passing the enumerator is the
+	// bar for calling a backend real.
 	Engine string
 	// Fates are the cut variants swept per op index (default all three).
 	Fates []flash.Outcome
@@ -174,15 +171,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.TickAdvance == 0 {
 		c.TickAdvance = 40 * sim.Second
-	}
-	if c.Policy == ftl.PolicyDirect {
-		c.Policy = ftl.PolicyCostBenefit
-	}
-	if c.Engine == "" {
-		c.Engine = "ftl"
-	}
-	if c.Engine != "ftl" && c.Engine != "pdl" {
-		return fmt.Errorf("crashtest: unknown engine %q (want ftl or pdl)", c.Engine)
 	}
 	if len(c.Fates) == 0 {
 		c.Fates = []flash.Outcome{flash.CutBefore, flash.CutDuring, flash.CutAfter}
@@ -246,43 +234,6 @@ type stack struct {
 	m     *storman.Manager
 }
 
-func (c Config) ftlConfig(o *obs.Observer) ftl.Config {
-	return ftl.Config{
-		PageBytes:       c.BlockBytes,
-		ReserveBlocks:   3,
-		Policy:          c.Policy,
-		HotCold:         true,
-		BackgroundErase: true,
-		PersistMapping:  true,
-		Obs:             o,
-	}
-}
-
-func (c Config) pdlConfig(o *obs.Observer) pdl.Config {
-	return pdl.Config{
-		PageBytes:       c.BlockBytes,
-		ReserveBlocks:   3,
-		BackgroundErase: true,
-		Obs:             o,
-	}
-}
-
-// newEngine builds the configured backend fresh; mountEngine rebuilds it
-// from a device that already holds data.
-func (c Config) newEngine(dev *flash.Device, clock *sim.Clock, o *obs.Observer) (engine.Engine, error) {
-	if c.Engine == "pdl" {
-		return pdl.New(dev, clock, c.pdlConfig(o))
-	}
-	return ftl.New(dev, clock, c.ftlConfig(o))
-}
-
-func (c Config) mountEngine(dev *flash.Device, clock *sim.Clock, o *obs.Observer) (engine.Engine, error) {
-	if c.Engine == "pdl" {
-		return pdl.Mount(dev, clock, c.pdlConfig(o))
-	}
-	return ftl.Mount(dev, clock, c.ftlConfig(o))
-}
-
 func (c Config) stormanConfig(o *obs.Observer) storman.Config {
 	return storman.Config{
 		BlockBytes:     c.BlockBytes,
@@ -311,14 +262,14 @@ func buildStack(cfg Config, inj flash.Injector) (*stack, error) {
 		BlockBytes:     cfg.EraseBlockBytes,
 		Params:         device.IntelFlash,
 		SpareUnitBytes: cfg.BlockBytes,
-		SpareBytes:     ftl.OOBRecordBytes,
+		SpareBytes:     blocks.PageRecordBytes,
 		Injector:       inj,
 		Obs:            o,
 	}, clock, meter)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := cfg.newEngine(dev, clock, o)
+	eng, err := backends.Open(cfg.Engine, false, dev, clock, backends.Config{PageBytes: cfg.BlockBytes, Obs: o})
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +404,7 @@ func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Res
 	st.dev.Restore()
 	st.dram.Restore()
 	o := obs.New(0)
-	eng, err := cfg.mountEngine(st.dev, st.clock, o)
+	eng, err := backends.Open(cfg.Engine, true, st.dev, st.clock, backends.Config{PageBytes: cfg.BlockBytes, Obs: o})
 	if err != nil {
 		fail("mount", err)
 		return

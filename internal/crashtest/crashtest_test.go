@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/flash"
 )
 
@@ -13,7 +14,7 @@ import (
 // every storage backend. Passing this sweep is the bar for calling a
 // backend real.
 func TestDefaultScriptSurvivesEveryCrashPoint(t *testing.T) {
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		t.Run(eng, func(t *testing.T) {
 			res, err := Enumerate(Config{Engine: eng}, DefaultScript())
 			if err != nil {
@@ -203,7 +204,7 @@ func offsetScript() Script {
 // TestOffsetWritesSurviveEveryCrashPoint runs the offset-write script
 // under the full power-cut × fate enumeration on both backends.
 func TestOffsetWritesSurviveEveryCrashPoint(t *testing.T) {
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		t.Run(eng, func(t *testing.T) {
 			res, err := Enumerate(Config{Engine: eng}, offsetScript())
 			if err != nil {

@@ -7,6 +7,8 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/backends"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
@@ -21,7 +23,7 @@ import (
 //
 // Run with: go test ./internal/engine/ -bench BenchmarkEngineWritePath -benchmem -run '^$'
 func BenchmarkEngineWritePath(b *testing.B) {
-	for _, backend := range []string{"ftl", "pdl"} {
+	for _, backend := range backends.Names {
 		for _, mb := range []int{64, 256, 1024} {
 			b.Run(fmt.Sprintf("%s/size=%dMB", backend, mb), func(b *testing.B) {
 				benchWritePath(b, backend, mb)
@@ -45,7 +47,7 @@ func benchWritePath(b *testing.B, backend string, mb int) {
 		BlockBytes:     blockBytes,
 		Params:         device.IntelFlash,
 		SpareUnitBytes: pageBytes,
-		SpareBytes:     ftl.OOBRecordBytes, // pdl's unit record is the same size
+		SpareBytes:     blocks.PageRecordBytes,
 		Obs:            obs.New(0),
 	}, clock, sim.NewEnergyMeter())
 	if err != nil {
@@ -61,6 +63,8 @@ func benchWritePath(b *testing.B, backend string, mb int) {
 		})
 	case "pdl":
 		e, err = pdl.New(dev, clock, pdl.Config{PageBytes: pageBytes, ReserveBlocks: reserve, Obs: obs.New(0)})
+	default:
+		b.Fatalf("no write-path rung for engine %q", backend)
 	}
 	if err != nil {
 		b.Fatal(err)

@@ -182,12 +182,11 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	return p, nil
 }
 
-// RequireSpare verifies the device can carry one recordBytes-long spare
-// record per page.
-func (p *Pool) RequireSpare(recordBytes int) error {
+// RequireSpare verifies the device can carry one page record per page.
+func (p *Pool) RequireSpare() error {
 	dc := p.dev.Config()
-	if dc.SpareBytes < recordBytes {
-		return fmt.Errorf("%s: device spare of %d bytes below the %d-byte record", p.layer, dc.SpareBytes, recordBytes)
+	if dc.SpareBytes < PageRecordBytes {
+		return fmt.Errorf("%s: device spare of %d bytes below the %d-byte record", p.layer, dc.SpareBytes, PageRecordBytes)
 	}
 	if dc.SpareUnitBytes != p.pageBytes {
 		return fmt.Errorf("%s: device spare unit %d != page size %d", p.layer, dc.SpareUnitBytes, p.pageBytes)

@@ -12,7 +12,7 @@ import (
 
 const (
 	testPage   = 1024
-	testRecord = RecordHeaderBytes + 8
+	testRecord = PageRecordBytes
 	testMagic  = 0x54455354 // "TEST"
 )
 
@@ -221,7 +221,7 @@ func TestSettleReErasesDirtyBlockThatThenWearsOut(t *testing.T) {
 	capacity := p.LogicalPages()
 	erasesBefore := dev.Stats().Erases
 	used := make([]bool, 8)
-	maxSeq, err := p.ScanRecords(testMagic, testRecord, func(ppn int64, seq uint64, got []byte) {
+	maxSeq, err := p.ScanRecords(testMagic, func(ppn int64, seq uint64, got []byte) {
 		if ppn != 4*4+1 || seq != 7 || string(got) != string(rec) {
 			t.Errorf("visit ppn %d seq %d", ppn, seq)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 
+	"ssmobile/internal/engine"
 	"ssmobile/internal/obs"
 )
 
@@ -22,6 +23,31 @@ import (
 
 // RecordHeaderBytes is the check word plus the sequence number.
 const RecordHeaderBytes = 4 + 8
+
+// Both engines give every page one spare record of the same layout: the
+// header, a page word and the caller's tag. ftl's page word is the
+// logical page; pdl packs the unit kind into its top byte.
+
+// PageRecordBytes is the size of the spare record persisted per page
+// (header, page word, 16-byte tag), and so the spare area every device
+// under an engine carries.
+const PageRecordBytes = RecordHeaderBytes + 8 + 16
+
+// SealPageRecord writes word and tag into rec (len PageRecordBytes) and
+// seals it; the program hot path passes a reusable scratch so per-page
+// spare programs never allocate.
+func SealPageRecord(magic uint32, seq, word uint64, tag engine.Tag, rec []byte) {
+	binary.LittleEndian.PutUint64(rec[RecordHeaderBytes:], word)
+	copy(rec[RecordHeaderBytes+8:], tag[:])
+	SealRecord(magic, seq, rec)
+}
+
+// PageRecordPayload reads the page word and tag out of an opened page
+// record.
+func PageRecordPayload(rec []byte) (word uint64, tag engine.Tag) {
+	copy(tag[:], rec[RecordHeaderBytes+8:])
+	return binary.LittleEndian.Uint64(rec[RecordHeaderBytes:]), tag
+}
 
 // SealRecord stamps seq into rec and folds the check word over
 // everything after it; the payload must already be in place.
@@ -52,15 +78,15 @@ func (p *Pool) NoteUnsealed(slot []byte) {
 }
 
 // ScanRecords is the first half of the power-failure mount path, over a
-// pool fresh from New. It reads every page's spare record (recordBytes
-// long, sealed under magic) as charged device work, so mount time
-// appears in the simulation, and hands each record that opens to visit.
+// pool fresh from New. It reads every page's spare record (a page record
+// sealed under magic) as charged device work, so mount time appears in
+// the simulation, and hands each record that opens to visit.
 // Spare areas that are neither blank nor a sealed record — torn
 // programs, trembling-erase residue — are counted corrupt. It returns
 // the largest sequence number it saw; the engine must then Settle every
 // block, saying which ones its visits found records in.
-func (p *Pool) ScanRecords(magic uint32, recordBytes int, visit func(ppn int64, seq uint64, rec []byte)) (maxSeq uint64, err error) {
-	rec := make([]byte, recordBytes)
+func (p *Pool) ScanRecords(magic uint32, visit func(ppn int64, seq uint64, rec []byte)) (maxSeq uint64, err error) {
+	rec := make([]byte, PageRecordBytes)
 	for ppn := int64(0); ppn < int64(len(p.state))*int64(p.ppb); ppn++ {
 		if _, err := p.dev.ReadSpare(ppn, rec); err != nil {
 			return 0, err

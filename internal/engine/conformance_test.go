@@ -3,10 +3,13 @@ package engine_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/backends"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
@@ -16,13 +19,18 @@ import (
 
 const conformancePage = 4096
 
-// backends lists every storage engine with how to build it fresh and how
-// to mount it from a device that holds its data. Both run with the
-// background erase and idle cleaning the served card uses.
-var backends = []struct {
+// engineRow is a storage engine with how to build it fresh and how to
+// mount it from a device that holds its data.
+type engineRow struct {
 	name       string
 	new, mount func(*flash.Device, *sim.Clock) (engine.Engine, error)
-}{
+}
+
+// engines has a row for every engine in backends.Names. Both run with
+// the background erase and idle cleaning the served card uses, tuned
+// past the table's settings where a test needs it (pdl's short delta
+// chains exercise the chain bound).
+var engines = []engineRow{
 	{
 		name: "ftl",
 		new: func(dev *flash.Device, clock *sim.Clock) (engine.Engine, error) {
@@ -64,7 +72,7 @@ func newCard(t *testing.T, build func(*flash.Device, *sim.Clock) (engine.Engine,
 	clock := sim.NewClock()
 	dev, err := flash.New(flash.Config{
 		Banks: 4, BlocksPerBank: 8, BlockBytes: 4 * conformancePage, Params: device.IntelFlash,
-		SpareUnitBytes: conformancePage, SpareBytes: ftl.OOBRecordBytes, // pdl's unit record is the same size
+		SpareUnitBytes: conformancePage, SpareBytes: blocks.PageRecordBytes,
 	}, clock, sim.NewEnergyMeter())
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +213,12 @@ func tagOf(b byte) engine.Tag {
 // made while some banks are erasing, and the remount happens with erases
 // still in progress.
 func TestEngineConformance(t *testing.T) {
-	for _, backend := range backends {
+	for _, name := range backends.Names {
+		if !slices.ContainsFunc(engines, func(b engineRow) bool { return b.name == name }) {
+			t.Errorf("backends.Names holds %q, which has no conformance row", name)
+		}
+	}
+	for _, backend := range engines {
 		t.Run(backend.name, func(t *testing.T) {
 			checkBatchedReads(t, backend.new)
 			clock, dev, e := newCard(t, backend.new)

@@ -11,25 +11,21 @@ import (
 	"ssmobile/internal/sim"
 )
 
-// On-flash formats. Every unit (one page-sized region) carries a spare
-// record claiming it: a base record binds the unit's full data image to
-// a logical page, a delta record marks the unit as a log whose data area
-// holds packed delta records. The distinct magic keeps a PDL-formatted
-// card from mounting as an FTL card and vice versa. Every record is
-// sealed by the block pool's check word (blocks.SealRecord), the same
-// torn-program defence the FTL's OOB records use.
-
-// unitRecordBytes is the size of the spare record persisted per unit:
-// a CRC-folded check word, the program sequence number, the kind and
-// logical page packed into one word, and the caller tag.
-const unitRecordBytes = 4 + 8 + 8 + 16
+// On-flash formats. Every unit (one page-sized region) carries the page
+// record both engines share (blocks.SealPageRecord), claiming it: a base
+// record binds the unit's full data image to a logical page, a delta
+// record marks the unit as a log whose data area holds packed delta
+// records. The distinct magic keeps a PDL-formatted card from mounting
+// as an FTL card and vice versa. Delta records are sealed by the same
+// check word (blocks.SealRecord), the torn-program defence every record
+// uses.
 
 const (
 	unitMagic  uint32 = 0x50444c31 // "PDL1"
 	deltaMagic uint32 = 0x50444c44 // "PDLD"
 )
 
-// Unit kinds, packed into the top byte of the record's lpn word.
+// Unit kinds, packed into the top byte of the page record's word.
 const (
 	unitKindBase  = 0x00
 	unitKindDelta = 0x01
@@ -37,18 +33,15 @@ const (
 
 const kindShift = 56
 
-func encodeUnitRecord(rec []byte, seq uint64, kind int, lpn int64, tag engine.Tag) {
-	binary.LittleEndian.PutUint64(rec[12:], uint64(kind)<<kindShift|uint64(lpn)&(1<<kindShift-1))
-	copy(rec[20:], tag[:])
-	blocks.SealRecord(unitMagic, seq, rec)
+// unitWord packs a unit's kind and logical page into its page record's
+// word; unitPayload unpacks them from an opened record.
+func unitWord(kind int, lpn int64) uint64 {
+	return uint64(kind)<<kindShift | uint64(lpn)&(1<<kindShift-1)
 }
 
-// unitPayload reads the kind, logical page and tag out of an opened
-// unit record.
 func unitPayload(rec []byte) (kind int, lpn int64, tag engine.Tag) {
-	klpn := binary.LittleEndian.Uint64(rec[12:])
-	copy(tag[:], rec[20:])
-	return int(klpn >> kindShift), int64(klpn & (1<<kindShift - 1)), tag
+	word, tag := blocks.PageRecordPayload(rec)
+	return int(word >> kindShift), int64(word & (1<<kindShift - 1)), tag
 }
 
 // deltaHdrBytes is the header of one packed delta record: check word,
@@ -106,7 +99,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	// the mount: a page in the truncated tail keeps its base and its chain.
 	best := make(map[int64]baseClaim)
 	var deltaUnits []int64
-	maxSeq, err := e.pool.ScanRecords(unitMagic, unitRecordBytes, func(ppn int64, seq uint64, rec []byte) {
+	maxSeq, err := e.pool.ScanRecords(unitMagic, func(ppn int64, seq uint64, rec []byte) {
 		kind, lpn, tag := unitPayload(rec)
 		info := &e.blocks[e.blockOf(ppn)]
 		info.unitsUsed++

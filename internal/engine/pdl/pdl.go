@@ -172,7 +172,7 @@ type Engine struct {
 	// engine is single-threaded and the device copies all of them out.
 	mergeBuf []byte
 	recBuf   []byte
-	oobBuf   [unitRecordBytes]byte
+	oobBuf   [blocks.PageRecordBytes]byte
 
 	deltaWrites, promotion *obs.Counter
 }
@@ -188,7 +188,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pool.RequireSpare(unitRecordBytes); err != nil {
+	if err := pool.RequireSpare(); err != nil {
 		return nil, err
 	}
 	cfg.ReserveBlocks = pool.Reserve()
@@ -396,7 +396,7 @@ func (e *Engine) writeBase(lpn int64, data []byte, tag engine.Tag) error {
 		return err
 	}
 	e.writeSeq++
-	encodeUnitRecord(e.oobBuf[:], e.writeSeq, unitKindBase, lpn, tag)
+	blocks.SealPageRecord(unitMagic, e.writeSeq, unitWord(unitKindBase, lpn), tag, e.oobBuf[:])
 	if _, err := e.dev.ProgramSpare(ppn, e.oobBuf[:]); err != nil {
 		return err
 	}
@@ -506,7 +506,7 @@ func (e *Engine) deltaSpace(rec int) (int64, error) {
 		e.deltaOff = 0
 		ppn := int64(e.deltaActive)*int64(e.ppb) + int64(e.deltaPtr)
 		e.writeSeq++
-		encodeUnitRecord(e.oobBuf[:], e.writeSeq, unitKindDelta, 0, engine.Tag{})
+		blocks.SealPageRecord(unitMagic, e.writeSeq, unitWord(unitKindDelta, 0), engine.Tag{}, e.oobBuf[:])
 		if _, err := e.dev.ProgramSpare(ppn, e.oobBuf[:]); err != nil {
 			return 0, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
@@ -38,7 +39,7 @@ func newRigOn(t testing.TB, banks int, params device.Params, cfg Config) *rig {
 	meter := sim.NewEnergyMeter()
 	dev, err := flash.New(flash.Config{
 		Banks: banks, BlocksPerBank: 32 / banks, BlockBytes: 16 * 1024, Params: params,
-		SpareUnitBytes: testPage, SpareBytes: unitRecordBytes,
+		SpareUnitBytes: testPage, SpareBytes: blocks.PageRecordBytes,
 	}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestWearOutKeepsTruncatedTailConsistent(t *testing.T) {
 	params.EnduranceCycles = 20
 	dev, err := flash.New(flash.Config{
 		Banks: 2, BlocksPerBank: 16, BlockBytes: 16 * 1024, Params: params,
-		SpareUnitBytes: testPage, SpareBytes: unitRecordBytes,
+		SpareUnitBytes: testPage, SpareBytes: blocks.PageRecordBytes,
 	}, clock, sim.NewEnergyMeter())
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/sim"
 )
 
@@ -258,7 +259,7 @@ func oneBlockRun(t *testing.T, eng string, syncs int) (r *rig, states [][]byte, 
 // After every sync a power failure mounts the namespace as of that sync.
 func TestOneBlockNamespaceCheckpoints(t *testing.T) {
 	const syncs = 120
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		_, states, kinds, overflow := oneBlockRun(t, eng, syncs)
 		folds := 0
 		for i, kind := range kinds {

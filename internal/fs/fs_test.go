@@ -12,9 +12,9 @@ import (
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
-	"ssmobile/internal/engine/pdl"
+	"ssmobile/internal/engine/backends"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
-	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/storman"
@@ -38,9 +38,10 @@ func fsConfig() Config {
 // newParts builds the device stack without the FS (for recovery tests).
 func newParts(t testing.TB) *rig { return newPartsOn(t, "ftl", nil) }
 
-// newPartsOn is newParts over the named storage engine, ftl or pdl, with
-// every device and layer reporting to o (nil for none), for tests that
-// read what the file system's activity was charged to.
+// newPartsOn is newParts over the named storage engine, one of
+// backends.Names, with every device and layer reporting to o (nil for
+// none), for tests that read what the file system's activity was
+// charged to.
 func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	t.Helper()
 	clock := sim.NewClock()
@@ -51,27 +52,14 @@ func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	}
 	params := device.IntelFlash
 	params.EraseLatencyNs = 1e6
-	fcfg := flash.Config{Banks: 2, BlocksPerBank: 128, BlockBytes: 16 * 1024, Params: params, Obs: o}
-	if eng == "pdl" {
-		// pdl keeps a record per page in the spare area, the same size as ftl's.
-		fcfg.SpareUnitBytes, fcfg.SpareBytes = 4096, ftl.OOBRecordBytes
-	}
-	fd, err := flash.New(fcfg, clock, meter)
+	fd, err := flash.New(flash.Config{
+		Banks: 2, BlocksPerBank: 128, BlockBytes: 16 * 1024, Params: params,
+		SpareUnitBytes: 4096, SpareBytes: blocks.PageRecordBytes, Obs: o,
+	}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fl engine.Engine
-	switch eng {
-	case "ftl":
-		fl, err = ftl.New(fd, clock, ftl.Config{
-			PageBytes: 4096, ReserveBlocks: 3,
-			Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true, Obs: o,
-		})
-	case "pdl":
-		fl, err = pdl.New(fd, clock, pdl.Config{PageBytes: 4096, ReserveBlocks: 3, BackgroundErase: true, Obs: o})
-	default:
-		t.Fatalf("unknown engine %q", eng)
-	}
+	fl, err := backends.Open(eng, false, fd, clock, backends.Config{PageBytes: 4096, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/obs"
 )
 
@@ -35,7 +36,7 @@ func readOffsets(bs, n int) []int64 {
 // touches on ftl (17), one per page of base and delta chain on pdl.
 // spans/op counts the spans one read records, every layer's.
 func BenchmarkFSReadAt(b *testing.B) {
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		b.Run(eng, func(b *testing.B) {
 			o := obs.New(0)
 			r := syncedFile(b, eng, o)
@@ -64,7 +65,7 @@ func TestWarmReadDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		r := syncedFile(t, eng, nil)
 		offs := readOffsets(r.fs.BlockBytes(), 64)
 		buf := make([]byte, readBytes)
@@ -94,7 +95,7 @@ func TestFirstReadDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		r := syncedFile(t, eng, nil)
 		off := readOffsets(r.fs.BlockBytes(), 1)[0]
 		buf := make([]byte, readBytes)

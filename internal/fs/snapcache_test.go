@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/obs"
 )
@@ -210,7 +211,7 @@ func TestWarmCheckpointEncodeDoesNotAllocate(t *testing.T) {
 	// frame's bytes attached to the tail block's chain. The pending frame
 	// and the log's tail block are reused; so is the image buffer, for the
 	// fold the run crosses.
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		r, _ := populatedOn(t, eng, 300)
 		if err := r.fs.Sync(); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/obs"
 )
 
@@ -55,7 +56,7 @@ func partialFile(t testing.TB, eng string) (r *rig, offs []int64, sizes []int) {
 // page read. flash_reads/op counts device page reads: on ftl one per
 // non-covering write, on pdl one per page of base and delta chain.
 func BenchmarkFSWriteAtPartial(b *testing.B) {
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		b.Run(eng, func(b *testing.B) {
 			r, offs, sizes := partialFile(b, eng)
 			data := make([]byte, r.fs.BlockBytes())
@@ -91,7 +92,7 @@ func TestWarmPartialWriteDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		r, offs, sizes := partialFile(t, eng)
 		data := make([]byte, r.fs.BlockBytes())
 		// One warm-up write, then one per remaining block: every run

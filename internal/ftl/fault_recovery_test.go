@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssmobile/internal/device"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/sim"
 )
@@ -22,7 +23,7 @@ func oobFlashInjected(t testing.TB, inj flash.Injector) (*flash.Device, *sim.Clo
 		BlockBytes:     4096,
 		Params:         params,
 		SpareUnitBytes: 1024,
-		SpareBytes:     OOBRecordBytes,
+		SpareBytes:     blocks.PageRecordBytes,
 		Injector:       inj,
 	}, clock, sim.NewEnergyMeter())
 	if err != nil {

@@ -94,7 +94,7 @@ type Config struct {
 	// logical page number, caller tag) into the flash spare area on every
 	// program, so Mount can rebuild the full mapping by scanning the
 	// device after a power loss. Requires a device whose spare-unit size
-	// equals PageBytes with at least OOBRecordBytes of spare. Not
+	// equals PageBytes with at least blocks.PageRecordBytes of spare. Not
 	// supported with PolicyDirect.
 	PersistMapping bool
 	// WearDeltaThreshold enables static wear leveling: when the spread
@@ -180,7 +180,7 @@ type FTL struct {
 	// cleaning relocation, oobBuf one spare-area record per program. The
 	// FTL is single-threaded and the device copies both out.
 	cleanBuf  []byte
-	oobBuf    [OOBRecordBytes]byte
+	oobBuf    [blocks.PageRecordBytes]byte
 	readAddrs []int64 // device addresses of one ReadPages run
 
 	staticMoves           *obs.Counter
@@ -236,7 +236,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		if cfg.Policy == PolicyDirect {
 			return nil, fmt.Errorf("ftl: mapping persistence not supported with the direct policy")
 		}
-		if err := pool.RequireSpare(OOBRecordBytes); err != nil {
+		if err := pool.RequireSpare(); err != nil {
 			return nil, err
 		}
 		f.tags = make(map[int64]Tag)
@@ -382,7 +382,7 @@ func (f *FTL) programPage(ppn, lpn int64, data []byte) error {
 	}
 	if f.cfg.PersistMapping {
 		f.writeSeq++
-		encodeOOBInto(f.oobBuf[:], f.writeSeq, lpn, f.tags[lpn])
+		blocks.SealPageRecord(oobMagic, f.writeSeq, uint64(lpn), f.tags[lpn], f.oobBuf[:])
 		if _, err := f.dev.ProgramSpare(ppn, f.oobBuf[:]); err != nil {
 			return err
 		}

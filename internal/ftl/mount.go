@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -18,27 +17,10 @@ import (
 // engine interface directly, without conversion shims on the hot path.
 type Tag = engine.Tag
 
-// OOBRecordBytes is the size of the out-of-band record persisted per
-// page: a magic word, the program sequence number, the logical page
-// number, and the caller tag.
-const OOBRecordBytes = 4 + 8 + 8 + 16
-
+// oobMagic seals ftl's out-of-band records, the page record both
+// engines share (blocks.SealPageRecord); the page word is the logical
+// page.
 const oobMagic uint32 = 0x53534d4c // "SSML"
-
-// encodeOOBInto writes the sealed record into rec (len OOBRecordBytes);
-// the program hot path passes a reusable scratch so per-page spare
-// programs never allocate.
-func encodeOOBInto(rec []byte, seq uint64, lpn int64, tag Tag) {
-	binary.LittleEndian.PutUint64(rec[12:], uint64(lpn))
-	copy(rec[20:], tag[:])
-	blocks.SealRecord(oobMagic, seq, rec)
-}
-
-// oobPayload reads the logical page and tag out of an opened record.
-func oobPayload(rec []byte) (lpn int64, tag Tag) {
-	copy(tag[:], rec[20:])
-	return int64(binary.LittleEndian.Uint64(rec[12:])), tag
-}
 
 // MountStats reports what a Mount scan found beyond the live mapping —
 // the wreckage a power cut left behind.
@@ -73,9 +55,10 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	}
 	best := make(map[int64]claim)
 	used := make([]bool, f.numBlocks) // blocks holding any record
-	f.writeSeq, err = f.pool.ScanRecords(oobMagic, OOBRecordBytes, func(ppn int64, seq uint64, rec []byte) {
+	f.writeSeq, err = f.pool.ScanRecords(oobMagic, func(ppn int64, seq uint64, rec []byte) {
 		used[f.blockOfPage(ppn)] = true
-		lpn, tag := oobPayload(rec)
+		word, tag := blocks.PageRecordPayload(rec)
+		lpn := int64(word)
 		if lpn < 0 || lpn >= f.pool.LogicalPages() {
 			return // stale record for a page beyond this geometry
 		}

@@ -22,7 +22,7 @@ func oobFlash(t testing.TB) (*flash.Device, *sim.Clock) {
 		BlockBytes:     4096,
 		Params:         params,
 		SpareUnitBytes: 1024,
-		SpareBytes:     OOBRecordBytes,
+		SpareBytes:     blocks.PageRecordBytes,
 	}, clock, sim.NewEnergyMeter())
 	if err != nil {
 		t.Fatal(err)
@@ -263,14 +263,14 @@ func TestMountEquivalenceProperty(t *testing.T) {
 func TestOOBEncodeDecode(t *testing.T) {
 	var tag Tag
 	copy(tag[:], "object-block-tag")
-	rec := make([]byte, OOBRecordBytes)
-	encodeOOBInto(rec, 42, 1234, tag)
+	rec := make([]byte, blocks.PageRecordBytes)
+	blocks.SealPageRecord(oobMagic, 42, 1234, tag, rec)
 	seq, ok := blocks.OpenRecord(oobMagic, rec)
-	lpn, gotTag := oobPayload(rec)
+	lpn, gotTag := blocks.PageRecordPayload(rec)
 	if !ok || seq != 42 || lpn != 1234 || gotTag != tag {
 		t.Fatalf("decode: %d %d %v %v", seq, lpn, gotTag, ok)
 	}
-	if _, ok := blocks.OpenRecord(oobMagic, bytes.Repeat([]byte{0xFF}, OOBRecordBytes)); ok {
+	if _, ok := blocks.OpenRecord(oobMagic, bytes.Repeat([]byte{0xFF}, blocks.PageRecordBytes)); ok {
 		t.Fatal("erased spare decoded as a record")
 	}
 	if _, ok := blocks.OpenRecord(oobMagic, rec[:10]); ok {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssmobile/internal/core"
+	"ssmobile/internal/engine/backends"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
 )
@@ -22,7 +23,7 @@ func TestIdleCleanYieldsToArrivals(t *testing.T) {
 		xfer     = 4096
 		gap      = 500 * sim.Millisecond
 	)
-	for _, eng := range []string{"ftl", "pdl"} {
+	for _, eng := range backends.Names {
 		t.Run(eng, func(t *testing.T) {
 			sys, srv := newStack(t, core.SolidStateConfig{
 				Engine: eng, IdleCleanBlocks: 24,

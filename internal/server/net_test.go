@@ -106,13 +106,16 @@ func TestShutdownRejectsNewCommandCleanly(t *testing.T) {
 	conn, r := dialRaw(t, tcp.Addr().String(), "drain2")
 	defer conn.Close()
 
-	// Park the connection idle, then drain. The wake-up deadline makes
-	// the idle read fail server-side; a command already in the client's
-	// send buffer when the drain lands must still be answered "draining"
-	// if the server happens to read it first — both outcomes (clean error
-	// or close) are legal, an "ok" is not.
+	// Park the connection idle, start the drain, and send only once it
+	// has begun: a command the server admits before that is rightly
+	// answered "ok". After it, the command is answered "draining" if the
+	// server reads it, or the connection closes (the wake-up deadline
+	// fails the idle read server-side); both are legal, an "ok" is not.
 	done := make(chan error, 1)
 	go func() { done <- tcp.Shutdown() }()
+	for !tcp.Draining() {
+		time.Sleep(time.Millisecond)
+	}
 	fmt.Fprintf(conn, "sync\n")
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if line, err := r.ReadString('\n'); err == nil && strings.HasPrefix(line, "ok") {

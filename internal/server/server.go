@@ -544,7 +544,10 @@ func (s *Server) doDelete(sess *Session, req Request) (Response, error) {
 
 // doSync implements group commit: a sync whose arrival is covered by the
 // last completed sync — or falls within the batch window of it — rides
-// that flush for free.
+// that flush for free. The rule is not safe: an absorbed sync does not
+// cover a mutation that completed after that flush, so its Batched
+// answer leaves the write in DRAM for a power failure to lose. ROADMAP
+// item 1 replaces the rule; until then it stands as it is.
 func (s *Server) doSync(req Request) (Response, error) {
 	now := s.b.Clock.Now()
 	arrival := req.Arrival

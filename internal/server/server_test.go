@@ -175,8 +175,8 @@ func TestLoadSheddingTypedErrors(t *testing.T) {
 	if err := sys.FS.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := sys.FTL.CleanerLag(); lag == 0 {
-		t.Fatalf("setup: cleaner lag still 0 (free %d)", sys.FTL.FreeBlocks())
+	if lag := sys.Engine.CleanerLag(); lag == 0 {
+		t.Fatalf("setup: cleaner lag still 0 (free %d)", sys.Engine.FreeBlocks())
 	}
 
 	sess, err := srv.Open("t")
@@ -197,7 +197,7 @@ func TestLoadSheddingTypedErrors(t *testing.T) {
 	}
 	if shed == 0 {
 		t.Fatalf("no puts shed (occupancy %.2f, lag %d)",
-			sys.Storage.BufferOccupancy(), sys.FTL.CleanerLag())
+			sys.Storage.BufferOccupancy(), sys.Engine.CleanerLag())
 	}
 	// Reads still serve while writes shed — graceful degradation.
 	if _, err := sess.Do(server.Request{Kind: server.OpGet, Key: 0, Size: 16}); err != nil {
@@ -325,7 +325,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	before := sys.FTL.Stats().HostBytesWritten
+	before := sys.Engine.Stats().HostBytesWritten
 
 	// Ops race the shutdown from another goroutine; each either succeeds
 	// or fails with a drain-path error (typed, or the torn connection).
@@ -352,7 +352,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if !srv.Draining() {
 		t.Fatal("server not draining after shutdown")
 	}
-	after := sys.FTL.Stats().HostBytesWritten
+	after := sys.Engine.Stats().HostBytesWritten
 	if after <= before {
 		t.Fatalf("final sync flushed nothing (flash writes %d -> %d)", before, after)
 	}

@@ -133,7 +133,7 @@ func runCleanScenario(t *testing.T, seed int64) (string, *spanNode) {
 	if err := sys.Create("aged"); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; sys.FTL.Stats().Cleans == 0; round++ {
+	for round := 0; sys.Engine.Stats().Cleans == 0; round++ {
 		if round == 64 {
 			t.Fatal("aging never drove the FTL into cleaning")
 		}

@@ -6,6 +6,7 @@ import (
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
+	"ssmobile/internal/engine/blocks"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
 	"ssmobile/internal/sim"
@@ -25,7 +26,7 @@ func newOOBRig(t testing.TB) *rig {
 	params.EraseLatencyNs = 1e6
 	fd, err := flash.New(flash.Config{
 		Banks: 2, BlocksPerBank: 64, BlockBytes: 16 * 1024, Params: params,
-		SpareUnitBytes: 4096, SpareBytes: ftl.OOBRecordBytes,
+		SpareUnitBytes: 4096, SpareBytes: blocks.PageRecordBytes,
 	}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
