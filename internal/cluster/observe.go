@@ -212,7 +212,8 @@ func (c *Cluster) nodeNames(idx []int) string {
 
 // ReplicaLatency collects the router's holder-latency histograms, one per
 // rank (rank 0 is the primary), for after-the-run analysis — E16's
-// per-holder p99 decomposition.
+// per-holder p99 decomposition. They are the observer's series, so they
+// hold the samples of every cluster built under the same observer.
 func (c *Cluster) ReplicaLatency() []obs.Metric {
 	ms := make([]obs.Metric, len(c.repLat))
 	for rank, h := range c.repLat {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/ftl"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/trace"
 )
@@ -109,6 +111,51 @@ func TestReplayBakerTraceOnBothSystems(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// Two replays under one observer: each ReplayStats holds that replay's
+// latencies only, as if it had run alone, while the observer's
+// op_latency_ns series hold both replays' samples.
+func TestReplayStatsIgnoreEarlierReplays(t *testing.T) {
+	tr, err := trace.GenerateBaker(trace.DefaultBaker(3*sim.Minute, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := ReplayObs(obs.New(0), newSolid(t), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(0)
+	first, err := ReplayObs(o, newDiskSys(t), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ReplayObs(o, newSolid(t), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second, alone) {
+		t.Fatalf("a replay after another under one observer reported\n%+v\nalone it reports\n%+v", second, alone)
+	}
+	snap := o.Registry.Snapshot()
+	for _, c := range []struct {
+		op            string
+		first, second obs.Metric
+	}{
+		{"read", first.ReadLatency, second.ReadLatency},
+		{"write", first.WriteLatency, second.WriteLatency},
+		{"create", first.CreateLatency, second.CreateLatency},
+		{"remove", first.RemoveLatency, second.RemoveLatency},
+	} {
+		m, ok := snap.Find("op_latency_ns", obs.Labels{"layer": "replay", "op": c.op})
+		if !ok {
+			t.Fatalf("no op_latency_ns series for %s", c.op)
+		}
+		if m.Count != c.first.Count+c.second.Count || m.Sum != c.first.Sum+c.second.Sum {
+			t.Errorf("%s series: count %d sum %v, want %d and %v (both replays)",
+				c.op, m.Count, m.Sum, c.first.Count+c.second.Count, c.first.Sum+c.second.Sum)
+		}
 	}
 }
 

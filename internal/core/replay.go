@@ -46,20 +46,31 @@ func Replay(sys System, tr *trace.Trace) (ReplayStats, error) {
 	return ReplayObs(obs.Default(), sys, tr)
 }
 
+// replayHist is one operation kind's latency histograms: the replay's
+// own, which ReplayStats reports, and the observer's op_latency_ns
+// series, which every replay under that observer shares.
+type replayHist struct{ own, series *obs.Histogram }
+
+func (h replayHist) observe(d sim.Duration) {
+	h.own.ObserveDuration(d)
+	h.series.ObserveDuration(d)
+}
+
 // ReplayObs is Replay recording telemetry into an explicit observer
 // instead of the process default — the form the parallel experiment
 // engine uses, so concurrent replays never interleave their spans.
 func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, err error) {
-	hist := func(op string) *obs.Histogram {
-		return o.Histogram("op_latency_ns", obs.Labels{"layer": "replay", "op": op})
+	hist := func(op string) replayHist {
+		lbl := obs.Labels{"layer": "replay", "op": op}
+		return replayHist{own: obs.NewHistogram("op_latency_ns", lbl), series: o.Histogram("op_latency_ns", lbl)}
 	}
 	readH := hist("read")
 	writeH := hist("write")
 	createH := hist("create")
 	removeH := hist("remove")
 	defer func() {
-		st.ReadLatency, st.WriteLatency = readH.Collect(), writeH.Collect()
-		st.CreateLatency, st.RemoveLatency = createH.Collect(), removeH.Collect()
+		st.ReadLatency, st.WriteLatency = readH.own.Collect(), writeH.own.Collect()
+		st.CreateLatency, st.RemoveLatency = createH.own.Collect(), removeH.own.Collect()
 	}()
 	clock := sys.Clock()
 	meter := sys.Meter()
@@ -82,7 +93,7 @@ func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, er
 				return st, fmt.Errorf("create %s: %w", name, err)
 			}
 			sp.End(0, nil)
-			createH.ObserveDuration(clock.Now().Sub(opStart))
+			createH.observe(clock.Now().Sub(opStart))
 		case trace.Write:
 			buf := scratch[:op.Size]
 			payload(buf, op.File, op.Offset)
@@ -93,7 +104,7 @@ func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, er
 			}
 			sp.End(int64(op.Size), nil)
 			st.BytesWritten += int64(op.Size)
-			writeH.ObserveDuration(clock.Now().Sub(opStart))
+			writeH.observe(clock.Now().Sub(opStart))
 		case trace.Read:
 			buf := scratch[:op.Size]
 			sp := o.Span(clock, meter, "replay", "read")
@@ -103,7 +114,7 @@ func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, er
 			}
 			sp.End(int64(op.Size), nil)
 			st.BytesRead += int64(op.Size)
-			readH.ObserveDuration(clock.Now().Sub(opStart))
+			readH.observe(clock.Now().Sub(opStart))
 		case trace.Delete:
 			sp := o.Span(clock, meter, "replay", "remove")
 			if err := sys.Remove(name); err != nil {
@@ -111,7 +122,7 @@ func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, er
 				return st, fmt.Errorf("remove %s: %w", name, err)
 			}
 			sp.End(0, nil)
-			removeH.ObserveDuration(clock.Now().Sub(opStart))
+			removeH.observe(clock.Now().Sub(opStart))
 		}
 		st.Ops++
 	}

@@ -124,3 +124,17 @@ func BenchmarkRequestTree(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHistogramObserve is one latency sample into a registered
+// series, the update a served request makes seven times: one
+// request_latency_ns and six serve_latency_breakdown stages.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New(0).Histogram("request_latency_ns", Labels{"layer": "server", "op": "get"})
+	h.ObserveDuration(sim.Microsecond)
+	h.ObserveDuration(sim.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ObserveDuration(sim.Duration(1000 + i%1_000_000))
+	}
+}

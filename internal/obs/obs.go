@@ -16,14 +16,18 @@
 //     methods are nil-safe, so an uninstrumented run costs almost nothing
 //     and layers never need to guard their probes.
 //
-// Per-instance versus aggregate counting. Simulated layers are built many
-// times per process (every experiment assembles fresh systems), and their
+// Per-instance versus aggregate. Simulated layers are built many times
+// per process (every experiment assembles fresh systems), and their
 // Stats() accessors must report that one instance's activity only. The
 // Observer therefore hands each layer a private child counter chained to
 // the registry's shared aggregate: the child carries the instance-exact
 // value the layer's Stats() view reads, while the registered parent
 // accumulates across every instance built under the same observer — which
-// is what a whole-run metrics dump wants.
+// is what a whole-run metrics dump wants. Histograms are per series, not
+// per instance: no Stats() view reads one, so Observer.Histogram returns
+// the registered series itself and a sample is recorded once. The one
+// caller that reports its own latencies (core.ReplayObs) keeps standalone
+// histograms beside the series it feeds.
 //
 // Open spans. Observer.Span returns a two-word SpanRef naming a frame on
 // a span stack: the active request's (see TraceContext) or, outside a
@@ -237,14 +241,13 @@ func (g *Gauge) Collect() Metric {
 }
 
 // Histogram puts the existing sim.Histogram behind the Collector
-// interface, adding a mutex (sim.Histogram itself is single-threaded) and
-// optional chaining to a registry aggregate. Nil-safe.
+// interface, adding a mutex (sim.Histogram itself is single-threaded).
+// Nil-safe.
 type Histogram struct {
 	name   string
 	labels Labels
 	mu     sync.Mutex
 	h      *sim.Histogram
-	parent *Histogram
 }
 
 // NewHistogram returns a standalone histogram.
@@ -260,9 +263,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	h.h.Observe(v)
 	h.mu.Unlock()
-	if h.parent != nil {
-		h.parent.Observe(v)
-	}
 }
 
 // ObserveDuration records a latency sample in nanoseconds.
@@ -545,14 +545,16 @@ func (o *Observer) GaugeFunc(name string, labels Labels, fn func() float64) *Gau
 	return nil
 }
 
-// Histogram returns a per-instance histogram chained to the registry
-// aggregate, or a standalone one without an observer.
+// Histogram returns the registered histogram for name+labels, or a
+// standalone one without an observer. Histograms are not chained: every
+// instance built under one observer observes into the same series, so a
+// sample costs one update. A caller that must report its own samples
+// apart from the run's keeps a standalone NewHistogram for them.
 func (o *Observer) Histogram(name string, labels Labels) *Histogram {
-	h := NewHistogram(name, labels)
 	if o != nil && o.Registry != nil {
-		h.parent = o.Registry.Histogram(name, labels)
+		return o.Registry.Histogram(name, labels)
 	}
-	return h
+	return NewHistogram(name, labels)
 }
 
 // Merge folds src's registered metrics and retained spans into o (see

@@ -42,14 +42,23 @@ func TestCounterChainsToRegistryAggregate(t *testing.T) {
 	}
 }
 
-func TestHistogramChainsToRegistryAggregate(t *testing.T) {
+func TestHistogramIsTheRegistrySeries(t *testing.T) {
 	o := New(0)
+	// Two layer instances under one observer get the one registered
+	// series: each sample is recorded once, and both handles see both.
 	h1 := o.Histogram("lat", nil)
 	h2 := o.Histogram("lat", nil)
+	if h1 != h2 {
+		t.Fatal("two handles for one name and label set are different series")
+	}
 	h1.Observe(10)
 	h2.Observe(20)
-	if h1.Collect().Count != 1 || h2.Collect().Count != 1 {
-		t.Fatalf("instance counts = %d, %d; want 1, 1", h1.Collect().Count, h2.Collect().Count)
+	if got := h1.Collect().Count; got != 2 {
+		t.Fatalf("series count = %d, want 2", got)
+	}
+	var none *Observer
+	if none.Histogram("lat", nil) == none.Histogram("lat", nil) {
+		t.Fatal("without a registry two handles share one histogram")
 	}
 	m, ok := o.Registry.Snapshot().Find("lat", nil)
 	if !ok {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Counter accumulates a monotonically increasing count (operations, bytes).
@@ -28,34 +27,60 @@ func (c *Counter) Reset() { c.n = 0 }
 // estimated from the bucket boundaries; with the default 8 sub-buckets per
 // power of two the relative error is below 10%, which is ample for the
 // latency-shape comparisons the experiments make.
+//
+// The buckets are one dense array: counts[i] holds bucket lo+i, and the
+// array grows on demand to cover every bucket observed. Samples that are
+// not positive finite numbers — zero, negatives, NaN, +Inf — share one
+// zero bucket whose upper bound is 0.
 type Histogram struct {
-	Name    string
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	buckets map[int]int64
+	Name   string
+	count  int64
+	sum    float64
+	min    float64
+	max    float64
+	zero   int64
+	lo     int
+	counts []int64
 }
 
 // NewHistogram returns an empty histogram labelled name.
 func NewHistogram(name string) *Histogram {
-	return &Histogram{Name: name, min: math.Inf(1), max: math.Inf(-1), buckets: make(map[int]int64)}
+	return &Histogram{Name: name, min: math.Inf(1), max: math.Inf(-1)}
 }
 
 const histSubBuckets = 8
 
+// histBucket is the bucket of a positive finite sample; histBucketUpper
+// is a bucket's upper bound.
 func histBucket(v float64) int {
-	if v <= 0 {
-		return math.MinInt32
-	}
 	return int(math.Floor(math.Log2(v) * histSubBuckets))
 }
 
 func histBucketUpper(b int) float64 {
-	if b == math.MinInt32 {
-		return 0
-	}
 	return math.Exp2(float64(b+1) / histSubBuckets)
+}
+
+// cover widens counts to hold buckets [lo, hi). A side that has to grow
+// grows by the array's current length as well, so a series whose range
+// drifts reallocates a logarithmic number of times.
+func (h *Histogram) cover(lo, hi int) {
+	if len(h.counts) == 0 {
+		h.lo, h.counts = lo, make([]int64, hi-lo)
+		return
+	}
+	nlo, nhi := h.lo, h.lo+len(h.counts)
+	if lo >= nlo && hi <= nhi {
+		return
+	}
+	if lo < nlo {
+		nlo = lo - len(h.counts)
+	}
+	if hi > nhi {
+		nhi = hi + len(h.counts)
+	}
+	counts := make([]int64, nhi-nlo)
+	copy(counts[h.lo-nlo:], h.counts)
+	h.lo, h.counts = nlo, counts
 }
 
 // Observe records one sample.
@@ -68,7 +93,15 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.buckets[histBucket(v)]++
+	if !(v > 0 && v <= math.MaxFloat64) {
+		h.zero++
+		return
+	}
+	b := histBucket(v)
+	if b < h.lo || b >= h.lo+len(h.counts) {
+		h.cover(b, b+1)
+	}
+	h.counts[b-h.lo]++
 }
 
 // ObserveDuration records a latency sample in nanoseconds.
@@ -121,8 +154,13 @@ func (h *Histogram) Merge(src *Histogram) {
 	if src.max > h.max {
 		h.max = src.max
 	}
-	for b, n := range src.buckets {
-		h.buckets[b] += n
+	h.zero += src.zero
+	if len(src.counts) == 0 {
+		return
+	}
+	h.cover(src.lo, src.lo+len(src.counts))
+	for i, n := range src.counts {
+		h.counts[src.lo-h.lo+i] += n
 	}
 }
 
@@ -143,24 +181,20 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.Max()
 	}
-	keys := make([]int, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	target := int64(math.Ceil(q * float64(h.count)))
-	var cum int64
-	for _, k := range keys {
-		cum += h.buckets[k]
-		if cum >= target {
-			u := histBucketUpper(k)
-			if u > h.max {
-				u = h.max
-			}
-			return u
-		}
+	// target <= count, so the walk always ends on the bucket holding it.
+	cum, i := h.zero, 0
+	for ; cum < target; i++ {
+		cum += h.counts[i]
 	}
-	return h.Max()
+	u := 0.0 // the zero bucket's upper bound
+	if i > 0 {
+		u = histBucketUpper(h.lo + i - 1)
+	}
+	if u > h.max {
+		u = h.max
+	}
+	return u
 }
 
 // String summarises the histogram.
