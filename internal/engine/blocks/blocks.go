@@ -470,16 +470,14 @@ func (p *Pool) Stats() engine.Stats {
 func (p *Pool) MountStats() engine.MountStats { return p.mount }
 
 // NonBlankAt reports the first non-erased byte offset in the block's
-// data or spare area (spare offsets follow data offsets), using
-// uncharged peeks. A fully erased block returns ok == false.
+// data or spare area (spare offsets follow data offsets), without
+// charging the device. A fully erased block returns ok == false.
 func (p *Pool) NonBlankAt(b int) (off int64, ok bool) {
+	if off, ok := p.dev.NonErasedAt(b); ok {
+		return off, true
+	}
 	dc := p.dev.Config()
 	start := p.dev.BlockAddr(b)
-	for i := int64(0); i < int64(dc.BlockBytes); i++ {
-		if p.dev.Peek(start+i) != 0xFF {
-			return i, true
-		}
-	}
 	if dc.SpareBytes > 0 {
 		firstUnit := start / int64(dc.SpareUnitBytes)
 		unitsPerBlock := int64(dc.BlockBytes / dc.SpareUnitBytes)

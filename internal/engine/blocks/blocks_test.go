@@ -106,6 +106,73 @@ func TestBlankCheckSeesTornProgramAndTremblingErase(t *testing.T) {
 	}
 }
 
+// peekWalk is the blank check NonBlankAt replaced: a Peek per data byte,
+// then the spare units in order.
+func peekWalk(dev *flash.Device, b int) (int64, bool) {
+	dc := dev.Config()
+	start := dev.BlockAddr(b)
+	for i := int64(0); i < int64(dc.BlockBytes); i++ {
+		if dev.Peek(start+i) != 0xFF {
+			return i, true
+		}
+	}
+	units := int64(dc.BlockBytes / dc.SpareUnitBytes)
+	for u := int64(0); u < units; u++ {
+		for j, sb := range dev.PeekSpare(start/int64(dc.SpareUnitBytes) + u) {
+			if sb != 0xFF {
+				return int64(dc.BlockBytes) + u*int64(dc.SpareBytes) + int64(j), true
+			}
+		}
+	}
+	return 0, false
+}
+
+// NonBlankAt asks the device for the data part; the answer must be the
+// byte walk's on every kind of block a crash or a cleaner leaves: fresh,
+// partly programmed (with programmed 0xFF bytes before the first other
+// one), programmed all 0xFF, torn, trembling, erased after use, and
+// holding only a spare record.
+func TestNonBlankAtMatchesPeekWalk(t *testing.T) {
+	fate := flash.Run
+	dev, clock, o := testCard(t, 0, flash.InjectorFunc(func(int64, flash.OpKind, int64, int) flash.Outcome { return fate }))
+	p := testPool(t, dev, clock, o)
+	cut := func(f flash.Outcome, op func() error) {
+		t.Helper()
+		fate = f
+		if err := op(); !errors.Is(err, flash.ErrPowerCut) {
+			t.Fatalf("cut op: %v", err)
+		}
+		fate = flash.Run
+		dev.Restore()
+	}
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	deep := filled(0xFF, testPage)
+	deep[300] = 0x12
+	must(dev.Program(dev.BlockAddr(1)+testPage, deep))
+	must(dev.Program(dev.BlockAddr(2), filled(0xFF, 3*testPage)))
+	must(dev.ProgramSpare(2*4+2, filled(0x00, testRecord)))
+	cut(flash.CutDuring, func() error { _, err := dev.Program(dev.BlockAddr(3)+2*testPage, filled(0x00, testPage)); return err })
+	must(dev.Program(dev.BlockAddr(4), filled(0x0F, testPage)))
+	cut(flash.CutDuring, func() error { _, err := dev.Erase(4); return err })
+	must(dev.Program(dev.BlockAddr(5), filled(0x00, 2*testPage)))
+	must(dev.Erase(5))
+	must(dev.ProgramSpare(6*4+3, filled(0x00, testRecord)))
+	for b := 0; b < dev.NumBlocks(); b++ {
+		wantOff, wantDirty := peekWalk(dev, b)
+		if off, dirty := p.NonBlankAt(b); off != wantOff || dirty != wantDirty {
+			t.Errorf("block %d: NonBlankAt = %d, %v; Peek walk %d, %v", b, off, dirty, wantOff, wantDirty)
+		}
+	}
+	if off, _ := p.NonBlankAt(1); off != testPage+300 {
+		t.Errorf("partly programmed block: first non-blank byte at %d, want %d", off, testPage+300)
+	}
+}
+
 // The erase that spends a block's last cycle succeeds; the next one
 // fails worn out, and the pool retires the block: out of the free pool,
 // one block of logical capacity gone, and not an error.

@@ -183,10 +183,12 @@ func trembleByte(old byte, i int64) byte {
 // trembleBlock applies the interrupted-erase state to a block: every
 // data and spare byte has a deterministic subset of its bits pulled to 1.
 // The block is not erased — it must be erased again before it can be
-// programmed — and any out-of-band records it held are corrupted.
+// programmed — and any out-of-band records it held are corrupted. Pulling
+// bits to 1 leaves an erased byte erased, so only the data bytes below the
+// block's frontier change and the frontier stays where it is.
 func (d *Device) trembleBlock(block int) {
 	start := d.BlockAddr(block)
-	for i := int64(0); i < int64(d.cfg.BlockBytes); i++ {
+	for i := int64(0); i < d.erasedFrom[block]; i++ {
 		d.data[start+i] = trembleByte(d.data[start+i], i)
 	}
 	if d.cfg.SpareBytes > 0 {

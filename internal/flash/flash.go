@@ -16,6 +16,15 @@
 //     while reads to other banks proceed at full speed (the paper's
 //     motivation for partitioning flash into banks).
 //
+// The erased state is not stored as bytes. Each erase block keeps a
+// frontier, an offset below which its data bytes live in the backing
+// array; every byte at or past the frontier is erased and reads as 0xFF,
+// whatever the array holds there. An erase only resets the frontier, and a
+// program checks the bit-clearing rule only below it, since erased bytes
+// accept any value. A program moves the frontier past its last byte,
+// writing 0xFF into any gap it leaves first, so the array past the
+// frontier is never read. The spare area is small and is stored eagerly.
+//
 // Programs and erases can be issued synchronously (the caller's virtual
 // time advances past the operation) or asynchronously (the operation
 // occupies the bank in the background and only delays later operations
@@ -117,7 +126,8 @@ type Device struct {
 	obs   *obs.Observer
 
 	data       []byte
-	spare      []byte // OOB area, SpareBytes per SpareUnitBytes of main
+	erasedFrom []int64 // per block: data bytes at or past this offset are erased
+	spare      []byte  // OOB area, SpareBytes per SpareUnitBytes of main
 	eraseCount []int64
 	wornOut    []bool
 	busyUntil  []sim.Time // per bank
@@ -141,7 +151,9 @@ type Device struct {
 	progRate   *obs.RateSampler
 }
 
-// New builds a device with every block in the erased (all 0xFF) state.
+// New builds a device with every block in the erased (all 0xFF) state:
+// every frontier is at offset 0, so the data array is allocated but never
+// filled.
 func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,6 +171,7 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		meter:       meter,
 		obs:         o,
 		data:        make([]byte, cfg.Capacity()),
+		erasedFrom:  make([]int64, cfg.Banks*cfg.BlocksPerBank),
 		eraseCount:  make([]int64, cfg.Banks*cfg.BlocksPerBank),
 		wornOut:     make([]bool, cfg.Banks*cfg.BlocksPerBank),
 		busyUntil:   make([]sim.Time, cfg.Banks),
@@ -176,7 +189,6 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		d.bankBusyNs[bank] = o.Counter("bank_busy_ns_total",
 			obs.Labels{"layer": "flash", "device": cfg.MeterCategory, "bank": strconv.Itoa(bank)})
 	}
-	fillErased(d.data)
 	if cfg.SpareBytes > 0 {
 		d.spare = make([]byte, cfg.Capacity()/int64(cfg.SpareUnitBytes)*int64(cfg.SpareBytes))
 		fillErased(d.spare)
@@ -231,6 +243,12 @@ func fillErased(b []byte) {
 // bit: it returns the index of the first byte of p with a bit set that
 // old has cleared, or -1. Words are checked eight bytes at a time; the
 // byte loop finishes the tail and names the offender inside a word.
+//
+// It stays out of line: inlined into overwriteAt's per-block loop, the
+// word loop ran short of registers and reloaded its bounds from the stack
+// on every word.
+//
+//go:noinline
 func firstOverwrite(old, p []byte) int {
 	old = old[:len(p)]
 	i := 0
@@ -245,6 +263,82 @@ func firstOverwrite(old, p []byte) int {
 		}
 	}
 	return -1
+}
+
+// piece splits [addr, addr+n) at its first block boundary: the block
+// holding addr, addr's offset in it, and how many of the n bytes fall
+// inside it.
+func (d *Device) piece(addr, n int64) (b int, off, k int64) {
+	bb := int64(d.cfg.BlockBytes)
+	b = int(addr / bb)
+	off = addr - int64(b)*bb
+	return b, off, min(n, bb-off)
+}
+
+// overwriteAt is firstOverwrite against the device's data at addr. Only
+// bytes below their block's frontier are compared: an erased byte accepts
+// any value.
+func (d *Device) overwriteAt(addr int64, p []byte) int {
+	for i := int64(0); i < int64(len(p)); {
+		b, off, k := d.piece(addr+i, int64(len(p))-i)
+		if below := min(max(d.erasedFrom[b]-off, 0), k); below > 0 {
+			if j := firstOverwrite(d.data[addr+i:addr+i+below], p[i:i+below]); j >= 0 {
+				return int(i) + j
+			}
+		}
+		i += k
+	}
+	return -1
+}
+
+// fillTo writes 0xFF into block b's data bytes from its frontier up to
+// offset off and moves the frontier there, so those bytes read the same
+// from the array as they did erased. A frontier at or past off stays.
+func (d *Device) fillTo(b int, off int64) {
+	if f := d.erasedFrom[b]; f < off {
+		start := d.BlockAddr(b)
+		fillErased(d.data[start+f : start+off])
+		d.erasedFrom[b] = off
+	}
+}
+
+// fillRange applies fillTo to every block [addr, addr+n) touches, up to
+// the range's end in each: afterwards every byte of the range is an array
+// byte holding what it read before.
+func (d *Device) fillRange(addr, n int64) {
+	for n > 0 {
+		b, off, k := d.piece(addr, n)
+		d.fillTo(b, off+k)
+		addr += k
+		n -= k
+	}
+}
+
+// store lands a checked program of p at addr: in each block it touches,
+// any gap between the frontier and the write is filled with 0xFF, the
+// bytes are copied in and the frontier moves past them.
+func (d *Device) store(addr int64, p []byte) {
+	for len(p) > 0 {
+		b, off, k := d.piece(addr, int64(len(p)))
+		d.fillTo(b, off)
+		copy(d.data[addr:addr+k], p)
+		d.erasedFrom[b] = max(d.erasedFrom[b], off+k)
+		addr += k
+		p = p[k:]
+	}
+}
+
+// load copies the device's data at addr into dst: array bytes below each
+// block's frontier and 0xFF past it.
+func (d *Device) load(dst []byte, addr int64) {
+	for len(dst) > 0 {
+		b, off, k := d.piece(addr, int64(len(dst)))
+		below := min(max(d.erasedFrom[b]-off, 0), k)
+		copy(dst[:below], d.data[addr:addr+below])
+		fillErased(dst[below:k])
+		addr += k
+		dst = dst[k:]
+	}
 }
 
 func (d *Device) checkRange(addr int64, n int) error {
@@ -341,7 +435,7 @@ func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err err
 			dur := sim.Duration(d.cfg.Params.ReadLatencyNs(n))
 			d.clock.Advance(dur)
 			d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
-			copy(page[:n], d.data[addr:addr+int64(n)])
+			d.load(page[:n], addr)
 			stall += s
 			lat += s + dur
 			addr += int64(n)
@@ -354,8 +448,35 @@ func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err err
 }
 
 // Peek returns the byte at addr without charging latency; tests and
-// integrity checks use it.
-func (d *Device) Peek(addr int64) byte { return d.data[addr] }
+// integrity checks use it. A byte at or past its block's frontier reads
+// 0xFF without looking at the array.
+func (d *Device) Peek(addr int64) byte {
+	if b, off, _ := d.piece(addr, 1); off >= d.erasedFrom[b] {
+		return 0xFF
+	}
+	return d.data[addr]
+}
+
+// NonErasedAt reports the offset of the first data byte of the block
+// that does not read 0xFF, without charging anything; ok is false when
+// every data byte reads erased. Only the bytes below the frontier are
+// scanned, a word at a time.
+func (d *Device) NonErasedAt(block int) (off int64, ok bool) {
+	start := d.BlockAddr(block)
+	b := d.data[start : start+d.erasedFrom[block]]
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != ^uint64(0) {
+			break
+		}
+	}
+	for ; i < len(b); i++ {
+		if b[i] != 0xFF {
+			return int64(i), true
+		}
+	}
+	return 0, false
+}
 
 // SpareUnits reports the number of spare-area units (0 when disabled).
 func (d *Device) SpareUnits() int64 {
@@ -468,7 +589,7 @@ func (d *Device) program(addr int64, p []byte) (sim.Duration, error) {
 		return 0, err
 	}
 	// Flash programming can only clear bits. Enforce it bit-exactly.
-	if i := firstOverwrite(d.data[addr:], p); i >= 0 {
+	if i := d.overwriteAt(addr, p); i >= 0 {
 		return 0, fmt.Errorf("%w: addr %d old %02x new %02x", ErrOverwrite, addr+int64(i), d.data[addr+int64(i)], p[i])
 	}
 	switch d.consultInjector(OpProgram, addr, len(p)) {
@@ -476,15 +597,16 @@ func (d *Device) program(addr int64, p []byte) (sim.Duration, error) {
 		d.lost = true
 		return 0, ErrPowerCut
 	case CutDuring:
+		d.fillRange(addr, int64(len(p)))
 		tearProgram(d.data[addr:addr+int64(len(p))], p)
 		d.lost = true
 		return 0, ErrPowerCut
 	case CutAfter:
-		copy(d.data[addr:], p)
+		d.store(addr, p)
 		d.lost = true
 		return 0, ErrPowerCut
 	}
-	copy(d.data[addr:], p)
+	d.store(addr, p)
 	d.programs.Inc()
 	d.bytesProg.Add(int64(len(p)))
 	d.chargeProgram(int64(len(p)))
@@ -596,11 +718,13 @@ func (d *Device) noteEraseCycle(block int) {
 	}
 }
 
-// applyErase resets the block's data and spare bytes to the erased state.
+// applyErase resets the block to the erased state: its frontier goes back
+// to offset 0, so no data byte is written, and its spare bytes are filled
+// with 0xFF.
 func (d *Device) applyErase(block int) {
-	start := d.BlockAddr(block)
-	fillErased(d.data[start : start+int64(d.cfg.BlockBytes)])
+	d.erasedFrom[block] = 0
 	if d.cfg.SpareBytes > 0 {
+		start := d.BlockAddr(block)
 		unitsPerBlock := int64(d.cfg.BlockBytes / d.cfg.SpareUnitBytes)
 		sb := int64(d.cfg.SpareBytes)
 		first := start / int64(d.cfg.SpareUnitBytes) * sb

@@ -134,8 +134,9 @@ func TestEraseFillsOddSizedBlock(t *testing.T) {
 }
 
 // The flash rung of the benchmark ladder: one page read, a run of page
-// reads, one page program and one block erase, the operations every
-// engine's paths are made of.
+// reads, one page program into erased flash and one over programmed
+// bytes, one block erase and building a card, the operations every
+// engine's paths and every stack's set-up are made of.
 
 func benchDevice(b *testing.B, blockBytes int) *Device {
 	b.Helper()
@@ -192,6 +193,13 @@ func BenchmarkFlashProgram(b *testing.B) {
 			page[i] = byte(i)
 		}
 		pages := d.Capacity() / int64(len(page))
+		// Program the whole card first, so no timed iteration lands on
+		// erased bytes or on a page the process has never touched.
+		for p := int64(0); p < pages; p++ {
+			if _, err := d.Program(p*int64(len(page)), page); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.SetBytes(int64(len(page)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -200,6 +208,47 @@ func BenchmarkFlashProgram(b *testing.B) {
 			// the card never needs an erase and every iteration runs the
 			// full check and copy.
 			if _, err := d.Program(int64(i)%pages*int64(len(page)), page); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// What the engines do: program erased pages in order and erase each
+	// block once it is full, so one iteration in sixteen also erases.
+	b.Run("4KB-erased", func(b *testing.B) {
+		d := benchDevice(b, 64<<10)
+		page := make([]byte, 4096)
+		for i := range page {
+			page[i] = byte(i)
+		}
+		pages := d.Capacity() / int64(len(page))
+		perBlock := int64(d.BlockBytes() / len(page))
+		b.SetBytes(int64(len(page)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := int64(0); i < int64(b.N); i++ {
+			addr := i % pages * int64(len(page))
+			if _, err := d.Program(addr, page); err != nil {
+				b.Fatal(err)
+			}
+			if (i+1)%perBlock == 0 {
+				if _, err := d.Erase(d.BlockOf(addr)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkFlashNew builds the churn workloads' card: 2048 blocks of
+// 64 KB and a 36-byte page record (blocks.PageRecordBytes) of spare per
+// 4 KB page.
+func BenchmarkFlashNew(b *testing.B) {
+	b.Run("128MB", func(b *testing.B) {
+		cfg := Config{Banks: 4, BlocksPerBank: 512, BlockBytes: 64 << 10, Params: device.IntelFlash, SpareUnitBytes: 4096, SpareBytes: 36}
+		b.SetBytes(cfg.Capacity())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New(cfg, sim.NewClock(), sim.NewEnergyMeter()); err != nil {
 				b.Fatal(err)
 			}
 		}
