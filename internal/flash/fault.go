@@ -187,11 +187,12 @@ func trembleByte(old byte, i int64) byte {
 // bits to 1 leaves an erased byte erased, so only the data bytes below the
 // block's frontier change and the frontier stays where it is.
 func (d *Device) trembleBlock(block int) {
-	start := d.BlockAddr(block)
+	data := d.blockData(block)
 	for i := int64(0); i < d.erasedFrom[block]; i++ {
-		d.data[start+i] = trembleByte(d.data[start+i], i)
+		data[i] = trembleByte(data[i], i)
 	}
 	if d.cfg.SpareBytes > 0 {
+		start := d.BlockAddr(block)
 		sb := int64(d.cfg.SpareBytes)
 		first := start / int64(d.cfg.SpareUnitBytes) * sb
 		n := int64(d.cfg.BlockBytes/d.cfg.SpareUnitBytes) * sb

@@ -19,11 +19,13 @@
 // The erased state is not stored as bytes. Each erase block keeps a
 // frontier, an offset below which its data bytes live in the backing
 // array; every byte at or past the frontier is erased and reads as 0xFF,
-// whatever the array holds there. An erase only resets the frontier, and a
-// program checks the bit-clearing rule only below it, since erased bytes
-// accept any value. A program moves the frontier past its last byte,
-// writing 0xFF into any gap it leaves first, so the array past the
-// frontier is never read. The spare area is small and is stored eagerly.
+// whatever the array holds there. The array is allocated in pieces of
+// whole blocks (see segmentBytes), so pages nothing has been programmed
+// into stay untouched and off the process's resident set. An erase only
+// resets the frontier, and a program checks the bit-clearing rule only
+// below it, since erased bytes accept any value. A program moves the
+// frontier past its last byte, writing 0xFF into any gap it leaves first,
+// so the array past the frontier is never read. The spare area is small and is stored eagerly.
 //
 // Programs and erases can be issued synchronously (the caller's virtual
 // time advances past the operation) or asynchronously (the operation
@@ -125,7 +127,8 @@ type Device struct {
 	meter *sim.EnergyMeter
 	obs   *obs.Observer
 
-	data       []byte
+	data       [][]byte // segBlocks whole erase blocks per piece; see blockData
+	segBlocks  int
 	erasedFrom []int64 // per block: data bytes at or past this offset are erased
 	spare      []byte  // OOB area, SpareBytes per SpareUnitBytes of main
 	eraseCount []int64
@@ -151,6 +154,16 @@ type Device struct {
 	progRate   *obs.RateSampler
 }
 
+// segmentBytes is the most data array a device allocates in one piece; a
+// piece holds at least one erase block. The Go runtime clears a new large
+// allocation by hand, touching every page of it, when any part of it
+// reuses memory the heap held before. Allocated whole, a card became
+// resident whole whenever a collection had freed a few pages where it
+// landed: about one served process in twenty started with 142 MB
+// resident for a 128 MB card instead of 14. In pieces, only the pieces
+// that land on reused memory are cleared. It is a variable so a test can split a small card.
+var segmentBytes = 1 << 20
+
 // New builds a device with every block in the erased (all 0xFF) state:
 // every frontier is at offset 0, so the data array is allocated but never
 // filled.
@@ -170,7 +183,6 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		clock:       clock,
 		meter:       meter,
 		obs:         o,
-		data:        make([]byte, cfg.Capacity()),
 		erasedFrom:  make([]int64, cfg.Banks*cfg.BlocksPerBank),
 		eraseCount:  make([]int64, cfg.Banks*cfg.BlocksPerBank),
 		wornOut:     make([]bool, cfg.Banks*cfg.BlocksPerBank),
@@ -184,6 +196,11 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		readStallNs: o.Counter("stall_ns_total", lbl("read")),
 		progStallNs: o.Counter("stall_ns_total", lbl("program")),
 		bankBusyNs:  make([]*obs.Counter, cfg.Banks),
+	}
+	d.segBlocks = max(1, segmentBytes/cfg.BlockBytes)
+	d.data = make([][]byte, 0, (d.NumBlocks()+d.segBlocks-1)/d.segBlocks)
+	for n := d.NumBlocks(); n > 0; n -= d.segBlocks {
+		d.data = append(d.data, make([]byte, min(n, d.segBlocks)*cfg.BlockBytes))
 	}
 	for bank := range d.bankBusyNs {
 		d.bankBusyNs[bank] = o.Counter("bank_busy_ns_total",
@@ -265,6 +282,13 @@ func firstOverwrite(old, p []byte) int {
 	return -1
 }
 
+// blockData returns erase block b's bytes in the data array.
+func (d *Device) blockData(b int) []byte {
+	s := b / d.segBlocks
+	off := (b - s*d.segBlocks) * d.cfg.BlockBytes
+	return d.data[s][off : off+d.cfg.BlockBytes]
+}
+
 // piece splits [addr, addr+n) at its first block boundary: the block
 // holding addr, addr's offset in it, and how many of the n bytes fall
 // inside it.
@@ -282,7 +306,7 @@ func (d *Device) overwriteAt(addr int64, p []byte) int {
 	for i := int64(0); i < int64(len(p)); {
 		b, off, k := d.piece(addr+i, int64(len(p))-i)
 		if below := min(max(d.erasedFrom[b]-off, 0), k); below > 0 {
-			if j := firstOverwrite(d.data[addr+i:addr+i+below], p[i:i+below]); j >= 0 {
+			if j := firstOverwrite(d.blockData(b)[off:off+below], p[i:i+below]); j >= 0 {
 				return int(i) + j
 			}
 		}
@@ -296,21 +320,8 @@ func (d *Device) overwriteAt(addr int64, p []byte) int {
 // from the array as they did erased. A frontier at or past off stays.
 func (d *Device) fillTo(b int, off int64) {
 	if f := d.erasedFrom[b]; f < off {
-		start := d.BlockAddr(b)
-		fillErased(d.data[start+f : start+off])
+		fillErased(d.blockData(b)[f:off])
 		d.erasedFrom[b] = off
-	}
-}
-
-// fillRange applies fillTo to every block [addr, addr+n) touches, up to
-// the range's end in each: afterwards every byte of the range is an array
-// byte holding what it read before.
-func (d *Device) fillRange(addr, n int64) {
-	for n > 0 {
-		b, off, k := d.piece(addr, n)
-		d.fillTo(b, off+k)
-		addr += k
-		n -= k
 	}
 }
 
@@ -321,7 +332,7 @@ func (d *Device) store(addr int64, p []byte) {
 	for len(p) > 0 {
 		b, off, k := d.piece(addr, int64(len(p)))
 		d.fillTo(b, off)
-		copy(d.data[addr:addr+k], p)
+		copy(d.blockData(b)[off:off+k], p)
 		d.erasedFrom[b] = max(d.erasedFrom[b], off+k)
 		addr += k
 		p = p[k:]
@@ -334,7 +345,7 @@ func (d *Device) load(dst []byte, addr int64) {
 	for len(dst) > 0 {
 		b, off, k := d.piece(addr, int64(len(dst)))
 		below := min(max(d.erasedFrom[b]-off, 0), k)
-		copy(dst[:below], d.data[addr:addr+below])
+		copy(dst[:below], d.blockData(b)[off:off+below])
 		fillErased(dst[below:k])
 		addr += k
 		dst = dst[k:]
@@ -451,10 +462,11 @@ func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err err
 // integrity checks use it. A byte at or past its block's frontier reads
 // 0xFF without looking at the array.
 func (d *Device) Peek(addr int64) byte {
-	if b, off, _ := d.piece(addr, 1); off >= d.erasedFrom[b] {
+	b, off, _ := d.piece(addr, 1)
+	if off >= d.erasedFrom[b] {
 		return 0xFF
 	}
-	return d.data[addr]
+	return d.blockData(b)[off]
 }
 
 // NonErasedAt reports the offset of the first data byte of the block
@@ -462,8 +474,7 @@ func (d *Device) Peek(addr int64) byte {
 // every data byte reads erased. Only the bytes below the frontier are
 // scanned, a word at a time.
 func (d *Device) NonErasedAt(block int) (off int64, ok bool) {
-	start := d.BlockAddr(block)
-	b := d.data[start : start+d.erasedFrom[block]]
+	b := d.blockData(block)[:d.erasedFrom[block]]
 	i := 0
 	for ; i+8 <= len(b); i += 8 {
 		if binary.LittleEndian.Uint64(b[i:]) != ^uint64(0) {
@@ -590,15 +601,20 @@ func (d *Device) program(addr int64, p []byte) (sim.Duration, error) {
 	}
 	// Flash programming can only clear bits. Enforce it bit-exactly.
 	if i := d.overwriteAt(addr, p); i >= 0 {
-		return 0, fmt.Errorf("%w: addr %d old %02x new %02x", ErrOverwrite, addr+int64(i), d.data[addr+int64(i)], p[i])
+		return 0, fmt.Errorf("%w: addr %d old %02x new %02x", ErrOverwrite, addr+int64(i), d.Peek(addr+int64(i)), p[i])
 	}
 	switch d.consultInjector(OpProgram, addr, len(p)) {
 	case CutBefore:
 		d.lost = true
 		return 0, ErrPowerCut
 	case CutDuring:
-		d.fillRange(addr, int64(len(p)))
-		tearProgram(d.data[addr:addr+int64(len(p))], p)
+		// The torn image is what the range reads now with the tear
+		// applied; storing it fills any gap and moves each frontier
+		// past it, as a full program would.
+		torn := make([]byte, len(p))
+		d.load(torn, addr)
+		tearProgram(torn, p)
+		d.store(addr, torn)
 		d.lost = true
 		return 0, ErrPowerCut
 	case CutAfter:

@@ -93,11 +93,21 @@ func (e *eagerDevice) erase(block int, fate Outcome) error {
 // programs; sync and async erases; and every cut on every destructive
 // kind, each followed by Restore. After every op the two must agree on
 // the error text, every Peek, a Read of every block and of the whole
-// device, every spare unit, and each block's first non-erased byte.
+// device, every spare unit, and each block's first non-erased byte. It
+// runs with the data array whole, in pieces of two blocks (a piece
+// boundary inside a bank and one at a bank boundary) and of one block.
 func TestErasedFrontierMatchesEagerDevice(t *testing.T) {
 	cfg := Config{Banks: 2, BlocksPerBank: 3, BlockBytes: 300, Params: device.IntelFlash, SpareUnitBytes: 100, SpareBytes: 7}
 	cfg.Params.EnduranceCycles = 0
 	bb := int64(cfg.BlockBytes)
+	defer func(n int) { segmentBytes = n }(segmentBytes)
+	for _, seg := range []int{segmentBytes, 2 * cfg.BlockBytes, cfg.BlockBytes} {
+		segmentBytes = seg
+		t.Run(fmt.Sprintf("piece=%d", seg), func(t *testing.T) { matchEagerDevice(t, cfg, bb) })
+	}
+}
+
+func matchEagerDevice(t *testing.T, cfg Config, bb int64) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fate := Run

@@ -22,12 +22,8 @@ type File struct {
 
 // Open returns a handle on an existing file.
 func (f *FS) Open(path string) (*File, error) {
-	node, err := f.resolve(path)
-	if err != nil {
+	if _, err := f.resolveFile(path); err != nil {
 		return nil, err
-	}
-	if node.Kind != KindFile {
-		return nil, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	return &File{fs: f, path: path}, nil
 }

@@ -137,6 +137,7 @@ type FS struct {
 	nextIno uint64
 	inodes  map[uint64]*Inode
 	order   []*Inode // inodes in Ino order, the order the snapshot encodes
+	root    *Inode   // inodes[RootIno], where every walk starts; never removed
 
 	rbox *rbox
 
@@ -195,6 +196,7 @@ func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Dev
 		dram:         dramDev,
 		nextIno:      st.NextIno,
 		inodes:       st.Inodes,
+		root:         st.Inodes[RootIno],
 		order:        st.inoOrder(),
 		rbox:         rb,
 		obs:          o,
@@ -264,8 +266,8 @@ func splitPath(path string) ([]string, error) {
 }
 
 // walkErrKind classifies a path-walk failure without formatting an error,
-// so probe callers (Exists, the server's existence checks) pay nothing on
-// the miss path; resolve formats the kind into the public error values.
+// so probe callers (Exists, Lookup) pay nothing on the miss path; resolve
+// formats the kind into the public error values.
 type walkErrKind uint8
 
 const (
@@ -303,7 +305,7 @@ func (f *FS) walk(path string) (*Inode, walkErrKind, string) {
 	if kind := validatePath(path); kind != walkOK {
 		return nil, kind, ""
 	}
-	cur := f.inodes[RootIno]
+	cur := f.root
 	for i := 0; i < len(path); {
 		j := i + 1
 		for j < len(path) && path[j] != '/' {
@@ -335,7 +337,7 @@ func (f *FS) walkParent(path string) (*Inode, string, walkErrKind, string) {
 	if kind := validatePath(path); kind != walkOK {
 		return nil, "", kind, ""
 	}
-	cur := f.inodes[RootIno]
+	cur := f.root
 	leaf := ""
 	for i := 0; i < len(path); {
 		j := i + 1
@@ -399,6 +401,27 @@ func (f *FS) resolve(path string) (*Inode, error) {
 		return nil, walkError(kind, comp, path)
 	}
 	return node, nil
+}
+
+// resolveFile resolves path to a file, refusing a directory with the
+// path in the error.
+func (f *FS) resolveFile(path string) (*Inode, error) {
+	node, err := f.resolve(path)
+	if err != nil {
+		return nil, err
+	}
+	if node.Kind != KindFile {
+		return nil, fmt.Errorf("%w: %q", ErrIsDir, path)
+	}
+	return node, nil
+}
+
+// checkFile refuses an inode-addressed data op on a directory.
+func checkFile(node *Inode) error {
+	if node.Kind != KindFile {
+		return fmt.Errorf("%w: inode %d", ErrIsDir, node.Ino)
+	}
+	return nil
 }
 
 // resolveParent walks to the parent directory of path and returns it with
@@ -529,13 +552,18 @@ func (f *FS) ReadDir(path string) ([]Info, error) {
 }
 
 // WriteAt writes data into the file at off, extending it as needed.
-func (f *FS) WriteAt(path string, off int64, data []byte) (_ int, err error) {
-	node, err := f.resolve(path)
+func (f *FS) WriteAt(path string, off int64, data []byte) (int, error) {
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if node.Kind != KindFile {
-		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
+	return f.WriteAtInode(node, off, data)
+}
+
+// WriteAtInode is WriteAt on a file Lookup returned.
+func (f *FS) WriteAtInode(node *Inode, off int64, data []byte) (_ int, err error) {
+	if err := checkFile(node); err != nil {
+		return 0, err
 	}
 	if err := checkExtent(off, len(data)); err != nil {
 		return 0, err
@@ -584,22 +612,27 @@ func checkExtent(off int64, n int) error {
 
 // Append writes data at the end of the file.
 func (f *FS) Append(path string, data []byte) (int, error) {
-	node, err := f.resolve(path)
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return 0, err
 	}
-	return f.WriteAt(path, node.Size, data)
+	return f.WriteAtInode(node, node.Size, data)
 }
 
 // ReadAt reads up to len(buf) bytes from off; it returns the count read,
 // which is short at end of file.
 func (f *FS) ReadAt(path string, off int64, buf []byte) (int, error) {
-	node, err := f.resolve(path)
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if node.Kind != KindFile {
-		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
+	return f.ReadAtInode(node, off, buf)
+}
+
+// ReadAtInode is ReadAt on a file Lookup returned.
+func (f *FS) ReadAtInode(node *Inode, off int64, buf []byte) (int, error) {
+	if err := checkFile(node); err != nil {
+		return 0, err
 	}
 	if err := checkExtent(off, len(buf)); err != nil {
 		return 0, err
@@ -622,42 +655,44 @@ func (f *FS) ReadAt(path string, off int64, buf []byte) (int, error) {
 
 // ReadFile reads the whole file.
 func (f *FS) ReadFile(path string) ([]byte, error) {
-	node, err := f.resolve(path)
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if node.Kind != KindFile {
-		return nil, fmt.Errorf("%w: %q", ErrIsDir, path)
-	}
 	buf := make([]byte, node.Size)
-	n, err := f.ReadAt(path, 0, buf)
+	n, err := f.ReadAtInode(node, 0, buf)
 	return buf[:n], err
 }
 
 // WriteFile replaces the file's contents (creating it if absent).
 func (f *FS) WriteFile(path string, data []byte) error {
-	if _, err := f.resolve(path); errors.Is(err, ErrNotExist) {
-		if err := f.Create(path); err != nil {
-			return err
-		}
-	} else if err != nil {
+	node, err := f.resolveFile(path)
+	if errors.Is(err, ErrNotExist) {
+		node, err = f.create(path, KindFile)
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Truncate(path, 0); err != nil {
+	if err := f.TruncateInode(node, 0); err != nil {
 		return err
 	}
-	_, err := f.WriteAt(path, 0, data)
+	_, err = f.WriteAtInode(node, 0, data)
 	return err
 }
 
 // Truncate sets the file's size, dropping blocks past the new end.
 func (f *FS) Truncate(path string, size int64) error {
-	node, err := f.resolve(path)
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return err
 	}
-	if node.Kind != KindFile {
-		return fmt.Errorf("%w: %q", ErrIsDir, path)
+	return f.TruncateInode(node, size)
+}
+
+// TruncateInode is Truncate on a file Lookup returned.
+func (f *FS) TruncateInode(node *Inode, size int64) error {
+	if err := checkFile(node); err != nil {
+		return err
 	}
 	if size < 0 {
 		return fmt.Errorf("%w: negative size", ErrBadPath)
@@ -683,12 +718,9 @@ func (f *FS) Truncate(path string, size int64) error {
 // Link creates a hard link: newPath names the same inode as oldPath,
 // which must be a file. Data is freed only when the last link goes.
 func (f *FS) Link(oldPath, newPath string) error {
-	node, err := f.resolve(oldPath)
+	node, err := f.resolveFile(oldPath)
 	if err != nil {
 		return err
-	}
-	if node.Kind != KindFile {
-		return fmt.Errorf("%w: %q", ErrIsDir, oldPath)
 	}
 	parent, leaf, err := f.resolveParent(newPath)
 	if err != nil {
@@ -767,14 +799,17 @@ func (f *FS) Exists(path string) bool {
 	return kind == walkOK
 }
 
-// Size reports the size of the file at path and whether anything exists
-// there: Exists and Stat's Size in one walk that allocates nothing.
-func (f *FS) Size(path string) (int64, bool) {
+// Lookup resolves path to its inode in one walk that allocates nothing
+// and formats no error on a miss, so a request can resolve its object
+// once and hand the node to ReadAtInode, WriteAtInode or TruncateInode.
+//
+// The node is valid only until the file system next changes its
+// namespace: Remove recycles a fully unlinked inode for the next create,
+// and a restart rebuilds every inode, so no caller may keep a node past
+// the request that looked it up.
+func (f *FS) Lookup(path string) (*Inode, bool) {
 	node, kind, _ := f.walk(path)
-	if kind != walkOK {
-		return 0, false
-	}
-	return node.Size, true
+	return node, kind == walkOK
 }
 
 // NumInodes reports the live inode count (including the root).

@@ -75,9 +75,12 @@ func newPartsOn(t testing.TB, eng string, o *obs.Observer) *rig {
 	return &rig{clock: clock, meter: meter, dram: dr, flash: fd, eng: fl, sm: sm}
 }
 
-func newFS(t testing.TB) *rig {
+func newFS(t testing.TB) *rig { return newFSOn(t, "ftl") }
+
+// newFSOn is newFS over the named storage engine, one of backends.Names.
+func newFSOn(t testing.TB, eng string) *rig {
 	t.Helper()
-	r := newParts(t)
+	r := newPartsOn(t, eng, nil)
 	f, err := Mkfs(fsConfig(), r.clock, r.sm, r.dram)
 	if err != nil {
 		t.Fatal(err)

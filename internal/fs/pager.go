@@ -48,12 +48,9 @@ func (p *filePager) WritePage(idx int64, data []byte) error {
 // copies it into an anonymous DRAM frame (copy-on-write) and changes do
 // not propagate back to the file. It returns the mapped length.
 func (f *FS) MapFile(v *vm.VM, s *vm.Space, addr uint64, path string, perm vm.Perm) (int, error) {
-	node, err := f.resolve(path)
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return 0, err
-	}
-	if node.Kind != KindFile {
-		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	if f.BlockBytes() != v.PageBytes() {
 		return 0, fmt.Errorf("fs: block size %d != vm page size %d", f.BlockBytes(), v.PageBytes())
@@ -75,12 +72,9 @@ func (f *FS) MapFile(v *vm.VM, s *vm.Space, addr uint64, path string, perm vm.Pe
 // unmap), within the file's size at map time. This is the full
 // memory-mapped file interface of §3.1.
 func (f *FS) MapFileShared(v *vm.VM, s *vm.Space, addr uint64, path string, perm vm.Perm) (int, error) {
-	node, err := f.resolve(path)
+	node, err := f.resolveFile(path)
 	if err != nil {
 		return 0, err
-	}
-	if node.Kind != KindFile {
-		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	if f.BlockBytes() != v.PageBytes() {
 		return 0, fmt.Errorf("fs: block size %d != vm page size %d", f.BlockBytes(), v.PageBytes())

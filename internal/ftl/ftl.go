@@ -172,9 +172,9 @@ type FTL struct {
 	hotPtr, coldPtr       int
 
 	allocSeq int64
-	tags     map[int64]Tag    // lpn → caller tag (persisted in OOB)
-	pageSeq  map[int64]uint64 // lpn → newest program sequence
-	writeSeq uint64           // monotone program sequence for OOB records
+	tags     []Tag    // by lpn: caller tag (persisted in OOB); nil without PersistMapping
+	pageSeq  []uint64 // by lpn: newest program sequence; nil without PersistMapping
+	writeSeq uint64   // monotone program sequence for OOB records
 
 	// Reusable hot-path scratch: cleanBuf carries one page through a
 	// cleaning relocation, oobBuf one spare-area record per program. The
@@ -239,8 +239,8 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		if err := pool.RequireSpare(); err != nil {
 			return nil, err
 		}
-		f.tags = make(map[int64]Tag)
-		f.pageSeq = make(map[int64]uint64)
+		f.tags = make([]Tag, pool.LogicalPages())
+		f.pageSeq = make([]uint64, pool.LogicalPages())
 	}
 	return f, nil
 }
@@ -402,14 +402,21 @@ func (f *FTL) programPage(ppn, lpn int64, data []byte) error {
 // mapping persistence on, survives power loss in the OOB area. Higher
 // layers use it to record which object and block the page belongs to.
 func (f *FTL) WritePageTagged(lpn int64, data []byte, tag Tag) error {
+	if err := f.checkLPN(lpn); err != nil {
+		return err
+	}
 	if f.tags != nil {
 		f.tags[lpn] = tag
 	}
 	return f.WritePage(lpn, data)
 }
 
-// TagOf reports the tag associated with the logical page.
+// TagOf reports the tag associated with the logical page (zero without
+// mapping persistence or for a page out of range).
 func (f *FTL) TagOf(lpn int64) Tag {
+	if lpn < 0 || lpn >= int64(len(f.tags)) {
+		return Tag{}
+	}
 	return f.tags[lpn]
 }
 
@@ -417,6 +424,9 @@ func (f *FTL) TagOf(lpn int64) Tag {
 // (0 if unknown). With mapping persistence on, sequence numbers order
 // versions across power failures.
 func (f *FTL) SeqOf(lpn int64) uint64 {
+	if lpn < 0 || lpn >= int64(len(f.pageSeq)) {
+		return 0
+	}
 	return f.pageSeq[lpn]
 }
 
@@ -424,7 +434,7 @@ func (f *FTL) SeqOf(lpn int64) uint64 {
 func (f *FTL) ForEachMapped(fn func(lpn int64, tag Tag)) {
 	for lpn := int64(0); lpn < f.pool.LogicalPages(); lpn++ {
 		if f.Mapped(lpn) {
-			fn(lpn, f.tags[lpn])
+			fn(lpn, f.TagOf(lpn))
 		}
 	}
 }
@@ -546,7 +556,9 @@ func (f *FTL) TrimPage(lpn int64) error {
 		f.markDead(old)
 		f.mapping[lpn] = -1
 	}
-	delete(f.tags, lpn)
+	if f.tags != nil {
+		f.tags[lpn] = Tag{}
+	}
 	return nil
 }
 

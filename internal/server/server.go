@@ -472,7 +472,7 @@ func (s *Server) doGet(sess *Session, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("%w: negative get extent", ErrBadRequest)
 	}
 	p := sess.path(req.Key)
-	size, ok := s.b.FS.Size(p)
+	node, ok := s.b.FS.Lookup(p)
 	if !ok {
 		return Response{}, sess.notFound(req.Key, p)
 	}
@@ -480,12 +480,12 @@ func (s *Server) doGet(sess *Session, req Request) (Response, error) {
 	// for: a get past the end must not size the session's buffer. It
 	// grows by doubling, so a session reading assorted extents settles on
 	// one buffer at most twice the largest it returned.
-	want := max(0, min(req.Size, size-req.Offset))
+	want := max(0, min(req.Size, node.Size-req.Offset))
 	if int64(cap(sess.getBuf)) < want {
 		sess.getBuf = make([]byte, max(want, 2*int64(cap(sess.getBuf))))
 	}
 	buf := sess.getBuf[:want]
-	n, err := s.b.FS.ReadAt(p, req.Offset, buf)
+	n, err := s.b.FS.ReadAtInode(node, req.Offset, buf)
 	if err != nil {
 		return Response{}, err
 	}
@@ -500,12 +500,14 @@ func (s *Server) doPut(sess *Session, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("%w: put extent ends past the card's %d bytes", ErrBadRequest, limit)
 	}
 	p := sess.path(req.Key)
-	if !s.b.FS.Exists(p) {
+	node, ok := s.b.FS.Lookup(p)
+	if !ok {
 		if err := s.b.FS.Create(p); err != nil {
 			return Response{}, err
 		}
+		node, _ = s.b.FS.Lookup(p)
 	}
-	n, err := s.b.FS.WriteAt(p, req.Offset, req.Data)
+	n, err := s.b.FS.WriteAtInode(node, req.Offset, req.Data)
 	if err != nil {
 		return Response{}, err
 	}
@@ -520,10 +522,11 @@ func (s *Server) doTruncate(sess *Session, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("%w: truncate size past the card's %d bytes", ErrBadRequest, limit)
 	}
 	p := sess.path(req.Key)
-	if !s.b.FS.Exists(p) {
+	node, ok := s.b.FS.Lookup(p)
+	if !ok {
 		return Response{}, sess.notFound(req.Key, p)
 	}
-	if err := s.b.FS.Truncate(p, req.Size); err != nil {
+	if err := s.b.FS.TruncateInode(node, req.Size); err != nil {
 		return Response{}, err
 	}
 	return Response{}, nil
@@ -531,7 +534,8 @@ func (s *Server) doTruncate(sess *Session, req Request) (Response, error) {
 
 func (s *Server) doDelete(sess *Session, req Request) (Response, error) {
 	// Idempotent: deleting a missing object succeeds, so retried deletes
-	// and delete-after-shed races never surface spurious errors.
+	// and delete-after-shed races never surface spurious errors. Remove
+	// walks to the parent and leaf itself, so a delete walks twice.
 	p := sess.path(req.Key)
 	if !s.b.FS.Exists(p) {
 		return Response{}, nil

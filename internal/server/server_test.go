@@ -20,7 +20,7 @@ import (
 )
 
 // newStack builds a small solid-state system and a server over it.
-func newStack(t *testing.T, cfg core.SolidStateConfig) (*core.SolidStateSystem, *server.Server) {
+func newStack(t testing.TB, cfg core.SolidStateConfig) (*core.SolidStateSystem, *server.Server) {
 	t.Helper()
 	if cfg.DRAMBytes == 0 {
 		cfg.DRAMBytes = 4 << 20

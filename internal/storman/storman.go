@@ -439,9 +439,7 @@ func (m *Manager) migrateToFlash(loc *blockLoc) (err error) {
 	}
 	// Blocks are flushed at full page granularity; the tail past the
 	// logical size is padding.
-	for i := loc.size; i < len(buf); i++ {
-		buf[i] = 0
-	}
+	clear(buf[loc.size:])
 	lpn := loc.lpn
 	if lpn < 0 {
 		n := len(m.freeLPN)
