@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"ssmobile/internal/bufcache"
-	"ssmobile/internal/sim"
 )
 
 // Sentinel errors.
@@ -78,7 +77,7 @@ type FS struct {
 	dataBase  int64
 	numBlocks int64
 
-	syncMetaWrites sim.Counter
+	syncMetaWrites int64
 }
 
 // New formats and mounts a fresh file system over the cache.
@@ -120,7 +119,7 @@ func (f *FS) FreeBlocks() int { return len(f.freeBlks) }
 // SyncMetadataWrites reports how many synchronous inode-table writes the
 // name-space operations have cost — the overhead the paper's
 // battery-backed-DRAM metadata eliminates.
-func (f *FS) SyncMetadataWrites() int64 { return f.syncMetaWrites.Value() }
+func (f *FS) SyncMetadataWrites() int64 { return f.syncMetaWrites }
 
 func (f *FS) ptrsPerBlock() int64 { return f.bs / 8 }
 
@@ -159,7 +158,7 @@ func (f *FS) writeInode(nd *inode, through bool) error {
 	binary.LittleEndian.PutUint64(rec[8+8*numDirect:], uint64(nd.indirect))
 	binary.LittleEndian.PutUint64(rec[16+8*numDirect:], uint64(nd.dindir))
 	if through {
-		f.syncMetaWrites.Inc()
+		f.syncMetaWrites++
 		return f.cache.WriteBlockThrough(bn, buf)
 	}
 	return f.cache.WriteBlock(bn, buf)

@@ -26,6 +26,26 @@ func TestCounterAddAllocFree(t *testing.T) {
 	}
 }
 
+var counterSink *Counter
+
+// Linking a layer's counter instance into an existing series allocates
+// what a standalone NewCounter does (the counter and its label copy) and
+// nothing more: the series' key is built on the stack, and the list
+// link lives in the instance.
+func TestCounterAttachAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	o := New(16)
+	lbl := Labels{"layer": "flash", "op": "program"}
+	o.Counter("ops_total", lbl)
+	attach := testing.AllocsPerRun(100, func() { counterSink = o.Counter("ops_total", lbl) })
+	standalone := testing.AllocsPerRun(100, func() { counterSink = NewCounter("ops_total", lbl) })
+	if attach != standalone {
+		t.Fatalf("attaching to a series allocated %.1f per run, NewCounter %.1f", attach, standalone)
+	}
+}
+
 func TestHistogramObserveAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")

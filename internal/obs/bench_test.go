@@ -138,3 +138,15 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.ObserveDuration(sim.Duration(1000 + i%1_000_000))
 	}
 }
+
+// BenchmarkCounterAdd is one add on a layer's counter instance linked
+// into a registered series, the update a served request makes for each
+// count its layers keep.
+func BenchmarkCounterAdd(b *testing.B) {
+	c := New(0).Counter("ops_total", Labels{"layer": "flash", "op": "program"})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(4096)
+	}
+}

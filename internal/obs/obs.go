@@ -16,18 +16,23 @@
 //     methods are nil-safe, so an uninstrumented run costs almost nothing
 //     and layers never need to guard their probes.
 //
-// Per-instance versus aggregate. Simulated layers are built many times
-// per process (every experiment assembles fresh systems), and their
-// Stats() accessors must report that one instance's activity only. The
-// Observer therefore hands each layer a private child counter chained to
-// the registry's shared aggregate: the child carries the instance-exact
-// value the layer's Stats() view reads, while the registered parent
-// accumulates across every instance built under the same observer — which
-// is what a whole-run metrics dump wants. Histograms are per series, not
-// per instance: no Stats() view reads one, so Observer.Histogram returns
-// the registered series itself and a sample is recorded once. The one
-// caller that reports its own latencies (core.ReplayObs) keeps standalone
-// histograms beside the series it feeds.
+// Counter series and their instances. Simulated layers are built many
+// times per process (every experiment assembles fresh systems), and
+// their Stats() accessors must report that one instance's activity only.
+// Observer.Counter therefore hands each layer a private instance and
+// links it into the registered series for its name and labels: an Add
+// is one atomic add on the instance, and the series' Value — what
+// Collect, Snapshot and Merge read — is its own adds plus every linked
+// instance's, summed when read. An instance is never unlinked, so a dead
+// instance's adds (a card's layers before a Restart) stay in the sum;
+// the list pins only the Counter values, which hold no pointer to their
+// layer, and lives as long as the observer. Long runs give each job a
+// private observer that is merged and then dropped (core.Env), which
+// releases its lists. Histograms are per series, not per instance: no
+// Stats() view reads one, so Observer.Histogram returns the registered
+// series itself and a sample is recorded once. The one caller that
+// reports its own latencies (core.ReplayObs) keeps standalone histograms
+// beside the series it feeds.
 //
 // Open spans. Observer.Span returns a two-word SpanRef naming a frame on
 // a span stack: the active request's (see TraceContext) or, outside a
@@ -40,7 +45,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,35 +69,40 @@ func (l Labels) clone() Labels {
 
 // metricKey renders the canonical identity string "name{k=v,k=v}" with
 // sorted label keys, used for registry lookup and snapshot matching. It
-// allocates and sorts, so it runs once per series — at registration, or
-// when a snapshot operation changes a metric's labels — never inside a
-// sort comparator or a search loop.
+// sorts, so it runs once per series — at registration, or when a
+// snapshot operation changes a metric's labels — never inside a sort
+// comparator or a search loop.
 func metricKey(name string, l Labels) string {
 	if len(l) == 0 {
 		return name
 	}
+	var buf [128]byte
+	return string(appendMetricKey(buf[:0], name, l))
+}
+
+// appendMetricKey appends metricKey(name, l) to b, so a lookup can build
+// the key in a stack buffer and allocate only for a new series.
+func appendMetricKey(b []byte, name string, l Labels) []byte {
+	b = append(b, name...)
+	if len(l) == 0 {
+		return b
+	}
 	var buf [8]string // label sets are small; keep the key list off the heap
 	keys := buf[:0]
-	size := len(name) + 1 + len(l) // braces and commas
-	for k, v := range l {
+	for k := range l {
 		keys = append(keys, k)
-		size += len(k) + 1 + len(v)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString(name)
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(l[k])
+		b = append(b, k...)
+		b = append(b, '=')
+		b = append(b, l[k]...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
 // Kind distinguishes collector types.
@@ -125,7 +134,11 @@ type Counter struct {
 	name   string
 	labels Labels
 	v      atomic.Int64
-	parent *Counter // registry aggregate this instance feeds, if any
+	// instances heads a registered series' list of the instances
+	// Observer.Counter linked to it, chained through next; next is set
+	// before the instance is published, so readers walk it unlocked.
+	instances atomic.Pointer[Counter]
+	next      *Counter
 }
 
 // NewCounter returns a standalone (unregistered) counter.
@@ -139,20 +152,22 @@ func (c *Counter) Add(d int64) {
 		return
 	}
 	c.v.Add(d)
-	if c.parent != nil {
-		c.parent.v.Add(d)
-	}
 }
 
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value reports the current count (this instance's, not the aggregate).
+// Value reports the current count: an instance's own adds, or a
+// series' own adds plus those of every instance linked to it.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	n := c.v.Load()
+	for in := c.instances.Load(); in != nil; in = in.next {
+		n += in.v.Load()
+	}
+	return n
 }
 
 // Name implements Collector.
@@ -314,15 +329,17 @@ func NewRegistry() *Registry {
 // registers it. Panics if the key exists with a different kind — that is a
 // programming error, not a runtime condition.
 func (r *Registry) lookup(name string, labels Labels, kind Kind, mk func() Collector) Collector {
-	key := metricKey(name, labels)
+	var buf [128]byte
+	kb := appendMetricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.byKey[key]; ok {
+	if c, ok := r.byKey[string(kb)]; ok {
 		if c.Kind() != kind {
-			panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", key, c.Kind(), kind))
+			panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", string(kb), c.Kind(), kind))
 		}
 		return c
 	}
+	key := string(kb)
 	c := mk()
 	r.byKey[key] = c
 	r.order = append(r.order, c)
@@ -375,38 +392,7 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 // shadows the newer value forever and the merged gauge appears frozen.
 // Snapshot/Diff are point-in-time by design; liveness is the registry's
 // concern, not the snapshot's.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil {
-		return
-	}
-	for _, c := range src.Collectors() {
-		name, labels := c.Name(), c.Labels()
-		switch sc := c.(type) {
-		case *Counter:
-			r.Counter(name, labels).Add(sc.Value())
-		case *Gauge:
-			g := r.Gauge(name, labels)
-			sc.mu.Lock()
-			fn := sc.fn
-			sc.mu.Unlock()
-			if fn != nil {
-				g.setFunc(fn)
-			} else {
-				// Most recent instance wins: drop any read-through from an
-				// earlier merge so the plain value is actually visible.
-				g.setFunc(nil)
-				g.Set(sc.Value())
-			}
-		case *Histogram:
-			dst := r.Histogram(name, labels)
-			sc.mu.Lock()
-			dst.mu.Lock()
-			dst.h.Merge(sc.h)
-			dst.mu.Unlock()
-			sc.mu.Unlock()
-		}
-	}
-}
+func (r *Registry) Merge(src *Registry) { r.MergeLabeled(src, nil) }
 
 // MergeLabeled is Merge with extra labels stamped onto every collector
 // as it lands in r: merging node registries with {"node": name} keeps
@@ -418,14 +404,9 @@ func (r *Registry) MergeLabeled(src *Registry, extra Labels) {
 	if src == nil {
 		return
 	}
-	if len(extra) == 0 {
-		r.Merge(src)
-		return
-	}
 	for _, c := range src.Collectors() {
-		name := c.Name()
-		labels := c.Labels()
-		if labels == nil {
+		name, labels := c.Name(), c.Labels()
+		if len(extra) > 0 && labels == nil {
 			labels = make(Labels, len(extra))
 		}
 		for k, v := range extra {
@@ -444,6 +425,8 @@ func (r *Registry) MergeLabeled(src *Registry, extra Labels) {
 			if fn != nil {
 				g.setFunc(fn)
 			} else {
+				// Most recent instance wins: drop any read-through from an
+				// earlier merge so the plain value is actually visible.
 				g.setFunc(nil)
 				g.Set(sc.Value())
 			}
@@ -507,20 +490,26 @@ func New(traceCapacity int) *Observer {
 	return &Observer{Registry: NewRegistry(), Tracer: NewTracer(traceCapacity)}
 }
 
-// Counter returns a per-instance counter chained to the registry aggregate
-// for name+labels. With a nil observer (or registry) the counter is
-// standalone: it still counts, it is just not exported anywhere.
+// Counter returns a per-instance counter linked into the registered
+// series for name+labels, whose Value then includes this instance's
+// adds. With a nil observer (or registry) the counter is standalone: it
+// still counts, it is just not exported anywhere.
 func (o *Observer) Counter(name string, labels Labels) *Counter {
 	c := NewCounter(name, labels)
 	if o != nil && o.Registry != nil {
-		c.parent = o.Registry.Counter(name, labels)
+		r := o.Registry
+		s := r.Counter(name, labels)
+		r.mu.Lock()
+		c.next = s.instances.Load()
+		s.instances.Store(c)
+		r.mu.Unlock()
 	}
 	return c
 }
 
 // Gauge returns the registered gauge, or a standalone one without an
-// observer. Gauges are not chained: they describe current state, and the
-// aggregate of two instantaneous states has no meaning.
+// observer. Gauges have no per-instance counterpart: they describe current
+// state, and the sum of two instantaneous states has no meaning.
 func (o *Observer) Gauge(name string, labels Labels) *Gauge {
 	if o != nil && o.Registry != nil {
 		return o.Registry.Gauge(name, labels)
@@ -546,9 +535,9 @@ func (o *Observer) GaugeFunc(name string, labels Labels, fn func() float64) *Gau
 }
 
 // Histogram returns the registered histogram for name+labels, or a
-// standalone one without an observer. Histograms are not chained: every
-// instance built under one observer observes into the same series, so a
-// sample costs one update. A caller that must report its own samples
+// standalone one without an observer. Histograms have no per-instance
+// counterpart: every instance built under one observer observes into the
+// same series, so a sample costs one update. A caller that must report its own samples
 // apart from the run's keeps a standalone NewHistogram for them.
 func (o *Observer) Histogram(name string, labels Labels) *Histogram {
 	if o != nil && o.Registry != nil {
@@ -560,18 +549,7 @@ func (o *Observer) Histogram(name string, labels Labels) *Histogram {
 // Merge folds src's registered metrics and retained spans into o (see
 // Registry.Merge and Tracer.Merge). A nil receiver or source is a no-op,
 // so callers can merge unconditionally.
-func (o *Observer) Merge(src *Observer) {
-	if o == nil || src == nil {
-		return
-	}
-	if o.Registry != nil {
-		o.Registry.Merge(src.Registry)
-	}
-	if o.Tracer != nil {
-		o.Tracer.Merge(src.Tracer)
-	}
-	o.mergeEvents(src)
-}
+func (o *Observer) Merge(src *Observer) { o.MergeLabeled(src, nil) }
 
 // mergeEvents folds src's event journal into o's: adopt the journal when
 // o has none, append otherwise. A shared journal (the same log attached

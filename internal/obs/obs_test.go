@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -24,21 +25,98 @@ func TestMetricKeySortsLabels(t *testing.T) {
 func TestCounterChainsToRegistryAggregate(t *testing.T) {
 	o := New(0)
 	lbl := Labels{"layer": "ftl"}
-	// Two layer instances under one observer: each child is exact, the
-	// registered parent aggregates both.
+	// Three layer instances under one observer and a direct add on the
+	// registered series: each instance reads its own count, the series
+	// reads the sum.
 	c1 := o.Counter("host_ops_total", lbl)
 	c2 := o.Counter("host_ops_total", lbl)
 	c1.Add(3)
 	c2.Add(4)
+	func() {
+		// An instance nothing references any more (a card's layers
+		// before a Restart) keeps its adds in the series.
+		o.Counter("host_ops_total", lbl).Add(5)
+	}()
+	runtime.GC()
+	series := o.Registry.Counter("host_ops_total", lbl)
+	series.Add(10)
 	if c1.Value() != 3 || c2.Value() != 4 {
 		t.Fatalf("instance values = %d, %d; want 3, 4", c1.Value(), c2.Value())
 	}
+	if got := series.Value(); got != 22 {
+		t.Fatalf("series value = %d, want 22", got)
+	}
 	m, ok := o.Registry.Snapshot().Find("host_ops_total", lbl)
 	if !ok {
-		t.Fatal("aggregate counter missing from snapshot")
+		t.Fatal("series missing from snapshot")
 	}
-	if m.Value != 7 {
-		t.Fatalf("aggregate = %v, want 7", m.Value)
+	if m.Value != 22 {
+		t.Fatalf("snapshot value = %v, want 22", m.Value)
+	}
+	dst := NewRegistry()
+	dst.Merge(o.Registry)
+	dst.MergeLabeled(o.Registry, Labels{"node": "n1"})
+	if got := dst.Counter("host_ops_total", lbl).Value(); got != 22 {
+		t.Fatalf("merged series = %d, want 22", got)
+	}
+	if got := dst.Counter("host_ops_total", Labels{"layer": "ftl", "node": "n1"}).Value(); got != 22 {
+		t.Fatalf("label-merged series = %d, want 22", got)
+	}
+}
+
+// Adds to linked instances, new attachments and snapshots all race here
+// (run under -race in CI): every snapshot reads a total no lower than the
+// one before it, and the last reads every add.
+func TestCounterAttachWhileCollecting(t *testing.T) {
+	o := New(0)
+	lbl := Labels{"layer": "test"}
+	const adders, attachers, iters = 4, 2, 500
+	var wg sync.WaitGroup
+	for g := 0; g < adders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := o.Counter("attach_total", lbl)
+			for i := 0; i < iters; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	for g := 0; g < attachers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				o.Counter("attach_total", lbl).Inc()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var snaps sync.WaitGroup
+	snaps.Add(1)
+	go func() {
+		defer snaps.Done()
+		last := 0.0
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			m, _ := o.Registry.Snapshot().Find("attach_total", lbl)
+			if m.Value < last {
+				t.Errorf("snapshot went back from %v to %v", last, m.Value)
+				return
+			}
+			last = m.Value
+		}
+	}()
+	wg.Wait()
+	close(done)
+	snaps.Wait()
+	m, _ := o.Registry.Snapshot().Find("attach_total", lbl)
+	if want := float64((adders + attachers) * iters); m.Value != want {
+		t.Fatalf("series = %v, want %v", m.Value, want)
 	}
 }
 

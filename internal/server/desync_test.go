@@ -91,7 +91,7 @@ func TestServeCmdHalfWrittenResponseIsFatal(t *testing.T) {
 	// The status line "ok 7\n" is 5 bytes; fail after 2.
 	w := bufio.NewWriter(&failWriter{n: 2})
 	r := bufio.NewReader(strings.NewReader(""))
-	err := tcp.serveCmd(r, w, &sess, []string{"get", "1", "0", "7"})
+	err := tcp.serveCmd(r, w, &sess, new([]byte), []string{"get", "1", "0", "7"})
 	if err == nil {
 		t.Fatal("half-written response was not fatal")
 	}
@@ -108,7 +108,7 @@ func TestServeCmdHalfWrittenPayloadIsFatal(t *testing.T) {
 
 	w := bufio.NewWriter(&failWriter{n: 8}) // status line flushes, payload fails
 	r := bufio.NewReader(strings.NewReader(""))
-	err := tcp.serveCmd(r, w, &sess, []string{"get", "1", "0", "26"})
+	err := tcp.serveCmd(r, w, &sess, new([]byte), []string{"get", "1", "0", "26"})
 	if err == nil {
 		t.Fatal("half-written payload was not fatal")
 	}

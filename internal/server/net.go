@@ -225,6 +225,7 @@ func (t *TCP) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, maxLineBytes)
 	w := bufio.NewWriter(conn)
 	var sess RequestDoer
+	var payload []byte // reused by every put on this connection
 	for {
 		line, err := readLine(r)
 		if err != nil {
@@ -256,7 +257,7 @@ func (t *TCP) handle(conn net.Conn) {
 			writeErr(w, ErrDraining)
 			return
 		}
-		err = t.serveCmd(r, w, &sess, fields)
+		err = t.serveCmd(r, w, &sess, &payload, fields)
 		stop := t.endCmd(conn)
 		if err != nil {
 			return
@@ -304,8 +305,9 @@ func (t *TCP) endCmd(conn net.Conn) (draining bool) {
 // serveCmd executes one command ("quit" is handled by the caller); the
 // returned error means the connection is unusable (I/O failure or a
 // half-written response), not a request-level error — those are written
-// to the peer and the session continues.
-func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, fields []string) (fatal error) {
+// to the peer and the session continues. A put's payload is read into
+// *payload, grown when the put is larger than it.
+func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, payload *[]byte, fields []string) (fatal error) {
 	cmd := fields[0]
 	if cmd == "hello" {
 		if len(fields) != 2 {
@@ -342,8 +344,12 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, fiel
 		return nil
 	}
 	if req.Kind == OpPut {
-		// The payload follows the header line verbatim.
-		req.Data = make([]byte, req.Size)
+		// The payload follows the header line verbatim. Do keeps none of
+		// it (Request.Data), so the next put may reuse the buffer.
+		if int64(cap(*payload)) < req.Size {
+			*payload = make([]byte, req.Size)
+		}
+		req.Data = (*payload)[:req.Size]
 		if _, err := io.ReadFull(r, req.Data); err != nil {
 			return err
 		}

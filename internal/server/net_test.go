@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -324,5 +325,34 @@ func TestExtentBoundedByCardOverTCP(t *testing.T) {
 	}
 	if got, err := cl.Get(2, 0, 16); err != nil || string(got) != "ke" {
 		t.Fatalf("after shrink: %q, %v", got, err)
+	}
+}
+
+// TestPutPayloadBufferReused: the server reads a put's payload into one
+// buffer per connection, so 1000 puts of 4 KB on one connection allocate
+// less than one payload per put, client and server together. Each put
+// used to allocate its own, and the heap grew with every request served.
+func TestPutPayloadBufferReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	_, tcp := listenTCP(t)
+	defer tcp.Shutdown()
+	cl := dialTimed(t, tcp, "reuse")
+	payload := bytes.Repeat([]byte{0xa5}, 4096)
+	if _, err := cl.Put(1, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	const puts = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < puts; i++ {
+		if _, err := cl.Put(1, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / puts; per >= uint64(len(payload)) {
+		t.Fatalf("%d B allocated per %d B put, want less than one payload", per, len(payload))
 	}
 }

@@ -131,7 +131,8 @@ type Request struct {
 	Key uint64
 	// Offset addresses Get/Put transfers.
 	Offset int64
-	// Data is the Put payload.
+	// Data is the Put payload. Do copies it and keeps no reference to it
+	// after returning, so the caller may reuse the buffer.
 	Data []byte
 	// Size is the Get transfer length or the Truncate target length.
 	Size int64

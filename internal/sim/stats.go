@@ -5,23 +5,6 @@ import (
 	"math"
 )
 
-// Counter accumulates a monotonically increasing count (operations, bytes).
-type Counter struct {
-	n int64
-}
-
-// Add increases the counter by d.
-func (c *Counter) Add(d int64) { c.n += d }
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Histogram collects scalar samples (latencies, sizes) into logarithmic
 // buckets and tracks exact count, sum, min and max. Percentiles are
 // estimated from the bucket boundaries; with the default 8 sub-buckets per
