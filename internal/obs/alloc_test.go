@@ -66,6 +66,16 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 	}
 }
 
+func TestObserveAllAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	hs, vs := requestSamples(NewRegistry())
+	if a := testing.AllocsPerRun(1000, func() { ObserveAll(hs, vs) }); a != 0 {
+		t.Fatalf("ObserveAll of a request's seven samples allocated %.1f per run", a)
+	}
+}
+
 func TestGaugeSetAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")

@@ -115,7 +115,7 @@ func resolveRequest(root Span, pending []Span) (RequestAttribution, int) {
 		childTime[sp.Parent] += sp.Duration()
 	}
 	// Exclusive time per span → its recorded stage.
-	var stages [numStages]sim.Duration
+	var stages [NumStages]sim.Duration
 	charge := func(sp Span) {
 		excl := sp.Duration() - childTime[sp.ID]
 		if excl < 0 {

@@ -139,6 +139,32 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
+// requestSamples resolves the seven histograms a served request records
+// into — its op's request_latency_ns and the six serve_latency_breakdown
+// stages — with a latency and a breakdown to observe, each bucket already
+// covered.
+func requestSamples(r *Registry) (hs []*Histogram, vs []float64) {
+	hs = []*Histogram{r.Histogram("request_latency_ns", Labels{"layer": "server", "op": "get"})}
+	for _, stage := range BreakdownStages {
+		hs = append(hs, r.Histogram("serve_latency_breakdown", Labels{"layer": "server", "stage": stage}))
+	}
+	vs = []float64{41_000, 0, 38_500, 0, 0, 0, 2_500}
+	ObserveAll(hs, vs)
+	return hs, vs
+}
+
+// BenchmarkObserveAll is a served request's seven latency samples in one
+// call, the fold Session.Do makes; BenchmarkHistogramObserve is one of
+// the seven alone.
+func BenchmarkObserveAll(b *testing.B) {
+	hs, vs := requestSamples(NewRegistry())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ObserveAll(hs, vs)
+	}
+}
+
 // BenchmarkCounterAdd is one add on a layer's counter instance linked
 // into a registered series, the update a served request makes for each
 // count its layers keep.

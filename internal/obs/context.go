@@ -66,7 +66,8 @@ const (
 	stageFlash
 	stageClean
 	stageOther
-	numStages
+	// NumStages is the number of stages, len(BreakdownStages).
+	NumStages
 )
 
 var stageIndex = map[string]int{
@@ -148,6 +149,11 @@ func (b Breakdown) Stage(name string) sim.Duration {
 	return 0
 }
 
+// Durations reports every stage's duration, in BreakdownStages order.
+func (b Breakdown) Durations() [NumStages]sim.Duration {
+	return [NumStages]sim.Duration{b.Queue, b.Buffer, b.Flush, b.Flash, b.Clean, b.Other}
+}
+
 // Add accumulates another breakdown into b.
 func (b *Breakdown) Add(o Breakdown) {
 	b.Queue += o.Queue
@@ -158,7 +164,7 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Other += o.Other
 }
 
-func breakdownFrom(stages *[numStages]sim.Duration) Breakdown {
+func breakdownFrom(stages *[NumStages]sim.Duration) Breakdown {
 	return Breakdown{
 		Queue:  stages[stageQueue],
 		Buffer: stages[stageBuffer],
@@ -178,7 +184,7 @@ type TraceContext struct {
 	o      *Observer
 	queue  sim.Duration
 	mark   sim.Time
-	stages [numStages]sim.Duration
+	stages [NumStages]sim.Duration
 	// stack holds the request's open spans; frame 0 is the root span,
 	// which Finish records.
 	stack spanStack

@@ -34,6 +34,16 @@
 // reports its own latencies (core.ReplayObs) keeps standalone histograms
 // beside the series it feeds.
 //
+// Histogram locking. A registry's histograms share one lock, which the
+// Registry owns; a standalone NewHistogram has its own. Observe, Collect,
+// Merge and MergeLabeled take it, and ObserveAll records a batch taking
+// it once for a run of histograms that share it: a served request's
+// seven samples cost one acquisition. The lock stays although every
+// serving-path reader already collects under its writers' lock
+// (Server.Snapshot and Server.DumpFlight under Server.mu, the cluster's
+// under Cluster.mu, OnShedEngage inside a request): a Registry is safe
+// for concurrent use on its own.
+//
 // Open spans. Observer.Span returns a two-word SpanRef naming a frame on
 // a span stack: the active request's (see TraceContext) or, outside a
 // request, the observer's own background stack. End writes the span from
@@ -256,18 +266,30 @@ func (g *Gauge) Collect() Metric {
 }
 
 // Histogram puts the existing sim.Histogram behind the Collector
-// interface, adding a mutex (sim.Histogram itself is single-threaded).
-// Nil-safe.
+// interface, adding a lock (sim.Histogram itself is single-threaded):
+// the registry's histogram lock for a registered series, its own for a
+// standalone one. Nil-safe.
 type Histogram struct {
 	name   string
 	labels Labels
-	mu     sync.Mutex
+	mu     *sync.Mutex // guards h; &own or the registry's hist
+	own    sync.Mutex
 	h      *sim.Histogram
 }
 
 // NewHistogram returns a standalone histogram.
 func NewHistogram(name string, labels Labels) *Histogram {
-	return &Histogram{name: name, labels: labels.clone(), h: sim.NewHistogram(name)}
+	return newHistogram(name, labels, nil)
+}
+
+// newHistogram builds a histogram guarded by mu, or by its own lock when
+// mu is nil.
+func newHistogram(name string, labels Labels, mu *sync.Mutex) *Histogram {
+	h := &Histogram{name: name, labels: labels.clone(), mu: mu, h: sim.NewHistogram(name)}
+	if mu == nil {
+		h.mu = &h.own
+	}
+	return h
 }
 
 // Observe records one sample.
@@ -282,6 +304,30 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a latency sample in nanoseconds.
 func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(float64(d)) }
+
+// ObserveAll records vs[i] into hs[i] for every i, skipping nil
+// histograms. A run of histograms that share a lock takes it once: all
+// of one registry's series do, so a request's samples into its
+// observer's registry cost one lock acquisition, not one each.
+func ObserveAll(hs []*Histogram, vs []float64) {
+	var held *sync.Mutex
+	for i, h := range hs {
+		if h == nil {
+			continue
+		}
+		if h.mu != held {
+			if held != nil {
+				held.Unlock()
+			}
+			held = h.mu
+			held.Lock()
+		}
+		h.h.Observe(vs[i])
+	}
+	if held != nil {
+		held.Unlock()
+	}
+}
 
 // Name implements Collector.
 func (h *Histogram) Name() string { return h.name }
@@ -307,7 +353,10 @@ func (h *Histogram) Collect() Metric {
 // Registry holds the process's registered collectors. Safe for concurrent
 // use. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// hist guards every registered histogram's samples: observing,
+	// collecting and merging one take it (see ObserveAll).
+	hist  sync.Mutex
 	byKey map[string]Collector
 	order []Collector
 	// keys[i] is order[i]'s canonical key, built once by lookup and
@@ -372,7 +421,7 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) *Gau
 // Histogram returns the registered histogram for name+labels, creating it
 // on first use.
 func (r *Registry) Histogram(name string, labels Labels) *Histogram {
-	return r.lookup(name, labels, KindHistogram, func() Collector { return NewHistogram(name, labels) }).(*Histogram)
+	return r.lookup(name, labels, KindHistogram, func() Collector { return newHistogram(name, labels, &r.hist) }).(*Histogram)
 }
 
 // Merge folds every collector registered in src into r: counter values

@@ -179,6 +179,65 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
+// TestObserveAllConcurrent folds batches into one registry's series
+// from several goroutines while others snapshot the registry and merge
+// it into registries of their own: under -race, and every count sums
+// exactly. Standalone histograms, each under its own lock, ride in the
+// same batches.
+func TestObserveAllConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const folders, readers, batches = 4, 2, 500
+	var hs []*Histogram
+	for _, name := range []string{"a", "b", "c"} {
+		hs = append(hs, r.Histogram("fold_lat", Labels{"series": name}))
+	}
+	own := NewHistogram("fold_own", nil)
+	hs = append(hs, nil, own, hs[0])
+	vs := []float64{1, 20, 300, 4000, 50000, 6}
+	var wg sync.WaitGroup
+	for g := 0; g < folders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				ObserveAll(hs, vs)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var rg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				r.Snapshot()
+				NewRegistry().Merge(r)
+				own.Collect()
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	merged := NewRegistry()
+	merged.Merge(r)
+	snap := merged.Snapshot()
+	for name, want := range map[string]int64{"a": 2 * folders * batches, "b": folders * batches, "c": folders * batches} {
+		if m, _ := snap.Find("fold_lat", Labels{"series": name}); m.Count != want {
+			t.Errorf("fold_lat{series=%s} count = %d, want %d", name, m.Count, want)
+		}
+	}
+	if m := own.Collect(); m.Count != folders*batches || m.Sum != folders*batches*50000 {
+		t.Errorf("standalone count/sum = %d/%v, want %d/%d", m.Count, m.Sum, folders*batches, folders*batches*50000)
+	}
+}
+
 func TestKindClashPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m", nil)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,6 +36,7 @@ type Client struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	timeout time.Duration
+	hdr     []byte // the header line being sent, reused by every request
 }
 
 // Dial connects to addr and opens a session for tenant, with no I/O
@@ -52,7 +54,7 @@ func DialOpts(addr, tenant string, opts ClientOptions) (*Client, error) {
 		return nil, wrapTimeout(err)
 	}
 	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), timeout: opts.Timeout}
-	if _, _, err := c.roundTrip(fmt.Sprintf("hello %s\n", tenant), nil); err != nil {
+	if _, _, err := c.roundTrip(fmt.Appendf(nil, "hello %s\n", tenant), nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -61,13 +63,13 @@ func DialOpts(addr, tenant string, opts ClientOptions) (*Client, error) {
 
 // Put writes data at off in object key; it reports the bytes written.
 func (c *Client) Put(key uint64, off int64, data []byte) (int, error) {
-	n, _, err := c.roundTrip(formatReq(Request{Kind: OpPut, Key: key, Offset: off, Size: int64(len(data))}), data)
+	n, _, err := c.roundTrip(c.header(Request{Kind: OpPut, Key: key, Offset: off, Size: int64(len(data))}), data)
 	return n, err
 }
 
 // Get reads n bytes at off from object key.
 func (c *Client) Get(key uint64, off int64, n int64) ([]byte, error) {
-	got, _, err := c.roundTrip(formatReq(Request{Kind: OpGet, Key: key, Offset: off, Size: n}), nil)
+	got, _, err := c.roundTrip(c.header(Request{Kind: OpGet, Key: key, Offset: off, Size: n}), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,26 +82,26 @@ func (c *Client) Get(key uint64, off int64, n int64) ([]byte, error) {
 
 // Truncate sets object key's length.
 func (c *Client) Truncate(key uint64, size int64) error {
-	_, _, err := c.roundTrip(formatReq(Request{Kind: OpTruncate, Key: key, Size: size}), nil)
+	_, _, err := c.roundTrip(c.header(Request{Kind: OpTruncate, Key: key, Size: size}), nil)
 	return err
 }
 
 // Delete removes object key (idempotent).
 func (c *Client) Delete(key uint64) error {
-	_, _, err := c.roundTrip(formatReq(Request{Kind: OpDelete, Key: key}), nil)
+	_, _, err := c.roundTrip(c.header(Request{Kind: OpDelete, Key: key}), nil)
 	return err
 }
 
 // Sync makes the tenant's writes stable; batched reports whether group
 // commit absorbed it into an earlier flush.
 func (c *Client) Sync() (batched bool, err error) {
-	_, suffix, err := c.roundTrip(formatReq(Request{Kind: OpSync}), nil)
+	_, suffix, err := c.roundTrip(c.header(Request{Kind: OpSync}), nil)
 	return suffix == "batched", err
 }
 
 // Stats fetches the server-side completed/shed counts.
 func (c *Client) Stats() (completed, shed int64, err error) {
-	_, suffix, err := c.roundTrip("stats\n", nil)
+	_, suffix, err := c.roundTrip([]byte("stats\n"), nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -116,8 +118,14 @@ func (c *Client) Stats() (completed, shed int64, err error) {
 
 // Close ends the session politely and closes the connection.
 func (c *Client) Close() error {
-	c.roundTrip("quit\n", nil)
+	c.roundTrip([]byte("quit\n"), nil)
 	return c.conn.Close()
+}
+
+// header formats req's header line into the client's reused buffer.
+func (c *Client) header(req Request) []byte {
+	c.hdr = formatReq(c.hdr[:0], req)
+	return c.hdr
 }
 
 // wrapTimeout folds a network timeout into the package's typed error so
@@ -136,13 +144,13 @@ func wrapTimeout(err error) error {
 // whole round trip runs under one conn deadline; the deadline also
 // covers a Get's payload read, which follows on the same conn before
 // the next round trip resets it.
-func (c *Client) roundTrip(header string, payload []byte) (int, string, error) {
+func (c *Client) roundTrip(header, payload []byte) (int, string, error) {
 	if c.timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 			return 0, "", err
 		}
 	}
-	if _, err := c.w.WriteString(header); err != nil {
+	if _, err := c.w.Write(header); err != nil {
 		return 0, "", wrapTimeout(err)
 	}
 	if payload != nil {
@@ -153,36 +161,38 @@ func (c *Client) roundTrip(header string, payload []byte) (int, string, error) {
 	if err := c.w.Flush(); err != nil {
 		return 0, "", wrapTimeout(err)
 	}
-	line, err := c.r.ReadString('\n')
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// Longer than the reader's buffer (an error's message can be):
+		// copy what is buffered before reading on.
+		line = bytes.Clone(line)
+		var more []byte
+		more, err = c.r.ReadBytes('\n')
+		line = append(line, more...)
+	}
 	if err != nil {
 		return 0, "", wrapTimeout(err)
 	}
-	line = strings.TrimRight(line, "\r\n")
-	fields := strings.SplitN(line, " ", 3)
+	// The line reads "<status> <n or code>[ <suffix or message>]".
+	line = bytes.TrimRight(line, "\r\n")
+	status, rest, ok := bytes.Cut(line, []byte(" "))
+	arg, tail, _ := bytes.Cut(rest, []byte(" "))
 	switch {
-	case fields[0] == "ok" && len(fields) >= 2:
-		n, err := strconv.Atoi(fields[1])
+	case ok && string(status) == "ok":
+		n, err := strconv.Atoi(string(arg))
 		if err != nil {
 			return 0, "", fmt.Errorf("server: malformed status %q", line)
 		}
-		suffix := ""
-		if len(fields) == 3 {
-			suffix = fields[2]
-		}
-		return n, suffix, nil
-	case fields[0] == "err" && len(fields) >= 2:
-		msg := ""
-		if len(fields) == 3 {
-			msg = fields[2]
-		}
+		return n, string(tail), nil
+	case ok && string(status) == "err":
 		typed := wireErrors[len(wireErrors)-1].err
 		for _, we := range wireErrors {
-			if we.code == fields[1] {
+			if we.code == string(arg) {
 				typed = we.err
 				break
 			}
 		}
-		return 0, "", fmt.Errorf("%w (%s)", typed, msg)
+		return 0, "", fmt.Errorf("%w (%s)", typed, tail)
 	default:
 		return 0, "", fmt.Errorf("server: malformed status %q", line)
 	}

@@ -91,7 +91,7 @@ func TestServeCmdHalfWrittenResponseIsFatal(t *testing.T) {
 	// The status line "ok 7\n" is 5 bytes; fail after 2.
 	w := bufio.NewWriter(&failWriter{n: 2})
 	r := bufio.NewReader(strings.NewReader(""))
-	err := tcp.serveCmd(r, w, &sess, new([]byte), []string{"get", "1", "0", "7"})
+	err := tcp.serveCmd(r, w, &sess, new([]byte), fieldsOf(t, "get 1 0 7"))
 	if err == nil {
 		t.Fatal("half-written response was not fatal")
 	}
@@ -108,7 +108,7 @@ func TestServeCmdHalfWrittenPayloadIsFatal(t *testing.T) {
 
 	w := bufio.NewWriter(&failWriter{n: 8}) // status line flushes, payload fails
 	r := bufio.NewReader(strings.NewReader(""))
-	err := tcp.serveCmd(r, w, &sess, new([]byte), []string{"get", "1", "0", "26"})
+	err := tcp.serveCmd(r, w, &sess, new([]byte), fieldsOf(t, "get 1 0 26"))
 	if err == nil {
 		t.Fatal("half-written payload was not fatal")
 	}
@@ -155,4 +155,32 @@ func (t *TCP) liveConns() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.conns)
+}
+
+// TestClientReadsStatusLongerThanItsBuffer: a status line longer than
+// the client's reader buffer (an error message quoting a long name) is
+// read whole, and the next reply on the stream still parses.
+func TestClientReadsStatusLongerThanItsBuffer(t *testing.T) {
+	cliEnd, srvEnd := net.Pipe()
+	defer cliEnd.Close()
+	msg := strings.Repeat("x", 3*4096)
+	go func() {
+		defer srvEnd.Close()
+		r := bufio.NewReader(srvEnd)
+		for _, reply := range []string{"err notfound " + msg + "\n", "ok 7 batched\n"} {
+			if _, err := r.ReadString('\n'); err != nil {
+				return
+			}
+			if _, err := srvEnd.Write([]byte(reply)); err != nil {
+				return
+			}
+		}
+	}()
+	c := &Client{conn: cliEnd, r: bufio.NewReader(cliEnd), w: bufio.NewWriter(cliEnd)}
+	if err := c.Delete(1); !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("long error status: %.80v", err)
+	}
+	if n, suffix, err := c.roundTrip([]byte("sync\n"), nil); n != 7 || suffix != "batched" || err != nil {
+		t.Fatalf("next status: %d %q %v", n, suffix, err)
+	}
 }

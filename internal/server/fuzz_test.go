@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -8,11 +10,13 @@ import (
 	"testing"
 )
 
-// FuzzParseReq searches the request-header parser: it never panics, it
-// refuses with ErrBadRequest only, and anything it accepts is a request
-// the Client could have sent — the extent obeys off <= MaxInt64-len, a
-// transfer is within maxTransferBytes, and the client's formatter
-// re-encodes it into a line that parses back to the same Request.
+// FuzzParseReq searches the request-header parser: the handler's field
+// split is strings.Fields', a line longer than the reader's buffer is
+// ErrLineTooLong, the parser never panics, it refuses with ErrBadRequest
+// only, and anything it accepts is a request the Client could have sent
+// — the extent obeys off <= MaxInt64-len, a transfer is within
+// maxTransferBytes, and the client's formatter re-encodes it into a line
+// that parses back to the same Request.
 func FuzzParseReq(f *testing.F) {
 	for _, line := range []string{
 		// The protocol comment's commands, then the edges the bugs were at.
@@ -23,7 +27,17 @@ func FuzzParseReq(f *testing.F) {
 		f.Add(line)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		fields := strings.Fields(line)
+		line, _, _ = strings.Cut(line, "\n") // the handler reads to the first newline
+		fields, err := readLine(bufio.NewReaderSize(strings.NewReader(line+"\n"), maxLineBytes), nil)
+		if len(line) >= maxLineBytes {
+			if !errors.Is(err, ErrLineTooLong) {
+				t.Fatalf("%d-byte line read with %v, want ErrLineTooLong", len(line), err)
+			}
+			return
+		}
+		if want := strings.Fields(line); err != nil || !reflect.DeepEqual(asStrings(fields), want) {
+			t.Fatalf("%q split into %q (%v), strings.Fields gives %q", line, fields, err, want)
+		}
 		if len(fields) == 0 {
 			return
 		}
@@ -40,10 +54,59 @@ func FuzzParseReq(f *testing.F) {
 		if (req.Kind == OpPut || req.Kind == OpGet) && req.Size > maxTransferBytes {
 			t.Fatalf("%q accepted a %d-byte transfer", line, req.Size)
 		}
-		again := strings.Fields(formatReq(req))
+		again := bytes.Fields(formatReq(nil, req))
 		back, err := parseReq(again[0], again[1:])
 		if err != nil || !reflect.DeepEqual(back, req) {
 			t.Fatalf("%q parsed to %+v, re-encoded as %q, parsed back to %+v (%v)", line, req, again, back, err)
 		}
 	})
+}
+
+// TestWireLinesPinned holds the header and status lines to their bytes
+// on the wire.
+func TestWireLinesPinned(t *testing.T) {
+	for _, c := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Kind: OpPut, Key: 7, Offset: 0, Size: 5}, "put 7 0 5\n"},
+		{Request{Kind: OpGet, Key: math.MaxUint64, Offset: math.MaxInt64, Size: 4096}, "get 18446744073709551615 9223372036854775807 4096\n"},
+		{Request{Kind: OpTruncate, Key: 7, Offset: 3, Size: 100}, "trunc 7 100\n"},
+		{Request{Kind: OpDelete, Key: 7, Size: 9}, "del 7\n"},
+		{Request{Kind: OpSync, Key: 7}, "sync\n"},
+	} {
+		if got := string(formatReq([]byte("junk"), c.req)[4:]); got != c.want {
+			t.Errorf("formatReq(%+v) = %q, want %q", c.req, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		n      int
+		suffix string
+		want   string
+	}{{0, "", "ok 0\n"}, {512, "", "ok 512\n"}, {0, "batched", "ok 0 batched\n"}, {-1, "x y", "ok -1 x y\n"}} {
+		var out bytes.Buffer
+		w := bufio.NewWriter(&out)
+		if err := writeOK(w, c.n, c.suffix); err != nil || out.String() != c.want {
+			t.Errorf("writeOK(%d, %q) wrote %q (%v), want %q", c.n, c.suffix, out.String(), err, c.want)
+		}
+	}
+}
+
+// asStrings copies fields out as strings.
+func asStrings(fields [][]byte) []string {
+	out := make([]string, 0, len(fields))
+	for _, f := range fields {
+		out = append(out, string(f))
+	}
+	return out
+}
+
+// fieldsOf splits a header line as the connection handler does.
+func fieldsOf(tb testing.TB, line string) [][]byte {
+	tb.Helper()
+	fields, err := readLine(bufio.NewReader(strings.NewReader(line+"\n")), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fields
 }

@@ -25,16 +25,17 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"ssmobile/internal/sim"
 )
@@ -81,20 +82,22 @@ var (
 // maxTransferBytes caps one put or get transfer.
 const maxTransferBytes = 64 << 20
 
-// formatReq renders a request's header line — what Client sends and
-// parseReq decodes; a put's Size is the length of the payload to follow.
-func formatReq(req Request) string {
-	verb := wireVerbs[req.Kind]
+// formatReq appends a request's header line to b — what Client sends
+// and parseReq decodes; a put's Size is the length of the payload to
+// follow.
+func formatReq(b []byte, req Request) []byte {
+	key := func(b []byte) []byte { return strconv.AppendUint(append(b, ' '), req.Key, 10) }
+	num := func(b []byte, v int64) []byte { return strconv.AppendInt(append(b, ' '), v, 10) }
+	b = append(b, wireVerbs[req.Kind]...)
 	switch req.Kind {
 	case OpPut, OpGet:
-		return fmt.Sprintf("%s %d %d %d\n", verb, req.Key, req.Offset, req.Size)
+		b = num(num(key(b), req.Offset), req.Size)
 	case OpTruncate:
-		return fmt.Sprintf("%s %d %d\n", verb, req.Key, req.Size)
+		b = num(key(b), req.Size)
 	case OpDelete:
-		return fmt.Sprintf("%s %d\n", verb, req.Key)
-	default:
-		return verb + "\n"
+		b = key(b)
 	}
+	return append(b, '\n')
 }
 
 // RequestDoer serves one tenant's requests: a *Session from a single
@@ -226,8 +229,11 @@ func (t *TCP) handle(conn net.Conn) {
 	w := bufio.NewWriter(conn)
 	var sess RequestDoer
 	var payload []byte // reused by every put on this connection
+	var fieldBuf [4][]byte
 	for {
-		line, err := readLine(r)
+		// fields alias r's buffer: they are dead once serveCmd reads a
+		// put's payload.
+		fields, err := readLine(r, fieldBuf[:0])
 		if err != nil {
 			// An overlong line still has a usable write side: report the
 			// typed error before closing. Any other failure (drain
@@ -238,11 +244,10 @@ func (t *TCP) handle(conn net.Conn) {
 			}
 			return
 		}
-		fields := strings.Fields(line)
 		if len(fields) == 0 {
 			continue
 		}
-		if fields[0] == "quit" {
+		if string(fields[0]) == "quit" {
 			// A polite close needs no service admission, so it bypasses
 			// beginCmd and still gets its clean "ok" goodbye during a
 			// drain. The goodbye write is bounded (a racing Shutdown may
@@ -307,13 +312,13 @@ func (t *TCP) endCmd(conn net.Conn) (draining bool) {
 // half-written response), not a request-level error — those are written
 // to the peer and the session continues. A put's payload is read into
 // *payload, grown when the put is larger than it.
-func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, payload *[]byte, fields []string) (fatal error) {
+func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, payload *[]byte, fields [][]byte) (fatal error) {
 	cmd := fields[0]
-	if cmd == "hello" {
+	if string(cmd) == "hello" {
 		if len(fields) != 2 {
 			return writeErr(w, fmt.Errorf("%w: hello wants a tenant", ErrBadRequest))
 		}
-		s, err := t.srv.OpenSession(fields[1])
+		s, err := t.srv.OpenSession(string(fields[1]))
 		if err != nil {
 			return writeErr(w, err)
 		}
@@ -324,7 +329,7 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, payl
 		return writeErr(w, fmt.Errorf("%w: hello first", ErrBadRequest))
 	}
 
-	if cmd == "stats" {
+	if string(cmd) == "stats" {
 		if len(fields) != 1 {
 			return writeErr(w, fmt.Errorf("%w: stats wants no arguments", ErrBadRequest))
 		}
@@ -336,7 +341,7 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, payl
 		if werr := writeErr(w, err); werr != nil {
 			return werr
 		}
-		if cmd == wireVerbs[OpPut] {
+		if string(cmd) == wireVerbs[OpPut] {
 			// The refused header's payload is still in the stream and
 			// must not be parsed as commands: close.
 			return err
@@ -380,14 +385,19 @@ func (t *TCP) serveCmd(r *bufio.Reader, w *bufio.Writer, sess *RequestDoer, payl
 
 // parseReq decodes a request's header line (one of wireVerbs and its
 // decimal arguments) into a Request.
-func parseReq(cmd string, args []string) (Request, error) {
+func parseReq(cmd []byte, args [][]byte) (Request, error) {
 	bad := func(format string, a ...any) (Request, error) {
 		return Request{}, fmt.Errorf("%w: "+format, append([]any{ErrBadRequest}, a...)...)
 	}
-	un := func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
-	in := func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
-	// No such verb is index -1: a kind no case below matches.
-	kind := OpKind(slices.Index(wireVerbs[:], cmd))
+	un := func(b []byte) (uint64, error) { return strconv.ParseUint(string(b), 10, 64) }
+	in := func(b []byte) (int64, error) { return strconv.ParseInt(string(b), 10, 64) }
+	kind := OpKind(len(wireVerbs)) // no such verb: a kind no case below matches
+	for k, verb := range wireVerbs[:] {
+		if string(cmd) == verb {
+			kind = OpKind(k)
+			break
+		}
+	}
 	switch kind {
 	case OpPut, OpGet:
 		if len(args) != 3 {
@@ -430,30 +440,47 @@ func parseReq(cmd string, args []string) (Request, error) {
 }
 
 // readLine reads one newline-terminated header line, capped at
-// maxLineBytes (the reader's buffer size): a line that fills the buffer
-// without its newline is rejected as ErrLineTooLong rather than buffered
-// without bound.
-func readLine(r *bufio.Reader) (string, error) {
+// maxLineBytes (the reader's buffer size), and appends its
+// whitespace-separated fields to dst, exactly as strings.Fields splits
+// them. The fields alias r's buffer and are valid until r's next read. A
+// line that fills the buffer without its newline is rejected as
+// ErrLineTooLong rather than buffered without bound.
+func readLine(r *bufio.Reader, dst [][]byte) ([][]byte, error) {
 	line, err := r.ReadSlice('\n')
 	switch err {
 	case nil:
-		return strings.TrimRight(string(line), "\r\n"), nil
 	case bufio.ErrBufferFull:
-		return "", ErrLineTooLong
+		return nil, ErrLineTooLong
 	default:
-		return "", err
+		return nil, err
 	}
+	start := -1 // the open field's first byte; the newline closes the last
+	for i, c := range line {
+		if c >= utf8.RuneSelf {
+			// Unicode spaces separate fields too: leave such a line to
+			// bytes.Fields.
+			return append(dst[:0], bytes.Fields(line)...), nil
+		}
+		space := c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
+		if space && start >= 0 {
+			dst = append(dst, line[start:i])
+			start = -1
+		} else if !space && start < 0 {
+			start = i
+		}
+	}
+	return dst, nil
 }
 
 // writeStatus buffers one "ok" status line, failing fast on a write
 // error so the caller never follows a broken header with payload bytes.
 func writeStatus(w *bufio.Writer, n int, suffix string) error {
-	var err error
+	b := append(w.AvailableBuffer(), "ok "...)
+	b = strconv.AppendInt(b, int64(n), 10)
 	if suffix != "" {
-		_, err = fmt.Fprintf(w, "ok %d %s\n", n, suffix)
-	} else {
-		_, err = fmt.Fprintf(w, "ok %d\n", n)
+		b = append(append(b, ' '), suffix...)
 	}
+	_, err := w.Write(append(b, '\n'))
 	return err
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ssmobile/internal/core"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 )
 
@@ -354,5 +355,48 @@ func TestPutPayloadBufferReused(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / puts; per >= uint64(len(payload)) {
 		t.Fatalf("%d B allocated per %d B put, want less than one payload", per, len(payload))
+	}
+}
+
+// TestWireCodecAllocFree: the codec on both sides of the socket
+// parses and formats in place — the server splits a header line in its
+// reader's buffer and appends its status into its writer's, the client
+// formats into one reused header buffer and parses the status where it
+// was read — so 1000 gets and 1000 overwrite puts of 512 B over one
+// connection allocate, client and server together and beyond the fresh
+// slice each Get returns, less than one byte per command (under 2000 B
+// in all). Splitting with strings.Fields, reading lines into strings and
+// formatting with fmt cost 184 B per command.
+func TestWireCodecAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const size, rounds = 512, 1000
+	// A full span ring allocates nothing more; a small one fills at once.
+	_, srv := newStack(t, core.SolidStateConfig{Obs: obs.New(64)})
+	tcp := server.NewTCP(srv)
+	if err := tcp.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Shutdown()
+	cl := dialTimed(t, tcp, "codec")
+	payload := bytes.Repeat([]byte{0x3c}, size)
+	round := func() {
+		if n, err := cl.Put(1, 0, payload); err != nil || n != size {
+			t.Fatalf("put: %d, %v", n, err)
+		}
+		if got, err := cl.Get(1, 0, size); err != nil || len(got) != size {
+			t.Fatalf("get: %d bytes, %v", len(got), err)
+		}
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc - rounds*size) / (2 * rounds); per > 0 {
+		t.Fatalf("%d B allocated per command beyond the gets' results, want 0", per)
 	}
 }

@@ -189,17 +189,17 @@ type Server struct {
 	batched     *obs.Counter
 	syncFlushes int64
 	shedGauge   *obs.Gauge
-	// lat and breakdown are handle arrays resolved once at construction
-	// (indexed by OpKind and by obs.BreakdownStages order respectively)
-	// so the per-request hot path never touches a map.
-	lat [OpSync + 1]*obs.Histogram
-	// obs is the resolved observer request trace contexts install on;
-	// breakdown holds one latency-attribution histogram per stage, fed
-	// from each completed request's trace context (zeros included, so a
-	// stage's quantiles are over ALL requests, not just the stalled
-	// ones). shedEngages counts admission false→true transitions.
+	// samples[k] is the handle array a request of kind k observes into,
+	// resolved once at construction so the per-request hot path never
+	// touches a map: request_latency_ns{op} first, then one
+	// serve_latency_breakdown histogram per stage in
+	// obs.BreakdownStages order, fed from each request's trace context
+	// (zeros included, so a stage's quantiles are over ALL requests, not
+	// just the stalled ones). One obs.ObserveAll records them all.
+	samples [OpSync + 1][1 + obs.NumStages]*obs.Histogram
+	// obs is the resolved observer request trace contexts install on.
+	// shedEngages counts admission false→true transitions.
 	obs         *obs.Observer
-	breakdown   []*obs.Histogram
 	shedEngages *obs.Counter
 }
 
@@ -219,14 +219,16 @@ func New(b Backend, cfg Config) (*Server, error) {
 		batched:   o.Counter("batched_syncs_total", obs.Labels{"layer": "server"}),
 	}
 	for k := OpGet; k <= OpSync; k++ {
-		s.lat[k] = o.Histogram("request_latency_ns", obs.Labels{"layer": "server", "op": k.String()})
+		s.samples[k][0] = o.Histogram("request_latency_ns", obs.Labels{"layer": "server", "op": k.String()})
 	}
 	s.shedGauge = o.Gauge("shedding", obs.Labels{"layer": "server"})
 	s.obs = o
 	s.shedEngages = o.Counter("shed_engage_total", obs.Labels{"layer": "server"})
-	s.breakdown = make([]*obs.Histogram, len(obs.BreakdownStages))
 	for i, stage := range obs.BreakdownStages {
-		s.breakdown[i] = o.Histogram("serve_latency_breakdown", obs.Labels{"layer": "server", "stage": stage})
+		h := o.Histogram("serve_latency_breakdown", obs.Labels{"layer": "server", "stage": stage})
+		for k := range s.samples {
+			s.samples[k][1+i] = h
+		}
 	}
 	return s, nil
 }
@@ -359,7 +361,7 @@ func (sess *Session) Do(req Request) (Response, error) {
 		err = s.b.Storage.TickDaemon()
 	}
 	if err != nil {
-		s.observeBreakdown(tc, tc.Finish(0, err))
+		s.observe(req.Kind, tc, tc.Finish(0, err), -1)
 		return Response{}, err
 	}
 	now = s.b.Clock.Now()
@@ -375,7 +377,7 @@ func (sess *Session) Do(req Request) (Response, error) {
 		// The daemon pass the shed request just waited out is real
 		// request-path stall — it stays in the breakdown record even
 		// though no service follows.
-		s.observeBreakdown(tc, tc.FinishOutcome(0, "shed"))
+		s.observe(req.Kind, tc, tc.FinishOutcome(0, "shed"), -1)
 		s.shed.Inc()
 		return Response{}, ErrOverloaded
 	}
@@ -389,7 +391,7 @@ func (sess *Session) Do(req Request) (Response, error) {
 
 	resp, err := s.dispatch(sess, req)
 	if err != nil {
-		s.observeBreakdown(tc, tc.Finish(0, err))
+		s.observe(req.Kind, tc, tc.Finish(0, err), -1)
 		if errors.Is(err, ErrNotFound) {
 			s.notFound.Inc()
 		}
@@ -398,22 +400,33 @@ func (sess *Session) Do(req Request) (Response, error) {
 	bd := tc.Finish(int64(resp.N), nil)
 	resp.Latency = s.b.Clock.Now().Sub(arrival)
 	s.completed.Inc()
-	s.lat[req.Kind].ObserveDuration(resp.Latency)
-	s.observeBreakdown(tc, bd)
+	s.observe(req.Kind, tc, bd, resp.Latency)
 	return resp, nil
 }
 
-// observeBreakdown folds one finished request's per-stage attribution
-// into the serve_latency_breakdown histograms. Every request that opened
-// a context counts — completed, failed, or shed — because the breakdown
-// measures where request-path virtual time went, not just where
-// successful service went.
-func (s *Server) observeBreakdown(tc *obs.TraceContext, bd obs.Breakdown) {
-	if tc == nil {
-		return
+// observe folds one finished request into its histograms in one
+// obs.ObserveAll: the per-stage attribution into
+// serve_latency_breakdown, and a completed request's latency (lat >= 0)
+// into request_latency_ns. Every request that opened a context counts in
+// the breakdown — completed, failed, or shed — because it measures where
+// request-path virtual time went, not just where successful service
+// went.
+func (s *Server) observe(kind OpKind, tc *obs.TraceContext, bd obs.Breakdown, lat sim.Duration) {
+	var vs [1 + obs.NumStages]float64
+	vs[0] = float64(lat)
+	d := bd.Durations()
+	for i := range d {
+		vs[1+i] = float64(d[i])
 	}
-	for i, stage := range obs.BreakdownStages {
-		s.breakdown[i].ObserveDuration(bd.Stage(stage))
+	from, to := 0, len(vs)
+	if lat < 0 {
+		from = 1 // not completed: no request latency
+	}
+	if tc == nil {
+		to = 1 // no trace context: no breakdown
+	}
+	if from < to {
+		obs.ObserveAll(s.samples[kind][from:to], vs[from:to])
 	}
 }
 

@@ -33,12 +33,104 @@ func NewHistogram(name string) *Histogram {
 
 const histSubBuckets = 8
 
-// histBucket is the bucket of a positive finite sample; histBucketUpper
-// is a bucket's upper bound.
-func histBucket(v float64) int {
+// histBucketLog is the bucket of a positive finite sample by definition:
+// floor(log2(v)·8). histBucket finds the same index without the
+// logarithm for samples in [1, 2^63) and calls this everywhere else.
+func histBucketLog(v float64) int {
 	return int(math.Floor(math.Log2(v) * histSubBuckets))
 }
 
+// histTableExps is the number of binary exponents histThresholds covers:
+// samples in [1, 2^63).
+const histTableExps = 63
+
+// histThresholds[e][k] is the smallest v whose histBucketLog is at least
+// 8e+k+1. The 8 thresholds of an exponent split [2^e, 2^(e+1)) into its
+// sub-buckets; the last is 2^(e+1) itself, or a few ulps below it from
+// e=2 on, where log2 rounds up to e+1 and the top of the range already
+// falls in the next exponent's first bucket.
+var histThresholds = buildHistThresholds()
+
+// buildHistThresholds derives every threshold from histBucketLog itself,
+// so histBucket matches the formula bit for bit. Each search starts from
+// the previous exponent's threshold doubled (exponent 0's from the exact
+// power of two), which lands within a few ulps, so the whole table costs
+// about 50 µs.
+func buildHistThresholds() *[histTableExps][histSubBuckets]float64 {
+	t := new([histTableExps][histSubBuckets]float64)
+	for e := range t {
+		for k := range t[e] {
+			target := e*histSubBuckets + k + 1
+			guess := math.Exp2(float64(target) / histSubBuckets)
+			if e > 0 {
+				guess = 2 * t[e-1][k]
+			}
+			t[e][k] = firstInBucket(guess, target)
+		}
+	}
+	return t
+}
+
+// firstInBucket returns the smallest positive float64 whose histBucketLog
+// is at least target, galloping out from guess in doubling ulp steps and
+// then bisecting: positive floats order as their bit patterns do, and the
+// bucket never decreases as v grows.
+func firstInBucket(guess float64, target int) float64 {
+	reaches := func(bits uint64) bool { return histBucketLog(math.Float64frombits(bits)) >= target }
+	g := math.Float64bits(guess)
+	lo, hi := g, g // !reaches(lo), reaches(hi) once the gallop stops
+	if reaches(g) {
+		for d := uint64(1); ; d *= 2 {
+			if lo = g - d; !reaches(lo) {
+				break
+			}
+			hi = lo
+		}
+	} else {
+		for d := uint64(1); ; d *= 2 {
+			if hi = g + d; reaches(hi) {
+				break
+			}
+			lo = hi
+		}
+	}
+	for hi-lo > 1 {
+		if m := lo + (hi-lo)/2; reaches(m) {
+			hi = m
+		} else {
+			lo = m
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// histBucket is the bucket of a positive finite sample, histBucketLog's
+// index found by comparisons: the exponent bits pick a row of
+// histThresholds, and the sub-bucket is how many of its thresholds v
+// reaches (a three-step search over the first seven, then the last).
+func histBucket(v float64) int {
+	e := int(math.Float64bits(v)>>52) - 1023
+	if uint(e) >= histTableExps {
+		return histBucketLog(v)
+	}
+	t := &histThresholds[e]
+	k := 0
+	if v >= t[3] {
+		k = 4
+	}
+	if v >= t[k+1] {
+		k += 2
+	}
+	if v >= t[k] {
+		k++
+	}
+	if v >= t[7] {
+		k++
+	}
+	return e*histSubBuckets + k
+}
+
+// histBucketUpper is a bucket's upper bound.
 func histBucketUpper(b int) float64 {
 	return math.Exp2(float64(b+1) / histSubBuckets)
 }

@@ -8,7 +8,7 @@ import (
 
 // mapHistogram is the histogram as it was kept before its buckets went
 // dense: a map from bucket index to count, its keys sorted on every
-// quantile. A sample <= 0 had the key math.MinInt32, whose upper bound
+// quantile, and each bucket found by the logarithm. A sample <= 0 had the key math.MinInt32, whose upper bound
 // was 0. On amd64 the bucket arithmetic gave NaN and +Inf the key
 // math.MinInt64; the reference writes that key out so it means the same
 // on every platform.
@@ -39,7 +39,7 @@ func (h *mapHistogram) observe(v float64) {
 	case v <= 0:
 		b = math.MinInt32
 	default:
-		b = histBucket(v)
+		b = histBucketLog(v)
 	}
 	h.buckets[b]++
 }
@@ -230,5 +230,60 @@ func TestHistogramDenseAllocFree(t *testing.T) {
 		h.Quantile(0.99)
 	}); a != 0 {
 		t.Fatalf("Quantile allocated %.1f per run", a)
+	}
+}
+
+// ulpsFrom steps n ulps from v (n < 0 toward zero).
+func ulpsFrom(v float64, n int) float64 {
+	return math.Float64frombits(uint64(int64(math.Float64bits(v)) + int64(n)))
+}
+
+// TestHistBucketMatchesLog2 holds the comparison bucket to the formula it
+// replaces: around every table threshold and every power of two in the
+// table's range to ±4 ulps, and on a seeded sweep of integers and
+// fractions across all 63 exponents plus every input the table leaves to
+// the formula (zero, values below 1 and subnormal, 2^63 and above, NaN,
+// ±Inf and negatives).
+func TestHistBucketMatchesLog2(t *testing.T) {
+	check := func(v float64) {
+		if got, want := histBucket(v), histBucketLog(v); got != want {
+			t.Fatalf("histBucket(%v) [bits %#x] = %d, floor(log2·8) = %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	for e := range histThresholds {
+		for d := -4; d <= 4; d++ {
+			check(ulpsFrom(math.Ldexp(1, e), d))
+			for _, th := range histThresholds[e] {
+				check(ulpsFrom(th, d))
+			}
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		0x1p-1022, 0.5, ulpsFrom(1, -1), 0x1p63, ulpsFrom(0x1p63, 1), 0x1p64, 1e300, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)} {
+		check(v)
+	}
+	g := NewRNG(39)
+	const sweep = 1 << 20
+	for i := 0; i < sweep; i++ {
+		e := i % histTableExps
+		switch i / histTableExps % 4 {
+		case 0: // an integer in [2^e, 2^(e+1))
+			check(float64(int64(1)<<e + g.Int63n(int64(1)<<e)))
+		case 1: // a fraction in the same range
+			check(math.Ldexp(1+g.Float64(), e))
+		case 2: // below 1, down through the subnormals
+			check(math.Ldexp(1+g.Float64(), -1-g.Intn(1074)))
+		case 3: // 2^63 and above
+			check(math.Ldexp(1+g.Float64(), 63+g.Intn(961)))
+		}
+	}
+}
+
+// BenchmarkBuildHistThresholds is what the bucket table costs a process
+// at start.
+func BenchmarkBuildHistThresholds(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		buildHistThresholds()
 	}
 }
