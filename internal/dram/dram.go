@@ -70,6 +70,9 @@ type Device struct {
 	clock *sim.Clock
 	meter *sim.EnergyMeter
 	obs   *obs.Observer
+	// active and idle are the meter's accounts for MeterCategory and its
+	// "-idle" twin, resolved once in New.
+	active, idle *sim.EnergyAccount
 
 	data []byte
 	lost bool
@@ -97,6 +100,8 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		clock:         clock,
 		meter:         meter,
 		obs:           o,
+		active:        meter.Account(cfg.MeterCategory),
+		idle:          meter.Account(cfg.MeterCategory + "-idle"),
 		data:          make([]byte, cfg.CapacityBytes),
 		reads:         o.Counter("ops_total", lbl("read")),
 		writes:        o.Counter("ops_total", lbl("write")),
@@ -143,20 +148,32 @@ func (d *Device) IdleMilliwatts() float64 {
 
 // Read copies len(buf) bytes at addr into buf and returns the latency.
 func (d *Device) Read(addr int64, buf []byte) (sim.Duration, error) {
+	return d.ReadWindow(addr, len(buf), 0, buf)
+}
+
+// ReadWindow reads n bytes at addr — charged, counted and spanned exactly
+// as Read of an n-byte buffer — but copies only the window [off,
+// off+len(buf)) of them into buf. A caller that wants part of a stored
+// block pays for the block without bouncing it through a scratch buffer.
+func (d *Device) ReadWindow(addr int64, n, off int, buf []byte) (sim.Duration, error) {
 	if d.lost {
 		return 0, ErrPowerLost
 	}
-	if err := d.checkRange(addr, len(buf)); err != nil {
+	if err := d.checkRange(addr, n); err != nil {
 		return 0, err
 	}
+	if off < 0 || off > n-len(buf) {
+		return 0, fmt.Errorf("%w: window [%d,%d) of a %d-byte read", ErrOutOfRange, off, off+len(buf), n)
+	}
 	sp := d.span("read")
-	defer sp.End(int64(len(buf)), nil)
-	dur := sim.Duration(d.cfg.Params.ReadLatencyNs(len(buf)))
+	defer sp.End(int64(n), nil)
+	dur := sim.Duration(d.cfg.Params.ReadLatencyNs(n))
 	d.clock.Advance(dur)
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
-	copy(buf, d.data[addr:addr+int64(len(buf))])
+	d.active.Charge(sim.EnergyFor(d.activePower(), dur))
+	at := addr + int64(off)
+	copy(buf, d.data[at:at+int64(len(buf))])
 	d.reads.Inc()
-	d.bytesRead.Add(int64(len(buf)))
+	d.bytesRead.Add(int64(n))
 	return dur, nil
 }
 
@@ -172,7 +189,7 @@ func (d *Device) Write(addr int64, p []byte) (sim.Duration, error) {
 	defer sp.End(int64(len(p)), nil)
 	dur := sim.Duration(d.cfg.Params.WriteLatencyNs(len(p)))
 	d.clock.Advance(dur)
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+	d.active.Charge(sim.EnergyFor(d.activePower(), dur))
 	copy(d.data[addr:], p)
 	d.writes.Inc()
 	d.bytesWritten.Add(int64(len(p)))
@@ -204,7 +221,7 @@ func (d *Device) ChargeIdle() {
 	if now <= d.lastIdleCharge {
 		return
 	}
-	d.meter.Charge(d.cfg.MeterCategory+"-idle", sim.EnergyFor(d.IdleMilliwatts(), now.Sub(d.lastIdleCharge)))
+	d.idle.Charge(sim.EnergyFor(d.IdleMilliwatts(), now.Sub(d.lastIdleCharge)))
 	d.lastIdleCharge = now
 }
 

@@ -126,6 +126,9 @@ type Device struct {
 	clock *sim.Clock
 	meter *sim.EnergyMeter
 	obs   *obs.Observer
+	// active and idle are the meter's accounts for MeterCategory and its
+	// "-idle" twin, resolved once in New; nil without a meter.
+	active, idle *sim.EnergyAccount
 
 	data       [][]byte // segBlocks whole erase blocks per piece; see blockData
 	segBlocks  int
@@ -182,6 +185,8 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		cfg:         cfg,
 		clock:       clock,
 		meter:       meter,
+		active:      meter.Account(cfg.MeterCategory),
+		idle:        meter.Account(cfg.MeterCategory + "-idle"),
 		obs:         o,
 		erasedFrom:  make([]int64, cfg.Banks*cfg.BlocksPerBank),
 		eraseCount:  make([]int64, cfg.Banks*cfg.BlocksPerBank),
@@ -445,7 +450,7 @@ func (d *Device) ReadPages(addrs []int64, buf []byte) (lat sim.Duration, err err
 			s := d.waitBank(bank)
 			dur := sim.Duration(d.cfg.Params.ReadLatencyNs(n))
 			d.clock.Advance(dur)
-			d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+			d.active.Charge(sim.EnergyFor(d.activePower(), dur))
 			d.load(page[:n], addr)
 			stall += s
 			lat += s + dur
@@ -529,7 +534,7 @@ func (d *Device) ReadSpare(unit int64, buf []byte) (lat sim.Duration, err error)
 	d.readStallNs.Add(int64(stall))
 	dur := sim.Duration(d.cfg.Params.ReadLatencyNs(len(buf)))
 	d.clock.Advance(dur)
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+	d.active.Charge(sim.EnergyFor(d.activePower(), dur))
 	copy(buf, d.spare[unit*int64(d.cfg.SpareBytes):])
 	d.reads.Inc()
 	d.bytesRead.Add(int64(len(buf)))
@@ -574,7 +579,7 @@ func (d *Device) ProgramSpare(unit int64, p []byte) (lat sim.Duration, err error
 	dur := sim.Duration(d.cfg.Params.WriteLatencyNs(len(p)))
 	d.bankBusyNs[bank].Add(int64(dur))
 	d.clock.Advance(dur)
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+	d.active.Charge(sim.EnergyFor(d.activePower(), dur))
 	d.programs.Inc()
 	d.bytesProg.Add(int64(len(p)))
 	d.chargeProgram(int64(len(p)))
@@ -628,7 +633,7 @@ func (d *Device) program(addr int64, p []byte) (sim.Duration, error) {
 	d.chargeProgram(int64(len(p)))
 	dur := sim.Duration(d.cfg.Params.WriteLatencyNs(len(p)))
 	d.bankBusyNs[d.BankOf(d.BlockOf(addr))].Add(int64(dur))
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+	d.active.Charge(sim.EnergyFor(d.activePower(), dur))
 	return dur, nil
 }
 
@@ -720,7 +725,7 @@ func (d *Device) erase(block int) (sim.Duration, error) {
 	d.chargeErase()
 	dur := sim.Duration(d.cfg.Params.EraseLatencyNs)
 	d.bankBusyNs[d.BankOf(block)].Add(int64(dur))
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.activePower(), dur))
+	d.active.Charge(sim.EnergyFor(d.activePower(), dur))
 	return dur, nil
 }
 
@@ -809,7 +814,7 @@ func (d *Device) ChargeIdle() {
 		return
 	}
 	idle := d.cfg.Params.IdleMilliwattsPerMB * float64(d.Capacity()) / (1 << 20)
-	d.meter.Charge(d.cfg.MeterCategory+"-idle", sim.EnergyFor(idle, now.Sub(d.lastIdleCharge)))
+	d.idle.Charge(sim.EnergyFor(idle, now.Sub(d.lastIdleCharge)))
 	d.lastIdleCharge = now
 }
 

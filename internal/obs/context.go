@@ -207,13 +207,14 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 	if o == nil || o.Tracer == nil || clock == nil {
 		return nil
 	}
-	if o.reqCtx.Load() != nil {
+	if o.reqCtx != nil {
 		return nil
 	}
-	tc := o.ctxFree.Swap(nil)
+	tc := o.ctxFree
 	if tc == nil {
 		tc = &TraceContext{}
 	}
+	o.ctxFree = nil
 	now := clock.Now()
 	// A parked context is zero but for its stack's backing array, which
 	// keeps its capacity (see FinishOutcome): past the first few requests
@@ -221,11 +222,12 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 	tc.o, tc.queue, tc.mark = o, queue, now
 	tc.stages[stageQueue] = queue
 	tc.stack.t, tc.stack.ctx = o.Tracer, tc
+	o.spanIDs++
 	*tc.stack.push() = spanFrame{
 		clock: clock, start: now, layer: layer, op: op,
-		stage: StageOther, stageIdx: stageOther, id: o.spanIDs.Add(1),
+		stage: StageOther, stageIdx: stageOther, id: o.spanIDs,
 	}
-	o.reqCtx.Store(tc)
+	o.reqCtx = tc
 	return tc
 }
 
@@ -234,7 +236,7 @@ func (o *Observer) ActiveContext() *TraceContext {
 	if o == nil {
 		return nil
 	}
-	return o.reqCtx.Load()
+	return o.reqCtx
 }
 
 // Root reports the context's root span ID.
@@ -268,7 +270,8 @@ func (tc *TraceContext) open(f *spanFrame, declared string, induced bool) {
 	default:
 		f.stage, f.stageIdx = declared, stageIndexOf(declared)
 	}
-	f.id, f.parent = tc.o.spanIDs.Add(1), up.id
+	tc.o.spanIDs++
+	f.id, f.parent = tc.o.spanIDs, up.id
 	if induced {
 		f.follow = frames[0].id
 	}
@@ -292,11 +295,12 @@ func (tc *TraceContext) HolderSpan(node, op string, start, end sim.Time, bytes i
 		return
 	}
 	root := &tc.stack.frames[0]
+	tc.o.spanIDs++
 	tc.stack.t.Record(Span{
 		Start: start, End: end,
 		Layer: root.layer, Op: op,
 		Bytes: bytes, Outcome: outcome,
-		ID: tc.o.spanIDs.Add(1), Parent: root.id,
+		ID: tc.o.spanIDs, Parent: root.id,
 		Node: node,
 	})
 }
@@ -323,7 +327,7 @@ func (tc *TraceContext) FinishOutcome(bytes int64, outcome string) Breakdown {
 	now := root.clock.Now()
 	tc.accrue(now)
 	o := tc.o
-	o.reqCtx.Store(nil)
+	o.reqCtx = nil
 	tc.stack.t.Record(Span{
 		Start: root.start, End: now,
 		Layer: root.layer, Op: root.op,
@@ -332,6 +336,6 @@ func (tc *TraceContext) FinishOutcome(bytes int64, outcome string) Breakdown {
 	})
 	bd := breakdownFrom(&tc.stages)
 	*tc = TraceContext{stack: spanStack{frames: tc.stack.frames[:0]}}
-	o.ctxFree.Store(tc)
+	o.ctxFree = tc
 	return bd
 }

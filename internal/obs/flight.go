@@ -44,8 +44,10 @@ type FlightRecord struct {
 	EventsDropped int64   `json:"events_dropped,omitempty"`
 }
 
-// FlightRecorder dumps flight records into a directory. Safe for
-// concurrent use; dumps are serialized.
+// FlightRecorder dumps flight records into a directory. Dumps are
+// serialized among themselves, but a dump reads the observer's span ring,
+// which takes no lock: it must run under the lock that serializes the
+// observer's writer, or after the writer has stopped (see Tracer).
 type FlightRecorder struct {
 	o   *Observer
 	dir string

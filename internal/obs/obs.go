@@ -47,9 +47,18 @@
 // Open spans. Observer.Span returns a two-word SpanRef naming a frame on
 // a span stack: the active request's (see TraceContext) or, outside a
 // request, the observer's own background stack. End writes the span from
-// its frame straight into the ring. The stacks take no lock, so an
-// Observer assumes one writer at a time; the server's mutex and the
-// parallel experiment engine's per-job observers provide it.
+// its frame straight into the ring, with the energy the span's meter
+// drew across it; devices charge that meter through accounts they
+// resolve once (sim.EnergyMeter.Account), so a charge is two adds.
+//
+// One writer per observer. The span stacks, the Tracer's ring and the
+// request state (the installed context, the span-ID counter, the spare
+// context) take no lock and no atomic: an Observer has one writer at a
+// time, which the server's and the cluster's mutexes and the parallel
+// experiment engine's per-job observers provide. The ring's readers
+// (Tracer.Spans, Total, Dropped, Merge, Flush; FlightRecorder.Dump,
+// DumpFiles) run under the lock that serializes the writer, or after it
+// has stopped; DESIGN §10 lists them.
 package obs
 
 import (
@@ -511,9 +520,11 @@ type Observer struct {
 	// spanIDs allocates span identities within this observer's stream.
 	// ctxFree holds one retired context for reuse — requests do not nest,
 	// so a single spare makes the enabled trace path allocation-free.
-	reqCtx  atomic.Pointer[TraceContext]
-	spanIDs atomic.Uint64
-	ctxFree atomic.Pointer[TraceContext]
+	// Like the span stacks and the Tracer, they have one writer and take
+	// no lock (DESIGN §10).
+	reqCtx  *TraceContext
+	spanIDs uint64
+	ctxFree *TraceContext
 	// spans is the background stack: spans opened outside any request.
 	spans spanStack
 	// cause is the active wear-attribution cause (see PushCause); the

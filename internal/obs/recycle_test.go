@@ -100,7 +100,7 @@ func TestTraceContextRecycleBurst(t *testing.T) {
 			open[depth].End(0, nil)
 		}
 		tc.Finish(0, nil)
-		if parked := o.ctxFree.Load(); parked == nil || len(parked.stack.frames) != 0 {
+		if parked := o.ctxFree; parked == nil || len(parked.stack.frames) != 0 {
 			t.Fatalf("iteration %d: parked context not reset", i)
 		}
 	}

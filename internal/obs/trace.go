@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"ssmobile/internal/sim"
 )
@@ -79,11 +78,15 @@ const spanChunkSize = 1 << 13
 
 // Tracer records spans into a bounded ring buffer. When the buffer is
 // full the oldest spans are overwritten; Dropped reports how many were
-// lost. Safe for concurrent use. The ring grows on demand up to its
-// capacity, so short-lived tracers (the parallel engine makes one per
-// job) cost only what they record.
+// lost. The ring grows on demand up to its capacity, so short-lived
+// tracers (the parallel engine makes one per job) cost only what they
+// record.
+//
+// A Tracer takes no lock: it has one writer, its observer's, like the
+// span stacks that feed it. Every other call — Spans, Total, Dropped,
+// Merge, Flush, SetNode — runs under the lock that serializes that
+// writer, or after the writer has stopped (DESIGN §10 lists the readers).
 type Tracer struct {
-	mu       sync.Mutex
 	chunks   [][]Span // backing store; only the last chunk may be short
 	capacity int
 	length   int    // spans retained; grows to capacity, then stops
@@ -119,9 +122,7 @@ func (t *Tracer) SetNode(name string) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.node = name
-	t.mu.Unlock()
 }
 
 // Record appends one finished span.
@@ -129,16 +130,14 @@ func (t *Tracer) Record(sp Span) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	if sp.Node == "" {
 		sp.Node = t.node
 	}
 	*t.slot() = sp
-	t.mu.Unlock()
 }
 
 // slot claims the ring slot the next span is written into, growing the
-// ring by a chunk or overwriting its oldest span. t.mu must be held.
+// ring by a chunk or overwriting its oldest span.
 func (t *Tracer) slot() *Span {
 	i := t.next
 	if t.length < t.capacity {
@@ -160,8 +159,6 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Span, 0, t.length)
 	out = t.appendRange(out, t.next, t.length)
 	return t.appendRange(out, 0, t.next)
@@ -186,8 +183,6 @@ func (t *Tracer) Total() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.total
 }
 
@@ -196,8 +191,6 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.total - int64(t.length)
 }
 
@@ -210,16 +203,11 @@ func (t *Tracer) Merge(src *Tracer) {
 	if t == nil || src == nil {
 		return
 	}
-	spans := src.Spans()
 	dropped := src.Dropped()
-	for _, sp := range spans {
+	for _, sp := range src.Spans() {
 		t.Record(sp)
 	}
-	if dropped > 0 {
-		t.mu.Lock()
-		t.total += dropped
-		t.mu.Unlock()
-	}
+	t.total += dropped
 }
 
 // Flush writes the retained spans through each sink in turn.
@@ -316,7 +304,7 @@ func (o *Observer) openSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op,
 	}
 	now := clock.Now()
 	s := &o.spans
-	tc := o.reqCtx.Load()
+	tc := o.reqCtx
 	if tc != nil {
 		s = &tc.stack
 		tc.accrue(now)
@@ -363,14 +351,12 @@ func (s SpanRef) EndOutcome(bytes int64, outcome string) {
 		st.ctx.accrue(end)
 	}
 	t := st.t
-	t.mu.Lock()
 	// Field by field: a composite literal is built aside and then copied.
 	sp := t.slot()
 	sp.Start, sp.End, sp.Layer, sp.Op = f.start, end, f.layer, f.op
 	sp.Bytes, sp.Energy, sp.Outcome = bytes, e, outcome
 	sp.ID, sp.Parent, sp.FollowFrom, sp.Queue = f.id, f.parent, f.follow, 0
 	sp.Stage, sp.Node = f.stage, t.node
-	t.mu.Unlock()
 	st.frames = st.frames[:s.depth]
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -109,4 +110,52 @@ func fieldsOf(tb testing.TB, line string) [][]byte {
 		tb.Fatal(err)
 	}
 	return fields
+}
+
+// loopReader replays its bytes forever, so a benchmark reads header
+// lines from a bufio.Reader without rebuilding it.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// BenchmarkParseReq is the wire codec's decode rung: one header line read
+// and split by readLine and decoded by parseReq, on wire_hot's get and
+// put headers. It allocates nothing.
+func BenchmarkParseReq(b *testing.B) {
+	for _, c := range []struct{ name, line string }{{"get", "get 1 0 512\n"}, {"put", "put 1 0 512\n"}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := bufio.NewReaderSize(&loopReader{b: []byte(c.line)}, maxLineBytes)
+			var fieldBuf [4][]byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fields, err := readLine(r, fieldBuf[:0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if req, err := parseReq(fields[0], fields[1:]); err != nil || req.Size != 512 {
+					b.Fatalf("%q parsed to %+v, %v", c.line, req, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteStatus is the wire codec's encode rung: one "ok" status
+// line, a get's reply header, buffered toward a discarding writer. It
+// allocates nothing.
+func BenchmarkWriteStatus(b *testing.B) {
+	w := bufio.NewWriter(io.Discard)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := writeStatus(w, 512, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

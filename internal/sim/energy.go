@@ -44,31 +44,60 @@ func EnergyFor(pMilliwatts float64, d Duration) Energy {
 
 // EnergyMeter accumulates per-component energy draw. Device models charge
 // it for every operation and for idle power over elapsed time; experiment
-// drivers read it to report battery impact.
+// drivers read it to report battery impact. A device resolves its
+// categories to accounts once (Account) and charges through them, so an
+// operation's charge is two adds, not a map lookup.
 type EnergyMeter struct {
 	total           Energy
-	byCategory      map[string]Energy
+	accounts        map[string]*EnergyAccount
 	droppedNegative int64
+}
+
+// EnergyAccount is one category of a meter, resolved once by
+// EnergyMeter.Account. Charging through it is Charge with that category.
+type EnergyAccount struct {
+	m *EnergyMeter
+	e Energy
 }
 
 // NewEnergyMeter returns an empty meter.
 func NewEnergyMeter() *EnergyMeter {
-	return &EnergyMeter{byCategory: make(map[string]Energy)}
+	return &EnergyMeter{accounts: make(map[string]*EnergyAccount)}
 }
 
-// Charge records e joules of consumption attributed to category. A
+// Account returns the category's account, creating it on first use. It
+// stays valid for the meter's lifetime, across Reset. A nil meter has no
+// accounts and returns nil.
+func (m *EnergyMeter) Account(category string) *EnergyAccount {
+	if m == nil {
+		return nil
+	}
+	a := m.accounts[category]
+	if a == nil {
+		a = &EnergyAccount{m: m}
+		m.accounts[category] = a
+	}
+	return a
+}
+
+// Charge records e of consumption against the account's category. A
 // negative charge is a modelling bug, not physics: it is clamped to zero
 // (the meter stays monotone) and counted, so telemetry can surface it as
 // a dropped_negative_charges metric instead of silently corrupting the
 // energy story.
-func (m *EnergyMeter) Charge(category string, e Energy) {
+func (a *EnergyAccount) Charge(e Energy) {
+	m := a.m
 	if e < 0 {
 		m.droppedNegative++
 		return
 	}
 	m.total += e
-	m.byCategory[category] += e
+	a.e += e
 }
+
+// Charge records e of consumption attributed to category; see
+// EnergyAccount.Charge.
+func (m *EnergyMeter) Charge(category string, e Energy) { m.Account(category).Charge(e) }
 
 // DroppedNegativeCharges reports how many negative charges were clamped.
 func (m *EnergyMeter) DroppedNegativeCharges() int64 { return m.droppedNegative }
@@ -77,11 +106,20 @@ func (m *EnergyMeter) DroppedNegativeCharges() int64 { return m.droppedNegative 
 func (m *EnergyMeter) Total() Energy { return m.total }
 
 // Category reports the accumulated energy for one category.
-func (m *EnergyMeter) Category(c string) Energy { return m.byCategory[c] }
+func (m *EnergyMeter) Category(c string) Energy {
+	if a := m.accounts[c]; a != nil {
+		return a.e
+	}
+	return 0
+}
 
-// Reset zeroes the meter, including the dropped-negative count.
+// Reset zeroes the meter, including the dropped-negative count. Accounts
+// are zeroed in place, so devices keep charging through the ones they
+// resolved.
 func (m *EnergyMeter) Reset() {
 	m.total = 0
-	m.byCategory = make(map[string]Energy)
+	for _, a := range m.accounts {
+		a.e = 0
+	}
 	m.droppedNegative = 0
 }

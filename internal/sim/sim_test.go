@@ -337,6 +337,65 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
+// TestEnergyAccount holds charges through resolved accounts to Charge by
+// category: the same totals, the same clamping of a negative charge, and
+// an account resolved before Reset still charges the meter after it.
+func TestEnergyAccount(t *testing.T) {
+	byName, byAccount := NewEnergyMeter(), NewEnergyMeter()
+	accounts := map[string]*EnergyAccount{
+		"flash": byAccount.Account("flash"),
+		"dram":  byAccount.Account("dram"),
+	}
+	if byAccount.Account("flash") != accounts["flash"] {
+		t.Fatal("Account resolved one category to two accounts")
+	}
+	for _, c := range []struct {
+		cat string
+		e   Energy
+	}{{"flash", 2 * Millijoule}, {"dram", Millijoule}, {"flash", -Nanojoule}, {"flash", Millijoule}, {"dram", 0}} {
+		byName.Charge(c.cat, c.e)
+		accounts[c.cat].Charge(c.e)
+	}
+	for _, m := range []*EnergyMeter{byName, byAccount} {
+		if m.Total() != 4*Millijoule || m.Category("flash") != 3*Millijoule || m.Category("dram") != Millijoule {
+			t.Fatalf("total %v, flash %v, dram %v; want 4, 3 and 1 mJ", m.Total(), m.Category("flash"), m.Category("dram"))
+		}
+		if m.DroppedNegativeCharges() != 1 {
+			t.Fatalf("dropped %d negative charges, want 1", m.DroppedNegativeCharges())
+		}
+	}
+	byAccount.Reset()
+	accounts["flash"].Charge(Microjoule)
+	if byAccount.Total() != Microjoule || byAccount.Category("flash") != Microjoule || byAccount.Category("dram") != 0 {
+		t.Fatalf("after Reset: total %v, flash %v, dram %v", byAccount.Total(), byAccount.Category("flash"), byAccount.Category("dram"))
+	}
+	if byAccount.DroppedNegativeCharges() != 0 {
+		t.Fatal("Reset kept the dropped-negative count")
+	}
+	var none *EnergyMeter
+	if none.Account("flash") != nil {
+		t.Fatal("a nil meter returned an account")
+	}
+}
+
+// TestEnergyAccountAllocFree: charging, through an account or by a
+// category already charged, allocates nothing.
+func TestEnergyAccountAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	m := NewEnergyMeter()
+	a := m.Account("flash")
+	m.Charge("dram", 0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		a.Charge(Nanojoule)
+		a.Charge(-Nanojoule)
+		m.Charge("dram", Nanojoule)
+	}); allocs != 0 {
+		t.Fatalf("charging allocated %.1f times per run", allocs)
+	}
+}
+
 func TestEnergyFor(t *testing.T) {
 	// 1000 mW (1 W) for 1 second = 1 joule.
 	if got := EnergyFor(1000, Second); got != Joule {

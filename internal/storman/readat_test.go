@@ -2,10 +2,12 @@ package storman
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ssmobile/internal/engine"
+	"ssmobile/internal/obs"
 )
 
 // readBlock reads one stored block through ReadAt and reports its stored
@@ -173,6 +175,134 @@ func TestReadAtMatchesPerBlockWalk(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("layout [%d,+%d): ReadAt %+v, per-block walk %+v", ext.off, ext.n, got, want)
+		}
+	}
+}
+
+// bounceReadAt is ReadAt over DRAM-resident blocks as it was before
+// dram.Device.ReadWindow: each block's stored bytes read whole into a
+// scratch block and the extent's part copied out, the rest zeroed, under
+// one storman read span.
+func bounceReadAt(t *testing.T, m *Manager, object uint64, off int64, buf []byte) {
+	sp := m.span("read")
+	bs := m.cfg.BlockBytes
+	scratch := make([]byte, bs)
+	var read int64
+	for done := 0; done < len(buf); {
+		at := off + int64(done)
+		lo := int(at % int64(bs))
+		dst := buf[done:min(len(buf), done+bs-lo)]
+		done += len(dst)
+		loc := m.byObject[object][at/int64(bs)]
+		if loc == nil || !loc.inDRAM() {
+			t.Fatalf("block %d is not in DRAM", at/int64(bs))
+		}
+		src := scratch[:loc.size]
+		if _, err := m.dram.Read(m.pageAddr(loc.dramPage), src); err != nil {
+			t.Fatal(err)
+		}
+		m.dramReads.Inc()
+		read += int64(loc.size)
+		clear(dst[copy(dst, src[min(lo, loc.size):]):])
+	}
+	m.hostRead.Add(read)
+	sp.End(read, nil)
+}
+
+// TestPartialDRAMReadMatchesBounce holds ReadAt's partial reads of
+// DRAM-resident blocks, which copy only the part asked for, to the
+// whole-block bounce they replaced. Twin stacks read the same extent the
+// two ways inside a request, and must agree on the bytes, the clock, the
+// meter in total and per category, the dram counters and the span
+// stream.
+func TestPartialDRAMReadMatchesBounce(t *testing.T) {
+	const bs = 4096
+	type twin struct {
+		r *rig
+		o *obs.Observer
+	}
+	build := func() twin {
+		o := obs.New(0)
+		r := newObservedRig(t, 1<<20, 0, o)
+		// Block 0 full, block 1 truncated to shortBytes; both in DRAM.
+		for blk := int64(0); blk < 2; blk++ {
+			if err := r.m.WriteBlockAt(Key{Object: 1, Block: blk}, 0, blockOf(byte(0x40+blk), bs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.m.TruncateBlock(Key{Object: 1, Block: 1}, shortBytes); err != nil {
+			t.Fatal(err)
+		}
+		if !r.m.InDRAM(Key{Object: 1, Block: 0}) || !r.m.InDRAM(Key{Object: 1, Block: 1}) {
+			t.Fatal("blocks left DRAM")
+		}
+		return twin{r, o}
+	}
+	type span struct {
+		layer, op, stage string
+		bytes            int64
+	}
+	type outcome struct {
+		data                  []byte
+		clock, total          int64
+		dram, flash, dramIdle int64
+		dramReads, dramBytes  int64
+		hostRead              int64
+		spans                 []span
+	}
+	run := func(read func(m *Manager, off int64, buf []byte), off int64, n int) outcome {
+		tw := build()
+		r := tw.r
+		from := tw.o.Tracer.Total()
+		tc := tw.o.BeginRequest(r.clock, "test", "get", 0)
+		buf := bytes.Repeat([]byte{0xEE}, n)
+		read(r.m, off, buf)
+		tc.Finish(int64(n), nil)
+		out := outcome{
+			data:      buf,
+			clock:     int64(r.clock.Now()),
+			total:     int64(r.meter.Total()),
+			dram:      int64(r.meter.Category("dram")),
+			flash:     int64(r.meter.Category("flash")),
+			dramIdle:  int64(r.meter.Category("dram-idle")),
+			dramReads: r.dram.Stats().Reads,
+			dramBytes: r.dram.Stats().BytesRead,
+			hostRead:  r.m.Stats().HostBytesRead,
+		}
+		spans := tw.o.Tracer.Spans()
+		for _, sp := range spans[len(spans)-int(tw.o.Tracer.Total()-from):] {
+			out.spans = append(out.spans, span{sp.Layer, sp.Op, sp.Stage, sp.Bytes})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"at 0", 0, 300},
+		{"interior", 100, 200},
+		{"at 0 of a short block", bs, 300},
+		{"straddling the stored size", bs + shortBytes - 100, 300},
+		{"past the stored size", bs + shortBytes + 100, 500},
+		{"across both blocks", bs - 100, shortBytes + 300},
+	} {
+		got := run(func(m *Manager, off int64, buf []byte) {
+			if err := m.ReadAt(1, off, buf); err != nil {
+				t.Fatal(err)
+			}
+		}, c.off, c.n)
+		want := run(func(m *Manager, off int64, buf []byte) { bounceReadAt(t, m, 1, off, buf) }, c.off, c.n)
+		if !bytes.Equal(got.data, want.data) {
+			t.Errorf("%s: bytes differ from the bounce", c.name)
+		}
+		gotSpans, wantSpans := got.spans, want.spans
+		got.data, want.data, got.spans, want.spans = nil, nil, nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ReadAt %+v, bounce %+v", c.name, got, want)
+		}
+		if !reflect.DeepEqual(gotSpans, wantSpans) || len(gotSpans) == 0 {
+			t.Errorf("%s: ReadAt spans %+v, bounce %+v", c.name, gotSpans, wantSpans)
 		}
 	}
 }

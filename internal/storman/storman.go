@@ -220,7 +220,7 @@ type Manager struct {
 	// Reusable hot-path scratch. The manager is single-threaded; each
 	// buffer serves one non-nesting code path (migrate can run inside the
 	// write path via eviction, so writeBuf and migBuf are distinct).
-	// readBuf holds a block a read covers only in part, readLPNs the
+	// readBuf holds a flash block a read covers only in part, readLPNs the
 	// pages of one run of whole flash blocks handed to the engine.
 	migBuf   []byte
 	writeBuf []byte
@@ -558,7 +558,9 @@ func (m *Manager) writeDRAM(page, from, off int, data []byte) error {
 // the manager does not hold, and the bytes past a block's stored size,
 // read as zero. It is the manager's only read path: a block the extent
 // covers whole is read in place, by the engine or from its DRAM page,
-// straight into buf; only a block it covers in part goes through readBuf.
+// straight into buf, and a DRAM page the extent covers in part is read
+// through dram.Device.ReadWindow, which copies only the part asked for;
+// only a flash block the extent covers in part goes through readBuf.
 // Consecutive whole, full-size flash blocks go to the engine as one run,
 // one call for up to engine.ReadRunPages blocks. Either way each stored
 // block costs the one device read it always has (its stored bytes from
@@ -611,32 +613,27 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 			clear(dst)
 			continue
 		}
-		n := bs
-		if loc.inDRAM() {
-			n = loc.size
-		}
-		direct := lo == 0 && len(dst) >= n
-		src := m.readBuf[:n]
-		if direct {
-			src = dst[:n]
-		}
+		// Past the stored size, a page holds padding or a truncated tail:
+		// dst takes the stored bytes from lo and zeroes after them.
+		from := min(lo, loc.size)
+		stored := dst[:min(len(dst), loc.size-from)]
 		if loc.inDRAM() {
 			dramReads++
-			_, err = m.dram.Read(m.pageAddr(loc.dramPage), src)
+			_, err = m.dram.ReadWindow(m.pageAddr(loc.dramPage), loc.size, from, stored)
+		} else if lo == 0 && len(dst) >= bs {
+			flashReads++
+			err = m.readPage(loc.lpn, dst[:bs])
 		} else {
 			flashReads++
-			err = m.readPage(loc.lpn, src)
+			if err = m.readPage(loc.lpn, m.readBuf); err == nil {
+				copy(stored, m.readBuf[from:])
+			}
 		}
 		if err != nil {
 			return err
 		}
 		read += int64(loc.size)
-		// Past the stored size, a page holds padding or a truncated tail.
-		if direct {
-			clear(dst[loc.size:])
-		} else {
-			clear(dst[copy(dst, src[min(lo, loc.size):loc.size]):])
-		}
+		clear(dst[len(stored):])
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"ssmobile/internal/dram"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
+	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
@@ -24,15 +25,21 @@ type rig struct {
 
 func newRig(t testing.TB, dramBufBytes int64, delay sim.Duration) *rig {
 	t.Helper()
+	return newObservedRig(t, dramBufBytes, delay, nil)
+}
+
+// newObservedRig is newRig with every layer reporting to o.
+func newObservedRig(t testing.TB, dramBufBytes int64, delay sim.Duration, o *obs.Observer) *rig {
+	t.Helper()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
-	dr, err := dram.New(dram.Config{CapacityBytes: 4 << 20, Params: device.NECDram}, clock, meter)
+	dr, err := dram.New(dram.Config{CapacityBytes: 4 << 20, Params: device.NECDram, Obs: o}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := device.IntelFlash
 	params.EraseLatencyNs = 1e6
-	fd, err := flash.New(flash.Config{Banks: 2, BlocksPerBank: 64, BlockBytes: 16 * 1024, Params: params}, clock, meter)
+	fd, err := flash.New(flash.Config{Banks: 2, BlocksPerBank: 64, BlockBytes: 16 * 1024, Params: params, Obs: o}, clock, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +49,7 @@ func newRig(t testing.TB, dramBufBytes int64, delay sim.Duration) *rig {
 		Policy:          ftl.PolicyCostBenefit,
 		HotCold:         true,
 		BackgroundErase: true,
+		Obs:             o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +59,7 @@ func newRig(t testing.TB, dramBufBytes int64, delay sim.Duration) *rig {
 		DRAMBase:       1 << 20,
 		DRAMBytes:      dramBufBytes,
 		WriteBackDelay: delay,
+		Obs:            o,
 	}, clock, dr, fl)
 	if err != nil {
 		t.Fatal(err)
