@@ -220,7 +220,7 @@ func (s *shell) run(line string) error {
 		}
 		fmt.Fprintf(s.out, "advanced to %v\n", s.sys.Clock().Now())
 	case "crash":
-		cfg := fs.Config{RBoxBase: 0, RBoxBytes: 1 << 20}
+		cfg := fs.Config{RBoxBytes: 1 << 20}
 		recovered, err := fs.RecoverAfterCrash(cfg, s.sys.Clock(), s.sys.Storage, s.sys.DRAM)
 		if err != nil {
 			return err

@@ -13,15 +13,14 @@
 //	                              unexpected errors, exit cleanly
 //
 // serve flags: -addr (default 127.0.0.1:7633), -dram/-flash/-buffer MB
-// sizes, -idle-clean blocks, -high/-low admission watermarks,
-// -sync-window group-commit window, plus the usual -metrics and
-// -cpuprofile/-memprofile outputs.
+// sizes, -idle-clean blocks, -high/-low admission watermarks, plus the
+// usual -metrics and -cpuprofile/-memprofile outputs.
 //
 // -nodes N (either subcommand) serves a cluster instead of one card:
 // N in-process nodes, each its own card stack, behind the consistent-hash
 // router (internal/cluster) — per-tenant/key placement, primary+replica
 // writes, node-local shed retry, and health-driven rebalancing. The size,
-// engine, admission and sync-window flags apply to each node; the ops
+// engine and admission flags apply to each node; the ops
 // surface answers for every node (/debug/health?node=<name> picks one).
 // See DESIGN.md §13 and experiment E14 (ssmsim e14).
 //
@@ -59,7 +58,6 @@ import (
 	"ssmobile/internal/obs"
 	"ssmobile/internal/prof"
 	"ssmobile/internal/server"
-	"ssmobile/internal/sim"
 	"ssmobile/internal/workload"
 )
 
@@ -72,7 +70,6 @@ func main() {
 	engineName := flag.String("engine", "ftl", "storage backend: ftl (page-mapped translation layer) or pdl (page-differential logging)")
 	high := flag.Float64("high", 0.9, "admission high watermark (buffer occupancy fraction)")
 	low := flag.Float64("low", 0.75, "admission low watermark")
-	syncWindow := flag.Duration("sync-window", 0, "sync group-commit window (0 = default 50ms)")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -107,8 +104,7 @@ func main() {
 		nodes:  *nodeCount,
 		dramMB: *dramMB, flashMB: *flashMB, bufferMB: *bufferMB,
 		idleClean: *idleClean, engine: *engineName, high: *high, low: *low,
-		syncWindow: sim.D(*syncWindow),
-		obs:        o,
+		obs: o,
 	})
 	if err != nil {
 		fatal(err)
@@ -176,7 +172,6 @@ type buildConfig struct {
 	idleClean                 int
 	engine                    string
 	high, low                 float64
-	syncWindow                sim.Duration
 	obs                       *obs.Observer
 }
 
@@ -221,9 +216,8 @@ func build(bc buildConfig) (*service, error) {
 				Obs:             o,
 			},
 			Server: server.Config{
-				HighWatermark:   bc.high,
-				LowWatermark:    bc.low,
-				SyncBatchWindow: bc.syncWindow,
+				HighWatermark: bc.high,
+				LowWatermark:  bc.low,
 				OnShedEngage: func() {
 					// Capture the span ring the moment overload protection kicks
 					// in — the spans leading up to it are the interesting ones.

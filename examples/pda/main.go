@@ -73,7 +73,7 @@ func main() {
 	// OS crash equivalent for the in-core FS object only if power holds.
 	// First: an OS crash. Battery-backed DRAM keeps everything; the
 	// recovery box restores the namespace in microseconds.
-	recovered, err := fs.RecoverAfterCrash(fs.Config{RBoxBase: 0, RBoxBytes: 256 << 10},
+	recovered, err := fs.RecoverAfterCrash(fs.Config{RBoxBytes: 256 << 10},
 		sys.Clock(), sys.Storage, sys.DRAM)
 	if err != nil {
 		log.Fatal(err)
@@ -89,7 +89,7 @@ func main() {
 	must(recovered.Sync())
 	must(recovered.WriteFile("/pda/datebook/feb-01", []byte("unsaved entry")))
 	sys.DRAM.PowerFail()
-	after, lost, err := fs.RecoverAfterPowerFailure(fs.Config{RBoxBase: 0, RBoxBytes: 256 << 10},
+	after, lost, err := fs.RecoverAfterPowerFailure(fs.Config{RBoxBytes: 256 << 10},
 		sys.Clock(), sys.Storage, sys.DRAM)
 	if err != nil {
 		log.Fatal(err)

@@ -57,14 +57,6 @@ type Stats struct {
 	Evictions     int64
 }
 
-// HitRate reports hits / (hits+misses).
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 type centry struct {
 	bn         int64
 	slot       int

@@ -1,6 +1,6 @@
 // Host-cost benchmarks for the router: one logical request through
 // cluster.Session.Do (routing, replication fan-out, and the health sweep
-// every RebalanceCheckEvery requests amortised in), and one merged fleet
+// every rebalanceCheckEvery requests amortised in), and one merged fleet
 // snapshot — what a /metrics or /debug/fleet scrape holds the cluster
 // mutex for.
 package cluster_test

@@ -94,9 +94,6 @@ type Config struct {
 	// cordoned and its keys migrated away (default 0.04); a cordoned node
 	// is re-admitted for new placements at uncordonFactor times it.
 	RebalanceMargin float64
-	// RebalanceCheckEvery is the number of cluster requests between
-	// health sweeps (default 64).
-	RebalanceCheckEvery int
 	// Obs is the router's own observer — distinct from the per-node
 	// observers, which carry each card's telemetry. The router registers
 	// its fan-out metrics (per-holder replica latency, the straggler
@@ -122,6 +119,9 @@ const (
 	// the idle gap is cleaner time.
 	shedRetries = 2
 	shedBackoff = 50 * sim.Millisecond
+	// rebalanceCheckEvery is the number of cluster requests between
+	// health sweeps.
+	rebalanceCheckEvery = 64
 )
 
 func (c Config) withDefaults(nodes int) Config {
@@ -133,9 +133,6 @@ func (c Config) withDefaults(nodes int) Config {
 	}
 	if c.RebalanceMargin <= 0 {
 		c.RebalanceMargin = 0.04
-	}
-	if c.RebalanceCheckEvery <= 0 {
-		c.RebalanceCheckEvery = 64
 	}
 	return c
 }
@@ -316,7 +313,7 @@ func (s *Session) Do(req server.Request) (server.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.opsSince++
-	if c.opsSince >= c.cfg.RebalanceCheckEvery {
+	if c.opsSince >= rebalanceCheckEvery {
 		c.opsSince = 0
 		c.checkHealth(req.Arrival)
 	}
@@ -956,13 +953,6 @@ func (c *Cluster) maxClock() sim.Time {
 		}
 	}
 	return t
-}
-
-// NodeDown reports whether node i is marked down.
-func (c *Cluster) NodeDown(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.down[i]
 }
 
 // Cordoned reports whether node i is cordoned off from new placements.

@@ -230,7 +230,7 @@ func TestDeleteWhileHolderDownIsNotResurrected(t *testing.T) {
 // the heal ran solely from RestartNode, so durability silently degraded
 // for as long as the node stayed away.
 func TestUnderReplicatedKeysHealWithoutRestart(t *testing.T) {
-	cl := newTestCluster(t, 3, cluster.Config{Replicas: 1, RebalanceCheckEvery: 4})
+	cl := newTestCluster(t, 3, cluster.Config{Replicas: 1})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -256,13 +256,9 @@ func TestUnderReplicatedKeysHealWithoutRestart(t *testing.T) {
 			t.Fatalf("put %d with node 0 down: %v", k, err)
 		}
 	}
-	// Drive the periodic sweep past the last rewrite so every degraded
-	// key gets its heal pass (no restart anywhere).
-	for i := 0; i < 8; i++ {
-		if _, err := do(server.Request{Kind: server.OpGet, Key: uint64(i), Size: 2048}); err != nil {
-			t.Fatalf("get %d: %v", i, err)
-		}
-	}
+	// The periodic sweep after the last rewrite gives every degraded key
+	// its heal pass (no restart anywhere).
+	cl.SweepHealth(at)
 	if healed := cl.ClusterStats().HealedKeys; healed == 0 {
 		t.Fatal("health sweep healed no keys while the node was away — under-replication persists until a restart")
 	}

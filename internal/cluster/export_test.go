@@ -12,11 +12,18 @@ import (
 // node stacks are assembled through core, and core imports cluster).
 
 // SweepHealth runs one health sweep, exactly as Session.Do does every
-// RebalanceCheckEvery requests.
+// rebalanceCheckEvery requests.
 func (c *Cluster) SweepHealth(arrival sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.checkHealth(arrival)
+}
+
+// NodeDown reports whether node i is marked down.
+func (c *Cluster) NodeDown(i int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.down[i]
 }
 
 // DumpDirectory renders the key directory in sorted (tenant, key) order,

@@ -46,15 +46,21 @@ func countEvents(l *obs.EventLog, typ string) (n int, keys int) {
 // account of what happened, not a sampling of it. Runs under -race in CI
 // to also exercise the journal's locking.
 func TestEventJournalMatchesClusterStats(t *testing.T) {
-	cl, base := newObservedCluster(t, 3, cluster.Config{Replicas: 1, RebalanceCheckEvery: 8})
+	cl, base := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
 	el := base.EventLog()
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := cl.Now()
+	// A health sweep every eight requests, so that heals, sheds and
+	// tombstones interleave with the traffic.
+	at, ops := cl.Now(), 0
 	do := func(req server.Request) (server.Response, error) {
 		at = at.Add(50 * sim.Millisecond)
+		ops++
+		if ops%8 == 0 {
+			cl.SweepHealth(at)
+		}
 		req.Arrival = at
 		return sess.Do(req)
 	}

@@ -31,12 +31,6 @@ func AttachBattery(sys *SolidStateSystem, pack *dram.Pack) *BatteryMonitor {
 // Pack exposes the monitored pack.
 func (m *BatteryMonitor) Pack() *dram.Pack { return m.pack }
 
-// EmergencyFlushed reports whether the low-battery flush has run, and
-// when.
-func (m *BatteryMonitor) EmergencyFlushed() (bool, sim.Time) {
-	return m.emergencyDone, m.emergencyAt
-}
-
 // Tick settles idle power, drains the pack by the consumption since the
 // last call, and performs the emergency flush when the primary empties.
 // It returns dram.ErrBatteryDead once both batteries are exhausted (the

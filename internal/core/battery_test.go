@@ -37,11 +37,10 @@ func TestBatteryMonitorEmergencyFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flushed, at := mon.EmergencyFlushed()
-	if !flushed {
+	if !mon.emergencyDone {
 		t.Fatal("primary emptied without an emergency flush")
 	}
-	if at == 0 {
+	if mon.emergencyAt == 0 {
 		t.Fatal("flush time not recorded")
 	}
 	// Everything written before the flush must be in flash now: a power

@@ -63,9 +63,9 @@ func churnP99(t *testing.T, engine string, seed int64, rate float64) (p99, tail 
 	cfg := workload.Config{
 		Seed: seed, Clients: 2, OpsPerClient: 12000,
 		Keys: 96, ObjectBytes: 512 << 10, MinWriteBytes: 512, MaxWriteBytes: 4096,
-		Mix:        workload.Mix{Read: 0.15, Write: 0.80, Sync: 0.05},
-		Popularity: workload.Uniform,
-		Arrival:    workload.OpenLoop, RatePerClient: rate,
+		Mix:           workload.Mix{Read: 0.15, Write: 0.80, Sync: 0.05},
+		Popularity:    workload.Uniform,
+		RatePerClient: rate,
 	}
 	chunk := make([]byte, 64<<10)
 	for i := range chunk {

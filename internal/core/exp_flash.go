@@ -64,7 +64,7 @@ func E6WearLeveling(env *Env, seed int64) (*Table, error) {
 		}
 		l, err := ftl.New(dev, clock, ftl.Config{
 			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: v.policy, HotCold: v.hotCold, BackgroundErase: true,
+			Policy: v.policy, HotCold: v.hotCold,
 			WearDeltaThreshold: v.wearDelta,
 			Obs:                je.Obs(),
 		})
@@ -120,7 +120,7 @@ func E6Lifetime(env *Env, seed int64) (*Table, error) {
 		}
 		l, err := ftl.New(dev, clock, ftl.Config{
 			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: v.policy, HotCold: v.hotCold, BackgroundErase: true,
+			Policy: v.policy, HotCold: v.hotCold,
 			WearDeltaThreshold: v.wearDelta,
 			Obs:                je.Obs(),
 		})
@@ -196,7 +196,7 @@ func E6Static(env *Env, seed int64) (*Table, error) {
 		}
 		l, err := ftl.New(dev, clock, ftl.Config{
 			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true,
+			Policy: ftl.PolicyCostBenefit, HotCold: true,
 			WearDeltaThreshold: threshold,
 			Obs:                je.Obs(),
 		})

@@ -294,7 +294,7 @@ func E10CrashAndBattery(env *Env, seed int64) ([]*Table, error) {
 				return err
 			}
 			inodesBefore := sysA.FS.NumInodes()
-			recovered, err := fs.RecoverAfterCrash(fs.Config{RBoxBase: 0, RBoxBytes: 1 << 20, Obs: o}, sysA.Clock(), sysA.Storage, sysA.DRAM)
+			recovered, err := fs.RecoverAfterCrash(fs.Config{RBoxBytes: 1 << 20, Obs: o}, sysA.Clock(), sysA.Storage, sysA.DRAM)
 			if err != nil {
 				return err
 			}
@@ -309,7 +309,7 @@ func E10CrashAndBattery(env *Env, seed int64) ([]*Table, error) {
 				return err
 			}
 			sysB.DRAM.PowerFail()
-			_, lostB, err = fs.RecoverAfterPowerFailure(fs.Config{RBoxBase: 0, RBoxBytes: 1 << 20, Obs: o}, sysB.Clock(), sysB.Storage, sysB.DRAM)
+			_, lostB, err = fs.RecoverAfterPowerFailure(fs.Config{RBoxBytes: 1 << 20, Obs: o}, sysB.Clock(), sysB.Storage, sysB.DRAM)
 			return err
 		case 2:
 			// Scenario B': the same failure, recovered the honest way — no
@@ -334,7 +334,7 @@ func E10CrashAndBattery(env *Env, seed int64) ([]*Table, error) {
 				return err
 			}
 			sysC.DRAM.PowerFail()
-			recC, lost, err := fs.RecoverAfterPowerFailure(fs.Config{RBoxBase: 0, RBoxBytes: 1 << 20, Obs: o}, sysC.Clock(), sysC.Storage, sysC.DRAM)
+			recC, lost, err := fs.RecoverAfterPowerFailure(fs.Config{RBoxBytes: 1 << 20, Obs: o}, sysC.Clock(), sysC.Storage, sysC.DRAM)
 			if err != nil {
 				return err
 			}

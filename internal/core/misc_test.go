@@ -90,7 +90,7 @@ func TestBatteryMonitorPackAccessor(t *testing.T) {
 	if mon.Pack() != pack {
 		t.Fatal("Pack accessor wrong")
 	}
-	if flushed, _ := mon.EmergencyFlushed(); flushed {
+	if mon.emergencyDone {
 		t.Fatal("flushed before any drain")
 	}
 }

@@ -100,7 +100,7 @@ func TestSystemCrashRecoveryProperty(t *testing.T) {
 				}
 			case 5: // OS crash: everything survives
 				recovered, err := fs.RecoverAfterCrash(fs.Config{
-					RBoxBase: 0, RBoxBytes: 1 << 20,
+					RBoxBytes: 1 << 20,
 				}, sys.Clock(), sys.Storage, sys.DRAM)
 				if err != nil {
 					t.Logf("op %d crash recovery: %v", i, err)

@@ -128,7 +128,6 @@ func E12Traffic(seed int64, clients, opsPerClient int, w float64) workload.Confi
 		},
 		Popularity:    workload.Zipf,
 		ZipfSkew:      1.2,
-		Arrival:       workload.OpenLoop,
 		RatePerClient: 10,
 	}
 }

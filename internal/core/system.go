@@ -238,7 +238,6 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 		return err
 	}
 	fsCfg := fs.Config{
-		RBoxBase:      0,
 		RBoxBytes:     cfg.RBoxBytes,
 		SnapshotEvery: cfg.SnapshotEvery,
 		Obs:           cfg.Obs,

@@ -45,7 +45,6 @@ func wearFixture(t *testing.T, seed int64) (obs.Snapshot, *server.Server, *obs.O
 		Mix:           workload.Mix{Read: 0.4, Write: 0.5, Delete: 0.05, Sync: 0.05},
 		Popularity:    workload.Zipf,
 		ZipfSkew:      1.2,
-		Arrival:       workload.OpenLoop,
 		RatePerClient: 10,
 	}); err != nil {
 		t.Fatal(err)

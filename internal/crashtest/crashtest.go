@@ -117,24 +117,32 @@ func S() Op { return Op{Kind: OpSync} }
 // tick (age-based flushes plus idle cleaning).
 func Tk() Op { return Op{Kind: OpTick} }
 
-// Config sizes the stack under test. The zero value gets small-geometry
-// defaults tuned so a full enumeration stays fast.
+// The stack under test. The card is small on purpose: 8 erase blocks of
+// 4 pages give 12 logical pages past the reserve, so the default
+// workload's churn drains the free pool and the sweep includes cleaning
+// and erases.
+const (
+	banks           = 2
+	blocksPerBank   = 4
+	eraseBlockBytes = 4096
+	// blockBytes is the storage-manager block and engine page size.
+	blockBytes = 1024
+	// dramPages sizes the write buffer in blocks. A script must not
+	// dirty more at once: the exact data model requires that capacity
+	// evictions never flush outside a barrier.
+	dramPages = 8
+	// writeBackDelay ages dirty blocks for the Tick daemon; tickAdvance
+	// is how far Tk moves the clock, past the delay so that a tick
+	// flushes every dirty block.
+	writeBackDelay = 30 * sim.Second
+	tickAdvance    = writeBackDelay + 10*sim.Second
+)
+
+// allFates are the cut variants swept per op index by default.
+var allFates = []flash.Outcome{flash.CutBefore, flash.CutDuring, flash.CutAfter}
+
+// Config chooses what an enumeration runs; the card under it is fixed.
 type Config struct {
-	// Banks and BlocksPerBank shape the flash device.
-	Banks, BlocksPerBank int
-	// EraseBlockBytes is the flash erase-block size.
-	EraseBlockBytes int
-	// BlockBytes is the storage-manager block and FTL page size.
-	BlockBytes int
-	// DRAMPages sizes the write buffer in blocks. It must hold every
-	// concurrently dirty block of the script: the exact data model
-	// requires that capacity evictions never flush outside a barrier.
-	DRAMPages int
-	// WriteBackDelay ages dirty blocks for the Tick daemon.
-	WriteBackDelay sim.Duration
-	// TickAdvance is how far Tk moves the clock; it must be at least
-	// WriteBackDelay so a tick flushes every dirty block.
-	TickAdvance sim.Duration
 	// Engine selects the storage backend under test, one of
 	// backends.Names ("" is the first). Passing the enumerator is the
 	// bar for calling a backend real.
@@ -145,40 +153,6 @@ type Config struct {
 	// When the workload has more, indexes are sampled at a fixed stride
 	// (first and last always included).
 	MaxPoints int
-}
-
-func (c *Config) applyDefaults() error {
-	if c.Banks == 0 {
-		c.Banks = 2
-	}
-	if c.BlocksPerBank == 0 {
-		// Small on purpose: 8 erase blocks of 4 pages give 12 logical
-		// pages past the reserve, so the default workload's churn drains
-		// the free pool and the sweep includes cleaning and erases.
-		c.BlocksPerBank = 4
-	}
-	if c.EraseBlockBytes == 0 {
-		c.EraseBlockBytes = 4096
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 1024
-	}
-	if c.DRAMPages == 0 {
-		c.DRAMPages = 8
-	}
-	if c.WriteBackDelay == 0 {
-		c.WriteBackDelay = 30 * sim.Second
-	}
-	if c.TickAdvance == 0 {
-		c.TickAdvance = 40 * sim.Second
-	}
-	if len(c.Fates) == 0 {
-		c.Fates = []flash.Outcome{flash.CutBefore, flash.CutDuring, flash.CutAfter}
-	}
-	if c.TickAdvance < c.WriteBackDelay {
-		return fmt.Errorf("crashtest: tick advance %v below write-back delay %v", c.TickAdvance, c.WriteBackDelay)
-	}
-	return nil
 }
 
 // Violation reports one crash point whose recovery broke a guarantee.
@@ -234,22 +208,23 @@ type stack struct {
 	m     *storman.Manager
 }
 
-func (c Config) stormanConfig(o *obs.Observer) storman.Config {
+func stormanConfig(o *obs.Observer) storman.Config {
 	return storman.Config{
-		BlockBytes:     c.BlockBytes,
+		BlockBytes:     blockBytes,
 		DRAMBase:       0,
-		DRAMBytes:      int64(c.DRAMPages) * int64(c.BlockBytes),
-		WriteBackDelay: c.WriteBackDelay,
+		DRAMBytes:      dramPages * blockBytes,
+		WriteBackDelay: writeBackDelay,
 		Obs:            o,
 	}
 }
 
-func buildStack(cfg Config, inj flash.Injector) (*stack, error) {
+// buildStack assembles a fresh card with the named engine over it.
+func buildStack(engineName string, inj flash.Injector) (*stack, error) {
 	o := obs.New(0)
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
 	dr, err := dram.New(dram.Config{
-		CapacityBytes: int64(cfg.DRAMPages) * int64(cfg.BlockBytes),
+		CapacityBytes: dramPages * blockBytes,
 		Params:        device.NECDram,
 		Obs:           o,
 	}, clock, meter)
@@ -257,11 +232,11 @@ func buildStack(cfg Config, inj flash.Injector) (*stack, error) {
 		return nil, err
 	}
 	dev, err := flash.New(flash.Config{
-		Banks:          cfg.Banks,
-		BlocksPerBank:  cfg.BlocksPerBank,
-		BlockBytes:     cfg.EraseBlockBytes,
+		Banks:          banks,
+		BlocksPerBank:  blocksPerBank,
+		BlockBytes:     eraseBlockBytes,
 		Params:         device.IntelFlash,
-		SpareUnitBytes: cfg.BlockBytes,
+		SpareUnitBytes: blockBytes,
 		SpareBytes:     blocks.PageRecordBytes,
 		Injector:       inj,
 		Obs:            o,
@@ -269,11 +244,11 @@ func buildStack(cfg Config, inj flash.Injector) (*stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := backends.Open(cfg.Engine, false, dev, clock, backends.Config{PageBytes: cfg.BlockBytes, Obs: o})
+	eng, err := backends.Open(engineName, false, dev, clock, backends.Config{PageBytes: blockBytes, Obs: o})
 	if err != nil {
 		return nil, err
 	}
-	m, err := storman.New(cfg.stormanConfig(o), clock, dr, eng)
+	m, err := storman.New(stormanConfig(o), clock, dr, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +256,7 @@ func buildStack(cfg Config, inj flash.Injector) (*stack, error) {
 }
 
 // apply executes one op against the stack.
-func (s *stack) apply(cfg Config, op Op) error {
+func (s *stack) apply(op Op) error {
 	switch op.Kind {
 	case OpWrite:
 		return s.m.WriteBlockAt(op.Key, op.Off, bytes.Repeat([]byte{op.Fill}, op.Size))
@@ -294,7 +269,7 @@ func (s *stack) apply(cfg Config, op Op) error {
 	case OpSync:
 		return s.m.Sync()
 	case OpTick:
-		s.clock.Advance(cfg.TickAdvance)
+		s.clock.Advance(tickAdvance)
 		return s.m.Tick(sim.Forever)
 	default:
 		return fmt.Errorf("crashtest: unknown op kind %d", op.Kind)
@@ -304,22 +279,23 @@ func (s *stack) apply(cfg Config, op Op) error {
 // Enumerate measures the script's destructive-op count on a clean run,
 // then replays it once per (op index, fate), recovering and checking
 // after each cut. The returned Result carries every violation found; a
-// non-nil error means the harness itself could not run (bad config, a
-// script that breaks the no-evictions regime, or a clean-run failure) —
-// not a recovery bug.
+// non-nil error means the harness itself could not run (an unknown
+// engine, a script that breaks the no-evictions regime, or a clean-run
+// failure) — not a recovery bug.
 func Enumerate(cfg Config, script Script) (*Result, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
+	fates := cfg.Fates
+	if len(fates) == 0 {
+		fates = allFates
 	}
-	total, err := referenceRun(cfg, script)
+	total, err := referenceRun(cfg.Engine, script)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{DestructiveOps: total}
 	for _, idx := range enumerationIndexes(total, cfg.MaxPoints) {
-		for _, fate := range cfg.Fates {
+		for _, fate := range fates {
 			res.PointsRun++
-			runPoint(cfg, script, idx, fate, res)
+			runPoint(cfg.Engine, script, idx, fate, res)
 		}
 	}
 	return res, nil
@@ -327,18 +303,18 @@ func Enumerate(cfg Config, script Script) (*Result, error) {
 
 // referenceRun replays the script uncut, validating the regime the data
 // model depends on, and returns the destructive-op count.
-func referenceRun(cfg Config, script Script) (int64, error) {
-	st, err := buildStack(cfg, nil)
+func referenceRun(engineName string, script Script) (int64, error) {
+	st, err := buildStack(engineName, nil)
 	if err != nil {
 		return 0, err
 	}
 	for i, op := range script {
-		if err := st.apply(cfg, op); err != nil {
+		if err := st.apply(op); err != nil {
 			return 0, fmt.Errorf("crashtest: clean run failed at op %d: %w", i, err)
 		}
 	}
 	if ev := st.m.Stats().Evictions; ev != 0 {
-		return 0, fmt.Errorf("crashtest: script causes %d capacity evictions; grow DRAMPages so flushes stay inside barriers", ev)
+		return 0, fmt.Errorf("crashtest: script causes %d capacity evictions; dirty at most %d blocks at once so flushes stay inside barriers", ev, dramPages)
 	}
 	return st.dev.DestructiveOps(), nil
 }
@@ -369,19 +345,19 @@ func enumerationIndexes(total int64, maxPoints int) []int64 {
 
 // runPoint replays the script with a cut at (idx, fate), recovers, and
 // appends any violations to res.
-func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Result) {
+func runPoint(engineName string, script Script, idx int64, fate flash.Outcome, res *Result) {
 	fail := func(stage string, err error) {
 		res.Violations = append(res.Violations, Violation{Index: idx, Fate: fate, Stage: stage, Err: err})
 	}
-	st, err := buildStack(cfg, &flash.CutAt{Index: idx, Fate: fate})
+	st, err := buildStack(engineName, &flash.CutAt{Index: idx, Fate: fate})
 	if err != nil {
 		fail("replay", err)
 		return
 	}
-	mod := newModel(cfg.BlockBytes)
+	mod := newModel(blockBytes)
 	cut := false
 	for i, op := range script {
-		if err := st.apply(cfg, op); err != nil {
+		if err := st.apply(op); err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
 				cut = true
 				break
@@ -404,7 +380,7 @@ func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Res
 	st.dev.Restore()
 	st.dram.Restore()
 	o := obs.New(0)
-	eng, err := backends.Open(cfg.Engine, true, st.dev, st.clock, backends.Config{PageBytes: cfg.BlockBytes, Obs: o})
+	eng, err := backends.Open(engineName, true, st.dev, st.clock, backends.Config{PageBytes: blockBytes, Obs: o})
 	if err != nil {
 		fail("mount", err)
 		return
@@ -413,7 +389,7 @@ func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Res
 	res.ReErasedBlocks += ms.ReErasedBlocks
 	res.CorruptRecords += ms.CorruptRecords
 	res.RetiredBlocks += ms.RetiredBlocks
-	m, err := storman.Mount(cfg.stormanConfig(o), st.clock, st.dram, eng)
+	m, err := storman.Mount(stormanConfig(o), st.clock, st.dram, eng)
 	if err != nil {
 		fail("mount", err)
 		return
@@ -429,7 +405,7 @@ func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Res
 	for _, err := range mod.verify(m) {
 		fail("data", err)
 	}
-	if err := usabilityPass(cfg, m, eng); err != nil {
+	if err := usabilityPass(m, eng); err != nil {
 		fail("usability", err)
 	}
 }
@@ -437,7 +413,7 @@ func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Res
 // usabilityPass proves the recovered stack still works: overwrite
 // surviving blocks, write a fresh one, sync, read everything back, and
 // re-check invariants.
-func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
+func usabilityPass(m *storman.Manager, eng engine.Engine) error {
 	keys := m.Keys()
 	if len(keys) > 4 {
 		keys = keys[:4]
@@ -445,7 +421,7 @@ func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
 	fresh := storman.Key{Object: 999, Block: 0}
 	keys = append(keys, fresh)
 	for i, key := range keys {
-		data := bytes.Repeat([]byte{byte(0xC0 + i)}, cfg.BlockBytes)
+		data := bytes.Repeat([]byte{byte(0xC0 + i)}, blockBytes)
 		if err := m.WriteBlockAt(key, 0, data); err != nil {
 			return fmt.Errorf("write %+v: %w", key, err)
 		}
@@ -453,13 +429,13 @@ func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
 	if err := m.Sync(); err != nil {
 		return fmt.Errorf("sync: %w", err)
 	}
-	buf := make([]byte, cfg.BlockBytes)
+	buf := make([]byte, blockBytes)
 	for i, key := range keys {
 		n := m.BlockSize(key)
-		if err := m.ReadAt(key.Object, key.Block*int64(cfg.BlockBytes), buf[:n]); err != nil {
+		if err := m.ReadAt(key.Object, key.Block*int64(blockBytes), buf[:n]); err != nil {
 			return fmt.Errorf("read back %+v: %w", key, err)
 		}
-		want := bytes.Repeat([]byte{byte(0xC0 + i)}, cfg.BlockBytes)
+		want := bytes.Repeat([]byte{byte(0xC0 + i)}, blockBytes)
 		if !bytes.Equal(buf[:n], want[:n]) {
 			return fmt.Errorf("read back %+v: wrong bytes", key)
 		}

@@ -48,18 +48,14 @@ func TestDefaultScriptSurvivesEveryCrashPoint(t *testing.T) {
 // translation layer into cleaning, so erase crash points are in the
 // sweep.
 func TestEnumerateCoversCleaning(t *testing.T) {
-	cfg := Config{}
-	if err := cfg.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := buildStack(cfg, nil)
+	st, err := buildStack("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	erasesSeen := false
 	for _, op := range DefaultScript() {
 		before := st.dev.Stats().Erases
-		if err := st.apply(cfg, op); err != nil {
+		if err := st.apply(op); err != nil {
 			t.Fatalf("clean run: %v", err)
 		}
 		if st.dev.Stats().Erases > before {
@@ -92,11 +88,11 @@ func TestMaxPointsSamples(t *testing.T) {
 func TestScriptCausingEvictionsRejected(t *testing.T) {
 	script := Script{}
 	// More concurrently dirty blocks than DRAM pages forces evictions.
-	for i := int64(0); i < 6; i++ {
+	for i := int64(0); i < dramPages+2; i++ {
 		script = append(script, W(1, i, 512, byte(i+1)))
 	}
 	script = append(script, S())
-	_, err := Enumerate(Config{DRAMPages: 4}, script)
+	_, err := Enumerate(Config{}, script)
 	if err == nil || !strings.Contains(err.Error(), "evictions") {
 		t.Fatalf("eviction-causing script accepted: %v", err)
 	}
@@ -108,18 +104,14 @@ func TestScriptCausingEvictionsRejected(t *testing.T) {
 // image) and checking verify reports it; this guards the checker against
 // silently passing everything.
 func TestModelDetectsLostData(t *testing.T) {
-	cfg := Config{}
-	if err := cfg.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := buildStack(cfg, nil)
+	st, err := buildStack("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := newModel(cfg.BlockBytes)
+	mod := newModel(blockBytes)
 	ops := Script{W(7, 0, 512, 0xAA), S()}
 	for _, op := range ops {
-		if err := st.apply(cfg, op); err != nil {
+		if err := st.apply(op); err != nil {
 			t.Fatal(err)
 		}
 		mod.completed(op)
@@ -228,18 +220,14 @@ func TestOffsetWritesSurviveEveryCrashPoint(t *testing.T) {
 // of the copy-on-write: reads for the non-covering writes over flash
 // blocks, none for the covering one — and that it reaches the cleaner.
 func TestOffsetScriptReadsFlash(t *testing.T) {
-	cfg := Config{}
-	if err := cfg.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := buildStack(cfg, nil)
+	st, err := buildStack("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	script := offsetScript()
 	for i, op := range script {
 		before := st.eng.Stats().HostReads
-		if err := st.apply(cfg, op); err != nil {
+		if err := st.apply(op); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		reads := st.eng.Stats().HostReads - before

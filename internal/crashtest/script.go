@@ -10,7 +10,7 @@ package crashtest
 // relocations and block erases, not just host-driven flushes.
 //
 // Scripts must keep object 999 free (the usability pass writes there)
-// and must not hold more dirty blocks at once than Config.DRAMPages.
+// and must not hold more dirty blocks at once than dramPages.
 func DefaultScript() Script {
 	return Script{
 		// Populate two objects and make them durable.

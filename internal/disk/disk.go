@@ -22,6 +22,10 @@ import (
 // SectorBytes is the fixed sector size of the simulated drives.
 const SectorBytes = 512
 
+// bytesPerCylinder is the cylinder size of both drives: 32 sectors per
+// track on each of 2 heads.
+const bytesPerCylinder = 32 * 2 * SectorBytes
+
 // ErrOutOfRange reports an access beyond the end of the drive.
 var ErrOutOfRange = errors.New("disk: address out of range")
 
@@ -33,9 +37,6 @@ type Config struct {
 	// Params supplies the mechanical and power figures; typically
 	// device.KittyHawk or device.Fujitsu.
 	Params device.Params
-	// SectorsPerTrack and Heads fix the cylinder size.
-	SectorsPerTrack int
-	Heads           int
 	// SpindownTimeout is how long the drive idles before spinning down to
 	// save power; zero disables spindown.
 	SpindownTimeout sim.Duration
@@ -48,20 +49,13 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.CapacityBytes < int64(c.bytesPerCylinderRaw()) {
+	if c.CapacityBytes < bytesPerCylinder {
 		return fmt.Errorf("disk: capacity %d below one cylinder", c.CapacityBytes)
 	}
 	if c.Params.Class != device.Disk {
 		return fmt.Errorf("disk: params %q are %v, not disk", c.Params.Name, c.Params.Class)
 	}
-	if c.SectorsPerTrack <= 0 || c.Heads <= 0 {
-		return fmt.Errorf("disk: bad geometry %d sectors/track × %d heads", c.SectorsPerTrack, c.Heads)
-	}
 	return nil
-}
-
-func (c Config) bytesPerCylinderRaw() int {
-	return c.SectorsPerTrack * c.Heads * SectorBytes
 }
 
 // Stats aggregates the drive's operation counters.
@@ -95,19 +89,13 @@ type Device struct {
 
 // New builds a drive with zeroed media, head at cylinder 0, spinning.
 func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) {
-	if cfg.SectorsPerTrack == 0 {
-		cfg.SectorsPerTrack = 32
-	}
-	if cfg.Heads == 0 {
-		cfg.Heads = 2
-	}
 	if cfg.MeterCategory == "" {
 		cfg.MeterCategory = "disk"
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cyls := int(cfg.CapacityBytes / int64(cfg.bytesPerCylinderRaw()))
+	cyls := int(cfg.CapacityBytes / bytesPerCylinder)
 	o := obs.Or(cfg.Obs)
 	lbl := func(op string) obs.Labels {
 		return obs.Labels{"layer": "disk", "device": cfg.MeterCategory, "op": op}
@@ -116,7 +104,7 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		cfg:          cfg,
 		clock:        clock,
 		meter:        meter,
-		data:         make([]byte, int64(cyls)*int64(cfg.bytesPerCylinderRaw())),
+		data:         make([]byte, int64(cyls)*bytesPerCylinder),
 		cylinders:    cyls,
 		obs:          o,
 		reads:        o.Counter("ops_total", lbl("read")),
@@ -132,15 +120,10 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 // Capacity reports the usable drive size (whole cylinders).
 func (d *Device) Capacity() int64 { return int64(len(d.data)) }
 
-// Cylinders reports the cylinder count.
-func (d *Device) Cylinders() int { return d.cylinders }
-
 // Config returns the drive configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-func (d *Device) bytesPerCylinder() int { return d.cfg.bytesPerCylinderRaw() }
-
-func (d *Device) cylinderOf(addr int64) int { return int(addr / int64(d.bytesPerCylinder())) }
+func (d *Device) cylinderOf(addr int64) int { return int(addr / bytesPerCylinder) }
 
 // seekDuration models seek time as linear in distance, calibrated so that
 // the datasheet average seek corresponds to a one-third-stroke move.
@@ -263,10 +246,6 @@ func (d *Device) Write(addr int64, p []byte) (sim.Duration, error) {
 
 // Peek returns the byte at addr without mechanical simulation.
 func (d *Device) Peek(addr int64) byte { return d.data[addr] }
-
-// SpunDown reports whether the drive is currently spun down. The state
-// only updates when power is settled, so callers should ChargeIdle first.
-func (d *Device) SpunDown() bool { return d.spunDown }
 
 // ChargeIdle settles idle/sleep power up to the present.
 func (d *Device) ChargeIdle() { d.settlePower(d.clock.Now()) }

@@ -37,11 +37,11 @@ func TestConfigValidation(t *testing.T) {
 
 func TestGeometry(t *testing.T) {
 	d, _, _ := newKittyHawk(t)
-	if d.Cylinders() <= 0 {
+	if d.cylinders <= 0 {
 		t.Fatal("no cylinders")
 	}
 	// Capacity rounds to whole cylinders and stays close to the request.
-	if d.Capacity() > 20<<20 || d.Capacity() < (20<<20)-int64(d.bytesPerCylinder()) {
+	if d.Capacity() > 20<<20 || d.Capacity() < (20<<20)-bytesPerCylinder {
 		t.Fatalf("capacity %d not within one cylinder of 20MB", d.Capacity())
 	}
 }
@@ -77,7 +77,7 @@ func TestSeekCostGrowsWithDistance(t *testing.T) {
 	if _, err := d.Read(0, make([]byte, SectorBytes)); err != nil {
 		t.Fatal(err)
 	}
-	near, err := d.Read(int64(d.bytesPerCylinder()), make([]byte, SectorBytes))
+	near, err := d.Read(bytesPerCylinder, make([]byte, SectorBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +176,12 @@ func TestSpunDownState(t *testing.T) {
 	if _, err := d.Read(0, make([]byte, SectorBytes)); err != nil {
 		t.Fatal(err)
 	}
-	if d.SpunDown() {
+	if d.spunDown {
 		t.Fatal("drive spun down immediately after access")
 	}
 	clock.Advance(sim.Minute)
 	d.ChargeIdle()
-	if !d.SpunDown() {
+	if !d.spunDown {
 		t.Fatal("drive still spinning after idle timeout")
 	}
 }

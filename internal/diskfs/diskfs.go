@@ -76,8 +76,6 @@ type FS struct {
 	freeBlks  []int64
 	dataBase  int64
 	numBlocks int64
-
-	syncMetaWrites int64
 }
 
 // New formats and mounts a fresh file system over the cache.
@@ -116,11 +114,6 @@ func (f *FS) BlockBytes() int { return int(f.bs) }
 // FreeBlocks reports the free data blocks.
 func (f *FS) FreeBlocks() int { return len(f.freeBlks) }
 
-// SyncMetadataWrites reports how many synchronous inode-table writes the
-// name-space operations have cost — the overhead the paper's
-// battery-backed-DRAM metadata eliminates.
-func (f *FS) SyncMetadataWrites() int64 { return f.syncMetaWrites }
-
 func (f *FS) ptrsPerBlock() int64 { return f.bs / 8 }
 
 func (f *FS) maxFileBlocks() int64 {
@@ -158,7 +151,6 @@ func (f *FS) writeInode(nd *inode, through bool) error {
 	binary.LittleEndian.PutUint64(rec[8+8*numDirect:], uint64(nd.indirect))
 	binary.LittleEndian.PutUint64(rec[16+8*numDirect:], uint64(nd.dindir))
 	if through {
-		f.syncMetaWrites++
 		return f.cache.WriteBlockThrough(bn, buf)
 	}
 	return f.cache.WriteBlock(bn, buf)

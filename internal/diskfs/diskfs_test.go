@@ -70,11 +70,11 @@ func TestCreateExistsRemove(t *testing.T) {
 
 func TestMetadataWritesAreSynchronous(t *testing.T) {
 	r := newRig(t, 8<<20)
-	before := r.fs.SyncMetadataWrites()
+	before := r.cache.Stats().WriteThroughs
 	if err := r.fs.Create("f"); err != nil {
 		t.Fatal(err)
 	}
-	if r.fs.SyncMetadataWrites() != before+1 {
+	if r.cache.Stats().WriteThroughs != before+1 {
 		t.Fatal("create did not write metadata synchronously")
 	}
 	diskWrites := r.disk.Stats().Writes

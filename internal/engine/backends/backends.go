@@ -47,7 +47,7 @@ func Open(name string, mount bool, dev *flash.Device, clock *sim.Clock, cfg Conf
 	case "ftl":
 		c := ftl.Config{
 			PageBytes: cfg.PageBytes, ReserveBlocks: 3, IdleCleanThreshold: cfg.IdleCleanThreshold,
-			Policy: ftl.PolicyCostBenefit, HotCold: true, BackgroundErase: true, PersistMapping: true,
+			Policy: ftl.PolicyCostBenefit, HotCold: true, PersistMapping: true,
 			Obs: cfg.Obs,
 		}
 		if mount {
@@ -57,7 +57,7 @@ func Open(name string, mount bool, dev *flash.Device, clock *sim.Clock, cfg Conf
 	case "pdl":
 		c := pdl.Config{
 			PageBytes: cfg.PageBytes, ReserveBlocks: 3, IdleCleanThreshold: cfg.IdleCleanThreshold,
-			BackgroundErase: true, Obs: cfg.Obs,
+			Obs: cfg.Obs,
 		}
 		if mount {
 			return opened(pdl.Mount(dev, clock, c))

@@ -61,7 +61,6 @@ type Pool struct {
 
 	pageBytes, ppb      int
 	reserve, idleTarget int
-	backgroundErase     bool
 	pick                func() int
 	clean               func(victim int) error
 	heads               func() (int, int)
@@ -116,7 +115,7 @@ var victimClassNames = [...]string{Busy: "busy", Idle: "idle", Quiet: "quiet"}
 // device as logical space; a cleaning engine gives up the reserve plus
 // its two log heads.
 func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
-	pageBytes, reserve, idleTarget int, backgroundErase bool,
+	pageBytes, reserve, idleTarget int,
 	pick func() int, clean func(victim int) error, heads func() (int, int)) (*Pool, error) {
 	if pageBytes <= 0 || dev.BlockBytes()%pageBytes != 0 {
 		return nil, fmt.Errorf("%s: page size %d does not divide block size %d", layer, pageBytes, dev.BlockBytes())
@@ -130,7 +129,7 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	p := &Pool{
 		dev: dev, clock: clock, obs: o, layer: layer,
 		pageBytes: pageBytes, ppb: ppb,
-		reserve: reserve, idleTarget: idleTarget, backgroundErase: backgroundErase,
+		reserve: reserve, idleTarget: idleTarget,
 		pick: pick, clean: clean, heads: heads,
 		state: make([]blockState, nb), free: nb,
 		logicalPages: int64(nb) * int64(ppb),
@@ -286,20 +285,16 @@ func (p *Pool) take(b int) {
 	p.free--
 }
 
-// Erase erases a block whose contents are dead — in the background when
-// the engine asked for that, so the writer does not stall — and returns
-// it to the free pool. A block that has exhausted its endurance is
+// Erase erases a block whose contents are dead in the background, so
+// the writer does not stall for it (the bank stays busy), and returns it
+// to the free pool. A block that has exhausted its endurance is
 // retired instead (freed == false, no error): the clean that emptied it
 // still succeeded, but the device lost a block of capacity.
 func (p *Pool) Erase(b int) (freed bool, err error) {
 	if p.state[b] != stateInUse {
 		panic(fmt.Sprintf("%s: erase of block %d, which is not in use", p.layer, b))
 	}
-	if p.backgroundErase {
-		err = p.dev.EraseAsync(b)
-	} else {
-		_, err = p.dev.Erase(b)
-	}
+	err = p.dev.EraseAsync(b)
 	if errors.Is(err, flash.ErrWornOut) {
 		p.retire(b)
 		return false, nil

@@ -39,7 +39,7 @@ func testCard(t *testing.T, endurance int64, inj flash.Injector) (*flash.Device,
 // testPool builds a cleaning pool whose hooks are never expected to run.
 func testPool(t *testing.T, dev *flash.Device, clock *sim.Clock, o *obs.Observer) *Pool {
 	t.Helper()
-	p, err := New(dev, clock, o, "test", testPage, 1, 0, false,
+	p, err := New(dev, clock, o, "test", testPage, 1, 0,
 		func() int { return -1 }, func(int) error { return errors.New("unexpected clean") }, noHeads)
 	if err != nil {
 		t.Fatal(err)
@@ -177,58 +177,56 @@ func TestNonBlankAtMatchesPeekWalk(t *testing.T) {
 // fails worn out, and the pool retires the block: out of the free pool,
 // one block of logical capacity gone, and not an error.
 func TestEraseAtEnduranceLimitRetiresAndShrinks(t *testing.T) {
-	for _, background := range []bool{false, true} {
-		dev, clock, o := testCard(t, 2, nil)
-		p, err := New(dev, clock, o, "test", testPage, 1, 0, background,
-			func() int { return -1 }, func(int) error { return nil }, noHeads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		capacity := p.LogicalPages()
-		if want := int64(8-3) * 4; capacity != want {
-			t.Fatalf("logical pages %d, want %d (8 blocks less reserve 1 + 2 log heads)", capacity, want)
-		}
-		for cycle := 0; cycle < 2; cycle++ {
-			p.Take(3)
-			if freed, err := p.Erase(3); !freed || err != nil {
-				t.Fatalf("erase %d: freed=%v err=%v", cycle, freed, err)
-			}
-		}
-		if p.Free() != 8 || p.LogicalPages() != capacity {
-			t.Fatalf("before wear-out: free %d capacity %d", p.Free(), p.LogicalPages())
-		}
+	dev, clock, o := testCard(t, 2, nil)
+	p, err := New(dev, clock, o, "test", testPage, 1, 0,
+		func() int { return -1 }, func(int) error { return nil }, noHeads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := p.LogicalPages()
+	if want := int64(8-3) * 4; capacity != want {
+		t.Fatalf("logical pages %d, want %d (8 blocks less reserve 1 + 2 log heads)", capacity, want)
+	}
+	for cycle := 0; cycle < 2; cycle++ {
 		p.Take(3)
-		freed, err := p.Erase(3)
-		if freed || err != nil {
-			t.Fatalf("worn erase: freed=%v err=%v, want a silent retirement", freed, err)
+		if freed, err := p.Erase(3); !freed || err != nil {
+			t.Fatalf("erase %d: freed=%v err=%v", cycle, freed, err)
 		}
-		if !p.IsRetired(3) || p.IsFree(3) || p.InUse(3) {
-			t.Fatal("block 3 not retired")
+	}
+	if p.Free() != 8 || p.LogicalPages() != capacity {
+		t.Fatalf("before wear-out: free %d capacity %d", p.Free(), p.LogicalPages())
+	}
+	p.Take(3)
+	freed, err := p.Erase(3)
+	if freed || err != nil {
+		t.Fatalf("worn erase: freed=%v err=%v, want a silent retirement", freed, err)
+	}
+	if !p.IsRetired(3) || p.IsFree(3) || p.InUse(3) {
+		t.Fatal("block 3 not retired")
+	}
+	st := p.Stats()
+	if p.Free() != 7 || st.RetiredBlocks != 1 || p.LogicalPages() != capacity-4 {
+		t.Fatalf("after wear-out: free %d retired %d capacity %d", p.Free(), st.RetiredBlocks, p.LogicalPages())
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Capacity clamps at zero: 8 blocks retired is more than the 5
+	// blocks of logical space there ever were.
+	for b := 0; b < 8; b++ {
+		if !p.IsRetired(b) {
+			p.retire(b)
 		}
-		st := p.Stats()
-		if p.Free() != 7 || st.RetiredBlocks != 1 || p.LogicalPages() != capacity-4 {
-			t.Fatalf("after wear-out: free %d retired %d capacity %d", p.Free(), st.RetiredBlocks, p.LogicalPages())
-		}
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		// Capacity clamps at zero: 8 blocks retired is more than the 5
-		// blocks of logical space there ever were.
-		for b := 0; b < 8; b++ {
-			if !p.IsRetired(b) {
-				p.retire(b)
-			}
-		}
-		if p.Free() != 0 || p.LogicalPages() != 0 {
-			t.Fatalf("free %d capacity %d after every block retired", p.Free(), p.LogicalPages())
-		}
+	}
+	if p.Free() != 0 || p.LogicalPages() != 0 {
+		t.Fatalf("free %d capacity %d after every block retired", p.Free(), p.LogicalPages())
 	}
 }
 
 // A pool that never cleans keeps the whole device as logical space.
 func TestNoCleanerNoReserve(t *testing.T) {
 	dev, clock, o := testCard(t, 0, nil)
-	p, err := New(dev, clock, o, "test", testPage, 3, 4, false, nil, nil, nil)
+	p, err := New(dev, clock, o, "test", testPage, 3, 4, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +236,11 @@ func TestNoCleanerNoReserve(t *testing.T) {
 	if err := p.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, clock, o, "test", testPage, 6, 0, false,
+	if _, err := New(dev, clock, o, "test", testPage, 6, 0,
 		func() int { return -1 }, func(int) error { return nil }, noHeads); err == nil {
 		t.Fatal("reserve 6 + 2 heads accepted on 8 blocks")
 	}
-	if _, err := New(dev, clock, o, "test", 3000, 1, 0, false, nil, nil, nil); err == nil {
+	if _, err := New(dev, clock, o, "test", 3000, 1, 0, nil, nil, nil); err == nil {
 		t.Fatal("page size that does not divide the block accepted")
 	}
 }
@@ -280,7 +278,7 @@ func TestSettleReErasesDirtyBlockThatThenWearsOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := New(dev, clock, o, "test", testPage, 1, 0, true,
+	p, err := New(dev, clock, o, "test", testPage, 1, 0,
 		func() int { return -1 }, func(int) error { return nil }, noHeads)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +362,7 @@ func TestSpacePressureLoop(t *testing.T) {
 	var p *Pool
 	victims := []int{}
 	var causes []obs.Cause
-	p, err := New(dev, clock, o, "test", testPage, 2, 5, false,
+	p, err := New(dev, clock, o, "test", testPage, 2, 5,
 		func() int {
 			if len(victims) == 0 {
 				return -1
@@ -434,7 +432,10 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 	dev, clock, o := testCard(t, 0, nil)
 	var p *Pool
 	next := 0
-	p, err := New(dev, clock, o, "test", testPage, 1, 8, false,
+	// Each clean takes the same virtual time to relocate its victim's
+	// data before the erase, which is issued in the background.
+	const relocate = 3 * sim.Millisecond
+	p, err := New(dev, clock, o, "test", testPage, 1, 8,
 		func() int {
 			if next == 8 {
 				return -1
@@ -443,6 +444,7 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 		},
 		func(v int) error {
 			next++
+			clock.Advance(relocate)
 			_, err := p.Erase(v)
 			return err
 		}, noHeads)
@@ -539,7 +541,7 @@ func TestBankClassesAndTheirRecord(t *testing.T) {
 	}
 	headA, headB := -1, -1
 	var p *Pool
-	p, err = New(dev, clock, o, "test", testPage, 1, 0, true,
+	p, err = New(dev, clock, o, "test", testPage, 1, 0,
 		func() int { return -1 },
 		func(v int) error { _, err := p.Erase(v); return err },
 		func() (int, int) { return headA, headB })

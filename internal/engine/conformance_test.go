@@ -54,14 +54,14 @@ var engines = []engineRow{
 func conformanceFTL() ftl.Config {
 	return ftl.Config{
 		PageBytes: conformancePage, ReserveBlocks: 3, Policy: ftl.PolicyCostBenefit, HotCold: true,
-		PersistMapping: true, IdleCleanThreshold: 8, BackgroundErase: true, Obs: obs.New(0),
+		PersistMapping: true, IdleCleanThreshold: 8, Obs: obs.New(0),
 	}
 }
 
 func conformancePDL() pdl.Config {
 	return pdl.Config{
-		PageBytes: conformancePage, ReserveBlocks: 3, MaxChain: 4,
-		IdleCleanThreshold: 8, BackgroundErase: true, Obs: obs.New(0),
+		PageBytes: conformancePage, ReserveBlocks: 3,
+		IdleCleanThreshold: 8, Obs: obs.New(0),
 	}
 }
 

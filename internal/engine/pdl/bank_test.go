@@ -9,14 +9,12 @@ import (
 	"ssmobile/internal/sim"
 )
 
-// The bank contract (the ftl engine pins the same three rows in its own
+// The bank contract (the ftl engine pins the same two rows in its own
 // package): on the served card in small — four banks, the real 1.6 s
 // erase, issued in the background — the next log head never opens in a
 // bank that is erasing and the next victim comes from neither such a bank
 // nor a log head's; when every bank is busy both decisions still return a
-// block, the one the engine's own order picks with no ranking at all; and
-// when erases run in the foreground no bank is ever busy at a decision,
-// so only the log heads' banks can reorder victims.
+// block, the one the engine's own order picks with no ranking at all.
 
 // churn overwrites narrow ranges of random pages — of a working set well
 // under the card's capacity, hot enough to force cleaning — so that base
@@ -36,12 +34,11 @@ func churn(t *testing.T, e *Engine, rng *rand.Rand, ops int, each func()) {
 	}
 }
 
-// churned builds an engine on the four-bank card (or, with foreground
-// set, on one that erases in the foreground) and churns it until the
+// churned builds an engine on the four-bank card and churns it until the
 // cleaner has run for a while and both log heads are open.
-func churned(t *testing.T, foreground bool) *rig {
+func churned(t *testing.T) *rig {
 	t.Helper()
-	r := newRigOn(t, 4, device.IntelFlash, Config{ReserveBlocks: 3, MaxChain: 4, BackgroundErase: !foreground})
+	r := newRigOn(t, 4, device.IntelFlash, Config{ReserveBlocks: 3})
 	churn(t, r.e, rand.New(rand.NewSource(1993)), 1500, nil)
 	if r.e.baseActive == -1 || r.e.deltaActive == -1 || r.e.Stats().Cleans == 0 {
 		t.Fatal("set-up: want both heads open and the cleaner run")
@@ -85,7 +82,7 @@ func busyBanks(e *Engine) (busy []int) {
 
 func TestBankContract(t *testing.T) {
 	t.Run("one bank erasing", func(t *testing.T) {
-		r := churned(t, false)
+		r := churned(t)
 		e := r.e
 		r.clock.Advance(10 * sim.Second) // every erase of the set-up is over
 		first := e.pickVictim()
@@ -111,7 +108,7 @@ func TestBankContract(t *testing.T) {
 		}
 	})
 	t.Run("every bank busy", func(t *testing.T) {
-		r := churned(t, false)
+		r := churned(t)
 		e := r.e
 		r.clock.Advance(10 * sim.Second)
 		// Each bank's first block programmed over itself, in the
@@ -134,36 +131,6 @@ func TestBankContract(t *testing.T) {
 		}
 		if got, want := e.freeBlock(), lowestFree(e); got == -1 || got != want {
 			t.Errorf("head on block %d, want the lowest-numbered free block %d", got, want)
-		}
-	})
-	t.Run("foreground erase", func(t *testing.T) {
-		r := churned(t, true)
-		e := r.e
-		reordered := 0
-		// Nothing is ever posted to a bank, so what holds between writes
-		// holds at the decisions inside them.
-		churn(t, e, rand.New(rand.NewSource(7)), 1500, func() {
-			if busy := busyBanks(e); len(busy) != 0 {
-				t.Fatalf("banks %v busy on a card that erases in the foreground", busy)
-			}
-			base, delta := e.dev.BankOf(e.baseActive), e.dev.BankOf(e.deltaActive)
-			want := unranked(e, func(bank int) bool { return bank != base && bank != delta })
-			if want == -1 {
-				want = unranked(e, anyBank)
-			}
-			got := e.pickVictim()
-			if got != want {
-				t.Fatalf("victim %d, want %d: only the heads' banks (%d, %d) may reorder", got, want, base, delta)
-			}
-			if got != unranked(e, anyBank) {
-				reordered++
-			}
-			if got, want := e.freeBlock(), lowestFree(e); got != want {
-				t.Fatalf("head on block %d, want the lowest-numbered free block %d", got, want)
-			}
-		})
-		if reordered == 0 {
-			t.Error("the head rule never reordered a victim; the row is not exercised")
 		}
 	})
 }

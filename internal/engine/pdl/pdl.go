@@ -18,8 +18,8 @@
 // newer sequence applies in order.
 //
 // Reads merge on the fly: base page plus chained deltas. The chain is
-// bounded — once it reaches MaxChain records, or a diff grows past
-// PromoteBytes, the page promotes to a fresh base write and the chain
+// bounded — once it reaches maxChain records, or a diff grows past
+// half a page, the page promotes to a fresh base write and the chain
 // dies. Cleaning is crash-safe by construction: a page is only ever
 // moved by promoting it (a fresh base supersedes everything older
 // atomically) or by folding its whole chain into one delta record whose
@@ -62,19 +62,9 @@ type Config struct {
 	// capacity, matching the FTL's formula so both engines expose the
 	// same logical space over the same device.
 	ReserveBlocks int
-	// MaxChain bounds a page's delta chain; the next overwrite past the
-	// bound promotes the page to a fresh base write (default 8).
-	MaxChain int
-	// PromoteBytes is the diff size at which writing a delta stops
-	// paying: diffs at or above it write a fresh base instead
-	// (default PageBytes/2).
-	PromoteBytes int
 	// IdleCleanThreshold lets CleanIdle reclaim during idle periods
 	// until this many blocks are free. Zero disables idle cleaning.
 	IdleCleanThreshold int
-	// BackgroundErase issues erases asynchronously so the writer does
-	// not stall for them.
-	BackgroundErase bool
 	// Obs receives the engine's metrics and op spans; nil falls back to
 	// obs.Default().
 	Obs *obs.Observer
@@ -127,6 +117,10 @@ type pageMeta struct {
 	chain   []deltaRef
 }
 
+// maxChain bounds a page's delta chain; the next overwrite past the
+// bound promotes the page to a fresh base write.
+const maxChain = 8
+
 // Engine is the page-differential log over one flash device. Not safe
 // for concurrent use.
 type Engine struct {
@@ -164,6 +158,10 @@ type Engine struct {
 	deltaPtr    int // current unit within it
 	deltaOff    int // append offset within that unit
 
+	// promoteBytes is the diff size at which writing a delta stops
+	// paying: a diff at or above it writes a fresh base instead.
+	promoteBytes int
+
 	writeSeq uint64
 	cleaning bool // suppresses EnsureSpace recursion under cleanOne
 
@@ -184,7 +182,7 @@ var _ engine.Engine = (*Engine)(nil)
 func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	e := &Engine{dev: dev, clock: clock, baseActive: -1, deltaActive: -1}
 	pool, err := blocks.New(dev, clock, cfg.Obs, "pdl", cfg.PageBytes, cfg.ReserveBlocks,
-		cfg.IdleCleanThreshold, cfg.BackgroundErase, e.pickVictim, e.cleanOne, e.logHeads)
+		cfg.IdleCleanThreshold, e.pickVictim, e.cleanOne, e.logHeads)
 	if err != nil {
 		return nil, err
 	}
@@ -192,16 +190,8 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.ReserveBlocks = pool.Reserve()
-	if cfg.MaxChain <= 0 {
-		cfg.MaxChain = 8
-	}
-	if cfg.PromoteBytes <= 0 {
-		cfg.PromoteBytes = cfg.PageBytes / 2
-	}
-	if cfg.PromoteBytes+deltaHdrBytes > cfg.PageBytes {
-		// A record must fit in one log unit.
-		cfg.PromoteBytes = cfg.PageBytes - deltaHdrBytes
-	}
+	// A record must fit in one log unit.
+	e.promoteBytes = min(cfg.PageBytes/2, cfg.PageBytes-deltaHdrBytes)
 	e.cfg, e.pool = cfg, pool
 	e.ppb, e.numBlocks = pool.PagesPerBlock(), dev.NumBlocks()
 	e.pages = make([]pageMeta, pool.LogicalPages())
@@ -344,7 +334,7 @@ func (e *Engine) WritePageTagged(lpn int64, data []byte, tag engine.Tag) (err er
 		// Identical to what is already durable: nothing to persist.
 		return nil
 	}
-	if len(pm.chain) >= e.cfg.MaxChain || hi-lo >= e.cfg.PromoteBytes {
+	if len(pm.chain) >= maxChain || hi-lo >= e.promoteBytes {
 		e.promotion.Inc()
 		return e.writeBase(lpn, data, tag)
 	}
@@ -741,7 +731,7 @@ func (e *Engine) cleanOne(victim int) error {
 		if !mustPromote {
 			lo, hi = chainHull(pm.chain)
 		}
-		if mustPromote || hi-lo >= e.cfg.PromoteBytes {
+		if mustPromote || hi-lo >= e.promoteBytes {
 			if err := e.writeBase(lpn, e.mergeBuf, pm.tag); err != nil {
 				return err
 			}

@@ -94,23 +94,23 @@ func TestDeltaPathProgramsLessThanAPage(t *testing.T) {
 	}
 }
 
-// TestChainBoundPromotes checks MaxChain: the overwrite after the bound
+// TestChainBoundPromotes checks maxChain: the overwrite after the bound
 // writes a fresh base and empties the chain.
 func TestChainBoundPromotes(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3, MaxChain: 3})
+	r := newRig(t, Config{ReserveBlocks: 3})
 	e := r.e
 	page := bytes.Repeat([]byte{0x00}, testPage)
 	if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxChain; i++ {
 		page[i] = 0xEE
 		if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(e.pages[0].chain); n != 3 {
-		t.Fatalf("chain length %d, want 3", n)
+	if n := len(e.pages[0].chain); n != maxChain {
+		t.Fatalf("chain length %d, want %d", n, maxChain)
 	}
 	page[500] = 0xEE
 	if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
@@ -124,16 +124,16 @@ func TestChainBoundPromotes(t *testing.T) {
 	}
 }
 
-// TestLargeDiffWritesBase checks PromoteBytes: a diff at or past the
-// bound skips the delta path entirely.
+// TestLargeDiffWritesBase checks promoteBytes: a diff at or past the
+// bound (half a page) skips the delta path entirely.
 func TestLargeDiffWritesBase(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3, PromoteBytes: 512})
+	r := newRig(t, Config{ReserveBlocks: 3})
 	e := r.e
 	page := bytes.Repeat([]byte{0x00}, testPage)
 	if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1024; i++ {
+	for i := 0; i < testPage/2; i++ {
 		page[i] = 0x77
 	}
 	if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
@@ -313,7 +313,7 @@ func touchedByWalk(e *Engine, b int) []int64 {
 // which then takes traffic too so chains installed by the scan get cleaned.
 func TestTouchIndexEquivalence(t *testing.T) {
 	for _, seed := range []int64{1993, 7, 42} {
-		cfg := Config{PageBytes: testPage, ReserveBlocks: 3, MaxChain: 4}
+		cfg := Config{PageBytes: testPage, ReserveBlocks: 3}
 		r := newRig(t, cfg)
 		rng := rand.New(rand.NewSource(seed))
 		images := make(map[int64][]byte)

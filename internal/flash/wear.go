@@ -192,9 +192,3 @@ func (d *Device) CauseBytesProgrammed(c obs.Cause) int64 {
 func (d *Device) CauseErases(c obs.Cause) int64 {
 	return d.causeErase[c].Value()
 }
-
-// EraseRate reports the device's windowed erase burn rate (erases per
-// virtual second over the trailing HealthWindow) as of now.
-func (d *Device) EraseRate() float64 {
-	return d.eraseRate.Rate(d.clock.Now())
-}

@@ -114,9 +114,9 @@ type Info struct {
 
 // Config parameterises the file system.
 type Config struct {
-	// RBoxBase and RBoxBytes delimit the recovery-box region in the DRAM
-	// device. Zero bytes disables the recovery box (no crash protection).
-	RBoxBase  int64
+	// RBoxBytes sizes the recovery-box region, which starts at DRAM
+	// offset 0. Zero bytes disables the recovery box (no crash
+	// protection).
 	RBoxBytes int64
 	// SnapshotEvery forces a fresh recovery-box snapshot after this many
 	// journal records; the journal is also compacted into a snapshot when

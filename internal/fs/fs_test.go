@@ -32,7 +32,7 @@ type rig struct {
 }
 
 func fsConfig() Config {
-	return Config{RBoxBase: 0, RBoxBytes: 256 * 1024, SnapshotEvery: 64}
+	return Config{RBoxBytes: 256 * 1024, SnapshotEvery: 64}
 }
 
 // newParts builds the device stack without the FS (for recovery tests).

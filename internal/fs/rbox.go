@@ -18,7 +18,7 @@ import (
 // device, it survives OS crashes but not power failures, matching the
 // paper's stability model.
 //
-// Region layout:
+// Region layout, at the start of DRAM:
 //
 //	[ 0, 8)  magic
 //	[ 8,16)  snapshot length
@@ -47,11 +47,9 @@ const (
 type rbox struct {
 	clock *sim.Clock
 	dev   *dram.Device
-	base  int64
-	size  int64
 
-	snapBase, snapCap int64
-	jBase, jCap       int64
+	snapCap     int64
+	jBase, jCap int64
 
 	jLen    int64
 	jCRC    uint32
@@ -66,20 +64,17 @@ func newRBox(cfg Config, clock *sim.Clock, dev *dram.Device) (*rbox, error) {
 	if cfg.RBoxBytes < rboxHeader+1024 {
 		return nil, fmt.Errorf("fs: recovery box of %d bytes too small", cfg.RBoxBytes)
 	}
-	if cfg.RBoxBase < 0 || cfg.RBoxBase+cfg.RBoxBytes > dev.Capacity() {
+	if cfg.RBoxBytes > dev.Capacity() {
 		return nil, fmt.Errorf("fs: recovery box outside DRAM")
 	}
 	usable := cfg.RBoxBytes - rboxHeader
 	snapCap := usable / 2
 	r := &rbox{
-		clock:    clock,
-		dev:      dev,
-		base:     cfg.RBoxBase,
-		size:     cfg.RBoxBytes,
-		snapBase: cfg.RBoxBase + rboxHeader,
-		snapCap:  snapCap,
+		clock:   clock,
+		dev:     dev,
+		snapCap: snapCap,
 	}
-	r.jBase = r.snapBase + snapCap
+	r.jBase = rboxHeader + snapCap
 	r.jCap = usable - snapCap
 	return r, nil
 }
@@ -94,7 +89,7 @@ func (r *rbox) writeHeader(snapLen int64, snapCRC uint32) error {
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(snapCRC))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(r.jLen))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(r.jCRC))
-	_, err := r.dev.Write(r.base, hdr)
+	_, err := r.dev.Write(0, hdr)
 	return err
 }
 
@@ -107,7 +102,7 @@ func (r *rbox) snapshot(st snapshotState) error {
 	if int64(len(data)) > r.snapCap {
 		return fmt.Errorf("%w: snapshot of %d exceeds %d", ErrRBoxFull, len(data), r.snapCap)
 	}
-	if _, err := r.dev.Write(r.snapBase, data); err != nil {
+	if _, err := r.dev.Write(rboxHeader, data); err != nil {
 		return err
 	}
 	r.jLen = 0
@@ -315,7 +310,7 @@ func RecoverAfterCrash(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDe
 		return nil, err
 	}
 	hdr := make([]byte, rboxHeader)
-	if _, err := dramDev.Read(rb.base, hdr); err != nil {
+	if _, err := dramDev.Read(0, hdr); err != nil {
 		return nil, err
 	}
 	if string(hdr[:8]) != rboxMagic {
@@ -329,7 +324,7 @@ func RecoverAfterCrash(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDe
 		return nil, fmt.Errorf("%w: bad lengths", ErrCorruptRBox)
 	}
 	snap := make([]byte, snapLen)
-	if _, err := dramDev.Read(rb.snapBase, snap); err != nil {
+	if _, err := dramDev.Read(rboxHeader, snap); err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(snap) != snapCRC {

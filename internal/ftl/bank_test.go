@@ -6,23 +6,21 @@ import (
 	"ssmobile/internal/sim"
 )
 
-// The bank contract (the pdl engine pins the same three rows in its own
+// The bank contract (the pdl engine pins the same two rows in its own
 // package): on the served card in small — four banks, the real 1.6 s
 // erase, issued in the background — the next log head never opens in a
 // bank that is erasing and the next victim comes from neither such a bank
 // nor a log head's; when every bank is busy both decisions still return a
-// block, the one the engine's own order picks with no ranking at all; and
-// when erases run in the foreground no bank is ever busy at a decision,
-// so only the log heads' banks can reorder victims.
+// block, the one the engine's own order picks with no ranking at all.
 
-// churned builds an engine on one of the equivalence cards and overwrites
+// churned builds an engine on the banked equivalence card and overwrites
 // it at random until the cleaner has run for a while, so that every bank
 // holds blocks with dead pages and both log heads are open.
-func churned(t *testing.T, policy Policy, banked bool) *FTL {
+func churned(t *testing.T, policy Policy) *FTL {
 	t.Helper()
-	dev, clock := equivalenceCard(t, banked)
+	dev, clock := equivalenceCard(t, true)
 	f, err := New(dev, clock, Config{
-		PageBytes: 1024, ReserveBlocks: 3, Policy: policy, HotCold: true, BackgroundErase: banked,
+		PageBytes: 1024, ReserveBlocks: 3, Policy: policy, HotCold: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +70,7 @@ func TestBankContract(t *testing.T) {
 	for _, policy := range []Policy{PolicyFIFO, PolicyGreedy, PolicyCostBenefit} {
 		t.Run(policy.String(), func(t *testing.T) {
 			t.Run("one bank erasing", func(t *testing.T) {
-				f := churned(t, policy, true)
+				f := churned(t, policy)
 				f.clock.Advance(10 * sim.Second) // every erase of the set-up is over
 				first := f.pickVictim()
 				if err := f.pool.Clean(first); err != nil {
@@ -98,7 +96,7 @@ func TestBankContract(t *testing.T) {
 				}
 			})
 			t.Run("every bank busy", func(t *testing.T) {
-				f := churned(t, policy, true)
+				f := churned(t, policy)
 				f.clock.Advance(10 * sim.Second)
 				for bank := range f.freeByBank {
 					occupy(t, f, bank)
@@ -108,39 +106,6 @@ func TestBankContract(t *testing.T) {
 				}
 				if got, want := f.headBank(), rotationBank(f); got == -1 || got != want {
 					t.Errorf("head in bank %d, want the rotation's choice %d", got, want)
-				}
-			})
-			t.Run("foreground erase", func(t *testing.T) {
-				f := churned(t, policy, false)
-				rng := sim.NewRNG(7)
-				data := make([]byte, f.PageBytes())
-				reordered := 0
-				f.onClean = func(victim int) {
-					if anyBankBusy(f) {
-						t.Fatalf("a bank is busy at a victim decision on a card that erases in the foreground")
-					}
-					hot, cold := f.dev.BankOf(f.hotActive), f.dev.BankOf(f.coldActive)
-					want := unranked(f, func(bank int) bool { return bank != hot && bank != cold })
-					if want == -1 {
-						want = unranked(f, anyBank)
-					}
-					if victim != want {
-						t.Fatalf("victim %d, want %d: only the heads' banks (%d, %d) may reorder", victim, want, hot, cold)
-					}
-					if victim != unranked(f, anyBank) {
-						reordered++
-					}
-				}
-				for op := 0; op < 3000; op++ {
-					if err := f.WritePage(rng.Int63n(f.LogicalPages()), data); err != nil {
-						t.Fatal(err)
-					}
-					if f.headBank() != rotationBank(f) {
-						t.Fatal("allocation left the rotation with no bank busy")
-					}
-				}
-				if reordered == 0 {
-					t.Error("the head rule never reordered a victim; the row is not exercised")
 				}
 			})
 		})

@@ -87,9 +87,6 @@ type Config struct {
 	// cleaner relocations (cold) append to different blocks, and free
 	// blocks are chosen wear-aware. Only meaningful for log policies.
 	HotCold bool
-	// BackgroundErase issues erases asynchronously so the writer does not
-	// stall for them; the bank stays busy.
-	BackgroundErase bool
 	// PersistMapping writes an out-of-band record (sequence number,
 	// logical page number, caller tag) into the flash spare area on every
 	// program, so Mount can rebuild the full mapping by scanning the
@@ -201,7 +198,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		pick, clean, heads = f.pickVictim, f.cleanOne, f.logHeads
 	}
 	pool, err := blocks.New(dev, clock, cfg.Obs, "ftl", cfg.PageBytes, cfg.ReserveBlocks,
-		cfg.IdleCleanThreshold, cfg.BackgroundErase, pick, clean, heads)
+		cfg.IdleCleanThreshold, pick, clean, heads)
 	if err != nil {
 		return nil, err
 	}

@@ -379,28 +379,6 @@ func TestWriteAmplificationReported(t *testing.T) {
 	}
 }
 
-func TestBackgroundEraseDoesNotStallWriter(t *testing.T) {
-	mk := func(bg bool) sim.Duration {
-		dev, clock := smallFlash(t, 0)
-		f, err := New(dev, clock, Config{PageBytes: 1024, ReserveBlocks: 3, Policy: PolicyGreedy, BackgroundErase: bg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := clock.Now()
-		for i := 0; i < 3000; i++ {
-			if err := f.WritePage(int64(i%8), page(byte(i), 1024)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return clock.Now().Sub(start)
-	}
-	fg := mk(false)
-	bg := mk(true)
-	if bg >= fg {
-		t.Errorf("background erase elapsed %v not below foreground %v", bg, fg)
-	}
-}
-
 func TestStaticWearLeveling(t *testing.T) {
 	run := func(threshold int64) (wearDelta int64, coldMoved bool, f *FTL) {
 		dev, clock := smallFlash(t, 0)

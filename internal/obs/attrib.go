@@ -121,8 +121,8 @@ func resolveRequest(root Span, pending []Span) (RequestAttribution, int) {
 		if excl < 0 {
 			excl = 0
 		}
-		idx, ok := stageIndex[sp.Stage]
-		if !ok {
+		idx := stageIndexOf(sp.Stage)
+		if BreakdownStages[idx] != sp.Stage {
 			idx = stageOther
 		}
 		stages[idx] += excl

@@ -70,18 +70,8 @@ const (
 	NumStages
 )
 
-var stageIndex = map[string]int{
-	StageQueue:  stageQueue,
-	StageBuffer: stageBuffer,
-	StageFlush:  stageFlush,
-	StageFlash:  stageFlash,
-	StageClean:  stageClean,
-	StageOther:  stageOther,
-}
-
-// stageIndexOf is stageIndex as a switch — same result including the
-// zero value for unknown names, without the map lookup on the span-open
-// hot path.
+// stageIndexOf maps a stage name to its index, and an unknown name to 0,
+// whose BreakdownStages entry is not that name.
 func stageIndexOf(name string) int {
 	switch name {
 	case StageQueue:
@@ -98,24 +88,6 @@ func stageIndexOf(name string) int {
 		return stageOther
 	}
 	return 0
-}
-
-// EffectiveStage resolves a span's stage from its declared stage and the
-// effective stage of its enclosing span: cleaning is sticky, an explicit
-// declaration wins otherwise, and an undeclared span inherits its
-// parent (a root defaults to StageOther). Attribute and the live
-// TraceContext share this rule, which is why their numbers agree.
-func EffectiveStage(declared, parent string) string {
-	switch {
-	case parent == StageClean || declared == StageClean:
-		return StageClean
-	case declared != "":
-		return declared
-	case parent != "":
-		return parent
-	default:
-		return StageOther
-	}
 }
 
 // Breakdown is a per-request latency attribution: virtual time spent in
@@ -231,14 +203,6 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 	return tc
 }
 
-// ActiveContext reports the installed request context, if any.
-func (o *Observer) ActiveContext() *TraceContext {
-	if o == nil {
-		return nil
-	}
-	return o.reqCtx
-}
-
 // Root reports the context's root span ID.
 func (tc *TraceContext) Root() uint64 {
 	if tc == nil || len(tc.stack.frames) == 0 {
@@ -259,6 +223,11 @@ func (tc *TraceContext) accrue(now sim.Time) {
 // open fills in the request identity of f, just pushed onto the
 // context's stack: a fresh id, the enclosing span as parent, the
 // effective stage, and for induced work a follow-from link to the root.
+//
+// The effective stage is the one rule of stage resolution: cleaning is
+// sticky, an explicit declaration wins otherwise, and an undeclared span
+// inherits its parent's (the root's is StageOther). Recorded spans carry
+// it, so Attribute reads it back rather than resolving it again.
 func (tc *TraceContext) open(f *spanFrame, declared string, induced bool) {
 	frames := tc.stack.frames
 	up := &frames[len(frames)-2]

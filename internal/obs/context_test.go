@@ -211,7 +211,7 @@ func TestRequestsDoNotNest(t *testing.T) {
 		t.Fatal("nil Root() != 0")
 	}
 	tc.Finish(0, nil)
-	if o.ActiveContext() != nil {
+	if o.reqCtx != nil {
 		t.Fatal("Finish must uninstall the context")
 	}
 	// After Finish a new request can begin.
@@ -232,25 +232,42 @@ func TestNilObserverTracingIsFreeAndSafe(t *testing.T) {
 	}
 	sp := o.StageSpan(clock, nil, "flash", "read", StageFlash)
 	sp.End(0, nil) // must not panic
-	if o.ActiveContext() != nil {
-		t.Fatal("nil observer has no active context")
-	}
 }
 
-// TestEffectiveStage pins the stage-resolution rule shared by the live
-// context and the offline attribution.
+// TestEffectiveStage pins the stage-resolution rule through a request
+// tree: each recorded span carries the stage its declaration and its
+// parent's stage resolve to.
 func TestEffectiveStage(t *testing.T) {
-	cases := []struct{ declared, parent, want string }{
-		{StageFlash, "", StageFlash},         // declaration wins
-		{StageFlash, StageFlush, StageFlash}, // over inheritance
-		{"", StageFlush, StageFlush},         // undeclared inherits
-		{"", "", StageOther},                 // root default
-		{StageFlash, StageClean, StageClean}, // clean is sticky downward
-		{StageClean, StageFlash, StageClean}, // and when declared
+	o := New(64)
+	clock := sim.NewClock()
+	tc := o.BeginRequest(clock, "server", "get", 0) // root default: other
+	flush := o.StageSpan(clock, nil, "wbuf", "flush", StageFlush)
+	o.StageSpan(clock, nil, "flash", "program", StageFlash).End(0, nil) // declaration wins over inheritance
+	o.Span(clock, nil, "ftl", "write").End(0, nil)                      // undeclared inherits
+	flush.End(0, nil)
+	o.StageSpan(clock, nil, "flash", "read", StageFlash).End(0, nil) // declaration wins over the root's
+	clean := o.StageSpan(clock, nil, "ftl", "clean", StageClean)
+	o.StageSpan(clock, nil, "flash", "erase", StageFlash).End(0, nil) // clean is sticky downward
+	clean.End(0, nil)
+	dev := o.StageSpan(clock, nil, "flash", "copy", StageFlash)
+	o.StageSpan(clock, nil, "ftl", "relocate", StageClean).End(0, nil) // and wins when declared
+	dev.End(0, nil)
+	tc.Finish(0, nil)
+
+	want := map[string]string{
+		"server/get": StageOther, "wbuf/flush": StageFlush,
+		"flash/program": StageFlash, "ftl/write": StageFlush,
+		"flash/read": StageFlash, "ftl/clean": StageClean,
+		"flash/erase": StageClean, "flash/copy": StageFlash,
+		"ftl/relocate": StageClean,
 	}
-	for _, c := range cases {
-		if got := EffectiveStage(c.declared, c.parent); got != c.want {
-			t.Errorf("EffectiveStage(%q, %q) = %q, want %q", c.declared, c.parent, got, c.want)
+	spans := o.Tracer.Spans()
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans recorded, want %d", len(spans), len(want))
+	}
+	for _, sp := range spans {
+		if name := sp.Layer + "/" + sp.Op; sp.Stage != want[name] {
+			t.Errorf("%s resolved to stage %q, want %q", name, sp.Stage, want[name])
 		}
 	}
 }

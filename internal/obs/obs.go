@@ -5,8 +5,7 @@
 //
 //   - a metrics Registry of named, labelled collectors — counters, gauges,
 //     and histograms (the existing sim.Histogram behind the common
-//     Collector interface) — with point-in-time Snapshot and Diff support
-//     so experiments can report deltas instead of absolute totals;
+//     Collector interface) — with point-in-time Snapshots;
 //   - a virtual-time span Tracer (trace.go): every instrumented operation
 //     records a structured span (start/end in sim.Time, layer, op, bytes,
 //     energy, outcome) into a bounded ring buffer with pluggable sinks —
@@ -448,7 +447,7 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 // flip side is that merging a plain (function-less) gauge must CLEAR any
 // read-through a previous merge installed — otherwise the stale function
 // shadows the newer value forever and the merged gauge appears frozen.
-// Snapshot/Diff are point-in-time by design; liveness is the registry's
+// Snapshots are point-in-time by design; liveness is the registry's
 // concern, not the snapshot's.
 func (r *Registry) Merge(src *Registry) { r.MergeLabeled(src, nil) }
 

@@ -48,9 +48,6 @@ func NewRateSampler(capacity int, window sim.Duration) *RateSampler {
 	return &RateSampler{window: window, ring: make([]rateSample, capacity)}
 }
 
-// Window reports the sampler's window.
-func (s *RateSampler) Window() sim.Duration { return s.window }
-
 // Len reports the number of retained samples.
 func (s *RateSampler) Len() int { return s.n }
 

@@ -89,8 +89,8 @@ func TestRateSamplerZeroValueAndNil(t *testing.T) {
 		t.Fatalf("nil Rate = %v, want 0", got)
 	}
 	e := NewRateSampler(0, 0) // defaults
-	if e.Window() != sim.Minute {
-		t.Fatalf("default window = %v, want 1m", e.Window())
+	if e.window != sim.Minute {
+		t.Fatalf("default window = %v, want 1m", e.window)
 	}
 	if got := e.Rate(sim.Time(sim.Hour)); got != 0 {
 		t.Fatalf("empty Rate = %v, want 0", got)

@@ -166,34 +166,6 @@ func (s Snapshot) Merge(others ...Snapshot) Snapshot {
 	return out
 }
 
-// Diff reports this snapshot relative to an earlier base, so experiments
-// can report deltas instead of absolute totals. Counters subtract values;
-// histograms subtract Count and Sum (Min/Max/P50/P95/P99 keep the newer
-// snapshot's values — quantiles of a difference are not recoverable from
-// summaries); gauges keep the newer value, since a gauge is a state, not
-// an accumulation. Metrics absent from the base diff against zero; metrics
-// only in the base are omitted.
-func (s Snapshot) Diff(base Snapshot) Snapshot {
-	prev := make(map[string]Metric, len(base.Metrics))
-	for _, m := range base.Metrics {
-		prev[m.Key()] = m
-	}
-	out := Snapshot{Metrics: make([]Metric, 0, len(s.Metrics))}
-	for _, m := range s.Metrics {
-		if b, ok := prev[m.Key()]; ok {
-			switch m.Kind {
-			case KindCounter:
-				m.Value -= b.Value
-			case KindHistogram:
-				m.Count -= b.Count
-				m.Sum -= b.Sum
-			}
-		}
-		out.Metrics = append(out.Metrics, m)
-	}
-	return out
-}
-
 // WriteJSON writes the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

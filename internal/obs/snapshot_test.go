@@ -117,7 +117,6 @@ func TestSnapshotOrderAndFindProperty(t *testing.T) {
 		checkSnapshot(t, stage+": WithLabel then FilterLabel", labelled.FilterLabel("node", "n1"), misses)
 		checkSnapshot(t, stage+": FilterLabel", snap.FilterLabel("layer", "x"), misses)
 		checkSnapshot(t, stage+": Merge", snap.FilterLabel("a", "1").Merge(labelled, snap.WithLabel("node", "n0")), misses)
-		checkSnapshot(t, stage+": Diff", snap.Diff(snap), misses)
 
 		var buf bytes.Buffer
 		if err := labelled.WriteJSON(&buf); err != nil {

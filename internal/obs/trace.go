@@ -44,8 +44,8 @@ type Span struct {
 	// only, so total latency is Queue + Duration().
 	Queue sim.Duration `json:"queue_ns,omitempty"`
 	// Stage is the span's effective latency-attribution stage (see the
-	// Stage constants and EffectiveStage), resolved at open time so trace
-	// consumers need no stage logic. Empty for background spans.
+	// Stage constants and TraceContext.open), resolved at open time so
+	// trace consumers need no stage logic. Empty for background spans.
 	Stage string `json:"stage,omitempty"`
 	// Node names the cluster node the span executed on (or, for the
 	// per-holder child spans a clustered request records, the holder the
@@ -283,7 +283,7 @@ func (o *Observer) Span(clock *sim.Clock, meter *sim.EnergyMeter, layer, op stri
 // StageSpan is Span with a declared latency-attribution stage: device
 // layers use it to say what kind of time they represent (dram is
 // StageBuffer, flash is StageFlash, buffer eviction is StageFlush). The
-// declaration only matters under a request context; see EffectiveStage
+// declaration only matters under a request context; see TraceContext.open
 // for how it combines with the enclosing span's stage.
 func (o *Observer) StageSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op, stage string) SpanRef {
 	return o.openSpan(clock, meter, layer, op, stage, false)

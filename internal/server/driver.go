@@ -55,8 +55,7 @@ type driverClient struct {
 	// relative to the run's start, not the clock's (the device may have
 	// lived a prior life — aging, earlier runs).
 	base sim.Time
-	// next is when the pending op is issued; under closed-loop arrivals
-	// it is the previous completion plus think time.
+	// next is when the pending op is issued.
 	next sim.Time
 	done bool
 	// payBuf is the client's reusable write-payload buffer; the server
@@ -65,18 +64,14 @@ type driverClient struct {
 	payBuf []byte
 }
 
-func (c *driverClient) load(now sim.Time) {
+func (c *driverClient) load() {
 	op, ok := c.gen.Next()
 	if !ok {
 		c.done = true
 		return
 	}
 	c.op = op
-	if op.Arrival > 0 {
-		c.next = c.base.Add(sim.Duration(op.Arrival))
-	} else {
-		c.next = now.Add(op.Think)
-	}
+	c.next = c.base.Add(sim.Duration(op.Arrival))
 }
 
 // RunWorkload drives cfg's full workload through svc — the single-card
@@ -103,7 +98,7 @@ func RunWorkload(svc Service, cfg workload.Config) (RunStats, error) {
 			return st, err
 		}
 		clients[i] = &driverClient{gen: gen, sess: sess, base: start}
-		clients[i].load(start)
+		clients[i].load()
 	}
 
 	for {
@@ -156,7 +151,7 @@ func RunWorkload(svc Service, cfg workload.Config) (RunStats, error) {
 			return st, fmt.Errorf("client %d op %d (%v key %d): %w",
 				op.Client, op.Seq, op.Kind, op.Key, err)
 		}
-		pick.load(svc.Now())
+		pick.load()
 	}
 	st.Elapsed = svc.Now().Sub(start)
 	return st, nil

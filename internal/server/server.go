@@ -74,11 +74,6 @@ type Config struct {
 	// when occupancy reaches High while the cleaner is behind, and stops
 	// when occupancy falls to Low or the cleaner catches up.
 	HighWatermark, LowWatermark float64
-	// SyncBatchWindow is the group-commit window: a sync arriving within
-	// this duration of the last completed sync is absorbed by it
-	// (default 50ms). Zero-window behaviour still batches syncs whose
-	// arrival predates the last sync's completion.
-	SyncBatchWindow sim.Duration
 	// Obs receives the server's metrics; nil falls back to obs.Default().
 	Obs *obs.Observer
 	// OnShedEngage, if set, is called once per false→true transition of
@@ -95,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LowWatermark <= 0 || c.LowWatermark >= c.HighWatermark {
 		c.LowWatermark = c.HighWatermark * 5 / 6
-	}
-	if c.SyncBatchWindow <= 0 {
-		c.SyncBatchWindow = 50 * sim.Millisecond
 	}
 	return c
 }
@@ -560,6 +552,11 @@ func (s *Server) doDelete(sess *Session, req Request) (Response, error) {
 	return Response{}, nil
 }
 
+// syncBatchWindow is the group-commit window: a sync arriving within it
+// of the last completed sync is absorbed by that sync, as is one whose
+// arrival predates the last sync's completion.
+const syncBatchWindow = 50 * sim.Millisecond
+
 // doSync implements group commit: a sync whose arrival is covered by the
 // last completed sync — or falls within the batch window of it — rides
 // that flush for free. The rule is not safe: an absorbed sync does not
@@ -572,7 +569,7 @@ func (s *Server) doSync(req Request) (Response, error) {
 	if arrival == 0 {
 		arrival = now
 	}
-	if s.synced && (arrival <= s.lastSync || now.Sub(s.lastSync) <= s.cfg.SyncBatchWindow) {
+	if s.synced && (arrival <= s.lastSync || now.Sub(s.lastSync) <= syncBatchWindow) {
 		s.batched.Inc()
 		return Response{Batched: true}, nil
 	}

@@ -15,7 +15,6 @@ import (
 	"ssmobile/internal/core"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
-	"ssmobile/internal/sim"
 	"ssmobile/internal/workload"
 )
 
@@ -228,20 +227,6 @@ func TestRunWorkloadDeterministic(t *testing.T) {
 	}
 	if a.Completed == 0 {
 		t.Fatal("no requests completed")
-	}
-}
-
-func TestClosedLoopWorkload(t *testing.T) {
-	_, srv := newStack(t, core.SolidStateConfig{})
-	st, err := server.RunWorkload(srv, workload.Config{
-		Seed: 5, Clients: 3, OpsPerClient: 50, Keys: 8,
-		Arrival: workload.ClosedLoop, ThinkTime: 10 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Completed == 0 || st.Elapsed <= 0 {
-		t.Fatalf("closed-loop run went nowhere: %+v", st)
 	}
 }
 

@@ -66,7 +66,7 @@ func NewEnergyMeter() *EnergyMeter {
 }
 
 // Account returns the category's account, creating it on first use. It
-// stays valid for the meter's lifetime, across Reset. A nil meter has no
+// stays valid for the meter's lifetime. A nil meter has no
 // accounts and returns nil.
 func (m *EnergyMeter) Account(category string) *EnergyAccount {
 	if m == nil {
@@ -111,15 +111,4 @@ func (m *EnergyMeter) Category(c string) Energy {
 		return a.e
 	}
 	return 0
-}
-
-// Reset zeroes the meter, including the dropped-negative count. Accounts
-// are zeroed in place, so devices keep charging through the ones they
-// resolved.
-func (m *EnergyMeter) Reset() {
-	m.total = 0
-	for _, a := range m.accounts {
-		a.e = 0
-	}
-	m.droppedNegative = 0
 }

@@ -2,19 +2,13 @@ package sim
 
 import "container/heap"
 
-// Event is a callback scheduled to run at a point in virtual time. The
+// event is a callback scheduled to run at a point in virtual time. The
 // callback receives the time at which it fires.
-type Event struct {
-	At     Time
-	Fn     func(Time)
-	seq    int64
-	index  int
-	cancel bool
+type event struct {
+	at  Time
+	fn  func(Time)
+	seq int64
 }
-
-// Cancel marks the event so that it is discarded instead of fired. It is
-// safe to cancel an event that has already fired.
-func (e *Event) Cancel() { e.cancel = true }
 
 // EventQueue is a priority queue of timed callbacks, ordered by firing time
 // with FIFO tie-breaking. It is the backbone for background activity such
@@ -30,83 +24,62 @@ type EventQueue struct {
 // NewEventQueue returns an empty queue.
 func NewEventQueue() *EventQueue { return &EventQueue{} }
 
-// Len reports the number of pending (possibly cancelled) events.
+// Len reports the number of pending events.
 func (q *EventQueue) Len() int { return q.h.Len() }
 
-// At schedules fn to run at time t and returns a handle that can cancel it.
-func (q *EventQueue) At(t Time, fn func(Time)) *Event {
+// At schedules fn to run at time t.
+func (q *EventQueue) At(t Time, fn func(Time)) {
 	q.seq++
-	e := &Event{At: t, Fn: fn, seq: q.seq}
-	heap.Push(&q.h, e)
-	return e
+	heap.Push(&q.h, &event{at: t, fn: fn, seq: q.seq})
 }
 
 // After schedules fn to run d after now.
-func (q *EventQueue) After(now Time, d Duration, fn func(Time)) *Event {
-	return q.At(now.Add(d), fn)
+func (q *EventQueue) After(now Time, d Duration, fn func(Time)) {
+	q.At(now.Add(d), fn)
 }
 
-// Next reports the firing time of the earliest live event, and whether one
-// exists.
+// Next reports the firing time of the earliest pending event, and whether
+// one exists.
 func (q *EventQueue) Next() (Time, bool) {
-	q.dropCancelled()
 	if q.h.Len() == 0 {
 		return 0, false
 	}
-	return q.h[0].At, true
+	return q.h[0].at, true
 }
 
-// RunUntil fires, in time order, every live event scheduled at or before t.
+// RunUntil fires, in time order, every pending event scheduled at or before t.
 // Events scheduled by callbacks are honoured if they also fall at or before
 // t. It returns the number of events fired.
 func (q *EventQueue) RunUntil(t Time) int {
 	fired := 0
-	for {
-		q.dropCancelled()
-		if q.h.Len() == 0 || q.h[0].At > t {
-			return fired
-		}
-		e := heap.Pop(&q.h).(*Event)
-		e.Fn(e.At)
+	for q.h.Len() > 0 && q.h[0].at <= t {
+		e := heap.Pop(&q.h).(*event)
+		e.fn(e.at)
 		fired++
 	}
+	return fired
 }
 
-func (q *EventQueue) dropCancelled() {
-	for q.h.Len() > 0 && q.h[0].cancel {
-		heap.Pop(&q.h)
-	}
-}
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
 
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }

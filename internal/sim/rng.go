@@ -51,16 +51,6 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(g.r.NormFloat64()*sigma + mu)
 }
 
-// Pareto returns a Pareto-distributed value with minimum xm and shape
-// alpha. Heavy-tailed file lifetimes and sizes use this.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Zipf returns a generator of Zipf-distributed values in [0, n) with
 // exponent s > 1 being more skewed as s grows. The hottest value is 0.
 func (g *RNG) Zipf(s float64, n uint64) *Zipf {

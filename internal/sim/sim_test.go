@@ -44,9 +44,6 @@ func TestDurationConversions(t *testing.T) {
 	if D(3*time.Millisecond) != 3*Millisecond {
 		t.Error("D(3ms) mismatch")
 	}
-	if (2 * Second).Std() != 2*time.Second {
-		t.Error("Std() mismatch")
-	}
 	if got := (500 * Millisecond).Seconds(); got != 0.5 {
 		t.Errorf("Seconds() = %v, want 0.5", got)
 	}
@@ -92,19 +89,6 @@ func TestEventQueueFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestEventQueueCancel(t *testing.T) {
-	q := NewEventQueue()
-	fired := false
-	e := q.At(Time(10), func(Time) { fired = true })
-	e.Cancel()
-	if n := q.RunUntil(Time(100)); n != 0 {
-		t.Fatalf("fired %d cancelled events", n)
-	}
-	if fired {
-		t.Fatal("cancelled event ran")
-	}
-}
-
 func TestEventQueueReschedulesWithinRun(t *testing.T) {
 	q := NewEventQueue()
 	count := 0
@@ -127,13 +111,13 @@ func TestEventQueueNext(t *testing.T) {
 	if _, ok := q.Next(); ok {
 		t.Fatal("empty queue reported a next event")
 	}
-	e := q.At(Time(42), func(Time) {})
+	q.At(Time(42), func(Time) {})
 	if at, ok := q.Next(); !ok || at != Time(42) {
 		t.Fatalf("Next() = %v,%v want 42,true", at, ok)
 	}
-	e.Cancel()
+	q.RunUntil(Time(42))
 	if _, ok := q.Next(); ok {
-		t.Fatal("cancelled event still visible via Next")
+		t.Fatal("fired event still visible via Next")
 	}
 }
 
@@ -190,9 +174,6 @@ func TestRNGDistributionsSane(t *testing.T) {
 		t.Errorf("Exp(10) mean = %.2f, want ~10", mean)
 	}
 	for i := 0; i < 1000; i++ {
-		if v := g.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto draw %v below minimum", v)
-		}
 		if v := g.LogNormal(0, 1); v <= 0 {
 			t.Fatalf("LogNormal draw %v not positive", v)
 		}
@@ -331,15 +312,10 @@ func TestEnergyAccounting(t *testing.T) {
 	if m.Category("flash") != 3*Millijoule {
 		t.Fatalf("flash = %v", m.Category("flash"))
 	}
-	m.Reset()
-	if m.Total() != 0 || m.Category("flash") != 0 {
-		t.Fatal("Reset did not clear meter")
-	}
 }
 
 // TestEnergyAccount holds charges through resolved accounts to Charge by
-// category: the same totals, the same clamping of a negative charge, and
-// an account resolved before Reset still charges the meter after it.
+// category: the same totals and the same clamping of a negative charge.
 func TestEnergyAccount(t *testing.T) {
 	byName, byAccount := NewEnergyMeter(), NewEnergyMeter()
 	accounts := map[string]*EnergyAccount{
@@ -363,14 +339,6 @@ func TestEnergyAccount(t *testing.T) {
 		if m.DroppedNegativeCharges() != 1 {
 			t.Fatalf("dropped %d negative charges, want 1", m.DroppedNegativeCharges())
 		}
-	}
-	byAccount.Reset()
-	accounts["flash"].Charge(Microjoule)
-	if byAccount.Total() != Microjoule || byAccount.Category("flash") != Microjoule || byAccount.Category("dram") != 0 {
-		t.Fatalf("after Reset: total %v, flash %v, dram %v", byAccount.Total(), byAccount.Category("flash"), byAccount.Category("dram"))
-	}
-	if byAccount.DroppedNegativeCharges() != 0 {
-		t.Fatal("Reset kept the dropped-negative count")
 	}
 	var none *EnergyMeter
 	if none.Account("flash") != nil {
@@ -434,10 +402,6 @@ func TestNegativeChargeClampedAndCounted(t *testing.T) {
 	}
 	if got := m.DroppedNegativeCharges(); got != 2 {
 		t.Errorf("DroppedNegativeCharges() = %d, want 2", got)
-	}
-	m.Reset()
-	if got := m.DroppedNegativeCharges(); got != 0 {
-		t.Errorf("DroppedNegativeCharges() = %d after Reset, want 0", got)
 	}
 }
 

@@ -43,9 +43,6 @@ const (
 // D converts a time.Duration into a sim.Duration.
 func D(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
-// Std converts a sim.Duration back into a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds reports the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 

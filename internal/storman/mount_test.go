@@ -50,7 +50,7 @@ func oobFTLConfig() ftl.Config {
 	return ftl.Config{
 		PageBytes: 4096, ReserveBlocks: 3,
 		Policy: ftl.PolicyCostBenefit, HotCold: true,
-		BackgroundErase: true, PersistMapping: true,
+		PersistMapping: true,
 	}
 }
 

@@ -314,9 +314,6 @@ func (m *Manager) DiffsOverwrites() bool { return m.fl.DiffsOverwrites() }
 // FlashPagesFree reports the unallocated flash logical pages.
 func (m *Manager) FlashPagesFree() int { return len(m.freeLPN) }
 
-// DRAMPagesFree reports the free DRAM buffer pages.
-func (m *Manager) DRAMPagesFree() int { return len(m.freeDRAM) }
-
 // BufferOccupancy reports the in-use fraction of the DRAM buffer in
 // [0, 1]. The serving layer's watermark admission control keys off this
 // value: a full buffer means every further write pays flash latency.
@@ -655,12 +652,6 @@ func (m *Manager) BlockSize(key Key) int {
 		return loc.size
 	}
 	return 0
-}
-
-// InDRAM reports whether the block currently lives in DRAM.
-func (m *Manager) InDRAM(key Key) bool {
-	loc := m.lookup(key)
-	return loc != nil && loc.inDRAM()
 }
 
 // DeleteObject drops every block of the object. DRAM-resident bytes are

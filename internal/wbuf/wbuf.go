@@ -360,14 +360,6 @@ func (b *Buffer) InvalidateObject(object uint64) {
 	delete(b.byObject, object)
 }
 
-// InvalidateBlock drops one buffered block (e.g. a truncated tail).
-func (b *Buffer) InvalidateBlock(key Key) {
-	if e, ok := b.entries[key]; ok {
-		b.deleteAbsorbed.Add(int64(len(e.data)))
-		b.drop(e)
-	}
-}
-
 // drop removes the entry without flushing and recycles it. The entry is
 // reset to zero state (keeping only its data capacity) so a recycled
 // entry can never leak a stale key, timestamps or list links.

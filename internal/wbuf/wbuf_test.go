@@ -160,26 +160,6 @@ func TestDeleteAbsorption(t *testing.T) {
 	}
 }
 
-func TestInvalidateBlock(t *testing.T) {
-	b, _, sink := newBuffer(t, 1<<20, 0, EvictLRW)
-	if err := b.Write(Key{1, 0}, []byte("keep")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Write(Key{1, 1}, []byte("drop")); err != nil {
-		t.Fatal(err)
-	}
-	b.InvalidateBlock(Key{1, 1})
-	if _, ok := b.Read(Key{1, 1}); ok {
-		t.Fatal("invalidated block still readable")
-	}
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if string(sink.blocks[Key{1, 0}]) != "keep" || sink.blocks[Key{1, 1}] != nil {
-		t.Fatal("wrong blocks flushed")
-	}
-}
-
 func TestCapacityEvictionLRW(t *testing.T) {
 	// Capacity of two blocks; writing three distinct blocks evicts the
 	// least recently written.

@@ -8,9 +8,8 @@
 // population of clients, each issuing an independent stream of reads,
 // writes, truncates, deletes and syncs against its own objects, with a
 // skewed key popularity (hot objects absorb overwrites in DRAM, cold
-// objects force flash traffic) and either open-loop (fixed arrival rate,
-// the queueing-theory stressor) or closed-loop (think time after each
-// completion) arrivals.
+// objects force flash traffic) and open-loop arrivals (a fixed arrival
+// rate, the queueing-theory stressor).
 //
 // Determinism is the package's contract: a client's stream is a pure
 // function of (Config.Seed, client id). Each random component — op kind,
@@ -92,27 +91,11 @@ func (p Popularity) String() string {
 // Arrival selects the client's issue discipline.
 type Arrival uint8
 
-// Arrival models.
-const (
-	// OpenLoop issues requests at exponentially spaced arrival times
-	// regardless of completions — offered load is fixed, and queueing
-	// delay appears as latency once the server falls behind.
-	OpenLoop Arrival = iota
-	// ClosedLoop issues the next request only after the previous one
-	// completes plus an exponential think time — offered load self-limits
-	// to the service rate.
-	ClosedLoop
-)
-
-var arrNames = [...]string{"open-loop", "closed-loop"}
-
-// String names the arrival model.
-func (a Arrival) String() string {
-	if int(a) < len(arrNames) {
-		return arrNames[a]
-	}
-	return fmt.Sprintf("Arrival(%d)", int(a))
-}
+// OpenLoop, the one arrival model, issues requests at exponentially
+// spaced arrival times regardless of completions — offered load is
+// fixed, and queueing delay appears as latency once the server falls
+// behind.
+const OpenLoop Arrival = 0
 
 // Config parameterises the generated workload.
 type Config struct {
@@ -141,11 +124,9 @@ type Config struct {
 	ZipfSkew   float64
 
 	// Arrival selects the issue discipline. RatePerClient is the
-	// open-loop arrival rate in requests per second; ThinkTime is the
-	// closed-loop mean think time.
+	// open-loop arrival rate in requests per second.
 	Arrival       Arrival
 	RatePerClient float64
-	ThinkTime     sim.Duration
 }
 
 // withDefaults fills the zero fields with usable values.
@@ -180,9 +161,6 @@ func (c Config) withDefaults() Config {
 	if c.RatePerClient <= 0 {
 		c.RatePerClient = 10
 	}
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = 100 * sim.Millisecond
-	}
 	return c
 }
 
@@ -199,12 +177,8 @@ type Op struct {
 	// the new length for truncates.
 	Offset int64
 	Size   int
-	// Arrival is the absolute issue time under open-loop arrivals; zero
-	// under closed-loop, where Think applies instead.
+	// Arrival is the op's issue time, relative to the workload's start.
 	Arrival sim.Time
-	// Think is the closed-loop think time before this op is issued,
-	// measured from the previous op's completion.
-	Think sim.Duration
 }
 
 // Payload fills buf with the op's deterministic write body — a pure
@@ -328,27 +302,8 @@ func (c *Client) Next() (op Op, ok bool) {
 		op.Size = int(c.addrR.Int63n(c.cfg.ObjectBytes + 1))
 	}
 
-	switch c.cfg.Arrival {
-	case ClosedLoop:
-		op.Think = sim.Duration(c.arrR.Exp(float64(c.cfg.ThinkTime)))
-	default:
-		gap := sim.Duration(c.arrR.Exp(float64(sim.Second) / c.cfg.RatePerClient))
-		c.nextArrival = c.nextArrival.Add(gap)
-		op.Arrival = c.nextArrival
-	}
+	gap := sim.Duration(c.arrR.Exp(float64(sim.Second) / c.cfg.RatePerClient))
+	c.nextArrival = c.nextArrival.Add(gap)
+	op.Arrival = c.nextArrival
 	return op, true
-}
-
-// Stream materialises client id's full op sequence — a convenience for
-// tests and tools; the server's driver consumes Clients incrementally.
-func Stream(cfg Config, id int) []Op {
-	c := NewClient(cfg, id)
-	out := make([]Op, 0, c.cfg.OpsPerClient)
-	for {
-		op, ok := c.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, op)
-	}
 }

@@ -8,6 +8,19 @@ import (
 	"testing"
 )
 
+// stream materialises client id's full op sequence.
+func stream(cfg Config, id int) []Op {
+	c := NewClient(cfg, id)
+	out := make([]Op, 0, c.cfg.OpsPerClient)
+	for {
+		op, ok := c.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, op)
+	}
+}
+
 // The pinned sequences below are the package's determinism contract: a
 // change that shifts any draw (reordering forks, adding a draw to one op
 // kind) breaks replayability of every recorded experiment and must show
@@ -37,7 +50,7 @@ func TestGoldenZipfSequences(t *testing.T) {
 		},
 	}
 	for id, w := range want {
-		if got := Stream(cfg, id); !reflect.DeepEqual(got, w) {
+		if got := stream(cfg, id); !reflect.DeepEqual(got, w) {
 			t.Errorf("client %d stream changed:\n got %+v\nwant %+v", id, got, w)
 		}
 	}
@@ -50,7 +63,7 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := Config{Seed: 42, Clients: 8, OpsPerClient: 200, Popularity: Zipf}
 	serial := make([][]Op, cfg.Clients)
 	for id := range serial {
-		serial[id] = Stream(cfg, id)
+		serial[id] = stream(cfg, id)
 	}
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
 		old := runtime.GOMAXPROCS(procs)
@@ -62,7 +75,7 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				conc[id] = Stream(cfg, id)
+				conc[id] = stream(cfg, id)
 			}(id)
 		}
 		wg.Wait()
@@ -77,16 +90,16 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 func TestSeedsIndependent(t *testing.T) {
 	base := Config{OpsPerClient: 50}
-	a := Stream(withSeed(base, 1), 0)
-	b := Stream(withSeed(base, 1), 0)
-	c := Stream(withSeed(base, 2), 0)
+	a := stream(withSeed(base, 1), 0)
+	b := stream(withSeed(base, 1), 0)
+	c := stream(withSeed(base, 2), 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed produced different streams")
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical streams")
 	}
-	if reflect.DeepEqual(Stream(withSeed(base, 1), 0), Stream(withSeed(base, 1), 1)) {
+	if reflect.DeepEqual(stream(withSeed(base, 1), 0), stream(withSeed(base, 1), 1)) {
 		t.Error("different clients produced identical streams")
 	}
 }
@@ -98,7 +111,7 @@ func TestMixRatioConvergence(t *testing.T) {
 	mix := Mix{Read: 0.5, Write: 0.3, Truncate: 0.05, Delete: 0.05, Sync: 0.1}
 	cfg := Config{Seed: 9, OpsPerClient: 20000, Mix: mix}
 	counts := map[Kind]int{}
-	ops := Stream(cfg, 0)
+	ops := stream(cfg, 0)
 	for _, op := range ops {
 		counts[op.Kind]++
 	}
@@ -115,7 +128,7 @@ func TestMixRatioConvergence(t *testing.T) {
 func TestPopularitySkew(t *testing.T) {
 	zc := Config{Seed: 11, OpsPerClient: 20000, Keys: 64, Popularity: Zipf, ZipfSkew: 1.5}
 	var low int
-	for _, op := range Stream(zc, 0) {
+	for _, op := range stream(zc, 0) {
 		if op.Key < 4 {
 			low++
 		}
@@ -126,37 +139,21 @@ func TestPopularitySkew(t *testing.T) {
 }
 
 // Open-loop arrivals must be strictly increasing and average out to the
-// configured rate; closed-loop ops must carry think times instead.
+// configured rate.
 func TestArrivalModels(t *testing.T) {
-	oc := Config{Seed: 5, OpsPerClient: 10000, RatePerClient: 20, Arrival: OpenLoop}
-	ops := Stream(oc, 0)
+	oc := Config{Seed: 5, OpsPerClient: 10000, RatePerClient: 20}
+	ops := stream(oc, 0)
 	var last int64 = -1
 	for _, op := range ops {
 		if int64(op.Arrival) <= last {
 			t.Fatalf("op %d: arrival %d not after %d", op.Seq, op.Arrival, last)
 		}
 		last = int64(op.Arrival)
-		if op.Think != 0 {
-			t.Fatalf("open-loop op %d has think time", op.Seq)
-		}
 	}
 	span := ops[len(ops)-1].Arrival.Seconds()
 	rate := float64(len(ops)) / span
 	if math.Abs(rate-20) > 1 {
 		t.Errorf("open-loop rate %.2f op/s, want 20 ± 1", rate)
-	}
-
-	cc := Config{Seed: 5, OpsPerClient: 1000, Arrival: ClosedLoop, ThinkTime: 50_000_000}
-	var meanThink float64
-	for _, op := range Stream(cc, 0) {
-		if op.Arrival != 0 {
-			t.Fatalf("closed-loop op %d has absolute arrival", op.Seq)
-		}
-		meanThink += float64(op.Think)
-	}
-	meanThink /= 1000
-	if math.Abs(meanThink-50e6) > 10e6 {
-		t.Errorf("closed-loop mean think %.0fns, want 50ms ± 10ms", meanThink)
 	}
 }
 
@@ -165,7 +162,7 @@ func TestArrivalModels(t *testing.T) {
 func TestMixIndependentOfAddresses(t *testing.T) {
 	a := Config{Seed: 3, OpsPerClient: 500, Mix: Mix{Read: 1}}
 	b := Config{Seed: 3, OpsPerClient: 500, Mix: Mix{Write: 1}}
-	sa, sb := Stream(a, 0), Stream(b, 0)
+	sa, sb := stream(a, 0), stream(b, 0)
 	for i := range sa {
 		if sa[i].Key != sb[i].Key {
 			t.Fatalf("op %d: key diverged (%d vs %d) when only the mix changed", i, sa[i].Key, sb[i].Key)
