@@ -137,7 +137,7 @@ func E6Lifetime(env *Env, seed int64) (*Table, error) {
 			if err != nil && !errors.Is(err, ftl.ErrDeviceWorn) {
 				return fmt.Errorf("%s: %w", v.name, err)
 			}
-			if l.Stats().RetiredBlocks > 0 {
+			if l.RetiredBlocks() > 0 {
 				hostBytes = l.WearStats().FirstWearOutHostBytes
 				break
 			}

@@ -207,6 +207,10 @@ func (p *Pool) LogicalPages() int64 { return p.logicalPages }
 // Free reports the free-block count.
 func (p *Pool) Free() int { return p.free }
 
+// Retired reports how many blocks have worn out of service: Stats'
+// RetiredBlocks without the rest of Stats.
+func (p *Pool) Retired() int { return p.retired }
+
 // IsFree reports whether the block is erased and unallocated.
 func (p *Pool) IsFree(b int) bool { return p.state[b] == stateFree }
 

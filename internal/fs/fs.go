@@ -100,7 +100,17 @@ type Inode struct {
 	// Kept snapshot encoding.
 	enc  inodeEnc // this inode as the snapshot holds it
 	ents []dirEnt // Entries in name order
+
+	gen uint64 // see Gen; kept across the free list's recycling
 }
+
+// Gen reports the inode's generation. It advances whenever a path that
+// reached the inode goes away: a Remove of any of its links, a Rename of
+// it or of a directory above it. A node and the generation it had when
+// looked up are therefore a handle: while Gen still reports that value,
+// the path the node was found by still leads to it, and once the node is
+// freed and recycled for another name its generation has moved on.
+func (n *Inode) Gen() uint64 { return n.gen }
 
 // Info is the result of Stat and ReadDir.
 type Info struct {
@@ -245,26 +255,6 @@ func (f *FS) BlockBytes() int { return f.sm.BlockBytes() }
 // Manager exposes the underlying storage manager (for experiments).
 func (f *FS) Manager() *storman.Manager { return f.sm }
 
-// splitPath validates and splits an absolute path into components. Cold
-// paths (MkdirAll, Stat's leaf naming) still use it; the per-request walk
-// below slices components out of the path in place instead.
-func splitPath(path string) ([]string, error) {
-	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: %q must be absolute", ErrBadPath, path)
-	}
-	var parts []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		case "..":
-			return nil, fmt.Errorf("%w: %q may not contain ..", ErrBadPath, path)
-		default:
-			parts = append(parts, c)
-		}
-	}
-	return parts, nil
-}
-
 // walkErrKind classifies a path-walk failure without formatting an error,
 // so probe callers (Exists, Lookup) pay nothing on the miss path; resolve
 // formats the kind into the public error values.
@@ -280,9 +270,10 @@ const (
 	walkNoParent
 )
 
-// validate checks the path shape the way splitPath does — absolute, no
-// ".." anywhere — before any component is resolved, so malformed paths
-// report ErrBadPath even when an earlier component is missing.
+// validatePath checks the path shape — absolute, no ".." anywhere —
+// before any component is resolved, so malformed paths report ErrBadPath
+// even when an earlier component is missing. Empty and "." components
+// name nothing and are skipped.
 func validatePath(path string) walkErrKind {
 	if path == "" || path[0] != '/' {
 		return walkNotAbsolute
@@ -300,35 +291,32 @@ func validatePath(path string) walkErrKind {
 	return walkOK
 }
 
-// walk resolves path to an inode without allocating.
+// walk resolves path to an inode without allocating: the parent, then
+// the leaf in it.
 func (f *FS) walk(path string) (*Inode, walkErrKind, string) {
-	if kind := validatePath(path); kind != walkOK {
-		return nil, kind, ""
+	parent, leaf, kind, comp := f.walkParent(path)
+	if kind == walkNoParent {
+		return f.root, walkOK, ""
+	} else if kind != walkOK {
+		return nil, kind, comp
 	}
-	cur := f.root
-	for i := 0; i < len(path); {
-		j := i + 1
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		name := path[i+1 : j]
-		i = j
-		if name == "" || name == "." {
-			continue
-		}
-		if cur.Kind != KindDir {
-			return nil, walkNotDir, ""
-		}
-		ino, ok := cur.Entries[name]
-		if !ok {
-			return nil, walkNotExist, ""
-		}
-		cur = f.inodes[ino]
-		if cur == nil {
-			return nil, walkDangling, name
-		}
+	node, kind := f.child(parent, leaf)
+	return node, kind, leaf
+}
+
+// child resolves one directory entry; a nil dir holds nothing.
+func (f *FS) child(dir *Inode, name string) (*Inode, walkErrKind) {
+	if dir == nil || dir.Kind != KindDir {
+		return nil, walkNotDir
 	}
-	return cur, walkOK, ""
+	ino, ok := dir.Entries[name]
+	if !ok {
+		return nil, walkNotExist
+	}
+	if node := f.inodes[ino]; node != nil {
+		return node, walkOK
+	}
+	return nil, walkDangling
 }
 
 // walkParent resolves path's parent directory and leaf name without
@@ -350,16 +338,9 @@ func (f *FS) walkParent(path string) (*Inode, string, walkErrKind, string) {
 			continue
 		}
 		if leaf != "" {
-			if cur.Kind != KindDir {
-				return nil, "", walkNotDir, ""
-			}
-			ino, ok := cur.Entries[leaf]
-			if !ok {
-				return nil, "", walkNotExist, ""
-			}
-			cur = f.inodes[ino]
-			if cur == nil {
-				return nil, "", walkDangling, leaf
+			var kind walkErrKind
+			if cur, kind = f.child(cur, leaf); kind != walkOK {
+				return nil, "", kind, leaf
 			}
 		}
 		leaf = name
@@ -425,18 +406,37 @@ func checkFile(node *Inode) error {
 }
 
 // resolveParent walks to the parent directory of path and returns it with
-// the leaf name. Every entry is made, renamed or removed under a name that
-// came through here, so a name too long for a journal record is refused
-// here, before any mutation.
+// the leaf name, refused here, before any mutation, if checkName would.
 func (f *FS) resolveParent(path string) (*Inode, string, error) {
 	parent, leaf, kind, comp := f.walkParent(path)
 	if kind != walkOK {
 		return nil, "", walkError(kind, comp, path)
 	}
-	if len(leaf) > maxNameBytes {
-		return nil, "", fmt.Errorf("%w: name of %d bytes, longer than %d", ErrBadPath, len(leaf), maxNameBytes)
+	if err := checkName(leaf); err != nil {
+		return nil, "", err
 	}
 	return parent, leaf, nil
+}
+
+// checkName refuses an entry name no path could name, or one too long for
+// a journal record. Every entry is made or renamed under a name that came
+// through here.
+func checkName(name string) error {
+	if len(name) > maxNameBytes || name == "" || name == "." || name == ".." || strings.Contains(name, "/") {
+		return fmt.Errorf("%w: entry name %.64q (%d bytes)", ErrBadPath, name, len(name))
+	}
+	return nil
+}
+
+// pathErr names path in the bare sentinel a leaf-addressed entry point
+// (CreateAt, RemoveAt) returns, so the path forms built on them keep
+// their messages; any other error passes through.
+func pathErr(err error, path string) error {
+	switch err {
+	case ErrExist, ErrNotExist, ErrNotDir, ErrNotEmpty:
+		return fmt.Errorf("%w: %q", err, path)
+	}
+	return err
 }
 
 func (f *FS) now() sim.Time { return f.clock.Now() }
@@ -447,7 +447,6 @@ func (f *FS) span(op string) obs.SpanRef {
 	return f.obs.Span(f.clock, f.dram.Meter(), "fs", op)
 }
 
-// create makes a new inode under the parent.
 // newInode returns a zeroed inode, reusing a recycled one when possible.
 func (f *FS) newInode() *Inode {
 	if n := len(f.inodeFree); n > 0 {
@@ -458,13 +457,28 @@ func (f *FS) newInode() *Inode {
 	return &Inode{}
 }
 
-func (f *FS) create(path string, kind Kind) (_ *Inode, err error) {
+// create makes a new inode at path.
+func (f *FS) create(path string, kind Kind) (*Inode, error) {
 	parent, leaf, err := f.resolveParent(path)
 	if err != nil {
 		return nil, err
 	}
+	node, err := f.CreateAt(parent, leaf, kind)
+	return node, pathErr(err, path)
+}
+
+// CreateAt makes an empty file or directory named leaf in the directory
+// parent and returns it: Create or Mkdir without the walk, for a caller
+// holding parent as a handle (see Gen).
+func (f *FS) CreateAt(parent *Inode, leaf string, kind Kind) (_ *Inode, err error) {
+	if parent == nil || parent.Kind != KindDir {
+		return nil, ErrNotDir
+	}
+	if err := checkName(leaf); err != nil {
+		return nil, err
+	}
 	if _, ok := parent.Entries[leaf]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExist, path)
+		return nil, ErrExist
 	}
 	sp := f.span("create")
 	defer func() { sp.End(0, err) }()
@@ -497,27 +511,24 @@ func (f *FS) Mkdir(path string) error {
 	return err
 }
 
-// MkdirAll makes the directory and any missing parents.
+// MkdirAll makes the directory and any missing parents: a Mkdir of each
+// prefix of path that ends in a component.
 func (f *FS) MkdirAll(path string) error {
-	parts, err := splitPath(path)
-	if err != nil {
-		return err
+	if kind := validatePath(path); kind != walkOK {
+		return walkError(kind, "", path)
 	}
-	cur := "/"
-	for _, p := range parts {
-		cur = joinPath(cur, p)
-		if err := f.Mkdir(cur); err != nil && !errors.Is(err, ErrExist) {
-			return err
+	for i, start := 1, 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
 		}
+		if c := path[start:i]; c != "" && c != "." {
+			if err := f.Mkdir(path[:i]); err != nil && !errors.Is(err, ErrExist) {
+				return err
+			}
+		}
+		start = i + 1
 	}
 	return nil
-}
-
-func joinPath(dir, name string) string {
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
 }
 
 // Stat describes the object at path.
@@ -527,8 +538,8 @@ func (f *FS) Stat(path string) (Info, error) {
 		return Info{}, err
 	}
 	name := "/"
-	if parts, _ := splitPath(path); len(parts) > 0 {
-		name = parts[len(parts)-1]
+	if _, leaf, kind, _ := f.walkParent(path); kind == walkOK {
+		name = leaf
 	}
 	return Info{Name: name, Ino: node.Ino, Kind: node.Kind, Size: node.Size, Nlink: node.Nlink, Mtime: sim.Time(node.MtimeNs)}, nil
 }
@@ -737,24 +748,32 @@ func (f *FS) Link(oldPath, newPath string) error {
 
 // Remove deletes a name: a file link (the inode and data go when the
 // last link is removed) or an empty directory.
-func (f *FS) Remove(path string) (err error) {
+func (f *FS) Remove(path string) error {
 	parent, leaf, err := f.resolveParent(path)
 	if err != nil {
 		return err
 	}
-	ino, ok := parent.Entries[leaf]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotExist, path)
+	return pathErr(f.RemoveAt(parent, leaf), path)
+}
+
+// RemoveAt is Remove of the entry name in the directory dir, without the
+// walk. A missing name costs one entry lookup and returns ErrNotExist
+// itself, unformatted.
+func (f *FS) RemoveAt(dir *Inode, name string) (err error) {
+	node, kind := f.child(dir, name)
+	if kind != walkOK {
+		return ErrNotExist
 	}
 	sp := f.span("remove")
 	defer func() { sp.End(0, err) }()
 	f.removes.Inc()
-	node := f.inodes[ino]
+	ino := node.Ino
 	if node.Kind == KindDir && len(node.Entries) > 0 {
-		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
+		return ErrNotEmpty
 	}
 	node.Nlink--
-	parent.delEntry(leaf)
+	node.gen++
+	dir.delEntry(name)
 	if node.Nlink <= 0 {
 		if node.Kind == KindFile {
 			if err := f.sm.DeleteObject(ino); err != nil {
@@ -762,11 +781,11 @@ func (f *FS) Remove(path string) (err error) {
 			}
 		}
 		f.order = dropInode(f.inodes, f.order, ino)
-		*node = Inode{}
+		*node = Inode{gen: node.gen}
 		f.inodeFree = append(f.inodeFree, node)
 	}
-	parent.MtimeNs = int64(f.now())
-	return f.journal(recRemove, ino, parent.Ino, 0, uint64(parent.MtimeNs), leaf, "")
+	dir.MtimeNs = int64(f.now())
+	return f.journal(recRemove, ino, dir.Ino, 0, uint64(dir.MtimeNs), name, "")
 }
 
 // Rename moves a file or directory to a new path, which must not exist.
@@ -786,11 +805,31 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if _, exists := newParent.Entries[newLeaf]; exists {
 		return fmt.Errorf("%w: %q", ErrExist, newPath)
 	}
+	f.bumpGen(f.inodes[ino]) // before the move, while the subtree is still a tree
 	oldParent.delEntry(oldLeaf)
 	newParent.setEntry(newLeaf, ino)
 	now := int64(f.now())
 	oldParent.MtimeNs, newParent.MtimeNs = now, now
 	return f.journal(recRename, ino, oldParent.Ino, newParent.Ino, uint64(now), oldLeaf, newLeaf)
+}
+
+// bumpGen advances the generation of node and of everything below it: a
+// rename takes away every path that reached them.
+func (f *FS) bumpGen(node *Inode) {
+	if node == nil {
+		return
+	}
+	node.gen++
+	for _, ino := range node.Entries {
+		f.bumpGen(f.inodes[ino])
+	}
+}
+
+// LookupAt resolves the entry name in the directory dir, as Lookup does
+// a path: one entry lookup, no allocation and no error on a miss.
+func (f *FS) LookupAt(dir *Inode, name string) (*Inode, bool) {
+	node, kind := f.child(dir, name)
+	return node, kind == walkOK
 }
 
 // Exists reports whether the path resolves.
@@ -800,13 +839,14 @@ func (f *FS) Exists(path string) bool {
 }
 
 // Lookup resolves path to its inode in one walk that allocates nothing
-// and formats no error on a miss, so a request can resolve its object
+// and formats no error on a miss, so a caller can resolve its object
 // once and hand the node to ReadAtInode, WriteAtInode or TruncateInode.
 //
-// The node is valid only until the file system next changes its
-// namespace: Remove recycles a fully unlinked inode for the next create,
-// and a restart rebuilds every inode, so no caller may keep a node past
-// the request that looked it up.
+// A caller may keep the node beside its Gen and use it for as long as
+// Gen still reports that value: until then path leads to the node. Once
+// Gen has moved, the node may have been freed, or recycled for another
+// name, and the caller must look path up again. A restart builds a new
+// FS, whose nodes no handle to the old one can match.
 func (f *FS) Lookup(path string) (*Inode, bool) {
 	node, kind, _ := f.walk(path)
 	return node, kind == walkOK

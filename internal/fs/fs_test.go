@@ -873,3 +873,10 @@ func TestFSModelProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func joinPath(dir, name string) string {
+	if dir == "/" {
+		return "/" + name
+	}
+	return dir + "/" + name
+}

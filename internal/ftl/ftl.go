@@ -819,6 +819,10 @@ func (f *FTL) writeDirect(lpn int64, data []byte) error {
 // FreeBlocks reports the current free-block count.
 func (f *FTL) FreeBlocks() int { return f.pool.Free() }
 
+// RetiredBlocks reports how many blocks have worn out of service, as
+// Stats does, without computing the rest of Stats.
+func (f *FTL) RetiredBlocks() int { return f.pool.Retired() }
+
 // CleanerLag reports how many blocks the cleaner is behind its
 // free-space target (see blocks.Pool.CleanerLag).
 func (f *FTL) CleanerLag() int { return f.pool.CleanerLag() }

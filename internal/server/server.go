@@ -225,20 +225,35 @@ func New(b Backend, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Session scopes requests to one tenant's directory.
+// Session scopes requests to one tenant's directory. It reaches its
+// objects by handle, the way the paper's single-level store reaches a
+// persistent object by its address and not through a directory tree:
+// objs keeps one entry per key it has served, and a request whose entry
+// still holds a current handle goes straight to the inode. A stale or
+// missing one resolves its leaf once in the tenant directory, itself held
+// as a handle. getBuf is the session's reusable Get payload buffer
+// (Response.Data is documented as borrowed). All are only touched under
+// the server mutex, which serialises every Do.
 type Session struct {
-	s   *Server
-	dir string
-	// paths interns object-key → path strings so repeated requests for
-	// the same key never re-format; nfErrs interns the matching not-found
-	// errors (misses on deleted objects are steady-state traffic, and a
-	// freshly formatted error per miss was a measurable hot-path
-	// allocation); getBuf is the session's reusable Get payload buffer
-	// (Response.Data is documented as borrowed). All are only touched
-	// under the server mutex, which serialises every Do.
-	paths  map[uint64]string
-	nfErrs map[uint64]error
-	getBuf []byte
+	s       *Server
+	dir     string
+	dirNode *fs.Inode // the tenant directory's handle, with dirGen
+	dirGen  uint64
+	objs    map[uint64]object
+	getBuf  []byte
+}
+
+// object is a session's entry for one key: the interned path; the
+// object's handle, its inode and the generation (fs.Inode.Gen) the inode
+// had when resolved, no node when it was missing then; and the interned
+// not-found error, made on the first miss. Misses on deleted objects are
+// steady-state traffic, and a freshly formatted error per miss was a
+// measurable hot-path allocation.
+type object struct {
+	path string
+	node *fs.Inode
+	gen  uint64
+	nf   error
 }
 
 // Open starts (or resumes) a tenant session, creating its directory.
@@ -255,11 +270,7 @@ func (s *Server) Open(tenant string) (*Session, error) {
 	if err := s.b.FS.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	return &Session{
-		s: s, dir: dir,
-		paths:  make(map[uint64]string),
-		nfErrs: make(map[uint64]error),
-	}, nil
+	return &Session{s: s, dir: dir, objs: make(map[uint64]object)}, nil
 }
 
 // OpenSession is Open behind the Service interface the TCP front end
@@ -288,25 +299,50 @@ func validTenant(t string) bool {
 	return true
 }
 
-func (sess *Session) path(key uint64) string {
-	if p, ok := sess.paths[key]; ok {
-		return p
+// lookup returns the key's entry, its path interned on first use, with a
+// current handle, or no node if the object does not exist. Only a stale
+// or empty handle pays a lookup, of the leaf in the tenant directory, and
+// is stored back.
+func (sess *Session) lookup(key uint64) object {
+	o, ok := sess.objs[key]
+	if ok && o.node != nil && o.node.Gen() == o.gen {
+		return o
 	}
-	p := sess.dir + "/o" + strconv.FormatUint(key, 10)
-	sess.paths[key] = p
-	return p
+	if !ok {
+		o.path = sess.dir + "/o" + strconv.FormatUint(key, 10)
+	}
+	o.node, _ = sess.s.b.FS.LookupAt(sess.tenantDir(), sess.leaf(o))
+	if o.node != nil {
+		o.gen = o.node.Gen()
+	}
+	sess.objs[key] = o
+	return o
+}
+
+// leaf names the object in the tenant directory: the tail of its path.
+func (sess *Session) leaf(o object) string { return o.path[len(sess.dir)+1:] }
+
+// tenantDir returns the tenant directory's inode, re-resolving its path
+// only when the kept handle has gone stale; nil, which the fs treats as
+// an empty directory that takes no new entry, if the directory is gone.
+func (sess *Session) tenantDir() *fs.Inode {
+	if sess.dirNode == nil || sess.dirNode.Gen() != sess.dirGen {
+		if sess.dirNode, _ = sess.s.b.FS.Lookup(sess.dir); sess.dirNode != nil {
+			sess.dirGen = sess.dirNode.Gen()
+		}
+	}
+	return sess.dirNode
 }
 
 // notFound returns the session's interned not-found error for the key —
 // byte-identical to fmt.Errorf("%w: %s", ErrNotFound, path) and still
 // unwrapping to ErrNotFound, without re-formatting on every miss.
-func (sess *Session) notFound(key uint64, path string) error {
-	if err, ok := sess.nfErrs[key]; ok {
-		return err
+func (sess *Session) notFound(key uint64, o object) error {
+	if o.nf == nil {
+		o.nf = fmt.Errorf("%w: %s", ErrNotFound, o.path)
+		sess.objs[key] = o
 	}
-	err := fmt.Errorf("%w: %s", ErrNotFound, path)
-	sess.nfErrs[key] = err
-	return err
+	return o.nf
 }
 
 // Do serves one request: it advances virtual time to the request's
@@ -477,21 +513,20 @@ func (s *Server) doGet(sess *Session, req Request) (Response, error) {
 	if req.Size < 0 || req.Offset < 0 {
 		return Response{}, fmt.Errorf("%w: negative get extent", ErrBadRequest)
 	}
-	p := sess.path(req.Key)
-	node, ok := s.b.FS.Lookup(p)
-	if !ok {
-		return Response{}, sess.notFound(req.Key, p)
+	o := sess.lookup(req.Key)
+	if o.node == nil {
+		return Response{}, sess.notFound(req.Key, o)
 	}
 	// The buffer holds what the object can return, not what was asked
 	// for: a get past the end must not size the session's buffer. It
 	// grows by doubling, so a session reading assorted extents settles on
 	// one buffer at most twice the largest it returned.
-	want := max(0, min(req.Size, node.Size-req.Offset))
+	want := max(0, min(req.Size, o.node.Size-req.Offset))
 	if int64(cap(sess.getBuf)) < want {
 		sess.getBuf = make([]byte, max(want, 2*int64(cap(sess.getBuf))))
 	}
 	buf := sess.getBuf[:want]
-	n, err := s.b.FS.ReadAtInode(node, req.Offset, buf)
+	n, err := s.b.FS.ReadAtInode(o.node, req.Offset, buf)
 	if err != nil {
 		return Response{}, err
 	}
@@ -505,15 +540,16 @@ func (s *Server) doPut(sess *Session, req Request) (Response, error) {
 	if limit := s.b.Engine.LogicalBytes(); req.Offset > limit-int64(len(req.Data)) {
 		return Response{}, fmt.Errorf("%w: put extent ends past the card's %d bytes", ErrBadRequest, limit)
 	}
-	p := sess.path(req.Key)
-	node, ok := s.b.FS.Lookup(p)
-	if !ok {
-		if err := s.b.FS.Create(p); err != nil {
+	o := sess.lookup(req.Key)
+	if o.node == nil {
+		var err error
+		if o.node, err = s.b.FS.CreateAt(sess.tenantDir(), sess.leaf(o), fs.KindFile); err != nil {
 			return Response{}, err
 		}
-		node, _ = s.b.FS.Lookup(p)
+		o.gen = o.node.Gen()
+		sess.objs[req.Key] = o
 	}
-	n, err := s.b.FS.WriteAtInode(node, req.Offset, req.Data)
+	n, err := s.b.FS.WriteAtInode(o.node, req.Offset, req.Data)
 	if err != nil {
 		return Response{}, err
 	}
@@ -527,12 +563,11 @@ func (s *Server) doTruncate(sess *Session, req Request) (Response, error) {
 	if limit := s.b.Engine.LogicalBytes(); req.Size > limit {
 		return Response{}, fmt.Errorf("%w: truncate size past the card's %d bytes", ErrBadRequest, limit)
 	}
-	p := sess.path(req.Key)
-	node, ok := s.b.FS.Lookup(p)
-	if !ok {
-		return Response{}, sess.notFound(req.Key, p)
+	o := sess.lookup(req.Key)
+	if o.node == nil {
+		return Response{}, sess.notFound(req.Key, o)
 	}
-	if err := s.b.FS.TruncateInode(node, req.Size); err != nil {
+	if err := s.b.FS.TruncateInode(o.node, req.Size); err != nil {
 		return Response{}, err
 	}
 	return Response{}, nil
@@ -540,13 +575,16 @@ func (s *Server) doTruncate(sess *Session, req Request) (Response, error) {
 
 func (s *Server) doDelete(sess *Session, req Request) (Response, error) {
 	// Idempotent: deleting a missing object succeeds, so retried deletes
-	// and delete-after-shed races never surface spurious errors. Remove
-	// walks to the parent and leaf itself, so a delete walks twice.
-	p := sess.path(req.Key)
-	if !s.b.FS.Exists(p) {
+	// and delete-after-shed races never surface spurious errors. A delete
+	// is one entry lookup in the tenant directory: the remove's, through
+	// a current handle, or the lookup's that finds nothing to remove. The
+	// remove moves the object's generation, so every session's handle to
+	// it goes stale.
+	o := sess.lookup(req.Key)
+	if o.node == nil {
 		return Response{}, nil
 	}
-	if err := s.b.FS.Remove(p); err != nil {
+	if err := s.b.FS.RemoveAt(sess.tenantDir(), sess.leaf(o)); err != nil {
 		return Response{}, err
 	}
 	return Response{}, nil

@@ -41,25 +41,47 @@ func hotSession(tb testing.TB) (sys *core.SolidStateSystem, sess *server.Session
 	return sys, sess, get, put
 }
 
+// hotKeys is the key count of the get32 sub-rung: wire_hot's.
+const hotKeys = 32
+
 // BenchmarkSessionDo is the server rung of the benchmark ladder: one
 // request through Session.Do — admission, dispatch, the file system and
-// the storage manager — with no wire in front, on wire_hot's shape. The
-// object stays in DRAM however long the run: a read from flash or a
-// flush to it inside the timed loop fails the benchmark.
+// the storage manager — with no wire in front, on wire_hot's shape. get
+// and put repeat one request on one key; get32 reads wire_hot's 32 keys
+// in turn, so the session keeps a handle per key; delete-put deletes the
+// key before each put, so the put makes the object again through the
+// tenant directory's handle. The objects stay in DRAM however long the
+// run: a read from flash or a flush to it inside the timed loop fails the
+// benchmark.
 func BenchmarkSessionDo(b *testing.B) {
-	for _, op := range []string{"get", "put"} {
+	for _, op := range []string{"get", "put", "get32", "delete-put"} {
 		b.Run(op, func(b *testing.B) {
 			sys, sess, get, put := hotSession(b)
-			req := get
-			if op == "put" {
-				req = put
+			reqs := []server.Request{get}
+			switch op {
+			case "put", "delete-put":
+				reqs = []server.Request{put}
+			case "get32":
+				for key := uint64(2); key <= hotKeys; key++ {
+					put.Key, get.Key = key, key
+					if _, err := sess.Do(put); err != nil {
+						b.Fatal(err)
+					}
+					reqs = append(reqs, get)
+				}
 			}
+			del := server.Request{Kind: server.OpDelete, Key: put.Key}
 			b.SetBytes(hotBytes)
 			b.ReportAllocs()
 			before := sys.Storage.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp, err := sess.Do(req)
+				if op == "delete-put" {
+					if _, err := sess.Do(del); err != nil {
+						b.Fatal(err)
+					}
+				}
+				resp, err := sess.Do(reqs[i%len(reqs)])
 				if err != nil {
 					b.Fatal(err)
 				}

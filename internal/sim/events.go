@@ -24,9 +24,6 @@ type EventQueue struct {
 // NewEventQueue returns an empty queue.
 func NewEventQueue() *EventQueue { return &EventQueue{} }
 
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return q.h.Len() }
-
 // At schedules fn to run at time t.
 func (q *EventQueue) At(t Time, fn func(Time)) {
 	q.seq++
@@ -36,15 +33,6 @@ func (q *EventQueue) At(t Time, fn func(Time)) {
 // After schedules fn to run d after now.
 func (q *EventQueue) After(now Time, d Duration, fn func(Time)) {
 	q.At(now.Add(d), fn)
-}
-
-// Next reports the firing time of the earliest pending event, and whether
-// one exists.
-func (q *EventQueue) Next() (Time, bool) {
-	if q.h.Len() == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
 }
 
 // RunUntil fires, in time order, every pending event scheduled at or before t.
