@@ -11,9 +11,10 @@ import (
 	"ssmobile/internal/sim"
 )
 
-// e6Flash builds the small, fast-erasing flash device the wear
-// experiments sweep policies over.
-func e6Flash(o *obs.Observer, endurance int64) (*flash.Device, *sim.Clock, error) {
+// e6FTL builds the small, fast-erasing flash device the wear
+// experiments sweep policies over, and a translation layer of variant v
+// on it.
+func e6FTL(o *obs.Observer, endurance int64, v e6Variant) (*flash.Device, *ftl.FTL, error) {
 	clock := sim.NewClock()
 	params := device.IntelFlash
 	params.EnduranceCycles = endurance
@@ -22,7 +23,16 @@ func e6Flash(o *obs.Observer, endurance int64) (*flash.Device, *sim.Clock, error
 		Banks: 2, BlocksPerBank: 64, BlockBytes: 16 * 1024, Params: params,
 		Obs: o,
 	}, clock, sim.NewEnergyMeter())
-	return dev, clock, err
+	if err != nil {
+		return nil, nil, err
+	}
+	l, err := ftl.New(dev, clock, ftl.Config{
+		PageBytes: 1024, ReserveBlocks: 3,
+		Policy: v.policy, HotCold: v.hotCold,
+		WearDeltaThreshold: v.wearDelta,
+		Obs:                o,
+	})
+	return dev, l, err
 }
 
 type e6Variant struct {
@@ -58,16 +68,7 @@ func E6WearLeveling(env *Env, seed int64) (*Table, error) {
 	rows := make([][]string, len(variants))
 	err := env.ForEach(len(variants), func(i int, je *Env) error {
 		v := variants[i]
-		dev, clock, err := e6Flash(je.Obs(), 0)
-		if err != nil {
-			return err
-		}
-		l, err := ftl.New(dev, clock, ftl.Config{
-			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: v.policy, HotCold: v.hotCold,
-			WearDeltaThreshold: v.wearDelta,
-			Obs:                je.Obs(),
-		})
+		dev, l, err := e6FTL(je.Obs(), 0, v)
 		if err != nil {
 			return err
 		}
@@ -114,16 +115,7 @@ func E6Lifetime(env *Env, seed int64) (*Table, error) {
 	mbs := make([]float64, len(variants))
 	err := env.ForEach(len(variants), func(i int, je *Env) error {
 		v := variants[i]
-		dev, clock, err := e6Flash(je.Obs(), 200)
-		if err != nil {
-			return err
-		}
-		l, err := ftl.New(dev, clock, ftl.Config{
-			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: v.policy, HotCold: v.hotCold,
-			WearDeltaThreshold: v.wearDelta,
-			Obs:                je.Obs(),
-		})
+		_, l, err := e6FTL(je.Obs(), 200, v)
 		if err != nil {
 			return err
 		}
@@ -190,16 +182,7 @@ func E6Static(env *Env, seed int64) (*Table, error) {
 	rows := make([][]string, len(thresholds))
 	err := env.ForEach(len(thresholds), func(i int, je *Env) error {
 		threshold := thresholds[i]
-		dev, clock, err := e6Flash(je.Obs(), 0)
-		if err != nil {
-			return err
-		}
-		l, err := ftl.New(dev, clock, ftl.Config{
-			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: ftl.PolicyCostBenefit, HotCold: true,
-			WearDeltaThreshold: threshold,
-			Obs:                je.Obs(),
-		})
+		dev, l, err := e6FTL(je.Obs(), 0, e6Variant{policy: ftl.PolicyCostBenefit, hotCold: true, wearDelta: threshold})
 		if err != nil {
 			return err
 		}
@@ -248,6 +231,74 @@ func E6Static(env *Env, seed int64) (*Table, error) {
 	return t, nil
 }
 
+// e7Card builds E7's card: 64 blocks of 64KB split over banks.
+func e7Card(o *obs.Observer, banks int) (*flash.Device, *sim.Clock, error) {
+	clock := sim.NewClock()
+	dev, err := flash.New(flash.Config{
+		Banks:         banks,
+		BlocksPerBank: 64 / banks,
+		BlockBytes:    64 * 1024,
+		Params:        device.IntelFlash,
+		Obs:           o,
+	}, clock, sim.NewEnergyMeter())
+	return dev, clock, err
+}
+
+// e7Reads times E7's foreground reader: 4000 512-byte reads of random
+// addresses below readSpan, a mean 4ms apart, against a background log
+// stream. The stream is the storage manager migrating buffered data at a
+// fixed 25KB/s: one 4KB program every 160ms into bank writeBank(i) on the
+// i-th pump, appended to that bank's log, with the oldest log block
+// erased after every 16 programs. With the Intel part's 1.6s block
+// erase, that load occupies ~86% of ONE bank. The log stripes across
+// banks as the translation layer's rotating log heads do.
+func e7Reads(dev *flash.Device, clock *sim.Clock, g *sim.RNG, writeBank func(i int) int, readSpan int64) (hist *sim.Histogram, stalled, programs int, err error) {
+	const blockBytes = 64 * 1024
+	bankBytes := dev.Capacity() / int64(dev.Config().Banks)
+	bankPtr := make([]int64, dev.Config().Banks)
+	var logFIFO []int
+	prog := make([]byte, 4096)
+	pumps := 0
+	pump := func() {
+		b := writeBank(pumps)
+		pumps++
+		addr := int64(b)*bankBytes + bankPtr[b]%bankBytes
+		if dev.ProgramAsync(addr, prog) != nil {
+			return // the log wrapped onto a block not yet erased
+		}
+		if bankPtr[b]%blockBytes == 0 {
+			logFIFO = append(logFIFO, dev.BlockOf(addr))
+		}
+		bankPtr[b] += int64(len(prog))
+		programs++
+		if programs%16 == 0 && len(logFIFO) > 0 {
+			_ = dev.EraseAsync(logFIFO[0]) // fails only on wear-out, out of reach in a 16s run
+			logFIFO = logFIFO[1:]
+		}
+	}
+
+	hist = sim.NewHistogram("read")
+	buf := make([]byte, 512)
+	var next sim.Time
+	for i := 0; i < 4000; i++ {
+		clock.Advance(sim.Duration(g.Exp(float64(4 * sim.Millisecond))))
+		for ; next <= clock.Now(); next = next.Add(160 * sim.Millisecond) {
+			pump()
+		}
+		addr := g.Int63n(readSpan - int64(len(buf)))
+		before := dev.Stats().ReadStallNs
+		lat, err := dev.Read(addr, buf)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if dev.Stats().ReadStallNs > before {
+			stalled++
+		}
+		hist.ObserveDuration(lat)
+	}
+	return hist, stalled, programs, nil
+}
+
 // E7Banking regenerates the §3.3 banking claim: "to maintain fast read
 // access ... during the slow erase/write cycles of flash memory, it may
 // prove necessary to partition flash memory into two or more banks". A
@@ -259,79 +310,18 @@ func E7Banking(env *Env, seed int64) (*Table, error) {
 		Title:   "foreground read latency vs flash bank count (background log writes + erases)",
 		Headers: []string{"banks", "read mean", "read p50", "read p99", "read max", "stalled reads", "bg write throughput"},
 	}
-	const (
-		totalBlocks = 64
-		blockBytes  = 64 * 1024
-		reads       = 4000
-	)
 	bankCounts := []int{1, 2, 4, 8}
 	rows := make([][]string, len(bankCounts))
 	err := env.ForEach(len(bankCounts), func(idx int, je *Env) error {
 		banks := bankCounts[idx]
-		clock := sim.NewClock()
-		dev, err := flash.New(flash.Config{
-			Banks:         banks,
-			BlocksPerBank: totalBlocks / banks,
-			BlockBytes:    blockBytes,
-			Params:        device.IntelFlash,
-			Obs:           je.Obs(),
-		}, clock, sim.NewEnergyMeter())
+		dev, clock, err := e7Card(je.Obs(), banks)
 		if err != nil {
 			return err
 		}
-		g := sim.NewRNG(seed)
-		hist := sim.NewHistogram("read")
-		stalled := 0
-
-		// Background stream: the storage manager migrates buffered data
-		// to flash at a fixed 25KB/s — one 4KB program every 160ms, with
-		// the oldest log block erased after every 16 programs. With the
-		// Intel part's 1.6s block erase, that load occupies ~86% of ONE
-		// bank; spread over more banks, each is mostly idle. The log
-		// stripes across banks exactly as the translation layer's
-		// rotating log heads do.
-		events := sim.NewEventQueue()
-		bankBytes := dev.Capacity() / int64(banks)
-		bankPtr := make([]int64, banks)
-		var logFIFO []int
-		programs := 0
-		nextBank := 0
-		prog := make([]byte, 4096)
-		var pump func(now sim.Time)
-		pump = func(now sim.Time) {
-			b := nextBank
-			nextBank = (nextBank + 1) % banks
-			addr := int64(b)*bankBytes + bankPtr[b]%bankBytes
-			if err := dev.ProgramAsync(addr, prog); err == nil {
-				if bankPtr[b]%int64(blockBytes) == 0 {
-					logFIFO = append(logFIFO, dev.BlockOf(addr))
-				}
-				bankPtr[b] += int64(len(prog))
-				programs++
-				if programs%16 == 0 && len(logFIFO) > 0 {
-					victim := logFIFO[0]
-					logFIFO = logFIFO[1:]
-					_ = dev.EraseAsync(victim)
-				}
-			}
-			events.After(now, 160*sim.Millisecond, pump)
-		}
-		events.At(0, pump)
-
-		buf := make([]byte, 512)
-		for i := 0; i < reads; i++ {
-			clock.Advance(sim.Duration(g.Exp(float64(4 * sim.Millisecond))))
-			events.RunUntil(clock.Now())
-			addr := g.Int63n(dev.Capacity() - int64(len(buf)))
-			before := dev.Stats().ReadStallNs
-			lat, err := dev.Read(addr, buf)
-			if err != nil {
-				return err
-			}
-			if dev.Stats().ReadStallNs > before {
-				stalled++
-			}
-			hist.ObserveDuration(lat)
+		hist, stalled, programs, err := e7Reads(dev, clock, sim.NewRNG(seed),
+			func(i int) int { return i % banks }, dev.Capacity())
+		if err != nil {
+			return err
 		}
 		elapsed := clock.Now().Seconds()
 		rows[idx] = []string{fmt.Sprint(banks),
@@ -339,7 +329,7 @@ func E7Banking(env *Env, seed int64) (*Table, error) {
 			fmtDur(sim.Duration(hist.Quantile(0.5))),
 			fmtDur(sim.Duration(hist.Quantile(0.99))),
 			fmtDur(sim.Duration(hist.Max())),
-			fmt.Sprintf("%.1f%%", float64(stalled)/reads*100),
+			fmt.Sprintf("%.1f%%", float64(stalled)/float64(hist.Count())*100),
 			fmt.Sprintf("%.2f MB/s", float64(programs)*4096/(1<<20)/elapsed),
 		}
 		return nil
@@ -365,95 +355,35 @@ func E7Segregation(env *Env, seed int64) (*Table, error) {
 		Title:   "read-mostly bank segregation (4 banks, same background write load)",
 		Headers: []string{"layout", "read mean", "read p99", "stalled reads"},
 	}
-	const (
-		banks       = 4
-		totalBlocks = 64
-		blockBytes  = 64 * 1024
-		reads       = 4000
-	)
+	const banks = 4
 	layouts := []bool{false, true}
 	rows := make([][]string, len(layouts))
 	err := env.ForEach(len(layouts), func(idx int, je *Env) error {
 		segregated := layouts[idx]
-		clock := sim.NewClock()
-		dev, err := flash.New(flash.Config{
-			Banks:         banks,
-			BlocksPerBank: totalBlocks / banks,
-			BlockBytes:    blockBytes,
-			Params:        device.IntelFlash,
-			Obs:           je.Obs(),
-		}, clock, sim.NewEnergyMeter())
+		dev, clock, err := e7Card(je.Obs(), banks)
 		if err != nil {
 			return err
 		}
-		g := sim.NewRNG(seed)
-		hist := sim.NewHistogram("read")
-		stalled := 0
-		bankBytes := dev.Capacity() / int64(banks)
-
-		// Background stream at the same 25KB/s as E7.
-		events := sim.NewEventQueue()
-		writeBanks := banks
-		if segregated {
-			writeBanks = 1 // only the last bank takes writes
-		}
-		bankPtr := make([]int64, banks)
-		var logFIFO []int
-		programs := 0
-		next := 0
-		prog := make([]byte, 4096)
-		var pump func(now sim.Time)
-		pump = func(now sim.Time) {
-			b := banks - 1 - (next % writeBanks)
-			next++
-			addr := int64(b)*bankBytes + bankPtr[b]%bankBytes
-			if err := dev.ProgramAsync(addr, prog); err == nil {
-				if bankPtr[b]%int64(blockBytes) == 0 {
-					logFIFO = append(logFIFO, dev.BlockOf(addr))
-				}
-				bankPtr[b] += int64(len(prog))
-				programs++
-				if programs%16 == 0 && len(logFIFO) > 0 {
-					victim := logFIFO[0]
-					logFIFO = logFIFO[1:]
-					_ = dev.EraseAsync(victim)
-				}
-			}
-			events.After(now, 160*sim.Millisecond, pump)
-		}
-		events.At(0, pump)
-
-		// Foreground reads sample the read-mostly data: in the segregated
-		// layout that data occupies the first three banks; in the mixed
-		// layout it is spread over all four (and so collides with the
-		// write stream).
-		readSpan := dev.Capacity()
-		if segregated {
-			readSpan = bankBytes * int64(banks-1)
-		}
-		buf := make([]byte, 512)
-		for i := 0; i < reads; i++ {
-			clock.Advance(sim.Duration(g.Exp(float64(4 * sim.Millisecond))))
-			events.RunUntil(clock.Now())
-			addr := g.Int63n(readSpan - int64(len(buf)))
-			before := dev.Stats().ReadStallNs
-			lat, err := dev.Read(addr, buf)
-			if err != nil {
-				return err
-			}
-			if dev.Stats().ReadStallNs > before {
-				stalled++
-			}
-			hist.ObserveDuration(lat)
-		}
+		// Writes stripe from the last bank down; segregated, only the last
+		// bank takes them. Foreground reads sample the read-mostly data:
+		// in the segregated layout that data occupies the first three
+		// banks; in the mixed layout it is spread over all four (and so
+		// collides with the write stream).
+		writeBanks, readSpan := banks, dev.Capacity()
 		name := "mixed (writes striped over all banks)"
 		if segregated {
+			writeBanks, readSpan = 1, dev.Capacity()/banks*(banks-1)
 			name = "segregated (read-mostly banks + one write bank)"
+		}
+		hist, stalled, _, err := e7Reads(dev, clock, sim.NewRNG(seed),
+			func(i int) int { return banks - 1 - i%writeBanks }, readSpan)
+		if err != nil {
+			return err
 		}
 		rows[idx] = []string{name,
 			fmtDur(sim.Duration(hist.Mean())),
 			fmtDur(sim.Duration(hist.Quantile(0.99))),
-			fmt.Sprintf("%.1f%%", float64(stalled)/reads*100),
+			fmt.Sprintf("%.1f%%", float64(stalled)/float64(hist.Count())*100),
 		}
 		return nil
 	})

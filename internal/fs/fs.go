@@ -788,7 +788,8 @@ func (f *FS) RemoveAt(dir *Inode, name string) (err error) {
 	return f.journal(recRemove, ino, dir.Ino, 0, uint64(dir.MtimeNs), name, "")
 }
 
-// Rename moves a file or directory to a new path, which must not exist.
+// Rename moves a file or directory to a new path, which must not exist
+// and must not lie under the old one.
 func (f *FS) Rename(oldPath, newPath string) error {
 	oldParent, oldLeaf, err := f.resolveParent(oldPath)
 	if err != nil {
@@ -802,6 +803,9 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
+	if f.holds(f.inodes[ino], newParent) {
+		return fmt.Errorf("%w: %q lies under %q", ErrBadPath, newPath, oldPath)
+	}
 	if _, exists := newParent.Entries[newLeaf]; exists {
 		return fmt.Errorf("%w: %q", ErrExist, newPath)
 	}
@@ -811,6 +815,20 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	now := int64(f.now())
 	oldParent.MtimeNs, newParent.MtimeNs = now, now
 	return f.journal(recRename, ino, oldParent.Ino, newParent.Ino, uint64(now), oldLeaf, newLeaf)
+}
+
+// holds reports whether dir is node or lies below it: moving node into
+// dir would cut the subtree off the root and make it its own ancestor.
+func (f *FS) holds(node, dir *Inode) bool {
+	if node == nil || node == dir {
+		return node == dir
+	}
+	for _, ino := range node.Entries {
+		if f.holds(f.inodes[ino], dir) {
+			return true
+		}
+	}
+	return false
 }
 
 // bumpGen advances the generation of node and of everything below it: a

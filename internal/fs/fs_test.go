@@ -352,6 +352,39 @@ func TestRename(t *testing.T) {
 	}
 }
 
+// Regression: a directory moved under itself used to leave the root
+// without it while NumInodes still counted its subtree.
+func TestRenameIntoOwnSubtree(t *testing.T) {
+	r := newFS(t)
+	for _, step := range []error{r.fs.Mkdir("/d"), r.fs.Create("/d/f"), r.fs.Mkdir("/d/sub")} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	for _, to := range []string{"/d/sub/x", "/d/x", "/d/sub"} {
+		if err := r.fs.Rename("/d", to); !errors.Is(err, ErrBadPath) {
+			t.Fatalf("Rename(/d, %s): %v, want ErrBadPath", to, err)
+		}
+	}
+	if list, err := r.fs.ReadDir("/"); err != nil || len(list) != 1 || list[0].Name != "d" {
+		t.Fatalf("root lists %v, %v; want d", list, err)
+	}
+	if !r.fs.Exists("/d/f") || !r.fs.Exists("/d/sub") || r.fs.NumInodes() != 4 {
+		t.Fatalf("tree changed: /d/f %v, /d/sub %v, %d inodes",
+			r.fs.Exists("/d/f"), r.fs.Exists("/d/sub"), r.fs.NumInodes())
+	}
+	// A move down into a sibling's subtree, and a file's rename, still go.
+	if err := r.fs.Mkdir("/e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Rename("/e", "/d/sub/e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Rename("/d/f", "/d/sub/e/f"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBadPaths(t *testing.T) {
 	r := newFS(t)
 	for _, p := range []string{"", "relative", "/a/../b"} {

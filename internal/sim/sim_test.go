@@ -55,72 +55,6 @@ func TestDurationConversions(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrder(t *testing.T) {
-	q := NewEventQueue()
-	var fired []int
-	q.At(Time(30), func(Time) { fired = append(fired, 3) })
-	q.At(Time(10), func(Time) { fired = append(fired, 1) })
-	q.At(Time(20), func(Time) { fired = append(fired, 2) })
-	n := q.RunUntil(Time(25))
-	if n != 2 {
-		t.Fatalf("fired %d events, want 2", n)
-	}
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("fired order %v, want [1 2]", fired)
-	}
-	q.RunUntil(Time(100))
-	if len(fired) != 3 || fired[2] != 3 {
-		t.Fatalf("fired order %v, want [1 2 3]", fired)
-	}
-}
-
-func TestEventQueueFIFOTieBreak(t *testing.T) {
-	q := NewEventQueue()
-	var fired []int
-	for i := 0; i < 10; i++ {
-		i := i
-		q.At(Time(5), func(Time) { fired = append(fired, i) })
-	}
-	q.RunUntil(Time(5))
-	for i, v := range fired {
-		if v != i {
-			t.Fatalf("tie-broken order %v, want ascending", fired)
-		}
-	}
-}
-
-func TestEventQueueReschedulesWithinRun(t *testing.T) {
-	q := NewEventQueue()
-	count := 0
-	var tick func(Time)
-	tick = func(now Time) {
-		count++
-		if count < 5 {
-			q.After(now, Duration(10), tick)
-		}
-	}
-	q.At(Time(0), tick)
-	q.RunUntil(Time(100))
-	if count != 5 {
-		t.Fatalf("periodic event fired %d times, want 5", count)
-	}
-}
-
-func TestEventQueueNext(t *testing.T) {
-	q := NewEventQueue()
-	if _, ok := q.Next(); ok {
-		t.Fatal("empty queue reported a next event")
-	}
-	q.At(Time(42), func(Time) {})
-	if at, ok := q.Next(); !ok || at != Time(42) {
-		t.Fatalf("Next() = %v,%v want 42,true", at, ok)
-	}
-	q.RunUntil(Time(42))
-	if _, ok := q.Next(); ok {
-		t.Fatal("fired event still visible via Next")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {

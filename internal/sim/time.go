@@ -1,13 +1,13 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // shared by every device model and operating-system layer in this
-// repository: a virtual clock, an event queue, seeded random-number
-// streams, statistics collectors, and an energy meter.
+// repository: a virtual clock, seeded random-number streams, statistics
+// collectors, and an energy meter.
 //
 // All simulated components are passive: an operation on a device model
 // computes a latency and an energy cost, charges them to the meters, and
 // advances the shared clock. Components that need background activity
-// (write-back daemons, cleaners) register timers on the event queue, which
-// the driving layer pumps before each foreground operation.
+// (write-back daemons, cleaners) expose a tick that the driving layer
+// calls before each foreground operation.
 package sim
 
 import (

@@ -113,7 +113,6 @@ type blockLoc struct {
 	dramPage   int   // -1 if not in DRAM
 	lpn        int64 // -1 if not in flash
 	dirtySince sim.Time
-	lastWrite  sim.Time
 	// links thread the loc onto the dirty lists (writeOrder, dirtyOrder)
 	// intrusively, so queueing a dirty block never allocates.
 	links [2]locLinks
@@ -234,13 +233,6 @@ type Manager struct {
 	// maxObjBlocks is the largest per-object block count seen; fresh
 	// per-object maps are pre-sized with it (see insert).
 	maxObjBlocks int
-
-	// Batched-submission accounting: inside a beginBatch/endBatch window
-	// (sync, object sync, daemon pass) the per-block flush counters
-	// accumulate here and fold into the shared counters once.
-	batching     bool
-	batchFlushed int64
-	batchDaemon  int64
 
 	obs                     *obs.Observer
 	hostWritten, hostRead   *obs.Counter
@@ -383,9 +375,7 @@ func (m *Manager) newLoc() *blockLoc {
 
 // enqueueDirty puts the block on the dirty lists.
 func (m *Manager) enqueueDirty(loc *blockLoc) {
-	now := m.clock.Now()
-	loc.dirtySince = now
-	loc.lastWrite = now
+	loc.dirtySince = m.clock.Now()
 	m.writeOrder.PushBack(loc)
 	m.dirtyOrder.PushBack(loc)
 }
@@ -449,11 +439,7 @@ func (m *Manager) migrateToFlash(loc *blockLoc) (err error) {
 	if err := m.fl.WritePageTagged(lpn, buf, encodeTag(loc.key)); err != nil {
 		return err
 	}
-	if m.batching {
-		m.batchFlushed += int64(loc.size)
-	} else {
-		m.flushed.Add(int64(loc.size))
-	}
+	m.flushed.Add(int64(loc.size))
 	m.freeDRAM = append(m.freeDRAM, loc.dramPage)
 	loc.dramPage = -1
 	loc.lpn = lpn
@@ -484,7 +470,6 @@ func (m *Manager) WriteBlockAt(key Key, off int, data []byte) (err error) {
 			return err
 		}
 		loc.size = max(loc.size, end)
-		loc.lastWrite = m.clock.Now()
 		if m.writeOrder.Queued(loc) {
 			m.writeOrder.MoveToBack(loc)
 		} else {
@@ -800,7 +785,6 @@ func (m *Manager) Tick(until sim.Time) error {
 func (m *Manager) TickDaemon() error {
 	if m.cfg.WriteBackDelay > 0 {
 		now := m.clock.Now()
-		defer m.endBatch(m.beginBatch())
 		for {
 			loc := m.dirtyOrder.Front()
 			if loc == nil {
@@ -809,7 +793,7 @@ func (m *Manager) TickDaemon() error {
 			if now.Sub(loc.dirtySince) < m.cfg.WriteBackDelay {
 				break
 			}
-			m.batchDaemon++
+			m.daemon.Inc()
 			if err := m.migrateToFlash(loc); err != nil {
 				return err
 			}
@@ -829,40 +813,9 @@ func (m *Manager) NextWriteBack() sim.Time {
 	return loc.dirtySince.Add(m.cfg.WriteBackDelay)
 }
 
-// beginBatch opens a batched-submission window: per-block flush and
-// daemon counts accumulate locally and fold into the shared counters in
-// one add each at endBatch. Per-block spans are untouched — the batch
-// seam amortises only metric bookkeeping, never the causal record — and
-// nothing reads the counters mid-window in the single-threaded
-// simulation, so the folded totals are indistinguishable from per-block
-// adds. Nested windows fold at the outermost close.
-func (m *Manager) beginBatch() bool {
-	if m.batching {
-		return false
-	}
-	m.batching = true
-	return true
-}
-
-func (m *Manager) endBatch(outermost bool) {
-	if !outermost {
-		return
-	}
-	m.batching = false
-	if m.batchFlushed != 0 {
-		m.flushed.Add(m.batchFlushed)
-		m.batchFlushed = 0
-	}
-	if m.batchDaemon != 0 {
-		m.daemon.Add(m.batchDaemon)
-		m.batchDaemon = 0
-	}
-}
-
 // SyncObject migrates the object's dirty blocks to flash — an fsync of
 // one file, used by the file system to checkpoint its metadata object.
 func (m *Manager) SyncObject(object uint64) error {
-	defer m.endBatch(m.beginBatch())
 	for _, loc := range m.blocksInOrder(object) {
 		if loc.inDRAM() {
 			if err := m.migrateToFlash(loc); err != nil {
@@ -924,7 +877,6 @@ func (m *Manager) PowerFailRecover() (lostBytes int64) {
 // migrations keep the ambient cause (host-write by default).
 func (m *Manager) Sync() error {
 	defer m.obs.PushCause(obs.CauseGroupCommitFlush)()
-	defer m.endBatch(m.beginBatch())
 	for {
 		loc := m.dirtyOrder.Front()
 		if loc == nil {

@@ -19,6 +19,11 @@
 // Dirty blocks leave the buffer either because a write-back daemon flushes
 // blocks older than the write-back delay (the classic 30-second Unix
 // syncer policy) or because the buffer is full and must evict.
+//
+// The buffer is an accounting model: it tracks each block's size and
+// dirty age, never its bytes, because E3 reports traffic and nothing
+// reads the data back. A flush is counted and spanned, and the block is
+// gone.
 package wbuf
 
 import (
@@ -38,17 +43,6 @@ type Key struct {
 	Object uint64
 	Block  int64
 }
-
-// Sink receives blocks the buffer flushes to stable storage.
-type Sink interface {
-	FlushBlock(key Key, data []byte) error
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(key Key, data []byte) error
-
-// FlushBlock calls f.
-func (f SinkFunc) FlushBlock(key Key, data []byte) error { return f(key, data) }
 
 // EvictPolicy selects which dirty block is flushed first when the buffer
 // is full.
@@ -119,9 +113,8 @@ func (s Stats) Reduction() float64 {
 
 type entry struct {
 	key        Key
-	data       []byte
+	size       int
 	dirtySince sim.Time
-	lastWrite  sim.Time
 	// links thread the entry onto writeOrder (LRW) and dirtyOrder
 	// (dirty-age) intrusively, so queueing never allocates.
 	links [2]entryLinks
@@ -133,10 +126,7 @@ const (
 	fifoLink        // dirtyOrder: front = dirty longest
 )
 
-type entryLinks struct {
-	prev, next *entry
-	queued     bool
-}
+type entryLinks struct{ prev, next *entry }
 
 // entryList is an intrusive doubly-linked list of entries threading the
 // link pair selected by idx; it replaces container/list so list
@@ -150,7 +140,7 @@ func (l *entryList) Front() *entry { return l.head }
 
 func (l *entryList) PushBack(e *entry) {
 	lk := &e.links[l.idx]
-	lk.prev, lk.next, lk.queued = l.tail, nil, true
+	lk.prev, lk.next = l.tail, nil
 	if l.tail != nil {
 		l.tail.links[l.idx].next = e
 	} else {
@@ -161,9 +151,6 @@ func (l *entryList) PushBack(e *entry) {
 
 func (l *entryList) Remove(e *entry) {
 	lk := &e.links[l.idx]
-	if !lk.queued {
-		return
-	}
 	if lk.prev != nil {
 		lk.prev.links[l.idx].next = lk.next
 	} else {
@@ -174,7 +161,7 @@ func (l *entryList) Remove(e *entry) {
 	} else {
 		l.tail = lk.prev
 	}
-	lk.prev, lk.next, lk.queued = nil, nil, false
+	lk.prev, lk.next = nil, nil
 }
 
 func (l *entryList) MoveToBack(e *entry) {
@@ -189,20 +176,11 @@ func (l *entryList) MoveToBack(e *entry) {
 type Buffer struct {
 	cfg   Config
 	clock *sim.Clock
-	sink  Sink
 
-	entries    map[Key]*entry
 	byObject   map[uint64]map[int64]*entry
 	writeOrder entryList // front = least recently written
 	dirtyOrder entryList // front = dirty longest
 	size       int64
-
-	// entryFree recycles dropped entries — including their data capacity —
-	// and freeMaps recycles emptied per-object maps; ordered is the
-	// InvalidateObject scratch.
-	entryFree []*entry
-	freeMaps  []map[int64]*entry
-	ordered   []*entry
 
 	obs                     *obs.Observer
 	hostBytes, flushedBytes *obs.Counter
@@ -211,23 +189,18 @@ type Buffer struct {
 	evictions, daemonFlush  *obs.Counter
 }
 
-// New builds an empty buffer flushing into sink.
-func New(cfg Config, clock *sim.Clock, sink Sink) (*Buffer, error) {
+// New builds an empty buffer.
+func New(cfg Config, clock *sim.Clock) (*Buffer, error) {
 	if cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("wbuf: non-positive block size %d", cfg.BlockBytes)
 	}
 	if cfg.CapacityBytes < 0 {
 		return nil, fmt.Errorf("wbuf: negative capacity %d", cfg.CapacityBytes)
 	}
-	if sink == nil {
-		return nil, fmt.Errorf("wbuf: nil sink")
-	}
 	o := obs.Or(cfg.Obs)
 	b := &Buffer{
 		cfg:               cfg,
 		clock:             clock,
-		sink:              sink,
-		entries:           make(map[Key]*entry),
 		byObject:          make(map[uint64]map[int64]*entry),
 		writeOrder:        entryList{idx: lruLink},
 		dirtyOrder:        entryList{idx: fifoLink},
@@ -254,205 +227,104 @@ func (b *Buffer) Occupancy() float64 {
 	return float64(b.size) / float64(b.cfg.CapacityBytes)
 }
 
-// Config returns the buffer configuration.
-func (b *Buffer) Config() Config { return b.cfg }
-
-// Len reports the number of buffered blocks.
-func (b *Buffer) Len() int { return len(b.entries) }
-
-// Size reports the buffered bytes.
-func (b *Buffer) Size() int64 { return b.size }
-
-// Write buffers data for key. If the block is already buffered the write
-// is absorbed in place. The data is copied.
-func (b *Buffer) Write(key Key, data []byte) error {
-	if len(data) > b.cfg.BlockBytes {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), b.cfg.BlockBytes)
+// Write buffers n bytes for key. If the block is already buffered the
+// write is absorbed in place and the block takes the new size.
+func (b *Buffer) Write(key Key, n int) error {
+	if n > b.cfg.BlockBytes {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, n, b.cfg.BlockBytes)
 	}
-	b.hostBytes.Add(int64(len(data)))
+	b.hostBytes.Add(int64(n))
 
 	if b.cfg.CapacityBytes == 0 {
 		// Buffer disabled: write-through.
-		b.flushedBytes.Add(int64(len(data)))
-		return b.sink.FlushBlock(key, data)
+		b.flushedBytes.Add(int64(n))
+		return nil
 	}
 
-	now := b.clock.Now()
-	if e, ok := b.entries[key]; ok {
+	blocks := b.byObject[key.Object]
+	if e := blocks[key.Block]; e != nil {
 		// The absorbed traffic is the incoming write — the bytes that
 		// would otherwise have reached flash — not the size of the stale
 		// buffered version it replaces.
-		b.overwriteAbsorbed.Add(int64(len(data)))
-		b.size += int64(len(data)) - int64(len(e.data))
-		e.data = append(e.data[:0], data...)
-		e.lastWrite = now
+		b.overwriteAbsorbed.Add(int64(n))
+		b.size += int64(n - e.size)
+		e.size = n
 		b.writeOrder.MoveToBack(e)
-		return b.ensureCapacity()
-	}
-
-	e := b.newEntry()
-	e.key = key
-	e.data = append(e.data[:0], data...)
-	e.dirtySince = now
-	e.lastWrite = now
-	b.writeOrder.PushBack(e)
-	b.dirtyOrder.PushBack(e)
-	b.entries[key] = e
-	blocks := b.byObject[key.Object]
-	if blocks == nil {
-		if n := len(b.freeMaps); n > 0 {
-			blocks = b.freeMaps[n-1]
-			b.freeMaps = b.freeMaps[:n-1]
-		} else {
+	} else {
+		e := &entry{key: key, size: n, dirtySince: b.clock.Now()}
+		b.writeOrder.PushBack(e)
+		b.dirtyOrder.PushBack(e)
+		if blocks == nil {
 			blocks = make(map[int64]*entry)
+			b.byObject[key.Object] = blocks
 		}
-		b.byObject[key.Object] = blocks
+		blocks[key.Block] = e
+		b.size += int64(n)
 	}
-	blocks[key.Block] = e
-	b.size += int64(len(data))
-	return b.ensureCapacity()
-}
-
-// newEntry returns a reset entry, reusing a recycled one (and its data
-// capacity) when possible.
-func (b *Buffer) newEntry() *entry {
-	if n := len(b.entryFree); n > 0 {
-		e := b.entryFree[n-1]
-		b.entryFree = b.entryFree[:n-1]
-		return e
+	// Over capacity the buffer holds at least one block to evict.
+	for b.size > b.cfg.CapacityBytes {
+		e := b.writeOrder.Front()
+		if b.cfg.Policy == EvictFIFO {
+			e = b.dirtyOrder.Front()
+		}
+		b.evictions.Inc()
+		b.flush(e)
 	}
-	return &entry{}
-}
-
-// Read returns the buffered data for key, if present. The returned slice
-// is the buffer's own copy; callers must not modify it, and it is only
-// valid until the block leaves the buffer (flush or invalidation — the
-// backing array is recycled for later writes).
-func (b *Buffer) Read(key Key) ([]byte, bool) {
-	e, ok := b.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return e.data, true
+	return nil
 }
 
 // InvalidateObject drops every buffered block of the object (the file was
 // deleted); those bytes never reach stable storage.
 func (b *Buffer) InvalidateObject(object uint64) {
-	blocks := b.byObject[object]
-	// Drop in block order, not map order, so the free list (and therefore
-	// every later allocation) is identical run to run. The scratch slice
-	// is reused and sorted by hand (sort.Slice allocates per call).
-	ordered := b.ordered[:0]
-	for _, e := range blocks {
-		ordered = append(ordered, e)
-	}
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].key.Block < ordered[j-1].key.Block; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	b.ordered = ordered
-	for _, e := range ordered {
-		b.deleteAbsorbed.Add(int64(len(e.data)))
-		b.drop(e)
+	for _, e := range b.byObject[object] {
+		b.deleteAbsorbed.Add(int64(e.size))
+		b.unlink(e)
 	}
 	delete(b.byObject, object)
 }
 
-// drop removes the entry without flushing and recycles it. The entry is
-// reset to zero state (keeping only its data capacity) so a recycled
-// entry can never leak a stale key, timestamps or list links.
-func (b *Buffer) drop(e *entry) {
-	delete(b.entries, e.key)
-	if blocks := b.byObject[e.key.Object]; blocks != nil {
-		delete(blocks, e.key.Block)
-		if len(blocks) == 0 {
-			delete(b.byObject, e.key.Object)
-			b.freeMaps = append(b.freeMaps, blocks)
-		}
-	}
+// unlink takes the entry off both lists and out of the buffered size;
+// the caller removes it from byObject.
+func (b *Buffer) unlink(e *entry) {
 	b.writeOrder.Remove(e)
 	b.dirtyOrder.Remove(e)
-	b.size -= int64(len(e.data))
-	data := e.data[:0]
-	*e = entry{data: data}
-	b.entryFree = append(b.entryFree, e)
+	b.size -= int64(e.size)
 }
 
-// flush writes the entry to the sink and removes it.
-func (b *Buffer) flush(e *entry) (err error) {
-	// drop recycles the entry, so its size is captured up front for the
-	// deferred span close.
-	n := int64(len(e.data))
+// flush counts the entry as written to stable storage and removes it.
+func (b *Buffer) flush(e *entry) {
 	sp := b.obs.StageSpan(b.clock, nil, "wbuf", "flush", obs.StageFlush)
-	defer func() { sp.End(n, err) }()
-	b.flushedBytes.Add(n)
-	if err := b.sink.FlushBlock(e.key, e.data); err != nil {
-		return err
+	b.flushedBytes.Add(int64(e.size))
+	b.unlink(e)
+	blocks := b.byObject[e.key.Object]
+	delete(blocks, e.key.Block)
+	if len(blocks) == 0 {
+		delete(b.byObject, e.key.Object)
 	}
-	b.drop(e)
-	return nil
-}
-
-// victim picks the next entry to evict under the configured policy.
-func (b *Buffer) victim() *entry {
-	if b.cfg.Policy == EvictFIFO {
-		return b.dirtyOrder.Front()
-	}
-	return b.writeOrder.Front()
-}
-
-func (b *Buffer) ensureCapacity() error {
-	for b.size > b.cfg.CapacityBytes {
-		e := b.victim()
-		if e == nil {
-			return nil
-		}
-		b.evictions.Inc()
-		if err := b.flush(e); err != nil {
-			return err
-		}
-	}
-	return nil
+	sp.End(int64(e.size), nil)
 }
 
 // Tick runs the write-back daemon: every block dirty for at least the
-// write-back delay is flushed. The driving layer calls it periodically
-// (via a sim event or before foreground operations).
-func (b *Buffer) Tick() error {
+// write-back delay is flushed. The driving layer calls it before each
+// foreground operation.
+func (b *Buffer) Tick() {
 	if b.cfg.WriteBackDelay <= 0 {
-		return nil
+		return
 	}
 	now := b.clock.Now()
-	for {
-		e := b.dirtyOrder.Front()
-		if e == nil {
-			return nil
-		}
-		if now.Sub(e.dirtySince) < b.cfg.WriteBackDelay {
-			return nil
-		}
+	for e := b.dirtyOrder.Front(); e != nil && now.Sub(e.dirtySince) >= b.cfg.WriteBackDelay; e = b.dirtyOrder.Front() {
 		b.daemonFlush.Inc()
-		if err := b.flush(e); err != nil {
-			return err
-		}
+		b.flush(e)
 	}
 }
 
 // Sync flushes everything, oldest dirty first. The flushes are forced
 // out early by the explicit sync, so their flash programs are charged to
 // the group-commit-flush cause rather than the write-back default.
-func (b *Buffer) Sync() error {
+func (b *Buffer) Sync() {
 	defer b.obs.PushCause(obs.CauseGroupCommitFlush)()
-	for {
-		e := b.dirtyOrder.Front()
-		if e == nil {
-			return nil
-		}
-		if err := b.flush(e); err != nil {
-			return err
-		}
+	for e := b.dirtyOrder.Front(); e != nil; e = b.dirtyOrder.Front() {
+		b.flush(e)
 	}
 }
 

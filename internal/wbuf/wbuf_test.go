@@ -1,7 +1,6 @@
 package wbuf
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -9,47 +8,63 @@ import (
 	"ssmobile/internal/sim"
 )
 
-// countingSink records flushed blocks.
-type countingSink struct {
-	blocks map[Key][]byte
-	bytes  int64
-	calls  int
-	err    error
-}
-
-func newCountingSink() *countingSink { return &countingSink{blocks: make(map[Key][]byte)} }
-
-func (s *countingSink) FlushBlock(key Key, data []byte) error {
-	if s.err != nil {
-		return s.err
-	}
-	s.blocks[key] = append([]byte(nil), data...)
-	s.bytes += int64(len(data))
-	s.calls++
-	return nil
-}
-
-func newBuffer(t *testing.T, capacity int64, delay sim.Duration, policy EvictPolicy) (*Buffer, *sim.Clock, *countingSink) {
+func newBuffer(t *testing.T, capacity int64, delay sim.Duration, policy EvictPolicy) (*Buffer, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
-	sink := newCountingSink()
-	b, err := New(Config{CapacityBytes: capacity, BlockBytes: 4096, WriteBackDelay: delay, Policy: policy}, clock, sink)
+	b, err := New(Config{CapacityBytes: capacity, BlockBytes: 4096, WriteBackDelay: delay, Policy: policy}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, clock, sink
+	return b, clock
+}
+
+// buffered reports the size of key's buffered block, if it is buffered.
+func buffered(b *Buffer, key Key) (int, bool) {
+	if e := b.byObject[key.Object][key.Block]; e != nil {
+		return e.size, true
+	}
+	return 0, false
+}
+
+// blocks counts the buffered blocks after checking that both lists hold
+// exactly the indexed entries and that their sizes sum to b.size.
+func blocks(t *testing.T, b *Buffer) int {
+	t.Helper()
+	n, size := 0, int64(0)
+	for obj, m := range b.byObject {
+		if len(m) == 0 {
+			t.Fatalf("object %d keeps an empty block map", obj)
+		}
+		for blk, e := range m {
+			if e.key != (Key{obj, blk}) {
+				t.Fatalf("entry %v indexed under %d/%d", e.key, obj, blk)
+			}
+			n++
+			size += int64(e.size)
+		}
+	}
+	for _, l := range []*entryList{&b.writeOrder, &b.dirtyOrder} {
+		queued := 0
+		for e := l.Front(); e != nil; e = e.links[l.idx].next {
+			queued++
+		}
+		if queued != n {
+			t.Fatalf("list %d holds %d entries, index %d", l.idx, queued, n)
+		}
+	}
+	if size != b.size {
+		t.Fatalf("entries hold %d bytes, buffer counts %d", size, b.size)
+	}
+	return n
 }
 
 func TestNewValidation(t *testing.T) {
 	clock := sim.NewClock()
-	if _, err := New(Config{BlockBytes: 0}, clock, newCountingSink()); err == nil {
+	if _, err := New(Config{BlockBytes: 0}, clock); err == nil {
 		t.Error("zero block size accepted")
 	}
-	if _, err := New(Config{BlockBytes: 4096, CapacityBytes: -1}, clock, newCountingSink()); err == nil {
+	if _, err := New(Config{BlockBytes: 4096, CapacityBytes: -1}, clock); err == nil {
 		t.Error("negative capacity accepted")
-	}
-	if _, err := New(Config{BlockBytes: 4096}, clock, nil); err == nil {
-		t.Error("nil sink accepted")
 	}
 }
 
@@ -60,52 +75,49 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestWriteBuffered(t *testing.T) {
-	b, _, sink := newBuffer(t, 1<<20, 0, EvictLRW)
+	b, _ := newBuffer(t, 1<<20, 0, EvictLRW)
 	key := Key{Object: 1, Block: 0}
-	if err := b.Write(key, []byte("hello")); err != nil {
+	if err := b.Write(key, 5); err != nil {
 		t.Fatal(err)
 	}
-	if sink.calls != 0 {
-		t.Fatal("buffered write reached the sink")
+	if s := b.Stats(); s.FlushedBytes != 0 {
+		t.Fatalf("buffered write flushed %d bytes", s.FlushedBytes)
 	}
-	got, ok := b.Read(key)
-	if !ok || !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("Read = %q, %v", got, ok)
+	if n, ok := buffered(b, key); !ok || n != 5 {
+		t.Fatalf("buffered = %d, %v", n, ok)
 	}
-	if b.Len() != 1 || b.Size() != 5 {
-		t.Fatalf("Len/Size = %d/%d", b.Len(), b.Size())
+	if blocks(t, b) != 1 || b.size != 5 {
+		t.Fatalf("blocks/size = %d/%d", blocks(t, b), b.size)
 	}
 }
 
 func TestZeroCapacityWritesThrough(t *testing.T) {
-	b, _, sink := newBuffer(t, 0, 0, EvictLRW)
-	if err := b.Write(Key{1, 0}, []byte("abc")); err != nil {
+	b, _ := newBuffer(t, 0, 0, EvictLRW)
+	if err := b.Write(Key{1, 0}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if sink.calls != 1 || sink.bytes != 3 {
-		t.Fatal("write-through did not reach sink")
+	if s := b.Stats(); s.FlushedBytes != 3 || s.Reduction() != 0 {
+		t.Fatalf("write-through flushed %d, reduction %v", s.FlushedBytes, s.Reduction())
 	}
-	if s := b.Stats(); s.Reduction() != 0 {
-		t.Fatalf("reduction %v with no buffer", s.Reduction())
+	if blocks(t, b) != 0 {
+		t.Fatal("write-through left a block buffered")
 	}
 }
 
 func TestOverwriteAbsorption(t *testing.T) {
-	b, _, sink := newBuffer(t, 1<<20, 0, EvictLRW)
+	b, _ := newBuffer(t, 1<<20, 0, EvictLRW)
 	key := Key{Object: 1, Block: 0}
 	for i := 0; i < 10; i++ {
-		if err := b.Write(key, make([]byte, 4096)); err != nil {
+		if err := b.Write(key, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	b.Sync()
 	s := b.Stats()
 	if s.HostBytes != 10*4096 {
 		t.Fatalf("host bytes %d", s.HostBytes)
 	}
-	if s.FlushedBytes != 4096 || sink.bytes != 4096 {
+	if s.FlushedBytes != 4096 {
 		t.Fatalf("flushed %d, want one block", s.FlushedBytes)
 	}
 	if s.OverwriteAbsorbedBytes != 9*4096 {
@@ -121,12 +133,12 @@ func TestOverwriteAbsorption(t *testing.T) {
 // overwrite landing on a large buffered block used to inflate the
 // paper's 40–50% reduction metric by the large block's size.
 func TestOverwriteAbsorptionCreditsIncomingBytes(t *testing.T) {
-	b, _, _ := newBuffer(t, 1<<20, 0, EvictLRW)
+	b, _ := newBuffer(t, 1<<20, 0, EvictLRW)
 	key := Key{Object: 1, Block: 0}
-	if err := b.Write(key, make([]byte, 100)); err != nil {
+	if err := b.Write(key, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(key, make([]byte, 40)); err != nil {
+	if err := b.Write(key, 40); err != nil {
 		t.Fatal(err)
 	}
 	s := b.Stats()
@@ -139,23 +151,25 @@ func TestOverwriteAbsorptionCreditsIncomingBytes(t *testing.T) {
 }
 
 func TestDeleteAbsorption(t *testing.T) {
-	b, _, sink := newBuffer(t, 1<<20, 0, EvictLRW)
+	b, _ := newBuffer(t, 1<<20, 0, EvictLRW)
 	for blk := int64(0); blk < 4; blk++ {
-		if err := b.Write(Key{Object: 7, Block: blk}, make([]byte, 4096)); err != nil {
+		if err := b.Write(Key{Object: 7, Block: blk}, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Write(Key{Object: 8, Block: 0}, make([]byte, 100)); err != nil {
+	if err := b.Write(Key{Object: 8, Block: 0}, 100); err != nil {
 		t.Fatal(err)
 	}
 	b.InvalidateObject(7)
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
+	if blocks(t, b) != 1 {
+		t.Fatal("the deleted file's blocks are still buffered")
 	}
-	if sink.bytes != 100 {
-		t.Fatalf("sink got %d bytes, want only the surviving file's 100", sink.bytes)
+	b.Sync()
+	s := b.Stats()
+	if s.FlushedBytes != 100 {
+		t.Fatalf("flushed %d bytes, want only the surviving file's 100", s.FlushedBytes)
 	}
-	if s := b.Stats(); s.DeleteAbsorbedBytes != 4*4096 {
+	if s.DeleteAbsorbedBytes != 4*4096 {
 		t.Fatalf("delete absorbed %d", s.DeleteAbsorbedBytes)
 	}
 }
@@ -163,180 +177,159 @@ func TestDeleteAbsorption(t *testing.T) {
 func TestCapacityEvictionLRW(t *testing.T) {
 	// Capacity of two blocks; writing three distinct blocks evicts the
 	// least recently written.
-	b, _, sink := newBuffer(t, 2*4096, 0, EvictLRW)
+	b, _ := newBuffer(t, 2*4096, 0, EvictLRW)
 	for blk := int64(0); blk < 2; blk++ {
-		if err := b.Write(Key{1, blk}, make([]byte, 4096)); err != nil {
+		if err := b.Write(Key{1, blk}, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch block 0 so block 1 becomes least recently written.
-	if err := b.Write(Key{1, 0}, make([]byte, 4096)); err != nil {
+	if err := b.Write(Key{1, 0}, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(Key{1, 2}, make([]byte, 4096)); err != nil {
+	if err := b.Write(Key{1, 2}, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if _, flushed := sink.blocks[Key{1, 1}]; !flushed {
+	if _, in := buffered(b, Key{1, 1}); in {
 		t.Fatal("LRW should have evicted block 1")
 	}
-	if _, stillIn := b.Read(Key{1, 0}); !stillIn {
+	if _, in := buffered(b, Key{1, 0}); !in {
 		t.Fatal("recently written block evicted")
 	}
-	if b.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d", b.Stats().Evictions)
+	if s := b.Stats(); s.Evictions != 1 || s.FlushedBytes != 4096 {
+		t.Fatalf("evictions = %d, flushed %d", s.Evictions, s.FlushedBytes)
 	}
 }
 
 func TestCapacityEvictionFIFO(t *testing.T) {
-	b, _, sink := newBuffer(t, 2*4096, 0, EvictFIFO)
+	b, _ := newBuffer(t, 2*4096, 0, EvictFIFO)
 	for blk := int64(0); blk < 2; blk++ {
-		if err := b.Write(Key{1, blk}, make([]byte, 4096)); err != nil {
+		if err := b.Write(Key{1, blk}, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touching block 0 does not save it under FIFO: it has been dirty
 	// longest.
-	if err := b.Write(Key{1, 0}, make([]byte, 4096)); err != nil {
+	if err := b.Write(Key{1, 0}, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(Key{1, 2}, make([]byte, 4096)); err != nil {
+	if err := b.Write(Key{1, 2}, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if _, flushed := sink.blocks[Key{1, 0}]; !flushed {
+	if _, in := buffered(b, Key{1, 0}); in {
 		t.Fatal("FIFO should have evicted the oldest-dirty block 0")
+	}
+	if _, in := buffered(b, Key{1, 1}); !in {
+		t.Fatal("FIFO evicted block 1, dirty after block 0")
 	}
 }
 
 func TestDaemonFlushByAge(t *testing.T) {
-	b, clock, sink := newBuffer(t, 1<<20, 30*sim.Second, EvictLRW)
-	if err := b.Write(Key{1, 0}, []byte("old")); err != nil {
+	b, clock := newBuffer(t, 1<<20, 30*sim.Second, EvictLRW)
+	if err := b.Write(Key{1, 0}, 3); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(20 * sim.Second)
-	if err := b.Write(Key{1, 1}, []byte("new")); err != nil {
+	if err := b.Write(Key{1, 1}, 3); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(15 * sim.Second) // first block now 35s old, second 15s
-	if err := b.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sink.blocks[Key{1, 0}]; !ok {
+	b.Tick()
+	if _, in := buffered(b, Key{1, 0}); in {
 		t.Fatal("aged block not flushed by daemon")
 	}
-	if _, ok := sink.blocks[Key{1, 1}]; ok {
+	if _, in := buffered(b, Key{1, 1}); !in {
 		t.Fatal("young block flushed early")
 	}
-	if b.Stats().DaemonFlushes != 1 {
-		t.Fatalf("daemon flushes = %d", b.Stats().DaemonFlushes)
+	if s := b.Stats(); s.DaemonFlushes != 1 || s.FlushedBytes != 3 {
+		t.Fatalf("daemon flushes = %d, flushed %d", s.DaemonFlushes, s.FlushedBytes)
 	}
 }
 
 func TestOverwriteDoesNotResetDirtyAge(t *testing.T) {
 	// The 30-second promise is from first dirtying, or data could dodge
 	// stable storage forever by being rewritten every 29s.
-	b, clock, sink := newBuffer(t, 1<<20, 30*sim.Second, EvictLRW)
-	if err := b.Write(Key{1, 0}, []byte("v1")); err != nil {
+	b, clock := newBuffer(t, 1<<20, 30*sim.Second, EvictLRW)
+	if err := b.Write(Key{1, 0}, 2); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(25 * sim.Second)
-	if err := b.Write(Key{1, 0}, []byte("v2")); err != nil {
+	if err := b.Write(Key{1, 0}, 3); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(6 * sim.Second)
-	if err := b.Tick(); err != nil {
-		t.Fatal(err)
+	b.Tick()
+	if _, in := buffered(b, Key{1, 0}); in {
+		t.Fatal("daemon should flush the block at 31s from first dirty")
 	}
-	if got := sink.blocks[Key{1, 0}]; string(got) != "v2" {
-		t.Fatalf("daemon should flush v2 at 31s from first dirty; got %q", got)
+	if s := b.Stats(); s.FlushedBytes != 3 {
+		t.Fatalf("flushed %d bytes, want the second write's 3", s.FlushedBytes)
 	}
 }
 
 func TestTickWithoutDelayIsNoop(t *testing.T) {
-	b, clock, sink := newBuffer(t, 1<<20, 0, EvictLRW)
-	if err := b.Write(Key{1, 0}, []byte("x")); err != nil {
+	b, clock := newBuffer(t, 1<<20, 0, EvictLRW)
+	if err := b.Write(Key{1, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(sim.Hour)
-	if err := b.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.calls != 0 {
+	b.Tick()
+	if s := b.Stats(); s.FlushedBytes != 0 {
 		t.Fatal("Tick flushed with zero delay configured")
 	}
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	b, _, _ := newBuffer(t, 1<<20, 0, EvictLRW)
-	if err := b.Write(Key{1, 0}, make([]byte, 8192)); !errors.Is(err, ErrTooLarge) {
+	b, _ := newBuffer(t, 1<<20, 0, EvictLRW)
+	if err := b.Write(Key{1, 0}, 8192); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized block: %v", err)
 	}
-}
-
-func TestSinkErrorPropagates(t *testing.T) {
-	clock := sim.NewClock()
-	sink := newCountingSink()
-	sink.err = errors.New("boom")
-	b, err := New(Config{CapacityBytes: 4096, BlockBytes: 4096}, clock, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Write(Key{1, 0}, make([]byte, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Write(Key{1, 1}, make([]byte, 4096)); err == nil {
-		t.Fatal("eviction flush error swallowed")
-	}
-}
-
-func TestWriteCopiesData(t *testing.T) {
-	b, _, _ := newBuffer(t, 1<<20, 0, EvictLRW)
-	data := []byte("mutable")
-	if err := b.Write(Key{1, 0}, data); err != nil {
-		t.Fatal(err)
-	}
-	data[0] = 'X'
-	got, _ := b.Read(Key{1, 0})
-	if got[0] != 'm' {
-		t.Fatal("buffer aliased caller data")
+	if s := b.Stats(); s.HostBytes != 0 || blocks(t, b) != 0 {
+		t.Fatalf("rejected write counted %d host bytes", s.HostBytes)
 	}
 }
 
 func TestSyncEmptiesBuffer(t *testing.T) {
-	b, _, _ := newBuffer(t, 1<<20, 0, EvictLRW)
+	b, _ := newBuffer(t, 1<<20, 0, EvictLRW)
 	for i := int64(0); i < 10; i++ {
-		if err := b.Write(Key{uint64(i % 3), i}, make([]byte, 100)); err != nil {
+		if err := b.Write(Key{uint64(i % 3), i}, 100); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 || b.Size() != 0 {
-		t.Fatalf("after Sync: Len=%d Size=%d", b.Len(), b.Size())
+	b.Sync()
+	if n := blocks(t, b); n != 0 || b.size != 0 || len(b.byObject) != 0 {
+		t.Fatalf("after Sync: %d blocks, size %d, %d objects", n, b.size, len(b.byObject))
 	}
 }
 
-// Property: buffer + sink together always hold exactly the last write for
-// every key (buffer wins over sink), and accounting balances:
-// host = flushed + absorbed + still-buffered.
+// Property: every buffered block holds the size of its key's last write
+// and no deleted key stays buffered; the index and both lists agree; and
+// accounting balances: host = flushed + absorbed + still-buffered + the
+// bytes overwrites took off buffered blocks (an overwrite is credited
+// with its incoming bytes, not with the ones it replaces).
 func TestBufferModelProperty(t *testing.T) {
 	type op struct {
 		Obj    uint8
 		Blk    uint8
-		Val    byte
+		Size   uint8
 		Delete bool
 	}
 	f := func(ops []op, capBlocks uint8) bool {
 		clock := sim.NewClock()
-		sink := newCountingSink()
+		policy := EvictLRW
+		if capBlocks&0x80 != 0 {
+			policy = EvictFIFO
+		}
 		b, err := New(Config{
 			CapacityBytes: (int64(capBlocks%8) + 1) * 64,
 			BlockBytes:    64,
-		}, clock, sink)
+			Policy:        policy,
+		}, clock)
 		if err != nil {
 			return false
 		}
-		model := map[Key][]byte{}
+		model := map[Key]int{}
+		var shrunk int64
 		for _, o := range ops {
 			clock.Advance(sim.Millisecond)
 			key := Key{Object: uint64(o.Obj % 4), Block: int64(o.Blk % 4)}
@@ -349,25 +342,26 @@ func TestBufferModelProperty(t *testing.T) {
 				}
 				continue
 			}
-			data := bytes.Repeat([]byte{o.Val}, 64)
-			if err := b.Write(key, data); err != nil {
+			n := int(o.Size%64) + 1
+			if old, ok := buffered(b, key); ok {
+				shrunk += int64(old - n)
+			}
+			if err := b.Write(key, n); err != nil {
 				return false
 			}
-			model[key] = data
+			model[key] = n
 		}
-		// Verify reads see the model through buffer-then-sink.
-		for k, want := range model {
-			got, ok := b.Read(k)
-			if !ok {
-				got, ok = sink.blocks[k], sink.blocks[k] != nil
-			}
-			if !ok || !bytes.Equal(got, want) {
-				return false
+		for obj, m := range b.byObject {
+			for blk, e := range m {
+				if want, ok := model[Key{obj, blk}]; !ok || e.size != want {
+					return false
+				}
 			}
 		}
+		blocks(t, b)
 		s := b.Stats()
-		accounted := s.FlushedBytes + s.OverwriteAbsorbedBytes + s.DeleteAbsorbedBytes + b.Size()
-		return accounted == s.HostBytes
+		accounted := s.FlushedBytes + s.OverwriteAbsorbedBytes + s.DeleteAbsorbedBytes + b.size + shrunk
+		return accounted == s.HostBytes && b.size <= b.cfg.CapacityBytes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
