@@ -76,6 +76,10 @@ type Cache struct {
 	lru       *list.List // front = least recently used
 	freeSlots []int
 	slots     int
+	// oldestDirty is a lower bound on every dirty entry's dirtySince
+	// (sim.Forever: none is dirty), so Tick skips its walk until
+	// something can have come of age.
+	oldestDirty sim.Time
 
 	obs                          *obs.Observer
 	hits, misses, readBlocks     *obs.Counter
@@ -102,6 +106,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, backing Backing) (*
 		entries:       make(map[int64]*centry),
 		lru:           list.New(),
 		slots:         int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
+		oldestDirty:   sim.Forever,
 		obs:           o,
 		hits:          o.Counter("cache_hits_total", lbl),
 		misses:        o.Counter("cache_misses_total", lbl),
@@ -265,24 +270,31 @@ func (c *Cache) writeBlock(bn int64, data []byte, through bool) (err error) {
 	if !e.dirty {
 		e.dirty = true
 		e.dirtySince = c.clock.Now()
+		c.oldestDirty = min(c.oldestDirty, e.dirtySince)
 	}
 	return nil
 }
 
-// Tick flushes blocks dirty longer than the write-back delay.
+// Tick flushes blocks dirty longer than the write-back delay, in LRU
+// order. It returns at once while no dirty block can be that old.
 func (c *Cache) Tick() error {
-	if c.cfg.WriteBackDelay <= 0 {
+	now := c.clock.Now()
+	if c.cfg.WriteBackDelay <= 0 || now.Sub(c.oldestDirty) < c.cfg.WriteBackDelay {
 		return nil
 	}
-	now := c.clock.Now()
+	oldest := sim.Forever // of the blocks the walk leaves dirty
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*centry)
-		if e.dirty && now.Sub(e.dirtySince) >= c.cfg.WriteBackDelay {
-			if err := c.flushEntry(e); err != nil {
-				return err
-			}
+		if !e.dirty {
+			continue
+		}
+		if now.Sub(e.dirtySince) < c.cfg.WriteBackDelay {
+			oldest = min(oldest, e.dirtySince)
+		} else if err := c.flushEntry(e); err != nil {
+			return err // the old bound still holds
 		}
 	}
+	c.oldestDirty = oldest
 	return nil
 }
 

@@ -3,6 +3,8 @@ package bufcache
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ssmobile/internal/device"
@@ -154,6 +156,124 @@ func TestTickFlushesAged(t *testing.T) {
 	}
 	if r.disk.Peek(7*4096) != 9 {
 		t.Fatal("aged block not flushed")
+	}
+}
+
+// flushLog is a backing device that records each block written to it and
+// the script step that wrote it.
+type flushLog struct {
+	Backing
+	step int
+	got  []flushAt
+}
+
+type flushAt struct {
+	step int
+	bn   int64
+}
+
+func (l *flushLog) Write(addr int64, p []byte) (sim.Duration, error) {
+	l.got = append(l.got, flushAt{l.step, addr / 4096})
+	return l.Backing.Write(addr, p)
+}
+
+// TestTickMatchesFullWalk drives a seeded script of writes, write-throughs,
+// reads, invalidations, syncs, evictions and ticks, and holds the cache's
+// flushes to a model whose Tick walks the whole LRU every time: the same
+// blocks, in the same order, at the same steps. The model takes each
+// block's dirtySince from the cache, since the devices advance the clock
+// within an op.
+func TestTickMatchesFullWalk(t *testing.T) {
+	const (
+		slots  = 24
+		blocks = 32
+		delay  = 30 * sim.Second
+	)
+	r := newRig(t, 1<<20, delay)
+	log := &flushLog{Backing: r.disk}
+	c, err := New(Config{BlockBytes: 4096, DRAMBytes: slots * 4096, WriteBackDelay: delay}, r.clock, r.dram, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The model: the LRU as a slice, front first, and each dirty block's
+	// dirtySince.
+	var lru []int64
+	dirty := map[int64]sim.Time{}
+	var want []flushAt
+	flush := func(bn int64) {
+		want = append(want, flushAt{log.step, bn})
+		delete(dirty, bn)
+	}
+	load := func(bn int64) {
+		if i := slices.Index(lru, bn); i >= 0 {
+			lru = append(slices.Delete(lru, i, i+1), bn)
+			return
+		}
+		if len(lru) == slots {
+			if _, ok := dirty[lru[0]]; ok {
+				flush(lru[0])
+			}
+			lru = lru[1:]
+		}
+		lru = append(lru, bn)
+	}
+	walk := func(due func(since sim.Time) bool) {
+		for _, bn := range lru {
+			if since, ok := dirty[bn]; ok && due(since) {
+				flush(bn)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 4096)
+	for step := 0; step < 5000; step++ {
+		log.step = step
+		bn := rng.Int63n(blocks)
+		switch k := rng.Intn(100); {
+		case k < 60:
+			if err := c.WriteBlock(bn, blockOf(byte(step))); err != nil {
+				t.Fatal(err)
+			}
+			load(bn)
+			dirty[bn] = c.entries[bn].dirtySince
+		case k < 65:
+			if err := c.WriteBlockThrough(bn, blockOf(byte(step))); err != nil {
+				t.Fatal(err)
+			}
+			load(bn)
+			flush(bn)
+		case k < 90:
+			if err := c.ReadBlock(bn, buf); err != nil {
+				t.Fatal(err)
+			}
+			load(bn)
+		case k < 97:
+			c.Invalidate(bn)
+			if i := slices.Index(lru, bn); i >= 0 {
+				lru = slices.Delete(lru, i, i+1)
+			}
+			delete(dirty, bn)
+		default:
+			if err := c.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			walk(func(sim.Time) bool { return true })
+		}
+		r.clock.Advance(sim.Duration(rng.Int63n(int64(4 * sim.Second))))
+		now := r.clock.Now() // Tick's flushes advance the clock
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		walk(func(since sim.Time) bool { return now.Sub(since) >= delay })
+		if !slices.Equal(log.got, want) {
+			n := min(len(log.got), len(want), 3)
+			t.Fatalf("step %d: the cache's flushes end %v; the full walk's %v", step, log.got[len(log.got)-n:], want[len(want)-n:])
+		}
+	}
+	if len(want) < 500 {
+		t.Fatalf("the script flushed only %d blocks; it exercises too little", len(want))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 	"ssmobile/internal/trace"
+	"ssmobile/internal/workload"
 )
 
 // ReplayStats summarises one trace replay on a System. The latencies are
@@ -28,10 +29,7 @@ func fileName(id trace.FileID) string { return fmt.Sprintf("f%d", uint64(id)) }
 // payload fills buf with a cheap deterministic pattern so flash programs
 // see realistic mixed bits.
 func payload(buf []byte, file trace.FileID, off int64) {
-	seed := byte(uint64(file)*131 + uint64(off)*31)
-	for i := range buf {
-		buf[i] = seed + byte(i)
-	}
+	workload.Ramp(buf, byte(uint64(file)*131+uint64(off)*31))
 }
 
 // Replay runs the trace against the system, advancing the virtual clock

@@ -97,8 +97,8 @@ type Inode struct {
 	MtimeNs int64
 	Entries map[string]uint64 // directories only
 
-	// Kept snapshot encoding.
-	enc  inodeEnc // this inode as the snapshot holds it
+	// Kept for the snapshot encoder (snapcodec.go).
+	enc  inodeEnc // this inode as the snapshot holds it, up to its entries
 	ents []dirEnt // Entries in name order
 
 	gen uint64 // see Gen; kept across the free list's recycling

@@ -26,27 +26,29 @@ package fs
 // flash, whose charged time and energy follow it.
 //
 // A snapshot of N inodes differs from the previous one in a handful of
-// bytes, so the encoder does not walk the maps. Three things are kept
-// current as the file system mutates, and an encode concatenates them:
+// bytes, so the encoder does not walk the maps. Two things are kept
+// current as the file system mutates, and an encode walks them:
 //
 //   - the inodes in Ino order (FS.order): inos are handed out
 //     monotonically, so a create appends and a last unlink is one
 //     binary-search delete;
-//   - each directory's entries in name order (Inode.ents) and their
-//     encoding (Inode.enc.ents) beside its Entries map. setEntry and
-//     delEntry are the only writers of any of the three, and splice the
-//     one entry in or out of each;
-//   - each inode's encoding up to its entries (Inode.enc.elem), together
-//     with the values it was encoded from.
+//   - each inode's encoding up to its entries (Inode.enc), together with
+//     the values it was encoded from.
+//
+// A directory keeps its entries in name order (Inode.ents) beside its
+// Entries map — setEntry and delEntry are the only writers of both, and
+// splice the one entry in or out — but not their encoding: the snapshot is
+// encoded only when the checkpoint log folds into an image or the journal
+// rolls over, far less often than entries change, so an encode appends
+// each entry afresh rather than every create and unlink splicing bytes.
 //
 // Nothing needs invalidating. The scalars are validated BY VALUE at
 // encode time (five integer compares), so no mutator has to remember
-// them; a directory's entries cannot change except through the two
-// methods that keep their encoding. State that was not built by the FS —
-// a literal in a test, a decoded directory — simply has none of this yet,
-// which shows (an order of the wrong length, an inodeEnc with no bytes)
-// and is made good by one sort and one encode: cold and warm are the same
-// code and produce the same bytes.
+// them. State that was not built by the FS — a literal in a test, a
+// decoded directory — simply has none of this yet, which shows (an order
+// of the wrong length, an inodeEnc with no bytes) and is made good by one
+// sort and one encode: cold and warm are the same code and produce the
+// same bytes.
 //
 // The decoder reads bytes that came back from DRAM or flash under a
 // matching CRC, so what it refuses is a writer's bug or a collision, and
@@ -60,7 +62,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"math/bits"
 	"slices"
 	"strings"
 )
@@ -112,9 +113,6 @@ func dropInode(inodes map[uint64]*Inode, order []*Inode, ino uint64) []*Inode {
 	return order
 }
 
-// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // dirEnt is one directory entry in the name order the snapshot encodes.
 type dirEnt struct {
 	name string
@@ -131,49 +129,28 @@ func (e dirEnt) appendTo(dst []byte) []byte {
 	return binary.AppendUvarint(append(dst, e.name...), e.ino)
 }
 
-// encLen is the number of bytes appendTo writes.
-func (e dirEnt) encLen() int {
-	return uvarintLen(uint64(len(e.name))) + len(e.name) + uvarintLen(e.ino)
-}
-
-// encOffset is where entry i's encoding starts in the encoded entries.
-func encOffset(ents []dirEnt, i int) (at int) {
-	for _, before := range ents[:i] {
-		at += before.encLen()
-	}
-	return at
-}
-
 // sortedEntries returns the directory's entries in name order. A
 // directory whose Entries were not written through setEntry/delEntry
-// (decoded from a snapshot, or a test literal) has no kept order or
-// encoding yet, which the lengths show; both are built here, by one sort.
+// (decoded from a snapshot, or a test literal) has no kept order yet,
+// which the lengths show; it is built here, by one sort.
 func (d *Inode) sortedEntries() []dirEnt {
 	if len(d.ents) != len(d.Entries) {
-		d.ents, d.enc.ents = d.ents[:0], d.enc.ents[:0]
+		d.ents = d.ents[:0]
 		for name, ino := range d.Entries {
 			d.ents = append(d.ents, dirEnt{name, ino})
 		}
 		slices.SortFunc(d.ents, func(a, b dirEnt) int { return strings.Compare(a.name, b.name) })
-		for _, e := range d.ents {
-			d.enc.ents = e.appendTo(d.enc.ents)
-		}
 	}
 	return d.ents
 }
 
 // setEntry points name at ino. With delEntry it is the only writer of
-// Entries: both keep the name order and the encoded entries in step with
-// the map, by splicing the one entry in or out.
+// Entries: both keep the name order in step with the map, by splicing the
+// one entry in or out.
 func (d *Inode) setEntry(name string, ino uint64) {
 	d.delEntry(name) // leaves the kept order built
 	i, _ := searchEnts(d.ents, name)
-	e := dirEnt{name, ino}
-	at, n := encOffset(d.ents, i), e.encLen()
-	d.enc.ents = slices.Grow(d.enc.ents, n)[:len(d.enc.ents)+n]
-	copy(d.enc.ents[at+n:], d.enc.ents[at:])
-	e.appendTo(d.enc.ents[:at])
-	d.ents = slices.Insert(d.ents, i, e)
+	d.ents = slices.Insert(d.ents, i, dirEnt{name, ino})
 	d.Entries[name] = ino
 }
 
@@ -181,8 +158,6 @@ func (d *Inode) setEntry(name string, ino uint64) {
 func (d *Inode) delEntry(name string) {
 	ents := d.sortedEntries()
 	if i, found := searchEnts(ents, name); found {
-		at := encOffset(ents, i)
-		d.enc.ents = slices.Delete(d.enc.ents, at, at+ents[i].encLen())
 		d.ents = slices.Delete(ents, i, i+1)
 		delete(d.Entries, name)
 	}
@@ -200,10 +175,6 @@ type inodeEnc struct {
 	size    int64
 	nlink   int
 	mtimeNs int64
-
-	// The entries as the snapshot holds them, in name order (the count
-	// that precedes them is not kept).
-	ents []byte
 }
 
 // encode rebuilds elem for node.
@@ -238,7 +209,10 @@ func appendInode(dst []byte, node *Inode) []byte {
 	ents := node.sortedEntries()
 	dst = append(dst[:at+int(c.n)-1], 1)
 	dst = binary.AppendUvarint(dst, uint64(len(ents)))
-	return append(dst, c.ents...)
+	for _, e := range ents {
+		dst = e.appendTo(dst)
+	}
+	return dst
 }
 
 // appendState appends the snapshot encoding of st to dst.

@@ -7,7 +7,7 @@ import "fmt"
 func (m *Manager) Keys() []Key {
 	var out []Key
 	for _, obj := range m.Objects() {
-		for _, loc := range m.blocksInOrder(obj) {
+		for _, loc := range m.blocksInOrder(obj, nil) {
 			out = append(out, loc.key)
 		}
 	}

@@ -664,10 +664,8 @@ func (m *Manager) DeleteBlocksBefore(object uint64, end int64) error {
 
 // deleteBlocks drops the object's blocks with index in [first, last].
 func (m *Manager) deleteBlocks(object uint64, first, last int64) error {
-	for _, loc := range m.blocksInOrder(object) {
-		if loc.key.Block < first || loc.key.Block > last {
-			continue
-		}
+	inRange := func(loc *blockLoc) bool { return loc.key.Block >= first && loc.key.Block <= last }
+	for _, loc := range m.blocksInOrder(object, inRange) {
 		if err := m.dropBlock(loc); err != nil {
 			return err
 		}
@@ -679,7 +677,7 @@ func (m *Manager) deleteBlocks(object uint64, first, last int64) error {
 // reads the placement table only — no device is touched — so a mount can
 // ask what survived before paying to read any of it.
 func (m *Manager) Blocks(object uint64) []int64 {
-	locs := m.blocksInOrder(object)
+	locs := m.blocksInOrder(object, nil)
 	out := make([]int64, len(locs))
 	for i, loc := range locs {
 		out[i] = loc.key.Block
@@ -687,18 +685,21 @@ func (m *Manager) Blocks(object uint64) []int64 {
 	return out
 }
 
-// blocksInOrder returns an object's blocks sorted by block index. Bulk
-// operations (delete, fsync) must touch storage in a fixed order — Go's
-// randomized map iteration would otherwise reorder frees and migrations
-// between runs, making op traces and flash layout differ run to run.
-// The returned slice is the manager's scratch, valid until the next call
-// (slices.SortFunc with a static comparison allocates nothing; sort.Slice
-// would allocate its closure per call).
-func (m *Manager) blocksInOrder(object uint64) []*blockLoc {
-	blocks := m.byObject[object]
+// blocksInOrder returns those of an object's blocks that keep accepts
+// (all of them when keep is nil), sorted by block index. Bulk operations
+// (delete, fsync) must touch storage in a fixed order — Go's randomized
+// map iteration would otherwise reorder frees and migrations between
+// runs, making op traces and flash layout differ run to run. Filtering
+// before the sort means an operation on a few blocks of a large object
+// sorts only those. The returned slice is the manager's scratch, valid
+// until the next call (slices.SortFunc with a static comparison allocates
+// nothing; sort.Slice would allocate its closure per call).
+func (m *Manager) blocksInOrder(object uint64, keep func(*blockLoc) bool) []*blockLoc {
 	out := m.orderBlock[:0]
-	for _, loc := range blocks {
-		out = append(out, loc)
+	for _, loc := range m.byObject[object] {
+		if keep == nil || keep(loc) {
+			out = append(out, loc)
+		}
 	}
 	slices.SortFunc(out, func(a, b *blockLoc) int { return cmp.Compare(a.key.Block, b.key.Block) })
 	m.orderBlock = out
@@ -813,14 +814,16 @@ func (m *Manager) NextWriteBack() sim.Time {
 	return loc.dirtySince.Add(m.cfg.WriteBackDelay)
 }
 
-// SyncObject migrates the object's dirty blocks to flash — an fsync of
-// one file, used by the file system to checkpoint its metadata object.
+// SyncObject migrates the object's dirty blocks to flash in ascending
+// block index, whatever order they were dirtied in — an fsync of one
+// file, used by the file system to checkpoint its metadata object (its
+// crash argument rests on that order: fs/checkpoint.go). Only the
+// DRAM-resident blocks are collected and sorted: a checkpoint dirties one
+// or two blocks of an object that may hold hundreds.
 func (m *Manager) SyncObject(object uint64) error {
-	for _, loc := range m.blocksInOrder(object) {
-		if loc.inDRAM() {
-			if err := m.migrateToFlash(loc); err != nil {
-				return err
-			}
+	for _, loc := range m.blocksInOrder(object, (*blockLoc).inDRAM) {
+		if err := m.migrateToFlash(loc); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -837,7 +840,7 @@ func (m *Manager) PowerFailRecover() (lostBytes int64) {
 	// the same every run, whatever order the maps yield.
 	var gone []*blockLoc
 	for _, obj := range m.Objects() {
-		for _, loc := range m.blocksInOrder(obj) {
+		for _, loc := range m.blocksInOrder(obj, nil) {
 			if !loc.inDRAM() {
 				// Flash-resident: the persisted version is all that survives.
 				// An unflushed truncation (size < flashSize) reverts.

@@ -3,11 +3,13 @@ package storman
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/dram"
+	"ssmobile/internal/engine"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
@@ -517,6 +519,53 @@ func TestSyncObjectFlushesOnlyThatObject(t *testing.T) {
 	}
 	if !r.m.InDRAM(Key{2, 0}) {
 		t.Fatal("unrelated object was flushed")
+	}
+}
+
+// writeLog is an engine that records the key of every page the manager
+// writes, in order.
+type writeLog struct {
+	engine.Engine
+	keys []Key
+}
+
+func (w *writeLog) WritePageTagged(lpn int64, data []byte, tag engine.Tag) error {
+	key, _ := decodeTag(tag)
+	w.keys = append(w.keys, key)
+	return w.Engine.WritePageTagged(lpn, data, tag)
+}
+
+// TestSyncObjectMigratesInIndexOrder pins SyncObject's order and scope as
+// the engine sees them: the object's DRAM blocks in ascending index,
+// whatever order they were dirtied in, and nothing else — not its
+// flash-resident block, not another object's dirty one.
+func TestSyncObjectMigratesInIndexOrder(t *testing.T) {
+	r := newRig(t, 1<<20, 0)
+	log := &writeLog{Engine: r.fl}
+	m, err := New(r.m.Config(), r.clock, r.dram, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(key Key) {
+		t.Helper()
+		if err := m.WriteBlockAt(key, 0, blockOf(byte(key.Block), 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(Key{1, 2})
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range []int64{5, 1, 3} {
+		write(Key{1, blk})
+	}
+	write(Key{2, 0})
+	log.keys = nil
+	if err := m.SyncObject(1); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Key{{1, 1}, {1, 3}, {1, 5}}; !slices.Equal(log.keys, want) {
+		t.Fatalf("SyncObject(1) wrote %v; want %v", log.keys, want)
 	}
 }
 

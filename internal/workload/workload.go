@@ -191,11 +191,22 @@ func (op Op) Payload(buf []byte) []byte {
 		buf = make([]byte, op.Size)
 	}
 	buf = buf[:op.Size]
-	seed := byte(op.Key*131 + uint64(op.Client)*31 + uint64(op.Seq))
-	for i := range buf {
+	Ramp(buf, byte(op.Key*131+uint64(op.Client)*31+uint64(op.Seq)))
+	return buf
+}
+
+// Ramp fills buf with seed, seed+1, seed+2, … wrapping at 256: the
+// deterministic payload every write body is, cheap to make and with mixed
+// bits for flash programs to see. It writes one period byte by byte and
+// then doubles the filled prefix with copy.
+func Ramp(buf []byte, seed byte) {
+	n := min(len(buf), 256)
+	for i := range buf[:n] {
 		buf[i] = seed + byte(i)
 	}
-	return buf
+	for n < len(buf) {
+		n += copy(buf[n:], buf[:n])
+	}
 }
 
 // Client generates one client's request stream. Not safe for concurrent

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"runtime"
@@ -169,6 +170,24 @@ func TestMixIndependentOfAddresses(t *testing.T) {
 		}
 		if sa[i].Offset != sb[i].Offset {
 			t.Fatalf("op %d: offset diverged when only the mix changed", i)
+		}
+	}
+}
+
+// TestRampMatchesByteLoop holds Ramp to the byte-at-a-time fill it
+// replaced, across every length that crosses the first period and its
+// doublings.
+func TestRampMatchesByteLoop(t *testing.T) {
+	for _, seed := range []byte{0, 1, 255} {
+		for n := 0; n <= 1100; n++ {
+			got, want := make([]byte, n), make([]byte, n)
+			Ramp(got, seed)
+			for i := range want {
+				want[i] = seed + byte(i)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: Ramp differs from the byte loop", seed, n)
+			}
 		}
 	}
 }
