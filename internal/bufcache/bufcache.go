@@ -47,16 +47,6 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// Stats aggregates cache counters.
-type Stats struct {
-	Hits, Misses  int64
-	ReadBlocks    int64
-	WrittenBlocks int64 // blocks the host wrote
-	FlushedBlocks int64 // blocks written to the backing device
-	WriteThroughs int64
-	Evictions     int64
-}
-
 type centry struct {
 	bn         int64
 	slot       int
@@ -318,18 +308,5 @@ func (c *Cache) Invalidate(bn int64) {
 		c.lru.Remove(e.lruElem)
 		delete(c.entries, bn)
 		c.freeSlots = append(c.freeSlots, e.slot)
-	}
-}
-
-// Stats summarises cache counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:          c.hits.Value(),
-		Misses:        c.misses.Value(),
-		ReadBlocks:    c.readBlocks.Value(),
-		WrittenBlocks: c.writtenBlocks.Value(),
-		FlushedBlocks: c.flushedBlocks.Value(),
-		WriteThroughs: c.writeThroughs.Value(),
-		Evictions:     c.evictions.Value(),
 	}
 }

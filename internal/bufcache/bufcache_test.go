@@ -42,6 +42,16 @@ func newRig(t *testing.T, cacheBytes int64, delay sim.Duration) *rig {
 
 func blockOf(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
 
+// onDisk reads the byte at addr from the drive itself, past the cache.
+func (r *rig) onDisk(t *testing.T, addr int64) byte {
+	t.Helper()
+	var b [1]byte
+	if _, err := r.disk.Read(addr, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	return b[0]
+}
+
 func TestValidation(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	if _, err := New(Config{BlockBytes: 0}, r.clock, r.dram, r.disk); err == nil {
@@ -65,13 +75,13 @@ func TestWriteReadThroughCache(t *testing.T) {
 		t.Fatal("read wrong data")
 	}
 	// Dirty data has not reached the disk yet.
-	if r.disk.Peek(5*4096) == 0xAB {
+	if r.onDisk(t, 5*4096) == 0xAB {
 		t.Fatal("write-back cache wrote through")
 	}
 	if err := r.cache.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if r.disk.Peek(5*4096) != 0xAB {
+	if r.onDisk(t, 5*4096) != 0xAB {
 		t.Fatal("sync did not reach disk")
 	}
 }
@@ -81,10 +91,10 @@ func TestWriteThrough(t *testing.T) {
 	if err := r.cache.WriteBlockThrough(3, blockOf(0x77)); err != nil {
 		t.Fatal(err)
 	}
-	if r.disk.Peek(3*4096) != 0x77 {
+	if r.onDisk(t, 3*4096) != 0x77 {
 		t.Fatal("write-through did not reach disk")
 	}
-	if r.cache.Stats().WriteThroughs != 1 {
+	if r.cache.writeThroughs.Value() != 1 {
 		t.Fatal("write-through not counted")
 	}
 }
@@ -103,9 +113,8 @@ func TestHitAvoidsDisk(t *testing.T) {
 	if hitLat > sim.Millisecond {
 		t.Fatalf("cache hit took %v; should be DRAM speed", hitLat)
 	}
-	s := r.cache.Stats()
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats %+v", s)
+	if hits, misses := r.cache.hits.Value(), r.cache.misses.Value(); hits != 1 || misses != 1 {
+		t.Fatalf("%d hits, %d misses", hits, misses)
 	}
 }
 
@@ -121,10 +130,10 @@ func TestEvictionWritesDirtyBack(t *testing.T) {
 	if err := r.cache.WriteBlock(2, blockOf(3)); err != nil { // evicts block 0
 		t.Fatal(err)
 	}
-	if r.disk.Peek(0) != 1 {
+	if r.onDisk(t, 0) != 1 {
 		t.Fatal("evicted dirty block not written back")
 	}
-	if r.cache.Stats().Evictions != 1 {
+	if r.cache.evictions.Value() != 1 {
 		t.Fatal("eviction not counted")
 	}
 	// All three blocks still correct.
@@ -147,14 +156,14 @@ func TestTickFlushesAged(t *testing.T) {
 	if err := r.cache.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if r.disk.Peek(7*4096) == 9 {
+	if r.onDisk(t, 7*4096) == 9 {
 		t.Fatal("young block flushed early")
 	}
 	r.clock.Advance(31 * sim.Second)
 	if err := r.cache.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if r.disk.Peek(7*4096) != 9 {
+	if r.onDisk(t, 7*4096) != 9 {
 		t.Fatal("aged block not flushed")
 	}
 }
@@ -286,7 +295,7 @@ func TestInvalidateDropsWithoutFlush(t *testing.T) {
 	if err := r.cache.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if r.disk.Peek(4*4096) == 0xEE {
+	if r.onDisk(t, 4*4096) == 0xEE {
 		t.Fatal("invalidated block reached disk")
 	}
 }

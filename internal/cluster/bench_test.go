@@ -24,7 +24,7 @@ const benchKeys = 63
 // 1-put-per-3-gets stream of 4 KB transfers, 20 virtual ms apart.
 func benchCluster(b *testing.B) (*cluster.Cluster, func(i int)) {
 	b.Helper()
-	cl, _ := newObservedCluster(b, 3, cluster.Config{Replicas: 1})
+	cl, _ := newObservedCluster(b, 3, cluster.Config{})
 	sess, err := cl.OpenSession("bench")
 	if err != nil {
 		b.Fatal(err)

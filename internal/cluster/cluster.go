@@ -87,9 +87,6 @@ type Node struct {
 
 // Config parameterises the router.
 type Config struct {
-	// Replicas is the number of extra copies beyond the primary
-	// (default 1, capped at nodes-1; 0 on a single-node cluster).
-	Replicas int
 	// RebalanceMargin is the free-block margin below which a node is
 	// cordoned and its keys migrated away (default 0.04); a cordoned node
 	// is re-admitted for new placements at uncordonFactor times it.
@@ -107,6 +104,9 @@ type Config struct {
 }
 
 const (
+	// replicas is the number of extra copies beyond the primary, capped
+	// at nodes-1 (none on a single-node cluster; see copies).
+	replicas = 1
 	// virtualPoints is the number of ring points each node projects.
 	virtualPoints = 16
 	// uncordonFactor sets the margin a cordoned node must recover to, as
@@ -124,13 +124,7 @@ const (
 	rebalanceCheckEvery = 64
 )
 
-func (c Config) withDefaults(nodes int) Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	if c.Replicas > nodes-1 {
-		c.Replicas = nodes - 1
-	}
+func (c Config) withDefaults() Config {
 	if c.RebalanceMargin <= 0 {
 		c.RebalanceMargin = 0.04
 	}
@@ -236,7 +230,7 @@ func New(nodes []*Node, cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	cfg = cfg.withDefaults(len(nodes))
+	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:      cfg,
 		nodes:    nodes,
@@ -250,9 +244,6 @@ func New(nodes []*Node, cfg Config) (*Cluster, error) {
 	c.initObservability()
 	return c, nil
 }
-
-// Nodes reports the node list (for CLIs and tests).
-func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Session routes one tenant's requests. Obtain via OpenSession; safe
 // for concurrent use (requests serialise on the cluster mutex).
@@ -642,7 +633,7 @@ func (c *Cluster) noteWrite(tenant string, applied, missed []int, req server.Req
 	case server.OpTruncate:
 		e.size = req.Size
 	}
-	if len(e.holders) < c.cfg.Replicas+1 || len(e.stale) > 0 {
+	if len(e.holders) < c.copies() || len(e.stale) > 0 {
 		c.degraded = true
 	}
 }
@@ -888,7 +879,7 @@ func (c *Cluster) RestartNode(i int) error {
 // periodic sweep knows to come back. Caller holds c.mu.
 func (c *Cluster) heal() (healed, remaining int) {
 	now := c.maxClock()
-	want := c.cfg.Replicas + 1
+	want := c.copies()
 	tenants := make([]string, 0, len(c.dir))
 	for tn := range c.dir {
 		tenants = append(tenants, tn)
@@ -953,13 +944,6 @@ func (c *Cluster) maxClock() sim.Time {
 		}
 	}
 	return t
-}
-
-// Cordoned reports whether node i is cordoned off from new placements.
-func (c *Cluster) Cordoned(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cordoned[i]
 }
 
 // Stats reports the aggregate request accounting behind the Service

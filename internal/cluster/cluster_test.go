@@ -63,7 +63,7 @@ func payloadFor(key uint64, version byte) []byte {
 // card; and the restart heal sweep returns every key to the target copy
 // count.
 func TestReplicaConsistencyAcrossKillRestart(t *testing.T) {
-	cl := newTestCluster(t, 3, cluster.Config{Replicas: 1})
+	cl := newTestCluster(t, 3, cluster.Config{})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestReplicaConsistencyAcrossKillRestart(t *testing.T) {
 // could be routed to the recovered node — which still held the synced
 // pre-delete object — serving a deleted key as a successful read.
 func TestDeleteWhileHolderDownIsNotResurrected(t *testing.T) {
-	cl := newTestCluster(t, 3, cluster.Config{Replicas: 1})
+	cl := newTestCluster(t, 3, cluster.Config{})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestDeleteWhileHolderDownIsNotResurrected(t *testing.T) {
 // the heal ran solely from RestartNode, so durability silently degraded
 // for as long as the node stayed away.
 func TestUnderReplicatedKeysHealWithoutRestart(t *testing.T) {
-	cl := newTestCluster(t, 3, cluster.Config{Replicas: 1})
+	cl := newTestCluster(t, 3, cluster.Config{})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestUnderReplicatedKeysHealWithoutRestart(t *testing.T) {
 // replication off, killing a node makes its keys unavailable rather than
 // silently wrong.
 func TestKillWithoutReplicasLosesAvailability(t *testing.T) {
-	// Replicas is clamped to nodes-1, so a 1-node "cluster" has none.
+	// Replicas are capped at nodes-1, so a 1-node "cluster" has none.
 	cl := newTestCluster(t, 1, cluster.Config{})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
@@ -306,7 +306,7 @@ func TestKillWithoutReplicasLosesAvailability(t *testing.T) {
 // directory never learns one; heal after a kill/restart copies the
 // object's real bytes. Driven over loopback TCP with a client deadline.
 func TestOversizedExtentNeverReachesTheDirectory(t *testing.T) {
-	cl := newTestCluster(t, 3, cluster.Config{Replicas: 1})
+	cl := newTestCluster(t, 3, cluster.Config{})
 	tcp := server.NewTCP(cl)
 	if err := tcp.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

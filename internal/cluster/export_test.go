@@ -19,6 +19,16 @@ func (c *Cluster) SweepHealth(arrival sim.Time) {
 	c.checkHealth(arrival)
 }
 
+// Nodes reports the node list.
+func (c *Cluster) Nodes() []*Node { return c.nodes }
+
+// Cordoned reports whether node i is cordoned off from new placements.
+func (c *Cluster) Cordoned(i int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cordoned[i]
+}
+
 // NodeDown reports whether node i is marked down.
 func (c *Cluster) NodeDown(i int) bool {
 	c.mu.Lock()

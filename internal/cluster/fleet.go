@@ -29,7 +29,7 @@ import (
 // cannot re-enter the cluster mutex. Caller holds c.mu.
 func (c *Cluster) refreshFleetGauges() {
 	var under, tomb, stale int64
-	want := c.cfg.Replicas + 1
+	want := c.copies()
 	for _, m := range c.dir {
 		for _, e := range m {
 			if e.deleted {

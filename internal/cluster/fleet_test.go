@@ -46,7 +46,7 @@ func countEvents(l *obs.EventLog, typ string) (n int, keys int) {
 // account of what happened, not a sampling of it. Runs under -race in CI
 // to also exercise the journal's locking.
 func TestEventJournalMatchesClusterStats(t *testing.T) {
-	cl, base := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
+	cl, base := newObservedCluster(t, 3, cluster.Config{})
 	el := base.EventLog()
 	sess, err := cl.OpenSession("t")
 	if err != nil {
@@ -141,7 +141,7 @@ func TestEventJournalMatchesClusterStats(t *testing.T) {
 // state and health report, and aggregate the directory gauges — the same
 // path /debug/fleet and `ssmtrace fleet` share.
 func TestFleetRollup(t *testing.T) {
-	cl, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
+	cl, _ := newObservedCluster(t, 3, cluster.Config{})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ func TestHealthSweepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	cl, _ := newObservedCluster(t, 3, cluster.Config{Replicas: 1})
+	cl, _ := newObservedCluster(t, 3, cluster.Config{})
 	sess, err := cl.OpenSession("t")
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func (c *Cluster) initObservability() {
 	c.migratedKeys = c.obs.Counter("cluster_migrated_keys_total", lbl)
 	c.healedKeys = c.obs.Counter("cluster_healed_keys_total", lbl)
 	c.readFailovers = c.obs.Counter("cluster_read_failovers_total", lbl)
-	ranks := c.cfg.Replicas + 1
+	ranks := c.copies()
 	c.repLat = make([]*obs.Histogram, ranks)
 	for r := 0; r < ranks; r++ {
 		role := "replica"

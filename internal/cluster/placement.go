@@ -109,13 +109,17 @@ func (c *Cluster) walkRing(tenant string, key uint64, visit func(node int) bool)
 	}
 }
 
+// copies is how many nodes hold each key: the primary and up to
+// replicas more, as many as the other nodes allow.
+func (c *Cluster) copies() int { return min(replicas, len(c.nodes)-1) + 1 }
+
 // ringPlace computes the default holder set for a key: primary plus
-// cfg.Replicas distinct replicas, preferring nodes that are neither
+// distinct replicas up to copies, preferring nodes that are neither
 // down nor cordoned. If the healthy pool is too small the walk relaxes
 // to cordoned (then down) nodes rather than returning nothing — a
 // degraded placement beats an unplaceable key.
 func (c *Cluster) ringPlace(tenant string, key uint64) []int {
-	want := c.cfg.Replicas + 1
+	want := c.copies()
 	holders := make([]int, 0, want)
 	taken := make([]bool, len(c.nodes))
 	pass := func(ok func(node int) bool) {

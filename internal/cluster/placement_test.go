@@ -4,8 +4,8 @@ import "testing"
 
 // testCluster builds a bare router shell — ring and health flags only —
 // for exercising placement without node stacks.
-func testCluster(names []string, replicas int) *Cluster {
-	cfg := Config{Replicas: replicas}.withDefaults(len(names))
+func testCluster(names []string) *Cluster {
+	cfg := Config{}.withDefaults()
 	return &Cluster{
 		cfg:      cfg,
 		nodes:    make([]*Node, len(names)),
@@ -33,7 +33,7 @@ func TestRingIsDeterministic(t *testing.T) {
 // ringPlace returns primary + replicas on distinct nodes, and every node
 // gets a reasonable share of primaries (virtual points spread the load).
 func TestRingPlaceDistinctAndSpread(t *testing.T) {
-	c := testCluster([]string{"n0", "n1", "n2", "n3"}, 1)
+	c := testCluster([]string{"n0", "n1", "n2", "n3"})
 	primaries := make([]int, 4)
 	for key := uint64(0); key < 400; key++ {
 		h := c.ringPlace("tenant", key)
@@ -56,7 +56,7 @@ func TestRingPlaceDistinctAndSpread(t *testing.T) {
 // healthy node can take them; with nothing healthy left the walk relaxes
 // rather than leaving the key unplaceable.
 func TestRingPlaceAvoidsUnhealthy(t *testing.T) {
-	c := testCluster([]string{"n0", "n1", "n2"}, 1)
+	c := testCluster([]string{"n0", "n1", "n2"})
 	c.down[0] = true
 	c.cordoned[1] = true
 	for key := uint64(0); key < 50; key++ {
@@ -74,7 +74,7 @@ func TestRingPlaceAvoidsUnhealthy(t *testing.T) {
 
 // ringReplacement skips holders and unhealthy nodes.
 func TestRingReplacement(t *testing.T) {
-	c := testCluster([]string{"n0", "n1", "n2", "n3"}, 1)
+	c := testCluster([]string{"n0", "n1", "n2", "n3"})
 	for key := uint64(0); key < 50; key++ {
 		holders := c.ringPlace("t", key)
 		repl := c.ringReplacement("t", key, holders)

@@ -28,9 +28,6 @@ func AttachBattery(sys *SolidStateSystem, pack *dram.Pack) *BatteryMonitor {
 	return &BatteryMonitor{sys: sys, pack: pack, lastDrained: sys.Meter().Total()}
 }
 
-// Pack exposes the monitored pack.
-func (m *BatteryMonitor) Pack() *dram.Pack { return m.pack }
-
 // Tick settles idle power, drains the pack by the consumption since the
 // last call, and performs the emergency flush when the primary empties.
 // It returns dram.ErrBatteryDead once both batteries are exhausted (the

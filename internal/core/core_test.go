@@ -26,9 +26,8 @@ func testSolidConfig() SolidStateConfig {
 
 func testDiskConfig() DiskConfig {
 	return DiskConfig{
-		DRAMBytes:  8 << 20,
-		DiskBytes:  32 << 20,
-		CacheBytes: 2 << 20,
+		DRAMBytes: 8 << 20,
+		DiskBytes: 32 << 20,
 	}
 }
 
@@ -52,8 +51,8 @@ func newDiskSys(t testing.TB) *DiskSystem {
 
 func TestSolidStateDefaults(t *testing.T) {
 	s := newSolid(t)
-	if cfg := s.Engine.(*ftl.FTL).Config(); cfg.Policy != ftl.PolicyCostBenefit || !cfg.HotCold {
-		t.Fatal("defaults should enable cost-benefit + hot/cold")
+	if _, ok := s.Engine.(*ftl.FTL); !ok || !s.Engine.PersistsMapping() {
+		t.Fatal("the default stack should run ftl with a persisted mapping")
 	}
 	if s.Flash.Banks() != 4 {
 		t.Fatalf("banks %d", s.Flash.Banks())

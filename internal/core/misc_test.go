@@ -87,7 +87,7 @@ func TestBatteryMonitorPackAccessor(t *testing.T) {
 	sys := newSolid(t)
 	pack := dram.NewPack(10, 0.5)
 	mon := AttachBattery(sys, pack)
-	if mon.Pack() != pack {
+	if mon.pack != pack {
 		t.Fatal("Pack accessor wrong")
 	}
 	if mon.emergencyDone {

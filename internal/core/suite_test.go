@@ -91,7 +91,7 @@ func (r *suiteRun) execute() {
 	r.tables, r.err = runTables(IDs(), r.key.seed, NewEnv(o, r.key.par))
 	r.took = time.Since(start)
 	if r.key.traced {
-		r.spans = o.Tracer.Total()
+		r.spans = int64(len(o.Tracer.Spans())) + o.Tracer.Dropped()
 	}
 }
 

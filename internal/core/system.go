@@ -61,9 +61,6 @@ type SolidStateConfig struct {
 	Banks int
 	// EraseBlockBytes is the flash erase-block size (default 64KB).
 	EraseBlockBytes int
-	// BlockBytes is the FS/storage-manager block and engine page size
-	// (default 4KB).
-	BlockBytes int
 	// Engine selects the storage backend under the storage manager, one
 	// of backends.Names: "ftl" (default, the flash translation layer) or
 	// "pdl" (the page-differential log, which persists only the diff of
@@ -100,15 +97,17 @@ type SolidStateConfig struct {
 // stay stable.
 const codeCardBytes = 4 << 20
 
+// fsBlockBytes is the file-system block of both organisations; on the
+// solid-state one it is also the storage manager's block and the
+// engine's page.
+const fsBlockBytes = 4096
+
 func (c *SolidStateConfig) applyDefaults() {
 	if c.Banks == 0 {
 		c.Banks = 4
 	}
 	if c.EraseBlockBytes == 0 {
 		c.EraseBlockBytes = 64 * 1024
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 4096
 	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = c.DRAMBytes / 4
@@ -176,7 +175,7 @@ func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 		Params:        flashParams,
 		// Spare area for the engine's per-page records, so the mapping
 		// survives power loss and remounts by device scan.
-		SpareUnitBytes: cfg.BlockBytes,
+		SpareUnitBytes: fsBlockBytes,
 		SpareBytes:     blocks.PageRecordBytes,
 		Obs:            o,
 	}, clock, meter)
@@ -220,7 +219,7 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 	}
 	var err error
 	s.Engine, err = backends.Open(cfg.Engine, remount, s.Flash, s.clock, backends.Config{
-		PageBytes:          cfg.BlockBytes,
+		PageBytes:          fsBlockBytes,
 		IdleCleanThreshold: cfg.IdleCleanBlocks,
 		Obs:                cfg.Obs,
 	})
@@ -228,7 +227,7 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 		return err
 	}
 	s.Storage, err = newStorman(storman.Config{
-		BlockBytes:     cfg.BlockBytes,
+		BlockBytes:     fsBlockBytes,
 		DRAMBase:       cfg.RBoxBytes,
 		DRAMBytes:      cfg.BufferBytes,
 		WriteBackDelay: cfg.WriteBackDelay,
@@ -252,7 +251,7 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 	}
 	frameBase := cfg.RBoxBytes + cfg.BufferBytes
 	s.VM, err = vm.New(vm.Config{
-		PageBytes: cfg.BlockBytes,
+		PageBytes: fsBlockBytes,
 		DRAMBase:  frameBase,
 		DRAMBytes: cfg.DRAMBytes - frameBase,
 		Obs:       cfg.Obs,
@@ -390,51 +389,24 @@ func (s *SolidStateSystem) Name() string {
 
 // DiskConfig sizes the conventional organisation.
 type DiskConfig struct {
-	// DRAMBytes is main memory; all of it beyond the FS's in-core state
-	// serves as the buffer cache.
+	// DRAMBytes is main memory; a quarter of it is the buffer cache.
 	DRAMBytes int64
 	// DiskBytes is the drive size.
 	DiskBytes int64
-	// BlockBytes is the FS block size (default 4KB).
-	BlockBytes int
-	// CacheBytes is the buffer-cache size (default: a quarter of DRAM,
-	// the classic rule of thumb).
-	CacheBytes int64
-	// WriteBackDelay is the delayed-write age (default 30s).
-	WriteBackDelay sim.Duration
-	// SpindownTimeout powers the drive down when idle (default 10s;
-	// negative disables).
-	SpindownTimeout sim.Duration
-	// InodeBlocks sizes the on-disk inode table (default 512 blocks =
-	// 16k inodes at 4KB blocks).
-	InodeBlocks int64
-	// DiskParams overrides the drive model (default KittyHawk).
-	DiskParams *device.Params
 	// Obs receives every layer's metrics and op spans; nil falls back to
 	// obs.Default().
 	Obs *obs.Observer
 }
 
-func (c *DiskConfig) applyDefaults() {
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 4096
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = c.DRAMBytes / 4
-	}
-	if c.WriteBackDelay == 0 {
-		c.WriteBackDelay = 30 * sim.Second
-	}
-	if c.SpindownTimeout == 0 {
-		c.SpindownTimeout = 10 * sim.Second
-	}
-	if c.SpindownTimeout < 0 {
-		c.SpindownTimeout = 0
-	}
-	if c.InodeBlocks == 0 {
-		c.InodeBlocks = 512
-	}
-}
+// The disk organisation's drive and cache settings, the same in every
+// configuration: a KittyHawk drive that spins down after 10 s idle, a
+// buffer cache of a quarter of DRAM (the classic rule of thumb) that
+// writes back after 30 s, and an inode table of 512 blocks (16k inodes).
+const (
+	diskWriteBackDelay = 30 * sim.Second
+	diskSpindown       = 10 * sim.Second
+	diskInodeBlocks    = 512
+)
 
 // DiskSystem is the conventional organisation: disk + buffer cache +
 // FFS-like file system.
@@ -451,7 +423,6 @@ type DiskSystem struct {
 
 // NewDisk builds the conventional stack.
 func NewDisk(cfg DiskConfig) (*DiskSystem, error) {
-	cfg.applyDefaults()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
 	o := obs.Or(cfg.Obs)
@@ -462,30 +433,26 @@ func NewDisk(cfg DiskConfig) (*DiskSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	diskParams := device.KittyHawk
-	if cfg.DiskParams != nil {
-		diskParams = *cfg.DiskParams
-	}
 	dk, err := disk.New(disk.Config{
 		CapacityBytes:   cfg.DiskBytes,
-		Params:          diskParams,
-		SpindownTimeout: cfg.SpindownTimeout,
+		Params:          device.KittyHawk,
+		SpindownTimeout: diskSpindown,
 		Obs:             o,
 	}, clock, meter)
 	if err != nil {
 		return nil, err
 	}
 	cache, err := bufcache.New(bufcache.Config{
-		BlockBytes:     cfg.BlockBytes,
+		BlockBytes:     fsBlockBytes,
 		DRAMBase:       0,
-		DRAMBytes:      cfg.CacheBytes,
-		WriteBackDelay: cfg.WriteBackDelay,
+		DRAMBytes:      cfg.DRAMBytes / 4,
+		WriteBackDelay: diskWriteBackDelay,
 		Obs:            o,
 	}, clock, dr, dk)
 	if err != nil {
 		return nil, err
 	}
-	f, err := diskfs.New(diskfs.Config{InodeBlocks: cfg.InodeBlocks}, cache)
+	f, err := diskfs.New(diskfs.Config{InodeBlocks: diskInodeBlocks}, cache)
 	if err != nil {
 		return nil, err
 	}

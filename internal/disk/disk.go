@@ -244,9 +244,6 @@ func (d *Device) Write(addr int64, p []byte) (sim.Duration, error) {
 	return lat, nil
 }
 
-// Peek returns the byte at addr without mechanical simulation.
-func (d *Device) Peek(addr int64) byte { return d.data[addr] }
-
 // ChargeIdle settles idle/sleep power up to the present.
 func (d *Device) ChargeIdle() { d.settlePower(d.clock.Now()) }
 

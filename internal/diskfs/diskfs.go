@@ -108,12 +108,6 @@ func New(cfg Config, cache *bufcache.Cache) (*FS, error) {
 	return f, nil
 }
 
-// BlockBytes reports the block size.
-func (f *FS) BlockBytes() int { return int(f.bs) }
-
-// FreeBlocks reports the free data blocks.
-func (f *FS) FreeBlocks() int { return len(f.freeBlks) }
-
 func (f *FS) ptrsPerBlock() int64 { return f.bs / 8 }
 
 func (f *FS) maxFileBlocks() int64 {
@@ -314,21 +308,6 @@ func (f *FS) Create(name string) error {
 	f.inodes[ino] = nd
 	f.names[name] = ino
 	return f.writeInodeSync(nd)
-}
-
-// Exists reports whether the file exists.
-func (f *FS) Exists(name string) bool {
-	_, ok := f.names[name]
-	return ok
-}
-
-// Size reports the file's size.
-func (f *FS) Size(name string) (int64, error) {
-	nd, err := f.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	return nd.size, nil
 }
 
 func (f *FS) lookup(name string) (*inode, error) {

@@ -114,9 +114,6 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 // Capacity reports the array size in bytes.
 func (d *Device) Capacity() int64 { return d.cfg.CapacityBytes }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Meter returns the energy meter the device charges, so layers above can
 // attribute span energy without threading the meter separately.
 func (d *Device) Meter() *sim.EnergyMeter { return d.meter }
@@ -195,9 +192,6 @@ func (d *Device) Write(addr int64, p []byte) (sim.Duration, error) {
 	d.bytesWritten.Add(int64(len(p)))
 	return dur, nil
 }
-
-// Peek returns the byte at addr without charging latency.
-func (d *Device) Peek(addr int64) byte { return d.data[addr] }
 
 // Lost reports whether the contents are currently lost to a power failure.
 func (d *Device) Lost() bool { return d.lost }

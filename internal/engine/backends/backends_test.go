@@ -2,13 +2,16 @@ package backends
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ssmobile/internal/device"
 	"ssmobile/internal/engine"
 	"ssmobile/internal/engine/blocks"
+	"ssmobile/internal/engine/pdl"
 	"ssmobile/internal/flash"
+	"ssmobile/internal/ftl"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
@@ -41,8 +44,8 @@ func TestOpenThenMountReadsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.Name() != name {
-				t.Fatalf("Open(%q) built %q", name, e.Name())
+			if got := built(e); got != name {
+				t.Fatalf("Open(%q) built %q", name, got)
 			}
 			page := bytes.Repeat([]byte{0x5A}, testPage)
 			var tag engine.Tag
@@ -75,9 +78,20 @@ func TestEmptyNameOpensDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Name() != Names[0] {
-		t.Fatalf(`Open("") built %q, want %q`, e.Name(), Names[0])
+	if got := built(e); got != Names[0] {
+		t.Fatalf(`Open("") built %q, want %q`, got, Names[0])
 	}
+}
+
+// built names the engine e's concrete type is.
+func built(e engine.Engine) string {
+	switch e.(type) {
+	case *ftl.FTL:
+		return "ftl"
+	case *pdl.Engine:
+		return "pdl"
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 func TestUnknownNameListsEveryEngine(t *testing.T) {

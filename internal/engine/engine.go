@@ -79,8 +79,6 @@ const ReadRunPages = 64
 //     write_amplification overall and per obs.Cause), so two backends
 //     report into the same dashboards without colliding.
 type Engine interface {
-	// Name identifies the backend ("ftl", "pdl") in tables and labels.
-	Name() string
 	// PageBytes reports the mapping granularity.
 	PageBytes() int
 	// LogicalPages reports the host-visible capacity in pages; it can
@@ -102,11 +100,6 @@ type Engine interface {
 	ReadPages(lpns []int64, buf []byte) error
 	// TrimPage drops the page so its space can be reclaimed uncopied.
 	TrimPage(lpn int64) error
-	// Sync makes any engine-buffered state durable. Both current
-	// backends program synchronously, so this is a no-op today; the
-	// write buffer above calls it on group commit so a future
-	// write-behind backend slots in without storman changes.
-	Sync() error
 
 	// Mapped reports whether the logical page currently holds data.
 	Mapped(lpn int64) bool

@@ -222,12 +222,6 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Name identifies the backend.
-func (e *Engine) Name() string { return "pdl" }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // PageBytes reports the mapping granularity.
 func (e *Engine) PageBytes() int { return e.cfg.PageBytes }
 
@@ -247,9 +241,6 @@ func (e *Engine) PersistsMapping() bool { return true }
 // DiffsOverwrites is always true: an overwrite of a mapped page appends a
 // delta of the changed range to the page's chain.
 func (e *Engine) DiffsOverwrites() bool { return true }
-
-// Sync is a no-op: every write is durable on return.
-func (e *Engine) Sync() error { return nil }
 
 // MountStats reports what the Mount scan found; zero for an engine
 // built with New.

@@ -502,9 +502,6 @@ func (d *Device) SpareUnits() int64 {
 	return d.Capacity() / int64(d.cfg.SpareUnitBytes)
 }
 
-// SpareBytes reports the spare size per unit.
-func (d *Device) SpareBytes() int { return d.cfg.SpareBytes }
-
 func (d *Device) checkSpare(unit int64) error {
 	if d.cfg.SpareBytes == 0 {
 		return fmt.Errorf("flash: device has no spare area")

@@ -252,9 +252,6 @@ func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Dev
 // BlockBytes reports the file system block size.
 func (f *FS) BlockBytes() int { return f.sm.BlockBytes() }
 
-// Manager exposes the underlying storage manager (for experiments).
-func (f *FS) Manager() *storman.Manager { return f.sm }
-
 // walkErrKind classifies a path-walk failure without formatting an error,
 // so probe callers (Exists, Lookup) pay nothing on the miss path; resolve
 // formats the kind into the public error values.
@@ -691,16 +688,8 @@ func (f *FS) WriteFile(path string, data []byte) error {
 	return err
 }
 
-// Truncate sets the file's size, dropping blocks past the new end.
-func (f *FS) Truncate(path string, size int64) error {
-	node, err := f.resolveFile(path)
-	if err != nil {
-		return err
-	}
-	return f.TruncateInode(node, size)
-}
-
-// TruncateInode is Truncate on a file Lookup returned.
+// TruncateInode sets the size of a file Lookup returned, dropping blocks
+// past the new end.
 func (f *FS) TruncateInode(node *Inode, size int64) error {
 	if err := checkFile(node); err != nil {
 		return err

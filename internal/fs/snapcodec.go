@@ -225,8 +225,6 @@ func appendState(dst []byte, st snapshotState) []byte {
 	return dst
 }
 
-func encodeState(st snapshotState) []byte { return appendState(nil, st) }
-
 // snapReader consumes a snapshot encoding. The first fault sticks: every
 // read after it returns zero and leaves err as it was.
 type snapReader struct {

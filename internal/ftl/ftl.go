@@ -242,9 +242,6 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	return f, nil
 }
 
-// Config returns the layer configuration.
-func (f *FTL) Config() Config { return f.cfg }
-
 // PageBytes reports the mapping granularity.
 func (f *FTL) PageBytes() int { return f.cfg.PageBytes }
 
@@ -826,12 +823,6 @@ func (f *FTL) RetiredBlocks() int { return f.pool.Retired() }
 // CleanerLag reports how many blocks the cleaner is behind its
 // free-space target (see blocks.Pool.CleanerLag).
 func (f *FTL) CleanerLag() int { return f.pool.CleanerLag() }
-
-// Name identifies the backend.
-func (f *FTL) Name() string { return "ftl" }
-
-// Sync is a no-op: the FTL programs every page synchronously.
-func (f *FTL) Sync() error { return nil }
 
 // PersistsMapping reports whether OOB records make the mapping
 // crash-recoverable.

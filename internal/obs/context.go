@@ -203,14 +203,6 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 	return tc
 }
 
-// Root reports the context's root span ID.
-func (tc *TraceContext) Root() uint64 {
-	if tc == nil || len(tc.stack.frames) == 0 {
-		return 0
-	}
-	return tc.stack.frames[0].id
-}
-
 // accrue charges the virtual time since the last span boundary to the
 // stage of the innermost open span.
 func (tc *TraceContext) accrue(now sim.Time) {

@@ -20,7 +20,7 @@ func TestMergeGaugeFuncLiveness(t *testing.T) {
 	live := 7.0
 	src := NewRegistry()
 	src.GaugeFunc("free_blocks", nil, func() float64 { return live })
-	dst.Merge(src)
+	dst.MergeLabeled(src, nil)
 
 	if got := dst.Gauge("free_blocks", nil).Collect().Value; got != 7 {
 		t.Fatalf("merged gauge = %v, want 7", got)
@@ -34,7 +34,7 @@ func TestMergeGaugeFuncLiveness(t *testing.T) {
 	// plain value must win over the earlier merge's read-through.
 	src2 := NewRegistry()
 	src2.Gauge("free_blocks", nil).Set(42)
-	dst.Merge(src2)
+	dst.MergeLabeled(src2, nil)
 	if got := dst.Gauge("free_blocks", nil).Collect().Value; got != 42 {
 		t.Fatalf("merged plain gauge = %v, want 42 (stale read-through must be cleared)", got)
 	}
@@ -55,7 +55,7 @@ func TestMergeCountersAndHistograms(t *testing.T) {
 	src.Histogram("lat", nil).Observe(10)
 	src.Histogram("lat", nil).Observe(20)
 
-	dst.Merge(src)
+	dst.MergeLabeled(src, nil)
 	if got := dst.Counter("ops_total", nil).Value(); got != 8 {
 		t.Fatalf("merged counter = %d, want 8", got)
 	}

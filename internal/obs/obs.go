@@ -226,14 +226,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add offsets the gauge value.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
 // Value reports the gauge value (ignoring any read-through function).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -432,14 +424,20 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 	return r.lookup(name, labels, KindHistogram, func() Collector { return newHistogram(name, labels, &r.hist) }).(*Histogram)
 }
 
-// Merge folds every collector registered in src into r: counter values
-// add, histograms merge sample-exactly, and gauges adopt the source's
-// value (or read-through function — "most recent instance wins", exactly
-// as re-registering a GaugeFunc does). Collectors missing from r are
+// MergeLabeled folds every collector registered in src into r, with
+// extra labels stamped onto each as it lands: counter values add,
+// histograms merge sample-exactly, and gauges adopt the source's value
+// (or read-through function — "most recent instance wins", exactly as
+// re-registering a GaugeFunc does). Collectors missing from r are
 // created, preserving src's registration order, so merging the same
 // sequence of registries always yields the same collector order — the
 // property that makes parallel experiment runs dump byte-identical
 // metrics. src must not be mutated concurrently with the merge.
+//
+// Merging node registries with {"node": name} keeps identically-named
+// per-node series distinct instead of colliding into one aggregate.
+// Labels already present on a collector win over the extras only if the
+// keys collide — the merge is for adding a dimension, not rewriting one.
 //
 // GaugeFunc liveness survives the merge: a merged read-through gauge
 // keeps reading the source instance's function, so later collections see
@@ -449,14 +447,6 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 // shadows the newer value forever and the merged gauge appears frozen.
 // Snapshots are point-in-time by design; liveness is the registry's
 // concern, not the snapshot's.
-func (r *Registry) Merge(src *Registry) { r.MergeLabeled(src, nil) }
-
-// MergeLabeled is Merge with extra labels stamped onto every collector
-// as it lands in r: merging node registries with {"node": name} keeps
-// identically-named per-node series distinct instead of colliding into
-// one aggregate. Labels already present on a collector win over the
-// extras only if the keys collide — the merge is for adding a dimension,
-// not rewriting one. With no extra labels it is exactly Merge.
 func (r *Registry) MergeLabeled(src *Registry, extra Labels) {
 	if src == nil {
 		return

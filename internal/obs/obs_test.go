@@ -54,7 +54,7 @@ func TestCounterChainsToRegistryAggregate(t *testing.T) {
 		t.Fatalf("snapshot value = %v, want 22", m.Value)
 	}
 	dst := NewRegistry()
-	dst.Merge(o.Registry)
+	dst.MergeLabeled(o.Registry, nil)
 	dst.MergeLabeled(o.Registry, Labels{"node": "n1"})
 	if got := dst.Counter("host_ops_total", lbl).Value(); got != 22 {
 		t.Fatalf("merged series = %d, want 22", got)
@@ -217,7 +217,7 @@ func TestObserveAllConcurrent(t *testing.T) {
 				default:
 				}
 				r.Snapshot()
-				NewRegistry().Merge(r)
+				NewRegistry().MergeLabeled(r, nil)
 				own.Collect()
 			}
 		}()
@@ -226,7 +226,7 @@ func TestObserveAllConcurrent(t *testing.T) {
 	close(done)
 	rg.Wait()
 	merged := NewRegistry()
-	merged.Merge(r)
+	merged.MergeLabeled(r, nil)
 	snap := merged.Snapshot()
 	for name, want := range map[string]int64{"a": 2 * folders * batches, "b": folders * batches, "c": folders * batches} {
 		if m, _ := snap.Find("fold_lat", Labels{"series": name}); m.Count != want {

@@ -178,14 +178,6 @@ func (t *Tracer) appendRange(out []Span, from, to int) []Span {
 	return out
 }
 
-// Total reports how many spans were ever recorded.
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
-}
-
 // Dropped reports how many spans the ring has overwritten.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {

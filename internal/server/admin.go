@@ -138,8 +138,9 @@ func (a *Admin) Addr() net.Addr {
 	return a.ln.Addr()
 }
 
-// Shutdown closes the admin listener. In-flight scrapes finish; it does
-// not wait for long-running pprof profiles.
+// Shutdown closes the admin listener and every connection it accepted,
+// cutting off any scrape or pprof profile in flight. Calling it again
+// returns nil.
 func (a *Admin) Shutdown() error {
 	a.mu.Lock()
 	hs := a.hs

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"slices"
@@ -144,6 +146,42 @@ func TestHealthzSetDraining(t *testing.T) {
 	admin.SetDraining(false)
 	if code, body := getHealthz(t, admin); code != 200 || body["state"] != "serving" {
 		t.Fatalf("undrained: %d %v", code, body)
+	}
+}
+
+// TestAdminListenAndShutdown runs the ops surface on a socket, as
+// ssmserve does: /healthz answers over TCP, and once Shutdown returns the
+// port refuses connections and a second Shutdown does nothing.
+func TestAdminListenAndShutdown(t *testing.T) {
+	o := obs.New(0)
+	_, srv := newStack(t, core.SolidStateConfig{Obs: o})
+	admin := server.NewAdmin(srv, o)
+	if admin.Addr() != nil {
+		t.Fatal("an address before Listen")
+	}
+	if err := admin.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := admin.Addr().String()
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || body["state"] != "serving" {
+		t.Fatalf("GET /healthz: %d %v %v", resp.StatusCode, body, err)
+	}
+	if err := admin.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Fatal("the admin port accepts connections after Shutdown")
+	}
+	if err := admin.Shutdown(); err != nil {
+		t.Fatalf("second Shutdown: %v", err)
 	}
 }
 

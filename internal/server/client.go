@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -97,23 +96,6 @@ func (c *Client) Delete(key uint64) error {
 func (c *Client) Sync() (batched bool, err error) {
 	_, suffix, err := c.roundTrip(c.header(Request{Kind: OpSync}), nil)
 	return suffix == "batched", err
-}
-
-// Stats fetches the server-side completed/shed counts.
-func (c *Client) Stats() (completed, shed int64, err error) {
-	_, suffix, err := c.roundTrip([]byte("stats\n"), nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, f := range strings.Fields(suffix) {
-		if v, ok := strings.CutPrefix(f, "completed="); ok {
-			completed, _ = strconv.ParseInt(v, 10, 64)
-		}
-		if v, ok := strings.CutPrefix(f, "shed="); ok {
-			shed, _ = strconv.ParseInt(v, 10, 64)
-		}
-	}
-	return completed, shed, nil
 }
 
 // Close ends the session politely and closes the connection.

@@ -30,14 +30,8 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Int63n returns a uniform int64 in [0, n). n must be > 0.
 func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
 
-// Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
-
 // Float64 returns a uniform float in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }

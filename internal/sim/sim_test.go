@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -41,9 +40,6 @@ func TestClockBackwardsPanics(t *testing.T) {
 }
 
 func TestDurationConversions(t *testing.T) {
-	if D(3*time.Millisecond) != 3*Millisecond {
-		t.Error("D(3ms) mismatch")
-	}
 	if got := (500 * Millisecond).Seconds(); got != 0.5 {
 		t.Errorf("Seconds() = %v, want 0.5", got)
 	}

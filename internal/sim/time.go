@@ -40,9 +40,6 @@ const (
 	Hour                 = 60 * Minute
 )
 
-// D converts a time.Duration into a sim.Duration.
-func D(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
 // Seconds reports the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 

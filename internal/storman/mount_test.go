@@ -56,7 +56,7 @@ func oobFTLConfig() ftl.Config {
 
 func TestMountRequiresPersistence(t *testing.T) {
 	r := newRig(t, 1<<20, 0) // plain rig, no OOB
-	if _, err := Mount(r.m.Config(), r.clock, r.dram, r.fl); err == nil {
+	if _, err := Mount(r.m.cfg, r.clock, r.dram, r.fl); err == nil {
 		t.Fatal("Mount accepted a non-persistent translation layer")
 	}
 }
@@ -96,7 +96,7 @@ func TestMountRebuildsFlashState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Mount(r.m.Config(), r.clock, r.dram, fl2)
+	m2, err := Mount(r.m.cfg, r.clock, r.dram, fl2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestMountResolvesResurrectedDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Mount(r.m.Config(), r.clock, r.dram, fl2)
+	m2, err := Mount(r.m.cfg, r.clock, r.dram, fl2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMountedManagerMatchesModelRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Mount(r.m.Config(), r.clock, r.dram, fl2)
+	m2, err := Mount(r.m.cfg, r.clock, r.dram, fl2)
 	if err != nil {
 		t.Fatal(err)
 	}

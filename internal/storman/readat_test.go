@@ -253,7 +253,7 @@ func TestPartialDRAMReadMatchesBounce(t *testing.T) {
 	run := func(read func(m *Manager, off int64, buf []byte), off int64, n int) outcome {
 		tw := build()
 		r := tw.r
-		from := tw.o.Tracer.Total()
+		from := tw.o.Tracer.Dropped() + int64(len(tw.o.Tracer.Spans()))
 		tc := tw.o.BeginRequest(r.clock, "test", "get", 0)
 		buf := bytes.Repeat([]byte{0xEE}, n)
 		read(r.m, off, buf)
@@ -269,8 +269,7 @@ func TestPartialDRAMReadMatchesBounce(t *testing.T) {
 			dramBytes: r.dram.Stats().BytesRead,
 			hostRead:  r.m.Stats().HostBytesRead,
 		}
-		spans := tw.o.Tracer.Spans()
-		for _, sp := range spans[len(spans)-int(tw.o.Tracer.Total()-from):] {
+		for _, sp := range tw.o.Tracer.Spans()[from-tw.o.Tracer.Dropped():] {
 			out.spans = append(out.spans, span{sp.Layer, sp.Op, sp.Stage, sp.Bytes})
 		}
 		return out

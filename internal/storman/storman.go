@@ -293,9 +293,6 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 	return m, nil
 }
 
-// Config returns the manager configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // BlockBytes reports the block size.
 func (m *Manager) BlockBytes() int { return m.cfg.BlockBytes }
 

@@ -542,7 +542,7 @@ func (w *writeLog) WritePageTagged(lpn int64, data []byte, tag engine.Tag) error
 func TestSyncObjectMigratesInIndexOrder(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	log := &writeLog{Engine: r.fl}
-	m, err := New(r.m.Config(), r.clock, r.dram, log)
+	m, err := New(r.m.cfg, r.clock, r.dram, log)
 	if err != nil {
 		t.Fatal(err)
 	}

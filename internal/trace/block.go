@@ -23,12 +23,13 @@ type BlockConfig struct {
 	// Skew selects the address distribution: 0 means uniform; above 1 it
 	// is the Zipf exponent (block 0 hottest).
 	Skew float64
-	// MeanInterarrival spaces the operations in time; zero packs them at
-	// 1µs intervals.
-	MeanInterarrival sim.Duration
 	// Seed makes the stream reproducible.
 	Seed int64
 }
+
+// blockMeanGap is the mean of the exponential gap between a block
+// workload's operations.
+const blockMeanGap = sim.Microsecond
 
 // Validate checks the configuration.
 func (c BlockConfig) Validate() error {
@@ -48,10 +49,6 @@ func GenerateBlocks(cfg BlockConfig) (*Trace, error) {
 		return nil, err
 	}
 	g := sim.NewRNG(cfg.Seed)
-	gap := cfg.MeanInterarrival
-	if gap <= 0 {
-		gap = sim.Microsecond
-	}
 	var z *sim.Zipf
 	if cfg.Skew > 0 {
 		z = g.Zipf(cfg.Skew, uint64(cfg.Blocks))
@@ -59,7 +56,7 @@ func GenerateBlocks(cfg BlockConfig) (*Trace, error) {
 	t := &Trace{Ops: make([]Op, 0, cfg.Ops)}
 	now := sim.Time(0)
 	for i := 0; i < cfg.Ops; i++ {
-		now = now.Add(sim.Duration(g.Exp(float64(gap))))
+		now = now.Add(sim.Duration(g.Exp(float64(blockMeanGap))))
 		var block int64
 		if z != nil {
 			block = int64(z.Next())

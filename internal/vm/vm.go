@@ -157,9 +157,6 @@ type Space struct {
 	pages map[uint64]*pte
 }
 
-// ID reports the space's identifier.
-func (s *Space) ID() int { return s.id }
-
 // frameOwner tracks which (space, vpn) holds each frame, for eviction.
 type frameOwner struct {
 	space *Space

@@ -142,7 +142,7 @@ func TestProtection(t *testing.T) {
 func TestSpacesAreIsolated(t *testing.T) {
 	r := newRig(t, 64*4096, nil)
 	a, b := r.vm.NewSpace(), r.vm.NewSpace()
-	if a.ID() == b.ID() {
+	if a.id == b.id {
 		t.Fatal("spaces share an id")
 	}
 	if err := r.vm.MapAnonymous(a, 0, 4096, PermRead|PermWrite); err != nil {

@@ -264,9 +264,6 @@ func NewClient(cfg Config, id int) *Client {
 // Config reports the (defaulted) configuration the client runs under.
 func (c *Client) Config() Config { return c.cfg }
 
-// ID reports the client id.
-func (c *Client) ID() int { return c.id }
-
 // key draws the next target key under the popularity model.
 func (c *Client) key() uint64 {
 	switch c.cfg.Popularity {

@@ -1,14 +1,21 @@
 package ssmobile_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // stdlibMethods are method names a type exports to satisfy an interface
@@ -20,9 +27,9 @@ var stdlibMethods = map[string]bool{
 	"ServeHTTP": true,
 }
 
-// surfaceKeeps are exports under internal/ that only tests call, kept on
-// purpose, each with its reason. Keys are package.Func or
-// package.Type.Method, the package named by its last path element.
+// surfaceKeeps are declarations under internal/ that only tests use,
+// kept on purpose, each with its reason. Keys are package.Name or
+// package.Type.Name, the package named by its last path element.
 var surfaceKeeps = map[string]string{
 	"dram.Pack.Dead":        "§2's primary and backup battery: the pack's state, exercised only by its tests",
 	"dram.Pack.OnBackup":    "§2's primary and backup battery: the pack's state, exercised only by its tests",
@@ -34,115 +41,364 @@ var surfaceKeeps = map[string]string{
 	"vm.VM.InFlash":         "§3.2's optional swap: a swapped-out page, observed only by its tests",
 	"vm.VM.FramesFree":      "§3.2's optional swap: frame pressure, observed only by its tests",
 	"vm.NewDeviceSwapper":   "§3.2's optional swap to flash, exercised only by its tests",
+	"vm.Config.Swap":        "§3.2's optional swap: the backing store, attached only by its tests",
 	"fs.FS.MapFileShared":   "§3.2's shared mappings with msync, exercised only by its tests",
 }
 
 // TestEveryExportHasACaller holds the tree's surface to what its code
-// uses: every exported function or method declared in a non-test file
-// under internal/ must be named by some non-test file of the module
-// (bench/, cmd/ and examples/ count) other than at its declaration. The
-// check goes by name, so a name declared twice is used if either use
-// appears; an export only tests call belongs in the test's package
-// (export_test.go) or in surfaceKeeps with its reason.
+// uses. It type-checks every package of the module from its non-test
+// files and fails on a declaration under internal/ that no non-test
+// file uses (an exported function or method, an interface method, or
+// an unexported package-level function, type, variable or constant),
+// and on an exported field of a *Config type that no non-test code sets
+// outside the type's own methods (a one-value setting, which is a
+// constant). A helper only tests need goes in that package's
+// export_test.go; a kept one goes in surfaceKeeps with its reason.
 func TestEveryExportHasACaller(t *testing.T) {
-	type decl struct {
-		key string
-		pos token.Position
-	}
-	fset := token.NewFileSet()
-	var decls []decl
-	declIdents := map[*ast.Ident]bool{}
-	uses := map[string]int{}
-	var files []*ast.File
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			return nil
-		}
-		pkg := filepath.Base(filepath.Dir(path))
-		for _, dl := range f.Decls {
-			fn, ok := dl.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			key := pkg + "." + fn.Name.Name
-			if fn.Recv != nil {
-				if stdlibMethods[fn.Name.Name] {
-					continue
-				}
-				key = pkg + "." + recvType(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			declIdents[fn.Name] = true
-			decls = append(decls, decl{key, fset.Position(fn.Name.Pos())})
-		}
-		return nil
-	})
+	start := time.Now()
+	pkgs := listPackages(t, "./...")
+	findings, err := surfaceFindings(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
-				uses[id.Name]++
-			}
-			return true
-		})
-	}
-	if len(decls) == 0 {
-		t.Fatal("no exported declarations found under internal/; run from the module root")
-	}
-	var unused []string
 	kept := map[string]bool{}
-	for _, d := range decls {
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		if uses[name] > 0 {
+	for _, f := range findings {
+		if _, ok := surfaceKeeps[f.key]; ok {
+			kept[f.key] = true
 			continue
 		}
-		if _, ok := surfaceKeeps[d.key]; ok {
-			kept[d.key] = true
-			continue
-		}
-		unused = append(unused, d.pos.String()+": "+d.key)
-	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("%s is exported but no non-test code names it", u)
+		t.Errorf("%s: %s %s", f.pos, f.key, f.why)
 	}
 	for key := range surfaceKeeps {
 		if !kept[key] {
-			t.Errorf("surfaceKeeps lists %s, which is gone or has a caller now", key)
+			t.Errorf("surfaceKeeps lists %s, which is gone or used now", key)
 		}
+	}
+	t.Logf("guard ran in %v", time.Since(start).Round(time.Millisecond))
+}
+
+// TestSurfaceGuard runs the guard's analysis on the fixture module under
+// testdata/surface, whose declarations are each used or not in a way the
+// guard must tell apart.
+func TestSurfaceGuard(t *testing.T) {
+	findings, err := surfaceFindings(listPackages(t, "./testdata/surface/..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f.key)
+	}
+	want := []string{
+		"a.Config.Depth", // only withDefaults sets it
+		"a.Stack.Size",   // named elsewhere, but only a use of Queue.Size is
+		"a.helper",       // unexported, and used only by a test
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("guard reports %q, want %q", got, want)
 	}
 }
 
-// recvType names a method's receiver type without pointer or type
-// parameters.
-func recvType(e ast.Expr) string {
+// listedPkg is the part of `go list -json` the guard reads.
+type listedPkg struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	Export     string // a standard package's export data
+}
+
+// listPackages lists the packages matching pattern and every package
+// they import, in dependency order, with each standard package's export
+// data from one more `go list` (the default importer runs one per
+// package).
+func listPackages(t *testing.T, pattern string) []listedPkg {
+	t.Helper()
+	pkgs := goList(t, "-deps", pattern)
+	var std []string
+	for _, p := range pkgs {
+		if p.Standard {
+			std = append(std, p.ImportPath)
+		}
+	}
+	export := map[string]string{}
+	for _, p := range goList(t, append([]string{"-export"}, std...)...) {
+		export[p.ImportPath] = p.Export
+	}
+	for i := range pkgs {
+		pkgs[i].Export = export[pkgs[i].ImportPath]
+	}
+	return pkgs
+}
+
+// goList runs `go list -json` with args.
+func goList(t *testing.T, args ...string) []listedPkg {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list", "-json"}, args...)...).Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v", strings.Join(args, " "), err)
+	}
+	var pkgs []listedPkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPkg
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// finding is one declaration the guard reports.
+type finding struct {
+	key string // package.Name or package.Type.Name
+	pos token.Position
+	why string
+}
+
+// decl is a declaration the guard checks, under its key.
+type decl struct {
+	obj types.Object
+	key string
+}
+
+// surfaceFindings type-checks the non-standard packages of pkgs, which
+// must be in dependency order, and returns, sorted by key, every
+// declaration under an internal/ directory that no file of pkgs uses and
+// every exported field of a *Config type there that none sets outside
+// the type's own methods.
+func surfaceFindings(pkgs []listedPkg) ([]finding, error) {
+	fset := token.NewFileSet()
+	export := map[string]string{}
+	for _, p := range pkgs {
+		export[p.ImportPath] = p.Export
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(export[path])
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}
+	var files []*ast.File
+	var decls, fields []decl
+	fieldOwner := map[*types.Var]*types.TypeName{}
+	var concrete []types.Type // every named non-interface type, and its pointer
+	for _, p := range pkgs {
+		if p.Standard {
+			continue
+		}
+		var pfiles []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			pfiles = append(pfiles, f)
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, pfiles, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p.ImportPath] = pkg
+		files = append(files, pfiles...)
+		guarded := strings.HasPrefix(p.ImportPath, "internal/") || strings.Contains(p.ImportPath, "/internal/")
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			key := pkg.Name() + "." + name
+			if _, isFunc := obj.(*types.Func); guarded && (isFunc || !obj.Exported()) && name != "_" {
+				decls = append(decls, decl{obj, key})
+			}
+			if _, isType := obj.(*types.TypeName); !isType {
+				continue
+			}
+			named, ok := obj.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; guarded && i < iface.NumExplicitMethods(); i++ {
+					m := iface.ExplicitMethod(i)
+					decls = append(decls, decl{m, key + "." + m.Name()})
+				}
+				continue
+			}
+			concrete = append(concrete, named, types.NewPointer(named))
+			if !guarded {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !stdlibMethods[m.Name()] {
+					decls = append(decls, decl{m, key + "." + m.Name()})
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok && strings.HasSuffix(name, "Config") {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						fields = append(fields, decl{f, key + "." + f.Name()})
+						fieldOwner[f] = named.Obj()
+					}
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for _, obj := range info.Uses {
+		used[origin(obj)] = true
+	}
+	for _, sel := range info.Selections {
+		used[origin(sel.Obj())] = true
+	}
+	// A concrete method implements every used method of an interface its
+	// type satisfies: a call through the interface reaches it.
+	ifaces := map[*types.Interface][]*types.Func{}
+	for obj := range used {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Type().(*types.Signature).Recv() == nil {
+			continue
+		}
+		if iface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
+			ifaces[iface] = append(ifaces[iface], fn)
+		}
+	}
+	for _, typ := range concrete {
+		for iface, methods := range ifaces {
+			if !types.Implements(typ, iface) {
+				continue
+			}
+			for _, m := range methods {
+				if obj, _, _ := types.LookupFieldOrMethod(typ, false, m.Pkg(), m.Name()); obj != nil {
+					used[origin(obj)] = true
+				}
+			}
+		}
+	}
+	written := configWrites(files, info, fieldOwner)
+
+	var findings []finding
+	for _, d := range decls {
+		if !used[d.obj] {
+			findings = append(findings, finding{d.key, fset.Position(d.obj.Pos()), "is declared but no non-test code uses it"})
+		}
+	}
+	for _, d := range fields {
+		if !written[d.obj.(*types.Var)] {
+			findings = append(findings, finding{d.key, fset.Position(d.obj.Pos()),
+				"is set by no non-test code outside its type's methods: a one-value setting is a constant"})
+		}
+	}
+	sort.Slice(findings, func(i, j int) bool { return findings[i].key < findings[j].key })
+	return findings, nil
+}
+
+// configWrites returns the fields of owner that some file writes, by a
+// literal key, an unkeyed literal, an assignment, an increment or taking
+// the field's address, outside the methods of the field's own type.
+func configWrites(files []*ast.File, info *types.Info, owner map[*types.Var]*types.TypeName) map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			var recv types.Object // the type whose method decl is
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				recv = recvTypeName(info, fn.Recv.List[0].Type)
+			}
+			mark := func(v *types.Var) {
+				if tn, ok := owner[v]; ok && tn != recv {
+					written[v] = true
+				}
+			}
+			// markLHS marks every field selected along an assigned
+			// expression: setting c.Flash.Blocks sets c.Flash too.
+			var markLHS func(e ast.Expr)
+			markLHS = func(e ast.Expr) {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+						mark(sel.Obj().(*types.Var).Origin())
+					}
+					markLHS(x.X)
+				case *ast.ParenExpr:
+					markLHS(x.X)
+				case *ast.IndexExpr:
+					markLHS(x.X)
+				case *ast.StarExpr:
+					markLHS(x.X)
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					if x.Tok != token.DEFINE {
+						for _, lhs := range x.Lhs {
+							markLHS(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					markLHS(x.X)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						markLHS(x.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[x].Type.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range x.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := info.Uses[id].(*types.Var); ok {
+									mark(v.Origin())
+								}
+							}
+						} else if i < st.NumFields() {
+							mark(st.Field(i).Origin())
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
+}
+
+// recvTypeName is the type a method's receiver expression names.
+func recvTypeName(info *types.Info, e ast.Expr) types.Object {
 	switch x := e.(type) {
 	case *ast.StarExpr:
-		return recvType(x.X)
-	case *ast.IndexExpr:
-		return recvType(x.X)
-	case *ast.IndexListExpr:
-		return recvType(x.X)
+		return recvTypeName(info, x.X)
+	case *ast.ParenExpr:
+		return recvTypeName(info, x.X)
 	case *ast.Ident:
-		return x.Name
+		return info.Uses[x]
 	}
-	return "?"
+	return nil
 }
+
+// origin is the generic declaration behind an instantiated object.
+func origin(obj types.Object) types.Object {
+	switch x := obj.(type) {
+	case *types.Func:
+		return x.Origin()
+	case *types.Var:
+		return x.Origin()
+	}
+	return obj
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
