@@ -6,6 +6,10 @@
 //
 //	go run ./cmd/ssmfs
 //	ssmfs> help
+//
+// -metrics, -trace-out and -trace-jsonl dump, when the shell exits, the
+// telemetry of the one observer the card's stack is built with; a remount
+// after powerfail and a crash recovery report to it too.
 package main
 
 import (
@@ -46,6 +50,7 @@ const shellHelp = `commands:
 
 type shell struct {
 	sys *core.SolidStateSystem
+	obs *obs.Observer
 	out io.Writer
 }
 
@@ -65,17 +70,16 @@ func main() {
 	}
 
 	o := obs.New(*traceCap)
-	obs.SetDefault(o)
-
 	sys, err := core.NewSolidState(core.SolidStateConfig{
 		DRAMBytes:  8 << 20,
 		FlashBytes: 32 << 20,
+		Obs:        o,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssmfs:", err)
 		os.Exit(1)
 	}
-	sh := &shell{sys: sys, out: os.Stdout}
+	sh := &shell{sys: sys, obs: o, out: os.Stdout}
 	fmt.Printf("ssmfs: %s — type 'help'\n", sys.Name())
 	sc := bufio.NewScanner(os.Stdin)
 	for {
@@ -220,8 +224,7 @@ func (s *shell) run(line string) error {
 		}
 		fmt.Fprintf(s.out, "advanced to %v\n", s.sys.Clock().Now())
 	case "crash":
-		cfg := fs.Config{RBoxBytes: 1 << 20}
-		recovered, err := fs.RecoverAfterCrash(cfg, s.sys.Clock(), s.sys.Storage, s.sys.DRAM)
+		recovered, err := fs.RecoverAfterCrash(fs.Config{RBoxBytes: 1 << 20, Obs: s.obs}, s.sys.Clock(), s.sys.Storage, s.sys.DRAM)
 		if err != nil {
 			return err
 		}

@@ -98,7 +98,6 @@ func main() {
 		fatal(err)
 	}
 	o := obs.New(0)
-	obs.SetDefault(o)
 
 	svc, err := build(buildConfig{
 		nodes:  *nodeCount,
@@ -111,7 +110,7 @@ func main() {
 	}
 
 	// Smoke provisions its own temporary flight-record directory when none
-	// is given so CI exercises the dump path unconditionally.
+	// is given: its drain-time record round trip is part of the gate.
 	fdir := *flightDir
 	if fdir == "" && flag.Arg(0) == "smoke" {
 		tmp, err := os.MkdirTemp("", "ssmserve-flight-")
@@ -130,9 +129,9 @@ func main() {
 	var runErr error
 	switch flag.Arg(0) {
 	case "serve":
-		runErr = serve(svc.tcp, svc.admin, *addr, *adminAddr)
+		runErr = serve(svc.tcp, svc.admin, o, *addr, *adminAddr)
 	case "smoke":
-		runErr = smoke(svc.tcp, svc.admin, smokeConfig{
+		runErr = smoke(svc.tcp, svc.admin, o, smokeConfig{
 			clients: *clients, ops: *ops, seed: *seed, writeRatio: *writeRatio,
 			nodes: *nodeCount,
 		})
@@ -262,7 +261,7 @@ func build(bc buildConfig) (*service, error) {
 }
 
 // recordFlights installs a flight recorder writing to dir. It snapshots
-// the ambient observer's recent span ring plus metrics on incidents
+// the service's observer's recent span ring plus metrics on incidents
 // (shed-engage, drain, power-cut remount; a cluster's cordon, kill and
 // restart) and on demand; the admin endpoint, the shed-engage hooks, the
 // router and the drain path all find it on that observer.
@@ -289,8 +288,9 @@ func (svc *service) mergeTelemetry() {
 }
 
 // serve listens until SIGINT/SIGTERM, then drains: in-flight requests
-// complete, a final sync runs, and the process exits 0.
-func serve(tcp *server.TCP, admin *server.Admin, addr, adminAddr string) error {
+// complete, a final sync runs, o's flight recorder (if any) dumps, and
+// the process exits 0.
+func serve(tcp *server.TCP, admin *server.Admin, o *obs.Observer, addr, adminAddr string) error {
 	// Catch the signals before announcing the listener: a supervisor may
 	// stop the process the moment it reads the announcement, and until
 	// Notify runs a SIGTERM kills it instead of draining it.
@@ -313,9 +313,7 @@ func serve(tcp *server.TCP, admin *server.Admin, addr, adminAddr string) error {
 	if err := tcp.Shutdown(); err != nil {
 		return err
 	}
-	if fr := obs.Default().FlightRecorder(); fr != nil {
-		fr.Dump("drain")
-	}
+	o.FlightRecorder().Dump("drain") // a nil recorder dumps nothing
 	fmt.Println("ssmserve: drained, all data stable")
 	return nil
 }
@@ -332,8 +330,12 @@ type smokeConfig struct {
 // tolerated (they are the admission control working); anything else
 // fails the run. The ops surface is exercised as part of the gate: the
 // run scrapes /metrics, validates the exposition, and verifies the
-// drain-time flight record loads back.
-func smoke(tcp *server.TCP, admin *server.Admin, sc smokeConfig) error {
+// drain-time flight record, dumped from o's recorder, loads back.
+func smoke(tcp *server.TCP, admin *server.Admin, o *obs.Observer, sc smokeConfig) error {
+	fr := o.FlightRecorder()
+	if fr == nil {
+		return errors.New("smoke: no flight recorder on the service's observer")
+	}
 	if err := tcp.Listen("127.0.0.1:0"); err != nil {
 		return err
 	}
@@ -394,18 +396,16 @@ func smoke(tcp *server.TCP, admin *server.Admin, sc smokeConfig) error {
 	if err := tcp.Shutdown(); err != nil {
 		return err
 	}
-	if fr := obs.Default().FlightRecorder(); fr != nil {
-		path, err := fr.Dump("drain")
-		if err != nil {
-			return fmt.Errorf("smoke flight dump: %w", err)
-		}
-		rec, err := obs.ReadFlightRecord(path)
-		if err != nil {
-			return fmt.Errorf("smoke flight record does not load: %w", err)
-		}
-		fmt.Printf("ssmserve: flight record %q, %d spans, %d metric samples\n",
-			rec.Reason, len(rec.Spans), len(rec.Metrics.Metrics))
+	path, err := fr.Dump("drain")
+	if err != nil {
+		return fmt.Errorf("smoke flight dump: %w", err)
 	}
+	rec, err := obs.ReadFlightRecord(path)
+	if err != nil {
+		return fmt.Errorf("smoke flight record does not load: %w", err)
+	}
+	fmt.Printf("ssmserve: flight record %q, %d spans, %d metric samples\n",
+		rec.Reason, len(rec.Spans), len(rec.Metrics.Metrics))
 	var completed, sheds int
 	for i := range errs {
 		if errs[i] != nil {

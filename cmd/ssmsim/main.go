@@ -24,7 +24,9 @@
 // -parallel runs independent experiments and sweep configurations on a
 // worker pool (default: GOMAXPROCS); output is byte-identical to
 // -parallel 1 for any seed. -metrics dumps every layer's counters,
-// gauges and histograms as JSON; -trace-out writes the retained op spans
+// gauges and histograms as JSON: the run's one observer is handed to
+// every system it builds (replay's two included), and nothing reaches it
+// any other way; -trace-out writes the retained op spans
 // in Chrome trace_event format (open in chrome://tracing or
 // https://ui.perfetto.dev); -trace-jsonl writes them as JSON lines.
 // -cpuprofile/-memprofile write pprof profiles. See DESIGN.md for the
@@ -72,10 +74,10 @@ func main() {
 		fatal(err)
 	}
 
-	// Every layer built anywhere in the process reports here; concurrent
-	// jobs run under private observers that merge back deterministically.
+	// Every run reports here: experiments hand it to core.NewEnv, whose
+	// concurrent jobs run under private observers that merge back
+	// deterministically, and replay passes it to every system it builds.
 	o := obs.New(*traceCap)
-	obs.SetDefault(o)
 
 	var runErr error
 	switch args[0] {
@@ -84,7 +86,7 @@ func main() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Summary)
 		}
 	case "replay":
-		runErr = replay(args[1:])
+		runErr = replay(o, args[1:])
 	case "crash":
 		runErr = crash(args[1:])
 	case "all":
@@ -161,8 +163,9 @@ func crash(args []string) error {
 }
 
 // replay runs a trace file against one or both storage organisations and
-// prints a latency/energy summary.
-func replay(args []string) error {
+// prints a latency/energy summary; every layer of both systems and the
+// replay's own latencies and spans report to o.
+func replay(o *obs.Observer, args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	traceFile := fs.String("trace", "", "trace file (ssmtrace format; required)")
 	system := fs.String("system", "both", "solid, disk, or both")
@@ -188,7 +191,7 @@ func replay(args []string) error {
 	if *system == "solid" || *system == "both" {
 		s, err := core.NewSolidState(core.SolidStateConfig{
 			DRAMBytes: *dramMB << 20, FlashBytes: *secondaryMB << 20,
-			RBoxBytes: 4 << 20, SnapshotEvery: 2048,
+			RBoxBytes: 4 << 20, SnapshotEvery: 2048, Obs: o,
 		})
 		if err != nil {
 			return err
@@ -196,7 +199,7 @@ func replay(args []string) error {
 		systems = append(systems, s)
 	}
 	if *system == "disk" || *system == "both" {
-		d, err := core.NewDisk(core.DiskConfig{DRAMBytes: *dramMB << 20, DiskBytes: *secondaryMB << 20})
+		d, err := core.NewDisk(core.DiskConfig{DRAMBytes: *dramMB << 20, DiskBytes: *secondaryMB << 20, Obs: o})
 		if err != nil {
 			return err
 		}
@@ -206,7 +209,7 @@ func replay(args []string) error {
 		return fmt.Errorf("replay: unknown -system %q", *system)
 	}
 	for _, sys := range systems {
-		st, err := core.Replay(sys, tr)
+		st, err := core.Replay(o, sys, tr)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sys.Name(), err)
 		}

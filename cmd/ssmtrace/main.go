@@ -284,8 +284,7 @@ func gen(args []string, pf *profFlags) error {
 		tr, err = trace.GeneratePIM(trace.DefaultPIM(sim.Duration(*minutes)*sim.Minute, *seed))
 	case "blocks":
 		tr, err = trace.GenerateBlocks(trace.BlockConfig{
-			Ops: *ops, Blocks: *blocks, BlockSize: 4096,
-			ReadFrac: *readFrac, Skew: *skew, Seed: *seed,
+			Ops: *ops, Blocks: *blocks, ReadFrac: *readFrac, Skew: *skew, Seed: *seed,
 		})
 	default:
 		return fmt.Errorf("unknown kind %q", *kind)

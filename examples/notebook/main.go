@@ -47,7 +47,7 @@ func main() {
 	}
 	var results []result
 	for _, sys := range []core.System{solid, dsys} {
-		st, err := core.Replay(sys, tr)
+		st, err := core.Replay(nil, sys, tr)
 		if err != nil {
 			log.Fatalf("%s: %v", sys.Name(), err)
 		}

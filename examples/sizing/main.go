@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := core.Replay(sys, tr)
+		st, err := core.Replay(nil, sys, tr)
 		outcome := "ok"
 		if err != nil {
 			if errors.Is(err, storman.ErrNoFlash) || errors.Is(err, storman.ErrNoDRAM) {

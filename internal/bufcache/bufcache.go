@@ -31,19 +31,21 @@ type Backing interface {
 	Capacity() int64
 }
 
+// The cache's fixed geometry: 4 KB blocks, and the classic Unix delayed
+// write-back, under which Tick flushes a dirty block 30 s after it was
+// first dirtied.
+const (
+	blockBytes     = 4096
+	writeBackDelay = 30 * sim.Second
+)
+
 // Config parameterises the cache.
 type Config struct {
-	// BlockBytes is the cache block size.
-	BlockBytes int
-	// DRAMBase and DRAMBytes delimit the cache's region of the DRAM
-	// device; the capacity in blocks is DRAMBytes/BlockBytes.
-	DRAMBase  int64
+	// DRAMBytes sizes the cache's region of the DRAM device, which starts
+	// at address 0; the capacity in blocks is DRAMBytes/4096.
 	DRAMBytes int64
-	// WriteBackDelay is the age at which dirty blocks are flushed by
-	// Tick; zero keeps them until eviction or Sync.
-	WriteBackDelay sim.Duration
-	// Obs receives the cache's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the cache's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -57,7 +59,6 @@ type centry struct {
 
 // Cache is the buffer cache. Not safe for concurrent use.
 type Cache struct {
-	cfg     Config
 	clock   *sim.Clock
 	dram    *dram.Device
 	backing Backing
@@ -79,23 +80,19 @@ type Cache struct {
 
 // New builds an empty cache over backing.
 func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, backing Backing) (*Cache, error) {
-	if cfg.BlockBytes <= 0 {
-		return nil, fmt.Errorf("bufcache: non-positive block size")
-	}
-	if cfg.DRAMBase < 0 || cfg.DRAMBase+cfg.DRAMBytes > dramDev.Capacity() {
+	if cfg.DRAMBytes > dramDev.Capacity() {
 		return nil, fmt.Errorf("bufcache: region outside DRAM")
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := obs.Labels{"layer": "bufcache"}
 	blk := func(op string) obs.Labels { return obs.Labels{"layer": "bufcache", "op": op} }
 	c := &Cache{
-		cfg:           cfg,
 		clock:         clock,
 		dram:          dramDev,
 		backing:       backing,
 		entries:       make(map[int64]*centry),
 		lru:           list.New(),
-		slots:         int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
+		slots:         int(cfg.DRAMBytes / blockBytes),
 		oldestDirty:   sim.Forever,
 		obs:           o,
 		hits:          o.Counter("cache_hits_total", lbl),
@@ -113,16 +110,16 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, backing Backing) (*
 }
 
 // BlockBytes reports the cache block size.
-func (c *Cache) BlockBytes() int { return c.cfg.BlockBytes }
+func (c *Cache) BlockBytes() int { return blockBytes }
 
 // Blocks reports the backing capacity in blocks.
-func (c *Cache) Blocks() int64 { return c.backing.Capacity() / int64(c.cfg.BlockBytes) }
+func (c *Cache) Blocks() int64 { return c.backing.Capacity() / blockBytes }
 
 func (c *Cache) slotAddr(slot int) int64 {
-	return c.cfg.DRAMBase + int64(slot)*int64(c.cfg.BlockBytes)
+	return int64(slot) * blockBytes
 }
 
-func (c *Cache) diskAddr(bn int64) int64 { return bn * int64(c.cfg.BlockBytes) }
+func (c *Cache) diskAddr(bn int64) int64 { return bn * blockBytes }
 
 func (c *Cache) checkBlock(bn int64) error {
 	if bn < 0 || bn >= c.Blocks() {
@@ -163,8 +160,8 @@ func (c *Cache) span(op string) obs.SpanRef {
 // flushEntry writes the entry's contents to the backing device.
 func (c *Cache) flushEntry(e *centry) (err error) {
 	sp := c.span("flush")
-	defer func() { sp.End(int64(c.cfg.BlockBytes), err) }()
-	buf := make([]byte, c.cfg.BlockBytes)
+	defer func() { sp.End(blockBytes, err) }()
+	buf := make([]byte, blockBytes)
 	if _, err := c.dram.Read(c.slotAddr(e.slot), buf); err != nil {
 		return err
 	}
@@ -189,7 +186,7 @@ func (c *Cache) load(bn int64, fill bool) (*centry, error) {
 		return nil, err
 	}
 	if fill {
-		buf := make([]byte, c.cfg.BlockBytes)
+		buf := make([]byte, blockBytes)
 		if _, err := c.backing.Read(c.diskAddr(bn), buf); err != nil {
 			return nil, err
 		}
@@ -216,8 +213,8 @@ func (c *Cache) ReadBlock(bn int64, buf []byte) (err error) {
 	}
 	c.readBlocks.Inc()
 	n := len(buf)
-	if n > c.cfg.BlockBytes {
-		n = c.cfg.BlockBytes
+	if n > blockBytes {
+		n = blockBytes
 	}
 	_, err = c.dram.Read(c.slotAddr(e.slot), buf[:n])
 	return err
@@ -238,13 +235,13 @@ func (c *Cache) writeBlock(bn int64, data []byte, through bool) (err error) {
 	if err := c.checkBlock(bn); err != nil {
 		return err
 	}
-	if len(data) > c.cfg.BlockBytes {
-		return fmt.Errorf("bufcache: data of %d exceeds block size %d", len(data), c.cfg.BlockBytes)
+	if len(data) > blockBytes {
+		return fmt.Errorf("bufcache: data of %d exceeds block size %d", len(data), blockBytes)
 	}
 	sp := c.span("write_block")
 	defer func() { sp.End(int64(len(data)), err) }()
 	// Partial block writes need the old contents under them.
-	fill := len(data) < c.cfg.BlockBytes
+	fill := len(data) < blockBytes
 	e, err := c.load(bn, fill)
 	if err != nil {
 		return err
@@ -269,7 +266,7 @@ func (c *Cache) writeBlock(bn int64, data []byte, through bool) (err error) {
 // order. It returns at once while no dirty block can be that old.
 func (c *Cache) Tick() error {
 	now := c.clock.Now()
-	if c.cfg.WriteBackDelay <= 0 || now.Sub(c.oldestDirty) < c.cfg.WriteBackDelay {
+	if now.Sub(c.oldestDirty) < writeBackDelay {
 		return nil
 	}
 	oldest := sim.Forever // of the blocks the walk leaves dirty
@@ -278,7 +275,7 @@ func (c *Cache) Tick() error {
 		if !e.dirty {
 			continue
 		}
-		if now.Sub(e.dirtySince) < c.cfg.WriteBackDelay {
+		if now.Sub(e.dirtySince) < writeBackDelay {
 			oldest = min(oldest, e.dirtySince)
 		} else if err := c.flushEntry(e); err != nil {
 			return err // the old bound still holds

@@ -21,7 +21,7 @@ type rig struct {
 	cache *Cache
 }
 
-func newRig(t *testing.T, cacheBytes int64, delay sim.Duration) *rig {
+func newRig(t *testing.T, cacheBytes int64) *rig {
 	t.Helper()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
@@ -33,7 +33,7 @@ func newRig(t *testing.T, cacheBytes int64, delay sim.Duration) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{BlockBytes: 4096, DRAMBase: 0, DRAMBytes: cacheBytes, WriteBackDelay: delay}, clock, dr, dk)
+	c, err := New(Config{DRAMBytes: cacheBytes}, clock, dr, dk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +53,14 @@ func (r *rig) onDisk(t *testing.T, addr int64) byte {
 }
 
 func TestValidation(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
-	if _, err := New(Config{BlockBytes: 0}, r.clock, r.dram, r.disk); err == nil {
-		t.Error("zero block size accepted")
-	}
-	if _, err := New(Config{BlockBytes: 4096, DRAMBase: 1 << 40}, r.clock, r.dram, r.disk); err == nil {
+	r := newRig(t, 1<<20)
+	if _, err := New(Config{DRAMBytes: 1 << 40}, r.clock, r.dram, r.disk); err == nil {
 		t.Error("region outside DRAM accepted")
 	}
 }
 
 func TestWriteReadThroughCache(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
+	r := newRig(t, 1<<20)
 	if err := r.cache.WriteBlock(5, blockOf(0xAB)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +84,7 @@ func TestWriteReadThroughCache(t *testing.T) {
 }
 
 func TestWriteThrough(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
+	r := newRig(t, 1<<20)
 	if err := r.cache.WriteBlockThrough(3, blockOf(0x77)); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,7 @@ func TestWriteThrough(t *testing.T) {
 }
 
 func TestHitAvoidsDisk(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
+	r := newRig(t, 1<<20)
 	buf := make([]byte, 4096)
 	if err := r.cache.ReadBlock(1, buf); err != nil { // miss
 		t.Fatal(err)
@@ -120,7 +117,7 @@ func TestHitAvoidsDisk(t *testing.T) {
 
 func TestEvictionWritesDirtyBack(t *testing.T) {
 	// Cache of 2 blocks.
-	r := newRig(t, 2*4096, 0)
+	r := newRig(t, 2*4096)
 	if err := r.cache.WriteBlock(0, blockOf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestEvictionWritesDirtyBack(t *testing.T) {
 }
 
 func TestTickFlushesAged(t *testing.T) {
-	r := newRig(t, 1<<20, 30*sim.Second)
+	r := newRig(t, 1<<20)
 	if err := r.cache.WriteBlock(7, blockOf(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +193,10 @@ func TestTickMatchesFullWalk(t *testing.T) {
 	const (
 		slots  = 24
 		blocks = 32
-		delay  = 30 * sim.Second
 	)
-	r := newRig(t, 1<<20, delay)
+	r := newRig(t, 1<<20)
 	log := &flushLog{Backing: r.disk}
-	c, err := New(Config{BlockBytes: 4096, DRAMBytes: slots * 4096, WriteBackDelay: delay}, r.clock, r.dram, log)
+	c, err := New(Config{DRAMBytes: slots * 4096}, r.clock, r.dram, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +271,7 @@ func TestTickMatchesFullWalk(t *testing.T) {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		walk(func(since sim.Time) bool { return now.Sub(since) >= delay })
+		walk(func(since sim.Time) bool { return now.Sub(since) >= writeBackDelay })
 		if !slices.Equal(log.got, want) {
 			n := min(len(log.got), len(want), 3)
 			t.Fatalf("step %d: the cache's flushes end %v; the full walk's %v", step, log.got[len(log.got)-n:], want[len(want)-n:])
@@ -287,7 +283,7 @@ func TestTickMatchesFullWalk(t *testing.T) {
 }
 
 func TestInvalidateDropsWithoutFlush(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
+	r := newRig(t, 1<<20)
 	if err := r.cache.WriteBlock(4, blockOf(0xEE)); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +297,7 @@ func TestInvalidateDropsWithoutFlush(t *testing.T) {
 }
 
 func TestPartialWritePreservesRest(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
+	r := newRig(t, 1<<20)
 	if err := r.cache.WriteBlock(2, blockOf(0x11)); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +319,7 @@ func TestPartialWritePreservesRest(t *testing.T) {
 }
 
 func TestOutOfRange(t *testing.T) {
-	r := newRig(t, 1<<20, 0)
+	r := newRig(t, 1<<20)
 	if err := r.cache.ReadBlock(r.cache.Blocks(), make([]byte, 4096)); !errors.Is(err, ErrBadBlock) {
 		t.Error("read past end accepted")
 	}

@@ -96,10 +96,7 @@ type Config struct {
 	// its fan-out metrics (per-holder replica latency, the straggler
 	// gauge, fleet health gauges) here, records cluster-level request
 	// spans into its tracer, and appends control-plane events to its
-	// attached EventLog. Nil disables router telemetry entirely; there is
-	// deliberately no fallback to the process default observer, so
-	// concurrent experiment cells never race to register on a shared
-	// registry.
+	// attached EventLog. Nil disables router telemetry entirely.
 	Obs *obs.Observer
 }
 

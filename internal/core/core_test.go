@@ -96,7 +96,7 @@ func TestReplayBakerTraceOnBothSystems(t *testing.T) {
 	}
 	for _, sys := range []System{newSolid(t), newDiskSys(t)} {
 		t.Run(sys.Name(), func(t *testing.T) {
-			st, err := Replay(sys, tr)
+			st, err := Replay(nil, sys, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,16 +121,16 @@ func TestReplayStatsIgnoreEarlierReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := ReplayObs(obs.New(0), newSolid(t), tr)
+	alone, err := Replay(obs.New(0), newSolid(t), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(0)
-	first, err := ReplayObs(o, newDiskSys(t), tr)
+	first, err := Replay(o, newDiskSys(t), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ReplayObs(o, newSolid(t), tr)
+	second, err := Replay(o, newSolid(t), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

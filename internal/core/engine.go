@@ -27,28 +27,26 @@ import (
 
 // Env is the execution context a job runs under: a private observer for
 // its telemetry and the shared scheduler for nested fan-out. A nil Env
-// behaves like a serial environment writing to the process default
-// observer, which keeps direct calls (tests, benchmarks, examples)
-// working unchanged.
+// behaves like a serial environment with no observer.
 type Env struct {
 	obs     *obs.Observer
 	sched   *sched
 	holding bool // the goroutine running this env holds a worker token
 }
 
-// NewEnv returns a root environment writing telemetry to o (nil falls
-// back to the process default observer) and running ForEach batches with
-// up to parallel concurrent jobs (<=1 means strictly sequential).
+// NewEnv returns a root environment writing telemetry to o (nil exports
+// nothing) and running ForEach batches with up to parallel concurrent
+// jobs (<=1 means strictly sequential).
 func NewEnv(o *obs.Observer, parallel int) *Env {
-	return &Env{obs: obs.Or(o), sched: newSched(parallel)}
+	return &Env{obs: o, sched: newSched(parallel)}
 }
 
 // Obs reports the environment's observer; experiments pass it into every
-// system and device they construct so no layer falls back to the shared
-// process default from inside a concurrent job.
+// system and device they construct, so each job's layers report to that
+// job's observer and nowhere else.
 func (e *Env) Obs() *obs.Observer {
 	if e == nil {
-		return obs.Default()
+		return nil
 	}
 	return e.obs
 }

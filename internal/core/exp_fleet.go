@@ -56,7 +56,7 @@ func E16Fleet(env *Env, seed int64) ([]*Table, error) {
 	err := env.ForEach(1, func(_ int, je *Env) error {
 		// The journal and the fleet snapshot both hang off an observer —
 		// the same attachment point /debug/events uses in ssmserve. An
-		// uninstrumented run (no default observer) still needs one, so the
+		// uninstrumented run (no observer) still needs one, so the
 		// experiment carries its own; the tables are identical either way.
 		o := je.Obs()
 		if o == nil {

@@ -73,7 +73,7 @@ func E8Sizing(env *Env, seed int64) (*Table, error) {
 			return err
 		}
 		split := fmt.Sprintf("%d/%dMB", dramBytes>>20, flashBytes>>20)
-		st, err := ReplayObs(je.Obs(), sys, traces[i/len(splits)])
+		st, err := Replay(je.Obs(), sys, traces[i/len(splits)])
 		outcome := "ok"
 		if err != nil {
 			if errors.Is(err, storman.ErrNoFlash) || errors.Is(err, storman.ErrNoDRAM) {
@@ -126,7 +126,7 @@ func E9EndToEnd(env *Env, seed int64) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			if solidStats, err = ReplayObs(je.Obs(), s, tr); err != nil {
+			if solidStats, err = Replay(je.Obs(), s, tr); err != nil {
 				return err
 			}
 			solid = s
@@ -136,7 +136,7 @@ func E9EndToEnd(env *Env, seed int64) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		if diskStats, err = ReplayObs(je.Obs(), d, tr); err != nil {
+		if diskStats, err = Replay(je.Obs(), d, tr); err != nil {
 			return err
 		}
 		dsys = d
@@ -216,7 +216,7 @@ func E9FlashParts(env *Env, seed int64) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		st, err := ReplayObs(je.Obs(), sys, tr)
+		st, err := Replay(je.Obs(), sys, tr)
 		if err != nil {
 			return err
 		}

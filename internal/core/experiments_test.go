@@ -119,11 +119,11 @@ func TestE9SolidStateWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := Replay(solid, tr)
+	ss, err := Replay(nil, solid, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Replay(dsys, tr)
+	ds, err := Replay(nil, dsys, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,18 +32,6 @@ func payload(buf []byte, file trace.FileID, off int64) {
 	workload.Ramp(buf, byte(uint64(file)*131+uint64(off)*31))
 }
 
-// Replay runs the trace against the system, advancing the virtual clock
-// to each operation's timestamp and pumping the write-back daemons along
-// the way. It does not Sync at the end; callers decide whether the
-// experiment's accounting should include a final flush.
-//
-// Each operation's latency lands both in the returned per-replay
-// histograms and in the default observer's op_latency_ns aggregates, and
-// each op is traced as a span of layer "replay".
-func Replay(sys System, tr *trace.Trace) (ReplayStats, error) {
-	return ReplayObs(obs.Default(), sys, tr)
-}
-
 // replayHist is one operation kind's latency histograms: the replay's
 // own, which ReplayStats reports, and the observer's op_latency_ns
 // series, which every replay under that observer shares.
@@ -54,10 +42,16 @@ func (h replayHist) observe(d sim.Duration) {
 	h.series.ObserveDuration(d)
 }
 
-// ReplayObs is Replay recording telemetry into an explicit observer
-// instead of the process default — the form the parallel experiment
-// engine uses, so concurrent replays never interleave their spans.
-func ReplayObs(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, err error) {
+// Replay runs the trace against the system, advancing the virtual clock
+// to each operation's timestamp and pumping the write-back daemons along
+// the way. It does not Sync at the end; callers decide whether the
+// experiment's accounting should include a final flush.
+//
+// Each operation's latency lands both in the returned per-replay
+// histograms and in o's op_latency_ns aggregates, and each op is traced
+// into o as a span of layer "replay". A nil o records nothing beyond the
+// returned stats.
+func Replay(o *obs.Observer, sys System, tr *trace.Trace) (st ReplayStats, err error) {
 	hist := func(op string) replayHist {
 		lbl := obs.Labels{"layer": "replay", "op": op}
 		return replayHist{own: obs.NewHistogram("op_latency_ns", lbl), series: o.Histogram("op_latency_ns", lbl)}

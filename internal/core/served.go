@@ -20,8 +20,8 @@ type ServedCardConfig struct {
 	// span to its card.
 	Name string
 	// System parameterises the card stack. System.Obs is the one observer
-	// the whole card — stack and server — reports to (nil falls back to
-	// obs.Default()). A cluster gives every card a private one: per-card
+	// the whole card — stack and server — reports to (nil exports
+	// nothing). A cluster gives every card a private one: per-card
 	// telemetry must stay isolated for the fleet view's node labels and
 	// for deterministic merging.
 	System SolidStateConfig

@@ -84,8 +84,8 @@ type SolidStateConfig struct {
 	SnapshotEvery int
 	// FlashParams overrides the flash device catalog entry.
 	FlashParams *device.Params
-	// Obs receives every layer's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives every layer's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -97,9 +97,9 @@ type SolidStateConfig struct {
 // stay stable.
 const codeCardBytes = 4 << 20
 
-// fsBlockBytes is the file-system block of both organisations; on the
-// solid-state one it is also the storage manager's block and the
-// engine's page.
+// fsBlockBytes is the solid-state organisation's file-system block, its
+// storage manager's block and its engine's page; the disk organisation's
+// buffer cache uses the same 4 KB block.
 const fsBlockBytes = 4096
 
 func (c *SolidStateConfig) applyDefaults() {
@@ -146,12 +146,7 @@ func NewSolidState(cfg SolidStateConfig) (*SolidStateSystem, error) {
 	cfg.applyDefaults()
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
-	o := obs.Or(cfg.Obs)
-	// Pin the resolved observer into the retained config, so everything
-	// built later from s.cfg (the remount-after-power-failure path) writes
-	// to the same observer this construction does — never to whatever the
-	// process default happens to be at that point.
-	cfg.Obs = o
+	o := cfg.Obs
 	o.GaugeFunc("dropped_negative_charges", obs.Labels{"layer": "core", "system": "solid-state"},
 		func() float64 { return float64(meter.DroppedNegativeCharges()) })
 
@@ -318,14 +313,14 @@ func (s *SolidStateSystem) RemountAfterPowerFailure() (*SolidStateSystem, error)
 	// Preserve the last moments before the cut while the tracer ring
 	// still holds them: the remount rebuilds the stack and subsequent
 	// traffic would overwrite the evidence.
-	if fr := obs.Or(s.cfg.Obs).FlightRecorder(); fr != nil {
+	if fr := s.cfg.Obs.FlightRecorder(); fr != nil {
 		fr.Dump("power-cut-remount")
 	}
 	// Everything destructive from here to the rebuilt stack — re-erasing
 	// torn blocks during the OOB scan, recovery checkpoints — is charged
 	// to the mount-recovery cause (ftl.Mount pushes the same cause for its
 	// own scan, which nests harmlessly inside this scope).
-	defer obs.Or(s.cfg.Obs).PushCause(obs.CauseMountRecovery)()
+	defer s.cfg.Obs.PushCause(obs.CauseMountRecovery)()
 	s.DRAM.Restore()
 	if s.Flash.Lost() {
 		// The cut may have hit the flash device mid-operation (fault
@@ -393,20 +388,14 @@ type DiskConfig struct {
 	DRAMBytes int64
 	// DiskBytes is the drive size.
 	DiskBytes int64
-	// Obs receives every layer's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives every layer's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
-// The disk organisation's drive and cache settings, the same in every
-// configuration: a KittyHawk drive that spins down after 10 s idle, a
-// buffer cache of a quarter of DRAM (the classic rule of thumb) that
-// writes back after 30 s, and an inode table of 512 blocks (16k inodes).
-const (
-	diskWriteBackDelay = 30 * sim.Second
-	diskSpindown       = 10 * sim.Second
-	diskInodeBlocks    = 512
-)
+// diskSpindown spins the disk organisation's KittyHawk drive down after
+// 10 s idle.
+const diskSpindown = 10 * sim.Second
 
 // DiskSystem is the conventional organisation: disk + buffer cache +
 // FFS-like file system.
@@ -425,8 +414,7 @@ type DiskSystem struct {
 func NewDisk(cfg DiskConfig) (*DiskSystem, error) {
 	clock := sim.NewClock()
 	meter := sim.NewEnergyMeter()
-	o := obs.Or(cfg.Obs)
-	cfg.Obs = o
+	o := cfg.Obs
 	o.GaugeFunc("dropped_negative_charges", obs.Labels{"layer": "core", "system": "disk"},
 		func() float64 { return float64(meter.DroppedNegativeCharges()) })
 	dr, err := dram.New(dram.Config{CapacityBytes: cfg.DRAMBytes, Params: device.NECDram, Obs: o}, clock, meter)
@@ -442,17 +430,11 @@ func NewDisk(cfg DiskConfig) (*DiskSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := bufcache.New(bufcache.Config{
-		BlockBytes:     fsBlockBytes,
-		DRAMBase:       0,
-		DRAMBytes:      cfg.DRAMBytes / 4,
-		WriteBackDelay: diskWriteBackDelay,
-		Obs:            o,
-	}, clock, dr, dk)
+	cache, err := bufcache.New(bufcache.Config{DRAMBytes: cfg.DRAMBytes / 4, Obs: o}, clock, dr, dk)
 	if err != nil {
 		return nil, err
 	}
-	f, err := diskfs.New(diskfs.Config{InodeBlocks: diskInodeBlocks}, cache)
+	f, err := diskfs.New(cache)
 	if err != nil {
 		return nil, err
 	}

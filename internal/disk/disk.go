@@ -42,8 +42,8 @@ type Config struct {
 	SpindownTimeout sim.Duration
 	// MeterCategory defaults to "disk".
 	MeterCategory string
-	// Obs receives the drive's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the drive's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -96,7 +96,7 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		return nil, err
 	}
 	cyls := int(cfg.CapacityBytes / bytesPerCylinder)
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := func(op string) obs.Labels {
 		return obs.Labels{"layer": "disk", "device": cfg.MeterCategory, "op": op}
 	}

@@ -47,13 +47,10 @@ var (
 const (
 	inodeBytes = 128
 	numDirect  = 12
+	// inodeBlocks is the size of the on-disk inode table in blocks: 16k
+	// inodes in 4 KB blocks.
+	inodeBlocks = 512
 )
-
-// Config parameterises the file system.
-type Config struct {
-	// InodeBlocks is the size of the on-disk inode table in blocks.
-	InodeBlocks int64
-}
 
 // inode is the in-core copy of an on-disk inode.
 type inode struct {
@@ -66,7 +63,6 @@ type inode struct {
 
 // FS is the conventional file system. Not safe for concurrent use.
 type FS struct {
-	cfg   Config
 	cache *bufcache.Cache
 	bs    int64
 
@@ -79,18 +75,18 @@ type FS struct {
 }
 
 // New formats and mounts a fresh file system over the cache.
-func New(cfg Config, cache *bufcache.Cache) (*FS, error) {
-	if cfg.InodeBlocks <= 0 {
-		cfg.InodeBlocks = 8
-	}
+func New(cache *bufcache.Cache) (*FS, error) { return format(cache, inodeBlocks) }
+
+// format formats and mounts a file system whose inode table is
+// tableBlocks blocks long.
+func format(cache *bufcache.Cache, tableBlocks int64) (*FS, error) {
 	bs := int64(cache.BlockBytes())
 	blocks := cache.Blocks()
-	dataBase := 1 + cfg.InodeBlocks
+	dataBase := 1 + tableBlocks
 	if dataBase >= blocks {
 		return nil, fmt.Errorf("diskfs: device of %d blocks too small", blocks)
 	}
 	f := &FS{
-		cfg:       cfg,
 		cache:     cache,
 		bs:        bs,
 		names:     make(map[string]int64),
@@ -99,7 +95,7 @@ func New(cfg Config, cache *bufcache.Cache) (*FS, error) {
 		numBlocks: blocks,
 	}
 	inosPerBlock := bs / inodeBytes
-	for ino := cfg.InodeBlocks*inosPerBlock - 1; ino >= 0; ino-- {
+	for ino := tableBlocks*inosPerBlock - 1; ino >= 0; ino-- {
 		f.freeInos = append(f.freeInos, ino)
 	}
 	for bn := blocks - 1; bn >= dataBase; bn-- {

@@ -32,14 +32,11 @@ func newRig(t testing.TB, diskBytes int64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := bufcache.New(bufcache.Config{
-		BlockBytes: 4096, DRAMBase: 0, DRAMBytes: 1 << 20,
-		WriteBackDelay: 30 * sim.Second,
-	}, clock, dr, dk)
+	cache, err := bufcache.New(bufcache.Config{DRAMBytes: 1 << 20}, clock, dr, dk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Config{InodeBlocks: 4}, cache)
+	f, err := format(cache, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +293,11 @@ func TestOutOfInodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := bufcache.New(bufcache.Config{BlockBytes: 4096, DRAMBytes: 1 << 20}, clock, dr, dk)
+	cache, err := bufcache.New(bufcache.Config{DRAMBytes: 1 << 20}, clock, dr, dk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Config{InodeBlocks: 1}, cache) // 32 inodes
+	f, err := format(cache, 1) // 32 inodes
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type Config struct {
 	// MeterCategory is the energy-meter category charged; defaults to
 	// "dram".
 	MeterCategory string
-	// Obs receives the device's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the device's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -91,7 +91,7 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 	if cfg.MeterCategory == "" {
 		cfg.MeterCategory = "dram"
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := func(op string) obs.Labels {
 		return obs.Labels{"layer": "dram", "device": cfg.MeterCategory, "op": op}
 	}

@@ -123,7 +123,6 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	if reserve < 1 {
 		reserve = 1
 	}
-	o = obs.Or(o)
 	ppb := dev.BlockBytes() / pageBytes
 	nb := dev.NumBlocks()
 	p := &Pool{

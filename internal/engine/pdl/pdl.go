@@ -65,8 +65,8 @@ type Config struct {
 	// IdleCleanThreshold lets CleanIdle reclaim during idle periods
 	// until this many blocks are free. Zero disables idle cleaning.
 	IdleCleanThreshold int
-	// Obs receives the engine's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the engine's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -216,9 +216,8 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	for i := range e.touchHead {
 		e.touchHead[i] = -1
 	}
-	o := obs.Or(cfg.Obs)
-	e.deltaWrites = o.Counter("delta_writes_total", obs.Labels{"layer": "pdl"})
-	e.promotion = o.Counter("promotions_total", obs.Labels{"layer": "pdl"})
+	e.deltaWrites = cfg.Obs.Counter("delta_writes_total", obs.Labels{"layer": "pdl"})
+	e.promotion = cfg.Obs.Counter("promotions_total", obs.Labels{"layer": "pdl"})
 	return e, nil
 }
 

@@ -79,8 +79,8 @@ type Config struct {
 	// SpareBytes disables the spare area.
 	SpareUnitBytes int
 	SpareBytes     int
-	// Obs receives the device's metrics and op spans; nil falls back to
-	// obs.Default() (which may itself be nil — telemetry off).
+	// Obs receives the device's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 	// Injector, when non-nil, is consulted before every destructive
 	// operation and may cut power before, during, or after it (see
@@ -177,7 +177,7 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 	if cfg.MeterCategory == "" {
 		cfg.MeterCategory = "flash"
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := func(op string) obs.Labels {
 		return obs.Labels{"layer": "flash", "device": cfg.MeterCategory, "op": op}
 	}

@@ -132,8 +132,8 @@ type Config struct {
 	// journal records; the journal is also compacted into a snapshot when
 	// its region fills. Default 512.
 	SnapshotEvery int
-	// Obs receives the file system's metrics and op spans; nil falls back
-	// to obs.Default().
+	// Obs receives the file system's metrics and op spans; nil means
+	// standalone collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -197,7 +197,7 @@ func openFS(cfg Config, clock *sim.Clock, sm *storman.Manager, dramDev *dram.Dev
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 512
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := func(op string) obs.Labels { return obs.Labels{"layer": "fs", "op": op} }
 	f := &FS{
 		cfg:          cfg,

@@ -105,8 +105,8 @@ type Config struct {
 	// until this many blocks are free, taking cleaning work off the
 	// write path. Zero disables idle cleaning.
 	IdleCleanThreshold int
-	// Obs receives the layer's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the layer's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -214,7 +214,7 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	f.blocks = make([]blockInfo, nb)
 	f.freeByBank = make([][]int, dev.Banks())
 	f.readAddrs = make([]int64, 0, engine.ReadRunPages)
-	f.staticMoves = obs.Or(cfg.Obs).Counter("static_moves_total", obs.Labels{"layer": "ftl"})
+	f.staticMoves = cfg.Obs.Counter("static_moves_total", obs.Labels{"layer": "ftl"})
 	for i := range f.mapping {
 		f.mapping[i] = -1
 		f.reverse[i] = -1

@@ -30,7 +30,7 @@
 // releases its lists. Histograms are per series, not per instance: no
 // Stats() view reads one, so Observer.Histogram returns the registered
 // series itself and a sample is recorded once. The one caller that
-// reports its own latencies (core.ReplayObs) keeps standalone histograms
+// reports its own latencies (core.Replay) keeps standalone histograms
 // beside the series it feeds.
 //
 // Histogram locking. A registry's histograms share one lock, which the
@@ -633,36 +633,4 @@ func (o *Observer) MergeLabeled(src *Observer, extra Labels) {
 		o.Tracer.Merge(src.Tracer)
 	}
 	o.mergeEvents(src)
-}
-
-// Default observer: the fallback layers use when their Config carries no
-// explicit observer. The CLIs set it so every system an experiment
-// assembles — including raw devices built deep inside exp functions — is
-// wired without threading an observer through each call chain.
-var (
-	defaultMu  sync.RWMutex
-	defaultObs *Observer
-)
-
-// SetDefault installs the process-wide default observer (nil to clear).
-func SetDefault(o *Observer) {
-	defaultMu.Lock()
-	defaultObs = o
-	defaultMu.Unlock()
-}
-
-// Default reports the process-wide default observer; may be nil.
-func Default() *Observer {
-	defaultMu.RLock()
-	defer defaultMu.RUnlock()
-	return defaultObs
-}
-
-// Or resolves an explicitly configured observer against the default:
-// layers call obs.Or(cfg.Obs) once at construction.
-func Or(o *Observer) *Observer {
-	if o != nil {
-		return o
-	}
-	return Default()
 }

@@ -313,17 +313,3 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the snapshot:\nwrote %+v\nread  %+v", now, back)
 	}
 }
-
-func TestObserverOrFallsBackToDefault(t *testing.T) {
-	prev := Default()
-	defer SetDefault(prev)
-	o := New(0)
-	SetDefault(o)
-	if Or(nil) != o {
-		t.Fatal("Or(nil) did not return the default observer")
-	}
-	explicit := New(0)
-	if Or(explicit) != explicit {
-		t.Fatal("Or(explicit) did not return the explicit observer")
-	}
-}

@@ -82,7 +82,7 @@ type Admin struct {
 // attached rather than collected: the flight recorder
 // (o.SetFlightRecorder) and the event journal (o.SetEventLog).
 func NewAdmin(src AdminSource, o *obs.Observer) *Admin {
-	return &Admin{src: src, o: obs.Or(o)}
+	return &Admin{src: src, o: o}
 }
 
 // SetDraining flips the health status reported by /healthz; the TCP

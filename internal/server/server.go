@@ -74,7 +74,8 @@ type Config struct {
 	// when occupancy reaches High while the cleaner is behind, and stops
 	// when occupancy falls to Low or the cleaner catches up.
 	HighWatermark, LowWatermark float64
-	// Obs receives the server's metrics; nil falls back to obs.Default().
+	// Obs receives the server's metrics; nil means standalone collectors,
+	// nothing exported.
 	Obs *obs.Observer
 	// OnShedEngage, if set, is called once per false→true transition of
 	// the admission controller's shedding state — the flight recorder's
@@ -201,7 +202,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: backend needs FS, Storage, Engine and Clock")
 	}
 	cfg = cfg.withDefaults()
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	s := &Server{
 		cfg:       cfg,
 		b:         b,

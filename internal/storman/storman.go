@@ -74,8 +74,8 @@ type Config struct {
 	// WriteBackDelay is the dirty age at which the daemon migrates a block
 	// to flash; zero disables age-based migration.
 	WriteBackDelay sim.Duration
-	// Obs receives the manager's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the manager's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -256,7 +256,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 		return nil, fmt.Errorf("storman: DRAM region [%d,%d) outside device of %d",
 			cfg.DRAMBase, cfg.DRAMBase+cfg.DRAMBytes, dramDev.Capacity())
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := obs.Labels{"layer": "storman"}
 	m := &Manager{
 		cfg:               cfg,

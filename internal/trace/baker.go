@@ -9,73 +9,59 @@ import (
 )
 
 // BakerConfig parameterises the Sprite-like office/engineering workload.
-// The defaults (see DefaultBaker) are calibrated to the published
-// distributions: small log-normal file sizes, a majority of files
-// short-lived, writes concentrated on a hot set. With those defaults a
-// 1 MB write buffer and 30-second write-back delay absorb 40-50% of write
-// traffic, the figure the paper quotes from Baker et al.
+// The calibration below is fixed to the published distributions: small
+// log-normal file sizes, a majority of files short-lived, writes
+// concentrated on a hot set. With DefaultBaker's hot set a 1 MB write
+// buffer and 30-second write-back delay absorb 40-50% of write traffic,
+// the figure the paper quotes from Baker et al.
 type BakerConfig struct {
 	// Duration is the span of activity to generate.
 	Duration sim.Duration
-	// MeanInterarrival is the exponential mean between operations.
-	MeanInterarrival sim.Duration
-	// FileSizeMedian and FileSizeSigma parameterise the log-normal file
-	// size distribution (sigma is in log space).
-	FileSizeMedian int
-	FileSizeSigma  float64
-	// MaxFileSize truncates the heavy tail so single files cannot exceed
-	// the simulated devices.
-	MaxFileSize int
-	// ShortLivedFrac is the fraction of created files that die young.
-	ShortLivedFrac float64
-	// ShortLifetimeMean and LongLifetimeMean are exponential means for the
-	// two lifetime classes.
-	ShortLifetimeMean sim.Duration
-	LongLifetimeMean  sim.Duration
-	// ReadFrac is the fraction of operations that are reads.
-	ReadFrac float64
 	// OverwriteFrac is the fraction of non-read operations that rewrite a
 	// block of an existing file rather than create a new file.
 	OverwriteFrac float64
 	// HotSkew is the Zipf exponent used to pick overwrite and read victims
 	// among recently written files (larger = hotter hot set).
 	HotSkew float64
-	// BlockSize is the granularity of overwrite and read operations.
-	BlockSize int
 	// Seed makes the trace reproducible.
 	Seed int64
 }
 
-// DefaultBaker returns the calibrated configuration used by the
-// experiments, covering the given span.
+// The office workload's calibration.
+const (
+	// bakerMeanInterarrival is the exponential mean between operations.
+	bakerMeanInterarrival = 50 * sim.Millisecond
+	// bakerFileSizeMedian and bakerFileSizeSigma parameterise the
+	// log-normal file size distribution (sigma is in log space).
+	bakerFileSizeMedian = 4 * 1024
+	bakerFileSizeSigma  = 1.2
+	// bakerMaxFileSize truncates the heavy tail so single files cannot
+	// exceed the simulated devices.
+	bakerMaxFileSize = 256 * 1024
+	// bakerShortLivedFrac is the fraction of created files that die young.
+	bakerShortLivedFrac = 0.5
+	// bakerShortLifetimeMean and bakerLongLifetimeMean are exponential
+	// means for the two lifetime classes.
+	bakerShortLifetimeMean = 20 * sim.Second
+	bakerLongLifetimeMean  = 2 * sim.Hour
+	// bakerReadFrac is the fraction of operations that are reads.
+	bakerReadFrac = 0.55
+	// bakerBlockSize is the granularity of overwrite and read operations.
+	bakerBlockSize = 4 * 1024
+)
+
+// DefaultBaker returns the configuration used by the experiments,
+// covering the given span.
 func DefaultBaker(d sim.Duration, seed int64) BakerConfig {
-	return BakerConfig{
-		Duration:          d,
-		MeanInterarrival:  50 * sim.Millisecond,
-		FileSizeMedian:    4 * 1024,
-		FileSizeSigma:     1.2,
-		MaxFileSize:       256 * 1024,
-		ShortLivedFrac:    0.5,
-		ShortLifetimeMean: 20 * sim.Second,
-		LongLifetimeMean:  2 * sim.Hour,
-		ReadFrac:          0.55,
-		OverwriteFrac:     0.4,
-		HotSkew:           1.3,
-		BlockSize:         4 * 1024,
-		Seed:              seed,
-	}
+	return BakerConfig{Duration: d, OverwriteFrac: 0.4, HotSkew: 1.3, Seed: seed}
 }
 
 // Validate checks the configuration for usability.
 func (c BakerConfig) Validate() error {
-	if c.Duration <= 0 || c.MeanInterarrival <= 0 {
-		return fmt.Errorf("trace: non-positive duration or interarrival")
+	if c.Duration <= 0 {
+		return fmt.Errorf("trace: non-positive duration")
 	}
-	if c.FileSizeMedian <= 0 || c.BlockSize <= 0 {
-		return fmt.Errorf("trace: non-positive sizes")
-	}
-	if c.ShortLivedFrac < 0 || c.ShortLivedFrac > 1 || c.ReadFrac < 0 || c.ReadFrac > 1 ||
-		c.OverwriteFrac < 0 || c.OverwriteFrac > 1 {
+	if c.OverwriteFrac < 0 || c.OverwriteFrac > 1 {
 		return fmt.Errorf("trace: fractions must be in [0,1]")
 	}
 	return nil
@@ -174,7 +160,7 @@ func GenerateBaker(cfg BakerConfig) (*Trace, error) {
 	now := sim.Time(0)
 	end := sim.Time(cfg.Duration)
 
-	mu := math.Log(float64(cfg.FileSizeMedian))
+	mu := math.Log(float64(bakerFileSizeMedian))
 
 	emitDeletesThrough := func(now sim.Time) {
 		for deletes.Len() > 0 && deletes[0].at <= now {
@@ -188,45 +174,45 @@ func GenerateBaker(cfg BakerConfig) (*Trace, error) {
 	}
 
 	for {
-		now = now.Add(sim.Duration(choices.Exp(float64(cfg.MeanInterarrival))))
+		now = now.Add(sim.Duration(choices.Exp(float64(bakerMeanInterarrival))))
 		if now > end {
 			break
 		}
 		emitDeletesThrough(now)
 
 		switch {
-		case choices.Float64() < cfg.ReadFrac && live.len() > 0:
+		case choices.Float64() < bakerReadFrac && live.len() > 0:
 			f, size := live.pickHot(victims, cfg.HotSkew)
-			n := cfg.BlockSize
+			n := bakerBlockSize
 			if n > size {
 				n = size
 			}
 			var off int64
 			if size > n {
-				off = victims.Int63n(int64(size-n)+1) / int64(cfg.BlockSize) * int64(cfg.BlockSize)
+				off = victims.Int63n(int64(size-n)+1) / bakerBlockSize * bakerBlockSize
 			}
 			t.Ops = append(t.Ops, Op{Time: now, Kind: Read, File: f, Offset: off, Size: n})
 
 		case choices.Float64() < cfg.OverwriteFrac && live.len() > 0:
 			f, size := live.pickHot(victims, cfg.HotSkew)
-			n := cfg.BlockSize
+			n := bakerBlockSize
 			if n > size {
 				n = size
 			}
 			var off int64
 			if size > n {
-				off = victims.Int63n(int64(size-n)+1) / int64(cfg.BlockSize) * int64(cfg.BlockSize)
+				off = victims.Int63n(int64(size-n)+1) / bakerBlockSize * bakerBlockSize
 			}
 			live.touch(f)
 			t.Ops = append(t.Ops, Op{Time: now, Kind: Write, File: f, Offset: off, Size: n})
 
 		default:
-			size := int(sizes.LogNormal(mu, cfg.FileSizeSigma))
+			size := int(sizes.LogNormal(mu, bakerFileSizeSigma))
 			if size < 1 {
 				size = 1
 			}
-			if cfg.MaxFileSize > 0 && size > cfg.MaxFileSize {
-				size = cfg.MaxFileSize
+			if size > bakerMaxFileSize {
+				size = bakerMaxFileSize
 			}
 			f := nextID
 			nextID++
@@ -235,10 +221,10 @@ func GenerateBaker(cfg BakerConfig) (*Trace, error) {
 			t.Ops = append(t.Ops, Op{Time: now, Kind: Write, File: f, Offset: 0, Size: size})
 
 			var life sim.Duration
-			if lifetimes.Bool(cfg.ShortLivedFrac) {
-				life = sim.Duration(lifetimes.Exp(float64(cfg.ShortLifetimeMean)))
+			if lifetimes.Bool(bakerShortLivedFrac) {
+				life = sim.Duration(lifetimes.Exp(float64(bakerShortLifetimeMean)))
 			} else {
-				life = sim.Duration(lifetimes.Exp(float64(cfg.LongLifetimeMean)))
+				life = sim.Duration(lifetimes.Exp(float64(bakerLongLifetimeMean)))
 			}
 			heap.Push(&deletes, pendingDelete{at: now.Add(life), file: f})
 		}

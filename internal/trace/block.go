@@ -14,10 +14,9 @@ import (
 type BlockConfig struct {
 	// Ops is the number of operations to generate.
 	Ops int
-	// Blocks is the logical block range [0, Blocks).
+	// Blocks is the logical block range [0, Blocks) of blockSize-byte
+	// blocks: an op's Offset is block × blockSize, its Size blockSize.
 	Blocks int
-	// BlockSize scales Offset (= block × BlockSize) and Size.
-	BlockSize int
 	// ReadFrac is the fraction of operations that are reads.
 	ReadFrac float64
 	// Skew selects the address distribution: 0 means uniform; above 1 it
@@ -27,13 +26,17 @@ type BlockConfig struct {
 	Seed int64
 }
 
-// blockMeanGap is the mean of the exponential gap between a block
-// workload's operations.
-const blockMeanGap = sim.Microsecond
+const (
+	// blockSize is a block workload's block.
+	blockSize = 4096
+	// blockMeanGap is the mean of the exponential gap between a block
+	// workload's operations.
+	blockMeanGap = sim.Microsecond
+)
 
 // Validate checks the configuration.
 func (c BlockConfig) Validate() error {
-	if c.Ops <= 0 || c.Blocks <= 0 || c.BlockSize <= 0 {
+	if c.Ops <= 0 || c.Blocks <= 0 {
 		return fmt.Errorf("trace: non-positive block workload dimensions")
 	}
 	if c.ReadFrac < 0 || c.ReadFrac > 1 {
@@ -70,8 +73,8 @@ func GenerateBlocks(cfg BlockConfig) (*Trace, error) {
 		t.Ops = append(t.Ops, Op{
 			Time:   now,
 			Kind:   kind,
-			Offset: block * int64(cfg.BlockSize),
-			Size:   cfg.BlockSize,
+			Offset: block * blockSize,
+			Size:   blockSize,
 		})
 	}
 	return t, nil

@@ -21,47 +21,36 @@ import (
 type PIMConfig struct {
 	// Duration is the span to generate.
 	Duration sim.Duration
-	// SessionsPerHour is the mean rate of usage bursts.
-	SessionsPerHour float64
-	// SessionOps is the mean number of operations per burst.
-	SessionOps int
-	// RecordBytes is the typical record size.
-	RecordBytes int
-	// InitialRecords seeds the database before the trace starts.
-	InitialRecords int
-	// NewRecordFrac is the fraction of session ops that create a record
-	// (the rest split between reads and updates).
-	NewRecordFrac float64
-	// ReadFrac is the fraction of non-create ops that read.
-	ReadFrac float64
 	// Seed makes the trace reproducible.
 	Seed int64
 }
 
-// DefaultPIM returns the calibrated PIM configuration.
+// The PIM workload's calibration.
+const (
+	// pimSessionsPerHour is the mean rate of usage bursts.
+	pimSessionsPerHour = 6
+	// pimSessionOps is the mean number of operations per burst.
+	pimSessionOps = 30
+	// pimRecordBytes is the typical record size.
+	pimRecordBytes = 256
+	// pimInitialRecords seeds the database before the trace starts.
+	pimInitialRecords = 200
+	// pimNewRecordFrac is the fraction of session ops that create a
+	// record (the rest split between reads and updates).
+	pimNewRecordFrac = 0.1
+	// pimReadFrac is the fraction of non-create ops that read.
+	pimReadFrac = 0.7
+)
+
+// DefaultPIM returns the PIM configuration covering the given span.
 func DefaultPIM(d sim.Duration, seed int64) PIMConfig {
-	return PIMConfig{
-		Duration:        d,
-		SessionsPerHour: 6,
-		SessionOps:      30,
-		RecordBytes:     256,
-		InitialRecords:  200,
-		NewRecordFrac:   0.1,
-		ReadFrac:        0.7,
-		Seed:            seed,
-	}
+	return PIMConfig{Duration: d, Seed: seed}
 }
 
 // Validate checks the configuration.
 func (c PIMConfig) Validate() error {
-	if c.Duration <= 0 || c.SessionsPerHour <= 0 || c.SessionOps <= 0 {
-		return fmt.Errorf("trace: non-positive PIM dimensions")
-	}
-	if c.RecordBytes <= 0 || c.InitialRecords < 0 {
-		return fmt.Errorf("trace: bad PIM record parameters")
-	}
-	if c.NewRecordFrac < 0 || c.NewRecordFrac > 1 || c.ReadFrac < 0 || c.ReadFrac > 1 {
-		return fmt.Errorf("trace: PIM fractions must be in [0,1]")
+	if c.Duration <= 0 {
+		return fmt.Errorf("trace: non-positive PIM duration")
 	}
 	return nil
 }
@@ -80,7 +69,7 @@ func GeneratePIM(cfg PIMConfig) (*Trace, error) {
 	addRecord := func(at sim.Time) FileID {
 		id := nextID
 		nextID++
-		size := cfg.RecordBytes/2 + g.Intn(cfg.RecordBytes)
+		size := pimRecordBytes/2 + g.Intn(pimRecordBytes)
 		t.Ops = append(t.Ops,
 			Op{Time: at, Kind: Create, File: id, Size: size},
 			Op{Time: at, Kind: Write, File: id, Offset: 0, Size: size})
@@ -89,12 +78,12 @@ func GeneratePIM(cfg PIMConfig) (*Trace, error) {
 
 	// Initial database load (synced to the device at the factory or
 	// during first setup; time zero).
-	for i := 0; i < cfg.InitialRecords; i++ {
+	for i := 0; i < pimInitialRecords; i++ {
 		addRecord(0)
 	}
 
 	end := sim.Time(cfg.Duration)
-	meanGap := sim.Duration(float64(sim.Hour) / cfg.SessionsPerHour)
+	meanGap := sim.Duration(float64(sim.Hour) / pimSessionsPerHour)
 	for {
 		now = now.Add(sim.Duration(g.Exp(float64(meanGap))))
 		if now > end {
@@ -104,7 +93,7 @@ func GeneratePIM(cfg PIMConfig) (*Trace, error) {
 		// is editing a handful of specific records (today's appointments),
 		// so writes concentrate on a small session working set — which is
 		// exactly what the battery-backed write buffer absorbs.
-		ops := 1 + g.Intn(2*cfg.SessionOps)
+		ops := 1 + g.Intn(2*pimSessionOps)
 		focus := make([]FileID, 1+g.Intn(4))
 		for i := range focus {
 			focus[i] = FileID(1 + g.Intn(int(nextID)-1))
@@ -113,16 +102,16 @@ func GeneratePIM(cfg PIMConfig) (*Trace, error) {
 		for i := 0; i < ops && at <= end; i++ {
 			at = at.Add(sim.Duration(g.Exp(float64(300 * sim.Millisecond))))
 			switch {
-			case g.Bool(cfg.NewRecordFrac):
+			case g.Bool(pimNewRecordFrac):
 				focus = append(focus, addRecord(at))
-			case g.Bool(cfg.ReadFrac):
+			case g.Bool(pimReadFrac):
 				// Browsing reads range over the whole database.
 				id := FileID(1 + g.Intn(int(nextID)-1))
-				t.Ops = append(t.Ops, Op{Time: at, Kind: Read, File: id, Offset: 0, Size: cfg.RecordBytes / 2})
+				t.Ops = append(t.Ops, Op{Time: at, Kind: Read, File: id, Offset: 0, Size: pimRecordBytes / 2})
 			default:
 				// Edits hit the session's working set.
 				id := focus[g.Intn(len(focus))]
-				t.Ops = append(t.Ops, Op{Time: at, Kind: Write, File: id, Offset: 0, Size: cfg.RecordBytes / 2})
+				t.Ops = append(t.Ops, Op{Time: at, Kind: Write, File: id, Offset: 0, Size: pimRecordBytes / 2})
 			}
 		}
 		now = at

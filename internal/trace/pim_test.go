@@ -88,13 +88,7 @@ func TestPIMShape(t *testing.T) {
 }
 
 func TestPIMValidation(t *testing.T) {
-	bad := DefaultPIM(sim.Hour, 1)
-	bad.ReadFrac = 2
-	if _, err := GeneratePIM(bad); err == nil {
-		t.Fatal("bad ReadFrac accepted")
-	}
-	bad = DefaultPIM(0, 1)
-	if _, err := GeneratePIM(bad); err == nil {
+	if _, err := GeneratePIM(DefaultPIM(0, 1)); err == nil {
 		t.Fatal("zero duration accepted")
 	}
 }

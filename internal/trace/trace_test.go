@@ -210,15 +210,15 @@ func TestBakerFileSizes(t *testing.T) {
 		t.Errorf("median file size %d, want a few KB", median)
 	}
 	if max := sizes[len(sizes)-1]; max > 256*1024 {
-		t.Errorf("file size %d exceeds MaxFileSize", max)
+		t.Errorf("file size %d exceeds bakerMaxFileSize", max)
 	}
 }
 
 func TestBakerValidation(t *testing.T) {
 	bad := bakerTestConfig(1)
-	bad.ReadFrac = 1.5
+	bad.OverwriteFrac = 1.5
 	if _, err := GenerateBaker(bad); err == nil {
-		t.Error("invalid ReadFrac accepted")
+		t.Error("invalid OverwriteFrac accepted")
 	}
 	bad = bakerTestConfig(1)
 	bad.Duration = 0
@@ -228,7 +228,7 @@ func TestBakerValidation(t *testing.T) {
 }
 
 func TestBlockWorkloadUniform(t *testing.T) {
-	tr, err := GenerateBlocks(BlockConfig{Ops: 20000, Blocks: 16, BlockSize: 4096, ReadFrac: 0.25, Seed: 9})
+	tr, err := GenerateBlocks(BlockConfig{Ops: 20000, Blocks: 16, ReadFrac: 0.25, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,13 @@ func TestBlockWorkloadUniform(t *testing.T) {
 }
 
 func TestBlockWorkloadSkewed(t *testing.T) {
-	tr, err := GenerateBlocks(BlockConfig{Ops: 20000, Blocks: 64, BlockSize: 512, Skew: 1.4, Seed: 10})
+	tr, err := GenerateBlocks(BlockConfig{Ops: 20000, Blocks: 64, Skew: 1.4, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 64)
 	for _, op := range tr.Ops {
-		counts[op.Offset/512]++
+		counts[op.Offset/blockSize]++
 	}
 	if counts[0] <= counts[32]*4 {
 		t.Errorf("hot block %d vs mid block %d; want strong skew", counts[0], counts[32])
@@ -272,10 +272,10 @@ func TestBlockWorkloadSkewed(t *testing.T) {
 }
 
 func TestBlockWorkloadValidation(t *testing.T) {
-	if _, err := GenerateBlocks(BlockConfig{Ops: 0, Blocks: 1, BlockSize: 1}); err == nil {
+	if _, err := GenerateBlocks(BlockConfig{Ops: 0, Blocks: 1}); err == nil {
 		t.Error("zero ops accepted")
 	}
-	if _, err := GenerateBlocks(BlockConfig{Ops: 1, Blocks: 1, BlockSize: 1, ReadFrac: -1}); err == nil {
+	if _, err := GenerateBlocks(BlockConfig{Ops: 1, Blocks: 1, ReadFrac: -1}); err == nil {
 		t.Error("negative ReadFrac accepted")
 	}
 }

@@ -110,8 +110,8 @@ type Config struct {
 	// pressure; nil means frame exhaustion is an error (the solid-state
 	// configuration, where capacity is ample by design).
 	Swap Swapper
-	// Obs receives the VM's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the VM's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -190,7 +190,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, flashDev *flash.Dev
 		return nil, fmt.Errorf("vm: frame pool [%d,%d) outside DRAM of %d",
 			cfg.DRAMBase, cfg.DRAMBase+cfg.DRAMBytes, dramDev.Capacity())
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	lbl := obs.Labels{"layer": "vm"}
 	v := &VM{
 		cfg:          cfg,

@@ -83,8 +83,8 @@ type Config struct {
 	WriteBackDelay sim.Duration
 	// Policy selects the eviction order.
 	Policy EvictPolicy
-	// Obs receives the buffer's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the buffer's metrics and op spans; nil means standalone
+	// collectors, nothing exported.
 	Obs *obs.Observer
 }
 
@@ -197,7 +197,7 @@ func New(cfg Config, clock *sim.Clock) (*Buffer, error) {
 	if cfg.CapacityBytes < 0 {
 		return nil, fmt.Errorf("wbuf: negative capacity %d", cfg.CapacityBytes)
 	}
-	o := obs.Or(cfg.Obs)
+	o := cfg.Obs
 	b := &Buffer{
 		cfg:               cfg,
 		clock:             clock,
