@@ -266,7 +266,7 @@ func build(bc buildConfig) (*service, error) {
 // restart) and on demand; the admin endpoint, the shed-engage hooks, the
 // router and the drain path all find it on that observer.
 func (svc *service) recordFlights(dir string) error {
-	fr, err := obs.NewFlightRecorder(svc.obs, dir, 0, 0)
+	fr, err := obs.NewFlightRecorder(svc.obs, dir)
 	if err != nil {
 		return err
 	}

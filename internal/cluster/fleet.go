@@ -248,7 +248,7 @@ func FleetFromSnapshot(snap obs.Snapshot) (FleetReport, error) {
 	if rep.EraseRatePerSec > 0 {
 		rep.LifetimeSeconds = float64(rep.RemainingEraseBudget) / rep.EraseRatePerSec
 	}
-	rep.Lifetime = fleetLifetime(rep.LifetimeSeconds)
+	rep.Lifetime = flash.FormatLifetime(rep.LifetimeSeconds)
 
 	if m, ok := snap.Find("cluster_under_replicated_keys", cl); ok {
 		rep.UnderReplicatedKeys = int64(m.Value)
@@ -280,24 +280,6 @@ func FleetFromSnapshot(snap obs.Snapshot) (FleetReport, error) {
 	}
 	sort.Slice(rep.Replicas, func(i, j int) bool { return rep.Replicas[i].Rank < rep.Replicas[j].Rank })
 	return rep, nil
-}
-
-// fleetLifetime mirrors the single-card lifetime formatting so the two
-// reports read alike.
-func fleetLifetime(s float64) string {
-	const day = 86400.0
-	switch {
-	case s <= 0:
-		return "unbounded"
-	case s >= 365.25*day:
-		return fmt.Sprintf("%.1fy", s/(365.25*day))
-	case s >= day:
-		return fmt.Sprintf("%.1fd", s/day)
-	case s >= 3600:
-		return fmt.Sprintf("%.1fh", s/3600)
-	default:
-		return fmt.Sprintf("%.0fs", s)
-	}
 }
 
 // Fprint renders the report as the human-readable `ssmtrace fleet` text.

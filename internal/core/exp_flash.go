@@ -27,8 +27,7 @@ func e6FTL(o *obs.Observer, endurance int64, v e6Variant) (*flash.Device, *ftl.F
 		return nil, nil, err
 	}
 	l, err := ftl.New(dev, clock, ftl.Config{
-		PageBytes: 1024, ReserveBlocks: 3,
-		Policy: v.policy, HotCold: v.hotCold,
+		PageBytes: 1024, Policy: v.policy, HotCold: v.hotCold,
 		WearDeltaThreshold: v.wearDelta,
 		Obs:                o,
 	})

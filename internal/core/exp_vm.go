@@ -207,7 +207,7 @@ func xipRig(o *obs.Observer, codeSize int) (*sim.Clock, *dram.Device, *flash.Dev
 		addr += int64(n)
 		code = code[n:]
 	}
-	v, err := vm.New(vm.Config{PageBytes: 4096, DRAMBase: 0, DRAMBytes: 6 << 20, Obs: o}, clock, dr, fd)
+	v, err := vm.New(vm.Config{DRAMBase: 0, DRAMBytes: 6 << 20, Obs: o}, clock, dr, fd)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

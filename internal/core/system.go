@@ -246,7 +246,6 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 	}
 	frameBase := cfg.RBoxBytes + cfg.BufferBytes
 	s.VM, err = vm.New(vm.Config{
-		PageBytes: fsBlockBytes,
 		DRAMBase:  frameBase,
 		DRAMBytes: cfg.DRAMBytes - frameBase,
 		Obs:       cfg.Obs,

@@ -29,6 +29,10 @@ const bytesPerCylinder = 32 * 2 * SectorBytes
 // ErrOutOfRange reports an access beyond the end of the drive.
 var ErrOutOfRange = errors.New("disk: address out of range")
 
+// meterCategory is the energy-meter category a drive charges, and its
+// device label.
+const meterCategory = "disk"
+
 // Config fixes the geometry, part parameters and power management of a
 // simulated drive.
 type Config struct {
@@ -40,8 +44,6 @@ type Config struct {
 	// SpindownTimeout is how long the drive idles before spinning down to
 	// save power; zero disables spindown.
 	SpindownTimeout sim.Duration
-	// MeterCategory defaults to "disk".
-	MeterCategory string
 	// Obs receives the drive's metrics and op spans; nil means standalone
 	// collectors, nothing exported.
 	Obs *obs.Observer
@@ -89,16 +91,13 @@ type Device struct {
 
 // New builds a drive with zeroed media, head at cylinder 0, spinning.
 func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) {
-	if cfg.MeterCategory == "" {
-		cfg.MeterCategory = "disk"
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cyls := int(cfg.CapacityBytes / bytesPerCylinder)
 	o := cfg.Obs
 	lbl := func(op string) obs.Labels {
-		return obs.Labels{"layer": "disk", "device": cfg.MeterCategory, "op": op}
+		return obs.Labels{"layer": "disk", "device": meterCategory, "op": op}
 	}
 	return &Device{
 		cfg:          cfg,
@@ -113,7 +112,7 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 		bytesWritten: o.Counter("bytes_total", lbl("write")),
 		seekNs:       o.Counter("seek_ns_total", lbl("access")),
 		rotateNs:     o.Counter("rotate_ns_total", lbl("access")),
-		spinups:      o.Counter("spinups_total", obs.Labels{"layer": "disk", "device": cfg.MeterCategory}),
+		spinups:      o.Counter("spinups_total", obs.Labels{"layer": "disk", "device": meterCategory}),
 	}, nil
 }
 
@@ -160,7 +159,7 @@ func (d *Device) settlePower(now sim.Time) {
 		return
 	}
 	gap := now.Sub(d.lastCharged)
-	cat := d.cfg.MeterCategory + "-idle"
+	cat := meterCategory + "-idle"
 	switch {
 	case d.spunDown:
 		d.meter.Charge(cat, sim.EnergyFor(d.cfg.Params.SleepMilliwatts, gap))
@@ -188,7 +187,7 @@ func (d *Device) access(addr int64, n int) sim.Duration {
 		d.spunDown = false
 		d.spinups.Inc()
 		// Spin-up draws roughly double active power.
-		d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(2*d.cfg.Params.ActiveMilliwatts, spin))
+		d.meter.Charge(meterCategory, sim.EnergyFor(2*d.cfg.Params.ActiveMilliwatts, spin))
 	}
 
 	target := d.cylinderOf(addr)
@@ -201,7 +200,7 @@ func (d *Device) access(addr int64, n int) sim.Duration {
 
 	op := seek + rot + xfer
 	total += op
-	d.meter.Charge(d.cfg.MeterCategory, sim.EnergyFor(d.cfg.Params.ActiveMilliwatts, op))
+	d.meter.Charge(meterCategory, sim.EnergyFor(d.cfg.Params.ActiveMilliwatts, op))
 	d.clock.Advance(total)
 	d.lastEnd = d.clock.Now()
 	d.lastCharged = d.lastEnd

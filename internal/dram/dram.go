@@ -32,15 +32,16 @@ var (
 	ErrPowerLost = errors.New("dram: contents lost to power failure")
 )
 
+// meterCategory is the energy-meter category an array charges, and its
+// device label.
+const meterCategory = "dram"
+
 // Config fixes the size and part parameters of a simulated DRAM array.
 type Config struct {
 	// CapacityBytes is the array size.
 	CapacityBytes int64
 	// Params supplies latency and power figures; typically device.NECDram.
 	Params device.Params
-	// MeterCategory is the energy-meter category charged; defaults to
-	// "dram".
-	MeterCategory string
 	// Obs receives the device's metrics and op spans; nil means standalone
 	// collectors, nothing exported.
 	Obs *obs.Observer
@@ -70,7 +71,7 @@ type Device struct {
 	clock *sim.Clock
 	meter *sim.EnergyMeter
 	obs   *obs.Observer
-	// active and idle are the meter's accounts for MeterCategory and its
+	// active and idle are the meter's accounts for meterCategory and its
 	// "-idle" twin, resolved once in New.
 	active, idle *sim.EnergyAccount
 
@@ -88,26 +89,23 @@ func New(cfg Config, clock *sim.Clock, meter *sim.EnergyMeter) (*Device, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MeterCategory == "" {
-		cfg.MeterCategory = "dram"
-	}
 	o := cfg.Obs
 	lbl := func(op string) obs.Labels {
-		return obs.Labels{"layer": "dram", "device": cfg.MeterCategory, "op": op}
+		return obs.Labels{"layer": "dram", "device": meterCategory, "op": op}
 	}
 	return &Device{
 		cfg:           cfg,
 		clock:         clock,
 		meter:         meter,
 		obs:           o,
-		active:        meter.Account(cfg.MeterCategory),
-		idle:          meter.Account(cfg.MeterCategory + "-idle"),
+		active:        meter.Account(meterCategory),
+		idle:          meter.Account(meterCategory + "-idle"),
 		data:          make([]byte, cfg.CapacityBytes),
 		reads:         o.Counter("ops_total", lbl("read")),
 		writes:        o.Counter("ops_total", lbl("write")),
 		bytesRead:     o.Counter("bytes_total", lbl("read")),
 		bytesWritten:  o.Counter("bytes_total", lbl("write")),
-		powerFailures: o.Counter("power_failures_total", obs.Labels{"layer": "dram", "device": cfg.MeterCategory}),
+		powerFailures: o.Counter("power_failures_total", obs.Labels{"layer": "dram", "device": meterCategory}),
 	}, nil
 }
 

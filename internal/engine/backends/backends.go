@@ -20,9 +20,10 @@ import (
 )
 
 // Config holds what callers choose per stack. Everything else a served
-// stack runs with is written once, in Open: a reserve of three blocks,
-// background erases, and for ftl cost-benefit cleaning with hot/cold
-// separation and a persisted mapping.
+// stack runs with is written once, in Open: for ftl, cost-benefit
+// cleaning with hot/cold separation and a persisted mapping. The
+// cleaning reserve (blocks.Reserve) and background erases are the same
+// on every engine.
 type Config struct {
 	// PageBytes is the engine's page, the storage manager's block.
 	PageBytes int
@@ -46,7 +47,7 @@ func Open(name string, mount bool, dev *flash.Device, clock *sim.Clock, cfg Conf
 	switch name {
 	case "ftl":
 		c := ftl.Config{
-			PageBytes: cfg.PageBytes, ReserveBlocks: 3, IdleCleanThreshold: cfg.IdleCleanThreshold,
+			PageBytes: cfg.PageBytes, IdleCleanThreshold: cfg.IdleCleanThreshold,
 			Policy: ftl.PolicyCostBenefit, HotCold: true, PersistMapping: true,
 			Obs: cfg.Obs,
 		}
@@ -56,7 +57,7 @@ func Open(name string, mount bool, dev *flash.Device, clock *sim.Clock, cfg Conf
 		return opened(ftl.New(dev, clock, c))
 	case "pdl":
 		c := pdl.Config{
-			PageBytes: cfg.PageBytes, ReserveBlocks: 3, IdleCleanThreshold: cfg.IdleCleanThreshold,
+			PageBytes: cfg.PageBytes, IdleCleanThreshold: cfg.IdleCleanThreshold,
 			Obs: cfg.Obs,
 		}
 		if mount {

@@ -53,16 +53,15 @@ func benchWritePath(b *testing.B, backend string, mb int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reserve := banks * blocksPerBank / 50
 	var e engine.Engine
 	switch backend {
 	case "ftl":
 		e, err = ftl.New(dev, clock, ftl.Config{
-			PageBytes: pageBytes, ReserveBlocks: reserve, Policy: ftl.PolicyCostBenefit,
+			PageBytes: pageBytes, Policy: ftl.PolicyCostBenefit,
 			HotCold: true, PersistMapping: true, Obs: obs.New(0),
 		})
 	case "pdl":
-		e, err = pdl.New(dev, clock, pdl.Config{PageBytes: pageBytes, ReserveBlocks: reserve, Obs: obs.New(0)})
+		e, err = pdl.New(dev, clock, pdl.Config{PageBytes: pageBytes, Obs: obs.New(0)})
 	default:
 		b.Fatalf("no write-path rung for engine %q", backend)
 	}
@@ -112,7 +111,7 @@ func benchWritePath(b *testing.B, backend string, mb int) {
 	}
 	// Untimed warm-up: deltas are small, so pdl needs many overwrites to
 	// eat the free tenth of the card; time only a cleaner that is running.
-	for e.Stats().FreeBlocks > reserve+1 {
+	for e.Stats().FreeBlocks > blocks.Reserve+1 {
 		for i := 0; i < 1024; i++ {
 			overwrite()
 		}

@@ -59,11 +59,11 @@ type Pool struct {
 	obs   *obs.Observer
 	layer string
 
-	pageBytes, ppb      int
-	reserve, idleTarget int
-	pick                func() int
-	clean               func(victim int) error
-	heads               func() (int, int)
+	pageBytes, ppb int
+	idleTarget     int
+	pick           func() int
+	clean          func(victim int) error
+	heads          func() (int, int)
 
 	state         []blockState
 	free, retired int
@@ -102,42 +102,41 @@ const (
 
 var victimClassNames = [...]string{Busy: "busy", Idle: "idle", Quiet: "quiet"}
 
+// Reserve is the cleaning headroom in blocks: cleaning keeps more than
+// this many blocks free on the write path.
+const Reserve = 3
+
 // New builds the ledger over a freshly erased device (every block free)
 // and registers the engine's shared telemetry under layer/engine=layer.
 //
 // pageBytes is the mapping granularity and must divide the erase block.
-// Cleaning keeps more than reserve blocks free on the write path (at
-// least 1) and idleTarget blocks free in idle time (0 disables idle
+// Cleaning keeps idleTarget blocks free in idle time (0 disables idle
 // cleaning). pick returns the next victim block or -1; clean relocates a
 // victim's live data and hands the block back through Erase; heads names
 // the blocks of the engine's two open log heads, -1 for one not open. An
 // engine that never cleans passes nil for all three and gets the whole
-// device as logical space; a cleaning engine gives up the reserve plus
-// its two log heads.
+// device as logical space; a cleaning engine gives up Reserve blocks
+// plus its two log heads.
 func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
-	pageBytes, reserve, idleTarget int,
+	pageBytes, idleTarget int,
 	pick func() int, clean func(victim int) error, heads func() (int, int)) (*Pool, error) {
 	if pageBytes <= 0 || dev.BlockBytes()%pageBytes != 0 {
 		return nil, fmt.Errorf("%s: page size %d does not divide block size %d", layer, pageBytes, dev.BlockBytes())
-	}
-	if reserve < 1 {
-		reserve = 1
 	}
 	ppb := dev.BlockBytes() / pageBytes
 	nb := dev.NumBlocks()
 	p := &Pool{
 		dev: dev, clock: clock, obs: o, layer: layer,
 		pageBytes: pageBytes, ppb: ppb,
-		reserve: reserve, idleTarget: idleTarget,
-		pick: pick, clean: clean, heads: heads,
+		idleTarget: idleTarget, pick: pick, clean: clean, heads: heads,
 		state: make([]blockState, nb), free: nb,
 		logicalPages: int64(nb) * int64(ppb),
 		classes:      make([]VictimClass, dev.Banks()),
 	}
 	if pick != nil {
-		overhead := int64(reserve+2) * int64(ppb)
+		overhead := int64(Reserve+2) * int64(ppb)
 		if overhead >= p.logicalPages {
-			return nil, fmt.Errorf("%s: reserve %d blocks leaves no logical space on %d blocks", layer, reserve, nb)
+			return nil, fmt.Errorf("%s: reserve %d blocks leaves no logical space on %d blocks", layer, Reserve, nb)
 		}
 		p.logicalPages -= overhead
 	}
@@ -191,10 +190,6 @@ func (p *Pool) RequireSpare() error {
 	}
 	return nil
 }
-
-// Reserve reports the foreground cleaning reserve in blocks (New's
-// argument, raised to the minimum of 1).
-func (p *Pool) Reserve() int { return p.reserve }
 
 // PagesPerBlock reports how many pages one erase block holds.
 func (p *Pool) PagesPerBlock() int { return p.ppb }
@@ -328,7 +323,7 @@ func (p *Pool) retire(b int) {
 // absorb writes from its remaining free blocks, so the absence of a
 // victim is only fatal once the free pool is empty.
 func (p *Pool) EnsureSpace() error {
-	for p.free <= p.reserve {
+	for p.free <= Reserve {
 		victim := p.pick()
 		if victim == -1 {
 			if p.free > 0 {
@@ -387,7 +382,7 @@ func (p *Pool) CleanIdle(until sim.Time) error {
 func (p *Pool) CleanerLag() int {
 	target := p.idleTarget
 	if target <= 0 {
-		target = p.reserve + 1
+		target = Reserve + 1
 	}
 	if lag := target - p.free; lag > 0 {
 		return lag

@@ -39,7 +39,7 @@ func testCard(t *testing.T, endurance int64, inj flash.Injector) (*flash.Device,
 // testPool builds a cleaning pool whose hooks are never expected to run.
 func testPool(t *testing.T, dev *flash.Device, clock *sim.Clock, o *obs.Observer) *Pool {
 	t.Helper()
-	p, err := New(dev, clock, o, "test", testPage, 1, 0,
+	p, err := New(dev, clock, o, "test", testPage, 0,
 		func() int { return -1 }, func(int) error { return errors.New("unexpected clean") }, noHeads)
 	if err != nil {
 		t.Fatal(err)
@@ -178,14 +178,14 @@ func TestNonBlankAtMatchesPeekWalk(t *testing.T) {
 // one block of logical capacity gone, and not an error.
 func TestEraseAtEnduranceLimitRetiresAndShrinks(t *testing.T) {
 	dev, clock, o := testCard(t, 2, nil)
-	p, err := New(dev, clock, o, "test", testPage, 1, 0,
+	p, err := New(dev, clock, o, "test", testPage, 0,
 		func() int { return -1 }, func(int) error { return nil }, noHeads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	capacity := p.LogicalPages()
-	if want := int64(8-3) * 4; capacity != want {
-		t.Fatalf("logical pages %d, want %d (8 blocks less reserve 1 + 2 log heads)", capacity, want)
+	if want := int64(8-Reserve-2) * 4; capacity != want {
+		t.Fatalf("logical pages %d, want %d (8 blocks less the reserve and 2 log heads)", capacity, want)
 	}
 	for cycle := 0; cycle < 2; cycle++ {
 		p.Take(3)
@@ -211,7 +211,7 @@ func TestEraseAtEnduranceLimitRetiresAndShrinks(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Capacity clamps at zero: 8 blocks retired is more than the 5
+	// Capacity clamps at zero: 8 blocks retired is more than the 3
 	// blocks of logical space there ever were.
 	for b := 0; b < 8; b++ {
 		if !p.IsRetired(b) {
@@ -226,7 +226,7 @@ func TestEraseAtEnduranceLimitRetiresAndShrinks(t *testing.T) {
 // A pool that never cleans keeps the whole device as logical space.
 func TestNoCleanerNoReserve(t *testing.T) {
 	dev, clock, o := testCard(t, 0, nil)
-	p, err := New(dev, clock, o, "test", testPage, 3, 4, nil, nil, nil)
+	p, err := New(dev, clock, o, "test", testPage, 4, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,17 @@ func TestNoCleanerNoReserve(t *testing.T) {
 	if err := p.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, clock, o, "test", testPage, 6, 0,
-		func() int { return -1 }, func(int) error { return nil }, noHeads); err == nil {
-		t.Fatal("reserve 6 + 2 heads accepted on 8 blocks")
+	small, err := flash.New(flash.Config{
+		Banks: 1, BlocksPerBank: Reserve + 2, BlockBytes: 4 * testPage, Params: device.IntelFlash,
+	}, clock, sim.NewEnergyMeter())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(dev, clock, o, "test", 3000, 1, 0, nil, nil, nil); err == nil {
+	if _, err := New(small, clock, o, "test", testPage, 0,
+		func() int { return -1 }, func(int) error { return nil }, noHeads); err == nil {
+		t.Fatal("the reserve + 2 heads accepted on a card of that many blocks")
+	}
+	if _, err := New(dev, clock, o, "test", 3000, 0, nil, nil, nil); err == nil {
 		t.Fatal("page size that does not divide the block accepted")
 	}
 }
@@ -278,7 +284,7 @@ func TestSettleReErasesDirtyBlockThatThenWearsOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := New(dev, clock, o, "test", testPage, 1, 0,
+	p, err := New(dev, clock, o, "test", testPage, 0,
 		func() int { return -1 }, func(int) error { return nil }, noHeads)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +368,7 @@ func TestSpacePressureLoop(t *testing.T) {
 	var p *Pool
 	victims := []int{}
 	var causes []obs.Cause
-	p, err := New(dev, clock, o, "test", testPage, 2, 5,
+	p, err := New(dev, clock, o, "test", testPage, 6,
 		func() int {
 			if len(victims) == 0 {
 				return -1
@@ -378,10 +384,10 @@ func TestSpacePressureLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 6; b++ {
+	for b := 0; b < 5; b++ {
 		p.Take(b)
 	}
-	if p.CleanerLag() != 3 { // idle target 5, 2 free
+	if p.CleanerLag() != 3 { // idle target 6, 3 free
 		t.Fatalf("lag %d", p.CleanerLag())
 	}
 	// Nothing cleanable but blocks remain: not an error.
@@ -392,14 +398,14 @@ func TestSpacePressureLoop(t *testing.T) {
 	if err := p.EnsureSpace(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 3 || len(victims) != 2 {
+	if p.Free() != Reserve+1 || len(victims) != 2 {
 		t.Fatalf("foreground clean stopped at free %d with %d victims left", p.Free(), len(victims))
 	}
 	// With nobody waiting the idle cleaner runs to its target.
 	if err := p.CleanIdle(sim.Forever); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 5 || p.CleanerLag() != 0 {
+	if p.Free() != 6 || p.CleanerLag() != 0 {
 		t.Fatalf("idle clean stopped at free %d lag %d", p.Free(), p.CleanerLag())
 	}
 	want := []obs.Cause{obs.CauseCleanerMigrate, obs.CauseIdleClean, obs.CauseIdleClean}
@@ -435,7 +441,7 @@ func TestCleanIdleYieldsWhenTheGapEnds(t *testing.T) {
 	// Each clean takes the same virtual time to relocate its victim's
 	// data before the erase, which is issued in the background.
 	const relocate = 3 * sim.Millisecond
-	p, err := New(dev, clock, o, "test", testPage, 1, 8,
+	p, err := New(dev, clock, o, "test", testPage, 8,
 		func() int {
 			if next == 8 {
 				return -1
@@ -541,7 +547,7 @@ func TestBankClassesAndTheirRecord(t *testing.T) {
 	}
 	headA, headB := -1, -1
 	var p *Pool
-	p, err = New(dev, clock, o, "test", testPage, 1, 0,
+	p, err = New(dev, clock, o, "test", testPage, 0,
 		func() int { return -1 },
 		func(v int) error { _, err := p.Erase(v); return err },
 		func() (int, int) { return headA, headB })

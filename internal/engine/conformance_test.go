@@ -53,15 +53,14 @@ var engines = []engineRow{
 
 func conformanceFTL() ftl.Config {
 	return ftl.Config{
-		PageBytes: conformancePage, ReserveBlocks: 3, Policy: ftl.PolicyCostBenefit, HotCold: true,
+		PageBytes: conformancePage, Policy: ftl.PolicyCostBenefit, HotCold: true,
 		PersistMapping: true, IdleCleanThreshold: 8, Obs: obs.New(0),
 	}
 }
 
 func conformancePDL() pdl.Config {
 	return pdl.Config{
-		PageBytes: conformancePage, ReserveBlocks: 3,
-		IdleCleanThreshold: 8, Obs: obs.New(0),
+		PageBytes: conformancePage, IdleCleanThreshold: 8, Obs: obs.New(0),
 	}
 }
 

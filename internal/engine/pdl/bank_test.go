@@ -38,7 +38,7 @@ func churn(t *testing.T, e *Engine, rng *rand.Rand, ops int, each func()) {
 // cleaner has run for a while and both log heads are open.
 func churned(t *testing.T) *rig {
 	t.Helper()
-	r := newRigOn(t, 4, device.IntelFlash, Config{ReserveBlocks: 3})
+	r := newRigOn(t, 4, device.IntelFlash, Config{})
 	churn(t, r.e, rand.New(rand.NewSource(1993)), 1500, nil)
 	if r.e.baseActive == -1 || r.e.deltaActive == -1 || r.e.Stats().Cleans == 0 {
 		t.Fatal("set-up: want both heads open and the cleaner run")

@@ -56,12 +56,6 @@ type Config struct {
 	// PageBytes is the mapping granularity; it must divide the device's
 	// erase-block size and equal the device's spare-unit size.
 	PageBytes int
-	// ReserveBlocks is the cleaning headroom: cleaning runs whenever
-	// the free-block count is at or below this (minimum 1). The reserve
-	// plus the two log heads (base and delta) subtract from the logical
-	// capacity, matching the FTL's formula so both engines expose the
-	// same logical space over the same device.
-	ReserveBlocks int
 	// IdleCleanThreshold lets CleanIdle reclaim during idle periods
 	// until this many blocks are free. Zero disables idle cleaning.
 	IdleCleanThreshold int
@@ -181,15 +175,14 @@ var _ engine.Engine = (*Engine)(nil)
 // freshly erased (all blocks free), which is how flash.New delivers it.
 func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	e := &Engine{dev: dev, clock: clock, baseActive: -1, deltaActive: -1}
-	pool, err := blocks.New(dev, clock, cfg.Obs, "pdl", cfg.PageBytes, cfg.ReserveBlocks,
-		cfg.IdleCleanThreshold, e.pickVictim, e.cleanOne, e.logHeads)
+	pool, err := blocks.New(dev, clock, cfg.Obs, "pdl", cfg.PageBytes, cfg.IdleCleanThreshold,
+		e.pickVictim, e.cleanOne, e.logHeads)
 	if err != nil {
 		return nil, err
 	}
 	if err := pool.RequireSpare(); err != nil {
 		return nil, err
 	}
-	cfg.ReserveBlocks = pool.Reserve()
 	// A record must fit in one log unit.
 	e.promoteBytes = min(cfg.PageBytes/2, cfg.PageBytes-deltaHdrBytes)
 	e.cfg, e.pool = cfg, pool

@@ -67,7 +67,7 @@ func tagOf(b byte) engine.Tag {
 // small overwrite must program far fewer flash bytes than rewriting the
 // page.
 func TestDeltaPathProgramsLessThanAPage(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3})
+	r := newRig(t, Config{})
 	e := r.e
 	page := bytes.Repeat([]byte{0xAB}, testPage)
 	if err := e.WritePageTagged(3, page, engine.Tag{}); err != nil {
@@ -97,7 +97,7 @@ func TestDeltaPathProgramsLessThanAPage(t *testing.T) {
 // TestChainBoundPromotes checks maxChain: the overwrite after the bound
 // writes a fresh base and empties the chain.
 func TestChainBoundPromotes(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3})
+	r := newRig(t, Config{})
 	e := r.e
 	page := bytes.Repeat([]byte{0x00}, testPage)
 	if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
@@ -127,7 +127,7 @@ func TestChainBoundPromotes(t *testing.T) {
 // TestLargeDiffWritesBase checks promoteBytes: a diff at or past the
 // bound (half a page) skips the delta path entirely.
 func TestLargeDiffWritesBase(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3})
+	r := newRig(t, Config{})
 	e := r.e
 	page := bytes.Repeat([]byte{0x00}, testPage)
 	if err := e.WritePageTagged(0, page, engine.Tag{}); err != nil {
@@ -151,7 +151,7 @@ func TestLargeDiffWritesBase(t *testing.T) {
 // valid one and checks the scan keeps the valid prefix, drops the tail,
 // and counts the corruption.
 func TestMountTornDeltaRecord(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3})
+	r := newRig(t, Config{})
 	e := r.e
 	page := bytes.Repeat([]byte{0x10}, testPage)
 	if err := e.WritePageTagged(5, page, engine.Tag{}); err != nil {
@@ -168,7 +168,7 @@ func TestMountTornDeltaRecord(t *testing.T) {
 	if _, err := r.dev.Program(torn, []byte{0x42}); err != nil { // non-blank, CRC cannot match
 		t.Fatal(err)
 	}
-	e2, err := Mount(r.dev, r.clock, Config{PageBytes: testPage, ReserveBlocks: 3, Obs: obs.New(0)})
+	e2, err := Mount(r.dev, r.clock, Config{PageBytes: testPage, Obs: obs.New(0)})
 	if err != nil {
 		t.Fatalf("mount with torn record: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestMountTornDeltaRecord(t *testing.T) {
 // TestCapacityMatchesFTLFormula pins the logical-capacity formula both
 // engines share, so E15 compares equal-sized devices.
 func TestCapacityMatchesFTLFormula(t *testing.T) {
-	r := newRig(t, Config{ReserveBlocks: 3})
+	r := newRig(t, Config{})
 	ppb := int64(16 * 1024 / testPage)
 	want := int64(32)*ppb - (3+2)*ppb
 	if got := r.e.LogicalPages(); got != want {
@@ -213,7 +213,7 @@ func TestWearOutKeepsTruncatedTailConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(dev, clock, Config{PageBytes: testPage, ReserveBlocks: 3, Obs: obs.New(0)})
+	e, err := New(dev, clock, Config{PageBytes: testPage, Obs: obs.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestWearOutKeepsTruncatedTailConsistent(t *testing.T) {
 	}
 	want := make([]byte, testPage)
 	copy(want[100:], patch)
-	e2, err := Mount(dev, clock, Config{PageBytes: testPage, ReserveBlocks: 3, Obs: obs.New(0)})
+	e2, err := Mount(dev, clock, Config{PageBytes: testPage, Obs: obs.New(0)})
 	if err != nil {
 		t.Fatalf("mount: %v", err)
 	}
@@ -313,7 +313,7 @@ func touchedByWalk(e *Engine, b int) []int64 {
 // which then takes traffic too so chains installed by the scan get cleaned.
 func TestTouchIndexEquivalence(t *testing.T) {
 	for _, seed := range []int64{1993, 7, 42} {
-		cfg := Config{PageBytes: testPage, ReserveBlocks: 3}
+		cfg := Config{PageBytes: testPage}
 		r := newRig(t, cfg)
 		rng := rand.New(rand.NewSource(seed))
 		images := make(map[int64][]byte)
@@ -336,7 +336,7 @@ func TestTouchIndexEquivalence(t *testing.T) {
 						check(e, b, op, "before the op")
 					}
 				}
-				for e.pool.Free() <= e.cfg.ReserveBlocks {
+				for e.pool.Free() <= blocks.Reserve {
 					v := e.pickVictim()
 					if v == -1 {
 						break

@@ -65,8 +65,9 @@ type CauseAmount struct {
 	Value float64 `json:"value"`
 }
 
-// fmtLifetime renders a lifetime in seconds of virtual time humanely.
-func fmtLifetime(s float64) string {
+// FormatLifetime renders a lifetime in seconds of virtual time humanely,
+// for a card's health report and a fleet's alike.
+func FormatLifetime(s float64) string {
 	const day = 86400.0
 	switch {
 	case s <= 0:
@@ -133,7 +134,7 @@ func HealthFromSnapshot(snap obs.Snapshot, device string) (HealthReport, error) 
 	if r.EraseRatePerSec > 0 {
 		r.LifetimeSeconds = float64(r.RemainingEraseBudget) / r.EraseRatePerSec
 	}
-	r.Lifetime = fmtLifetime(r.LifetimeSeconds)
+	r.Lifetime = FormatLifetime(r.LifetimeSeconds)
 
 	// The translation-layer gauges carry an engine label; probe each
 	// backend's label set and use the first that has data.

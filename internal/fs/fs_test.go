@@ -615,7 +615,7 @@ func TestMapFileReadsInPlace(t *testing.T) {
 	if err := r.fs.Sync(); err != nil { // push to flash
 		t.Fatal(err)
 	}
-	v, err := vm.New(vm.Config{PageBytes: 4096, DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
+	v, err := vm.New(vm.Config{DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +646,7 @@ func TestMapFileCopyOnWritePrivate(t *testing.T) {
 	if err := r.fs.WriteFile("/data", bytes.Repeat([]byte{3}, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	v, err := vm.New(vm.Config{PageBytes: 4096, DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
+	v, err := vm.New(vm.Config{DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +676,7 @@ func TestMapFilePastEOFReadsZero(t *testing.T) {
 	if err := r.fs.WriteFile("/short", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := vm.New(vm.Config{PageBytes: 4096, DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
+	v, err := vm.New(vm.Config{DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -791,7 +791,7 @@ func TestMapFileSharedWritesBack(t *testing.T) {
 	if err := r.fs.WriteFile("/shared", bytes.Repeat([]byte{0x11}, 6000)); err != nil {
 		t.Fatal(err)
 	}
-	v, err := vm.New(vm.Config{PageBytes: 4096, DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
+	v, err := vm.New(vm.Config{DRAMBase: 4 << 20, DRAMBytes: 1 << 20}, r.clock, r.dram, r.flash)
 	if err != nil {
 		t.Fatal(err)
 	}

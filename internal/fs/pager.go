@@ -48,7 +48,7 @@ func (p *filePager) WritePage(idx int64, data []byte) error {
 // copies it into an anonymous DRAM frame (copy-on-write) and changes do
 // not propagate back to the file. It returns the mapped length.
 func (f *FS) MapFile(v *vm.VM, s *vm.Space, addr uint64, path string, perm vm.Perm) (int, error) {
-	return f.mapFile(v.PageBytes(), v.MapExternal, s, addr, path, perm)
+	return f.mapFile(v.MapExternal, s, addr, path, perm)
 }
 
 // MapFileShared maps the file like MapFile but as a shared mapping:
@@ -56,21 +56,21 @@ func (f *FS) MapFile(v *vm.VM, s *vm.Space, addr uint64, path string, perm vm.Pe
 // unmap), within the file's size at map time. This is the full
 // memory-mapped file interface of §3.1.
 func (f *FS) MapFileShared(v *vm.VM, s *vm.Space, addr uint64, path string, perm vm.Perm) (int, error) {
-	return f.mapFile(v.PageBytes(), v.MapExternalShared, s, addr, path, perm)
+	return f.mapFile(v.MapExternalShared, s, addr, path, perm)
 }
 
 // mapFile maps the file at path with mapExternal, one of the VM's two
 // external mapping calls, over its length rounded up to whole pages.
-func (f *FS) mapFile(pageBytes int, mapExternal func(*vm.Space, uint64, vm.ExternalPager, int64, int, vm.Perm) error,
+func (f *FS) mapFile(mapExternal func(*vm.Space, uint64, vm.ExternalPager, int64, int, vm.Perm) error,
 	s *vm.Space, addr uint64, path string, perm vm.Perm) (int, error) {
 	node, err := f.resolveFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if f.BlockBytes() != pageBytes {
-		return 0, fmt.Errorf("fs: block size %d != vm page size %d", f.BlockBytes(), pageBytes)
+	if f.BlockBytes() != vm.PageBytes {
+		return 0, fmt.Errorf("fs: block size %d != vm page size %d", f.BlockBytes(), vm.PageBytes)
 	}
-	pb := int64(pageBytes)
+	const pb = vm.PageBytes
 	length := int(max(1, (node.Size+pb-1)/pb) * pb)
 	pager := &filePager{fs: f, ino: node.Ino, size: node.Size}
 	if err := mapExternal(s, addr, pager, 0, length, perm); err != nil {

@@ -20,7 +20,7 @@ func churned(t *testing.T, policy Policy) *FTL {
 	t.Helper()
 	dev, clock := equivalenceCard(t, true)
 	f, err := New(dev, clock, Config{
-		PageBytes: 1024, ReserveBlocks: 3, Policy: policy, HotCold: true,
+		PageBytes: 1024, Policy: policy, HotCold: true,
 	})
 	if err != nil {
 		t.Fatal(err)

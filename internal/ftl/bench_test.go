@@ -45,7 +45,6 @@ func benchWritePath(b *testing.B, mb int) {
 	}
 	f, err := New(dev, clock, Config{
 		PageBytes:          pageBytes,
-		ReserveBlocks:      banks * blocksPerBank / 50,
 		Policy:             PolicyCostBenefit,
 		HotCold:            true,
 		WearDeltaThreshold: 64,

@@ -42,7 +42,7 @@ type ledgerLayer interface {
 // it over the same card: their erases and mount re-erases go through the
 // one block pool, so the ledger must hold under either page format.
 func TestDestructiveOpsLedgerAcrossRemount(t *testing.T) {
-	pdlConfig := pdl.Config{PageBytes: 1024, ReserveBlocks: 3}
+	pdlConfig := pdl.Config{PageBytes: 1024}
 	engines := []struct {
 		name       string
 		new, mount func(*flash.Device, *sim.Clock) (ledgerLayer, error)

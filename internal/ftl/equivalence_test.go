@@ -183,7 +183,6 @@ func TestVictimIndexEquivalence(t *testing.T) {
 				dev, clock := equivalenceCard(t, tc.banked)
 				f, err := New(dev, clock, Config{
 					PageBytes:          1024,
-					ReserveBlocks:      3,
 					Policy:             tc.policy,
 					HotCold:            tc.hotCold,
 					WearDeltaThreshold: tc.wearDelta,
@@ -211,7 +210,6 @@ func TestVictimIndexAfterMount(t *testing.T) {
 				dev, clock := equivalenceCard(t, banked)
 				cfg := Config{
 					PageBytes:          1024,
-					ReserveBlocks:      3,
 					Policy:             policy,
 					HotCold:            true,
 					PersistMapping:     true,
@@ -275,7 +273,6 @@ func TestVictimThroughWearOut(t *testing.T) {
 	dev, clock := newCard(t, card)
 	cfg := Config{
 		PageBytes:          1024,
-		ReserveBlocks:      3,
 		Policy:             PolicyCostBenefit,
 		HotCold:            true,
 		PersistMapping:     true,

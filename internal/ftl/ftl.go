@@ -76,11 +76,6 @@ type Config struct {
 	// PageBytes is the mapping granularity; it must divide the device's
 	// erase-block size.
 	PageBytes int
-	// ReserveBlocks is the cleaning headroom: cleaning runs whenever the
-	// free-block count is at or below this. At least 1; log policies
-	// subtract the reserve (plus the two log heads) from the logical
-	// capacity.
-	ReserveBlocks int
 	// Policy selects the cleaning strategy.
 	Policy Policy
 	// HotCold enables two log heads: overwrites (hot) and first writes /
@@ -197,12 +192,11 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	if cfg.Policy != PolicyDirect {
 		pick, clean, heads = f.pickVictim, f.cleanOne, f.logHeads
 	}
-	pool, err := blocks.New(dev, clock, cfg.Obs, "ftl", cfg.PageBytes, cfg.ReserveBlocks,
-		cfg.IdleCleanThreshold, pick, clean, heads)
+	pool, err := blocks.New(dev, clock, cfg.Obs, "ftl", cfg.PageBytes, cfg.IdleCleanThreshold,
+		pick, clean, heads)
 	if err != nil {
 		return nil, err
 	}
-	cfg.ReserveBlocks = pool.Reserve()
 	ppb := pool.PagesPerBlock()
 	nb := dev.NumBlocks()
 	total := int64(nb) * int64(ppb)
@@ -574,7 +568,7 @@ func (f *FTL) Mapped(lpn int64) bool {
 // skips the scan on every write.
 func (f *FTL) levelWear() error {
 	if f.cfg.WearDeltaThreshold <= 0 || f.maxErase <= f.cfg.WearDeltaThreshold ||
-		f.pool.Free() <= f.pool.Reserve() {
+		f.pool.Free() <= blocks.Reserve {
 		return nil
 	}
 	maxCount, coldest, coldCount := f.wearScan()

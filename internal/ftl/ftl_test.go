@@ -35,10 +35,9 @@ func newFTL(t testing.TB, policy Policy, hotCold bool) (*FTL, *sim.Clock) {
 	t.Helper()
 	dev, clock := smallFlash(t, 0)
 	f, err := New(dev, clock, Config{
-		PageBytes:     1024,
-		ReserveBlocks: 3,
-		Policy:        policy,
-		HotCold:       hotCold,
+		PageBytes: 1024,
+		Policy:    policy,
+		HotCold:   hotCold,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +68,6 @@ func TestConfigRejected(t *testing.T) {
 	dev, clock := smallFlash(t, 0)
 	if _, err := New(dev, clock, Config{PageBytes: 3000}); err == nil {
 		t.Error("page size not dividing block size accepted")
-	}
-	if _, err := New(dev, clock, Config{PageBytes: 1024, ReserveBlocks: 64, Policy: PolicyGreedy}); err == nil {
-		t.Error("reserve eating whole device accepted")
 	}
 }
 
@@ -241,7 +237,7 @@ func TestTrimFreesSpace(t *testing.T) {
 
 func TestNoSpaceWhenOverfullWithoutTrim(t *testing.T) {
 	dev, clock := smallFlash(t, 0)
-	f, err := New(dev, clock, Config{PageBytes: 4096, ReserveBlocks: 1, Policy: PolicyGreedy})
+	f, err := New(dev, clock, Config{PageBytes: 4096, Policy: PolicyGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +289,7 @@ func TestLogPolicySpreadsWear(t *testing.T) {
 func TestWearLevelingBeatsDirectOnSkewedWrites(t *testing.T) {
 	run := func(policy Policy, hotCold bool) float64 {
 		dev, clock := smallFlash(t, 0)
-		f, err := New(dev, clock, Config{PageBytes: 1024, ReserveBlocks: 3, Policy: policy, HotCold: hotCold})
+		f, err := New(dev, clock, Config{PageBytes: 1024, Policy: policy, HotCold: hotCold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +311,7 @@ func TestWearLevelingBeatsDirectOnSkewedWrites(t *testing.T) {
 
 func TestEnduranceRetirement(t *testing.T) {
 	dev, clock := smallFlash(t, 25)
-	f, err := New(dev, clock, Config{PageBytes: 1024, ReserveBlocks: 3, Policy: PolicyDirect})
+	f, err := New(dev, clock, Config{PageBytes: 1024, Policy: PolicyDirect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +335,7 @@ func TestLogPolicySurvivesLongPastDirectWearout(t *testing.T) {
 	// more writes before losing a block than the direct layer.
 	hostBytesUntilWear := func(policy Policy, hotCold bool) int64 {
 		dev, clock := smallFlash(t, 25)
-		f, err := New(dev, clock, Config{PageBytes: 1024, ReserveBlocks: 3, Policy: policy, HotCold: hotCold})
+		f, err := New(dev, clock, Config{PageBytes: 1024, Policy: policy, HotCold: hotCold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,8 +379,7 @@ func TestStaticWearLeveling(t *testing.T) {
 	run := func(threshold int64) (wearDelta int64, coldMoved bool, f *FTL) {
 		dev, clock := smallFlash(t, 0)
 		f, err := New(dev, clock, Config{
-			PageBytes: 1024, ReserveBlocks: 3,
-			Policy: PolicyCostBenefit, HotCold: true,
+			PageBytes: 1024, Policy: PolicyCostBenefit, HotCold: true,
 			WearDeltaThreshold: threshold,
 		})
 		if err != nil {
@@ -450,7 +445,7 @@ func TestStaticWearLeveling(t *testing.T) {
 func TestIdleCleaning(t *testing.T) {
 	dev, clock := smallFlash(t, 0)
 	f, err := New(dev, clock, Config{
-		PageBytes: 1024, ReserveBlocks: 3,
+		PageBytes:          1024,
 		Policy:             PolicyGreedy,
 		IdleCleanThreshold: 10,
 	})
@@ -526,7 +521,7 @@ func TestFTLModelProperty(t *testing.T) {
 	f := func(ops []op, policyPick uint8, hotCold bool) bool {
 		policy := []Policy{PolicyFIFO, PolicyGreedy, PolicyCostBenefit}[int(policyPick)%3]
 		dev, clock := smallFlash(t, 0)
-		l, err := New(dev, clock, Config{PageBytes: 1024, ReserveBlocks: 3, Policy: policy, HotCold: hotCold})
+		l, err := New(dev, clock, Config{PageBytes: 1024, Policy: policy, HotCold: hotCold})
 		if err != nil {
 			return false
 		}

@@ -33,7 +33,6 @@ func oobFlash(t testing.TB) (*flash.Device, *sim.Clock) {
 func oobConfig() Config {
 	return Config{
 		PageBytes:      1024,
-		ReserveBlocks:  3,
 		Policy:         PolicyCostBenefit,
 		HotCold:        true,
 		PersistMapping: true,

@@ -15,12 +15,12 @@ import (
 	"time"
 )
 
-// DefaultFlightSpans bounds how many trailing spans a dump keeps.
-const DefaultFlightSpans = 4096
+// flightSpans bounds how many trailing spans a dump keeps.
+const flightSpans = 4096
 
-// DefaultFlightFiles bounds how many dump files the recorder retains
-// before deleting the oldest.
-const DefaultFlightFiles = 16
+// flightFiles bounds how many dump files the recorder retains before
+// deleting the oldest.
+const flightFiles = 16
 
 // FlightRecord is one dump: the reason it was taken, the tail of the
 // span ring, and a point-in-time metrics snapshot. The "spans" field is
@@ -52,30 +52,22 @@ type FlightRecorder struct {
 	o   *Observer
 	dir string
 
-	mu       sync.Mutex
-	seq      int
-	files    []string
-	maxSpans int
-	maxFiles int
+	mu    sync.Mutex
+	seq   int
+	files []string
 }
 
 // NewFlightRecorder returns a recorder dumping o's telemetry into dir
-// (created if missing). maxSpans bounds the span tail per dump and
-// maxFiles the retained dump files; <=0 selects the defaults.
-func NewFlightRecorder(o *Observer, dir string, maxSpans, maxFiles int) (*FlightRecorder, error) {
+// (created if missing), keeping the last flightSpans spans per dump and
+// the last flightFiles dumps.
+func NewFlightRecorder(o *Observer, dir string) (*FlightRecorder, error) {
 	if o == nil {
 		return nil, fmt.Errorf("obs: flight recorder needs an observer")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if maxSpans <= 0 {
-		maxSpans = DefaultFlightSpans
-	}
-	if maxFiles <= 0 {
-		maxFiles = DefaultFlightFiles
-	}
-	return &FlightRecorder{o: o, dir: dir, maxSpans: maxSpans, maxFiles: maxFiles}, nil
+	return &FlightRecorder{o: o, dir: dir}, nil
 }
 
 // Dump writes one flight record and returns its path, pruning old dumps
@@ -94,9 +86,9 @@ func (fr *FlightRecorder) Dump(reason string) (string, error) {
 	}
 	if t := fr.o.Tracer; t != nil {
 		spans := t.Spans()
-		if len(spans) > fr.maxSpans {
-			rec.Dropped = t.Dropped() + int64(len(spans)-fr.maxSpans)
-			spans = spans[len(spans)-fr.maxSpans:]
+		if len(spans) > flightSpans {
+			rec.Dropped = t.Dropped() + int64(len(spans)-flightSpans)
+			spans = spans[len(spans)-flightSpans:]
 		} else {
 			rec.Dropped = t.Dropped()
 		}
@@ -124,7 +116,7 @@ func (fr *FlightRecorder) Dump(reason string) (string, error) {
 		return "", err
 	}
 	fr.files = append(fr.files, path)
-	for len(fr.files) > fr.maxFiles {
+	for len(fr.files) > flightFiles {
 		os.Remove(fr.files[0])
 		fr.files = fr.files[1:]
 	}

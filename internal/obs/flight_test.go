@@ -15,7 +15,7 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	driveRequest(o, clock)
 
 	dir := t.TempDir()
-	fr, err := NewFlightRecorder(o, dir, 0, 0)
+	fr, err := NewFlightRecorder(o, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,35 +67,43 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 }
 
 func TestFlightRecorderBoundsSpansAndFiles(t *testing.T) {
-	o := New(64)
+	o := New(2 * flightSpans)
 	clock := sim.NewClock()
-	for i := 0; i < 4; i++ {
-		driveRequest(o, clock) // 6 spans each
-	}
+	driveRequest(o, clock) // 6 spans
+	recorded := 6
 
 	dir := t.TempDir()
-	fr, err := NewFlightRecorder(o, dir, 10, 2)
+	fr, err := NewFlightRecorder(o, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var paths []string
-	for i := 0; i < 3; i++ {
+	dump := func() {
+		t.Helper()
 		p, err := fr.Dump("drain")
 		if err != nil {
 			t.Fatal(err)
 		}
 		paths = append(paths, p)
 	}
+	for i := 0; i < flightFiles; i++ {
+		dump()
+	}
+	for recorded <= flightSpans {
+		driveRequest(o, clock)
+		recorded += 6
+	}
+	dump()
 
-	rec, err := ReadFlightRecord(paths[2])
+	rec, err := ReadFlightRecord(paths[flightFiles])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Spans) != 10 {
-		t.Fatalf("span window = %d, want 10 (maxSpans)", len(rec.Spans))
+	if len(rec.Spans) != flightSpans {
+		t.Fatalf("span window = %d, want %d (flightSpans)", len(rec.Spans), flightSpans)
 	}
-	if rec.Dropped != 14 { // 24 recorded − 10 retained
-		t.Fatalf("dropped = %d, want 14", rec.Dropped)
+	if want := int64(recorded - flightSpans); rec.Dropped != want {
+		t.Fatalf("dropped = %d, want %d", rec.Dropped, want)
 	}
 
 	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
@@ -118,7 +126,7 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	if o.FlightRecorder() != nil {
 		t.Fatal("nil observer reports a recorder")
 	}
-	if _, err := NewFlightRecorder(nil, t.TempDir(), 0, 0); err == nil {
+	if _, err := NewFlightRecorder(nil, t.TempDir()); err == nil {
 		t.Fatal("NewFlightRecorder(nil, ...) must fail")
 	}
 }

@@ -201,7 +201,7 @@ func TestAdminScrapeUnderLoad(t *testing.T) {
 			svc, cards := newBackend(t, nodes, o, core.SolidStateConfig{
 				DRAMBytes: 4 << 20, FlashBytes: 8 << 20, RBoxBytes: 256 << 10,
 			}, server.Config{})
-			fr, err := obs.NewFlightRecorder(o, t.TempDir(), 0, 0)
+			fr, err := obs.NewFlightRecorder(o, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

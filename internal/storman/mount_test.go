@@ -48,8 +48,7 @@ func newOOBRig(t testing.TB) *rig {
 
 func oobFTLConfig() ftl.Config {
 	return ftl.Config{
-		PageBytes: 4096, ReserveBlocks: 3,
-		Policy: ftl.PolicyCostBenefit, HotCold: true,
+		PageBytes: 4096, Policy: ftl.PolicyCostBenefit, HotCold: true,
 		PersistMapping: true,
 	}
 }

@@ -46,11 +46,10 @@ func newObservedRig(t testing.TB, dramBufBytes int64, delay sim.Duration, o *obs
 		t.Fatal(err)
 	}
 	fl, err := ftl.New(fd, clock, ftl.Config{
-		PageBytes:     4096,
-		ReserveBlocks: 3,
-		Policy:        ftl.PolicyCostBenefit,
-		HotCold:       true,
-		Obs:           o,
+		PageBytes: 4096,
+		Policy:    ftl.PolicyCostBenefit,
+		HotCold:   true,
+		Obs:       o,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,11 @@ type Swapper interface {
 	PageIn(slot int64, buf []byte) error
 }
 
+// PageBytes is the virtual page size, the file system's block.
+const PageBytes = 4096
+
 // Config parameterises the VM system.
 type Config struct {
-	// PageBytes is the virtual page size.
-	PageBytes int
 	// DRAMBase and DRAMBytes delimit the frame pool inside the DRAM
 	// device.
 	DRAMBase  int64
@@ -183,9 +184,6 @@ type VM struct {
 // New builds a VM over a DRAM frame pool and a flash device for XIP and
 // copy-on-write mappings.
 func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, flashDev *flash.Device) (*VM, error) {
-	if cfg.PageBytes <= 0 {
-		return nil, fmt.Errorf("vm: non-positive page size")
-	}
 	if cfg.DRAMBase < 0 || cfg.DRAMBytes < 0 || cfg.DRAMBase+cfg.DRAMBytes > dramDev.Capacity() {
 		return nil, fmt.Errorf("vm: frame pool [%d,%d) outside DRAM of %d",
 			cfg.DRAMBase, cfg.DRAMBase+cfg.DRAMBytes, dramDev.Capacity())
@@ -206,7 +204,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, flashDev *flash.Dev
 		flashReads:   o.Counter("accesses_total", obs.Labels{"layer": "vm", "medium": "flash"}),
 		dramAccesses: o.Counter("accesses_total", obs.Labels{"layer": "vm", "medium": "dram"}),
 	}
-	frames := int(cfg.DRAMBytes / int64(cfg.PageBytes))
+	frames := int(cfg.DRAMBytes / PageBytes)
 	for f := frames - 1; f >= 0; f-- {
 		v.freeFrames = append(v.freeFrames, f)
 	}
@@ -220,9 +218,6 @@ func (v *VM) span(op string) obs.SpanRef {
 	return v.obs.Span(v.clock, v.dram.Meter(), "vm", op)
 }
 
-// PageBytes reports the page size.
-func (v *VM) PageBytes() int { return v.cfg.PageBytes }
-
 // FramesFree reports the free DRAM frames.
 func (v *VM) FramesFree() int { return len(v.freeFrames) }
 
@@ -232,10 +227,10 @@ func (v *VM) NewSpace() *Space {
 	return &Space{id: v.nextSpace, pages: make(map[uint64]*pte)}
 }
 
-func (v *VM) vpn(addr uint64) uint64 { return addr / uint64(v.cfg.PageBytes) }
+func (v *VM) vpn(addr uint64) uint64 { return addr / PageBytes }
 
 func (v *VM) frameAddr(frame int) int64 {
-	return v.cfg.DRAMBase + int64(frame)*int64(v.cfg.PageBytes)
+	return v.cfg.DRAMBase + int64(frame)*PageBytes
 }
 
 func (v *VM) checkRange(length int) error {
@@ -281,8 +276,7 @@ func (v *VM) MapFlash(s *Space, addr uint64, flashOff int64, length int, perm Pe
 	if err := v.checkRange(length); err != nil {
 		return err
 	}
-	pb := int64(v.cfg.PageBytes)
-	if addr%uint64(pb) != 0 || flashOff%pb != 0 || int64(length)%pb != 0 {
+	if addr%PageBytes != 0 || flashOff%PageBytes != 0 || length%PageBytes != 0 {
 		return fmt.Errorf("%w: flash mappings must be page-aligned", ErrBadRange)
 	}
 	if flashOff < 0 || flashOff+int64(length) > v.flash.Capacity() {
@@ -292,13 +286,13 @@ func (v *VM) MapFlash(s *Space, addr uint64, flashOff int64, length int, perm Pe
 		return err
 	}
 	first := v.vpn(addr)
-	n := length / v.cfg.PageBytes
+	n := length / PageBytes
 	for i := 0; i < n; i++ {
 		s.pages[first+uint64(i)] = &pte{
 			perm:     perm,
 			med:      medFlash,
 			frame:    -1,
-			flashOff: flashOff + int64(i)*pb,
+			flashOff: flashOff + int64(i)*PageBytes,
 			swapSlot: -1,
 			cow:      perm&PermWrite != 0,
 		}
@@ -319,15 +313,14 @@ func (v *VM) MapExternal(s *Space, addr uint64, pager ExternalPager, firstIdx in
 	if pager == nil {
 		return fmt.Errorf("%w: nil pager", ErrBadRange)
 	}
-	pb := uint64(v.cfg.PageBytes)
-	if addr%pb != 0 || length%v.cfg.PageBytes != 0 {
+	if addr%PageBytes != 0 || length%PageBytes != 0 {
 		return fmt.Errorf("%w: external mappings must be page-aligned", ErrBadRange)
 	}
 	if err := v.checkOverlap(s, addr, length); err != nil {
 		return err
 	}
 	first := v.vpn(addr)
-	n := length / v.cfg.PageBytes
+	n := length / PageBytes
 	for i := 0; i < n; i++ {
 		s.pages[first+uint64(i)] = &pte{
 			perm:     perm,
@@ -353,7 +346,7 @@ func (v *VM) MapExternalShared(s *Space, addr uint64, pager ExternalPager, first
 		return err
 	}
 	first := v.vpn(addr)
-	for i := 0; i < length/v.cfg.PageBytes; i++ {
+	for i := 0; i < length/PageBytes; i++ {
 		s.pages[first+uint64(i)].shared = true
 	}
 	return nil
@@ -367,7 +360,7 @@ func (v *VM) Msync(s *Space, addr uint64, length int) error {
 	}
 	first := v.vpn(addr)
 	last := v.vpn(addr + uint64(length) - 1)
-	buf := make([]byte, v.cfg.PageBytes)
+	buf := make([]byte, PageBytes)
 	for p := first; p <= last; p++ {
 		e, ok := s.pages[p]
 		if !ok || !e.shared || !e.dirty || e.med != medDRAM {
@@ -465,7 +458,7 @@ func (v *VM) allocFrame(owner frameOwner) (int, error) {
 	vo := v.owners[victim]
 	e := vo.space.pages[vo.vpn]
 	sp := v.span("page_out")
-	buf := make([]byte, v.cfg.PageBytes)
+	buf := make([]byte, PageBytes)
 	if _, err := v.dram.Read(v.frameAddr(victim), buf); err != nil {
 		sp.End(0, err)
 		return 0, err
@@ -496,7 +489,7 @@ func (v *VM) settle(s *Space, vpn uint64, e *pte, write bool) error {
 		if err != nil {
 			return err
 		}
-		zero := make([]byte, v.cfg.PageBytes)
+		zero := make([]byte, PageBytes)
 		if _, err := v.dram.Write(v.frameAddr(frame), zero); err != nil {
 			return err
 		}
@@ -511,7 +504,7 @@ func (v *VM) settle(s *Space, vpn uint64, e *pte, write bool) error {
 			return err
 		}
 		sp := v.span("page_in")
-		buf := make([]byte, v.cfg.PageBytes)
+		buf := make([]byte, PageBytes)
 		if err := v.cfg.Swap.PageIn(e.swapSlot, buf); err != nil {
 			sp.End(0, err)
 			return err
@@ -536,7 +529,7 @@ func (v *VM) settle(s *Space, vpn uint64, e *pte, write bool) error {
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, v.cfg.PageBytes)
+		buf := make([]byte, PageBytes)
 		if e.med == medFlash {
 			if _, err := v.flash.Read(e.flashOff, buf); err != nil {
 				return err
@@ -562,7 +555,6 @@ func (v *VM) access(s *Space, addr uint64, buf []byte, need Perm, write bool) er
 	if len(buf) == 0 {
 		return nil
 	}
-	pb := uint64(v.cfg.PageBytes)
 	off := 0
 	for off < len(buf) {
 		vpn := v.vpn(addr)
@@ -576,8 +568,8 @@ func (v *VM) access(s *Space, addr uint64, buf []byte, need Perm, write bool) er
 		if err := v.settle(s, vpn, e, write); err != nil {
 			return err
 		}
-		pageOff := addr % pb
-		n := int(pb - pageOff)
+		pageOff := addr % PageBytes
+		n := int(PageBytes - pageOff)
 		if n > len(buf)-off {
 			n = len(buf) - off
 		}
@@ -604,7 +596,7 @@ func (v *VM) access(s *Space, addr uint64, buf []byte, need Perm, write bool) er
 			}
 		case medExternal:
 			v.flashReads.Inc()
-			page := make([]byte, v.cfg.PageBytes)
+			page := make([]byte, PageBytes)
 			if err := e.pager.ReadPage(e.pagerIdx, page); err != nil {
 				return err
 			}
@@ -654,7 +646,7 @@ func (v *VM) InFlash(s *Space, addr uint64) bool {
 
 // Stats summarises the VM counters.
 func (v *VM) Stats() Stats {
-	total := int(v.cfg.DRAMBytes / int64(v.cfg.PageBytes))
+	total := int(v.cfg.DRAMBytes / PageBytes)
 	return Stats{
 		MinorFaults:  v.minor.Value(),
 		CowFaults:    v.cow.Value(),

@@ -33,7 +33,7 @@ func newRig(t testing.TB, frameBytes int64, swap Swapper) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := New(Config{PageBytes: 4096, DRAMBase: 0, DRAMBytes: frameBytes, Swap: swap}, clock, dr, fd)
+	v, err := New(Config{DRAMBase: 0, DRAMBytes: frameBytes, Swap: swap}, clock, dr, fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,7 @@ func TestPermString(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	r := newRig(t, 64*4096, nil)
-	if _, err := New(Config{PageBytes: 0}, r.clock, r.dram, r.flash); err == nil {
-		t.Error("zero page size accepted")
-	}
-	if _, err := New(Config{PageBytes: 4096, DRAMBase: 0, DRAMBytes: 1 << 30}, r.clock, r.dram, r.flash); err == nil {
+	if _, err := New(Config{DRAMBase: 0, DRAMBytes: 1 << 30}, r.clock, r.dram, r.flash); err == nil {
 		t.Error("pool beyond DRAM accepted")
 	}
 }
@@ -333,7 +330,7 @@ func TestSwapPagingRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only 2 frames: touching 4 pages forces paging.
-	v, err := New(Config{PageBytes: 4096, DRAMBase: 0, DRAMBytes: 2 * 4096, Swap: sw}, clock, dr, fd)
+	v, err := New(Config{DRAMBase: 0, DRAMBytes: 2 * 4096, Swap: sw}, clock, dr, fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +670,7 @@ func TestVMModelProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v, err := New(Config{PageBytes: 4096, DRAMBase: 0, DRAMBytes: 4 * 4096, Swap: sw}, clock, dr, fd)
+		v, err := New(Config{DRAMBase: 0, DRAMBytes: 4 * 4096, Swap: sw}, clock, dr, fd)
 		if err != nil {
 			return false
 		}

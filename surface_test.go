@@ -3,7 +3,9 @@ package ssmobile_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -43,6 +45,8 @@ var surfaceKeeps = map[string]string{
 	"vm.NewDeviceSwapper":   "§3.2's optional swap to flash, exercised only by its tests",
 	"vm.Config.Swap":        "§3.2's optional swap: the backing store, attached only by its tests",
 	"fs.FS.MapFileShared":   "§3.2's shared mappings with msync, exercised only by its tests",
+	"workload.Config.Arrival": "0 (open-loop) in every non-test write; bench/workloads.go names it, " +
+		"and only a change to the benchmark may drop that line (ROADMAP 10(7))",
 }
 
 // TestEveryExportHasACaller holds the tree's surface to what its code
@@ -89,8 +93,12 @@ func TestSurfaceGuard(t *testing.T) {
 	for _, f := range findings {
 		got = append(got, f.key)
 	}
+	// a.Config.Width and Lanes pass: Width is set from a variable, Lanes
+	// to 2 by one call and left out (0) by the other.
 	want := []string{
 		"a.Config.Depth", // only withDefaults sets it
+		"a.Config.Unit",  // only New, defaulting its parameter, sets it
+		"a.Config.Ways",  // every call sets it to 8
 		"a.Stack.Size",   // named elsewhere, but only a use of Queue.Size is
 		"a.helper",       // unexported, and used only by a test
 	}
@@ -285,7 +293,7 @@ func surfaceFindings(pkgs []listedPkg) ([]finding, error) {
 			}
 		}
 	}
-	written := configWrites(files, info, fieldOwner)
+	writes := configWrites(files, info, fieldOwner)
 
 	var findings []finding
 	for _, d := range decls {
@@ -294,77 +302,197 @@ func surfaceFindings(pkgs []listedPkg) ([]finding, error) {
 		}
 	}
 	for _, d := range fields {
-		if !written[d.obj.(*types.Var)] {
+		switch w := writes[d.obj.(*types.Var)]; {
+		case w == nil || !w.set:
 			findings = append(findings, finding{d.key, fset.Position(d.obj.Pos()),
-				"is set by no non-test code outside its type's methods: a one-value setting is a constant"})
+				"is set by no non-test code but its type's methods and the functions handed it: a one-value setting is a constant"})
+		case !w.varied:
+			findings = append(findings, finding{d.key, fset.Position(d.obj.Pos()),
+				fmt.Sprintf("is %v in every non-test write: a one-value setting is a constant", w.value)})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool { return findings[i].key < findings[j].key })
 	return findings, nil
 }
 
-// configWrites returns the fields of owner that some file writes, by a
+// fieldWrites is what non-test code outside a *Config type's methods
+// writes into one of its fields.
+type fieldWrites struct {
+	set    bool           // some write names the field
+	seen   bool           // some write is counted, a literal leaving the field out among them
+	value  constant.Value // the first counted write's value; nil for nil or a zero struct
+	varied bool           // some write gives another value, or one that is not constant
+}
+
+// add counts a write of val; isConst is false when the value written is
+// not a constant.
+func (w *fieldWrites) add(val constant.Value, isConst bool) {
+	switch {
+	case !w.seen:
+		w.seen, w.value = true, val
+	case !sameValue(w.value, val):
+		w.varied = true
+	}
+	w.varied = w.varied || !isConst
+}
+
+// sameValue reports whether two written constants are equal; nil is
+// the zero of a type with no constants.
+func sameValue(a, b constant.Value) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	numeric := func(v constant.Value) bool {
+		k := v.Kind()
+		return k == constant.Int || k == constant.Float || k == constant.Complex
+	}
+	if a.Kind() != b.Kind() && !(numeric(a) && numeric(b)) {
+		return false
+	}
+	return constant.Compare(a, token.EQL, b)
+}
+
+// zeroValue is the value a literal that leaves out a field of type t
+// writes.
+func zeroValue(t types.Type) constant.Value {
+	b, ok := t.Underlying().(*types.Basic)
+	switch {
+	case !ok:
+		return nil
+	case b.Info()&types.IsString != 0:
+		return constant.MakeString("")
+	case b.Info()&types.IsBoolean != 0:
+		return constant.MakeBool(false)
+	}
+	return constant.MakeInt64(0)
+}
+
+// configWrites returns what files write into the fields of owner, by a
 // literal key, an unkeyed literal, an assignment, an increment or taking
-// the field's address, outside the methods of the field's own type.
-func configWrites(files []*ast.File, info *types.Info, owner map[*types.Var]*types.TypeName) map[*types.Var]bool {
-	written := map[*types.Var]bool{}
+// the field's address, outside the methods of the field's own type. A
+// keyed literal writes the zero value of each field it leaves out. A
+// write through a parameter of the enclosing function is a callee
+// defaulting what it was handed, and is not counted.
+func configWrites(files []*ast.File, info *types.Info, owner map[*types.Var]*types.TypeName) map[*types.Var]*fieldWrites {
+	writes := map[*types.Var]*fieldWrites{}
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			var recv types.Object // the type whose method decl is
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
 				recv = recvTypeName(info, fn.Recv.List[0].Type)
 			}
-			mark := func(v *types.Var) {
-				if tn, ok := owner[v]; ok && tn != recv {
-					written[v] = true
+			var params []*ast.FieldList // of decl and every function literal in it
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if ft, ok := n.(*ast.FuncType); ok && ft.Params != nil {
+					params = append(params, ft.Params)
+				}
+				return true
+			})
+			mark := func(v *types.Var, val constant.Value, isConst, named bool) {
+				tn, ok := owner[v]
+				if !ok || tn == recv {
+					return
+				}
+				w := writes[v]
+				if w == nil {
+					w = &fieldWrites{}
+					writes[v] = w
+				}
+				w.set = w.set || named
+				w.add(val, isConst)
+			}
+			// write counts a write of val into an assigned expression and
+			// a non-constant one into every field selected on the way to
+			// it (setting c.Flash.Blocks sets c.Flash too), unless the
+			// expression is reached through a parameter.
+			write := func(e ast.Expr, val constant.Value, isConst bool) {
+				var fields []*types.Var // selected along e, outermost first
+				direct := true          // fields[0] is e itself, not indexed or dereferenced
+			walk:
+				for {
+					switch x := e.(type) {
+					case *ast.SelectorExpr:
+						if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+							fields = append(fields, sel.Obj().(*types.Var).Origin())
+						}
+						e = x.X
+					case *ast.IndexExpr:
+						direct = direct && len(fields) > 0
+						e = x.X
+					case *ast.StarExpr:
+						direct = direct && len(fields) > 0
+						e = x.X
+					case *ast.ParenExpr:
+						e = x.X
+					case *ast.Ident:
+						if obj := info.Uses[x]; obj != nil {
+							for _, p := range params {
+								if p.Pos() <= obj.Pos() && obj.Pos() < p.End() {
+									return
+								}
+							}
+						}
+						break walk
+					default:
+						break walk
+					}
+				}
+				for i, f := range fields {
+					if i == 0 && direct {
+						mark(f, val, isConst, true)
+					} else {
+						mark(f, nil, false, true)
+					}
 				}
 			}
-			// markLHS marks every field selected along an assigned
-			// expression: setting c.Flash.Blocks sets c.Flash too.
-			var markLHS func(e ast.Expr)
-			markLHS = func(e ast.Expr) {
-				switch x := e.(type) {
-				case *ast.SelectorExpr:
-					if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-						mark(sel.Obj().(*types.Var).Origin())
-					}
-					markLHS(x.X)
-				case *ast.ParenExpr:
-					markLHS(x.X)
-				case *ast.IndexExpr:
-					markLHS(x.X)
-				case *ast.StarExpr:
-					markLHS(x.X)
-				}
+			valueOf := func(e ast.Expr) (constant.Value, bool) {
+				tv := info.Types[e]
+				return tv.Value, tv.Value != nil || tv.IsNil()
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.AssignStmt:
-					if x.Tok != token.DEFINE {
-						for _, lhs := range x.Lhs {
-							markLHS(lhs)
+					if x.Tok == token.DEFINE {
+						break
+					}
+					for i, lhs := range x.Lhs {
+						if x.Tok == token.ASSIGN && len(x.Rhs) == len(x.Lhs) {
+							val, ok := valueOf(x.Rhs[i])
+							write(lhs, val, ok)
+						} else {
+							write(lhs, nil, false)
 						}
 					}
 				case *ast.IncDecStmt:
-					markLHS(x.X)
+					write(x.X, nil, false)
 				case *ast.UnaryExpr:
 					if x.Op == token.AND {
-						markLHS(x.X)
+						write(x.X, nil, false)
 					}
 				case *ast.CompositeLit:
 					st, ok := info.Types[x].Type.Underlying().(*types.Struct)
 					if !ok {
-						return true
+						break
 					}
+					keyed := map[*types.Var]bool{}
 					for i, elt := range x.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
 								if v, ok := info.Uses[id].(*types.Var); ok {
-									mark(v.Origin())
+									val, ok := valueOf(kv.Value)
+									mark(v.Origin(), val, ok, true)
+									keyed[v.Origin()] = true
 								}
 							}
 						} else if i < st.NumFields() {
-							mark(st.Field(i).Origin())
+							val, ok := valueOf(elt)
+							mark(st.Field(i).Origin(), val, ok, true)
+							keyed[st.Field(i).Origin()] = true
+						}
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i).Origin(); !keyed[f] {
+							mark(f, zeroValue(f.Type()), true, false)
 						}
 					}
 				}
@@ -372,7 +500,7 @@ func configWrites(files []*ast.File, info *types.Info, owner map[*types.Var]*typ
 			})
 		}
 	}
-	return written
+	return writes
 }
 
 // recvTypeName is the type a method's receiver expression names.

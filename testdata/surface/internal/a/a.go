@@ -30,10 +30,15 @@ func Total(shapes []Shape) int {
 	return sum
 }
 
-// Config.Width is set by package use; Depth only by withDefaults.
+// Config.Width is set by package use from a variable and Lanes to 2 by
+// one of its calls; Depth is set only by withDefaults, Unit only by New
+// defaulting the config it is handed, and Ways to 8 by every call.
 type Config struct {
 	Width int
 	Depth int
+	Unit  string
+	Ways  int
+	Lanes int
 }
 
 func (c Config) withDefaults() Config {
@@ -45,7 +50,10 @@ func (c Config) withDefaults() Config {
 
 func New(c Config) *Queue {
 	c = c.withDefaults()
-	return &Queue{n: c.Width * c.Depth}
+	if c.Unit == "" {
+		c.Unit = "B"
+	}
+	return &Queue{n: c.Width * c.Depth * c.Ways * max(c.Lanes, 1)}
 }
 
 // helper is used only by a test.

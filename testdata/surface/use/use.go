@@ -3,11 +3,14 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"ssmobile/testdata/surface/internal/a"
 )
 
 func main() {
-	q := a.New(a.Config{Width: 2})
-	fmt.Println(q.Size(), a.Total([]a.Shape{a.Square{Side: 3}}), a.Square{})
+	n := len(os.Args)
+	q := a.New(a.Config{Width: n, Ways: 8, Lanes: 2})
+	r := a.New(a.Config{Width: n, Ways: 8})
+	fmt.Println(q.Size(), r.Size(), a.Total([]a.Shape{a.Square{Side: 3}}), a.Square{})
 }
