@@ -355,13 +355,12 @@ func attribute(args []string, pf *profFlags) error {
 	sum := total.Total()
 	fmt.Printf("induced cleans: %d\n", cleans)
 	fmt.Printf("total attributed virtual time: %v\n", sum)
-	for _, stage := range obs.BreakdownStages {
-		d := total.Stage(stage)
+	for stage, d := range total {
 		pct := 0.0
 		if sum > 0 {
 			pct = 100 * float64(d) / float64(sum)
 		}
-		fmt.Printf("  %-8s %12v  %5.1f%%\n", stage, d, pct)
+		fmt.Printf("  %-8s %12v  %5.1f%%\n", obs.Stage(stage), d, pct)
 	}
 
 	if *top > 0 {
@@ -377,9 +376,9 @@ func attribute(args []string, pf *profFlags) error {
 		for _, req := range sorted {
 			fmt.Printf("  %s/%s @%v total=%v spans=%d cleans=%d:",
 				req.Root.Layer, req.Root.Op, req.Root.Start, req.Breakdown.Total(), req.Spans, req.InducedCleans)
-			for _, stage := range obs.BreakdownStages {
-				if d := req.Breakdown.Stage(stage); d > 0 {
-					fmt.Printf(" %s=%v", stage, d)
+			for stage, d := range req.Breakdown {
+				if d > 0 {
+					fmt.Printf(" %s=%v", obs.Stage(stage), d)
 				}
 			}
 			fmt.Println()

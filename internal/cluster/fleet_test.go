@@ -274,3 +274,44 @@ func TestAdminEndpointsServeFleetTelemetry(t *testing.T) {
 	}
 	_ = events // an empty journal is valid — the parse is the contract
 }
+
+// TestRouterAttributionMatchesRootSpans attributes every request a
+// 3-node router recorded: a request's holder spans overlap its root
+// instead of nesting in it, so each breakdown must total the root's
+// queue plus its duration, never more.
+func TestRouterAttributionMatchesRootSpans(t *testing.T) {
+	cl, base := newObservedCluster(t, 3, cluster.Config{})
+	sess, err := cl.OpenSession("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := cl.Now()
+	for i := uint64(0); i < 60; i++ {
+		req := server.Request{Kind: server.OpPut, Key: i % 20, Data: payloadFor(i, 1)}
+		switch i % 6 {
+		case 3:
+			req = server.Request{Kind: server.OpGet, Key: (i - 1) % 20, Size: 2048} // put just before
+		case 5:
+			req = server.Request{Kind: server.OpSync}
+		}
+		at = at.Add(5 * sim.Millisecond)
+		req.Arrival = at
+		if _, err := sess.Do(req); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	reqs, _ := obs.Attribute(base.Tracer.Spans())
+	if len(reqs) != 60 {
+		t.Fatalf("attributed %d requests, want 60", len(reqs))
+	}
+	holders := 0
+	for _, req := range reqs {
+		holders += req.Spans - 1
+		if got, want := req.Breakdown.Total(), req.Root.Queue+req.Root.Duration(); got != want {
+			t.Errorf("%s/%s @%v: attributed %v, want queue + root = %v", req.Root.Layer, req.Root.Op, req.Root.Start, got, want)
+		}
+	}
+	if holders == 0 {
+		t.Fatal("no request recorded a holder span")
+	}
+}

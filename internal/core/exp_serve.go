@@ -152,7 +152,7 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 		// overload the inherited backlog trivially dwarfs service); the
 		// question is what the service itself was doing at the tail.
 		reqs, _ := obs.Attribute(priv.Tracer.Spans())
-		service := func(b obs.Breakdown) sim.Duration { return b.Total() - b.Queue }
+		service := func(b obs.Breakdown) sim.Duration { return b.Total() - b[obs.StageQueue] }
 		sort.SliceStable(reqs, func(a, b int) bool {
 			if d1, d2 := service(reqs[a].Breakdown), service(reqs[b].Breakdown); d1 != d2 {
 				return d1 > d2
@@ -165,20 +165,19 @@ func E12bAttribution(env *Env, seed int64) (*Table, error) {
 			tail.Add(req.Breakdown)
 		}
 		total := service(tail)
-		share := func(stage string) string {
+		share := func(stage obs.Stage) string {
 			if total <= 0 {
 				return "-"
 			}
-			return fmt.Sprintf("%.1f%%", 100*float64(tail.Stage(stage))/float64(total))
+			return fmt.Sprintf("%.1f%%", 100*float64(tail[stage])/float64(total))
 		}
 		// The observer is this cell's own, so its queue-stage series is
 		// this server's.
-		queue := priv.Registry.Histogram("serve_latency_breakdown", obs.Labels{"layer": "server", "stage": obs.StageQueue})
-		serviceStages := []string{obs.StageBuffer, obs.StageFlush, obs.StageFlash, obs.StageClean, obs.StageOther}
+		queue := priv.Registry.Histogram("serve_latency_breakdown", obs.Labels{"layer": "server", "stage": obs.StageQueue.String()})
 		dominant, domDur := "", sim.Duration(0)
-		for _, stage := range serviceStages {
-			if d := tail.Stage(stage); d > domDur {
-				dominant, domDur = stage, d
+		for stage := obs.StageBuffer; stage < obs.NumStages; stage++ {
+			if d := tail[stage]; d > domDur {
+				dominant, domDur = stage.String(), d
 			}
 		}
 		rows[i] = []string{

@@ -67,7 +67,7 @@ func E13WearAging(env *Env, seed int64) (*Table, error) {
 			// to exactly one cause, so the sums must match the totals.
 			ds := dev.Stats()
 			var causeBytes, causeErases int64
-			for _, c := range obs.Causes {
+			for c := obs.Cause(0); c < obs.NumCauses; c++ {
 				causeBytes += dev.CauseBytesProgrammed(c)
 				causeErases += dev.CauseErases(c)
 			}

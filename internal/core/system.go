@@ -317,9 +317,9 @@ func (s *SolidStateSystem) RemountAfterPowerFailure() (*SolidStateSystem, error)
 	}
 	// Everything destructive from here to the rebuilt stack — re-erasing
 	// torn blocks during the OOB scan, recovery checkpoints — is charged
-	// to the mount-recovery cause (ftl.Mount pushes the same cause for its
+	// to the mount-recovery cause (ftl.Mount sets the same cause for its
 	// own scan, which nests harmlessly inside this scope).
-	defer s.cfg.Obs.PushCause(obs.CauseMountRecovery)()
+	defer s.cfg.Obs.SetCause(s.cfg.Obs.SetCause(obs.CauseMountRecovery))
 	s.DRAM.Restore()
 	if s.Flash.Lost() {
 		// The cut may have hit the flash device mid-operation (fault

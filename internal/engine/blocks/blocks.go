@@ -171,9 +171,8 @@ func New(dev *flash.Device, clock *sim.Clock, o *obs.Observer, layer string,
 	// sum to the overall gauge by construction).
 	o.GaugeFunc("write_amplification", obs.Labels{"layer": layer, "engine": layer},
 		func() float64 { return p.amplification(dev.BytesProgrammed()) })
-	for _, c := range obs.Causes {
-		c := c
-		o.GaugeFunc("write_amplification", obs.Labels{"layer": layer, "engine": layer, "cause": string(c)},
+	for c := obs.Cause(0); c < obs.NumCauses; c++ {
+		o.GaugeFunc("write_amplification", obs.Labels{"layer": layer, "engine": layer, "cause": c.String()},
 			func() float64 { return p.amplification(dev.CauseBytesProgrammed(c)) })
 	}
 	return p, nil
@@ -347,12 +346,11 @@ func (p *Pool) EnsureSpace() error {
 // resumable and a half-cleaned victim frees nothing — so whoever
 // arrives at until waits out at most one.
 func (p *Pool) CleanIdle(until sim.Time) error {
-	// Most idle gaps find the target met: return before the cause push,
-	// which would otherwise be most of what such a call costs.
+	// Most idle gaps find the target met and return here.
 	if p.idleTarget <= 0 || p.pick == nil || p.free >= p.idleTarget {
 		return nil
 	}
-	defer p.obs.PushCause(obs.CauseIdleClean)()
+	defer p.obs.SetCause(p.obs.SetCause(obs.CauseIdleClean))
 	var err error
 	burst := 0
 	for err == nil && p.free < p.idleTarget {
@@ -403,7 +401,7 @@ func (p *Pool) Clean(victim int) (err error) {
 	sp := p.obs.InducedSpan(p.clock, p.dev.Meter(), p.layer, "clean", obs.StageClean)
 	defer func() { sp.End(int64(p.ppb)*int64(p.pageBytes), err) }()
 	if p.obs.Cause() != obs.CauseIdleClean {
-		defer p.obs.PushCause(obs.CauseCleanerMigrate)()
+		defer p.obs.SetCause(p.obs.SetCause(obs.CauseCleanerMigrate))
 	}
 	p.cleans.Inc()
 	p.victimClass[p.VictimClasses()[p.dev.BankOf(victim)]].Inc()

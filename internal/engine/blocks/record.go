@@ -129,7 +129,7 @@ func (p *Pool) Settle(b int, hasRecords bool) error {
 		if _, dirty := p.NonBlankAt(b); !dirty {
 			return nil
 		}
-		defer p.obs.PushCause(obs.CauseMountRecovery)()
+		defer p.obs.SetCause(p.obs.SetCause(obs.CauseMountRecovery))
 		if _, err := p.dev.Erase(b); err != nil {
 			return err
 		}

@@ -151,8 +151,8 @@ type Device struct {
 	// Wear attribution (see wear.go): every program and erase is also
 	// charged to the observer's active obs.Cause, and bounded ring
 	// samplers turn the cumulative totals into windowed burn rates.
-	causeProg  map[obs.Cause]*obs.Counter
-	causeErase map[obs.Cause]*obs.Counter
+	causeProg  [obs.NumCauses]*obs.Counter
+	causeErase [obs.NumCauses]*obs.Counter
 	eraseRate  *obs.RateSampler
 	progRate   *obs.RateSampler
 }

@@ -59,7 +59,7 @@ type HealthReport struct {
 }
 
 // CauseAmount is one cause's share in a by-cause breakdown, in the
-// canonical obs.Causes order.
+// canonical obs.Cause order.
 type CauseAmount struct {
 	Cause string  `json:"cause"`
 	Value float64 `json:"value"`
@@ -157,13 +157,13 @@ func HealthFromSnapshot(snap obs.Snapshot, device string) (HealthReport, error) 
 		}
 		if waOK {
 			r.WriteAmplification = wa
-			for _, c := range obs.Causes {
-				cl := obs.Labels{"cause": string(c)}
+			for c := obs.Cause(0); c < obs.NumCauses; c++ {
+				cl := obs.Labels{"cause": c.String()}
 				for k, v := range lbl {
 					cl[k] = v
 				}
 				v, _ := findGauge(snap, "write_amplification", cl)
-				r.WriteAmpByCause = append(r.WriteAmpByCause, CauseAmount{Cause: string(c), Value: v})
+				r.WriteAmpByCause = append(r.WriteAmpByCause, CauseAmount{Cause: c.String(), Value: v})
 			}
 		}
 		break

@@ -55,12 +55,10 @@ func WearBucketLabels() []string {
 // no exported gauges — exactly how the other device metrics degrade).
 func (d *Device) initWear(o *obs.Observer) {
 	dev := d.cfg.MeterCategory
-	d.causeProg = make(map[obs.Cause]*obs.Counter, len(obs.Causes))
-	d.causeErase = make(map[obs.Cause]*obs.Counter, len(obs.Causes))
 	// Canonical cause order so registration — and with it exposition and
 	// snapshot layout — is deterministic.
-	for _, c := range obs.Causes {
-		lbl := obs.Labels{"layer": "flash", "device": dev, "cause": string(c)}
+	for c := range d.causeProg {
+		lbl := obs.Labels{"layer": "flash", "device": dev, "cause": obs.Cause(c).String()}
 		d.causeProg[c] = o.Counter("flash_bytes_programmed_total", lbl)
 		d.causeErase[c] = o.Counter("erases_total", lbl)
 	}
@@ -138,22 +136,14 @@ func (d *Device) initWear(o *obs.Observer) {
 // the completion counters — a cut operation is charged to no cause,
 // exactly as it reaches no completion counter.
 func (d *Device) chargeProgram(n int64) {
-	c, ok := d.causeProg[d.obs.Cause()]
-	if !ok {
-		c = d.causeProg[obs.CauseHostWrite]
-	}
-	c.Add(n)
+	d.causeProg[d.obs.Cause()].Add(n)
 	d.progRate.Observe(d.clock.Now(), d.bytesProg.Value())
 }
 
 // chargeErase attributes one erase to the active cause and samples the
 // erase burn rate.
 func (d *Device) chargeErase() {
-	c, ok := d.causeErase[d.obs.Cause()]
-	if !ok {
-		c = d.causeErase[obs.CauseHostWrite]
-	}
-	c.Inc()
+	d.causeErase[d.obs.Cause()].Inc()
 	d.eraseRate.Observe(d.clock.Now(), d.erases.Value())
 }
 

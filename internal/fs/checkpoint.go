@@ -128,7 +128,7 @@ func blocksSpanned(off, n, bs int) int { return (off+n-1)/bs - off/bs + 1 }
 func (f *FS) Checkpoint() error {
 	// The checkpoint stream is filesystem metadata: charge its flash
 	// programs to the metadata cause, overriding any enclosing sync scope.
-	defer f.obs.PushCause(obs.CauseMetadata)()
+	defer f.obs.SetCause(f.obs.SetCause(obs.CauseMetadata))
 	c, bs := &f.ckpt, f.BlockBytes()
 	if !c.imageNext {
 		if len(f.pending) == ckptHeaderBytes {

@@ -321,7 +321,7 @@ func fsSeries(o *obs.Observer) (writes, syncs, written, spans, metadataBytes int
 		o.Registry.Counter("ops_total", lbl("sync")).Value(),
 		o.Registry.Counter("bytes_total", lbl("write")).Value(),
 		spans,
-		o.Registry.Counter("flash_bytes_programmed_total", obs.Labels{"layer": "flash", "device": "flash", "cause": string(obs.CauseMetadata)}).Value()
+		o.Registry.Counter("flash_bytes_programmed_total", obs.Labels{"layer": "flash", "device": "flash", "cause": obs.CauseMetadata.String()}).Value()
 }
 
 // TestRecoveredFSCountsAndAttributes is the regression test for the dark

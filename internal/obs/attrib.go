@@ -112,29 +112,30 @@ func resolveRequest(root Span, pending []Span) (RequestAttribution, int) {
 		if sp.FollowFrom == root.ID {
 			req.InducedCleans++
 		}
-		childTime[sp.Parent] += sp.Duration()
+		// A stage-less member (a cluster holder span, which overlaps the
+		// root rather than nesting in it) is neither charged nor
+		// subtracted from its parent.
+		if sp.Stage != "" {
+			childTime[sp.Parent] += sp.Duration()
+		}
 	}
 	// Exclusive time per span → its recorded stage.
-	var stages [NumStages]sim.Duration
 	charge := func(sp Span) {
-		excl := sp.Duration() - childTime[sp.ID]
-		if excl < 0 {
-			excl = 0
+		stage := StageOther
+		for s, name := range BreakdownStages {
+			if name == sp.Stage {
+				stage = Stage(s)
+			}
 		}
-		idx := stageIndexOf(sp.Stage)
-		if BreakdownStages[idx] != sp.Stage {
-			idx = stageOther
-		}
-		stages[idx] += excl
+		req.Breakdown[stage] += max(sp.Duration()-childTime[sp.ID], 0)
 	}
 	for i, sp := range pending {
-		if member[i] {
+		if member[i] && sp.Stage != "" {
 			charge(sp)
 		}
 	}
 	charge(root)
-	stages[stageQueue] += root.Queue
-	req.Breakdown = breakdownFrom(&stages)
+	req.Breakdown[StageQueue] += root.Queue
 	return req, used
 }
 

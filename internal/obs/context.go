@@ -26,125 +26,94 @@
 package obs
 
 import (
+	"strconv"
+
 	"ssmobile/internal/sim"
 )
 
-// Latency-attribution stages. A span's declared stage says what kind of
-// time it represents; the effective stage additionally honors
-// inheritance (an undeclared span belongs to whatever stage encloses it)
-// and cleaner stickiness (everything under an induced clean is cleaning
-// stall, including the flash programs relocating live pages).
+// Stage is a latency-attribution stage. A span's declared stage says
+// what kind of time it represents; the effective stage additionally
+// honors inheritance (an undeclared span belongs to whatever stage
+// encloses it) and cleaner stickiness (everything under an induced clean
+// is cleaning stall, including the flash programs relocating live pages).
+type Stage int
+
+// The stages, in canonical (reporting) order.
 const (
 	// StageQueue is admission queueing: arrival to service start. It is
 	// never a span's stage — it precedes the root span — but appears in
 	// breakdowns via the root span's Queue field.
-	StageQueue = "queue"
+	StageQueue Stage = iota
 	// StageBuffer is DRAM work: write-buffer hits, rbox journaling.
-	StageBuffer = "buffer"
+	StageBuffer
 	// StageFlush is write-buffer eviction: migrating a dirty block out of
 	// DRAM to make room (the paper's "write-buffer stall"). Device time
 	// inside a flush keeps its own stage; flush is the residue.
-	StageFlush = "flush"
+	StageFlush
 	// StageFlash is direct flash device time: programs, reads, erases not
 	// performed on behalf of the cleaner.
-	StageFlash = "flash"
+	StageFlash
 	// StageClean is cleaner work, and it is sticky: once a request is
 	// inside an induced clean, every nested operation is cleaning stall.
-	StageClean = "clean"
+	StageClean
 	// StageOther is everything else: metadata walks, span-free gaps.
-	StageOther = "other"
-)
-
-// BreakdownStages lists the stage names in canonical (reporting) order.
-var BreakdownStages = []string{StageQueue, StageBuffer, StageFlush, StageFlash, StageClean, StageOther}
-
-// stage indices into Breakdown/TraceContext accumulation arrays.
-const (
-	stageQueue = iota
-	stageBuffer
-	stageFlush
-	stageFlash
-	stageClean
-	stageOther
+	StageOther
 	// NumStages is the number of stages, len(BreakdownStages).
 	NumStages
+
+	// noStage is an undeclared stage (a span that inherits its parent's)
+	// and the stage of a background span, which is recorded as "".
+	noStage Stage = -1
 )
 
-// stageIndexOf maps a stage name to its index, and an unknown name to 0,
-// whose BreakdownStages entry is not that name.
-func stageIndexOf(name string) int {
-	switch name {
-	case StageQueue:
-		return stageQueue
-	case StageBuffer:
-		return stageBuffer
-	case StageFlush:
-		return stageFlush
-	case StageFlash:
-		return stageFlash
-	case StageClean:
-		return stageClean
-	case StageOther:
-		return stageOther
+// BreakdownStages names the stages in canonical order, as traces and the
+// serve_latency_breakdown stage label spell them.
+var BreakdownStages = []string{"queue", "buffer", "flush", "flash", "clean", "other"}
+
+// String reports the stage's name; noStage's is "".
+func (s Stage) String() string {
+	if s == noStage {
+		return ""
 	}
-	return 0
+	return BreakdownStages[s]
 }
 
 // Breakdown is a per-request latency attribution: virtual time spent in
-// each stage. Queue plus the service stages sums to the request's
-// reported latency.
-type Breakdown struct {
-	Queue, Buffer, Flush, Flash, Clean, Other sim.Duration
-}
+// each stage, indexed by Stage. Queue plus the service stages sums to
+// the request's reported latency.
+type Breakdown [NumStages]sim.Duration
 
 // Total reports the summed attribution (the request's latency).
 func (b Breakdown) Total() sim.Duration {
-	return b.Queue + b.Buffer + b.Flush + b.Flash + b.Clean + b.Other
-}
-
-// Stage reports the duration attributed to the named stage.
-func (b Breakdown) Stage(name string) sim.Duration {
-	switch name {
-	case StageQueue:
-		return b.Queue
-	case StageBuffer:
-		return b.Buffer
-	case StageFlush:
-		return b.Flush
-	case StageFlash:
-		return b.Flash
-	case StageClean:
-		return b.Clean
-	case StageOther:
-		return b.Other
+	var t sim.Duration
+	for _, d := range b {
+		t += d
 	}
-	return 0
-}
-
-// Durations reports every stage's duration, in BreakdownStages order.
-func (b Breakdown) Durations() [NumStages]sim.Duration {
-	return [NumStages]sim.Duration{b.Queue, b.Buffer, b.Flush, b.Flash, b.Clean, b.Other}
+	return t
 }
 
 // Add accumulates another breakdown into b.
 func (b *Breakdown) Add(o Breakdown) {
-	b.Queue += o.Queue
-	b.Buffer += o.Buffer
-	b.Flush += o.Flush
-	b.Flash += o.Flash
-	b.Clean += o.Clean
-	b.Other += o.Other
+	for s, d := range o {
+		b[s] += d
+	}
 }
 
-func breakdownFrom(stages *[NumStages]sim.Duration) Breakdown {
-	return Breakdown{
-		Queue:  stages[stageQueue],
-		Buffer: stages[stageBuffer],
-		Flush:  stages[stageFlush],
-		Flash:  stages[stageFlash],
-		Clean:  stages[stageClean],
-		Other:  stages[stageOther],
+// MarshalJSON encodes b as an object keyed by the capitalised stage
+// names, {"Queue":…,…,"Other":…}, the shape attribution dumps have.
+func (b Breakdown) MarshalJSON() ([]byte, error) {
+	out := []byte{'{'}
+	for s, d := range b {
+		if s > 0 {
+			out = append(out, ',')
+		}
+		name := BreakdownStages[s]
+		out = append(out, '"', name[0]-'a'+'A')
+		out = append(out, name[1:]...)
+		out = append(out, '"', ':')
+		out = strconv.AppendInt(out, int64(d), 10)
 	}
+	return append(out, '}'), nil
 }
 
 // TraceContext is the causal identity of one in-flight request. It is
@@ -156,7 +125,7 @@ type TraceContext struct {
 	o      *Observer
 	queue  sim.Duration
 	mark   sim.Time
-	stages [NumStages]sim.Duration
+	stages Breakdown
 	// stack holds the request's open spans; frame 0 is the root span,
 	// which Finish records.
 	stack spanStack
@@ -192,12 +161,12 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 	// keeps its capacity (see FinishOutcome): past the first few requests
 	// every push lands in the existing array.
 	tc.o, tc.queue, tc.mark = o, queue, now
-	tc.stages[stageQueue] = queue
+	tc.stages[StageQueue] = queue
 	tc.stack.t, tc.stack.ctx = o.Tracer, tc
 	o.spanIDs++
 	*tc.stack.push() = spanFrame{
 		clock: clock, start: now, layer: layer, op: op,
-		stage: StageOther, stageIdx: stageOther, id: o.spanIDs,
+		stage: StageOther, id: o.spanIDs,
 	}
 	o.reqCtx = tc
 	return tc
@@ -207,7 +176,7 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 // stage of the innermost open span.
 func (tc *TraceContext) accrue(now sim.Time) {
 	if d := now.Sub(tc.mark); d > 0 {
-		tc.stages[tc.stack.frames[len(tc.stack.frames)-1].stageIdx] += d
+		tc.stages[tc.stack.frames[len(tc.stack.frames)-1].stage] += d
 	}
 	tc.mark = now
 }
@@ -220,16 +189,16 @@ func (tc *TraceContext) accrue(now sim.Time) {
 // sticky, an explicit declaration wins otherwise, and an undeclared span
 // inherits its parent's (the root's is StageOther). Recorded spans carry
 // it, so Attribute reads it back rather than resolving it again.
-func (tc *TraceContext) open(f *spanFrame, declared string, induced bool) {
+func (tc *TraceContext) open(f *spanFrame, declared Stage, induced bool) {
 	frames := tc.stack.frames
 	up := &frames[len(frames)-2]
 	switch {
-	case up.stageIdx == stageClean || declared == StageClean:
-		f.stage, f.stageIdx = StageClean, stageClean
-	case declared == "":
-		f.stage, f.stageIdx = stageName(up.stageIdx), up.stageIdx
+	case up.stage == StageClean || declared == StageClean:
+		f.stage = StageClean
+	case declared == noStage:
+		f.stage = up.stage
 	default:
-		f.stage, f.stageIdx = declared, stageIndexOf(declared)
+		f.stage = declared
 	}
 	tc.o.spanIDs++
 	f.id, f.parent = tc.o.spanIDs, up.id
@@ -238,19 +207,16 @@ func (tc *TraceContext) open(f *spanFrame, declared string, induced bool) {
 	}
 }
 
-func stageName(idx int) string {
-	return BreakdownStages[idx]
-}
-
 // HolderSpan records a closed child span of the request root attributing
 // one holder's share of a replicated operation: the primary's service
 // time and each replica's, as separate children carrying the holder's
 // node name. The cluster router calls it after the fan-out completes —
 // the holders' latencies are already known, so the span is recorded
 // retroactively with explicit bounds rather than opened and closed. It
-// does not touch the stage accrual: holder time overlaps the root span's
-// wall time (replicas are charged at the slowest holder), and the
-// per-stage breakdown already accounts for it once.
+// does not touch the stage accrual, and it records no stage, so Attribute
+// neither charges it nor subtracts it from the root: holder time overlaps
+// the root span's wall time (replicas are charged at the slowest holder),
+// and the per-stage breakdown already accounts for it once.
 func (tc *TraceContext) HolderSpan(node, op string, start, end sim.Time, bytes int64, outcome string) {
 	if tc == nil {
 		return
@@ -293,9 +259,9 @@ func (tc *TraceContext) FinishOutcome(bytes int64, outcome string) Breakdown {
 		Start: root.start, End: now,
 		Layer: root.layer, Op: root.op,
 		Bytes: bytes, Outcome: outcome,
-		ID: root.id, Queue: tc.queue, Stage: StageOther,
+		ID: root.id, Queue: tc.queue, Stage: StageOther.String(),
 	})
-	bd := breakdownFrom(&tc.stages)
+	bd := tc.stages
 	*tc = TraceContext{stack: spanStack{frames: tc.stack.frames[:0]}}
 	o.ctxFree = tc
 	return bd

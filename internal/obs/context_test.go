@@ -108,11 +108,11 @@ func TestLiveBreakdownMatchesOfflineAttribution(t *testing.T) {
 	live := driveRequest(o, clock)
 
 	want := Breakdown{
-		Queue:  5 * sim.Microsecond,
-		Buffer: 2 * sim.Microsecond,
-		Flush:  1 * sim.Microsecond,
-		Flash:  3 * sim.Microsecond,
-		Clean:  5 * sim.Microsecond, // 1µs clean pass + 4µs sticky relocation
+		StageQueue:  5 * sim.Microsecond,
+		StageBuffer: 2 * sim.Microsecond,
+		StageFlush:  1 * sim.Microsecond,
+		StageFlash:  3 * sim.Microsecond,
+		StageClean:  5 * sim.Microsecond, // 1µs clean pass + 4µs sticky relocation
 	}
 	if live != want {
 		t.Fatalf("live breakdown = %+v, want %+v", live, want)
@@ -136,6 +136,36 @@ func TestLiveBreakdownMatchesOfflineAttribution(t *testing.T) {
 	}
 }
 
+// A cluster router's holder spans overlap the request root instead of
+// nesting in it, so attribution counts them as members but neither
+// charges them nor subtracts them from the root: a 10 ms request with
+// 10 ms and 8 ms holders is attributed 10 ms, as the live accrual says.
+func TestAttributeIgnoresHolderSpans(t *testing.T) {
+	o := New(16)
+	clock := sim.NewClock()
+	tc := o.BeginRequest(clock, "cluster", "put", sim.Millisecond)
+	start := clock.Now()
+	clock.Advance(10 * sim.Millisecond)
+	tc.HolderSpan("n1", "primary", start, start.Add(10*sim.Millisecond), 0, OutcomeOK)
+	tc.HolderSpan("n2", "replica", start, start.Add(8*sim.Millisecond), 0, OutcomeOK)
+	live := tc.Finish(0, nil)
+
+	reqs, st := Attribute(o.Tracer.Spans())
+	if st.Requests != 1 || st.Orphans != 0 {
+		t.Fatalf("attribution stats = %+v, want 1 request, 0 orphans", st)
+	}
+	req := reqs[0]
+	if req.Spans != 3 {
+		t.Fatalf("tree size = %d spans, want the root and both holders", req.Spans)
+	}
+	if req.Breakdown != live {
+		t.Fatalf("offline breakdown = %+v, live = %+v; must be equal", req.Breakdown, live)
+	}
+	if got, want := req.Breakdown.Total(), req.Root.Queue+req.Root.Duration(); got != want || got != 11*sim.Millisecond {
+		t.Fatalf("total = %v, want queue + root = %v (11ms)", got, want)
+	}
+}
+
 // TestInducedSpanCarriesFollowFromAndStickyClean inspects the recorded
 // spans directly: the induced clean links back to the request root, and
 // the flash program nested inside it was resolved to the clean stage.
@@ -153,7 +183,7 @@ func TestInducedSpanCarriesFollowFromAndStickyClean(t *testing.T) {
 			root = sp
 		case sp.Op == "clean":
 			clean = sp
-		case sp.Op == "program" && sp.Stage == StageClean:
+		case sp.Op == "program" && sp.Stage == StageClean.String():
 			reloc = sp
 		}
 	}
@@ -254,7 +284,7 @@ func TestEffectiveStage(t *testing.T) {
 	dev.End(0, nil)
 	tc.Finish(0, nil)
 
-	want := map[string]string{
+	want := map[string]Stage{
 		"server/get": StageOther, "wbuf/flush": StageFlush,
 		"flash/program": StageFlash, "ftl/write": StageFlush,
 		"flash/read": StageFlash, "ftl/clean": StageClean,
@@ -266,8 +296,8 @@ func TestEffectiveStage(t *testing.T) {
 		t.Fatalf("%d spans recorded, want %d", len(spans), len(want))
 	}
 	for _, sp := range spans {
-		if name := sp.Layer + "/" + sp.Op; sp.Stage != want[name] {
-			t.Errorf("%s resolved to stage %q, want %q", name, sp.Stage, want[name])
+		if name := sp.Layer + "/" + sp.Op; sp.Stage != want[name].String() {
+			t.Errorf("%s resolved to stage %q, want %v", name, sp.Stage, want[name])
 		}
 	}
 }
@@ -310,10 +340,10 @@ func TestParentEndClosesSkippedChild(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("recorded %d spans, want flush, write and the root", len(spans))
 	}
-	if got := spans[1]; got.Op != "write" || got.Parent != root || got.Stage != StageOther {
-		t.Fatalf("span after the skipped End = %+v, want parent %d stage %q", got, root, StageOther)
+	if got := spans[1]; got.Op != "write" || got.Parent != root || got.Stage != StageOther.String() {
+		t.Fatalf("span after the skipped End = %+v, want parent %d stage %v", got, root, StageOther)
 	}
-	if want := (Breakdown{Clean: sim.Microsecond, Other: 2 * sim.Microsecond}); bd != want {
+	if want := (Breakdown{StageClean: sim.Microsecond, StageOther: 2 * sim.Microsecond}); bd != want {
 		t.Fatalf("breakdown = %+v, want %+v", bd, want)
 	}
 

@@ -15,6 +15,12 @@
 //     methods are nil-safe, so an uninstrumented run costs almost nothing
 //     and layers never need to guard their probes.
 //
+// Two closed vocabularies label what the layers report: the latency
+// Stage a span's time belongs to (context.go) and the wear Cause a flash
+// program or erase is charged to (cause.go). Each is an int enum with
+// one table of names, so a hot path indexes an array where it would
+// otherwise compare strings.
+//
 // Counter series and their instances. Simulated layers are built many
 // times per process (every experiment assembles fresh systems), and
 // their Stats() accessors must report that one instance's activity only.
@@ -50,9 +56,10 @@
 // drew across it; devices charge that meter through accounts they
 // resolve once (sim.EnergyMeter.Account), so a charge is two adds.
 //
-// One writer per observer. The span stacks, the Tracer's ring and the
+// One writer per observer. The span stacks, the Tracer's ring, the
 // request state (the installed context, the span-ID counter, the spare
-// context) take no lock and no atomic: an Observer has one writer at a
+// context) and the active wear cause (cause.go) take no lock and no
+// atomic: an Observer has one writer at a
 // time, which the server's and the cluster's mutexes and the parallel
 // experiment engine's per-job observers provide. The ring's readers
 // (Tracer.Spans, Total, Dropped, Merge, Flush; FlightRecorder.Dump,
@@ -516,14 +523,10 @@ type Observer struct {
 	ctxFree *TraceContext
 	// spans is the background stack: spans opened outside any request.
 	spans spanStack
-	// cause is the active wear-attribution cause (see PushCause); the
-	// flash layer charges every program and erase against it.
-	// causeRestore caches one restore closure per possible previous
-	// cause (index 0 is "none"), built once on first push.
-	cause        atomic.Pointer[Cause]
-	causeOnce    sync.Once
-	causeReady   atomic.Bool
-	causeRestore [len(causeInterned) + 1]func()
+	// cause is the active wear-attribution cause (see SetCause); the
+	// flash layer charges every program and erase against it. It has the
+	// trace state's one writer (DESIGN §10).
+	cause Cause
 	// flight is the attached flight recorder, if any (SetFlightRecorder);
 	// subsystems that witness an incident (power-cut remount) dump
 	// through it without knowing who configured it.

@@ -47,16 +47,16 @@ func TestTraceContextRecycleFullyReset(t *testing.T) {
 		t.Fatalf("recycled context has stale frames: %+v", tc2.stack.frames)
 	}
 	for i, d := range tc2.stages {
-		if want := sim.Duration(0); i != stageQueue && d != want {
-			t.Fatalf("recycled context kept stage charge %s=%v", stageName(i), d)
+		if want := sim.Duration(0); Stage(i) != StageQueue && d != want {
+			t.Fatalf("recycled context kept stage charge %v=%v", Stage(i), d)
 		}
 	}
 	root2 := tc2.Root()
 	clock.Advance(5 * sim.Millisecond)
 	o.Span(clock, nil, "fs", "read").End(0, nil)
 	bd2 := tc2.Finish(0, nil)
-	if bd2.Queue != 0 {
-		t.Fatalf("recycled context kept the previous queue delay: %v", bd2.Queue)
+	if bd2[StageQueue] != 0 {
+		t.Fatalf("recycled context kept the previous queue delay: %v", bd2[StageQueue])
 	}
 
 	// The recorded spans must form two disjoint trees: nothing from the

@@ -230,8 +230,7 @@ type spanFrame struct {
 	start      sim.Time
 	energy     sim.Energy
 	layer, op  string
-	stage      string // effective stage; empty outside a request
-	stageIdx   int
+	stage      Stage // effective stage; noStage outside a request
 	id, parent uint64
 	follow     uint64
 }
@@ -269,7 +268,7 @@ func (s *spanStack) push() *spanFrame {
 // enclosing open span, and an inherited latency stage. Outside a context
 // the span records exactly as before — background work stays anonymous.
 func (o *Observer) Span(clock *sim.Clock, meter *sim.EnergyMeter, layer, op string) SpanRef {
-	return o.openSpan(clock, meter, layer, op, "", false)
+	return o.openSpan(clock, meter, layer, op, noStage, false)
 }
 
 // StageSpan is Span with a declared latency-attribution stage: device
@@ -277,7 +276,7 @@ func (o *Observer) Span(clock *sim.Clock, meter *sim.EnergyMeter, layer, op stri
 // StageBuffer, flash is StageFlash, buffer eviction is StageFlush). The
 // declaration only matters under a request context; see TraceContext.open
 // for how it combines with the enclosing span's stage.
-func (o *Observer) StageSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op, stage string) SpanRef {
+func (o *Observer) StageSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op string, stage Stage) SpanRef {
 	return o.openSpan(clock, meter, layer, op, stage, false)
 }
 
@@ -286,11 +285,11 @@ func (o *Observer) StageSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op
 // span carries a FollowFrom link back to the request's root span in
 // addition to its Parent link, so attribution tools can separate "the
 // request asked for this" from "the request's timing got charged this".
-func (o *Observer) InducedSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op, stage string) SpanRef {
+func (o *Observer) InducedSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op string, stage Stage) SpanRef {
 	return o.openSpan(clock, meter, layer, op, stage, true)
 }
 
-func (o *Observer) openSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op, stage string, induced bool) SpanRef {
+func (o *Observer) openSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op string, stage Stage, induced bool) SpanRef {
 	if o == nil || o.Tracer == nil || clock == nil {
 		return SpanRef{}
 	}
@@ -308,7 +307,7 @@ func (o *Observer) openSpan(clock *sim.Clock, meter *sim.EnergyMeter, layer, op,
 	if meter != nil {
 		f.energy = meter.Total()
 	}
-	f.stage, f.stageIdx, f.id, f.parent, f.follow = "", 0, 0, 0, 0
+	f.stage, f.id, f.parent, f.follow = noStage, 0, 0, 0
 	if tc != nil {
 		tc.open(f, stage, induced)
 	}
@@ -348,7 +347,7 @@ func (s SpanRef) EndOutcome(bytes int64, outcome string) {
 	sp.Start, sp.End, sp.Layer, sp.Op = f.start, end, f.layer, f.op
 	sp.Bytes, sp.Energy, sp.Outcome = bytes, e, outcome
 	sp.ID, sp.Parent, sp.FollowFrom, sp.Queue = f.id, f.parent, f.follow, 0
-	sp.Stage, sp.Node = f.stage, t.node
+	sp.Stage, sp.Node = f.stage.String(), t.node
 	st.frames = st.frames[:s.depth]
 }
 

@@ -443,9 +443,8 @@ func (sess *Session) Do(req Request) (Response, error) {
 func (s *Server) observe(kind OpKind, tc *obs.TraceContext, bd obs.Breakdown, lat sim.Duration) {
 	var vs [1 + obs.NumStages]float64
 	vs[0] = float64(lat)
-	d := bd.Durations()
-	for i := range d {
-		vs[1+i] = float64(d[i])
+	for i, d := range bd {
+		vs[1+i] = float64(d)
 	}
 	from, to := 0, len(vs)
 	if lat < 0 {
@@ -615,9 +614,9 @@ func (s *Server) doSync(req Request) (Response, error) {
 	// The flush below is the group commit: everything it forces to flash
 	// is charged to the group-commit-flush cause (the FS overrides its
 	// own checkpoint stream to metadata inside this scope).
-	restore := s.obs.PushCause(obs.CauseGroupCommitFlush)
+	prev := s.obs.SetCause(obs.CauseGroupCommitFlush)
 	err := s.b.FS.Sync()
-	restore()
+	s.obs.SetCause(prev)
 	if err != nil {
 		return Response{}, err
 	}
@@ -661,7 +660,7 @@ func (s *Server) Drain() error {
 	}
 	s.draining = true
 	// The drain flush is sync-forced traffic too: same cause as doSync.
-	defer s.obs.PushCause(obs.CauseGroupCommitFlush)()
+	defer s.obs.SetCause(s.obs.SetCause(obs.CauseGroupCommitFlush))
 	return s.b.FS.Sync()
 }
 

@@ -249,7 +249,7 @@ func TestPutSpanTreeGolden(t *testing.T) {
 		if strings.HasPrefix(n.span.Op, "erase") {
 			erases++
 		}
-		if n.span.Stage != obs.StageClean {
+		if n.span.Stage != obs.StageClean.String() {
 			nonClean++
 		}
 		for _, k := range n.kids {
@@ -270,7 +270,7 @@ func TestPutSpanTreeGolden(t *testing.T) {
 // device read a run of pages in one call each. How a read is batched
 // may change the get's span tree; it must not move a nanosecond of its
 // time from one stage to another.
-var getBreakdown = obs.Breakdown{Flash: 10449050}
+var getBreakdown = obs.Breakdown{obs.StageFlash: 10449050}
 
 // TestGetSpanTreeGolden pins the span tree of one 64 KB get read in
 // place from flash: the object is put, synced out of the write buffer

@@ -876,7 +876,7 @@ func (m *Manager) PowerFailRecover() (lostBytes int64) {
 // is charged to the group-commit-flush cause; daemon and eviction
 // migrations keep the ambient cause (host-write by default).
 func (m *Manager) Sync() error {
-	defer m.obs.PushCause(obs.CauseGroupCommitFlush)()
+	defer m.obs.SetCause(m.obs.SetCause(obs.CauseGroupCommitFlush))
 	for {
 		loc := m.dirtyOrder.Front()
 		if loc == nil {

@@ -322,7 +322,7 @@ func (b *Buffer) Tick() {
 // out early by the explicit sync, so their flash programs are charged to
 // the group-commit-flush cause rather than the write-back default.
 func (b *Buffer) Sync() {
-	defer b.obs.PushCause(obs.CauseGroupCommitFlush)()
+	defer b.obs.SetCause(b.obs.SetCause(obs.CauseGroupCommitFlush))
 	for e := b.dirtyOrder.Front(); e != nil; e = b.dirtyOrder.Front() {
 		b.flush(e)
 	}

@@ -21,12 +21,12 @@ import (
 )
 
 // stdlibMethods are method names a type exports to satisfy an interface
-// of the standard library (fmt, errors, sort, container/heap, net/http),
-// which calls them without naming them in this module.
+// of the standard library (fmt, errors, sort, container/heap, net/http,
+// encoding/json), which calls them without naming them in this module.
 var stdlibMethods = map[string]bool{
 	"Error": true, "String": true, "Unwrap": true, "Is": true, "As": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"ServeHTTP": true,
+	"ServeHTTP": true, "MarshalJSON": true,
 }
 
 // surfaceKeeps are declarations under internal/ that only tests use,
