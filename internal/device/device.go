@@ -207,7 +207,7 @@ func Catalog() []Params {
 
 // ReadLatencyNs reports the modelled latency of a random read of n bytes,
 // excluding mechanical positioning (the disk simulator adds that).
-func (p Params) ReadLatencyNs(n int) float64 {
+func (p *Params) ReadLatencyNs(n int) float64 {
 	if p.Class == Disk {
 		return p.SetupNs + float64(n)/(p.TransferMBPerSec*1e6)*1e9
 	}
@@ -217,7 +217,7 @@ func (p Params) ReadLatencyNs(n int) float64 {
 // WriteLatencyNs reports the modelled latency of writing n bytes into
 // already-erased storage, excluding mechanical positioning and excluding
 // flash erase cost (quoted separately as EraseLatencyNs).
-func (p Params) WriteLatencyNs(n int) float64 {
+func (p *Params) WriteLatencyNs(n int) float64 {
 	if p.Class == Disk {
 		return p.SetupNs + float64(n)/(p.TransferMBPerSec*1e6)*1e9
 	}

@@ -164,10 +164,11 @@ func (o *Observer) BeginRequest(clock *sim.Clock, layer, op string, queue sim.Du
 	tc.stages[StageQueue] = queue
 	tc.stack.t, tc.stack.ctx = o.Tracer, tc
 	o.spanIDs++
-	*tc.stack.push() = spanFrame{
-		clock: clock, start: now, layer: layer, op: op,
-		stage: StageOther, id: o.spanIDs,
-	}
+	// The root frame is filled in place, every field: a pushed frame
+	// reuses a slot an earlier span left behind.
+	f := tc.stack.push()
+	f.clock, f.meter, f.start, f.energy, f.layer, f.op = clock, nil, now, 0, layer, op
+	f.stage, f.id, f.parent, f.follow = StageOther, o.spanIDs, 0, 0
 	o.reqCtx = tc
 	return tc
 }
@@ -255,12 +256,9 @@ func (tc *TraceContext) FinishOutcome(bytes int64, outcome string) Breakdown {
 	tc.accrue(now)
 	o := tc.o
 	o.reqCtx = nil
-	tc.stack.t.Record(Span{
-		Start: root.start, End: now,
-		Layer: root.layer, Op: root.op,
-		Bytes: bytes, Outcome: outcome,
-		ID: root.id, Queue: tc.queue, Stage: StageOther.String(),
-	})
+	// The root frame has no meter, parent or follow-from, and its stage is
+	// StageOther: recorded from the frame, it is the request's root span.
+	tc.stack.t.record(root, now, bytes, 0, outcome, tc.queue)
 	bd := tc.stages
 	*tc = TraceContext{stack: spanStack{frames: tc.stack.frames[:0]}}
 	o.ctxFree = tc

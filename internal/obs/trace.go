@@ -341,14 +341,19 @@ func (s SpanRef) EndOutcome(bytes int64, outcome string) {
 	if st.ctx != nil {
 		st.ctx.accrue(end)
 	}
-	t := st.t
-	// Field by field: a composite literal is built aside and then copied.
+	st.t.record(f, end, bytes, e, outcome, 0)
+	st.frames = st.frames[:s.depth]
+}
+
+// record writes the span of the closed frame f straight into its ring
+// slot, field by field: a composite literal is built aside and then
+// copied.
+func (t *Tracer) record(f *spanFrame, end sim.Time, bytes int64, e sim.Energy, outcome string, queue sim.Duration) {
 	sp := t.slot()
 	sp.Start, sp.End, sp.Layer, sp.Op = f.start, end, f.layer, f.op
 	sp.Bytes, sp.Energy, sp.Outcome = bytes, e, outcome
-	sp.ID, sp.Parent, sp.FollowFrom, sp.Queue = f.id, f.parent, f.follow, 0
+	sp.ID, sp.Parent, sp.FollowFrom, sp.Queue = f.id, f.parent, f.follow, queue
 	sp.Stage, sp.Node = f.stage.String(), t.node
-	st.frames = st.frames[:s.depth]
 }
 
 // TraceSink receives the tracer's retained spans on Flush.

@@ -5,6 +5,6 @@ func (m *Manager) DRAMPagesFree() int { return len(m.freeDRAM) }
 
 // InDRAM reports whether the block currently lives in DRAM.
 func (m *Manager) InDRAM(key Key) bool {
-	loc := m.lookup(key)
+	_, _, loc := m.find(key)
 	return loc != nil && loc.inDRAM()
 }

@@ -7,7 +7,7 @@ import "fmt"
 func (m *Manager) Keys() []Key {
 	var out []Key
 	for _, obj := range m.Objects() {
-		for _, loc := range m.blocksInOrder(obj, nil) {
+		for _, loc := range m.byObject[obj].locs {
 			out = append(out, loc.key)
 		}
 	}
@@ -15,21 +15,28 @@ func (m *Manager) Keys() []Key {
 }
 
 // CheckInvariants cross-checks the placement index against itself and
-// against the translation layer underneath: every entry sits under its
-// own key, DRAM pages and flash logical pages are each owned at most
-// once and never double-listed as free, every flash-resident block is
-// actually mapped with the tag its key encodes, and the dirty lists hold
-// exactly the dirty DRAM-resident blocks. Crash-point enumeration calls
-// it after every recovery.
+// against the translation layer underneath: every table is non-empty and
+// strictly ascending, every entry sits under its own object, DRAM pages
+// and flash logical pages are each owned at most once and never
+// double-listed as free, every flash-resident block is actually mapped
+// with the tag its key encodes, and the dirty lists hold exactly the
+// dirty DRAM-resident blocks. Crash-point enumeration calls it after
+// every recovery.
 func (m *Manager) CheckInvariants() error {
 	dramOwner := make(map[int]Key)
 	lpnOwner := make(map[int64]Key)
 	dirty := 0
-	for obj, blocks := range m.byObject {
-		for blk, loc := range blocks {
-			key := Key{Object: obj, Block: blk}
-			if loc.key != key {
-				return fmt.Errorf("byObject[%d][%d] holds key %+v", obj, blk, loc.key)
+	for obj, t := range m.byObject {
+		if len(t.locs) == 0 {
+			return fmt.Errorf("object %d keeps an empty table", obj)
+		}
+		for i, loc := range t.locs {
+			key := loc.key
+			if key.Object != obj {
+				return fmt.Errorf("object %d's table holds key %+v", obj, key)
+			}
+			if i > 0 && t.locs[i-1].key.Block >= key.Block {
+				return fmt.Errorf("object %d's table holds block %d after %d", obj, key.Block, t.locs[i-1].key.Block)
 			}
 			if loc.size < 0 || loc.size > m.cfg.BlockBytes {
 				return fmt.Errorf("block %+v size %d out of range", key, loc.size)
@@ -113,7 +120,7 @@ func (m *Manager) CheckInvariants() error {
 		return fmt.Errorf("%d blocks queued dirty, %d marked dirty", queued, dirty)
 	}
 	for loc := m.writeOrder.Front(); loc != nil; loc = m.writeOrder.Next(loc) {
-		if m.lookup(loc.key) != loc {
+		if _, _, found := m.find(loc.key); found != loc {
 			return fmt.Errorf("dirty list holds dropped block %+v", loc.key)
 		}
 	}

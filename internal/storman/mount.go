@@ -1,8 +1,10 @@
 package storman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
@@ -49,10 +51,8 @@ func Mount(cfg Config, clock *sim.Clock, dramDev *dram.Device, eng engine.Engine
 	if err != nil {
 		return nil, err
 	}
-	// New filled freeLPN with every logical page; rebuild it to exclude
-	// the pages the scan found live.
-	m.freeLPN = m.freeLPN[:0]
-	inUse := make(map[int64]bool)
+	// The scan yields pages in ascending lpn: each tagged page is appended
+	// to its object's table, and each table is sorted once afterwards.
 	var orphans []int64
 	eng.ForEachMapped(func(lpn int64, tag engine.Tag) {
 		key, ok := decodeTag(tag)
@@ -60,35 +60,44 @@ func Mount(cfg Config, clock *sim.Clock, dramDev *dram.Device, eng engine.Engine
 			orphans = append(orphans, lpn)
 			return
 		}
-		// Two pages can claim the same key when a delete's trim was lost
-		// to the power failure and the key was re-created at a new page:
-		// keep the one with the newer program sequence.
-		if prev := m.lookup(key); prev != nil {
-			if eng.SeqOf(prev.lpn) >= eng.SeqOf(lpn) {
-				orphans = append(orphans, lpn)
-				return
-			}
-			orphans = append(orphans, prev.lpn)
-			delete(inUse, prev.lpn)
-			m.remove(prev)
-		}
-		inUse[lpn] = true
-		loc := &blockLoc{
-			key:       key,
-			size:      cfg.BlockBytes,
-			flashSize: cfg.BlockBytes,
-			dramPage:  -1,
-			lpn:       lpn,
-		}
-		m.insert(loc)
+		loc := m.newLoc()
+		*loc = blockLoc{key: key, size: cfg.BlockBytes, flashSize: cfg.BlockBytes, dramPage: -1, lpn: lpn}
+		t := m.table(key.Object)
+		t.locs = append(t.locs, loc)
 	})
+	for _, obj := range m.Objects() {
+		t := m.byObject[obj]
+		// Stable, so a key's pages stay in scan order. Two pages can claim
+		// the same key when a delete's trim was lost to the power failure
+		// and the key was re-created at a new page: keep the one with the
+		// newer program sequence, the first scanned on a tie.
+		slices.SortStableFunc(t.locs, func(a, b *blockLoc) int { return cmp.Compare(a.key.Block, b.key.Block) })
+		kept := t.locs[:0]
+		for _, loc := range t.locs {
+			if n := len(kept); n > 0 && kept[n-1].key == loc.key {
+				if eng.SeqOf(loc.lpn) > eng.SeqOf(kept[n-1].lpn) {
+					loc, kept[n-1] = kept[n-1], loc
+				}
+				orphans = append(orphans, loc.lpn)
+				m.free(loc)
+				continue
+			}
+			kept = append(kept, loc)
+		}
+		m.cut(obj, t, len(kept), len(t.locs))
+	}
+	// A trim only updates the engine's per-page state, so trimming the
+	// resurrected duplicates after the untagged pages changes nothing.
 	for _, lpn := range orphans {
 		if err := eng.TrimPage(lpn); err != nil {
 			return nil, err
 		}
 	}
+	// New filled freeLPN with every logical page; once the orphans are
+	// trimmed, the pages still mapped are exactly the tables' pages.
+	m.freeLPN = m.freeLPN[:0]
 	for lpn := eng.LogicalPages() - 1; lpn >= 0; lpn-- {
-		if !inUse[lpn] {
+		if !eng.Mapped(lpn) {
 			m.freeLPN = append(m.freeLPN, lpn)
 		}
 	}

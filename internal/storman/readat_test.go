@@ -21,7 +21,7 @@ func readBlock(m *Manager, key Key, buf []byte) (int, error) {
 // bytes from its DRAM page, or its whole page from flash, with the
 // manager's counters charged once per block.
 func refReadBlock(m *Manager, key Key, buf []byte) (int, error) {
-	loc := m.lookup(key)
+	_, _, loc := m.find(key)
 	if loc == nil {
 		return 0, nil
 	}
@@ -193,7 +193,7 @@ func bounceReadAt(t *testing.T, m *Manager, object uint64, off int64, buf []byte
 		lo := int(at % int64(bs))
 		dst := buf[done:min(len(buf), done+bs-lo)]
 		done += len(dst)
-		loc := m.byObject[object][at/int64(bs)]
+		_, _, loc := m.find(Key{object, at / int64(bs)})
 		if loc == nil || !loc.inDRAM() {
 			t.Fatalf("block %d is not in DRAM", at/int64(bs))
 		}

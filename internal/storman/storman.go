@@ -4,8 +4,11 @@
 // [stays] in DRAM, and data that is mostly read in flash".
 //
 // The manager stores blocks for higher layers (the file system) keyed by
-// (object, block), placed through one index (object, then block), written
-// through one entry point (WriteBlockAt) and read through one (ReadAt).
+// (object, block), placed through one index (one table per object, its
+// blocks in ascending index), written through one entry point
+// (WriteBlockAt) and read through one (ReadAt). Every bulk path (sync,
+// truncate, delete, read, recovery) walks a table in place, so storage is
+// touched in block order without sorting anything.
 // Its policy is exactly the paper's:
 //
 //   - writes land in battery-backed DRAM pages and stay there while hot;
@@ -37,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"ssmobile/internal/dram"
 	"ssmobile/internal/engine"
@@ -205,8 +207,9 @@ type Manager struct {
 	dram  *dram.Device
 	fl    engine.Engine
 
-	// byObject is the placement index: object, then block index.
-	byObject map[uint64]map[int64]*blockLoc
+	// byObject is the placement index: one table per object holding at
+	// least one block.
+	byObject map[uint64]*objTable
 
 	freeDRAM   []int // free page indexes within the region
 	totalPages int
@@ -225,14 +228,10 @@ type Manager struct {
 	writeBuf []byte
 	readBuf  []byte
 	readLPNs []int64
-	// locFree recycles blockLocs and freeMaps recycles emptied per-object
-	// maps, so the churn of create/delete cycles settles into reuse.
-	locFree    []*blockLoc
-	freeMaps   []map[int64]*blockLoc
-	orderBlock []*blockLoc // blocksInOrder scratch
-	// maxObjBlocks is the largest per-object block count seen; fresh
-	// per-object maps are pre-sized with it (see insert).
-	maxObjBlocks int
+	// locFree recycles blockLocs and tableFree emptied tables, so the
+	// churn of create/delete cycles settles into reuse.
+	locFree   []*blockLoc
+	tableFree []*objTable
 
 	obs                     *obs.Observer
 	hostWritten, hostRead   *obs.Counter
@@ -263,7 +262,7 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 		clock:             clock,
 		dram:              dramDev,
 		fl:                fl,
-		byObject:          make(map[uint64]map[int64]*blockLoc),
+		byObject:          make(map[uint64]*objTable),
 		totalPages:        int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
 		writeBuf:          make([]byte, cfg.BlockBytes),
 		readBuf:           make([]byte, cfg.BlockBytes),
@@ -317,38 +316,60 @@ func (m *Manager) pageAddr(page int) int64 {
 	return m.cfg.DRAMBase + int64(page)*int64(m.cfg.BlockBytes)
 }
 
-func (m *Manager) lookup(key Key) *blockLoc { return m.byObject[key.Object][key.Block] }
+// objTable holds one object's blocks in ascending block index.
+type objTable struct {
+	locs []*blockLoc
+}
 
-func (m *Manager) insert(loc *blockLoc) {
-	blocks := m.byObject[loc.key.Object]
-	if blocks == nil {
-		if n := len(m.freeMaps); n > 0 {
-			blocks = m.freeMaps[n-1]
-			m.freeMaps = m.freeMaps[:n-1]
-		} else {
-			// Size fresh maps to the largest per-object block count seen,
-			// so same-shaped objects skip the incremental rehash growth
-			// (recycled maps keep their capacity already).
-			blocks = make(map[int64]*blockLoc, m.maxObjBlocks)
+// find returns the object's table (nil when the object holds no block),
+// the position of the first of its blocks at or above key.Block, and the
+// block itself when the table holds it (nil otherwise).
+func (m *Manager) find(key Key) (t *objTable, i int, loc *blockLoc) {
+	if t = m.byObject[key.Object]; t != nil {
+		var ok bool
+		i, ok = slices.BinarySearchFunc(t.locs, key.Block, func(l *blockLoc, b int64) int { return cmp.Compare(l.key.Block, b) })
+		if ok {
+			loc = t.locs[i]
 		}
-		m.byObject[loc.key.Object] = blocks
 	}
-	blocks[loc.key.Block] = loc
-	if len(blocks) > m.maxObjBlocks {
-		m.maxObjBlocks = len(blocks)
+	return t, i, loc
+}
+
+// insert adds a block its object does not hold yet.
+func (m *Manager) insert(loc *blockLoc) {
+	_, i, _ := m.find(loc.key)
+	t := m.table(loc.key.Object)
+	t.locs = slices.Insert(t.locs, i, loc)
+}
+
+// table returns the object's table, taking an empty one if it has none.
+func (m *Manager) table(object uint64) *objTable {
+	t := m.byObject[object]
+	if t == nil {
+		if n := len(m.tableFree); n > 0 {
+			t = m.tableFree[n-1]
+			m.tableFree = m.tableFree[:n-1]
+		} else {
+			t = &objTable{}
+		}
+		m.byObject[object] = t
+	}
+	return t
+}
+
+// cut removes the table's blocks at positions [i, j), whose locs the
+// caller has recycled, and recycles the table once it is empty.
+func (m *Manager) cut(object uint64, t *objTable, i, j int) {
+	t.locs = slices.Delete(t.locs, i, j)
+	if len(t.locs) == 0 {
+		delete(m.byObject, object)
+		m.tableFree = append(m.tableFree, t)
 	}
 }
 
-func (m *Manager) remove(loc *blockLoc) {
-	if blocks := m.byObject[loc.key.Object]; blocks != nil {
-		delete(blocks, loc.key.Block)
-		if len(blocks) == 0 {
-			delete(m.byObject, loc.key.Object)
-			m.freeMaps = append(m.freeMaps, blocks)
-		}
-	}
-	// The loc is fully reset before it goes back on the free list: a
-	// recycled loc must not leak a stale key, flash page or list link.
+// free recycles a loc its table no longer holds. The loc is fully reset
+// first: a recycled loc must not leak a stale key, flash page or link.
+func (m *Manager) free(loc *blockLoc) {
 	*loc = blockLoc{}
 	m.locFree = append(m.locFree, loc)
 }
@@ -457,7 +478,7 @@ func (m *Manager) WriteBlockAt(key Key, off int, data []byte) (err error) {
 	sp := m.span("write")
 	defer func() { sp.End(int64(len(data)), err) }()
 	m.hostWritten.Add(int64(len(data)))
-	loc := m.lookup(key)
+	_, _, loc := m.find(key)
 
 	switch {
 	case loc != nil && loc.inDRAM():
@@ -561,22 +582,27 @@ func (m *Manager) ReadAt(object uint64, off int64, buf []byte) (err error) {
 		sp.End(read, err)
 	}()
 	bs := m.cfg.BlockBytes
-	blocks := m.byObject[object]
+	// One search finds the extent's first block; the walk then takes the
+	// table's next entry whenever it reaches that entry's index.
+	var locs []*blockLoc
+	if t, i, _ := m.find(Key{object, off / int64(bs)}); t != nil {
+		locs = t.locs[i:]
+	}
 	for done := 0; done < len(buf); {
 		at := off + int64(done)
 		lo := int(at % int64(bs))
 		dst := buf[done:min(len(buf), done+bs-lo)]
-		loc := blocks[at/int64(bs)]
+		var loc *blockLoc
+		if len(locs) > 0 && locs[0].key.Block == at/int64(bs) {
+			loc, locs = locs[0], locs[1:]
+		}
 		if len(dst) == bs && m.fullFlash(loc) {
 			// The run of whole, full-size flash blocks starting here is
 			// one engine call.
 			run, end := append(m.readLPNs[:0], loc.lpn), done+bs
-			for len(run) < cap(run) && len(buf)-end >= bs {
-				next := blocks[(off+int64(end))/int64(bs)]
-				if !m.fullFlash(next) {
-					break
-				}
-				run = append(run, next.lpn)
+			for len(run) < cap(run) && len(buf)-end >= bs && len(locs) > 0 &&
+				locs[0].key.Block == (off+int64(end))/int64(bs) && m.fullFlash(locs[0]) {
+				run, locs = append(run, locs[0].lpn), locs[1:]
 				end += bs
 			}
 			flashReads += int64(len(run))
@@ -630,7 +656,7 @@ func (m *Manager) readPage(lpn int64, buf []byte) error {
 
 // BlockSize reports the stored size of a block, or 0 if absent.
 func (m *Manager) BlockSize(key Key) int {
-	if loc := m.lookup(key); loc != nil {
+	if _, _, loc := m.find(key); loc != nil {
 		return loc.size
 	}
 	return 0
@@ -646,26 +672,18 @@ func (m *Manager) DeleteObject(object uint64) error {
 // (truncation), in index order. The cost is the blocks the object holds,
 // whatever length the file system believes it has.
 func (m *Manager) DeleteBlocksFrom(object uint64, first int64) error {
-	return m.deleteBlocks(object, first, math.MaxInt64)
+	if t, i, _ := m.find(Key{object, first}); t != nil {
+		return m.drop(object, t, i, len(t.locs))
+	}
+	return nil
 }
 
 // DeleteBlocksBefore drops the object's blocks below index end, in index
 // order: the file system retires superseded checkpoint generations with
 // it, whose blocks all sit below the newest one's.
 func (m *Manager) DeleteBlocksBefore(object uint64, end int64) error {
-	if end == math.MinInt64 {
-		return nil
-	}
-	return m.deleteBlocks(object, math.MinInt64, end-1)
-}
-
-// deleteBlocks drops the object's blocks with index in [first, last].
-func (m *Manager) deleteBlocks(object uint64, first, last int64) error {
-	inRange := func(loc *blockLoc) bool { return loc.key.Block >= first && loc.key.Block <= last }
-	for _, loc := range m.blocksInOrder(object, inRange) {
-		if err := m.dropBlock(loc); err != nil {
-			return err
-		}
+	if t, i, _ := m.find(Key{object, end}); t != nil {
+		return m.drop(object, t, 0, i)
 	}
 	return nil
 }
@@ -674,32 +692,13 @@ func (m *Manager) deleteBlocks(object uint64, first, last int64) error {
 // reads the placement table only — no device is touched — so a mount can
 // ask what survived before paying to read any of it.
 func (m *Manager) Blocks(object uint64) []int64 {
-	locs := m.blocksInOrder(object, nil)
-	out := make([]int64, len(locs))
-	for i, loc := range locs {
-		out[i] = loc.key.Block
-	}
-	return out
-}
-
-// blocksInOrder returns those of an object's blocks that keep accepts
-// (all of them when keep is nil), sorted by block index. Bulk operations
-// (delete, fsync) must touch storage in a fixed order — Go's randomized
-// map iteration would otherwise reorder frees and migrations between
-// runs, making op traces and flash layout differ run to run. Filtering
-// before the sort means an operation on a few blocks of a large object
-// sorts only those. The returned slice is the manager's scratch, valid
-// until the next call (slices.SortFunc with a static comparison allocates
-// nothing; sort.Slice would allocate its closure per call).
-func (m *Manager) blocksInOrder(object uint64, keep func(*blockLoc) bool) []*blockLoc {
-	out := m.orderBlock[:0]
-	for _, loc := range m.byObject[object] {
-		if keep == nil || keep(loc) {
-			out = append(out, loc)
+	var out []int64
+	if t := m.byObject[object]; t != nil {
+		out = make([]int64, len(t.locs))
+		for i, loc := range t.locs {
+			out[i] = loc.key.Block
 		}
 	}
-	slices.SortFunc(out, func(a, b *blockLoc) int { return cmp.Compare(a.key.Block, b.key.Block) })
-	m.orderBlock = out
 	return out
 }
 
@@ -713,12 +712,12 @@ func (m *Manager) blocksInOrder(object uint64, keep func(*blockLoc) bool) []*blo
 // block to its persisted length, and the file system's inode sizes (in
 // its own synced metadata) are what clamp reads after recovery.
 func (m *Manager) TruncateBlock(key Key, size int) error {
-	loc := m.lookup(key)
+	t, i, loc := m.find(key)
 	if loc == nil || size >= loc.size {
 		return nil
 	}
 	if size <= 0 {
-		return m.dropBlock(loc)
+		return m.drop(key.Object, t, i, i+1)
 	}
 	loc.size = size
 	return nil
@@ -732,32 +731,39 @@ func (m *Manager) Objects() []uint64 {
 	for obj := range m.byObject {
 		out = append(out, obj)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // DeleteBlock drops a single block.
 func (m *Manager) DeleteBlock(key Key) error {
-	if loc := m.lookup(key); loc != nil {
-		return m.dropBlock(loc)
+	if t, i, loc := m.find(key); loc != nil {
+		return m.drop(key.Object, t, i, i+1)
 	}
 	return nil
 }
 
-func (m *Manager) dropBlock(loc *blockLoc) error {
-	if loc.inDRAM() {
-		m.deleteAbsorbed.Add(int64(loc.size))
-		m.freeDRAM = append(m.freeDRAM, loc.dramPage)
-		m.dequeueDirty(loc)
-	}
-	if loc.lpn >= 0 {
-		if err := m.fl.TrimPage(loc.lpn); err != nil {
-			return err
+// drop releases the blocks at table positions [i, j) in index order, then
+// cuts them out of the table at once.
+func (m *Manager) drop(object uint64, t *objTable, i, j int) (err error) {
+	k := i
+	for ; k < j; k++ {
+		loc := t.locs[k]
+		if loc.inDRAM() {
+			m.deleteAbsorbed.Add(int64(loc.size))
+			m.freeDRAM = append(m.freeDRAM, loc.dramPage)
+			m.dequeueDirty(loc)
 		}
-		m.freeLPN = append(m.freeLPN, loc.lpn)
+		if loc.lpn >= 0 {
+			if err = m.fl.TrimPage(loc.lpn); err != nil {
+				break
+			}
+			m.freeLPN = append(m.freeLPN, loc.lpn)
+		}
+		m.free(loc)
 	}
-	m.remove(loc)
-	return nil
+	m.cut(object, t, i, k)
+	return err
 }
 
 // Tick runs the write-back daemon — blocks dirty longer than the delay
@@ -814,13 +820,18 @@ func (m *Manager) NextWriteBack() sim.Time {
 // SyncObject migrates the object's dirty blocks to flash in ascending
 // block index, whatever order they were dirtied in — an fsync of one
 // file, used by the file system to checkpoint its metadata object (its
-// crash argument rests on that order: fs/checkpoint.go). Only the
-// DRAM-resident blocks are collected and sorted: a checkpoint dirties one
-// or two blocks of an object that may hold hundreds.
+// crash argument rests on that order: fs/checkpoint.go). The order is the
+// table's own; migration moves no block in it.
 func (m *Manager) SyncObject(object uint64) error {
-	for _, loc := range m.blocksInOrder(object, (*blockLoc).inDRAM) {
-		if err := m.migrateToFlash(loc); err != nil {
-			return err
+	t := m.byObject[object]
+	if t == nil {
+		return nil
+	}
+	for _, loc := range t.locs {
+		if loc.inDRAM() {
+			if err := m.migrateToFlash(loc); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -833,34 +844,31 @@ func (m *Manager) SyncObject(object uint64) error {
 // It returns the number of bytes of data lost. The caller is responsible
 // for restoring the DRAM device itself (dram.Device.Restore).
 func (m *Manager) PowerFailRecover() (lostBytes int64) {
-	// Fixed (object, block) order: the survivors' free-page lists end up
-	// the same every run, whatever order the maps yield.
-	var gone []*blockLoc
-	for _, obj := range m.Objects() {
-		for _, loc := range m.blocksInOrder(obj, nil) {
-			if !loc.inDRAM() {
-				// Flash-resident: the persisted version is all that survives.
-				// An unflushed truncation (size < flashSize) reverts.
-				loc.size = loc.flashSize
-				continue
-			}
-			// The dirty version in DRAM is gone either way.
-			lostBytes += int64(loc.size)
-			if loc.lpn >= 0 {
-				// Revert to the flushed version.
-				loc.size = loc.flashSize
-				loc.dramPage = -1
-			} else {
-				gone = append(gone, loc)
-			}
-		}
-	}
-	// Empty the dirty lists before recycling the gone locs: remove resets
-	// the loc wholesale, which would break the lists' link threading.
+	// Empty the dirty lists before recycling any loc: free resets the loc
+	// wholesale, which would break the lists' link threading. Nothing
+	// below touches a device or a page free list, so the walk's order is
+	// unobservable.
 	m.writeOrder.Init()
 	m.dirtyOrder.Init()
-	for _, loc := range gone {
-		m.remove(loc)
+	for obj, t := range m.byObject {
+		kept := t.locs[:0]
+		for _, loc := range t.locs {
+			if loc.inDRAM() {
+				// The dirty version in DRAM is gone either way; a block
+				// that never reached flash goes with it.
+				lostBytes += int64(loc.size)
+				if loc.lpn < 0 {
+					m.free(loc)
+					continue
+				}
+				loc.dramPage = -1
+			}
+			// The persisted version is all that survives. An unflushed
+			// truncation (size < flashSize) reverts.
+			loc.size = loc.flashSize
+			kept = append(kept, loc)
+		}
+		m.cut(obj, t, len(kept), len(t.locs))
 	}
 	// Rebuild the DRAM free pool from scratch.
 	m.freeDRAM = m.freeDRAM[:0]
