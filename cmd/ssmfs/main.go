@@ -80,25 +80,7 @@ func main() {
 		os.Exit(1)
 	}
 	sh := &shell{sys: sys, obs: o, out: os.Stdout}
-	fmt.Printf("ssmfs: %s — type 'help'\n", sys.Name())
-	sc := bufio.NewScanner(os.Stdin)
-	for {
-		fmt.Print("ssmfs> ")
-		if !sc.Scan() {
-			fmt.Println()
-			break
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if line == "exit" || line == "quit" {
-			break
-		}
-		if err := sh.run(line); err != nil {
-			fmt.Fprintln(os.Stdout, "error:", err)
-		}
-	}
+	sh.session(os.Stdin)
 	var exitErr error
 	if err := obs.DumpFiles(o, *metricsOut, *traceOut, *traceJSONL); err != nil {
 		fmt.Fprintln(os.Stderr, "ssmfs:", err)
@@ -112,6 +94,25 @@ func main() {
 	if exitErr != nil {
 		os.Exit(1)
 	}
+}
+
+// session reads commands from in, one a line, until exit, quit or the
+// end of input, prompting before each and reporting any that fails.
+func (s *shell) session(in io.Reader) {
+	fmt.Fprintf(s.out, "ssmfs: %s — type 'help'\n", s.sys.Name())
+	sc := bufio.NewScanner(in)
+	for fmt.Fprint(s.out, "ssmfs> "); sc.Scan(); fmt.Fprint(s.out, "ssmfs> ") {
+		switch line := strings.TrimSpace(sc.Text()); line {
+		case "exit", "quit":
+			return
+		case "":
+		default:
+			if err := s.run(line); err != nil {
+				fmt.Fprintln(s.out, "error:", err)
+			}
+		}
+	}
+	fmt.Fprintln(s.out)
 }
 
 func (s *shell) run(line string) error {

@@ -259,7 +259,7 @@ func fleet(args []string, pf *profFlags) error {
 func gen(args []string, pf *profFlags) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	kind := fs.String("kind", "baker", "workload kind: baker (office), pim (datebook), blocks (raw block)")
-	minutes := fs.Int("minutes", 30, "trace duration in virtual minutes (baker)")
+	minutes := fs.Int("minutes", 30, "trace duration in virtual minutes (baker, pim)")
 	seed := fs.Int64("seed", 1993, "generator seed")
 	ops := fs.Int("ops", 100000, "operation count (blocks)")
 	blocks := fs.Int("blocks", 4096, "logical block count (blocks)")

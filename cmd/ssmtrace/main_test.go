@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ssmobile/internal/core"
+	"ssmobile/internal/obs"
 )
 
 // attributeTrace is a JSONL span trace of two requests. The card's put
@@ -79,6 +82,39 @@ func TestAttributeTotalsAndJSON(t *testing.T) {
 		if got.String() != want[i] || req.Spans != 3 {
 			t.Errorf("request %d: breakdown %s with %d spans, want %s with 3", i, got.String(), req.Spans, want[i])
 		}
+	}
+}
+
+// TestHealthReportAndHeapProfile runs `ssmtrace health -memprofile` over
+// the metrics snapshot of a card that has synced a file: the report names
+// the device and its wear, and the heap profile is written at exit.
+func TestHealthReportAndHeapProfile(t *testing.T) {
+	o := obs.New(0)
+	sys, err := core.NewSolidState(core.SolidStateConfig{DRAMBytes: 8 << 20, FlashBytes: 32 << 20, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.FS.WriteFile("/f", make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snapPath, heapPath := filepath.Join(dir, "metrics.json"), filepath.Join(dir, "heap.pprof")
+	if err := obs.DumpFiles(o, snapPath, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error {
+		return runProfiled([]string{"-memprofile", heapPath, snapPath}, &profFlags{}, health)
+	})
+	for _, want := range []string{`device "flash": `, "  life used        ", "  lifetime at rate "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	if st, err := os.Stat(heapPath); err != nil || st.Size() == 0 {
+		t.Errorf("heap profile not written: %v", err)
 	}
 }
 

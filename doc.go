@@ -6,9 +6,10 @@
 // system layers the paper prescribes and the conventional disk
 // organisation it argues against.
 //
-// The public surface lives in the example programs (examples/), the
-// experiment driver (cmd/ssmsim), the trace tool (cmd/ssmtrace), the
-// object-storage service (cmd/ssmserve), and bench_test.go
+// The public surface lives in internal/core's checked examples
+// (example_test.go), the experiment driver (cmd/ssmsim), the trace tool
+// (cmd/ssmtrace), the interactive shell (cmd/ssmfs), the object-storage
+// service (cmd/ssmserve), and bench_test.go
 // (BenchmarkExperiment/<id> over the experiment table, plus the gated
 // serve benchmarks). The implementation packages are under
 // internal/; see DESIGN.md for the system inventory and EXPERIMENTS.md for

@@ -102,40 +102,3 @@ func TestE7BankingShape(t *testing.T) {
 		prev = frac
 	}
 }
-
-func TestE9SolidStateWins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tr, err := trace.GenerateBaker(trace.DefaultBaker(5*sim.Minute, testSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	solid, err := NewSolidState(SolidStateConfig{DRAMBytes: 16 << 20, FlashBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsys, err := NewDisk(DiskConfig{DRAMBytes: 16 << 20, DiskBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := Replay(nil, solid, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := Replay(nil, dsys, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.ReadLatency.Mean() >= ds.ReadLatency.Mean() {
-		t.Errorf("solid read mean %.0fns not below disk %.0fns",
-			ss.ReadLatency.Mean(), ds.ReadLatency.Mean())
-	}
-	if ss.WriteLatency.Mean() >= ds.WriteLatency.Mean() {
-		t.Errorf("solid write mean %.0fns not below disk %.0fns",
-			ss.WriteLatency.Mean(), ds.WriteLatency.Mean())
-	}
-	if ss.EnergyTotal >= ds.EnergyTotal {
-		t.Errorf("solid energy %v not below disk %v", ss.EnergyTotal, ds.EnergyTotal)
-	}
-}

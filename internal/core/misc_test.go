@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"ssmobile/internal/dram"
 	"ssmobile/internal/sim"
-	"ssmobile/internal/vm"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -45,41 +43,6 @@ func TestFormatHelpers(t *testing.T) {
 	}
 	if fmtBytes(512) != "512B" || fmtBytes(64<<10) != "64KB" || fmtBytes(4<<20) != "4MB" {
 		t.Errorf("fmtBytes wrong: %s %s %s", fmtBytes(512), fmtBytes(64<<10), fmtBytes(4<<20))
-	}
-}
-
-func TestInstallImageAndXIP(t *testing.T) {
-	sys := newSolid(t)
-	image := bytes.Repeat([]byte{0x5B}, 100*1024)
-	if err := sys.InstallImage(0, image); err != nil {
-		t.Fatal(err)
-	}
-	// Installing again over the same region must work (erase first).
-	image2 := bytes.Repeat([]byte{0xA7}, 100*1024)
-	if err := sys.InstallImage(0, image2); err != nil {
-		t.Fatalf("reinstall: %v", err)
-	}
-	buf := make([]byte, 4)
-	if _, err := sys.CodeCard.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 0xA7 {
-		t.Fatalf("reinstall content %x", buf[0])
-	}
-	// Unaligned offsets are rejected.
-	if err := sys.InstallImage(100, image); err == nil {
-		t.Fatal("unaligned install accepted")
-	}
-	// The installed image executes in place through the VM.
-	s := sys.VM.NewSpace()
-	if err := sys.VM.MapFlash(s, 1<<30, 0, 100*1024, vm.PermRead|vm.PermExec); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.VM.Exec(s, 1<<30, 100*1024); err != nil {
-		t.Fatal(err)
-	}
-	if sys.VM.Stats().FramesInUse != 0 {
-		t.Fatal("XIP consumed frames")
 	}
 }
 

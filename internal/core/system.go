@@ -253,50 +253,6 @@ func (s *SolidStateSystem) assemble(remount bool) error {
 	return err
 }
 
-// InstallImage programs a read-mostly image (a bundled application) into
-// the code card at the given offset, the way a software installer or the
-// factory would. The offset must fall on an erase-block boundary.
-func (s *SolidStateSystem) InstallImage(off int64, image []byte) error {
-	bb := s.CodeCard.BlockBytes()
-	if off%int64(bb) != 0 {
-		return fmt.Errorf("core: image offset %d not block-aligned", off)
-	}
-	for len(image) > 0 {
-		block := s.CodeCard.BlockOf(off)
-		if s.CodeCard.EraseCount(block) > 0 || needsErase(s.CodeCard, off, image) {
-			if _, err := s.CodeCard.Erase(block); err != nil {
-				return err
-			}
-		}
-		n := bb - int(off)%bb
-		if n > len(image) {
-			n = len(image)
-		}
-		if _, err := s.CodeCard.Program(off, image[:n]); err != nil {
-			return err
-		}
-		off += int64(n)
-		image = image[n:]
-	}
-	return nil
-}
-
-// needsErase reports whether programming image at off would need bits set
-// back to 1 (i.e. the region is not freshly erased).
-func needsErase(d *flash.Device, off int64, image []byte) bool {
-	bb := d.BlockBytes()
-	n := bb - int(off)%bb
-	if n > len(image) {
-		n = len(image)
-	}
-	for i := 0; i < n; i++ {
-		if ^d.Peek(off+int64(i))&image[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // RemountAfterPowerFailure performs the full honest power-failure
 // recovery: with the DRAM device failed (the caller triggers
 // DRAM.PowerFail), it restores the DRAM array empty, rebuilds the

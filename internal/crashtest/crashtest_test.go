@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -244,5 +245,21 @@ func TestOffsetScriptReadsFlash(t *testing.T) {
 	}
 	if st.dev.Stats().Erases == 0 {
 		t.Error("offset script never triggered an erase; cleaning crash points are untested")
+	}
+}
+
+// TestViolationNamesItsCrashPoint: `ssmsim crash` prints each violation
+// by String, so the line must name the op, how it was cut, and where
+// recovery failed.
+func TestViolationNamesItsCrashPoint(t *testing.T) {
+	for fate, want := range map[flash.Outcome]string{
+		flash.CutBefore: "op 3 cut before: mount: torn",
+		flash.CutDuring: "op 3 cut during: mount: torn",
+		flash.CutAfter:  "op 3 cut after: mount: torn",
+		flash.Run:       "op 3 cut fate(0): mount: torn",
+	} {
+		if got := (Violation{Index: 3, Fate: fate, Stage: "mount", Err: errors.New("torn")}).String(); got != want {
+			t.Errorf("got %q, want %q", got, want)
+		}
 	}
 }

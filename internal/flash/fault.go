@@ -51,16 +51,6 @@ const (
 	OpErase
 )
 
-var opKindNames = [...]string{"program", "program-spare", "erase"}
-
-// String names the op kind.
-func (k OpKind) String() string {
-	if int(k) < len(opKindNames) {
-		return opKindNames[k]
-	}
-	return "op?"
-}
-
 // Outcome is the injector's decision for one destructive op.
 type Outcome int
 

@@ -212,19 +212,7 @@ func New(cfg Config, clock *sim.Clock) (*Buffer, error) {
 		evictions:         o.Counter("evictions_total", obs.Labels{"layer": "wbuf"}),
 		daemonFlush:       o.Counter("daemon_flushes_total", obs.Labels{"layer": "wbuf"}),
 	}
-	// Exported for E3's dashboards only: the serving stack does not run
-	// this buffer (its admission control reads storman.BufferOccupancy).
-	o.GaugeFunc("occupancy", obs.Labels{"layer": "wbuf"}, b.Occupancy)
 	return b, nil
-}
-
-// Occupancy reports the buffered fraction of capacity in [0, 1]; a
-// disabled (zero-capacity) buffer reports 0.
-func (b *Buffer) Occupancy() float64 {
-	if b.cfg.CapacityBytes <= 0 {
-		return 0
-	}
-	return float64(b.size) / float64(b.cfg.CapacityBytes)
 }
 
 // Write buffers n bytes for key. If the block is already buffered the

@@ -78,16 +78,6 @@ const (
 	Zipf
 )
 
-var popNames = [...]string{"uniform", "zipf"}
-
-// String names the popularity model.
-func (p Popularity) String() string {
-	if int(p) < len(popNames) {
-		return popNames[p]
-	}
-	return fmt.Sprintf("Popularity(%d)", int(p))
-}
-
 // Arrival selects the client's issue discipline.
 type Arrival uint8
 
