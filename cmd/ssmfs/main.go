@@ -43,7 +43,7 @@ const shellHelp = `commands:
   tick [seconds]       advance virtual time (default 60s) and run daemons
   crash                OS crash: recover from the battery-backed recovery box
   powerfail            power failure: full device-scan remount from flash
-  stats                storage-manager / flash / energy counters
+  stats                storage-manager (since mount) / flash / energy counters
   time                 show the virtual clock
   help                 this text
   exit                 quit`
@@ -245,7 +245,7 @@ func (s *shell) run(line string) error {
 	case "stats":
 		ss := s.sys.Storage.Stats()
 		fst := s.sys.Flash.Stats()
-		fmt.Fprintf(s.out, "storage: wrote %dKB, flushed %dKB to flash (%.0f%% absorbed), %d cow, %d evictions\n",
+		fmt.Fprintf(s.out, "storage: since mount, wrote %dKB, flushed %dKB to flash (%.0f%% absorbed), %d cow, %d evictions\n",
 			ss.HostBytesWritten>>10, ss.FlushedBytes>>10, ss.Reduction()*100, ss.CopyOnWrites, ss.Evictions)
 		fmt.Fprintf(s.out, "flash:   %d programs, %d erases, max erase count %d, wear CoV %.2f\n",
 			fst.Programs, fst.Erases, fst.MaxEraseCount, fst.EraseCountCoV)

@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -76,7 +77,7 @@ func main() {
 
 	addr := flag.String("addr", "127.0.0.1:7633", "serve: listen address")
 	adminAddr := flag.String("admin", "", "ops-surface HTTP address (/metrics, /healthz, /debug/pprof, /debug/flightrecord); empty disables (smoke always binds one on 127.0.0.1:0)")
-	flightDir := flag.String("flight", "", "flight-recorder output directory; empty disables the recorder")
+	flightDir := flag.String("flight", "", "flight-recorder output directory (a cluster card records its own incidents under DIR/<node>); empty disables the recorder")
 
 	clients := flag.Int("clients", 4, "smoke: concurrent clients")
 	ops := flag.Int("ops", 200, "smoke: requests per client")
@@ -140,8 +141,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	svc.mergeTelemetry()
-	if err := obs.DumpFiles(o, *metricsOut, "", ""); err != nil {
+	// The -metrics dump is what /metrics serves: one card's registry, or
+	// the router's and every node's under node labels.
+	if err := obs.WriteFile(*metricsOut, func(w io.Writer) error { return svc.src.Snapshot().WriteJSON(w) }); err != nil {
 		fmt.Fprintln(os.Stderr, "ssmserve:", err)
 		if runErr == nil {
 			runErr = err
@@ -179,12 +181,14 @@ type buildConfig struct {
 type service struct {
 	tcp   *server.TCP
 	admin *server.Admin
+	// src is what is served and what the ops surface speaks for: the one
+	// card's server or the cluster router.
+	src server.AdminSource
 	// cards are the card stacks behind the service, one per node.
 	cards []*core.ServedCard
-	// obs is the ambient observer, the one the ops surface is bound to and
-	// the flight recorder records from: one card reports to it directly, a
-	// cluster's router does and mergeTelemetry folds the per-node
-	// telemetry into it at exit.
+	// obs is the ambient observer, the one the ops surface is bound to:
+	// one card reports to it directly, a cluster's router does and each
+	// node reports to its own.
 	obs *obs.Observer
 }
 
@@ -198,10 +202,12 @@ func build(bc buildConfig) (*service, error) {
 		// One card reports to the ambient observer. Each card of a cluster
 		// gets a ring name and a private observer, so the fleet view
 		// reports per-card wear (the SMART report is meaningless over a
-		// mixed registry).
+		// mixed registry); its tracer is named before the card is built,
+		// so even the format's spans carry the node.
 		name, o, incident := "", bc.obs, "shed-engage"
 		if len(cards) > 1 {
 			name, o = fmt.Sprintf("n%d", i), obs.New(0)
+			o.Tracer.SetNode(name)
 			incident += "-" + name
 		}
 		card, err := core.NewServedCard(core.ServedCardConfig{
@@ -218,9 +224,10 @@ func build(bc buildConfig) (*service, error) {
 				HighWatermark: bc.high,
 				LowWatermark:  bc.low,
 				OnShedEngage: func() {
-					// Capture the span ring the moment overload protection kicks
-					// in — the spans leading up to it are the interesting ones.
-					if fr := bc.obs.FlightRecorder(); fr != nil {
+					// Capture the card's span ring the moment overload
+					// protection kicks in — the spans leading up to it are the
+					// interesting ones.
+					if fr := o.FlightRecorder(); fr != nil {
 						fr.Dump(incident)
 					}
 				},
@@ -255,36 +262,34 @@ func build(bc buildConfig) (*service, error) {
 	return &service{
 		tcp:   server.NewTCP(backend),
 		admin: server.NewAdmin(backend, bc.obs),
+		src:   backend,
 		cards: cards,
 		obs:   bc.obs,
 	}, nil
 }
 
-// recordFlights installs a flight recorder writing to dir. It snapshots
-// the service's observer's recent span ring plus metrics on incidents
-// (shed-engage, drain, power-cut remount; a cluster's cordon, kill and
-// restart) and on demand; the admin endpoint, the shed-engage hooks, the
-// router and the drain path all find it on that observer.
+// recordFlights installs flight recorders: one on the service's
+// observer writing to dir and, in a cluster, one on each card's own
+// writing to dir/<node>. Each snapshots its observer's recent span ring
+// plus metrics on incidents and on demand — a card's on its shed-engage
+// and power-cut remount, so the record holds that card's spans and
+// series; the service's on drain, a cluster's cordon, kill and restart,
+// and the admin endpoint's request.
 func (svc *service) recordFlights(dir string) error {
-	fr, err := obs.NewFlightRecorder(svc.obs, dir)
-	if err != nil {
-		return err
-	}
-	svc.obs.SetFlightRecorder(fr)
-	return nil
-}
-
-// mergeTelemetry folds a cluster's per-node telemetry into the ambient
-// observer at exit, stamping each node's series with its node label so
-// identically-named per-node series survive into the merged registry
-// (and the -metrics dump ssmtrace fleet reads) instead of colliding. A
-// single card already reports there.
-func (svc *service) mergeTelemetry() {
+	dirs := map[*obs.Observer]string{svc.obs: dir}
 	for _, card := range svc.cards {
 		if card.Obs != svc.obs {
-			svc.obs.MergeLabeled(card.Obs, obs.Labels{"node": card.Name})
+			dirs[card.Obs] = filepath.Join(dir, card.Name)
 		}
 	}
+	for o, d := range dirs {
+		fr, err := obs.NewFlightRecorder(o, d)
+		if err != nil {
+			return err
+		}
+		o.SetFlightRecorder(fr)
+	}
+	return nil
 }
 
 // serve listens until SIGINT/SIGTERM, then drains: in-flight requests

@@ -12,7 +12,8 @@ import (
 // TestClusterBuildHonoursAdmissionFlags pins what -nodes N used to drop:
 // every node of a cluster build gets the -high/-low watermarks, and a
 // node that starts shedding fires the shed-engage flight dump under its
-// own name.
+// own name, from its own observer: the record holds that node's spans
+// and its server's series, not the router's.
 func TestClusterBuildHonoursAdmissionFlags(t *testing.T) {
 	svc, err := build(buildConfig{
 		nodes:  3,
@@ -51,18 +52,31 @@ func TestClusterBuildHonoursAdmissionFlags(t *testing.T) {
 			t.Errorf("node %s shedding = %v, want %v", card.Name, got, want)
 		}
 	}
-	dumps, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	dumps, err := filepath.Glob(filepath.Join(dir, "*", "flight-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dumps) != 1 {
-		t.Fatalf("flight dumps %v, want exactly the shedding node's", dumps)
+	name := svc.cards[shedder].Name
+	if len(dumps) != 1 || filepath.Base(filepath.Dir(dumps[0])) != name {
+		t.Fatalf("flight dumps %v, want exactly the shedding node's, under %s", dumps, name)
 	}
 	rec, err := obs.ReadFlightRecord(dumps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "shed-engage-" + svc.cards[shedder].Name; rec.Reason != want {
+	if want := "shed-engage-" + name; rec.Reason != want {
 		t.Errorf("flight record reason %q, want %q", rec.Reason, want)
+	}
+	if len(rec.Spans) == 0 {
+		t.Error("the shed-engage record holds no spans")
+	}
+	for _, sp := range rec.Spans {
+		if sp.Node != name {
+			t.Fatalf("shed-engage record holds a span of node %q, want only %q: %+v", sp.Node, name, sp)
+		}
+	}
+	// The router's registry has no server series; the card's has.
+	if _, ok := rec.Metrics.Find("shedding", obs.Labels{"layer": "server"}); !ok {
+		t.Errorf("shed-engage record lacks shedding{layer=server}: %d series, none the card's", len(rec.Metrics.Metrics))
 	}
 }

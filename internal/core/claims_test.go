@@ -22,6 +22,21 @@ type claim struct {
 // claims is the table of checked verdicts. Experiments without a row
 // here are held by their goldens alone (ROADMAP item 21).
 var claims = []claim{
+	{"e3", "§3.3", "reproduced: 1MB of battery-backed buffer cuts write traffic 40-50%, and more buffer never cuts less",
+		func(tabs []*Table) error {
+			if r := cellNum(rowOf(tabs[0], "1MB")[1], "%"); r < 40 || r > 55 {
+				return fmt.Errorf("1MB buffer cuts write traffic %.1f%%, the paper says 40-50%%", r)
+			}
+			prev := -1.0
+			for _, row := range tabs[0].Rows {
+				r := cellNum(row[1], "%")
+				if r < prev {
+					return fmt.Errorf("%s buffer cuts %.1f%%, less than the smaller buffer's %.1f%%", row[0], r, prev)
+				}
+				prev = r
+			}
+			return nil
+		}},
 	{"e5", "§3.2", "reproduced: XIP launches faster than a load from flash, which beats a load from disk",
 		func(tabs []*Table) error {
 			for _, row := range tabs[0].Rows {
@@ -29,6 +44,28 @@ var claims = []claim{
 				if !(xip < fromFlash && fromFlash < fromDisk) {
 					return fmt.Errorf("%s: XIP %s, load from flash %s, load from disk %s", row[0], row[1], row[2], row[3])
 				}
+			}
+			return nil
+		}},
+	{"e6", "§3.3", "reproduced: every log-structured policy wears flash more evenly and writes less than direct mapping",
+		func(tabs []*Table) error {
+			direct := rowOf(tabs[0], "direct (no leveling)")
+			for _, row := range tabs[0].Rows[1:] {
+				if cellNum(row[1], "") >= cellNum(direct[1], "") || cellNum(row[4], "") >= cellNum(direct[4], "") {
+					return fmt.Errorf("%s: erase CoV %s, write amp %s; direct %s, %s", row[0], row[1], row[4], direct[1], direct[4])
+				}
+			}
+			return nil
+		}},
+	{"e7", "§3.3", "reproduced: more flash banks stall fewer foreground reads behind programs and erases",
+		func(tabs []*Table) error {
+			prev := 101.0
+			for _, row := range tabs[0].Rows {
+				stalled := cellNum(row[5], "%")
+				if stalled >= prev {
+					return fmt.Errorf("%s banks stall %.1f%% of reads, not below %.1f%%", row[0], stalled, prev)
+				}
+				prev = stalled
 			}
 			return nil
 		}},

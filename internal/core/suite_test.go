@@ -260,6 +260,9 @@ func TestRunAllTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
+// testSeed is the seed of the execution the shape checks read.
+const testSeed = 1993
+
 // TestAllExperimentsRun checks the shape of every table of the seed-1993
 // sequential execution: non-empty, renderable, rows as wide as headers.
 func TestAllExperimentsRun(t *testing.T) {

@@ -15,15 +15,7 @@
 // within one request's window, which they are.
 package obs
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"ssmobile/internal/sim"
-)
+import "ssmobile/internal/sim"
 
 // RequestAttribution is one reconstructed request: its root span and the
 // per-stage breakdown of its latency.
@@ -137,62 +129,4 @@ func resolveRequest(root Span, pending []Span) (RequestAttribution, int) {
 	charge(root)
 	req.Breakdown[StageQueue] += root.Queue
 	return req, used
-}
-
-// LoadSpans reads a recorded span stream from either supported format:
-// a JSONL trace (header line {"spans":N,"dropped":M}, one span object
-// per line) or a flight-record JSON document (whose "spans" field is an
-// array). It returns the spans oldest-first and the recorded drop count.
-func LoadSpans(r io.Reader) ([]Span, int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	// A flight record is one JSON object whose "spans" is an array; the
-	// JSONL header is an object whose "spans" is a number. Probe with
-	// RawMessage so the array case decodes in one step.
-	var probe struct {
-		Spans   json.RawMessage `json:"spans"`
-		Dropped int64           `json:"dropped"`
-	}
-	if err := json.Unmarshal(data, &probe); err == nil && len(probe.Spans) > 0 && probe.Spans[0] == '[' {
-		var fr FlightRecord
-		if err := json.Unmarshal(data, &fr); err != nil {
-			return nil, 0, fmt.Errorf("obs: flight record: %w", err)
-		}
-		return fr.Spans, fr.Dropped, nil
-	}
-	// JSONL: header then one span per line.
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var spans []Span
-	var dropped int64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		if line == 1 {
-			var hdr struct {
-				Spans   int64 `json:"spans"`
-				Dropped int64 `json:"dropped"`
-			}
-			if err := json.Unmarshal(text, &hdr); err == nil {
-				dropped = hdr.Dropped
-				continue
-			}
-			// No header: fall through and treat the line as a span.
-		}
-		var sp Span
-		if err := json.Unmarshal(text, &sp); err != nil {
-			return nil, 0, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		spans = append(spans, sp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	return spans, dropped, nil
 }

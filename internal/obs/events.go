@@ -12,9 +12,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -59,16 +56,12 @@ type Event struct {
 // churn while keeping the footprint trivial.
 const DefaultEventCapacity = 1 << 12
 
-// EventLog is a bounded append-only ring of events. When full the oldest
-// events are overwritten; Dropped reports how many were lost. Safe for
-// concurrent use.
+// EventLog is a bounded append-only ring of events, the same ring the
+// span Tracer keeps. When full the oldest events are overwritten;
+// Dropped reports how many were lost. Safe for concurrent use.
 type EventLog struct {
-	mu       sync.Mutex
-	ring     []Event
-	capacity int
-	length   int
-	next     int
-	total    int64
+	mu sync.Mutex
+	ring[Event]
 }
 
 // NewEventLog returns a journal retaining up to capacity events (<=0
@@ -77,7 +70,7 @@ func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	return &EventLog{capacity: capacity}
+	return &EventLog{ring: ring[Event]{capacity: capacity}}
 }
 
 // Append records one event. Nil-safe, so subsystems can log
@@ -87,19 +80,7 @@ func (l *EventLog) Append(ev Event) {
 		return
 	}
 	l.mu.Lock()
-	if l.ring == nil {
-		// Lazily size the ring small and grow to capacity on demand, so
-		// short-lived logs cost only what they record.
-		l.ring = make([]Event, 0, min(64, l.capacity))
-	}
-	if l.length < l.capacity {
-		l.ring = append(l.ring, ev)
-		l.length++
-	} else {
-		l.ring[l.next] = ev
-		l.next = (l.next + 1) % l.capacity
-	}
-	l.total++
+	*l.slot() = ev
 	l.mu.Unlock()
 }
 
@@ -110,9 +91,7 @@ func (l *EventLog) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, l.length)
-	out = append(out, l.ring[l.next:l.length]...)
-	return append(out, l.ring[:l.next]...)
+	return l.items()
 }
 
 // Total reports how many events were ever appended.
@@ -132,100 +111,33 @@ func (l *EventLog) Dropped() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total - int64(l.length)
+	return l.dropped()
 }
 
 // Merge re-appends src's retained events into l (oldest first) and
-// carries src's drop count over, mirroring Tracer.Merge: the parallel
-// engine merges per-job journals in job order, so the merged stream is
-// schedule-independent. src must not be appending concurrently.
+// carries src's drop count over, as Tracer.Merge does. src must not be
+// appending concurrently.
 func (l *EventLog) Merge(src *EventLog) {
 	if l == nil || src == nil {
 		return
 	}
-	events := src.Events()
-	dropped := src.Dropped()
-	for _, ev := range events {
-		l.Append(ev)
-	}
-	if dropped > 0 {
-		l.mu.Lock()
-		l.total += dropped
-		l.mu.Unlock()
-	}
+	l.mu.Lock()
+	l.merge(&src.ring)
+	l.mu.Unlock()
 }
 
-// WriteJSONL writes the journal as JSON lines: a header object
-// {"events":N,"dropped":M} followed by one event per line — the format
-// /debug/events serves and ssmtrace events replays.
+// WriteJSONL writes the journal as a JSON-lines stream, header
+// {"events":N,"dropped":M} — the format /debug/events serves and
+// ssmtrace events replays.
 func (l *EventLog) WriteJSONL(w io.Writer) error {
-	events := l.Events()
-	dropped := l.Dropped()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"events\":%d,\"dropped\":%d}\n", len(events), dropped)
-	enc := json.NewEncoder(bw)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeStream(w, "events", l.Events(), l.Dropped())
 }
 
-// LoadEvents reads a recorded event stream from either supported format:
-// an events JSONL stream (header line {"events":N,"dropped":M}, one
-// event object per line) or a flight-record JSON document (whose
-// "events" field is an array). It returns the events oldest-first and
-// the recorded drop count — the mirror of LoadSpans for the journal.
+// LoadEvents reads a recorded event stream — an events JSONL stream or a
+// flight record — and returns the events oldest-first and the recorded
+// drop count.
 func LoadEvents(r io.Reader) ([]Event, int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	// A flight record is one JSON object whose "events" is an array; the
-	// JSONL header carries "events" as a number.
-	var probe struct {
-		Events json.RawMessage `json:"events"`
-	}
-	if err := json.Unmarshal(data, &probe); err == nil && len(probe.Events) > 0 && probe.Events[0] == '[' {
-		var fr FlightRecord
-		if err := json.Unmarshal(data, &fr); err != nil {
-			return nil, 0, fmt.Errorf("obs: flight record: %w", err)
-		}
-		return fr.Events, fr.EventsDropped, nil
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var events []Event
-	var dropped int64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		if line == 1 {
-			var hdr struct {
-				Events  int64 `json:"events"`
-				Dropped int64 `json:"dropped"`
-			}
-			if err := json.Unmarshal(text, &hdr); err == nil {
-				dropped = hdr.Dropped
-				continue
-			}
-			// No header: fall through and treat the line as an event.
-		}
-		var ev Event
-		if err := json.Unmarshal(text, &ev); err != nil {
-			return nil, 0, fmt.Errorf("obs: event line %d: %w", line, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	return events, dropped, nil
+	return loadStream(r, "events", func(fr *FlightRecord) ([]Event, int64) { return fr.Events, fr.EventsDropped })
 }
 
 // FprintEvents renders an event stream as an aligned timeline table —

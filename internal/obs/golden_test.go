@@ -71,7 +71,7 @@ func driveRequestTree(o *Observer, clock *sim.Clock, meter *sim.EnergyMeter) {
 	background("tick")
 }
 
-// TestRequestTreeGolden pins every Span field through the JSONL sink —
+// TestRequestTreeGolden pins every Span field through the JSONL writer —
 // ids, parents, follow-from, queue, stage and node, which the Chrome
 // golden omits — together with the drop count and oldest-first order of
 // a wrapped ring. Regenerate with -update.
@@ -82,8 +82,8 @@ func TestRequestTreeGolden(t *testing.T) {
 		t.Fatal("the golden ring must wrap")
 	}
 	var buf bytes.Buffer
-	if err := o.Tracer.Flush(NewJSONLSink(&buf)); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if err := writeStream(&buf, "spans", o.Tracer.Spans(), o.Tracer.Dropped()); err != nil {
+		t.Fatalf("writeStream: %v", err)
 	}
 	golden := filepath.Join("testdata", "request_tree.golden.jsonl")
 	if *updateGolden {

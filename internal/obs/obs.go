@@ -8,8 +8,9 @@
 //     Collector interface) — with point-in-time Snapshots;
 //   - a virtual-time span Tracer (trace.go): every instrumented operation
 //     records a structured span (start/end in sim.Time, layer, op, bytes,
-//     energy, outcome) into a bounded ring buffer with pluggable sinks —
-//     JSONL and Chrome trace_event format, so a run opens directly in
+//     energy, outcome) into a bounded ring buffer (ring.go, which the
+//     cluster EventLog shares), dumped as a JSONL stream (stream.go) or in
+//     Chrome trace_event format, so a run opens directly in
 //     chrome://tracing or Perfetto;
 //   - an Observer, the handle the storage layers hold. All Observer
 //     methods are nil-safe, so an uninstrumented run costs almost nothing
@@ -62,7 +63,7 @@
 // atomic: an Observer has one writer at a
 // time, which the server's and the cluster's mutexes and the parallel
 // experiment engine's per-job observers provide. The ring's readers
-// (Tracer.Spans, Total, Dropped, Merge, Flush; FlightRecorder.Dump,
+// (Tracer.Spans, Dropped, Merge; FlightRecorder.Dump,
 // DumpFiles) run under the lock that serializes the writer, or after it
 // has stopped; DESIGN §10 lists them.
 package obs

@@ -2,6 +2,80 @@ package obs
 
 import "ssmobile/internal/sim"
 
+// ringChunk is the granularity of a ring's backing store. A ring grows
+// chunk by chunk instead of append-doubling: recording n items allocates
+// ceil(n/ringChunk) fixed-size chunks and never moves or re-zeroes items
+// already recorded. With a 64k-span tracer the doubling strategy zeroed
+// and copied ~20 MB per full fill — which was most of the measurable cost
+// of *enabled* tracing on the serve path.
+const ringChunk = 1 << 13
+
+// ring is a bounded buffer that overwrites its oldest item when full. It
+// grows on demand up to its capacity, so a short-lived ring (the parallel
+// engine makes a tracer per job) costs only what it records. It takes no
+// lock: the span Tracer has one writer, and the EventLog holds its own
+// mutex around every call.
+type ring[T any] struct {
+	chunks   [][]T // backing store; only the last chunk may be short
+	capacity int
+	length   int   // items retained; grows to capacity, then stops
+	next     int   // index the next item overwrites once full
+	total    int64 // items ever recorded
+}
+
+// slot claims the slot the next item is written into, growing the ring
+// by a chunk or overwriting its oldest item.
+func (r *ring[T]) slot() *T {
+	i := r.next
+	if r.length < r.capacity {
+		i = r.length
+		if i == len(r.chunks)*ringChunk {
+			r.chunks = append(r.chunks, make([]T, min(ringChunk, r.capacity-i)))
+		}
+		r.length++
+	} else {
+		r.next = (r.next + 1) % r.capacity
+	}
+	r.total++
+	return &r.chunks[i/ringChunk][i%ringChunk]
+}
+
+// items returns the retained items, oldest first. While the ring is
+// filling next is 0, so this copies slots 0..length; once full the
+// oldest item sits at next and the range wraps.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, r.length)
+	out = r.appendRange(out, r.next, r.length)
+	return r.appendRange(out, 0, r.next)
+}
+
+// appendRange copies slots [from, to) to out, a chunk run at a time.
+func (r *ring[T]) appendRange(out []T, from, to int) []T {
+	for from < to {
+		c := r.chunks[from/ringChunk]
+		off := from % ringChunk
+		n := min(len(c)-off, to-from)
+		out = append(out, c[off:off+n]...)
+		from += n
+	}
+	return out
+}
+
+// dropped reports how many items the ring has overwritten.
+func (r *ring[T]) dropped() int64 { return r.total - int64(r.length) }
+
+// merge re-records src's retained items into r, oldest first, and
+// carries src's drop count over, so r reports the union's totals. The
+// parallel experiment engine merges per-job rings in job order, which
+// keeps the retained sequence identical however the jobs were scheduled.
+func (r *ring[T]) merge(src *ring[T]) {
+	dropped := src.dropped()
+	for _, it := range src.items() {
+		*r.slot() = it
+	}
+	r.total += dropped
+}
+
 // RateSampler turns a cumulative counter into a windowed rate using a
 // bounded ring of (virtual time, value) samples.
 //

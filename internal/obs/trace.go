@@ -1,13 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"ssmobile/internal/sim"
-)
+import "ssmobile/internal/sim"
 
 // Span is one traced operation: a closed interval of virtual time
 // attributed to a layer and an operation, with the bytes moved, the
@@ -68,31 +61,17 @@ const (
 // while keeping the worst-case footprint around a few megabytes.
 const DefaultTraceCapacity = 1 << 16
 
-// spanChunkSize is the granularity of the ring's backing store. The
-// ring grows chunk by chunk instead of append-doubling: recording n
-// spans allocates ceil(n/chunk) fixed-size chunks and never moves or
-// re-zeroes spans already recorded. With a 64k-capacity ring the
-// doubling strategy zeroed and copied ~20 MB per full fill — which was
-// most of the measurable cost of *enabled* tracing on the serve path.
-const spanChunkSize = 1 << 13
-
-// Tracer records spans into a bounded ring buffer. When the buffer is
-// full the oldest spans are overwritten; Dropped reports how many were
-// lost. The ring grows on demand up to its capacity, so short-lived
-// tracers (the parallel engine makes one per job) cost only what they
-// record.
+// Tracer records spans into a bounded ring (see ring): when it is full
+// the oldest spans are overwritten, and Dropped reports how many were
+// lost.
 //
 // A Tracer takes no lock: it has one writer, its observer's, like the
-// span stacks that feed it. Every other call — Spans, Total, Dropped,
-// Merge, Flush, SetNode — runs under the lock that serializes that
-// writer, or after the writer has stopped (DESIGN §10 lists the readers).
+// span stacks that feed it. Every other call — Spans, Dropped, Merge,
+// SetNode — runs under the lock that serializes that writer, or after
+// the writer has stopped (DESIGN §10 lists the readers).
 type Tracer struct {
-	chunks   [][]Span // backing store; only the last chunk may be short
-	capacity int
-	length   int    // spans retained; grows to capacity, then stops
-	next     int    // ring index the next span overwrites once full
-	total    int64  // spans ever recorded
-	node     string // stamped onto recorded spans that carry no node
+	ring[Span]
+	node string // stamped onto recorded spans that carry no node
 }
 
 // NewTracer returns a tracer retaining up to capacity spans (<=0 selects
@@ -101,7 +80,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{capacity: capacity}
+	return &Tracer{ring: ring[Span]{capacity: capacity}}
 }
 
 // Capacity reports how many spans the tracer retains before dropping.
@@ -113,11 +92,10 @@ func (t *Tracer) Capacity() int {
 }
 
 // SetNode names the cluster node this tracer records for: every span
-// recorded without an explicit Node is stamped with it. Spans merged
-// from a named tracer keep their stamp through Merge (the merge
-// re-records them with Node already set), so per-node identity survives
-// into a fleet-wide ring. The empty default leaves spans unstamped,
-// which is what keeps single-node traces byte-identical.
+// recorded without an explicit Node is stamped with it. Merge copies
+// spans as they were recorded, so per-node identity survives into a
+// fleet-wide ring. The empty default leaves spans unstamped, which is
+// what keeps single-node traces byte-identical.
 func (t *Tracer) SetNode(name string) {
 	if t == nil {
 		return
@@ -136,46 +114,12 @@ func (t *Tracer) Record(sp Span) {
 	*t.slot() = sp
 }
 
-// slot claims the ring slot the next span is written into, growing the
-// ring by a chunk or overwriting its oldest span.
-func (t *Tracer) slot() *Span {
-	i := t.next
-	if t.length < t.capacity {
-		i = t.length
-		if i == len(t.chunks)*spanChunkSize {
-			n := min(spanChunkSize, t.capacity-i)
-			t.chunks = append(t.chunks, make([]Span, n))
-		}
-		t.length++
-	} else {
-		t.next = (t.next + 1) % t.capacity
-	}
-	t.total++
-	return &t.chunks[i/spanChunkSize][i%spanChunkSize]
-}
-
 // Spans returns the retained spans, oldest first.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, t.length)
-	out = t.appendRange(out, t.next, t.length)
-	return t.appendRange(out, 0, t.next)
-}
-
-// appendRange copies ring slots [from, to) to out, chunk run at a time.
-// While the ring is filling next is 0, so Spans sees slots 0..length;
-// once full the oldest span sits at next and the range wraps.
-func (t *Tracer) appendRange(out []Span, from, to int) []Span {
-	for from < to {
-		c := t.chunks[from/spanChunkSize]
-		off := from % spanChunkSize
-		n := min(len(c)-off, to-from)
-		out = append(out, c[off:off+n]...)
-		from += n
-	}
-	return out
+	return t.items()
 }
 
 // Dropped reports how many spans the ring has overwritten.
@@ -183,35 +127,17 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.total - int64(t.length)
+	return t.dropped()
 }
 
 // Merge re-records src's retained spans into t (oldest first) and carries
-// src's drop count over, so the merged tracer reports the union's totals.
-// The parallel experiment engine merges per-job tracers in job order,
-// which keeps the retained-span sequence identical however the jobs were
-// scheduled. src must not be recording concurrently with the merge.
+// src's drop count over (see ring.merge). src must not be recording
+// concurrently with the merge.
 func (t *Tracer) Merge(src *Tracer) {
 	if t == nil || src == nil {
 		return
 	}
-	dropped := src.Dropped()
-	for _, sp := range src.Spans() {
-		t.Record(sp)
-	}
-	t.total += dropped
-}
-
-// Flush writes the retained spans through each sink in turn.
-func (t *Tracer) Flush(sinks ...TraceSink) error {
-	spans := t.Spans()
-	dropped := t.Dropped()
-	for _, s := range sinks {
-		if err := s.WriteSpans(spans, dropped); err != nil {
-			return err
-		}
-	}
-	return nil
+	t.merge(&src.ring)
 }
 
 // SpanRef is an open span returned by Observer.Span: the stack its frame
@@ -354,100 +280,4 @@ func (t *Tracer) record(f *spanFrame, end sim.Time, bytes int64, e sim.Energy, o
 	sp.Bytes, sp.Energy, sp.Outcome = bytes, e, outcome
 	sp.ID, sp.Parent, sp.FollowFrom, sp.Queue = f.id, f.parent, f.follow, queue
 	sp.Stage, sp.Node = f.stage.String(), t.node
-}
-
-// TraceSink receives the tracer's retained spans on Flush.
-type TraceSink interface {
-	// WriteSpans writes spans (oldest first); dropped is how many earlier
-	// spans the ring buffer lost.
-	WriteSpans(spans []Span, dropped int64) error
-}
-
-// jsonlSink writes one JSON object per line: a header object followed by
-// every span.
-type jsonlSink struct{ w io.Writer }
-
-// NewJSONLSink returns a sink writing JSON-lines output: a header line
-// {"spans":N,"dropped":M} followed by one span object per line.
-func NewJSONLSink(w io.Writer) TraceSink { return jsonlSink{w} }
-
-// WriteSpans implements TraceSink.
-func (s jsonlSink) WriteSpans(spans []Span, dropped int64) error {
-	bw := bufio.NewWriter(s.w)
-	fmt.Fprintf(bw, "{\"spans\":%d,\"dropped\":%d}\n", len(spans), dropped)
-	enc := json.NewEncoder(bw)
-	for _, sp := range spans {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// chromeSink writes the Chrome trace_event format (the JSON object form),
-// which chrome://tracing and Perfetto open directly. Each distinct layer
-// becomes a named "thread" so the per-layer timelines stack visually;
-// virtual timestamps map to trace microseconds.
-type chromeSink struct{ w io.Writer }
-
-// NewChromeTraceSink returns a sink writing Chrome trace_event JSON.
-func NewChromeTraceSink(w io.Writer) TraceSink { return chromeSink{w} }
-
-// chromeEvent is one trace_event record.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteSpans implements TraceSink.
-func (s chromeSink) WriteSpans(spans []Span, dropped int64) error {
-	// Assign layers to thread ids in first-seen order, deterministically.
-	tids := make(map[string]int)
-	events := make([]chromeEvent, 0, len(spans)+8)
-	for _, sp := range spans {
-		tid, ok := tids[sp.Layer]
-		if !ok {
-			tid = len(tids) + 1
-			tids[sp.Layer] = tid
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-				Args: map[string]any{"name": sp.Layer},
-			})
-		}
-		args := map[string]any{"outcome": sp.Outcome}
-		if sp.Bytes != 0 {
-			args["bytes"] = sp.Bytes
-		}
-		if sp.Energy != 0 {
-			args["energy_pj"] = int64(sp.Energy)
-		}
-		if sp.Node != "" {
-			args["node"] = sp.Node
-		}
-		events = append(events, chromeEvent{
-			Name: sp.Op, Cat: sp.Layer, Ph: "X",
-			Ts:  float64(sp.Start) / 1e3,
-			Dur: float64(sp.End.Sub(sp.Start)) / 1e3,
-			Pid: 1, Tid: tid, Args: args,
-		})
-	}
-	doc := struct {
-		TraceEvents     []chromeEvent  `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		OtherData       map[string]any `json:"otherData,omitempty"`
-	}{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ms",
-	}
-	if dropped > 0 {
-		doc.OtherData = map[string]any{"dropped_spans": dropped}
-	}
-	enc := json.NewEncoder(s.w)
-	return enc.Encode(doc)
 }

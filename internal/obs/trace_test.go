@@ -97,7 +97,7 @@ func TestSpanRecordsTimeEnergyOutcome(t *testing.T) {
 	}
 }
 
-// goldenSpans is the fixed input behind the Chrome sink golden file: two
+// goldenSpans is the fixed input behind the Chrome trace golden file: two
 // layers, an error outcome, and a zero-byte span to cover field omission.
 func goldenSpans() []Span {
 	return []Span{
@@ -109,8 +109,8 @@ func goldenSpans() []Span {
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewChromeTraceSink(&buf).WriteSpans(goldenSpans(), 2); err != nil {
-		t.Fatalf("WriteSpans: %v", err)
+	if err := writeChromeTrace(&buf, goldenSpans(), 2); err != nil {
+		t.Fatalf("writeChromeTrace: %v", err)
 	}
 	golden := filepath.Join("testdata", "chrome_trace.golden.json")
 	want, err := os.ReadFile(golden)
@@ -139,8 +139,8 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewJSONLSink(&buf).WriteSpans(goldenSpans(), 1); err != nil {
-		t.Fatalf("WriteSpans: %v", err)
+	if err := writeStream(&buf, "spans", goldenSpans(), 1); err != nil {
+		t.Fatalf("writeStream: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 {
