@@ -76,7 +76,10 @@ func TestClusterBuildHonoursAdmissionFlags(t *testing.T) {
 		}
 	}
 	// The router's registry has no server series; the card's has.
-	if _, ok := rec.Metrics.Find("shedding", obs.Labels{"layer": "server"}); !ok {
+	// It was taken because the card started shedding, so it must say so.
+	if m, ok := rec.Metrics.Find("shedding", obs.Labels{"layer": "server"}); !ok {
 		t.Errorf("shed-engage record lacks shedding{layer=server}: %d series, none the card's", len(rec.Metrics.Metrics))
+	} else if m.Value != 1 {
+		t.Errorf("shed-engage record reads shedding{layer=server} = %v, want 1", m.Value)
 	}
 }

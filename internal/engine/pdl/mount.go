@@ -169,7 +169,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 			e.blocks[e.blockOf(ppn)].appended += int64(size)
 			if lpn < int64(len(e.pages)) {
 				perPage[lpn] = append(perPage[lpn], deltaRef{
-					seq: seq, addr: e.unitAddr(ppn) + int64(off), off: pOff, n: n, rec: size,
+					seq: seq, addr: e.unitAddr(ppn) + int64(off), off: int32(pOff), n: int32(n),
 				})
 			}
 			off += size

@@ -17,10 +17,12 @@
 // scanning the device: newest base claim wins, then every delta with a
 // newer sequence applies in order.
 //
-// Reads merge on the fly: base page plus chained deltas. The chain is
-// bounded — once it reaches maxChain records, or a diff grows past
-// half a page, the page promotes to a fresh base write and the chain
-// dies. Cleaning is crash-safe by construction: a page is only ever
+// Reads merge on the fly: base page plus chained deltas. The write path
+// bounds the chain — once it holds maxChain records, or a diff grows past
+// half a page, the next overwrite promotes the page to a fresh base write
+// and the chain dies. Mount can install a longer chain (it attaches every
+// surviving record newer than the base); the next overwrite promotes it.
+// Cleaning is crash-safe by construction: a page is only ever
 // moved by promoting it (a fresh base supersedes everything older
 // atomically) or by folding its whole chain into one delta record whose
 // content equals the chain's net effect (reapplying surviving old
@@ -86,14 +88,17 @@ type blockInfo struct {
 	liveDeltaBytes int64
 }
 
-// deltaRef locates one live delta record of a page's chain.
+// deltaRef locates one live delta record of a page's chain. off and n
+// fit the record header's uint16 fields.
 type deltaRef struct {
 	seq  uint64
 	addr int64 // device byte address of the record
-	off  int   // page offset the payload patches
-	n    int   // payload length
-	rec  int   // total record bytes including the header
+	off  int32 // page offset the payload patches
+	n    int32 // payload length
 }
+
+// rec is the record's total size on flash, header included.
+func (d deltaRef) rec() int64 { return deltaHdrBytes + int64(d.n) }
 
 // touchNode is one entry of the per-block touch index: a page some delta
 // record in the block was written for, chained to the block's next entry.
@@ -103,7 +108,8 @@ type touchNode struct {
 }
 
 // pageMeta is a logical page: its base unit and delta chain (sorted by
-// ascending sequence; deltas apply cumulatively on top of the base).
+// ascending sequence; deltas apply cumulatively on top of the base). A
+// chain with no records is nil: a window is held only while in use.
 type pageMeta struct {
 	basePpn int64 // -1 when unmapped
 	baseSeq uint64
@@ -111,8 +117,10 @@ type pageMeta struct {
 	chain   []deltaRef
 }
 
-// maxChain bounds a page's delta chain; the next overwrite past the
-// bound promotes the page to a fresh base write.
+// maxChain bounds the chain the write path builds: an overwrite of a page
+// whose chain holds maxChain records (or more, as Mount may install)
+// promotes the page to a fresh base write. It is also a chain window's
+// capacity.
 const maxChain = 8
 
 // Engine is the page-differential log over one flash device. Not safe
@@ -145,6 +153,13 @@ type Engine struct {
 	touchFree int32   // head of the free-node list, -1 when empty
 	touch     []touchNode
 	work      []int64 // victimPages' result, reused across cleans
+
+	// Chain storage: a page's first record takes a maxChain-record window
+	// from spare, which is refilled 256 windows at a time from one new
+	// slab when it runs dry; a dying chain's window goes back. A chain
+	// that outgrows its window (only Mount builds one) spills to the heap
+	// by append, and its spilled array is what goes back.
+	spare [][]deltaRef
 
 	baseActive  int // block id of the base log head, -1 when none
 	basePtr     int // next unit within it
@@ -399,9 +414,12 @@ func (e *Engine) releaseChain(pm *pageMeta) {
 	for i := range pm.chain {
 		b := e.blockOfAddr(pm.chain[i].addr)
 		e.blocks[b].liveDeltas--
-		e.blocks[b].liveDeltaBytes -= int64(pm.chain[i].rec)
+		e.blocks[b].liveDeltaBytes -= pm.chain[i].rec()
 	}
-	pm.chain = pm.chain[:0]
+	if pm.chain != nil {
+		e.spare = append(e.spare, pm.chain[:0:maxChain])
+	}
+	pm.chain = nil
 }
 
 // appendDelta writes one delta record to the delta log head.
@@ -422,7 +440,7 @@ func (e *Engine) appendDelta(lpn int64, off int, payload []byte) error {
 	if _, err := e.dev.Program(addr, buf); err != nil {
 		return err
 	}
-	e.attach(lpn, deltaRef{seq: e.writeSeq, addr: addr, off: off, n: len(payload), rec: rec})
+	e.attach(lpn, deltaRef{seq: e.writeSeq, addr: addr, off: int32(off), n: int32(len(payload))})
 	e.deltaWrites.Inc()
 	return nil
 }
@@ -432,10 +450,20 @@ func (e *Engine) appendDelta(lpn int64, off int, payload []byte) error {
 // here and nowhere else.
 func (e *Engine) attach(lpn int64, d deltaRef) {
 	pm := &e.pages[lpn]
+	if pm.chain == nil {
+		if len(e.spare) == 0 {
+			slab := make([]deltaRef, 256*maxChain)
+			e.spare = slices.Grow(e.spare, 256)
+			for i := 0; i < len(slab); i += maxChain {
+				e.spare = append(e.spare, slab[i:i:i+maxChain])
+			}
+		}
+		pm.chain, e.spare = e.spare[len(e.spare)-1], e.spare[:len(e.spare)-1]
+	}
 	pm.chain = append(pm.chain, d)
 	b := e.blockOfAddr(d.addr)
 	e.blocks[b].liveDeltas++
-	e.blocks[b].liveDeltaBytes += int64(d.rec)
+	e.blocks[b].liveDeltaBytes += d.rec()
 
 	n := e.touchFree
 	if n != -1 {
@@ -757,16 +785,12 @@ func (e *Engine) releaseTouched(b int) {
 // chainHull returns the smallest [lo, hi) covering every chained
 // delta's range.
 func chainHull(chain []deltaRef) (lo, hi int) {
-	lo, hi = chain[0].off, chain[0].off+chain[0].n
+	l, h := chain[0].off, chain[0].off+chain[0].n
 	for i := 1; i < len(chain); i++ {
-		if chain[i].off < lo {
-			lo = chain[i].off
-		}
-		if end := chain[i].off + chain[i].n; end > hi {
-			hi = end
-		}
+		l = min(l, chain[i].off)
+		h = max(h, chain[i].off+chain[i].n)
 	}
-	return lo, hi
+	return int(l), int(h)
 }
 
 // foldChain replaces the page's whole chain with a single delta record
@@ -787,7 +811,7 @@ func (e *Engine) foldChain(lpn int64, lo, hi int) error {
 		return err
 	}
 	e.releaseChain(&e.pages[lpn])
-	e.attach(lpn, deltaRef{seq: e.writeSeq, addr: addr, off: lo, n: hi - lo, rec: rec})
+	e.attach(lpn, deltaRef{seq: e.writeSeq, addr: addr, off: int32(lo), n: int32(hi - lo)})
 	return nil
 }
 
@@ -845,11 +869,29 @@ func (e *Engine) CheckInvariants() error {
 	if nodes != len(e.touch) {
 		return fmt.Errorf("pdl: touch lists reach %d of %d arena nodes", nodes, len(e.touch))
 	}
+	// No two chains share backing memory, nor a chain and a spare window
+	// (named as page -1): each record slot has one owner.
+	owner := make(map[*deltaRef]int64)
+	claim := func(lpn int64, w []deltaRef) error {
+		w = w[:cap(w)]
+		for i := range w {
+			if prev, ok := owner[&w[i]]; ok {
+				return fmt.Errorf("pdl: chains of pages %d and %d share backing memory", prev, lpn)
+			}
+			owner[&w[i]] = lpn
+		}
+		return nil
+	}
+	for _, w := range e.spare {
+		if err := claim(-1, w); err != nil {
+			return err
+		}
+	}
 	for i := range e.pages {
 		lpn, pm := int64(i), &e.pages[i]
 		if pm.basePpn == -1 {
-			if len(pm.chain) != 0 {
-				return fmt.Errorf("pdl: unmapped page %d carries a %d-record chain", lpn, len(pm.chain))
+			if pm.chain != nil {
+				return fmt.Errorf("pdl: unmapped page %d holds a %d-record chain window", lpn, len(pm.chain))
 			}
 			continue
 		}
@@ -861,6 +903,9 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("pdl: page %d base unit %d reverse-maps to %d", lpn, pm.basePpn, e.rev[pm.basePpn])
 		}
 		tallies[b].bases++
+		if err := claim(lpn, pm.chain); err != nil {
+			return err
+		}
 		prev := pm.baseSeq
 		for i := range pm.chain {
 			d := &pm.chain[i]
@@ -872,14 +917,14 @@ func (e *Engine) CheckInvariants() error {
 			if e.blocks[db].kind != blockDelta {
 				return fmt.Errorf("pdl: page %d delta at %d in non-delta block %d", lpn, d.addr, db)
 			}
-			if d.off < 0 || d.off+d.n > e.cfg.PageBytes {
+			if d.off < 0 || int(d.off+d.n) > e.cfg.PageBytes {
 				return fmt.Errorf("pdl: page %d delta range [%d,%d) outside the page", lpn, d.off, d.off+d.n)
 			}
 			if _, ok := listed[blockPage{db, uint32(lpn)}]; !ok {
 				return fmt.Errorf("pdl: page %d delta at %d missing from block %d's touch list", lpn, d.addr, db)
 			}
 			tallies[db].deltas++
-			tallies[db].deltaBytes += int64(d.rec)
+			tallies[db].deltaBytes += d.rec()
 		}
 	}
 	for b := 0; b < e.numBlocks; b++ {

@@ -124,6 +124,173 @@ func TestChainBoundPromotes(t *testing.T) {
 	}
 }
 
+// TestMountInstallsChainPastBound builds, on flash, a page whose
+// surviving records outnumber maxChain: the write path never lets a chain
+// pass the bound, but Mount attaches every record newer than the base,
+// and a fold leaves the records it replaced on flash beneath it. Seven
+// records go in one delta block and the eighth in the next; a clean of
+// that second block folds the chain; seven more overwrites follow. The
+// remount must install all fifteen, read the last image back, hold its
+// invariants, and promote the page on the next overwrite.
+func TestMountInstallsChainPastBound(t *testing.T) {
+	r := newRig(t, Config{})
+	e := r.e
+	// Each overwrite changes bytes 0 and 1999, so every record is a
+	// 2000-byte diff: two fit in a 4 KB log unit, eight in a delta block,
+	// and a fold's hull stays under promoteBytes.
+	images := make(map[int64][]byte)
+	overwrite := func(lpn int64) {
+		t.Helper()
+		page, ok := images[lpn]
+		if !ok {
+			page = make([]byte, testPage)
+			images[lpn] = page
+			if err := e.WritePageTagged(lpn, page, engine.Tag{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		page[0]++
+		page[1999]++
+		if err := e.WritePageTagged(lpn, page, engine.Tag{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overwrite(8) // one record ahead of page 0's, so its eighth spills over
+	for i := 0; i < maxChain; i++ {
+		overwrite(0)
+	}
+	chain := e.pages[0].chain
+	first, second := e.blockOfAddr(chain[0].addr), e.blockOfAddr(chain[maxChain-1].addr)
+	if e.blockOfAddr(chain[maxChain-2].addr) != first || second == first {
+		t.Fatalf("records in blocks %d…%d and %d, want seven in one and the eighth in the next",
+			first, e.blockOfAddr(chain[maxChain-2].addr), second)
+	}
+	for lpn := int64(1); e.deltaActive == second; lpn++ {
+		overwrite(lpn) // fill the second block so the log head leaves it
+	}
+	if err := e.pool.Clean(second); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.pages[0].chain); n != 1 {
+		t.Fatalf("chain of %d records after the clean, want the fold alone", n)
+	}
+	for i := 0; i < maxChain-1; i++ {
+		overwrite(0)
+	}
+
+	e2, err := Mount(r.dev, r.clock, Config{PageBytes: testPage, Obs: obs.New(0)})
+	if err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	if n := len(e2.pages[0].chain); n <= maxChain {
+		t.Fatalf("mounted chain of %d records, want more than maxChain (%d)", n, maxChain)
+	} else {
+		t.Logf("mounted chain of %d records", n)
+	}
+	got := make([]byte, testPage)
+	if err := e2.ReadPages([]int64{0}, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, images[0]) {
+		t.Fatal("page 0 read back a stale image after the mount")
+	}
+	if err := e2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	images[0][5]++
+	if err := e2.WritePageTagged(0, images[0], engine.Tag{}); err != nil {
+		t.Fatal(err)
+	}
+	if e2.Promotions() != 1 || len(e2.pages[0].chain) != 0 {
+		t.Fatalf("overwrite of the long chain: %d promotions, chain of %d, want 1 and 0",
+			e2.Promotions(), len(e2.pages[0].chain))
+	}
+	if err := e2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaPathAllocFree holds the delta path to no allocation once the
+// engine is built: a page's first record takes a chain window, a fold
+// swaps a chain for one record, and a promotion frees a window the next
+// chain takes back.
+func TestDeltaPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r := newRig(t, Config{})
+	e := r.e
+	const pages = 100
+	page := make([]byte, testPage)
+	for lpn := int64(0); lpn < pages; lpn++ {
+		if err := e.WritePageTagged(lpn, page, engine.Tag{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page[7] = 1 // a one-byte diff against every page's base
+
+	lpn := int64(0)
+	if n := testing.AllocsPerRun(pages-1, func() {
+		if err := e.WritePageTagged(lpn, page, engine.Tag{}); err != nil {
+			t.Fatal(err)
+		}
+		lpn++
+	}); n != 0 {
+		t.Errorf("first delta record on a fresh page: %v allocs, want 0", n)
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		if err := e.mergeInto(0, e.mergeBuf); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := chainHull(e.pages[0].chain)
+		if err := e.foldChain(0, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("fold: %v allocs, want 0", n)
+	}
+
+	// AllocsPerRun rounds down, so a window lost per chain would hide in
+	// a fresh slab's 256; the windows held, by chains or spare, must not
+	// change either.
+	windows := func() int {
+		n := len(e.spare)
+		for i := range e.pages {
+			if e.pages[i].chain != nil {
+				n++
+			}
+		}
+		return n
+	}
+	big := make([]byte, testPage)
+	promotions, held := e.Promotions(), windows()
+	if n := testing.AllocsPerRun(100, func() {
+		big[0]++
+		for i := 1; i < testPage/2; i++ {
+			big[i] = big[0] // a half-page diff: promotes
+		}
+		if err := e.WritePageTagged(1, big, engine.Tag{}); err != nil {
+			t.Fatal(err)
+		}
+		big[testPage-1]++ // a one-byte diff: a new chain
+		if err := e.WritePageTagged(1, big, engine.Tag{}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("promotion and a new chain: %v allocs, want 0", n)
+	}
+	if got := e.Promotions() - promotions; got != 101 || len(e.pages[1].chain) != 1 {
+		t.Fatalf("%d promotions and a chain of %d, want 101 and 1", got, len(e.pages[1].chain))
+	}
+	if n := windows(); n != held {
+		t.Fatalf("windows held %d → %d: a dying chain's window was not handed back", held, n)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLargeDiffWritesBase checks promoteBytes: a diff at or past the
 // bound (half a page) skips the delta path entirely.
 func TestLargeDiffWritesBase(t *testing.T) {
@@ -164,7 +331,7 @@ func TestMountTornDeltaRecord(t *testing.T) {
 	// Corrupt flash directly where the NEXT record would land: simulate a
 	// torn program by landing a half-written header after the live record.
 	d := e.pages[5].chain[0]
-	torn := d.addr + int64(d.rec)
+	torn := d.addr + d.rec()
 	if _, err := r.dev.Program(torn, []byte{0x42}); err != nil { // non-blank, CRC cannot match
 		t.Fatal(err)
 	}

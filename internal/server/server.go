@@ -474,13 +474,11 @@ func queueDelay(now sim.Time, arrival sim.Time) sim.Duration {
 func (s *Server) updateAdmission() {
 	occ := s.b.Storage.BufferOccupancy()
 	lag := s.b.Engine.CleanerLag()
+	engaged := false
 	if !s.shedding {
 		if occ >= s.cfg.HighWatermark && lag > 0 {
-			s.shedding = true
+			s.shedding, engaged = true, true
 			s.shedEngages.Inc()
-			if s.cfg.OnShedEngage != nil {
-				s.cfg.OnShedEngage()
-			}
 		}
 	} else if occ <= s.cfg.LowWatermark || lag == 0 {
 		s.shedding = false
@@ -489,6 +487,11 @@ func (s *Server) updateAdmission() {
 		s.shedGauge.Set(1)
 	} else {
 		s.shedGauge.Set(0)
+	}
+	// The hook runs after the gauge is set, so a flight record it takes
+	// says the card is shedding.
+	if engaged && s.cfg.OnShedEngage != nil {
+		s.cfg.OnShedEngage()
 	}
 }
 
